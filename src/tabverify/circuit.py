@@ -82,16 +82,6 @@ def simulate(c, bits):
     return tuple(wires[w] for w in c.outputs)
 
 
-def simulate_wires(c, bits):
-    """Like simulate but returns every wire value (inputs included)."""
-    if len(bits) != c.n_inputs:
-        raise CircuitError(f"expected {c.n_inputs} input bits, got {len(bits)}")
-    wires = list(bits)
-    for l, r, tt in c.gates:
-        wires.append((tt >> ((wires[l] << 1) | wires[r])) & 1)
-    return wires
-
-
 def simulate_batch(c, columns, width):
     """Evaluate many assignments at once.
 
@@ -469,14 +459,19 @@ def encode_program(c, u):
     return tuple(bits)
 
 
-def budget_for(circuits, n_data=None, m=None):
-    """Shared (n_data, g) budget covering every circuit in the list."""
+def budget_for(circuits, floor=None):
+    """Shared (n_data, g, m) universal-circuit size covering every circuit.
+
+    floor, an (n_data, g) pair, raises the size so that unrelated designs
+    can share one universal circuit.
+    """
     if not circuits:
         raise CircuitError("no circuits to budget")
-    nd = max(c.n_inputs for c in circuits)
-    gg = max(len(c.gates) for c in circuits)
-    mm = len(circuits[0].outputs)
-    for c in circuits:
-        if len(c.outputs) != mm:
-            raise CircuitError("circuits disagree on output width")
-    return (max(nd, n_data or 0), max(gg, 1), mm if m is None else m)
+    m = len(circuits[0].outputs)
+    if any(len(c.outputs) != m for c in circuits):
+        raise CircuitError("circuits disagree on output width")
+    n_data = max(c.n_inputs for c in circuits)
+    g = max(len(c.gates) for c in circuits)
+    if floor is not None:
+        n_data, g = max(n_data, floor[0]), max(g, floor[1])
+    return (n_data, g, m)

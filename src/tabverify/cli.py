@@ -27,7 +27,7 @@ from .protocol import (
     verify_session,
     vs_encrypt,
 )
-from .simharness import OracleDeveloper, metadata_views, run_experiment
+from .simharness import metadata_views, paired_session, run_experiment
 from .tables import transform
 from .vga import coverage_report
 
@@ -363,15 +363,7 @@ def sim_equiv(seed, sessions):
     """Check oracle/service byte equivalence and the real-ideal experiment."""
     g = demo_mod.demo_graph()
     for k in range(sessions):
-        dev = Developer(g, rng=random.Random(seed + k))
-        v1 = Verifier(dev.pp.to_dict(), g, demo_mod.DEMO_DOMAINS, [],
-                      seed=seed + k, mode="general", rng=random.Random(1000 + k))
-        _, c1 = verify_session(dev, v1)
-        orc = OracleDeveloper(g, rng=random.Random(seed + k))
-        v2 = Verifier(orc.pp.to_dict(), g, demo_mod.DEMO_DOMAINS, [],
-                      seed=seed + k, mode="general", rng=random.Random(1000 + k))
-        orc.learn_sk(v2.sk)
-        _, c2 = verify_session(orc, v2)
+        c1, c2 = paired_session(g, demo_mod.DEMO_DOMAINS, seed + k, seed + k, 1000 + k)
         if canonical_json(c1) != canonical_json(c2):
             fail(EXIT_REJECT, "sim-equiv", f"transcripts diverge in session {k}")
         click.echo(f"session {k}: byte-identical ({len(c1['qa_e'])} queries)")

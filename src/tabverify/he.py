@@ -22,7 +22,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .circuit import simulate_wires
+from .circuit import simulate
 
 TAG_TRANSPARENT = 1
 TAG_SHE = 2
@@ -156,10 +156,6 @@ def _unpack(hpk_or_hsk, ct):
     return bytes(ct[9:])
 
 
-def lam_bits(hpk):
-    return hpk.lam_bytes * 8
-
-
 def _tr_payload(bit, nonce):
     return bytes([bit]) + nonce
 
@@ -219,23 +215,35 @@ def dec_word(hsk, cts):
     return tuple(dec(hsk, ct) for ct in cts)
 
 
+def well_formed(hpk, cts):
+    """True when every ciphertext has this key pair's length, tag and id."""
+    try:
+        for ct in cts:
+            _unpack(hpk, ct)
+    except HeError:
+        return False
+    return True
+
+
 # --- homomorphic evaluation ------------------------------------------------------
 
+# Output bits of recent plaintext evaluations. An audit replays the session's
+# evaluations on the same inputs, so repeated audits of one certificate hit.
 _SIM_CACHE = OrderedDict()
 _SIM_CACHE_MAX = 512
 
 
-def _cached_wires(circuit, bits):
-    key = (circuit.gates_digest(), bits)
+def _cached_outputs(circuit, bits):
+    key = (circuit.gates_digest(), circuit.outputs, bits)
     hit = _SIM_CACHE.get(key)
     if hit is not None:
         _SIM_CACHE.move_to_end(key)
         return hit
-    wires = simulate_wires(circuit, list(bits))
-    _SIM_CACHE[key] = wires
+    outs = simulate(circuit, bits)
+    _SIM_CACHE[key] = outs
     if len(_SIM_CACHE) > _SIM_CACHE_MAX:
         _SIM_CACHE.popitem(last=False)
-    return wires
+    return outs
 
 
 def _tr_out_nonce(hpk, proj_digest, input_blob):
@@ -250,16 +258,16 @@ def _tr_out_nonce(hpk, proj_digest, input_blob):
 def _eval_transparent(hpk, circuit, cts):
     bits = tuple(_unpack(hpk, ct)[0] & 1 for ct in cts)
     input_blob = b"".join(cts)
-    wires = _cached_wires(circuit, bits)
+    bits_out = _cached_outputs(circuit, bits)
     gd = circuit.gates_digest()
     outs = []
-    for w in circuit.outputs:
+    for w, bit in zip(circuit.outputs, bits_out):
         # matches with_outputs((w,)).digest() without building the projection
         h = hashlib.sha256()
         h.update(gd.encode())
         h.update(str([w]).encode())
         nonce = _tr_out_nonce(hpk, h.hexdigest(), input_blob)
-        outs.append(_pack(hpk, _tr_payload(wires[w], nonce)))
+        outs.append(_pack(hpk, _tr_payload(bit, nonce)))
     return outs
 
 
@@ -368,15 +376,3 @@ def hpk_from_dict(d):
         x0=int(d["x0"], 16) if "x0" in d else 0,
         zeros=tuple(int(z, 16) for z in d.get("zeros", ())),
     )
-
-
-def eval_star(hpk, circuits, cts):
-    """Chain evaluations; each stage consumes the previous stage's outputs."""
-    current = list(cts)
-    for i, c in enumerate(circuits):
-        if c.n_inputs != len(current):
-            raise HeError(
-                f"stage {i} expects {c.n_inputs} inputs, got {len(current)}"
-            )
-        current = eval_word(hpk, c, current)
-    return current

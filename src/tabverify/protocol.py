@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 
 from . import he
 from .channel import canonical_json, make_frame
-from .circuit import build_universal, compile_table, encode_program
+from .circuit import budget_for, build_universal, compile_table, encode_program
 from .commitment import (
     choose_challenge,
     commit_respond,
     gen_code,
-    join_blocks,
     split_blocks,
     verify_reveal,
     CommitMessage,
@@ -214,10 +213,16 @@ def public_structure(tg, index_of):
 # --- developer -------------------------------------------------------------------
 
 
+def table_circuits(tg):
+    """Level-order index of every row table, and its circuit by index."""
+    index_of = {name: i + 1 for i, name in enumerate(tg.order)}
+    return index_of, {index_of[n]: compile_table(tg.tables[n], tg.m) for n in tg.order}
+
+
 @dataclass
 class _SessionMem:
     q1: dict = field(default_factory=dict)  # (i, port) -> (u_bits, w_cts)
-    q2: dict = field(default_factory=dict)  # i -> (u_cts, v_cts, honest answer)
+    q2: dict = field(default_factory=dict)  # i -> (v_cts, plaintext output word)
     pending: dict = field(default_factory=dict)  # checker subprotocol state
     swap_held: object = None  # previous answer, for the swap strategy
 
@@ -227,6 +232,10 @@ class Developer:
 
     strategy selects a scripted dishonest behavior for tests:
     flip-payload, flip-tag, or swap-answers. None means honest.
+
+    Every check on a query lives here once. Plaintext enters only through
+    two open hooks, _open_output and _open_checker, which decrypt; the
+    simulation oracle overrides just those two.
     """
 
     def __init__(
@@ -244,18 +253,9 @@ class Developer:
         self.graph = graph
         self.tg = transform(graph)
         self.K = K
-        self.index_of = {name: i + 1 for i, name in enumerate(self.tg.order)}
+        self.index_of, circuits = table_circuits(self.tg)
         self.name_of = {i: n for n, i in self.index_of.items()}
-        m = graph.m
-
-        circuits = {}
-        for name in self.tg.order:
-            circuits[self.index_of[name]] = compile_table(self.tg.tables[name], m)
-        n_data = max(c.n_inputs for c in circuits.values())
-        g = max(len(c.gates) for c in circuits.values())
-        if u_budget is not None:  # floor, so unrelated designs can share sizes
-            n_data = max(n_data, u_budget[0])
-            g = max(g, u_budget[1])
+        n_data, g, m = budget_for(list(circuits.values()), floor=u_budget)
         self.u = universal_for((n_data, g, m))
 
         keys = he.keygen(K, backend, config=he_config, rng=self.rng)
@@ -363,27 +363,13 @@ class Developer:
         if len(u_cts) != len(t.inputs) * m or len(v_cts) != m:
             return {"answer": {"kind": NULL}}
 
+        u_plain = []
         for j, (port, _) in enumerate(t.inputs):
             segment = u_cts[j * m : (j + 1) * m]
-            producers = self.tg.producers[(name, port)]
-            if producers[0][0] == INPUT:
-                known = mem.q1.get((i, j))
-                if known is None or known[1] != segment:
-                    return {"answer": {"kind": NULL}}
-                continue
-            matched = False
-            for src, _sport in producers:
-                prior = mem.q2.get(self.index_of[src])
-                if prior is None:
-                    continue
-                p_u, p_v, p_ans = prior
-                if p_v == segment:
-                    if p_ans == BOT:  # producing output decrypts to bot
-                        return {"answer": {"kind": NULL}}
-                    matched = True
-                    break
-            if not matched:
+            word = self._produced_word(mem, i, j, name, port, segment)
+            if word is None:
                 return {"answer": {"kind": NULL}}
+            u_plain.extend(word)
 
         recomputed = he.eval_word(
             self.hpk,
@@ -393,21 +379,40 @@ class Developer:
         if recomputed != v_cts:
             return {"answer": {"kind": NULL}}
 
-        tag = he.dec_word(self.hsk, v_cts[:h])
-        is_top = any(tag)
-        external = name in {n for n, _ in self.tg.external_outputs}
-        if not is_top:
+        out = self._open_output(i, v_cts, u_plain)
+        if not any(out[:h]):
             honest = {"kind": BOT}
-            kind_for_mem = BOT
-        elif external:
-            payload = he.dec_word(self.hsk, v_cts[h:])
-            honest = {"kind": "payload", "payload": bits_str(payload)}
-            kind_for_mem = "payload"
+        elif name in {n for n, _ in self.tg.external_outputs}:
+            honest = {"kind": "payload", "payload": bits_str(out[h:])}
         else:
             honest = {"kind": TOP}
-            kind_for_mem = TOP
-        mem.q2[i] = (u_cts, v_cts, kind_for_mem)
+        mem.q2[i] = (v_cts, out)
         return {"answer": self._apply_strategy(mem, honest)}
+
+    def _produced_word(self, mem, i, j, name, port, segment):
+        """Plaintext of input segment j of table i, if an earlier answer
+        produced exactly these ciphertexts; None otherwise."""
+        producers = self.tg.producers[(name, port)]
+        if producers[0][0] == INPUT:
+            known = mem.q1.get((i, j))
+            if known is None or known[1] != segment:
+                return None
+            return known[0]
+        h = self.pp.m // 2
+        for src, _sport in producers:
+            prior = mem.q2.get(self.index_of[src])
+            if prior is not None and prior[0] == segment:
+                # a producing output that decrypts to bot feeds nothing
+                return prior[1] if any(prior[1][:h]) else None
+        return None
+
+    def _open_output(self, i, v_cts, u_plain):
+        """Plaintext output word of table i, whose inputs are u_plain."""
+        return he.dec_word(self.hsk, v_cts)
+
+    def _open_checker(self, y, slice_plain):
+        """The value y decrypts to: the verifier's SE encryption of slice_plain."""
+        return he.dec_word(self.hsk, y)
 
     def _apply_strategy(self, mem, honest):
         if self.strategy == "flip-payload" and honest["kind"] == "payload":
@@ -455,22 +460,24 @@ class Developer:
         except ProtocolError:
             return {"result": NULL}
         want = m if case == "input" else h
-        if len(p) != want or len(y) != want:
+        if len(p) != want or len(y) != want or not he.well_formed(self.hpk, y):
             return {"result": NULL}
         if case == "input":
             known = mem.q1.get((i, port))
             if known is None or known[1] != p:
                 return {"result": NULL}
+            slice_plain = known[0]
         elif case in ("intermediate", "external"):
             prior = mem.q2.get(i)
             if prior is None:
                 return {"result": NULL}
-            slice_cts = prior[1][:h] if case == "intermediate" else prior[1][h:]
-            if slice_cts != p:
+            half = slice(None, h) if case == "intermediate" else slice(h, None)
+            if prior[0][half] != p:
                 return {"result": NULL}
+            slice_plain = prior[1][half]
         else:
             return {"result": NULL}
-        d_bits = he.dec_word(self.hsk, y)
+        d_bits = self._open_checker(y, slice_plain)
         mem.pending = {
             "d": d_bits,
             "p": p,
@@ -516,14 +523,11 @@ class Developer:
             return {"result": NULL}
         if len(ct_sk) != self.pp.se_key_bits:
             return {"result": NULL}
-        try:
-            sk_candidate = he.dec_word(self.hsk, ct_sk)
-        except he.HeError:
-            return {"result": NULL}
-        if len(sk_candidate) != self.pp.se_key_bits:
-            return {"result": NULL}
         circ = se_circuit_for(self.pp.se_key_bits, len(pending["p"]))
-        recomputed = he.eval_word(self.hpk, circ, list(ct_sk) + pending["p"])
+        try:
+            recomputed = he.eval_word(self.hpk, circ, list(ct_sk) + pending["p"])
+        except he.HeError:  # ct_sk is not a ciphertext under hpk
+            return {"result": NULL}
         if recomputed != pending["y"]:
             return {"result": NULL}
         reveals = [
@@ -656,7 +660,7 @@ class Verifier:
         self.qa_c = []
         self.session = f"v{seed}"
         self.failures = []
-        self.replay_qac = None  # set by the auditor
+        self.replay_qac = None  # recorded checker tuples, set by the auditor
 
     # -- plumbing
 
@@ -703,7 +707,7 @@ class Verifier:
         cp_results = []
         for X, Y in self.cp:
             got = results[input_key(X)]
-            ok = outputs_equal(normalize_expected(Y), got)
+            ok = outputs_equal(Y, got)
             cp_results.append({"input": X, "expected": Y, "ok": ok})
 
         verdict = (
@@ -874,34 +878,11 @@ class Verifier:
             return False
         commits = c["blocks"]
         res = self._ask(chan, "checker_proof", {"ct_sk": cts_b64(self.ct_sk)})
-        if "d" not in res:
-            return False
         try:
-            d = str_bits(res["d"])
-            reveals = res["reveals"]
-        except (ProtocolError, KeyError):
-            return False
-        if len(d) != len(p) or len(reveals) != n:
-            return False
-
-        blocks_record = []
-        data_blocks = split_blocks(d, self.code.m_c)
-        for R, cm, rv, want_data in zip(rs, commits, reveals, data_blocks):
-            try:
-                commit = CommitMessage(
-                    e=str_bits(cm["e"]),
-                    exposed=tuple((int(ii), int(bb)) for ii, bb in cm["exposed"]),
-                )
-                reveal = RevealMessage(
-                    seed=str_bits(rv["seed"]), data=str_bits(rv["data"])
-                )
-            except (ProtocolError, KeyError, TypeError):
+            d, reveals = res["d"], res["reveals"]
+            if len(str_bits(d)) != len(p) or len(reveals) != n:
                 return False
-            if reveal.data != want_data:
-                return False
-            if not verify_reveal(commit, reveal, R, self.code):
-                return False
-            blocks_record.append(
+            blocks = [
                 {
                     "R": bits_str(R),
                     "e": cm["e"],
@@ -909,23 +890,34 @@ class Verifier:
                     "seed": rv["seed"],
                     "data": rv["data"],
                 }
-            )
-        record["a"]["d"] = bits_str(d)
-        record["s"]["blocks"] = blocks_record
-        return se_dec(self.sk, d) == tuple(expected)
+                for R, cm, rv in zip(rs, commits, reveals)
+            ]
+            return self._check_opening(record, d, blocks, expected)
+        except (ProtocolError, KeyError, TypeError, ValueError):
+            return False
 
     def _checker_replay(self, record, expected):
-        """Consume the next recorded checker tuple instead of the channel."""
-        if not self.replay_qac:
+        """Check the recorded checker tuple for this round instead of asking."""
+        k = len(self.qa_c) - 1  # this round's record is already appended
+        if k >= len(self.replay_qac):
             raise SessionFailure("checker record missing")
-        rec = self.replay_qac.pop(0)
+        rec = self.replay_qac[k]
         if rec["q"] != record["q"]:
             raise SessionFailure("checker record mismatch")
         if rec["a"].get("d") is None:
             return False
-        d = str_bits(rec["a"]["d"])
-        blocks = rec["s"]["blocks"]
-        data_blocks = split_blocks(d, self.code.m_c)
+        return self._check_opening(record, rec["a"]["d"], rec["s"]["blocks"], expected)
+
+    def _check_opening(self, record, d, blocks, expected):
+        """Check the commitment openings of a revealed value d, live or replayed.
+
+        Every block must reveal its slice of d and open its commitment under
+        its challenge R; then d and the blocks go into the record, and d must
+        decrypt under the session key to the expected answer. A block that
+        does not parse raises (ProtocolError, KeyError, TypeError, ValueError).
+        """
+        bits = str_bits(d)
+        data_blocks = split_blocks(bits, self.code.m_c)
         if len(blocks) != len(data_blocks):
             return False
         for blk, want_data in zip(blocks, data_blocks):
@@ -940,9 +932,9 @@ class Verifier:
                 return False
             if not verify_reveal(commit, reveal, str_bits(blk["R"]), self.code):
                 return False
-        record["a"]["d"] = rec["a"]["d"]
+        record["a"]["d"] = d
         record["s"]["blocks"] = blocks
-        return se_dec(self.sk, d) == tuple(expected)
+        return se_dec(self.sk, bits) == tuple(expected)
 
 
 # --- output comparison helpers ----------------------------------------------------
@@ -967,10 +959,6 @@ def spec_port_outputs(tg_spec, X):
         else:
             result[port] = None
     return result
-
-
-def normalize_expected(Y):
-    return {port: (BOT if v == BOT else v) for port, v in Y.items()}
 
 
 def outputs_equal(want, got):

@@ -2,13 +2,15 @@
 
 Two pieces back the indistinguishability claims:
 
-1. Oracle reimplementations of the developer services that keep plaintext
-   bookkeeping instead of ever decrypting. Against identical keys and
-   randomness they must answer byte-for-byte like the real developer, for
-   any valid query sequence. The encode oracle evaluates the secret tables
-   in the clear from its memory; the path oracle is the same search the
-   real service runs; the checker oracle knows the verifier's symmetric
-   key and produces the committed value directly from the recorded answer.
+1. A simulation oracle that answers developer queries without ever
+   decrypting. It is the real Developer with its two open hooks replaced:
+   an encode answer opens the output word by evaluating the secret table in
+   the clear on the plaintext inputs the session memory already holds, and
+   a checker round opens y as the symmetric encryption of the answer slice
+   under the verifier's key, which the oracle is told. Every check on a
+   query is the Developer's own, so against identical keys and randomness
+   the oracle answers byte for byte like the real developer for any valid
+   query sequence.
 
 2. A structure-preserving fake-design generator plus a real/ideal
    experiment runner: the ideal run encrypts a fake design with the same
@@ -18,187 +20,66 @@ Two pieces back the indistinguishability claims:
 
 import random
 
-from . import he
-from .circuit import simulate
+from .circuit import budget_for, simulate
 from .expr import parse_expr
 from .protocol import (
-    BOT,
-    NULL,
-    TOP,
     Developer,
     Verifier,
-    b64_cts,
+    public_structure,
+    table_circuits,
     verify_session,
 )
 from .symcrypto import se_enc
-from .tables import INPUT, Table, TableGraph
+from .tables import Table, TableGraph, transform
 
 
 class OracleDeveloper(Developer):
-    """Answers developer queries without touching the decryption key.
+    """A Developer whose open hooks never touch the decryption key.
 
     cipher_graph drives everything public (keys, programs, structure);
-    answer_graph supplies the table semantics used for answers. They must
-    share the interconnection structure. With answer_graph omitted this is
-    a drop-in plaintext-bookkeeping twin of Developer.
+    answer_graph supplies the table semantics that _open_output evaluates.
+    They must share the interconnection structure. With answer_graph
+    omitted this is a drop-in plaintext twin of Developer. In general mode
+    _open_checker needs the verifier's symmetric key, given by learn_sk.
     """
 
-    def __init__(self, cipher_graph, answer_graph=None, sk=None, **kw):
+    def __init__(self, cipher_graph, answer_graph=None, **kw):
         super().__init__(cipher_graph, **kw)
         self.hsk = None  # any accidental decryption now fails loudly
-        self.sk = tuple(sk) if sk is not None else None
-        if answer_graph is None:
-            self.answer_circuits = self.circuits
-        else:
-            twin = Developer(answer_graph, rng=random.Random(0))
-            if twin.pp.structure != self.pp.structure:
+        self.sk = None
+        self.answer_circuits = self.circuits
+        if answer_graph is not None:
+            tg = transform(answer_graph)
+            index_of, self.answer_circuits = table_circuits(tg)
+            if public_structure(tg, index_of) != self.pp.structure:
                 raise ValueError("answer graph has a different structure")
-            self.answer_circuits = twin.circuits
-        self._plain = {}  # session mem id -> {i: plaintext output word}
 
     def learn_sk(self, sk):
         self.sk = tuple(sk)
 
-    def _mem_plain(self, mem):
-        return self._plain.setdefault(id(mem), {})
+    def _open_output(self, i, v_cts, u_plain):
+        return simulate(self.answer_circuits[i], u_plain)
 
-    def _encode_q2(self, mem, body):
-        from .protocol import cts_b64, pad_data_cts
+    def _open_checker(self, y, slice_plain):
+        return se_enc(self.sk, slice_plain)
 
-        m = self.pp.m
-        h = m // 2
-        i = body.get("i")
-        name = self.name_of.get(i)
-        if name is None:
-            return {"answer": {"kind": NULL}}
-        t = self.tg.tables[name]
-        try:
-            u_cts = b64_cts(body.get("u", []))
-            v_cts = b64_cts(body.get("v", []))
-        except Exception:
-            return {"answer": {"kind": NULL}}
-        if len(u_cts) != len(t.inputs) * m or len(v_cts) != m:
-            return {"answer": {"kind": NULL}}
 
-        plain = self._mem_plain(mem)
-        u_plain = []
-        for j, (port, _) in enumerate(t.inputs):
-            segment = u_cts[j * m : (j + 1) * m]
-            producers = self.tg.producers[(name, port)]
-            if producers[0][0] == INPUT:
-                known = mem.q1.get((i, j))
-                if known is None or known[1] != segment:
-                    return {"answer": {"kind": NULL}}
-                u_plain.extend(known[0])
-                continue
-            matched = False
-            for src, _sport in producers:
-                k = self.index_of[src]
-                prior = mem.q2.get(k)
-                if prior is None:
-                    continue
-                p_u, p_v, p_ans = prior
-                if p_v == segment:
-                    if p_ans == BOT:
-                        return {"answer": {"kind": NULL}}
-                    u_plain.extend(plain[k])
-                    matched = True
-                    break
-            if not matched:
-                return {"answer": {"kind": NULL}}
+def paired_session(graph, domains, dev_seed, v_seed, v_rng_seed, mode="general"):
+    """One session against the real developer and one against its oracle
+    twin, under the same keys and randomness. Returns both certificates.
 
-        recomputed = he.eval_word(
-            self.hpk,
-            self.u.circuit,
-            self.pp.programs[i] + pad_data_cts(u_cts, self.u.n_data),
-        )
-        if recomputed != v_cts:
-            return {"answer": {"kind": NULL}}
-
-        # plaintext shadow of what decrypting v would give
-        out = simulate(self.answer_circuits[i], u_plain)
-        tag, payload = out[:h], out[h:]
-        is_top = any(tag)
-        external = name in {n for n, _ in self.tg.external_outputs}
-        if not is_top:
-            honest = {"kind": BOT}
-            kind_for_mem = BOT
-        elif external:
-            from .protocol import bits_str
-
-            honest = {"kind": "payload", "payload": bits_str(payload)}
-            kind_for_mem = "payload"
-        else:
-            honest = {"kind": TOP}
-            kind_for_mem = TOP
-        mem.q2[i] = (u_cts, v_cts, kind_for_mem)
-        plain[i] = out
-        return {"answer": self._apply_strategy(mem, honest)}
-
-    def _checker(self, mem, body):
-        from .commitment import split_blocks
-
-        m = self.pp.m
-        h = m // 2
-        i, case, port = body.get("i"), body.get("case"), body.get("port")
-        try:
-            p = b64_cts(body.get("p", []))
-            y = b64_cts(body.get("y", []))
-        except Exception:
-            return {"result": NULL}
-        want = m if case == "input" else h
-        if len(p) != want or len(y) != want:
-            return {"result": NULL}
-        plain = self._mem_plain(mem)
-        if case == "input":
-            known = mem.q1.get((i, port))
-            if known is None or known[1] != p:
-                return {"result": NULL}
-            slice_plain = known[0]
-        elif case in ("intermediate", "external"):
-            prior = mem.q2.get(i)
-            if prior is None:
-                return {"result": NULL}
-            slice_cts = prior[1][:h] if case == "intermediate" else prior[1][h:]
-            if slice_cts != p:
-                return {"result": NULL}
-            out = plain[i]
-            slice_plain = out[:h] if case == "intermediate" else out[h:]
-        else:
-            return {"result": NULL}
-        # knows the verifier's key: commit to the encryption of the answer
-        d_bits = se_enc(self.sk, tuple(slice_plain))
-        mem.pending = {
-            "d": d_bits,
-            "p": p,
-            "y": y,
-            "blocks": split_blocks(d_bits, self.code.m_c),
-            "seeds": None,
-        }
-        return {"blocks": len(mem.pending["blocks"])}
-
-    def _proof(self, mem, body):
-        from .protocol import bits_str, se_circuit_for
-
-        pending = mem.pending
-        if not pending or pending.get("seeds") is None:
-            return {"result": NULL}
-        mem.pending = {}
-        try:
-            ct_sk = b64_cts(body.get("ct_sk", []))
-        except Exception:
-            return {"result": NULL}
-        if len(ct_sk) != self.pp.se_key_bits:
-            return {"result": NULL}
-        circ = se_circuit_for(self.pp.se_key_bits, len(pending["p"]))
-        recomputed = he.eval_word(self.hpk, circ, list(ct_sk) + pending["p"])
-        if recomputed != pending["y"]:
-            return {"result": NULL}
-        reveals = [
-            {"seed": bits_str(s), "data": bits_str(d)}
-            for s, d in zip(pending["seeds"], pending["blocks"])
-        ]
-        return {"d": bits_str(pending["d"]), "reveals": reveals}
+    dev_seed seeds the developers' randomness, v_seed the verifiers' test
+    suite and v_rng_seed the verifiers' keys and challenges.
+    """
+    certs = []
+    for cls in (Developer, OracleDeveloper):
+        dev = cls(graph, rng=random.Random(dev_seed))
+        v = Verifier(dev.pp.to_dict(), graph, domains, [], seed=v_seed,
+                     mode=mode, rng=random.Random(v_rng_seed))
+        if cls is OracleDeveloper and mode == "general":
+            dev.learn_sk(v.sk)
+        certs.append(verify_session(dev, v)[1])
+    return certs
 
 
 # --- structure-preserving fake designs ---------------------------------------------
@@ -265,12 +146,10 @@ def _fake_func(int_ports, bool_ports, out_type, rng):
 
 def shared_budget(*graphs):
     """Universal-circuit floor large enough for every listed design."""
-    n_data, gates = 0, 0
-    for g in graphs:
-        dev = Developer(g, rng=random.Random(0))
-        n_data = max(n_data, dev.u.n_data)
-        gates = max(gates, dev.u.g)
-    return (n_data, gates)
+    circuits = [
+        c for g in graphs for c in table_circuits(transform(g))[1].values()
+    ]
+    return budget_for(circuits)[:2]
 
 
 def run_experiment(graph, domains, cp, seed, mode="general", vga_budget=8):
@@ -278,7 +157,7 @@ def run_experiment(graph, domains, cp, seed, mode="general", vga_budget=8):
 
     Real: the actual developer on the actual design. Ideal: a fake design
     with the same structure is encrypted, while answers come from the real
-    tables through the plaintext-bookkeeping oracles.
+    tables through the oracle developer's open hooks.
     """
     fake = fake_graph_like(graph, seed)
     budget = shared_budget(graph, fake)

@@ -16,7 +16,6 @@ from .expr import (
     evaluate,
     infer_type,
     references,
-    to_text,
     wrap_signed,
 )
 
@@ -337,7 +336,7 @@ class TransformedGraph:
 
     def __post_init__(self):
         self.levels = self._compute_levels()
-        self.order = sorted(self.tables, key=lambda n: (self.levels[n], _key(n)))
+        self.order = sorted(self.tables, key=lambda n: (self.levels[n], n))
         for (dst, _), group in self.producers.items():
             for src, _ in group:
                 if src != INPUT and self.levels[src] >= self.levels[dst]:
@@ -377,16 +376,6 @@ class TransformedGraph:
             edges.add((index[tname], OUTPUT))
         return {"nodes": nodes, "edges": sorted(edges, key=str)}
 
-    def external_table_names(self):
-        seen = []
-        for tname, _ in self.external_outputs:
-            if tname not in seen:
-                seen.append(tname)
-        return seen
-
-
-def _key(name):
-    return name
 
 
 def consistent_order(tg):
@@ -550,44 +539,6 @@ def evaluate_original(g, X):
             values[(name, port)] = v
         results[name] = outs
     return results
-
-
-def format_tagged(v, ptype="int"):
-    if v is None:
-        return "null"
-    if not v.tag:
-        return "bot"
-    if ptype == "bool":
-        return str(bool(v.payload))
-    return str(v.payload)
-
-
-def describe_table(t):
-    lines = [f"table {t.name}"]
-    for pred, funcs in t.rows:
-        fs = ", ".join(to_text(f) for f in funcs)
-        lines.append(f"  {to_text(pred)} -> {fs}")
-    return "\n".join(lines)
-
-
-def external_input_domains(g, lo=None, hi=None):
-    """Default test domains: full payload range for ints, {F,T} for bools."""
-    h = g.m // 2
-    lo = -(1 << (h - 1)) if lo is None else lo
-    hi = (1 << (h - 1)) - 1 if hi is None else hi
-    out = {}
-    for name, ptype in g.external_inputs:
-        out[name] = [False, True] if ptype == "bool" else list(range(lo, hi + 1))
-    return out
-
-
-def used_ports(table):
-    out = set()
-    for pred, funcs in table.rows:
-        out |= references(pred)
-        for f in funcs:
-            out |= references(f)
-    return out
 
 
 def validate_references(g):

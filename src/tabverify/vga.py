@@ -156,19 +156,3 @@ def coverage_report(qa_e, structure):
             entry["anti_covered"] = True
             entry["reached"] = True
     return CoverageReport(tables=tables)
-
-
-def check_critical_points(cp, results):
-    """Compare each (X, expected Y) against observed session outputs.
-
-    results maps input_key(X) to the observed per-port outputs; a missing or
-    null evaluation counts as failure.
-    """
-    out = []
-    for X, Y in cp:
-        got = results.get(input_key(X))
-        ok = got is not None and all(
-            port in got and got[port] == want for port, want in Y.items()
-        )
-        out.append({"input": X, "expected": Y, "observed": got, "ok": ok})
-    return out

@@ -160,3 +160,10 @@ def test_usage_error_exit_codes(workspace):
               "--graph", str(workspace / "demo.txt"),
               "--connect", "x:1", "--cert", str(workspace / "c.json")])
     assert r2.exit_code == 2
+
+
+def test_sim_equiv_one_session():
+    r = run(["sim-equiv", "--sessions", "1"])
+    assert r.exit_code == 0, r.output
+    assert "session 0: byte-identical" in r.output
+    assert "real/ideal metadata indistinguishable" in r.output

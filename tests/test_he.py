@@ -4,7 +4,7 @@ import pytest
 
 from helpers import random_bits, random_circuit
 from tabverify import he
-from tabverify.circuit import TT_AND, TT_XOR, Builder, Circuit, simulate
+from tabverify.circuit import TT_AND, TT_XOR, Circuit, simulate
 
 
 @pytest.fixture(scope="module")
@@ -133,39 +133,6 @@ def test_backends_agree(tr_keys, she_keys):
             cts = he.enc_word(keys.hpk, x, rng)
             results.append(he.dec_word(keys.hsk, he.eval_word(keys.hpk, c, cts)))
         assert results[0] == results[1] == simulate(c, x)
-
-
-def _inc_circuit(width):
-    b = Builder(width)
-    one = [b.constant(1)] + [b.constant(0)] * (width - 1)
-    s, _ = b.add_words(list(range(width)), one)
-    return b.finish(s)
-
-
-def test_eval_star_identity(tr_keys):
-    rng = random.Random(15)
-    ident = Circuit(4, (), (0, 1, 2, 3))
-    cts = he.enc_word(tr_keys.hpk, (1, 0, 0, 1), rng)
-    out = he.eval_star(tr_keys.hpk, [ident, ident], cts)
-    assert he.dec_word(tr_keys.hsk, out) == (1, 0, 0, 1)
-
-
-def test_eval_star_composition(tr_keys, she_keys):
-    rng = random.Random(16)
-    inc = _inc_circuit(4)
-    for keys in (tr_keys, she_keys):
-        cts = he.enc_word(keys.hpk, (1, 1, 0, 0), rng)  # 3
-        out = he.eval_star(keys.hpk, [inc, inc], cts)
-        assert he.dec_word(keys.hsk, out) == (1, 0, 1, 0)  # 5
-
-
-def test_eval_star_incompatible(tr_keys):
-    rng = random.Random(17)
-    inc = _inc_circuit(4)
-    narrow = Circuit(2, ((0, 1, TT_XOR),), (2,))
-    cts = he.enc_word(tr_keys.hpk, (1, 1, 0, 0), rng)
-    with pytest.raises(he.HeError, match="expects"):
-        he.eval_star(tr_keys.hpk, [inc, narrow], cts)
 
 
 def test_projection_byte_identity(tr_keys):

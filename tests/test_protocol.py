@@ -337,6 +337,43 @@ def test_checker_rejects_unknown_slice():
     assert r["result"] == "null"
 
 
+def test_serve_survives_malformed_checker_ciphertext():
+    import socket
+    import threading
+
+    from tabverify.channel import SocketChannel
+    from tabverify.protocol import serve
+
+    dev = make_dev()
+    t = first_input_table(dev)
+    m = dev.pp.m
+    s_dev, s_ver = socket.socketpair()
+    s_ver.settimeout(10)
+    server = threading.Thread(target=serve, args=(dev, SocketChannel(s_dev)))
+    server.start()
+    chan = SocketChannel(s_ver)
+
+    def ask(ftype, body):
+        chan.send(make_frame(ftype, "t", body))
+        return chan.recv()["body"]
+
+    try:
+        ask("hello", {})
+        u = top_tag_bits(m // 2) + (0,) * (m // 2)
+        a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)})
+        # right count and length, but no ciphertext under the developer's key
+        y = [bytes(dev.hpk.lam_bytes)] * m
+        r = ask("checker", {"i": t["index"], "case": "input", "port": 0,
+                            "p": a["answer"]["w"], "y": cts_b64(y)})
+        assert r == {"result": "null"}
+        assert ask("end", {}) == {"ok": True}
+    finally:
+        chan.close()
+        server.join(timeout=10)
+        s_dev.close()
+    assert not server.is_alive()
+
+
 def test_certificate_public_half_has_no_secret_fields():
     dev, _, cert = run_pair(DEMO, DEMO_DOMAINS, [], mode="general")
     pp_dict = cert["public_params"]

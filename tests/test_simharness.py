@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from tabverify import he
 from tabverify.channel import canonical_json, make_frame
+from tabverify.commitment import choose_challenge
 from tabverify.demo import (
     CHAIN_DOMAINS,
     DEMO_DOMAINS,
@@ -10,48 +12,73 @@ from tabverify.demo import (
     chain_graph,
 )
 from tabverify.graphtext import parse_graph
-from tabverify.protocol import Developer, Verifier, verify_session
+from tabverify.protocol import (
+    Developer,
+    b64_cts,
+    bits_str,
+    cts_b64,
+    se_circuit_for,
+)
 from tabverify.simharness import (
     OracleDeveloper,
     fake_graph_like,
     metadata_views,
+    paired_session,
     run_experiment,
     shared_budget,
 )
+from tabverify.symcrypto import se_keygen
 from tabverify.tables import evaluate_plain, transform
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 
 
-def paired_session(graph, domains, dev_seed, v_seed, mode="general"):
-    dev = Developer(graph, rng=random.Random(dev_seed))
-    v1 = Verifier(dev.pp.to_dict(), graph, domains, [], seed=v_seed, mode=mode,
-                  rng=random.Random(v_seed + 100))
-    _, cert1 = verify_session(dev, v1)
-
-    orc = OracleDeveloper(graph, rng=random.Random(dev_seed))
-    v2 = Verifier(orc.pp.to_dict(), graph, domains, [], seed=v_seed, mode=mode,
-                  rng=random.Random(v_seed + 100))
-    if mode == "general":
-        orc.learn_sk(v2.sk)
-    _, cert2 = verify_session(orc, v2)
-    return dev, orc, cert1, cert2
-
-
 def test_oracle_twin_byte_identical_general_session():
-    _, _, cert1, cert2 = paired_session(DEMO, DEMO_DOMAINS, 9, 3)
+    cert1, cert2 = paired_session(DEMO, DEMO_DOMAINS, 9, 3, 103)
     assert canonical_json(cert1) == canonical_json(cert2)
 
 
 def test_oracle_twin_byte_identical_honest_session_chain():
-    _, _, cert1, cert2 = paired_session(chain_graph(), CHAIN_DOMAINS, 4, 8,
-                                        mode="honest")
+    cert1, cert2 = paired_session(chain_graph(), CHAIN_DOMAINS, 4, 8, 108,
+                                  mode="honest")
     assert canonical_json(cert1) == canonical_json(cert2)
 
 
 def test_oracle_never_holds_decryption_key():
     orc = OracleDeveloper(DEMO, rng=random.Random(1))
     assert orc.hsk is None
+
+
+def test_oracle_matches_service_on_malformed_ciphertexts():
+    dev = Developer(DEMO, rng=random.Random(2))
+    orc = OracleDeveloper(DEMO, rng=random.Random(2))
+    sk = se_keygen(16, random.Random(3))
+    ct_sk = he.enc_word(dev.hpk, sk, random.Random(4))
+    orc.learn_sk(sk)
+    m = dev.pp.m
+    t = next(t for t in dev.pp.structure["tables"]
+             if all(p["producers"][0][0] == "input" for p in t["ports"]))
+    junk = [bytes(dev.hpk.lam_bytes)]  # right length, no valid tag or key id
+
+    def ask(ftype, body):
+        f = make_frame(ftype, "s", body)
+        r1, r2 = dev.handle(f), orc.handle(f)
+        assert canonical_json(r1) == canonical_json(r2)
+        return r1["body"]
+
+    ask("hello", {})
+    u = (1,) + (0,) * (m - 1)
+    w = ask("encode", {"qkind": 1, "i": t["index"], "port": 0,
+                       "u": bits_str(u)})["answer"]["w"]
+    checker = {"i": t["index"], "case": "input", "port": 0, "p": w}
+    assert ask("checker", dict(checker, y=cts_b64(junk * m))) == {"result": "null"}
+
+    y = he.eval_word(dev.hpk, se_circuit_for(16, m), list(ct_sk) + b64_cts(w))
+    r = ask("checker", dict(checker, y=cts_b64(y)))
+    rs = [choose_challenge(dev.code.q, random.Random(5)) for _ in range(r["blocks"])]
+    ask("commit_challenge", {"Rs": [bits_str(R) for R in rs]})
+    proof = ask("checker_proof", {"ct_sk": cts_b64(junk * len(sk))})
+    assert proof == {"result": "null"}
 
 
 def test_path_oracle_matches_service():

@@ -10,11 +10,9 @@ from tabverify.graphtext import parse_graph
 from tabverify.protocol import Developer, public_structure
 from tabverify.tables import evaluate_plain, transform
 from tabverify.vga import (
-    check_critical_points,
     coverage_report,
     enumerate_paths,
     generate_suite,
-    input_key,
 )
 
 
@@ -73,17 +71,6 @@ def test_coverage_report_from_transcript():
     assert rep.anti_covered == [2]
     assert rep.unreached == [3, 5]
     assert "covered" in rep.render_text()
-
-
-def test_check_critical_points():
-    results = {input_key({"a": 46, "b": True}): {"w": False, "c": 2}}
-    cps = [
-        ({"a": 46, "b": True}, {"w": False, "c": 2}),
-        ({"a": 46, "b": True}, {"w": True}),
-        ({"a": 0, "b": False}, {"w": False}),
-    ]
-    out = check_critical_points(cps, results)
-    assert [r["ok"] for r in out] == [True, False, False]
 
 
 def test_chain_structure_paths():
