@@ -159,28 +159,16 @@ def replay(cert):
     return True, report
 
 
-def vs_eval_honest(cert):
-    """Audit outcome for an honest-mode certificate: 1 accept, 0 otherwise."""
-    ok, report = replay(cert)
-    return (1 if ok and report.get("replayed_verdict") == "accept" else 0), report
-
-
-def vs_eval_general(cert):
-    """Audit outcome for a general-mode certificate.
-
-    The replay path re-verifies every commitment opening and re-decrypts
-    every revealed checker value under the disclosed session key.
-    """
-    if cert.get("mode") != "general":
-        return 0, {"reason": "certificate is not general mode"}
-    ok, report = replay(cert)
-    return (1 if ok and report.get("replayed_verdict") == "accept" else 0), report
-
-
 def audit(cert):
-    if cert.get("mode") == "general":
-        return vs_eval_general(cert)
-    return vs_eval_honest(cert)
+    """The paper's VS.Eval: 1 when the certificate replays and its verdict
+    is accept, 0 otherwise; returns (outcome, report).
+
+    For a general-mode certificate the replay also re-verifies every
+    commitment opening and re-decrypts every revealed checker value under
+    the disclosed session key.
+    """
+    ok, report = replay(cert)
+    return (1 if ok and report.get("replayed_verdict") == "accept" else 0), report
 
 
 # --- robustness helper for tests ------------------------------------------------

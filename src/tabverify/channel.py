@@ -2,12 +2,11 @@
 
 Every frame is {"type": ..., "session": ..., "body": {...}} serialized as
 canonical JSON (sorted keys, no whitespace) behind a 4-byte big-endian
-length. Three transports share the framing: an in-process loopback that
-drives a handler function, a queue pair, and TCP sockets.
+length. Two transports share the framing: an in-process loopback that
+drives a handler function, and TCP sockets.
 """
 
 import json
-import queue
 import socket
 import struct
 
@@ -70,35 +69,6 @@ class LoopbackChannel:
 
     def close(self):
         pass
-
-
-class QueuePairChannel:
-    """One endpoint of an in-process duplex queue pair."""
-
-    def __init__(self, inbox, outbox, timeout=30.0):
-        self.inbox = inbox
-        self.outbox = outbox
-        self.timeout = timeout
-
-    @classmethod
-    def pair(cls, timeout=30.0):
-        a, b = queue.Queue(), queue.Queue()
-        return cls(a, b, timeout), cls(b, a, timeout)
-
-    def send(self, frame):
-        self.outbox.put(encode_frame(frame))
-
-    def recv(self):
-        try:
-            blob = self.inbox.get(timeout=self.timeout)
-        except queue.Empty as exc:
-            raise ChannelError("channel timed out") from exc
-        if blob is None:
-            raise ChannelError("channel closed")
-        return decode_frame(blob)
-
-    def close(self):
-        self.outbox.put(None)
 
 
 class SocketChannel:

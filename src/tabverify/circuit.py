@@ -51,12 +51,6 @@ class Circuit:
             object.__setattr__(self, "_gd", h.hexdigest())
         return self._gd
 
-    def digest(self):
-        h = hashlib.sha256()
-        h.update(self.gates_digest().encode())
-        h.update(str(list(self.outputs)).encode())
-        return h.hexdigest()
-
     def with_outputs(self, outputs):
         return Circuit(self.n_inputs, self.gates, tuple(outputs))
 

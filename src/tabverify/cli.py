@@ -25,7 +25,6 @@ from .protocol import (
     Verifier,
     serve as serve_loop,
     verify_session,
-    vs_encrypt,
 )
 from .simharness import metadata_views, paired_session, run_experiment
 from .tables import transform
@@ -114,32 +113,6 @@ def main():
 
 
 @main.command()
-@click.option("--backend", default="transparent",
-              type=click.Choice(["transparent", "integer-she"]))
-@click.option("--security", "-k", "security", default=16, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", required=True)
-def keygen(backend, security, seed, out):
-    """Generate a homomorphic key pair and write it to a file."""
-    rng = random.Random(seed) if seed is not None else random.Random()
-    try:
-        keys = he.keygen(security, backend, rng=rng)
-    except he.HeError as exc:
-        fail(EXIT_USAGE, "keygen", str(exc))
-    doc = {
-        "hpk": he.hpk_to_dict(keys.hpk),
-        "hsk": {
-            "kind": keys.hsk.kind,
-            "key_id": keys.hsk.key_id.hex(),
-            "lam_bytes": keys.hsk.lam_bytes,
-            "p": format(keys.hsk.p, "x") if keys.hsk.p is not None else None,
-        },
-    }
-    write_json(out, doc)
-    click.echo(f"wrote {out}")
-
-
-@main.command()
 @click.option("--graph", required=True)
 @click.option("--m-width", default=16, show_default=True)
 @click.option("--out", default=None)
@@ -176,7 +149,7 @@ def encrypt(graph, backend, m_width, seed, out):
     """Encrypt a design and emit its public parameters."""
     g = load_graph(graph, m_width)
     try:
-        _, pp = vs_encrypt(16, g, backend=backend, rng=random.Random(seed))
+        pp = Developer(g, backend=backend, rng=random.Random(seed)).pp
     except (ProtocolError, he.HeError) as exc:
         fail(EXIT_PROTOCOL, "encrypt", str(exc))
     write_json(out, pp.to_dict())
@@ -198,9 +171,9 @@ def encrypt(graph, backend, m_width, seed, out):
 def serve(graph, backend, m_width, seed, listen, out, concurrent, max_sessions):
     """Run a developer endpoint over TCP."""
     g = load_graph(graph, m_width)
-    dev, pp = vs_encrypt(16, g, backend=backend, rng=random.Random(seed))
+    dev = Developer(g, backend=backend, rng=random.Random(seed))
     if out:
-        write_json(out, pp.to_dict())
+        write_json(out, dev.pp.to_dict())
     host, port = parse_hostport(listen)
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -276,8 +249,7 @@ def verify(spec_path, graph, connect, pp_path, mode, m_width, seed,
     except (ChannelError, ProtocolError, he.HeError) as exc:
         fail(EXIT_PROTOCOL, "session", str(exc))
     digest = audit_mod.save_certificate(cert, resolve(cert_path))
-    report = coverage_report(cert["qa_e"], pp["structure"] if isinstance(pp, dict)
-                             else pp.structure)
+    report = coverage_report(cert["qa_e"], pp["structure"])
     if out:
         with open(resolve(out), "w", encoding="utf-8") as f:
             f.write(report.render_text() + "\n")
@@ -312,9 +284,9 @@ def audit_cmd(cert_path, out):
 def demo(mode, seed, cert_path, out):
     """End-to-end run on the built-in worked example."""
     g = demo_mod.demo_graph()
-    dev, pp = vs_encrypt(16, g, rng=random.Random(seed + 1))
+    dev = Developer(g, rng=random.Random(seed + 1))
     cp = _demo_cp(g)
-    v = Verifier(pp.to_dict(), g, demo_mod.DEMO_DOMAINS, cp, seed=seed, mode=mode)
+    v = Verifier(dev.pp.to_dict(), g, demo_mod.DEMO_DOMAINS, cp, seed=seed, mode=mode)
     verdict, cert = verify_session(dev, v)
     cert["annotations"] = {
         "documented_claim": {
@@ -327,7 +299,7 @@ def demo(mode, seed, cert_path, out):
     }
     digest = audit_mod.save_certificate(cert, resolve(cert_path))
     ok, _report = audit_mod.audit(audit_mod.load_certificate(resolve(cert_path)))
-    report = coverage_report(cert["qa_e"], pp.structure)
+    report = coverage_report(cert["qa_e"], dev.pp.structure)
     if out:
         with open(resolve(out), "w", encoding="utf-8") as f:
             f.write(report.render_text() + "\n")

@@ -150,9 +150,3 @@ def split_blocks(bits, m_c):
         blocks.append(chunk + (0,) * (m_c - len(chunk)))
     return blocks
 
-
-def join_blocks(blocks, n):
-    flat = tuple(b for blk in blocks for b in blk)
-    if len(flat) < n:
-        raise CommitError("blocks shorter than expected data")
-    return flat[:n]

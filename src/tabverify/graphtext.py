@@ -104,7 +104,7 @@ def _parse_endpoint(p):
     return (node, port)
 
 
-def _parse_ports(p, allow_types):
+def _parse_ports(p):
     ports = []
     while True:
         name = p.name("port name")
@@ -113,8 +113,6 @@ def _parse_ports(p, allow_types):
             ptype = p.name("port type")
             if ptype not in ("int", "bool"):
                 raise GraphError(f"unknown port type '{ptype}'")
-            if not allow_types:
-                pass  # output types are accepted too, same syntax
         ports.append((name, ptype))
         if not p.maybe(","):
             break
@@ -132,9 +130,9 @@ def _parse_table(p):
         section = p.take()
         p.take(":")
         if section == "inputs":
-            inputs = _parse_ports(p, True)
+            inputs = _parse_ports(p)
         elif section == "outputs":
-            outputs = _parse_ports(p, True)
+            outputs = _parse_ports(p)
         elif section == "rows":
             rows = _parse_rows(p)
         else:

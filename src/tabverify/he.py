@@ -262,7 +262,8 @@ def _eval_transparent(hpk, circuit, cts):
     gd = circuit.gates_digest()
     outs = []
     for w, bit in zip(circuit.outputs, bits_out):
-        # matches with_outputs((w,)).digest() without building the projection
+        # output wire w's nonce covers the gate list, the wire index and
+        # every input ciphertext: sha256 over gates_digest and "[w]"
         h = hashlib.sha256()
         h.update(gd.encode())
         h.update(str([w]).encode())

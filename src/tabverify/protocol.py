@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import he
-from .channel import canonical_json, make_frame
+from .channel import ChannelError, canonical_json, make_frame
 from .circuit import budget_for, build_universal, compile_table, encode_program
 from .commitment import (
     choose_challenge,
@@ -43,6 +43,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
+HE_SECURITY = 16  # security parameter K of the homomorphic key pair
 SE_KEY_BITS = 16
 CODE_BLOCK_BITS = 4
 
@@ -228,7 +229,12 @@ class _SessionMem:
 
 
 class Developer:
-    """Holds the secret design; answers encode/path/checker queries.
+    """Holds the secret design and answers the verifier's queries.
+
+    Building a Developer is the paper's VS.Encrypt: it encrypts every row
+    table as a universal-circuit program, and .pp is the public half. It
+    then answers encode (q1/q2) queries and, in general mode, the checker
+    rounds; VS.Eval on the resulting certificate is audit.audit.
 
     strategy selects a scripted dishonest behavior for tests:
     flip-payload, flip-tag, or swap-answers. None means honest.
@@ -241,24 +247,21 @@ class Developer:
     def __init__(
         self,
         graph,
-        K=16,
         backend="transparent",
         rng=None,
         strategy=None,
-        he_config=None,
         u_budget=None,
     ):
         self.rng = rng or random.Random()
         self.strategy = strategy
         self.graph = graph
         self.tg = transform(graph)
-        self.K = K
         self.index_of, circuits = table_circuits(self.tg)
         self.name_of = {i: n for n, i in self.index_of.items()}
         n_data, g, m = budget_for(list(circuits.values()), floor=u_budget)
         self.u = universal_for((n_data, g, m))
 
-        keys = he.keygen(K, backend, config=he_config, rng=self.rng)
+        keys = he.keygen(HE_SECURITY, backend, rng=self.rng)
         self.hpk, self.hsk = keys.hpk, keys.hsk
         self.circuits = circuits
         self.programs_plain = {
@@ -270,7 +273,7 @@ class Developer:
         }
         self.pp = PublicParams(
             m=m,
-            K=K,
+            K=HE_SECURITY,
             backend=backend,
             hpk=self.hpk,
             u_params=(n_data, g, m),
@@ -283,33 +286,33 @@ class Developer:
     # -- frame dispatch
 
     def handle(self, frame):
+        """Reply to one frame; a malformed frame gets an error reply."""
+        if not (
+            isinstance(frame, dict)
+            and isinstance(frame.get("type"), str)
+            and isinstance(frame.get("session", "default"), str)
+            and isinstance(frame.get("body", {}), dict)
+        ):
+            return make_frame("reply", None, {"error": "malformed frame"})
+        ftype = frame["type"]
         session = frame.get("session", "default")
-        mem = self.sessions.get(session)
-        if mem is None or frame.get("type") == "hello":
-            mem = _SessionMem()  # memory is wiped at session start
-            self.sessions[session] = mem
-        ftype = frame.get("type")
         body = frame.get("body", {})
-        try:
-            if ftype == "hello":
-                reply = {"ok": True}
-            elif ftype == "encode":
-                reply = self._encode(mem, body)
-            elif ftype == "path":
-                reply = self._path(body)
-            elif ftype == "checker":
-                reply = self._checker(mem, body)
-            elif ftype == "commit_challenge":
-                reply = self._commit(mem, body)
-            elif ftype == "checker_proof":
-                reply = self._proof(mem, body)
-            elif ftype == "end":
-                self.sessions.pop(session, None)
-                reply = {"ok": True}
-            else:
-                reply = {"error": f"unknown frame type {ftype!r}"}
-        except ProtocolError as exc:
-            reply = {"error": str(exc)}
+        if ftype == "hello":
+            self.sessions[session] = _SessionMem()  # memory is wiped at session start
+            reply = {"ok": True}
+        elif ftype == "end":
+            self.sessions.pop(session, None)
+            reply = {"ok": True}
+        elif ftype in self.ANSWERS:
+            mem = self.sessions.get(session)
+            if mem is None:
+                mem = self.sessions[session] = _SessionMem()
+            try:
+                reply = self.ANSWERS[ftype](self, mem, body)
+            except ProtocolError as exc:
+                reply = {"error": str(exc)}
+        else:
+            reply = {"error": f"unknown frame type {ftype!r}"}
         return make_frame("reply", session, reply)
 
     # -- q1 / q2
@@ -323,9 +326,9 @@ class Developer:
 
     def _encode_q1(self, mem, body):
         m = self.pp.m
-        i, port = body.get("i"), body.get("port")
+        i, port = _int(body.get("i")), _int(body.get("port"))
         name = self.name_of.get(i)
-        if name is None or not isinstance(port, int):
+        if name is None or port is None:
             return {"answer": {"kind": NULL}}
         t = self.tg.tables[name]
         if not 0 <= port < len(t.inputs):
@@ -350,7 +353,7 @@ class Developer:
     def _encode_q2(self, mem, body):
         m = self.pp.m
         h = m // 2
-        i = body.get("i")
+        i = _int(body.get("i"))
         name = self.name_of.get(i)
         if name is None:
             return {"answer": {"kind": NULL}}
@@ -425,35 +428,12 @@ class Developer:
             return held if held is not None else honest
         return honest
 
-    # -- path search
-
-    def _path(self, body):
-        tables = body.get("tables", [])
-        if not tables or not all(isinstance(i, int) for i in tables):
-            return {"x": None}
-        names = []
-        for i in tables:
-            name = self.name_of.get(i)
-            if name is None:
-                return {"x": None}
-            names.append(name)
-        for a, b in zip(names, names[1:]):
-            linked = any(
-                src == a
-                for port, _ in self.tg.tables[b].inputs
-                for src, _s in self.tg.producers[(b, port)]
-            )
-            if not linked:
-                return {"x": None}
-        X = find_covering_input(self.tg, names)
-        return {"x": X}
-
     # -- checker subprotocol
 
     def _checker(self, mem, body):
         m = self.pp.m
         h = m // 2
-        i, case, port = body.get("i"), body.get("case"), body.get("port")
+        i, case, port = _int(body.get("i")), body.get("case"), _int(body.get("port"))
         try:
             p = b64_cts(body.get("p", []))
             y = b64_cts(body.get("y", []))
@@ -491,8 +471,10 @@ class Developer:
         pending = mem.pending
         if not pending or pending.get("seeds") is not None:
             return {"result": NULL}
+        if not isinstance(body.get("Rs"), list):
+            return {"result": NULL}
         try:
-            rs = [str_bits(r) for r in body.get("Rs", [])]
+            rs = [str_bits(r) for r in body["Rs"]]
         except ProtocolError:
             return {"result": NULL}
         if len(rs) != len(pending["blocks"]):
@@ -536,6 +518,19 @@ class Developer:
         ]
         return {"d": bits_str(pending["d"]), "reveals": reveals}
 
+    # frame type -> answer method; hello and end open and close a session
+    ANSWERS = {
+        "encode": _encode,
+        "checker": _checker,
+        "commit_challenge": _commit,
+        "checker_proof": _proof,
+    }
+
+
+def _int(value):
+    """value if it is an int (a bool is not), else None."""
+    return value if type(value) is int else None
+
 
 def _code_kwargs(params):
     return {
@@ -546,50 +541,15 @@ def _code_kwargs(params):
     }
 
 
-def find_covering_input(tg, names, tries=600):
-    """Bounded search for an external input firing every listed table."""
-    h = tg.m // 2
-    rng = random.Random("path:" + ",".join(names))
-    lo, hi = -(1 << (h - 1)), (1 << (h - 1)) - 1
-    for _ in range(tries):
-        X = {
-            n: (rng.random() < 0.5 if t == "bool" else rng.randint(lo, hi))
-            for n, t in tg.external_inputs
-        }
-        _, trace = evaluate_plain(tg, X)
-        ok = True
-        for name in names:
-            outs = trace[name]["outputs"]
-            v = next(iter(outs.values()))
-            if v is None or not v.tag:
-                ok = False
-                break
-        if ok:
-            return X
-    return None
-
-
-def vs_encrypt(K, graph, backend="transparent", rng=None, strategy=None,
-               he_config=None):
-    """Build the developer state and the public parameters."""
-    dev = Developer(
-        graph, K=K, backend=backend, rng=rng, strategy=strategy, he_config=he_config
-    )
-    return dev, dev.pp
-
-
 def serve(dev, chan):
     """Answer frames until an end frame or channel close."""
-    from .channel import ChannelError
-
     while True:
         try:
             frame = chan.recv()
         except ChannelError:
             return
-        reply = dev.handle(frame)
-        chan.send(reply)
-        if frame.get("type") == "end":
+        chan.send(dev.handle(frame))
+        if isinstance(frame, dict) and frame.get("type") == "end":
             return
 
 

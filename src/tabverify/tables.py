@@ -363,25 +363,6 @@ class TransformedGraph:
             level_of(name)
         return levels
 
-    def structure_graph(self):
-        """Anonymized shape: node list plus port-free edges, the public part."""
-        index = {name: i + 1 for i, name in enumerate(self.order)}
-        nodes = [INPUT] + [index[n] for n in self.order] + [OUTPUT]
-        edges = set()
-        for (dst, _), group in self.producers.items():
-            for src, _ in group:
-                a = INPUT if src == INPUT else index[src]
-                edges.add((a, index[dst]))
-        for tname, _ in self.external_outputs:
-            edges.add((index[tname], OUTPUT))
-        return {"nodes": nodes, "edges": sorted(edges, key=str)}
-
-
-
-def consistent_order(tg):
-    """Topological ordering that never decreases in level."""
-    return list(tg.order)
-
 
 def transform(g):
     """Rewrite each row as its own single-row table over tagged values."""

@@ -12,8 +12,6 @@ from tabverify.audit import (
     normalize,
     replay,
     save_certificate,
-    vs_eval_general,
-    vs_eval_honest,
 )
 from tabverify.channel import canonical_json
 from tabverify.demo import DEMO_DOMAINS, DEMO_GRAPH_TEXT, DEMO_INPUT
@@ -55,21 +53,25 @@ def test_load_rejects_tampered_file(tmp_path):
 
 def test_honest_certificate_audits_to_one():
     assert HONEST_VERDICT == "accept"
-    ok, report = vs_eval_honest(HONEST_CERT)
+    ok, report = audit(HONEST_CERT)
     assert ok == 1
     assert report["replayed_verdict"] == "accept"
 
 
 def test_general_certificate_audits_to_one():
     assert GENERAL_VERDICT == "accept"
-    ok, report = vs_eval_general(GENERAL_CERT)
+    ok, report = audit(GENERAL_CERT)
     assert ok == 1
     assert report["coverage"]["covered_ratio"] > 0
 
 
-def test_general_auditor_rejects_honest_mode_cert():
-    ok, report = vs_eval_general(HONEST_CERT)
+@pytest.mark.parametrize("mode", ["honest", "general"])
+def test_flipped_mode_fails_audit(mode):
+    cert = normalize(HONEST_CERT if mode == "honest" else GENERAL_CERT)
+    cert["mode"] = "general" if mode == "honest" else "honest"
+    ok, report = audit(cert)
     assert ok == 0
+    assert report["reason"]
 
 
 def test_rejecting_certificate_replays_but_scores_zero():

@@ -1,3 +1,4 @@
+import socket
 import threading
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from tabverify.channel import (
     ChannelError,
     LoopbackChannel,
-    QueuePairChannel,
+    SocketChannel,
     canonical_json,
     decode_frame,
     encode_frame,
@@ -43,7 +44,10 @@ def test_loopback_round_trip():
 
 
 def test_queue_pair_duplex():
-    a, b = QueuePairChannel.pair(timeout=5)
+    s_a, s_b = socket.socketpair()
+    s_a.settimeout(5)
+    s_b.settimeout(5)
+    a, b = SocketChannel(s_a), SocketChannel(s_b)
 
     def server():
         f = b.recv()
@@ -51,9 +55,14 @@ def test_queue_pair_duplex():
 
     t = threading.Thread(target=server)
     t.start()
-    a.send(make_frame("ping", "q", {}))
-    assert a.recv()["body"] == {"seen": "ping"}
-    t.join()
-    b.close()
-    with pytest.raises(ChannelError):
-        a.recv()
+    try:
+        a.send(make_frame("ping", "q", {}))
+        assert a.recv()["body"] == {"seen": "ping"}
+        t.join(timeout=5)
+        assert not t.is_alive()
+        b.close()
+        with pytest.raises(ChannelError):
+            a.recv()
+    finally:
+        a.close()
+        b.close()

@@ -40,15 +40,6 @@ def test_compile_rejects_bad_graph(workspace):
     assert r.exit_code == 2
 
 
-def test_keygen_writes_key_file(workspace):
-    out = workspace / "keys.json"
-    r = run(["keygen", "--seed", "1", "--out", str(out)])
-    assert r.exit_code == 0
-    doc = json.loads(out.read_text())
-    assert set(doc) == {"hpk", "hsk"}
-    assert doc["hpk"]["kind"] == "transparent"
-
-
 def test_encrypt_emits_public_params(workspace):
     out = workspace / "pp.json"
     r = run(["encrypt", "--graph", str(workspace / "demo.txt"), "--seed", "2",

@@ -9,7 +9,6 @@ from tabverify.commitment import (
     choose_challenge,
     commit_respond,
     gen_code,
-    join_blocks,
     split_blocks,
     verify_reveal,
 )
@@ -139,6 +138,3 @@ def test_split_join_blocks():
     bits = (1, 0, 1, 1, 0, 0, 1)
     blocks = split_blocks(bits, 4)
     assert blocks == [(1, 0, 1, 1), (0, 0, 1, 0)]
-    assert join_blocks(blocks, 7) == bits
-    with pytest.raises(CommitError):
-        join_blocks([(1, 0)], 7)

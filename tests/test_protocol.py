@@ -28,10 +28,8 @@ from tabverify.protocol import (
     top_tag_bits,
     value_to_word,
     verify_session,
-    vs_encrypt,
 )
-from tabverify.tables import evaluate_plain, transform
-from tabverify.vga import input_key
+from tabverify.tables import transform
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 DEMO_CP = [(DEMO_INPUT, {"w": False, "c": 2})]
@@ -173,9 +171,46 @@ def test_q1_rejects_malformed_queries():
     assert frame(dev, "encode", {"qkind": 1, "i": 1, "port": 0, "u": bad_tag})[
         "answer"
     ]["kind"] == "null"
+    assert frame(dev, "encode", {"qkind": 1, "i": [1], "port": 0, "u": good})[
+        "answer"
+    ]["kind"] == "null"
+    assert frame(dev, "encode", {"qkind": 2, "i": [1], "u": [], "v": []})[
+        "answer"
+    ]["kind"] == "null"
     assert frame(dev, "encode", {"qkind": 1, "i": 1, "port": 0, "u": good})[
         "answer"
     ]["kind"] == "w"
+
+
+@pytest.mark.parametrize("bad", [
+    ["encode", "t", {}],
+    "junk",
+    None,
+    {"type": "encode", "session": ["x"], "body": {"qkind": 1}},
+    {"type": "encode", "session": "t", "body": "junk"},
+    {"type": "checker", "session": "t", "body": ["i", 1]},
+], ids=["list-frame", "str-frame", "null-frame", "list-session", "str-body",
+        "list-body"])
+def test_malformed_frame_gets_error_reply(bad):
+    reply = make_dev().handle(bad)
+    assert reply["type"] == "reply"
+    assert set(json.loads(canonical_json(reply))["body"]) == {"error"}
+
+
+def test_verifier_sends_exactly_the_served_frame_types():
+    dev = make_dev()
+    sent = set()
+
+    class Recording(LoopbackChannel):
+        def send(self, frame):
+            sent.add(frame["type"])
+            super().send(frame)
+
+    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, DEMO_CP, seed=7,
+                 mode="general", vga_budget=4, rng=random.Random(1))
+    verdict, _ = v.run(Recording(dev.handle))
+    assert verdict == "accept"
+    assert sent == set(Developer.ANSWERS) | {"hello", "end"}
 
 
 def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
@@ -274,31 +309,6 @@ def test_memory_wiped_between_sessions():
     assert frame(dev, "encode", body, session="s1")["answer"]["kind"] != "null"
 
 
-def test_path_query():
-    dev = make_dev(chain_graph())
-    idx = dev.index_of
-    chain = [idx["A#1"], idx["B#1"], idx["C#1"]]
-    r = frame(dev, "path", {"tables": chain})
-    X = r["x"]
-    if X is not None:
-        _, trace = evaluate_plain(dev.tg, X)
-        for i in chain:
-            v = next(iter(trace[dev.name_of[i]]["outputs"].values()))
-            assert v is not None and v.tag
-    # non-adjacent pair is never a path
-    non_edge = [idx["A#1"], idx["C#1"]]
-    tg = dev.tg
-    linked = any(
-        src == "A#1"
-        for port, _ in tg.tables["C#1"].inputs
-        for src, _s in tg.producers[("C#1", port)]
-    )
-    if not linked:
-        assert frame(dev, "path", {"tables": non_edge})["x"] is None
-    assert frame(dev, "path", {"tables": [999]})["x"] is None
-    assert frame(dev, "path", {"tables": []})["x"] is None
-
-
 def test_checker_requires_commit_before_proof():
     dev = make_dev()
     v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, [], seed=3, mode="general",
@@ -366,6 +376,14 @@ def test_serve_survives_malformed_checker_ciphertext():
         r = ask("checker", {"i": t["index"], "case": "input", "port": 0,
                             "p": a["answer"]["w"], "y": cts_b64(y)})
         assert r == {"result": "null"}
+        checker = {"i": t["index"], "case": "input", "port": 0,
+                   "p": a["answer"]["w"], "y": cts_b64(y)}
+        assert ask("checker", dict(checker, i=[1])) == {"result": "null"}
+        assert ask("checker", dict(checker, port=[0])) == {"result": "null"}
+        for bad in (["hello", "t", {}], {"type": "encode", "session": ["x"]},
+                    {"type": "encode", "session": "t", "body": "junk"}):
+            chan.send(bad)
+            assert chan.recv()["body"] == {"error": "malformed frame"}
         assert ask("end", {}) == {"ok": True}
     finally:
         chan.close()
@@ -388,8 +406,9 @@ def test_certificate_public_half_has_no_secret_fields():
 
 
 def test_vs_encrypt_returns_consistent_pair():
-    dev, pp = vs_encrypt(16, DEMO, rng=random.Random(11))
-    assert pp is dev.pp
+    dev = Developer(DEMO, rng=random.Random(11))
+    pp = dev.pp
+    assert pp.K == 16
     assert pp.u_params[2] == DEMO.m
     assert set(pp.programs) == set(range(1, len(dev.tg.order) + 1))
     for cts in pp.programs.values():
@@ -397,9 +416,10 @@ def test_vs_encrypt_returns_consistent_pair():
 
 
 def test_loopback_equals_queue_pair():
+    import socket
     import threading
 
-    from tabverify.channel import QueuePairChannel
+    from tabverify.channel import SocketChannel
     from tabverify.protocol import serve
 
     dev1 = make_dev(seed=3)
@@ -410,9 +430,15 @@ def test_loopback_equals_queue_pair():
     dev2 = make_dev(seed=3)
     v2 = Verifier(dev2.pp.to_dict(), DEMO, DEMO_DOMAINS, DEMO_CP, seed=2,
                   rng=random.Random(8))
-    a, b = QueuePairChannel.pair(timeout=30)
-    t = threading.Thread(target=serve, args=(dev2, b))
+    s_dev, s_ver = socket.socketpair()
+    s_ver.settimeout(30)
+    t = threading.Thread(target=serve, args=(dev2, SocketChannel(s_dev)))
     t.start()
-    verdict2, cert2 = v2.run(a)
-    t.join()
+    try:
+        verdict2, cert2 = v2.run(SocketChannel(s_ver))
+    finally:
+        s_ver.close()
+        t.join(timeout=30)
+        s_dev.close()
+    assert not t.is_alive()
     assert (verdict1, cert1["outputs"]) == (verdict2, cert2["outputs"])

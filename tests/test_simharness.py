@@ -68,26 +68,20 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
 
     ask("hello", {})
     u = (1,) + (0,) * (m - 1)
-    w = ask("encode", {"qkind": 1, "i": t["index"], "port": 0,
-                       "u": bits_str(u)})["answer"]["w"]
+    q1 = {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)}
+    assert ask("encode", dict(q1, i=[1])) == {"answer": {"kind": "null"}}
+    w = ask("encode", q1)["answer"]["w"]
     checker = {"i": t["index"], "case": "input", "port": 0, "p": w}
     assert ask("checker", dict(checker, y=cts_b64(junk * m))) == {"result": "null"}
 
     y = he.eval_word(dev.hpk, se_circuit_for(16, m), list(ct_sk) + b64_cts(w))
+    assert ask("checker", dict(checker, i=[1], y=cts_b64(y))) == {"result": "null"}
     r = ask("checker", dict(checker, y=cts_b64(y)))
+    assert ask("commit_challenge", {"Rs": 5}) == {"result": "null"}
     rs = [choose_challenge(dev.code.q, random.Random(5)) for _ in range(r["blocks"])]
-    ask("commit_challenge", {"Rs": [bits_str(R) for R in rs]})
+    assert "blocks" in ask("commit_challenge", {"Rs": [bits_str(R) for R in rs]})
     proof = ask("checker_proof", {"ct_sk": cts_b64(junk * len(sk))})
     assert proof == {"result": "null"}
-
-
-def test_path_oracle_matches_service():
-    dev = Developer(DEMO, rng=random.Random(2))
-    orc = OracleDeveloper(DEMO, rng=random.Random(2))
-    queries = [[1, 5], [2], [1, 2, 3], [99], [], [1, 1]]
-    for tables in queries:
-        f = make_frame("path", "p", {"tables": tables})
-        assert canonical_json(dev.handle(f)) == canonical_json(orc.handle(f))
 
 
 def test_fake_graph_same_structure_different_semantics():

@@ -15,7 +15,6 @@ from tabverify.tables import (
     bits_to_int,
     bits_to_tagged,
     check_properties,
-    consistent_order,
     evaluate_original,
     evaluate_plain,
     int_to_bits,
@@ -185,7 +184,7 @@ def test_transform_demo_shape():
 
 def test_levels_and_consistent_order():
     tg = transform(demo_graph())
-    order = consistent_order(tg)
+    order = tg.order
     pos = {n: i for i, n in enumerate(order)}
     for k in range(1, 5):
         assert pos[f"DL#{k}"] < pos["CT#1"]
@@ -199,19 +198,9 @@ def test_levels_and_consistent_order():
 
 def test_chain_order():
     tg = transform(chain_graph())
-    order = consistent_order(tg)
+    order = tg.order
     pos = {n: i for i, n in enumerate(order)}
     assert pos["A#1"] < pos["B#1"] < pos["C#1"]
-
-
-def test_structure_graph_is_anonymous():
-    tg = transform(demo_graph())
-    struc = tg.structure_graph()
-    assert "Input" in struc["nodes"] and "Output" in struc["nodes"]
-    # no table names or port names leak
-    flat = str(struc)
-    for name in ("DL", "CT", "OP", "#"):
-        assert name not in flat.replace("Input", "").replace("Output", "")
 
 
 def test_single_row_transform_semantics():
