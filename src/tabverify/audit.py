@@ -70,9 +70,6 @@ class ReplayChannel:
     def send(self, frame):
         frame = decode_frame(encode_frame(frame))
         ftype = frame["type"]
-        if ftype in ("hello", "end"):
-            self._reply = make_frame("reply", frame["session"], {"ok": True})
-            return
         if ftype != "encode":
             raise AuditError(f"unexpected frame type {ftype!r} during replay")
         if self.pos >= len(self.records):
@@ -81,7 +78,7 @@ class ReplayChannel:
         self.pos += 1
         if frame["body"] != rec["q"]:
             raise AuditError(f"query {self.pos} diverges from the transcript")
-        self._reply = make_frame("reply", frame["session"], {"answer": rec["a"]})
+        self._reply = make_frame("reply", {"answer": rec["a"]})
 
     def recv(self):
         if self._reply is None:
@@ -92,9 +89,6 @@ class ReplayChannel:
     @property
     def exhausted(self):
         return self.pos == len(self.records)
-
-    def close(self):
-        pass
 
 
 def _rebuild_verifier(cert):

@@ -1,8 +1,9 @@
 """Wire transport: length-prefixed canonical JSON frames.
 
-Every frame is {"type": ..., "session": ..., "body": {...}} serialized as
-canonical JSON (sorted keys, no whitespace) behind a 4-byte big-endian
-length. Two transports share the framing: an in-process loopback that
+Every frame is {"type": ..., "body": {...}} serialized as canonical JSON
+(sorted keys, no whitespace) behind a 4-byte big-endian length. A
+connection carries exactly one verification session, so frames name no
+session. Two transports share the framing: an in-process loopback that
 drives a handler function, and TCP sockets.
 """
 
@@ -41,8 +42,8 @@ def decode_frame(blob):
         raise ChannelError(f"bad frame payload: {exc}") from exc
 
 
-def make_frame(ftype, session, body):
-    return {"type": ftype, "session": session, "body": body}
+def make_frame(ftype, body):
+    return {"type": ftype, "body": body}
 
 
 class LoopbackChannel:

@@ -21,7 +21,6 @@ from .graphtext import GraphError, parse_graph, serialize_graph
 from .protocol import (
     Developer,
     ProtocolError,
-    PublicParams,
     Verifier,
     serve as serve_loop,
     verify_session,
@@ -140,38 +139,29 @@ def compile(graph, m_width, out):
 
 @main.command()
 @click.option("--graph", required=True)
-@click.option("--backend", default="transparent",
-              type=click.Choice(["transparent", "integer-she"]))
 @click.option("--m-width", default=16, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True)
-def encrypt(graph, backend, m_width, seed, out):
+def encrypt(graph, m_width, seed, out):
     """Encrypt a design and emit its public parameters."""
     g = load_graph(graph, m_width)
-    try:
-        pp = Developer(g, backend=backend, rng=random.Random(seed)).pp
-    except (ProtocolError, he.HeError) as exc:
-        fail(EXIT_PROTOCOL, "encrypt", str(exc))
-    write_json(out, pp.to_dict())
+    write_json(out, Developer(g, rng=random.Random(seed)).pp.to_dict())
     click.echo(f"wrote {out}")
 
 
 @main.command()
 @click.option("--graph", required=True)
-@click.option("--backend", default="transparent",
-              type=click.Choice(["transparent", "integer-she"]))
 @click.option("--m-width", default=16, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--listen", required=True, help="HOST:PORT to accept verifiers on")
 @click.option("--out", default=None, help="also write public parameters here")
-@click.option("--concurrent", is_flag=True,
-              help="serve each connection in its own thread")
 @click.option("--max-sessions", type=int, default=None,
-              help="exit after this many connections")
-def serve(graph, backend, m_width, seed, listen, out, concurrent, max_sessions):
-    """Run a developer endpoint over TCP."""
+              help="stop accepting after this many connections")
+def serve(graph, m_width, seed, listen, out, max_sessions):
+    """Run a developer endpoint over TCP: each connection is one session,
+    served in its own thread, and the command waits for them to end."""
     g = load_graph(graph, m_width)
-    dev = Developer(g, backend=backend, rng=random.Random(seed))
+    dev = Developer(g, rng=random.Random(seed))
     if out:
         write_json(out, dev.pp.to_dict())
     host, port = parse_hostport(listen)
@@ -187,14 +177,8 @@ def serve(graph, backend, m_width, seed, listen, out, concurrent, max_sessions):
     try:
         while max_sessions is None or served < max_sessions:
             conn, _addr = srv.accept()
-            chan = SocketChannel(conn)
-            if concurrent:
-                threading.Thread(
-                    target=serve_loop, args=(dev, chan), daemon=True
-                ).start()
-            else:
-                serve_loop(dev, chan)
-                chan.close()
+            # not a daemon thread: the interpreter joins it before it exits
+            threading.Thread(target=serve_loop, args=(dev, SocketChannel(conn))).start()
             served += 1
     except KeyboardInterrupt:
         pass
@@ -232,22 +216,29 @@ def verify(spec_path, graph, connect, pp_path, mode, m_width, seed,
     if graph is not None:
         dev = Developer(load_graph(graph, m_width), rng=random.Random(seed + 1))
         pp = dev.pp.to_dict()
-        chan = LoopbackChannel(dev.handle)
+    elif pp_path is None:
+        fail(EXIT_USAGE, "flag", "--connect requires --pp")
     else:
-        if pp_path is None:
-            fail(EXIT_USAGE, "flag", "--connect requires --pp")
         pp = read_json(pp_path)
+    try:
+        v = Verifier(pp, g_spec, domains, cp, seed=seed, mode=mode,
+                     vga_budget=budget)
+    except ProtocolError as exc:
+        fail(EXIT_USAGE, "verifier", str(exc))
+    if graph is not None:
+        chan = LoopbackChannel(dev.session().handle)
+    else:
         host, port = parse_hostport(connect)
         try:
             chan = SocketChannel.connect(host, port)
         except OSError as exc:
             fail(EXIT_PROTOCOL, "connect", str(exc))
-
-    v = Verifier(pp, g_spec, domains, cp, seed=seed, mode=mode, vga_budget=budget)
     try:
         verdict, cert = v.run(chan)
     except (ChannelError, ProtocolError, he.HeError) as exc:
         fail(EXIT_PROTOCOL, "session", str(exc))
+    finally:
+        chan.close()  # closing the connection ends the developer's session
     digest = audit_mod.save_certificate(cert, resolve(cert_path))
     report = coverage_report(cert["qa_e"], pp["structure"])
     if out:

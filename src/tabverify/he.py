@@ -234,15 +234,18 @@ _SIM_CACHE_MAX = 512
 
 
 def _cached_outputs(circuit, bits):
+    # sessions in other threads use the cache too: each step below is one
+    # atomic dict operation, and an entry they evict is just recomputed
     key = (circuit.gates_digest(), circuit.outputs, bits)
-    hit = _SIM_CACHE.get(key)
-    if hit is not None:
-        _SIM_CACHE.move_to_end(key)
-        return hit
-    outs = simulate(circuit, bits)
+    outs = _SIM_CACHE.pop(key, None)
+    if outs is None:
+        outs = simulate(circuit, bits)
     _SIM_CACHE[key] = outs
     if len(_SIM_CACHE) > _SIM_CACHE_MAX:
-        _SIM_CACHE.popitem(last=False)
+        try:
+            _SIM_CACHE.popitem(last=False)
+        except KeyError:  # emptied by other threads since the length check
+            pass
     return outs
 
 

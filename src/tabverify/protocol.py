@@ -15,12 +15,13 @@ Everything exchanged is recorded; the audit module replays it.
 """
 
 import base64
+import copy
 import hashlib
 import random
 from dataclasses import dataclass, field
 
 from . import he
-from .channel import ChannelError, canonical_json, make_frame
+from .channel import ChannelError, LoopbackChannel, canonical_json, make_frame
 from .circuit import budget_for, build_universal, compile_table, encode_program
 from .commitment import (
     choose_challenge,
@@ -242,16 +243,12 @@ class Developer:
     Every check on a query lives here once. Plaintext enters only through
     two open hooks, _open_output and _open_checker, which decrypt; the
     simulation oracle overrides just those two.
+
+    A Developer answers one session at a time, out of the memory in .mem;
+    session() gives it another session with fresh memory.
     """
 
-    def __init__(
-        self,
-        graph,
-        backend="transparent",
-        rng=None,
-        strategy=None,
-        u_budget=None,
-    ):
+    def __init__(self, graph, rng=None, strategy=None, u_budget=None):
         self.rng = rng or random.Random()
         self.strategy = strategy
         self.graph = graph
@@ -261,7 +258,7 @@ class Developer:
         n_data, g, m = budget_for(list(circuits.values()), floor=u_budget)
         self.u = universal_for((n_data, g, m))
 
-        keys = he.keygen(HE_SECURITY, backend, rng=self.rng)
+        keys = he.keygen(HE_SECURITY, rng=self.rng)
         self.hpk, self.hsk = keys.hpk, keys.hsk
         self.circuits = circuits
         self.programs_plain = {
@@ -274,14 +271,21 @@ class Developer:
         self.pp = PublicParams(
             m=m,
             K=HE_SECURITY,
-            backend=backend,
+            backend=self.hpk.kind,
             hpk=self.hpk,
             u_params=(n_data, g, m),
             structure=public_structure(self.tg, self.index_of),
             programs=programs_enc,
         )
         self.code = gen_code(**_code_kwargs(self.pp.code_params))
-        self.sessions = {}
+        self.mem = _SessionMem()
+
+    def session(self):
+        """A new session of this developer: it shares the design, keys,
+        programs, code and rng, and has its own empty memory."""
+        s = copy.copy(self)
+        s.mem = _SessionMem()
+        return s
 
     # -- frame dispatch
 
@@ -290,41 +294,29 @@ class Developer:
         if not (
             isinstance(frame, dict)
             and isinstance(frame.get("type"), str)
-            and isinstance(frame.get("session", "default"), str)
             and isinstance(frame.get("body", {}), dict)
         ):
-            return make_frame("reply", None, {"error": "malformed frame"})
+            return make_frame("reply", {"error": "malformed frame"})
         ftype = frame["type"]
-        session = frame.get("session", "default")
-        body = frame.get("body", {})
-        if ftype == "hello":
-            self.sessions[session] = _SessionMem()  # memory is wiped at session start
-            reply = {"ok": True}
-        elif ftype == "end":
-            self.sessions.pop(session, None)
-            reply = {"ok": True}
-        elif ftype in self.ANSWERS:
-            mem = self.sessions.get(session)
-            if mem is None:
-                mem = self.sessions[session] = _SessionMem()
+        if ftype in self.ANSWERS:
             try:
-                reply = self.ANSWERS[ftype](self, mem, body)
+                reply = self.ANSWERS[ftype](self, frame.get("body", {}))
             except ProtocolError as exc:
                 reply = {"error": str(exc)}
         else:
             reply = {"error": f"unknown frame type {ftype!r}"}
-        return make_frame("reply", session, reply)
+        return make_frame("reply", reply)
 
     # -- q1 / q2
 
-    def _encode(self, mem, body):
+    def _encode(self, body):
         if body.get("qkind") == 1:
-            return self._encode_q1(mem, body)
+            return self._encode_q1(body)
         if body.get("qkind") == 2:
-            return self._encode_q2(mem, body)
+            return self._encode_q2(body)
         return {"answer": {"kind": NULL}}
 
-    def _encode_q1(self, mem, body):
+    def _encode_q1(self, body):
         m = self.pp.m
         i, port = _int(body.get("i")), _int(body.get("port"))
         name = self.name_of.get(i)
@@ -347,10 +339,10 @@ class Developer:
         if self.strategy == "flip-payload":
             encoded = u[:h] + (u[h] ^ 1,) + u[h + 1 :]
         w = he.enc_word(self.hpk, encoded, self.rng)
-        mem.q1[(i, port)] = (u, w)
+        self.mem.q1[(i, port)] = (u, w)
         return {"answer": {"kind": "w", "w": cts_b64(w)}}
 
-    def _encode_q2(self, mem, body):
+    def _encode_q2(self, body):
         m = self.pp.m
         h = m // 2
         i = _int(body.get("i"))
@@ -369,7 +361,7 @@ class Developer:
         u_plain = []
         for j, (port, _) in enumerate(t.inputs):
             segment = u_cts[j * m : (j + 1) * m]
-            word = self._produced_word(mem, i, j, name, port, segment)
+            word = self._produced_word(i, j, name, port, segment)
             if word is None:
                 return {"answer": {"kind": NULL}}
             u_plain.extend(word)
@@ -389,21 +381,21 @@ class Developer:
             honest = {"kind": "payload", "payload": bits_str(out[h:])}
         else:
             honest = {"kind": TOP}
-        mem.q2[i] = (v_cts, out)
-        return {"answer": self._apply_strategy(mem, honest)}
+        self.mem.q2[i] = (v_cts, out)
+        return {"answer": self._apply_strategy(honest)}
 
-    def _produced_word(self, mem, i, j, name, port, segment):
+    def _produced_word(self, i, j, name, port, segment):
         """Plaintext of input segment j of table i, if an earlier answer
         produced exactly these ciphertexts; None otherwise."""
         producers = self.tg.producers[(name, port)]
         if producers[0][0] == INPUT:
-            known = mem.q1.get((i, j))
+            known = self.mem.q1.get((i, j))
             if known is None or known[1] != segment:
                 return None
             return known[0]
         h = self.pp.m // 2
         for src, _sport in producers:
-            prior = mem.q2.get(self.index_of[src])
+            prior = self.mem.q2.get(self.index_of[src])
             if prior is not None and prior[0] == segment:
                 # a producing output that decrypts to bot feeds nothing
                 return prior[1] if any(prior[1][:h]) else None
@@ -417,20 +409,20 @@ class Developer:
         """The value y decrypts to: the verifier's SE encryption of slice_plain."""
         return he.dec_word(self.hsk, y)
 
-    def _apply_strategy(self, mem, honest):
+    def _apply_strategy(self, honest):
         if self.strategy == "flip-payload" and honest["kind"] == "payload":
             bits = str_bits(honest["payload"])
             return {"kind": "payload", "payload": bits_str((bits[0] ^ 1,) + bits[1:])}
         if self.strategy == "flip-tag" and honest["kind"] in (TOP, BOT):
             return {"kind": BOT if honest["kind"] == TOP else TOP}
         if self.strategy == "swap-answers":
-            held, mem.swap_held = mem.swap_held, honest
+            held, self.mem.swap_held = self.mem.swap_held, honest
             return held if held is not None else honest
         return honest
 
     # -- checker subprotocol
 
-    def _checker(self, mem, body):
+    def _checker(self, body):
         m = self.pp.m
         h = m // 2
         i, case, port = _int(body.get("i")), body.get("case"), _int(body.get("port"))
@@ -443,12 +435,12 @@ class Developer:
         if len(p) != want or len(y) != want or not he.well_formed(self.hpk, y):
             return {"result": NULL}
         if case == "input":
-            known = mem.q1.get((i, port))
+            known = self.mem.q1.get((i, port))
             if known is None or known[1] != p:
                 return {"result": NULL}
             slice_plain = known[0]
         elif case in ("intermediate", "external"):
-            prior = mem.q2.get(i)
+            prior = self.mem.q2.get(i)
             if prior is None:
                 return {"result": NULL}
             half = slice(None, h) if case == "intermediate" else slice(h, None)
@@ -458,17 +450,17 @@ class Developer:
         else:
             return {"result": NULL}
         d_bits = self._open_checker(y, slice_plain)
-        mem.pending = {
+        self.mem.pending = {
             "d": d_bits,
             "p": p,
             "y": y,
             "blocks": split_blocks(d_bits, self.code.m_c),
             "seeds": None,
         }
-        return {"blocks": len(mem.pending["blocks"])}
+        return {"blocks": len(self.mem.pending["blocks"])}
 
-    def _commit(self, mem, body):
-        pending = mem.pending
+    def _commit(self, body):
+        pending = self.mem.pending
         if not pending or pending.get("seeds") is not None:
             return {"result": NULL}
         if not isinstance(body.get("Rs"), list):
@@ -494,11 +486,11 @@ class Developer:
         pending["Rs"] = rs
         return {"blocks": out}
 
-    def _proof(self, mem, body):
-        pending = mem.pending
+    def _proof(self, body):
+        pending = self.mem.pending
         if not pending or pending.get("seeds") is None:
             return {"result": NULL}
-        mem.pending = {}
+        self.mem.pending = {}
         try:
             ct_sk = b64_cts(body.get("ct_sk", []))
         except ProtocolError:
@@ -518,7 +510,7 @@ class Developer:
         ]
         return {"d": bits_str(pending["d"]), "reveals": reveals}
 
-    # frame type -> answer method; hello and end open and close a session
+    # frame type -> answer method: the only frames a session carries
     ANSWERS = {
         "encode": _encode,
         "checker": _checker,
@@ -542,15 +534,19 @@ def _code_kwargs(params):
 
 
 def serve(dev, chan):
-    """Answer frames until an end frame or channel close."""
-    while True:
-        try:
-            frame = chan.recv()
-        except ChannelError:
-            return
-        chan.send(dev.handle(frame))
-        if isinstance(frame, dict) and frame.get("type") == "end":
-            return
+    """Answer one verifier over chan until it closes; then close chan.
+
+    The connection is the session: its memory is made here and dropped on
+    return, so concurrent connections never share memory.
+    """
+    session = dev.session()
+    try:
+        while True:
+            chan.send(session.handle(chan.recv()))
+    except ChannelError:
+        return
+    finally:
+        chan.close()
 
 
 # --- verifier ----------------------------------------------------------------------
@@ -596,6 +592,10 @@ class Verifier:
             pp = PublicParams.from_dict(pp)
         if mode not in ("honest", "general"):
             raise ProtocolError(f"unknown mode {mode!r}")
+        if mode == "general" and (pp.m < 8 or pp.m % 4):
+            # checker rounds encrypt half words as SE blocks (even, >= 4 bits)
+            raise ProtocolError(f"general mode needs a width that is a multiple "
+                                f"of 4 and at least 8; got width {pp.m}")
         self.pp = pp
         self.g_spec = g_spec
         self.tg_spec = transform(g_spec)
@@ -618,32 +618,50 @@ class Verifier:
             self.sk, self.ct_sk = None, None
         self.qa_e = []
         self.qa_c = []
-        self.session = f"v{seed}"
         self.failures = []
         self.replay_qac = None  # recorded checker tuples, set by the auditor
 
     # -- plumbing
 
     def _ask(self, chan, ftype, body):
-        chan.send(make_frame(ftype, self.session, body))
+        """The body of the developer's reply; {} when it is not a dict."""
+        chan.send(make_frame(ftype, body))
         reply = chan.recv()
-        return reply.get("body", {})
+        body = reply.get("body") if isinstance(reply, dict) else None
+        return body if isinstance(body, dict) else {}
 
     def _encode_query(self, chan, body):
-        answer = self._ask(chan, "encode", body).get("answer", {"kind": NULL})
+        answer = self._ask(chan, "encode", body).get("answer")
+        if not self._well_formed(body["qkind"], answer):
+            answer = {"kind": NULL}
         self.qa_e.append({"q": body, "a": answer})
-        if self.mode == "general" and answer.get("kind") != NULL:
+        if self.mode == "general" and answer["kind"] != NULL:
             if not self._checker_round(chan, body, answer):
                 self.failures.append(
                     {"reason": "checker", "i": body.get("i")}
                 )
         return answer
 
+    def _well_formed(self, qkind, answer):
+        """Whether an encode answer has the fields its kind needs, in shape;
+        the one check on them. An answer that fails it counts as null."""
+        kind = answer.get("kind") if isinstance(answer, dict) else None
+        if kind == NULL or (qkind == 2 and kind in (TOP, BOT)):
+            return True
+        try:
+            if qkind == 1 and kind == "w":
+                w = answer.get("w")
+                return (isinstance(w, list) and len(w) == self.pp.m
+                        and he.well_formed(self.pp.hpk, b64_cts(w)))
+            return qkind == 2 and kind == "payload" and (
+                len(str_bits(answer.get("payload"))) == self.pp.m // 2)
+        except ProtocolError:
+            return False
+
     # -- session driver
 
     def run(self, chan):
         """Drive the whole verification session; returns (verdict, certificate)."""
-        self._ask(chan, "hello", {})
         paths, ei = generate_suite(
             self.pp.structure, self.g_spec, self.domains, self.seed, self.vga_budget
         )
@@ -675,7 +693,6 @@ class Verifier:
             if not mismatches and not self.failures and all(r["ok"] for r in cp_results)
             else "reject"
         )
-        self._ask(chan, "end", {})
         cert = {
             "version": 1,
             "mode": self.mode,
@@ -720,7 +737,7 @@ class Verifier:
                         chan,
                         {"i": i, "qkind": 1, "port": pos, "u": bits_str(u_bits)},
                     )
-                    if ans.get("kind") != "w" or len(ans.get("w", [])) != m:
+                    if ans["kind"] != "w":
                         self.failures.append({"reason": "q1-null", "i": i})
                         table_null = True
                         break
@@ -751,17 +768,11 @@ class Verifier:
                 chan,
                 {"i": i, "qkind": 2, "u": cts_b64(u_cts), "v": cts_b64(v_cts)},
             )
-            kind = ans.get("kind")
-            if kind == NULL:
+            if ans["kind"] == NULL:
                 self.failures.append({"reason": "q2-null", "i": i})
                 state[i] = {"kind": NULL, "v": None}
-            elif kind == "payload":
-                state[i] = {"kind": "payload", "v": v_cts, "payload": ans["payload"]}
-            elif kind in (TOP, BOT):
-                state[i] = {"kind": kind, "v": v_cts}
-            else:
-                self.failures.append({"reason": "bad-answer", "i": i})
-                state[i] = {"kind": NULL, "v": None}
+            else:  # top, bot or payload, with the payload
+                state[i] = {**ans, "v": v_cts}
 
         outputs = {}
         for group in self.pp.structure["outputs"]:
@@ -785,7 +796,7 @@ class Verifier:
     def _expected_checker(self, q, answer, h):
         if q["qkind"] == 1:
             return "input", q.get("port"), str_bits(q["u"])
-        kind = answer.get("kind")
+        kind = answer["kind"]
         if kind == "payload":
             return "external", None, str_bits(answer["payload"])
         if kind == TOP:
@@ -825,18 +836,16 @@ class Verifier:
             "checker",
             {"i": q["i"], "case": case, "port": port, "p": cts_b64(p), "y": cts_b64(y)},
         )
-        if "blocks" not in r:
-            return False
-        n = r["blocks"]
-        if n != len(split_blocks((0,) * len(p), self.code.m_c)):
+        n = len(split_blocks((0,) * len(p), self.code.m_c))
+        if _int(r.get("blocks")) != n:
             return False
         rs = [choose_challenge(self.code.q, self.rng) for _ in range(n)]
         c = self._ask(
             chan, "commit_challenge", {"Rs": [bits_str(R) for R in rs]}
         )
-        if "blocks" not in c or len(c["blocks"]) != n:
+        commits = c.get("blocks")
+        if not isinstance(commits, list) or len(commits) != n:
             return False
-        commits = c["blocks"]
         res = self._ask(chan, "checker_proof", {"ct_sk": cts_b64(self.ct_sk)})
         try:
             d, reveals = res["d"], res["reveals"]
@@ -937,6 +946,4 @@ def outputs_equal(want, got):
 
 def verify_session(dev, verifier):
     """Run a full in-process session over the loopback channel."""
-    from .channel import LoopbackChannel
-
-    return verifier.run(LoopbackChannel(dev.handle))
+    return verifier.run(LoopbackChannel(dev.session().handle))

@@ -1,10 +1,28 @@
-"""Shared test utilities: random circuit generation and bit conversions."""
+"""Shared test utilities: random circuit generation, bit conversions and a
+narrow design."""
 
 import random
 
 from tabverify.circuit import Circuit
 
 LINEAR_TTS = (0b0110, 0b1001, 0b0001, 0b0000, 0b1111)
+
+# a design of width 6: its 3-bit half word is too narrow for general mode
+NARROW_TEXT = """\
+width: 6;
+table T {
+  inputs: x;
+  outputs: y;
+  rows: [
+    (x > 0, x - 1),
+    (x <= 0, 0 - x),
+  ];
+}
+edges:
+  Input.x -> T.x;
+  T.y -> Output.y;
+"""
+NARROW_DOMAINS = {"x": list(range(-3, 4))}
 
 
 def random_circuit(rng, n_inputs, n_gates, n_outputs=1, max_mult_depth=None):

@@ -266,65 +266,63 @@ def test_c8_oracles_byte_identical_to_services():
     queries = 0
     sequences = 0
 
-    def ask(ftype, body, sid):
+    def ask(ftype, body, pair):
         nonlocal queries
-        f = make_frame(ftype, sid, body)
-        r1, r2 = dev.handle(f), orc.handle(f)
+        f = make_frame(ftype, body)
+        r1, r2 = (session.handle(f) for session in pair)
         assert canonical_json(r1) == canonical_json(r2)
         queries += 1
         return r1["body"]
 
-    def do_q1(rng, sid, t):
+    def do_q1(rng, pair, t):
         pos = rng.randrange(len(t["ports"]))
         payload = tuple(rng.getrandbits(1) for _ in range(m // 2))
         u = (1,) + (0,) * (m // 2 - 1) + payload
         return pos, u, ask("encode", {"qkind": 1, "i": t["index"], "port": pos,
-                                      "u": bits_str(u)}, sid)
+                                      "u": bits_str(u)}, pair)
 
     for s in range(1000):
         rng = random.Random(8000 + s)
-        sid = f"seq{s}"
-        ask("hello", {}, sid)
+        pair = (dev.session(), orc.session())
         for _ in range(rng.randint(1, 3)):
             op = rng.random()
             t = rng.choice(src)
             if op < 0.35:
-                do_q1(rng, sid, t)
+                do_q1(rng, pair, t)
             elif op < 0.55:
                 k = rng.randint(1, 3)
                 ask("path", {"tables": rng.sample(all_idx, min(k, len(all_idx)))},
-                    sid)
+                    pair)
             elif op < 0.8:
                 words = []
                 for pos in range(len(t["ports"])):
                     payload = tuple(rng.getrandbits(1) for _ in range(m // 2))
                     u = (1,) + (0,) * (m // 2 - 1) + payload
                     a = ask("encode", {"qkind": 1, "i": t["index"], "port": pos,
-                                       "u": bits_str(u)}, sid)
+                                       "u": bits_str(u)}, pair)
                     words.append(b64_cts(a["answer"]["w"]))
                 u_cts = [ct for w in words for ct in w]
                 v = he.eval_word(dev.hpk, dev.u.circuit,
                                  dev.pp.programs[t["index"]]
                                  + pad_data_cts(u_cts, dev.u.n_data))
                 ask("encode", {"qkind": 2, "i": t["index"], "u": cts_b64(u_cts),
-                               "v": cts_b64(v)}, sid)
+                               "v": cts_b64(v)}, pair)
             elif op < 0.95:
-                pos, u, a = do_q1(rng, sid, t)
+                pos, u, a = do_q1(rng, pair, t)
                 p = b64_cts(a["answer"]["w"])
                 y = he.eval_word(dev.hpk, se_circuit_for(16, m),
                                  list(ct_sk) + p)
                 r = ask("checker", {"i": t["index"], "case": "input",
                                     "port": pos, "p": cts_b64(p),
-                                    "y": cts_b64(y)}, sid)
+                                    "y": cts_b64(y)}, pair)
                 if "blocks" in r:
                     rs = [choose_challenge(dev.code.q, rng)
                           for _ in range(r["blocks"])]
                     ask("commit_challenge", {"Rs": [bits_str(R) for R in rs]},
-                        sid)
-                    ask("checker_proof", {"ct_sk": cts_b64(ct_sk)}, sid)
+                        pair)
+                    ask("checker_proof", {"ct_sk": cts_b64(ct_sk)}, pair)
             else:
-                ask("encode", {"qkind": 1, "i": 999, "port": 0, "u": "01"}, sid)
-        ask("end", {}, sid)
+                ask("encode", {"qkind": 1, "i": 999, "port": 0, "u": "01"}, pair)
         sequences += 1
     print(f"criterion 8: {sequences} sequences / {queries} queries byte-identical")
     assert sequences >= 1000

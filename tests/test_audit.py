@@ -100,12 +100,14 @@ def test_replay_channel_strictness():
     chan = ReplayChannel(qa_e)
     from tabverify.channel import make_frame
 
-    chan.send(make_frame("hello", "s", {}))
-    chan.recv()
-    wrong = dict(qa_e[0]["q"])
+    with pytest.raises(AuditError, match="unexpected frame type"):
+        chan.send(make_frame("hello", {}))
+    chan.send(make_frame("encode", qa_e[0]["q"]))
+    assert chan.recv()["body"] == {"answer": qa_e[0]["a"]}
+    wrong = dict(qa_e[1]["q"])
     wrong["i"] = 99
     with pytest.raises(AuditError):
-        chan.send(make_frame("encode", "s", wrong))
+        chan.send(make_frame("encode", wrong))
 
 
 def test_truncated_transcript_fails():

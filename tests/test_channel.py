@@ -15,7 +15,7 @@ from tabverify.channel import (
 
 
 def test_frame_round_trip():
-    frame = make_frame("encode", "s1", {"i": 3, "u": "0101"})
+    frame = make_frame("encode", {"i": 3, "u": "0101"})
     assert decode_frame(encode_frame(frame)) == frame
 
 
@@ -34,10 +34,10 @@ def test_decode_rejects_garbage():
 
 def test_loopback_round_trip():
     def handler(frame):
-        return make_frame("reply", frame["session"], {"echo": frame["body"]})
+        return make_frame("reply", {"echo": frame["body"]})
 
     chan = LoopbackChannel(handler)
-    chan.send(make_frame("hello", "s", {"x": 1}))
+    chan.send(make_frame("encode", {"x": 1}))
     assert chan.recv()["body"] == {"echo": {"x": 1}}
     with pytest.raises(ChannelError):
         chan.recv()
@@ -51,12 +51,12 @@ def test_queue_pair_duplex():
 
     def server():
         f = b.recv()
-        b.send(make_frame("reply", f["session"], {"seen": f["type"]}))
+        b.send(make_frame("reply", {"seen": f["type"]}))
 
     t = threading.Thread(target=server)
     t.start()
     try:
-        a.send(make_frame("ping", "q", {}))
+        a.send(make_frame("ping", {}))
         assert a.recv()["body"] == {"seen": "ping"}
         t.join(timeout=5)
         assert not t.is_alive()

@@ -1,11 +1,13 @@
 import json
+import os
 import socket
-import threading
-import time
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import tabverify
 from tabverify.cli import main
 from tabverify.demo import DEMO_GRAPH_TEXT
 
@@ -107,6 +109,8 @@ def test_demo_general_mode(workspace):
 
 
 def test_serve_and_remote_verify(workspace):
+    # a serve process with --max-sessions 1 stays up until the session it
+    # accepted is done, then exits
     pp = workspace / "pp.json"
     cert = workspace / "remote-cert.json"
     srv = socket.socket()
@@ -114,33 +118,48 @@ def test_serve_and_remote_verify(workspace):
     port = srv.getsockname()[1]
     srv.close()
 
-    t = threading.Thread(
-        target=run,
-        args=([
-            "serve", "--graph", str(workspace / "demo.txt"), "--seed", "2",
-            "--listen", f"127.0.0.1:{port}", "--out", str(pp),
-            "--max-sessions", "2",  # readiness probe consumes one slot
-        ],),
-        daemon=True,
-    )
-    t.start()
-    deadline = time.time() + 10
-    while time.time() < deadline:
-        try:
-            socket.create_connection(("127.0.0.1", port), timeout=0.2).close()
-            break
-        except OSError:
-            time.sleep(0.1)
-    r = run([
-        "verify", "--spec", str(workspace / "demo.txt"),
-        "--connect", f"127.0.0.1:{port}", "--pp", str(pp),
-        "--domains", str(workspace / "domains.json"),
-        "--seed", "9", "--cert", str(cert),
-    ])
-    t.join(timeout=10)
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(tabverify.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tabverify.cli", "serve",
+         "--graph", str(workspace / "demo.txt"), "--seed", "2",
+         "--listen", f"127.0.0.1:{port}", "--out", str(pp),
+         "--max-sessions", "1"],
+        env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        # printed once listening; the public parameters are written before
+        assert proc.stdout.readline().startswith("serving on")
+        r = run([
+            "verify", "--spec", str(workspace / "demo.txt"),
+            "--connect", f"127.0.0.1:{port}", "--pp", str(pp),
+            "--domains", str(workspace / "domains.json"),
+            "--mode", "general", "--budget", "4",
+            "--seed", "9", "--cert", str(cert),
+        ])
+        assert proc.wait(timeout=60) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.stdout.close()
     assert r.exit_code == 0, r.output
     r2 = run(["audit", "--cert", str(cert)])
     assert r2.exit_code == 0
+    assert '"ok":1' in r2.output
+
+
+def test_verify_refuses_general_mode_on_narrow_width(workspace):
+    from helpers import NARROW_TEXT
+
+    narrow = workspace / "narrow.txt"
+    narrow.write_text(NARROW_TEXT)
+    args = ["verify", "--spec", str(narrow), "--graph", str(narrow),
+            "--m-width", "6", "--cert", str(workspace / "narrow-cert.json")]
+    r = run(args + ["--mode", "general"])
+    assert r.exit_code == 2
+    assert "width 6" in r.output
+    assert not (workspace / "narrow-cert.json").exists()
+    assert run(args).exit_code == 0
 
 
 def test_usage_error_exit_codes(workspace):

@@ -149,13 +149,12 @@ def test_wrong_design_rejected():
 # --- direct frame-level behavior -------------------------------------------------
 
 
-def frame(dev, ftype, body, session="t"):
-    return dev.handle(make_frame(ftype, session, body))["body"]
+def frame(dev, ftype, body):
+    return dev.handle(make_frame(ftype, body))["body"]
 
 
 def test_q1_rejects_malformed_queries():
     dev = make_dev()
-    frame(dev, "hello", {})
     m = dev.pp.m
     good = bits_str(top_tag_bits(m // 2) + (0,) * (m // 2))
     assert frame(dev, "encode", {"qkind": 1, "i": 999, "port": 0, "u": good})[
@@ -183,14 +182,12 @@ def test_q1_rejects_malformed_queries():
 
 
 @pytest.mark.parametrize("bad", [
-    ["encode", "t", {}],
+    ["encode", {}],
     "junk",
     None,
-    {"type": "encode", "session": ["x"], "body": {"qkind": 1}},
-    {"type": "encode", "session": "t", "body": "junk"},
-    {"type": "checker", "session": "t", "body": ["i", 1]},
-], ids=["list-frame", "str-frame", "null-frame", "list-session", "str-body",
-        "list-body"])
+    {"type": "encode", "body": "junk"},
+    {"type": "checker", "body": ["i", 1]},
+], ids=["list-frame", "str-frame", "null-frame", "str-body", "list-body"])
 def test_malformed_frame_gets_error_reply(bad):
     reply = make_dev().handle(bad)
     assert reply["type"] == "reply"
@@ -208,9 +205,9 @@ def test_verifier_sends_exactly_the_served_frame_types():
 
     v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, DEMO_CP, seed=7,
                  mode="general", vga_budget=4, rng=random.Random(1))
-    verdict, _ = v.run(Recording(dev.handle))
+    verdict, _ = v.run(Recording(dev.session().handle))
     assert verdict == "accept"
-    assert sent == set(Developer.ANSWERS) | {"hello", "end"}
+    assert sent == set(Developer.ANSWERS)
 
 
 def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
@@ -243,23 +240,21 @@ def first_input_table(dev):
 
 def test_q2_honest_and_tampered():
     dev = make_dev()
-    frame(dev, "hello", {})
     t = first_input_table(dev)
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
     types = dict(dev.pp.structure["external_inputs"])
     bits = [value_to_word(DEMO_INPUT[n], types[n], m) for n in names]
-    a = q1_then_q2(dev, t["index"], bits)
+    a = q1_then_q2(dev.session(), t["index"], bits)
     assert a["kind"] in ("top", "bot", "payload")
     # recomputation mismatch
-    frame(dev, "hello", {})
-    assert q1_then_q2(dev, t["index"], bits, corrupt="v")["kind"] == "null"
+    assert q1_then_q2(dev.session(), t["index"], bits, corrupt="v")["kind"] == "null"
     # inputs not previously recorded for those ports
-    frame(dev, "hello", {})
     if len(bits) > 1:
-        assert q1_then_q2(dev, t["index"], bits, corrupt="u")["kind"] == "null"
+        assert q1_then_q2(dev.session(), t["index"], bits,
+                          corrupt="u")["kind"] == "null"
     # q2 without any prior q1
-    frame(dev, "hello", {})
+    dev = dev.session()
     fake = he.enc_word(dev.hpk, bits[0], random.Random(9))
     v = he.eval_word(
         dev.hpk,
@@ -282,19 +277,18 @@ def test_q2_honest_and_tampered():
 
 def test_memory_wiped_between_sessions():
     dev = make_dev()
+    s1, s2 = dev.session(), dev.session()
     t = first_input_table(dev)
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
     types = dict(dev.pp.structure["external_inputs"])
     bits = [value_to_word(DEMO_INPUT[n], types[n], m) for n in names]
-    frame(dev, "hello", {}, session="s1")
     words = []
     for pos, u in enumerate(bits):
         a = frame(
-            dev,
+            s1,
             "encode",
             {"qkind": 1, "i": t["index"], "port": pos, "u": bits_str(u)},
-            session="s1",
         )
         words.append(b64_cts(a["answer"]["w"]))
     u_cts = [ct for w in words for ct in w]
@@ -304,16 +298,15 @@ def test_memory_wiped_between_sessions():
         dev.pp.programs[t["index"]] + pad_data_cts(u_cts, dev.u.n_data),
     )
     body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_cts), "v": cts_b64(v)}
-    frame(dev, "hello", {}, session="s2")  # fresh session, empty memory
-    assert frame(dev, "encode", body, session="s2")["answer"]["kind"] == "null"
-    assert frame(dev, "encode", body, session="s1")["answer"]["kind"] != "null"
+    assert frame(s2, "encode", body)["answer"]["kind"] == "null"
+    assert frame(s1, "encode", body)["answer"]["kind"] != "null"
+    assert s1.mem.q1 and not s2.mem.q1 and not dev.mem.q1
 
 
 def test_checker_requires_commit_before_proof():
     dev = make_dev()
     v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, [], seed=3, mode="general",
                  rng=random.Random(4))
-    frame(dev, "hello", {})
     t = first_input_table(dev)
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
@@ -336,7 +329,6 @@ def test_checker_requires_commit_before_proof():
 
 def test_checker_rejects_unknown_slice():
     dev = make_dev()
-    frame(dev, "hello", {})
     m = dev.pp.m
     p = he.enc_word(dev.hpk, (0,) * m, random.Random(5))
     r = frame(
@@ -364,11 +356,10 @@ def test_serve_survives_malformed_checker_ciphertext():
     chan = SocketChannel(s_ver)
 
     def ask(ftype, body):
-        chan.send(make_frame(ftype, "t", body))
+        chan.send(make_frame(ftype, body))
         return chan.recv()["body"]
 
     try:
-        ask("hello", {})
         u = top_tag_bits(m // 2) + (0,) * (m // 2)
         a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)})
         # right count and length, but no ciphertext under the developer's key
@@ -380,13 +371,13 @@ def test_serve_survives_malformed_checker_ciphertext():
                    "p": a["answer"]["w"], "y": cts_b64(y)}
         assert ask("checker", dict(checker, i=[1])) == {"result": "null"}
         assert ask("checker", dict(checker, port=[0])) == {"result": "null"}
-        for bad in (["hello", "t", {}], {"type": "encode", "session": ["x"]},
-                    {"type": "encode", "session": "t", "body": "junk"}):
+        for bad in (["encode", {}], {"type": ["encode"], "body": {}},
+                    {"type": "encode", "body": "junk"}):
             chan.send(bad)
             assert chan.recv()["body"] == {"error": "malformed frame"}
-        assert ask("end", {}) == {"ok": True}
+        assert ask("end", {}) == {"error": "unknown frame type 'end'"}
     finally:
-        chan.close()
+        chan.close()  # the session ends when the verifier closes
         server.join(timeout=10)
         s_dev.close()
     assert not server.is_alive()
@@ -442,3 +433,98 @@ def test_loopback_equals_queue_pair():
         s_dev.close()
     assert not t.is_alive()
     assert (verdict1, cert1["outputs"]) == (verdict2, cert2["outputs"])
+
+
+def test_same_seed_verifiers_served_concurrently():
+    # each connection is its own session, so two verifiers that draw the
+    # same queries no longer share (and corrupt) one session's memory
+    import socket
+    import threading
+
+    from tabverify import audit
+    from tabverify.channel import SocketChannel
+    from tabverify.protocol import serve
+
+    dev = make_dev(seed=3)
+    results = [None, None]
+
+    def verify(k):
+        s_dev, s_ver = socket.socketpair()
+        s_ver.settimeout(60)
+        server = threading.Thread(target=serve, args=(dev, SocketChannel(s_dev)))
+        server.start()
+        v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, DEMO_CP, seed=2,
+                     mode="general", vga_budget=4, rng=random.Random(8))
+        try:
+            results[k] = v.run(SocketChannel(s_ver))
+        finally:
+            s_ver.close()
+            server.join(timeout=60)
+            s_dev.close()
+
+    threads = [threading.Thread(target=verify, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    for verdict, cert in results:
+        assert verdict == "accept", cert["failures"]
+        assert audit.audit(cert)[0] == 1
+
+
+class _OneBadReply(LoopbackChannel):
+    """Loopback whose first reply to a matching frame is replaced."""
+
+    def __init__(self, handler, ftype, qkind, reply):
+        super().__init__(handler)
+        self.match, self.bad = (ftype, qkind), reply
+
+    def send(self, frame):
+        super().send(frame)
+        if self.bad is not None and self.match == (
+                frame["type"], frame["body"].get("qkind")):
+            self._reply, self.bad = self.bad, None
+
+
+def _reply(body):
+    return {"type": "reply", "body": body}
+
+
+@pytest.mark.parametrize("ftype,qkind,bad", [
+    ("encode", 1, ["reply", {"answer": {"kind": "null"}}]),
+    ("encode", 1, _reply(["answer"])),
+    ("encode", 1, _reply({"answer": 5})),
+    ("encode", 1, _reply({"answer": {"kind": "w", "w": "A" * 16}})),
+    ("encode", 2, _reply({"answer": {"kind": "payload", "payload": "12"}})),
+    ("checker", None, _reply({"blocks": "4"})),
+    ("commit_challenge", None, _reply({"blocks": 3})),
+], ids=["reply-list", "body-list", "answer-int", "w-str", "payload-not-bits",
+        "checker-blocks-str", "commit-blocks-int"])
+def test_malformed_developer_reply_is_a_reject(ftype, qkind, bad):
+    from tabverify import audit
+
+    dev = make_dev()
+    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, [], seed=7,
+                 mode="general", vga_budget=1, rng=random.Random(1))
+    chan = _OneBadReply(dev.session().handle, ftype, qkind, bad)
+    verdict, cert = v.run(chan)
+    assert chan.bad is None  # the bad reply was delivered
+    assert verdict == "reject" and cert["failures"]
+    ok, report = audit.replay(cert)
+    assert ok and report["replayed_verdict"] == "reject", report
+
+
+def test_general_mode_refuses_odd_half_word():
+    from tabverify.protocol import ProtocolError
+
+    from helpers import NARROW_DOMAINS, NARROW_TEXT
+
+    g = parse_graph(NARROW_TEXT)
+    dev = make_dev(g)
+    with pytest.raises(ProtocolError, match="width 6"):
+        Verifier(dev.pp.to_dict(), g, NARROW_DOMAINS, [], mode="general")
+    v = Verifier(dev.pp.to_dict(), g, NARROW_DOMAINS, [], mode="honest",
+                 rng=random.Random(1))
+    verdict, cert = verify_session(dev, v)
+    assert verdict == "accept", cert["mismatches"]

@@ -61,12 +61,11 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     junk = [bytes(dev.hpk.lam_bytes)]  # right length, no valid tag or key id
 
     def ask(ftype, body):
-        f = make_frame(ftype, "s", body)
+        f = make_frame(ftype, body)
         r1, r2 = dev.handle(f), orc.handle(f)
         assert canonical_json(r1) == canonical_json(r2)
         return r1["body"]
 
-    ask("hello", {})
     u = (1,) + (0,) * (m - 1)
     q1 = {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)}
     assert ask("encode", dict(q1, i=[1])) == {"answer": {"kind": "null"}}
