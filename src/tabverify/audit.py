@@ -17,7 +17,14 @@ import random
 
 from .channel import canonical_json, decode_frame, encode_frame, make_frame
 from .graphtext import parse_graph
-from .protocol import PublicParams, SessionFailure, Verifier, b64_cts, str_bits
+from .protocol import (
+    PublicParams,
+    SessionFailure,
+    Verifier,
+    b64_cts,
+    session_binding,
+    str_bits,
+)
 from .vga import coverage_report
 
 CERT_FORMAT = "tabverify-cert-v1"
@@ -117,10 +124,19 @@ def replay(cert):
 
     Returns (ok, report). ok is True only when every recomputed query
     matches the record, the transcript is fully consumed, and the rebuilt
-    certificate is byte-identical to the stored one.
+    certificate is byte-identical to the stored one. A certificate whose
+    binding does not match its configuration fields is rejected before any
+    replay; the final comparison would reject it too, only later.
     """
     cert = normalize(cert)
     report = {"mode": cert.get("mode"), "verdict": cert.get("verdict")}
+    try:
+        bound = session_binding(cert) == cert["binding"]
+    except KeyError:  # a binding or configuration field is missing
+        bound = False
+    if not bound:
+        report["reason"] = "session binding mismatch"
+        return False, report
     try:
         v = _rebuild_verifier(cert)
         if cert["mode"] == "general":

@@ -17,6 +17,7 @@ class ChannelError(Exception):
 
 
 MAX_FRAME = 64 * 1024 * 1024
+TIMEOUT = 30.0  # seconds a socket peer may stay silent before the channel fails
 
 
 def canonical_json(obj):
@@ -73,13 +74,16 @@ class LoopbackChannel:
 
 
 class SocketChannel:
-    def __init__(self, sock):
+    def __init__(self, sock, timeout=None):
+        """timeout, if given, bounds every blocking call on sock; a peer
+        that stays silent longer makes recv raise ChannelError."""
+        if timeout is not None:
+            sock.settimeout(timeout)
         self.sock = sock
 
     @classmethod
-    def connect(cls, host, port, timeout=30.0):
-        s = socket.create_connection((host, port), timeout=timeout)
-        return cls(s)
+    def connect(cls, host, port):
+        return cls(socket.create_connection((host, port), timeout=TIMEOUT))
 
     def send(self, frame):
         try:

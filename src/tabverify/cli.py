@@ -16,13 +16,20 @@ import click
 from . import audit as audit_mod
 from . import demo as demo_mod
 from . import he
-from .channel import ChannelError, LoopbackChannel, SocketChannel, canonical_json
+from .channel import (
+    TIMEOUT,
+    ChannelError,
+    LoopbackChannel,
+    SocketChannel,
+    canonical_json,
+)
 from .graphtext import GraphError, parse_graph, serialize_graph
 from .protocol import (
     Developer,
     ProtocolError,
     Verifier,
     serve as serve_loop,
+    spec_port_outputs,
     verify_session,
 )
 from .simharness import metadata_views, paired_session, run_experiment
@@ -177,8 +184,10 @@ def serve(graph, m_width, seed, listen, out, max_sessions):
     try:
         while max_sessions is None or served < max_sessions:
             conn, _addr = srv.accept()
-            # not a daemon thread: the interpreter joins it before it exits
-            threading.Thread(target=serve_loop, args=(dev, SocketChannel(conn))).start()
+            # not a daemon thread: the interpreter joins it before it exits;
+            # the timeout ends the session of a peer that stops sending
+            chan = SocketChannel(conn, timeout=TIMEOUT)
+            threading.Thread(target=serve_loop, args=(dev, chan)).start()
             served += 1
     except KeyboardInterrupt:
         pass
@@ -276,14 +285,15 @@ def demo(mode, seed, cert_path, out):
     """End-to-end run on the built-in worked example."""
     g = demo_mod.demo_graph()
     dev = Developer(g, rng=random.Random(seed + 1))
-    cp = _demo_cp(g)
+    truth = spec_port_outputs(transform(g), demo_mod.DEMO_INPUT)
+    cp = [(demo_mod.DEMO_INPUT, truth)]
     v = Verifier(dev.pp.to_dict(), g, demo_mod.DEMO_DOMAINS, cp, seed=seed, mode=mode)
     verdict, cert = verify_session(dev, v)
     cert["annotations"] = {
         "documented_claim": {
             "input": demo_mod.DEMO_INPUT,
             "claimed": list(demo_mod.DOCUMENTED_CLAIM_Y),
-            "ground_truth": _demo_ground_truth(g),
+            "ground_truth": dict(sorted(truth.items())),
             "note": "claim recorded as documented; ground truth is the "
                     "plaintext evaluation, which disagrees",
         }
@@ -303,20 +313,6 @@ def demo(mode, seed, cert_path, out):
     )
     click.echo(f"certificate: {cert_path} ({digest[:16]})")
     sys.exit(EXIT_OK if verdict == "accept" and ok == 1 else EXIT_REJECT)
-
-
-def _demo_ground_truth(g):
-    from .protocol import spec_port_outputs
-
-    res = spec_port_outputs(transform(g), demo_mod.DEMO_INPUT)
-    return {k: ("bot" if v == "bot" else v) for k, v in sorted(res.items())}
-
-
-def _demo_cp(g):
-    from .protocol import spec_port_outputs
-
-    want = spec_port_outputs(transform(g), demo_mod.DEMO_INPUT)
-    return [(demo_mod.DEMO_INPUT, want)]
 
 
 @main.command("sim-equiv")

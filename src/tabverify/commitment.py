@@ -8,6 +8,9 @@ data lets the receiver recheck everything; changing the data afterwards
 would require a seed matching q exposed bits and a codeword within masked
 distance, which the verified distance rules out.
 
+Each commit or check expands the seed once into the 2q-bit PRG stream and
+reads the mask and the exposed bits from it.
+
 Longer data is split into independently committed blocks.
 """
 
@@ -15,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .symcrypto import bit_at
+from .symcrypto import prg
 
 EPSILON = (1, 4)  # relative distance target
 MAX_CODE_RETRIES = 64
@@ -104,17 +107,18 @@ def _check_challenge(R, q):
         raise CommitError("challenge must have length 2q and weight q")
 
 
-def _mask_bits(R, s):
-    """PRG bits at the challenge's one-positions, in order."""
-    return tuple(bit_at(s, i) for i, r in enumerate(R) if r)
+def _mask_bits(R, stream):
+    """PRG stream bits at the challenge's one-positions, in order."""
+    return tuple(g for g, r in zip(stream, R) if r)
 
 
 def commit_respond(D, R, s, code):
     """Committer's message: masked codeword plus exposed PRG bits."""
     _check_challenge(R, code.q)
-    mask = _mask_bits(R, s)
+    stream = prg(s, 2 * code.q)
+    mask = _mask_bits(R, stream)
     e = tuple(c ^ g for c, g in zip(code.encode(tuple(D)), mask))
-    exposed = tuple((i, bit_at(s, i)) for i, r in enumerate(R) if not r)
+    exposed = tuple((i, g) for i, (g, r) in enumerate(zip(stream, R)) if not r)
     return CommitMessage(e=e, exposed=exposed)
 
 
@@ -129,12 +133,13 @@ def verify_reveal(commit, reveal, R, code):
     zero_positions = tuple(i for i, r in enumerate(R) if not r)
     if tuple(i for i, _ in commit.exposed) != zero_positions:
         return False
-    for i, b in commit.exposed:
-        if bit_at(reveal.seed, i) != b:
-            return False
+    # the compare above keeps every exposed position inside the stream
+    stream = prg(reveal.seed, 2 * code.q)
+    if any(stream[i] != b for i, b in commit.exposed):
+        return False
     if len(reveal.data) != code.m_c:
         return False
-    mask = _mask_bits(R, reveal.seed)
+    mask = _mask_bits(R, stream)
     expect = tuple(c ^ g for c, g in zip(code.encode(tuple(reveal.data)), mask))
     return expect == tuple(commit.e)
 

@@ -2,15 +2,18 @@
 
 SE is a balanced Feistel network with a quadratic (single-AND) round
 function, so its encryption map has a small circuit: 8 rounds give
-multiplicative depth 8, inside the integer backend's budget. The same
-routine, parameterized over bit operations, produces both the plain
-evaluation and the circuit, which keeps the two extensionally equal by
-construction.
+multiplicative depth 8, inside the integer backend's budget. One Feistel
+routine, parameterized over bit operations, produces the plain
+evaluation, the bit-sliced PRG evaluation and the circuit, which keeps
+the three extensionally equal by construction.
 
-The PRG iterates the same permutation in counter mode.
+The PRG is the same permutation in counter mode: output bit i is bit
+i % 32 of se_enc(s, counter), where counter holds the block index i // 32
+as 32 bits, least significant first. It is evaluated bit-sliced (Biham,
+"A fast new DES implementation in software", FSE 1997): every wire is a
+Python int with one lane per counter block, so one pass through the
+Feistel computes every block of the stream.
 """
-
-from functools import lru_cache
 
 from .circuit import Builder
 
@@ -23,10 +26,17 @@ class SymError(Exception):
     pass
 
 
-class _PlainOps:
-    @staticmethod
-    def const(v):
-        return int(v)
+class _LaneOps:
+    """Bit-sliced evaluation: each wire is an int with one bit per lane.
+
+    ones has a 1 in every lane; a single lane (ones = 1) is plain evaluation.
+    """
+
+    def __init__(self, ones):
+        self.ones = ones
+
+    def const(self, v):
+        return self.ones if v else 0
 
     @staticmethod
     def xor(a, b):
@@ -35,6 +45,9 @@ class _PlainOps:
     @staticmethod
     def and_(a, b):
         return a & b
+
+
+_PLAIN = _LaneOps(1)
 
 
 class _BuildOps:
@@ -89,7 +102,7 @@ def _feistel_enc(ops, key, block, rounds=ROUNDS):
 
 
 def _feistel_dec(key, block, rounds=ROUNDS):
-    ops = _PlainOps()
+    ops = _PLAIN
     w = len(block) // 2
     if w < 2 or len(block) % 2:
         raise SymError(f"block width {len(block)} unsupported (need even >= 4)")
@@ -112,7 +125,7 @@ def se_keygen(K, rng):
 def se_enc(sk, M):
     """Deterministic permutation of the |M|-bit block under sk."""
     _check_block(M)
-    return _feistel_enc(_PlainOps(), tuple(sk), tuple(int(b) for b in M))
+    return _feistel_enc(_PLAIN, tuple(sk), tuple(int(b) for b in M))
 
 
 def se_dec(sk, C):
@@ -141,26 +154,19 @@ def se_enc_circuit(key_bits, width):
 # --- PRG -----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8192)
-def _prg_block(seed, index):
-    counter = tuple((index >> i) & 1 for i in range(_PRG_BLOCK))
-    return _feistel_enc(_PlainOps(), seed, counter)
-
-
 def prg(s, n):
-    """First n output bits for seed s; prefixes are consistent."""
+    """First n output bits for seed s; prefixes are consistent.
+
+    Lane b of the counter wires holds block index b (bit j on wire j), so
+    lane b of the output wires is block b of the stream.
+    """
     if n < 1:
         raise SymError("length must be positive")
-    s = tuple(int(b) for b in s)
-    out = []
-    for blk in range((n + _PRG_BLOCK - 1) // _PRG_BLOCK):
-        out.extend(_prg_block(s, blk))
-    return tuple(out[:n])
-
-
-def bit_at(s, i):
-    """Output bit i (0-based) for seed s."""
-    if i < 0:
-        raise SymError("negative index")
-    s = tuple(int(b) for b in s)
-    return _prg_block(s, i // _PRG_BLOCK)[i % _PRG_BLOCK]
+    blocks = (n + _PRG_BLOCK - 1) // _PRG_BLOCK
+    ops = _LaneOps((1 << blocks) - 1)
+    key = [ops.const(int(b)) for b in s]
+    counter = [
+        sum(1 << b for b in range(blocks) if (b >> j) & 1) for j in range(_PRG_BLOCK)
+    ]
+    wires = _feistel_enc(ops, key, counter)
+    return tuple((wires[i % _PRG_BLOCK] >> (i // _PRG_BLOCK)) & 1 for i in range(n))

@@ -74,6 +74,20 @@ def test_flipped_mode_fails_audit(mode):
     assert report["reason"]
 
 
+@pytest.mark.parametrize("tamper", ["vga-seed", "public-params-leaf", "no-binding"])
+def test_binding_mismatch_rejected_before_replay(tamper):
+    cert = normalize(GENERAL_CERT)
+    if tamper == "vga-seed":
+        cert["vga"]["seed"] += 1
+    elif tamper == "public-params-leaf":
+        cert["public_params"]["code_params"]["seed"] += 1
+    else:
+        del cert["binding"]
+    ok, report = audit(cert)
+    assert ok == 0
+    assert report["reason"] == "session binding mismatch"
+
+
 def test_rejecting_certificate_replays_but_scores_zero():
     # a malicious session's certificate is internally consistent, yet its
     # verdict is reject, so the audit outcome is 0

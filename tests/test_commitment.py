@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from tabverify.commitment import (
     CommitError,
+    CommitMessage,
     RevealMessage,
     choose_challenge,
     commit_respond,
@@ -86,6 +88,54 @@ def test_reject_tampered_exposed_bit():
     exposed[3] = (i, b ^ 1)
     tampered = type(commit)(e=commit.e, exposed=tuple(exposed))
     assert not verify_reveal(tampered, RevealMessage(seed=s, data=D), R, CODE)
+
+
+def test_commit_golden_digest():
+    # fixed digest: certificates for fixed seeds depend on these exact bits
+    rng = random.Random(77)
+    s = se_keygen(16, rng)
+    R = choose_challenge(CODE.q, rng)
+    commit = commit_respond((1, 0, 1, 1), R, s, CODE)
+    text = "".join(map(str, commit.e)) + ";" + ",".join(
+        f"{i}:{b}" for i, b in commit.exposed
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cc08f7286cc2363c8e2fd865359a3f4fe750d105618cef71c23422c1ec847c95"
+    )
+
+
+def _honest_opening(seed):
+    rng = random.Random(seed)
+    D = tuple(rng.getrandbits(1) for _ in range(4))
+    s = se_keygen(16, rng)
+    R = choose_challenge(CODE.q, rng)
+    return commit_respond(D, R, s, CODE), RevealMessage(seed=s, data=D), R
+
+
+def test_reject_wrong_seed():
+    commit, reveal, R = _honest_opening(10)
+    seed = list(reveal.seed)
+    seed[0] ^= 1
+    wrong = RevealMessage(seed=tuple(seed), data=reveal.data)
+    assert verify_reveal(commit, reveal, R, CODE)
+    assert not verify_reveal(commit, wrong, R, CODE)
+
+
+def test_reject_flipped_masked_bit():
+    commit, reveal, R = _honest_opening(11)
+    for k in (0, CODE.q - 1):
+        e = list(commit.e)
+        e[k] ^= 1
+        tampered = CommitMessage(e=tuple(e), exposed=commit.exposed)
+        assert not verify_reveal(tampered, reveal, R, CODE)
+
+
+def test_reject_out_of_range_exposed_position():
+    commit, reveal, R = _honest_opening(12)
+    for pos in (2 * CODE.q, 10**6, -1):
+        exposed = commit.exposed[:-1] + ((pos, 0),)
+        tampered = CommitMessage(e=commit.e, exposed=exposed)
+        assert verify_reveal(tampered, reveal, R, CODE) is False
 
 
 def test_reject_malformed_challenge():

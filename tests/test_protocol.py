@@ -383,6 +383,29 @@ def test_serve_survives_malformed_checker_ciphertext():
     assert not server.is_alive()
 
 
+def test_serve_drops_a_silent_peer():
+    import socket
+    import threading
+
+    from tabverify.channel import SocketChannel
+    from tabverify.protocol import serve
+
+    dev = make_dev()
+    s_dev, s_ver = socket.socketpair()
+    chan = SocketChannel(s_dev, timeout=0.2)
+    server = threading.Thread(target=serve, args=(dev, chan))
+    server.start()
+    try:
+        server.join(timeout=10)
+        assert not server.is_alive()
+        assert s_dev.fileno() == -1  # serve closed its end
+        s_ver.settimeout(10)
+        assert s_ver.recv(1) == b""  # and the peer sees the close
+    finally:
+        s_ver.close()
+        s_dev.close()
+
+
 def test_certificate_public_half_has_no_secret_fields():
     dev, _, cert = run_pair(DEMO, DEMO_DOMAINS, [], mode="general")
     pp_dict = cert["public_params"]

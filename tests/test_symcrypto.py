@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from tabverify import he
 from tabverify.circuit import simulate
 from tabverify.symcrypto import (
     SymError,
-    bit_at,
     prg,
     se_dec,
     se_enc,
@@ -111,12 +111,27 @@ def test_prg_prefix_consistency():
     assert prg(s, 33) == prg(s, 100)[:33]
 
 
-def test_prg_bit_at_agrees():
+def test_prg_is_se_in_counter_mode():
+    # reference: one se_enc call per 32-bit counter block, least significant
+    # counter bit first, blocks concatenated and the stream cut to n bits
     rng = random.Random(10)
-    for _ in range(100):
+    for n in (1, 31, 32, 33, 100, 504, 1000):
         s = se_keygen(16, rng)
-        i = rng.randrange(500)
-        assert bit_at(s, i) == prg(s, i + 1)[i]
+        blocks = (n + 31) // 32
+        ref = ()
+        for b in range(blocks):
+            ref += se_enc(s, tuple((b >> j) & 1 for j in range(32)))
+        assert prg(s, n) == ref[:n]
+
+
+def test_prg_golden_digest():
+    # fixed digest: certificates for fixed seeds depend on these exact bits
+    s = se_keygen(16, random.Random(2024))
+    assert s == tuple(int(c) for c in "0011001101110101")
+    bits = "".join(map(str, prg(s, 504)))
+    assert hashlib.sha256(bits.encode()).hexdigest() == (
+        "3c6afe9a1cd21e4b91e812412eb5b6811b04f587e3027b25817122493d0a81d4"
+    )
 
 
 def test_prg_deterministic_and_seed_sensitive():
@@ -137,5 +152,3 @@ def test_prg_errors():
     s = se_keygen(16, random.Random(14))
     with pytest.raises(SymError):
         prg(s, 0)
-    with pytest.raises(SymError):
-        bit_at(s, -1)
