@@ -12,13 +12,13 @@ under the disclosed session key.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
-from .channel import canonical_json, decode_frame, encode_frame, make_frame
+from .channel import canonical_json, make_frame
 from .graphtext import parse_graph
 from .protocol import (
-    PublicParams,
     SessionFailure,
     Verifier,
     b64_cts,
@@ -38,13 +38,7 @@ def certificate_hash(cert):
     return hashlib.sha256(canonical_json(cert).encode("utf-8")).hexdigest()
 
 
-def normalize(cert):
-    """JSON round trip so in-memory and on-disk certificates compare equal."""
-    return json.loads(canonical_json(cert))
-
-
 def save_certificate(cert, path):
-    cert = normalize(cert)
     doc = {
         "format": CERT_FORMAT,
         "content_hash": certificate_hash(cert),
@@ -75,7 +69,6 @@ class ReplayChannel:
         self._reply = None
 
     def send(self, frame):
-        frame = decode_frame(encode_frame(frame))
         ftype = frame["type"]
         if ftype != "encode":
             raise AuditError(f"unexpected frame type {ftype!r} during replay")
@@ -99,14 +92,13 @@ class ReplayChannel:
 
 
 def _rebuild_verifier(cert):
-    pp = PublicParams.from_dict(cert["public_params"])
     g_spec = parse_graph(cert["g_spec"])
     kwargs = {}
     if cert["mode"] == "general":
         kwargs["sk"] = str_bits(cert["sk"])
         kwargs["ct_sk"] = b64_cts(cert["ct_sk"])
     v = Verifier(
-        pp,
+        cert["public_params"],
         g_spec,
         cert["domains"],
         [tuple(x) for x in cert["cp"]],
@@ -127,8 +119,10 @@ def replay(cert):
     certificate is byte-identical to the stored one. A certificate whose
     binding does not match its configuration fields is rejected before any
     replay; the final comparison would reject it too, only later.
+
+    cert is used as handed, JSON-native as `Verifier.run` returns it and
+    `load_certificate` parses it, and is left unchanged.
     """
-    cert = normalize(cert)
     report = {"mode": cert.get("mode"), "verdict": cert.get("verdict")}
     try:
         bound = session_binding(cert) == cert["binding"]
@@ -159,8 +153,9 @@ def replay(cert):
         # commentary attached after the session; not replayable, but still
         # covered by the certificate file's content hash
         rebuilt = dict(rebuilt, annotations=cert["annotations"])
-    if canonical_json(normalize(rebuilt)) != canonical_json(cert):
-        report["reason"] = "rebuilt certificate differs from the stored one"
+    if canonical_json(rebuilt) != canonical_json(cert):
+        report["reason"] = ("rebuilt certificate differs from the stored one "
+                            f"at {first_difference(cert, rebuilt)}")
         return False, report
     report["replayed_verdict"] = verdict
     report["coverage"] = coverage_report(
@@ -181,41 +176,34 @@ def audit(cert):
     return (1 if ok and report.get("replayed_verdict") == "accept" else 0), report
 
 
-# --- robustness helper for tests ------------------------------------------------
+# --- JSON paths ---------------------------------------------------------------------
 
 
-def _leaf_paths(node, prefix=()):
-    if isinstance(node, dict):
-        for k, sub in node.items():
-            yield from _leaf_paths(sub, prefix + (k,))
-    elif isinstance(node, list):
+def json_leaves(node, path=()):
+    """(path, value) of every leaf of a JSON value, dict keys in sorted order.
+
+    A leaf is a scalar or an empty list or dict; a path is the tuple of keys
+    and list indices from the root. Two values with the same leaves are the
+    same JSON value.
+    """
+    if isinstance(node, dict) and node:
+        for k in sorted(node):
+            yield from json_leaves(node[k], path + (k,))
+    elif isinstance(node, list) and node:
         for i, sub in enumerate(node):
-            yield from _leaf_paths(sub, prefix + (i,))
+            yield from json_leaves(sub, path + (i,))
     else:
-        yield prefix, node
+        yield path, node
 
 
-def mutate_certificate(cert, rng):
-    """Perturb one randomly chosen scalar field; returns a fresh copy."""
-    doc = normalize(cert)
-    leaves = [p for p in _leaf_paths(doc)]
-    path, value = leaves[rng.randrange(len(leaves))]
-    node = doc
-    for step in path[:-1]:
-        node = node[step]
-    key = path[-1]
-    if isinstance(value, bool):
-        node[key] = not value
-    elif isinstance(value, int):
-        node[key] = value + rng.choice([1, -1, 7])
-    elif isinstance(value, str) and value:
-        i = rng.randrange(len(value))
-        alphabet = "0123456789abcdefABCDEF+/xyz"
-        repl = rng.choice([c for c in alphabet if c != value[i]])
-        node[key] = value[:i] + repl + value[i + 1 :]
-    elif value is None:
-        node[key] = 0
-    else:
-        node[key] = "mutated"
-    assert canonical_json(doc) != canonical_json(normalize(cert))
-    return doc
+def first_difference(stored, rebuilt):
+    """JSON path, e.g. $.qa_e[12].a.kind, of the first leaf at which two JSON
+    values differ, in path or in canonical value; the stored value's path
+    where both have one, and $ when they do not differ."""
+    for a, b in itertools.zip_longest(json_leaves(stored), json_leaves(rebuilt)):
+        if a is None or b is None or a[0] != b[0] or (
+                canonical_json(a[1]) != canonical_json(b[1])):
+            path = (a or b)[0]
+            return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                                 for p in path)
+    return "$"

@@ -51,9 +51,6 @@ class Circuit:
             object.__setattr__(self, "_gd", h.hexdigest())
         return self._gd
 
-    def with_outputs(self, outputs):
-        return Circuit(self.n_inputs, self.gates, tuple(outputs))
-
     @property
     def mult_depth(self):
         """Depth counting only nonlinear gates (the AND depth)."""
@@ -74,32 +71,6 @@ def simulate(c, bits):
     for l, r, tt in c.gates:
         wires.append((tt >> ((wires[l] << 1) | wires[r])) & 1)
     return tuple(wires[w] for w in c.outputs)
-
-
-def simulate_batch(c, columns, width):
-    """Evaluate many assignments at once.
-
-    columns[i] is an int whose bit k is input i of assignment k; returns one
-    int per output wire. Python bignum bitwise ops make this fast enough for
-    exhaustive sweeps.
-    """
-    if len(columns) != c.n_inputs:
-        raise CircuitError("column count mismatch")
-    mask = (1 << width) - 1
-    wires = list(columns)
-    for l, r, tt in c.gates:
-        a, b = wires[l], wires[r]
-        out = 0
-        if tt & 1:
-            out |= ~a & ~b
-        if tt & 2:
-            out |= ~a & b
-        if tt & 4:
-            out |= a & ~b
-        if tt & 8:
-            out |= a & b
-        wires.append(out & mask)
-    return [wires[w] & mask for w in c.outputs]
 
 
 class Builder:
@@ -373,17 +344,6 @@ class UniversalCircuit:
     @property
     def program_length(self):
         return self.g * (2 * self.sel_bits + 4) + self.m * self.sel_bits
-
-    def projection(self, k):
-        """Single-output circuit computing output bit k."""
-        return self.circuit.with_outputs((self.circuit.outputs[k],))
-
-    def assemble_input(self, program_bits, data_bits):
-        if len(program_bits) != self.program_length:
-            raise CircuitError("program length mismatch")
-        if len(data_bits) != self.n_data:
-            raise CircuitError("data width mismatch")
-        return tuple(program_bits) + tuple(data_bits)
 
 
 def build_universal(n_data, g, m):

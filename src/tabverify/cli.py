@@ -41,6 +41,15 @@ EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_PROTOCOL = 3
 
+# connections `serve` holds open at once, each with a thread and its session
+# memory; one past the cap is closed as soon as it is accepted.  The cap is a
+# memory bound: with 1, 2, 4 and 8 concurrent loopback verifiers on a 2-vCPU
+# host, each session added about 1.2 MB (demo, general) to 1.8 MB (diamond,
+# honest) to the peak RSS of a serve process that idles at 30-34 MB, so 64
+# sessions take roughly 80-120 MB more.  How many verifiers connect at once in
+# practice has not been measured.
+MAX_CONNECTIONS = 64
+
 
 def data_dir():
     return os.environ.get("TABVERIFY_DATA", ".")
@@ -156,6 +165,34 @@ def encrypt(graph, m_width, seed, out):
     click.echo(f"wrote {out}")
 
 
+def serve_connections(dev, accept, max_sessions=None):
+    """Serve each socket accept() returns as one session in its own thread,
+    at most MAX_CONNECTIONS at once, until max_sessions have been served.
+
+    A socket accepted while all slots are taken is closed at once and does
+    not count as a session; a slot is freed when its session ends.
+    """
+    slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def session(chan):
+        try:
+            serve_loop(dev, chan)
+        finally:
+            slots.release()
+
+    served = 0
+    while max_sessions is None or served < max_sessions:
+        conn = accept()
+        if not slots.acquire(blocking=False):
+            conn.close()
+            continue
+        # not a daemon thread: the interpreter joins it before it exits;
+        # the timeout ends the session of a peer that stops sending
+        chan = SocketChannel(conn, timeout=TIMEOUT)
+        threading.Thread(target=session, args=(chan,)).start()
+        served += 1
+
+
 @main.command()
 @click.option("--graph", required=True)
 @click.option("--m-width", default=16, show_default=True)
@@ -163,7 +200,7 @@ def encrypt(graph, m_width, seed, out):
 @click.option("--listen", required=True, help="HOST:PORT to accept verifiers on")
 @click.option("--out", default=None, help="also write public parameters here")
 @click.option("--max-sessions", type=int, default=None,
-              help="stop accepting after this many connections")
+              help="stop accepting after this many sessions")
 def serve(graph, m_width, seed, listen, out, max_sessions):
     """Run a developer endpoint over TCP: each connection is one session,
     served in its own thread, and the command waits for them to end."""
@@ -180,15 +217,8 @@ def serve(graph, m_width, seed, listen, out, max_sessions):
         fail(EXIT_USAGE, "bind", str(exc))
     srv.listen()
     click.echo(f"serving on {host}:{srv.getsockname()[1]}")
-    served = 0
     try:
-        while max_sessions is None or served < max_sessions:
-            conn, _addr = srv.accept()
-            # not a daemon thread: the interpreter joins it before it exits;
-            # the timeout ends the session of a peer that stops sending
-            chan = SocketChannel(conn, timeout=TIMEOUT)
-            threading.Thread(target=serve_loop, args=(dev, chan)).start()
-            served += 1
+        serve_connections(dev, lambda: srv.accept()[0], max_sessions)
     except KeyboardInterrupt:
         pass
     finally:

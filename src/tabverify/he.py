@@ -334,8 +334,9 @@ def eval_word(hpk, circuit, cts):
     """Homomorphically evaluate every output of the circuit.
 
     Deterministic: identical (key, circuit, inputs) give byte-identical
-    results, which the audit's recomputation checks rely on. Output k equals
-    eval() of the single-output projection for wire k.
+    results, which the audit's recomputation checks rely on. Output k is
+    byte-identical to the one output of the same circuit cut down to its
+    output wire k.
     """
     if len(cts) != circuit.n_inputs:
         raise HeError(
@@ -344,12 +345,6 @@ def eval_word(hpk, circuit, cts):
     if hpk.kind == "transparent":
         return _eval_transparent(hpk, circuit, cts)
     return _eval_she(hpk, circuit, cts)
-
-
-def eval(hpk, circuit, cts):  # noqa: A001 - interface name
-    if len(circuit.outputs) != 1:
-        raise HeError("eval expects a single-output circuit; use eval_word")
-    return eval_word(hpk, circuit, cts)[0]
 
 
 def hpk_to_dict(hpk):

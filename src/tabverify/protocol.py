@@ -588,8 +588,7 @@ class Verifier:
         sk=None,
         ct_sk=None,
     ):
-        if isinstance(pp, dict):
-            pp = PublicParams.from_dict(pp)
+        pp = PublicParams.from_dict(pp)  # the published public-parameter dict
         if mode not in ("honest", "general"):
             raise ProtocolError(f"unknown mode {mode!r}")
         if mode == "general" and (pp.m < 8 or pp.m % 4):

@@ -59,27 +59,12 @@ def bits_to_int(bits):
     return v
 
 
-def bits_to_uint(bits):
-    return sum(b << i for i, b in enumerate(bits))
-
-
 def tagged_to_bits(tv, m):
     """Encode as m bits: tag half first (top = 1, bot = 0), then payload."""
     h = m // 2
     tag_half = int_to_bits(1 if tv.tag else 0, h)
     payload = int(tv.payload) if tv.tag else 0
     return tag_half + int_to_bits(payload, h)
-
-
-def bits_to_tagged(bits, ptype="int"):
-    m = len(bits)
-    h = m // 2
-    tag = bits_to_uint(bits[:h]) != 0
-    if not tag:
-        return BOT
-    if ptype == "bool":
-        return Tagged(True, bool(bits[h]))
-    return Tagged(True, bits_to_int(bits[h:]))
 
 
 # --- tables and graphs ------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Shared test utilities: random circuit generation, bit conversions and a
-narrow design."""
+"""Shared test utilities: random circuit generation, bit conversions, batch
+simulation, certificate mutation and a narrow design."""
 
+import copy
 import random
 
-from tabverify.circuit import Circuit
+from tabverify.audit import json_leaves
+from tabverify.channel import canonical_json
+from tabverify.circuit import Circuit, CircuitError
+from tabverify.tables import BOT, Tagged, bits_to_int
 
 LINEAR_TTS = (0b0110, 0b1001, 0b0001, 0b0000, 0b1111)
 
@@ -51,3 +55,70 @@ def random_bits(rng, n):
 
 def fresh_rng(seed):
     return random.Random(seed)
+
+
+def bits_to_tagged(bits, ptype="int"):
+    """Inverse of tables.tagged_to_bits: tag half first, then the payload."""
+    h = len(bits) // 2
+    if not any(bits[:h]):
+        return BOT
+    if ptype == "bool":
+        return Tagged(True, bool(bits[h]))
+    return Tagged(True, bits_to_int(bits[h:]))
+
+
+def simulate_batch(c, columns, width):
+    """Evaluate many assignments at once.
+
+    columns[i] is an int whose bit k is input i of assignment k; returns one
+    int per output wire. Python bignum bitwise ops make this fast enough for
+    exhaustive sweeps.
+    """
+    if len(columns) != c.n_inputs:
+        raise CircuitError("column count mismatch")
+    mask = (1 << width) - 1
+    wires = list(columns)
+    for l, r, tt in c.gates:
+        a, b = wires[l], wires[r]
+        out = 0
+        if tt & 1:
+            out |= ~a & ~b
+        if tt & 2:
+            out |= ~a & b
+        if tt & 4:
+            out |= a & ~b
+        if tt & 8:
+            out |= a & b
+        wires.append(out & mask)
+    return [wires[w] & mask for w in c.outputs]
+
+
+def mutate_certificate(cert, rng):
+    """Copy of cert with one randomly chosen scalar leaf perturbed.
+
+    Leaves are drawn in json_leaves order (dict keys sorted). Only the dicts
+    and lists on the path to the chosen leaf are copied; the rest is shared
+    with cert, which is left unchanged.
+    """
+    leaves = [(p, v) for p, v in json_leaves(cert) if not isinstance(v, (dict, list))]
+    path, value = leaves[rng.randrange(len(leaves))]
+    if isinstance(value, bool):
+        new = not value
+    elif isinstance(value, int):
+        new = value + rng.choice([1, -1, 7])
+    elif isinstance(value, str) and value:
+        i = rng.randrange(len(value))
+        alphabet = "0123456789abcdefABCDEF+/xyz"
+        repl = rng.choice([c for c in alphabet if c != value[i]])
+        new = value[:i] + repl + value[i + 1:]
+    elif value is None:
+        new = 0
+    else:
+        new = "mutated"
+    assert canonical_json(new) != canonical_json(value)
+    doc = node = copy.copy(cert)
+    for step in path[:-1]:
+        node[step] = copy.copy(node[step])
+        node = node[step]
+    node[path[-1]] = new
+    return doc

@@ -8,10 +8,11 @@ import time
 
 import pytest
 
+from helpers import mutate_certificate, simulate_batch
 from tabverify import audit as audit_mod
 from tabverify import he
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
-from tabverify.circuit import build_universal, encode_program, simulate, simulate_batch
+from tabverify.circuit import build_universal, encode_program, simulate
 from tabverify.commitment import (
     RevealMessage,
     choose_challenge,
@@ -197,7 +198,7 @@ def test_c5_honest_audit_one_mutations_zero():
     rng = random.Random(505)
     undetected = 0
     for _ in range(1000):
-        mutated = audit_mod.mutate_certificate(cert, rng)
+        mutated = mutate_certificate(cert, rng)
         if audit_mod.audit(mutated)[0] != 0:
             undetected += 1
     elapsed = time.time() - t0

@@ -1,20 +1,31 @@
+import copy
+import hashlib
+import json
 import random
 
 import pytest
 
+from helpers import mutate_certificate
 from tabverify.audit import (
     AuditError,
     ReplayChannel,
     audit,
     certificate_hash,
+    first_difference,
     load_certificate,
-    mutate_certificate,
-    normalize,
     replay,
     save_certificate,
 )
 from tabverify.channel import canonical_json
-from tabverify.demo import DEMO_DOMAINS, DEMO_GRAPH_TEXT, DEMO_INPUT
+from tabverify.demo import (
+    CHAIN_DOMAINS,
+    DEMO_DOMAINS,
+    DEMO_GRAPH_TEXT,
+    DEMO_INPUT,
+    DIAMOND_DOMAINS,
+    chain_graph,
+    diamond_graph,
+)
 from tabverify.graphtext import parse_graph
 from tabverify.protocol import Developer, Verifier, verify_session
 
@@ -22,9 +33,10 @@ DEMO = parse_graph(DEMO_GRAPH_TEXT)
 CP = [(DEMO_INPUT, {"w": False, "c": 2})]
 
 
-def make_cert(mode="honest", strategy=None, dev_seed=1, v_seed=2):
-    dev = Developer(DEMO, rng=random.Random(dev_seed), strategy=strategy)
-    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, CP, seed=7, mode=mode,
+def make_cert(mode="honest", strategy=None, dev_seed=1, v_seed=2, graph=DEMO,
+              domains=DEMO_DOMAINS, cp=CP):
+    dev = Developer(graph, rng=random.Random(dev_seed), strategy=strategy)
+    v = Verifier(dev.pp.to_dict(), graph, domains, cp, seed=7, mode=mode,
                  rng=random.Random(v_seed))
     verdict, cert = verify_session(dev, v)
     return verdict, cert
@@ -32,6 +44,45 @@ def make_cert(mode="honest", strategy=None, dev_seed=1, v_seed=2):
 
 HONEST_VERDICT, HONEST_CERT = make_cert("honest")
 GENERAL_VERDICT, GENERAL_CERT = make_cert("general")
+FLIP_TAG_VERDICT, FLIP_TAG_CERT = make_cert("general", strategy="flip-tag")
+
+
+def same_json(a, b):
+    """a == b, but strict about list/tuple, bool/int and key types."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return (all(type(k) is str for k in a) and set(a) == set(b)
+                and all(same_json(a[k], b[k]) for k in a))
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same_json, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("config", [
+    "demo-honest", "demo-general", "chain-honest", "chain-general",
+    "diamond-general", "flip-payload-honest", "flip-tag-honest",
+    "swap-answers-honest", "flip-payload-general", "flip-tag-general",
+    "swap-answers-general"])
+def test_session_certificate_is_json_native(config):
+    # the audit and save_certificate use certificates as handed, with no
+    # JSON round trip, so Verifier.run must build them in JSON types
+    design, mode = config.rsplit("-", 1)
+    if config == "demo-honest":
+        cert = HONEST_CERT
+    elif config == "demo-general":
+        cert = GENERAL_CERT
+    elif design == "chain":
+        _, cert = make_cert(mode, graph=chain_graph(), domains=CHAIN_DOMAINS,
+                            cp=[])
+    elif design == "diamond":
+        _, cert = make_cert(mode, graph=diamond_graph(),
+                            domains=DIAMOND_DOMAINS, cp=[])
+    elif config == "flip-tag-general":
+        cert = FLIP_TAG_CERT
+    else:
+        _, cert = make_cert(mode, strategy=design)
+    assert same_json(cert, json.loads(canonical_json(cert)))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -39,7 +90,7 @@ def test_save_load_round_trip(tmp_path):
     digest = save_certificate(HONEST_CERT, path)
     cert = load_certificate(path)
     assert certificate_hash(cert) == digest
-    assert canonical_json(cert) == canonical_json(normalize(HONEST_CERT))
+    assert canonical_json(cert) == canonical_json(HONEST_CERT)
 
 
 def test_load_rejects_tampered_file(tmp_path):
@@ -67,7 +118,7 @@ def test_general_certificate_audits_to_one():
 
 @pytest.mark.parametrize("mode", ["honest", "general"])
 def test_flipped_mode_fails_audit(mode):
-    cert = normalize(HONEST_CERT if mode == "honest" else GENERAL_CERT)
+    cert = copy.deepcopy(HONEST_CERT if mode == "honest" else GENERAL_CERT)
     cert["mode"] = "general" if mode == "honest" else "honest"
     ok, report = audit(cert)
     assert ok == 0
@@ -76,7 +127,7 @@ def test_flipped_mode_fails_audit(mode):
 
 @pytest.mark.parametrize("tamper", ["vga-seed", "public-params-leaf", "no-binding"])
 def test_binding_mismatch_rejected_before_replay(tamper):
-    cert = normalize(GENERAL_CERT)
+    cert = copy.deepcopy(GENERAL_CERT)
     if tamper == "vga-seed":
         cert["vga"]["seed"] += 1
     elif tamper == "public-params-leaf":
@@ -91,26 +142,67 @@ def test_binding_mismatch_rejected_before_replay(tamper):
 def test_rejecting_certificate_replays_but_scores_zero():
     # a malicious session's certificate is internally consistent, yet its
     # verdict is reject, so the audit outcome is 0
-    verdict, cert = make_cert("general", strategy="flip-tag")
-    assert verdict == "reject"
-    ok_replay, rep = replay(cert)
+    assert FLIP_TAG_VERDICT == "reject"
+    ok_replay, rep = replay(FLIP_TAG_CERT)
     assert ok_replay
     assert rep["replayed_verdict"] == "reject"
-    assert audit(cert)[0] == 0
+    assert audit(FLIP_TAG_CERT)[0] == 0
+
+
+@pytest.mark.parametrize("verdict", ["accept", "reject"])
+def test_audit_leaves_certificate_unchanged(verdict):
+    cert = GENERAL_CERT if verdict == "accept" else FLIP_TAG_CERT
+    before = canonical_json(cert)
+    audit(cert)
+    assert canonical_json(cert) == before
+
+
+def test_final_compare_names_first_differing_path():
+    ok, report = replay(dict(HONEST_CERT, verdict="reject"))
+    assert not ok
+    assert report["reason"] == (
+        "rebuilt certificate differs from the stored one at $.verdict")
+
+
+def test_first_difference():
+    doc = {"b": [1, {"c": "x", "d": []}], "a": True}
+    assert first_difference(doc, copy.deepcopy(doc)) == "$"
+    assert first_difference(doc, dict(doc, a=1)) == "$.a"
+    assert first_difference(doc, dict(doc, b=[1, {"c": "y", "d": []}])) == "$.b[1].c"
+    assert first_difference(doc, dict(doc, b=[1, {"c": "x", "d": {}}])) == "$.b[1].d"
+    assert first_difference(doc, dict(doc, b=[1, {"c": "x", "d": []}, 2])) == "$.b[2]"
+    assert first_difference(doc, {"a": True}) == "$.b[0]"
+
+
+def test_mutate_certificate_draws_recorded_leaves():
+    # sha256 over the first five mutated documents, recorded when
+    # mutate_certificate still worked on a full JSON copy of the certificate
+    for cert, want in (
+        (HONEST_CERT, "19f9dd71db0ee3d339e89af77b80ab7d027a11c3c7404df44d84ecf3b8f17347"),
+        (GENERAL_CERT, "e479fd762e4f5df03fc555816615b030bbcd71a89b5d109a6bae1ff3d51fc43a"),
+    ):
+        rng = random.Random(42)
+        h = hashlib.sha256()
+        for _ in range(5):
+            h.update(canonical_json(mutate_certificate(cert, rng)).encode())
+        assert h.hexdigest() == want
 
 
 @pytest.mark.parametrize("mode", ["honest", "general"])
 def test_mutations_detected(mode):
     cert = HONEST_CERT if mode == "honest" else GENERAL_CERT
     rng = random.Random(42)
+    before = canonical_json(cert)
     for _ in range(25):
         mutated = mutate_certificate(cert, rng)
         ok, report = audit(mutated)
         assert ok == 0, report
+    # mutated copies share all but one path with cert; audits change none of it
+    assert canonical_json(cert) == before
 
 
 def test_replay_channel_strictness():
-    qa_e = normalize(HONEST_CERT)["qa_e"]
+    qa_e = copy.deepcopy(HONEST_CERT["qa_e"])
     chan = ReplayChannel(qa_e)
     from tabverify.channel import make_frame
 
@@ -125,14 +217,14 @@ def test_replay_channel_strictness():
 
 
 def test_truncated_transcript_fails():
-    cert = normalize(HONEST_CERT)
+    cert = copy.deepcopy(HONEST_CERT)
     cert["qa_e"] = cert["qa_e"][:-1]
     ok, report = replay(cert)
     assert not ok
 
 
 def test_extra_transcript_records_fail():
-    cert = normalize(HONEST_CERT)
+    cert = copy.deepcopy(HONEST_CERT)
     cert["qa_e"] = cert["qa_e"] + [cert["qa_e"][-1]]
     ok, report = replay(cert)
     assert not ok

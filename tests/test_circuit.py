@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_bits, random_circuit
+from helpers import bits_to_tagged, random_bits, random_circuit, simulate_batch
 from tabverify.circuit import (
     TT_AND,
     TT_XOR,
@@ -14,11 +14,10 @@ from tabverify.circuit import (
     compile_table,
     encode_program,
     simulate,
-    simulate_batch,
 )
 from tabverify.demo import demo_graph
 from tabverify.expr import evaluate, parse_expr
-from tabverify.tables import Tagged, bits_to_tagged, tagged_to_bits, transform
+from tabverify.tables import Tagged, tagged_to_bits, transform
 
 M = 16
 H = M // 2
@@ -197,7 +196,7 @@ def test_universal_one_slot_and():
     prog = encode_program(c, u)
     for x in range(4):
         bits = (x & 1, (x >> 1) & 1)
-        assert simulate(u.circuit, u.assemble_input(prog, bits)) == simulate(c, bits)
+        assert simulate(u.circuit, tuple(prog) + tuple(bits)) == simulate(c, bits)
 
 
 def test_universal_random_circuits():
@@ -212,7 +211,7 @@ def test_universal_random_circuits():
                 x[i % c.n_inputs] for i in range(u.n_data - c.n_inputs)
             )
             assert (
-                simulate(u.circuit, u.assemble_input(prog, padded))
+                simulate(u.circuit, tuple(prog) + tuple(padded))
                 == simulate(c, x)
             )
 
@@ -225,7 +224,7 @@ def test_universal_exhaustive_small():
         prog = encode_program(c, u)
         for x in range(16):
             bits = tuple((x >> i) & 1 for i in range(4))
-            assert simulate(u.circuit, u.assemble_input(prog, bits)) == simulate(
+            assert simulate(u.circuit, tuple(prog) + tuple(bits)) == simulate(
                 c, bits
             )
 
@@ -237,9 +236,10 @@ def test_projection_consistency():
     prog = encode_program(c, u)
     for _ in range(10):
         x = random_bits(rng, 4)
-        full = simulate(u.circuit, u.assemble_input(prog, x))
+        full = simulate(u.circuit, tuple(prog) + tuple(x))
         parts = tuple(
-            simulate(u.projection(k), u.assemble_input(prog, x))[0]
+            simulate(Circuit(u.circuit.n_inputs, u.circuit.gates,
+                             (u.circuit.outputs[k],)), tuple(prog) + tuple(x))[0]
             for k in range(3)
         )
         assert parts == full

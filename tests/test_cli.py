@@ -1,15 +1,22 @@
 import json
 import os
+import queue
+import random
 import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 from click.testing import CliRunner
 
 import tabverify
+from tabverify import cli
+from tabverify.channel import SocketChannel, make_frame
 from tabverify.cli import main
 from tabverify.demo import DEMO_GRAPH_TEXT
+from tabverify.graphtext import parse_graph
+from tabverify.protocol import Developer, bits_str, top_tag_bits
 
 
 @pytest.fixture()
@@ -146,6 +153,59 @@ def test_serve_and_remote_verify(workspace):
     r2 = run(["audit", "--cert", str(cert)])
     assert r2.exit_code == 0
     assert '"ok":1' in r2.output
+
+
+def test_serve_closes_connections_past_the_cap(monkeypatch):
+    # with one slot, a second connection is closed at once and does not
+    # count as a session; the first keeps its answers, and its slot is
+    # free again once its session has ended
+    monkeypatch.setattr(cli, "MAX_CONNECTIONS", 1)
+    sessions = []
+    serve_one = cli.serve_loop
+
+    def serve_loop(dev, chan):
+        sessions.append(threading.current_thread())
+        serve_one(dev, chan)
+
+    monkeypatch.setattr(cli, "serve_loop", serve_loop)
+    dev = Developer(parse_graph(DEMO_GRAPH_TEXT), rng=random.Random(0))
+    t = next(t for t in dev.pp.structure["tables"]
+             if t["ports"][0]["producers"][0][0] == "input")
+    q1 = make_frame("encode", {"qkind": 1, "i": t["index"], "port": 0,
+                               "u": bits_str(top_tag_bits(8) + (0,) * 8)})
+    accepted = queue.Queue()
+    server = threading.Thread(target=cli.serve_connections,
+                              args=(dev, accepted.get, 2), daemon=True)
+    pairs = [socket.socketpair() for _ in range(3)]
+    for peer, _ in pairs:
+        peer.settimeout(10)
+
+    def answer(peer):
+        chan = SocketChannel(peer)
+        chan.send(q1)
+        return chan.recv()["body"]["answer"]["kind"]
+
+    server.start()
+    try:
+        accepted.put(pairs[0][1])
+        assert answer(pairs[0][0]) == "w"
+        accepted.put(pairs[1][1])
+        assert pairs[1][0].recv(1) == b""  # closed at once
+        assert answer(pairs[0][0]) == "w"
+        pairs[0][0].close()
+        sessions[0].join(timeout=10)
+        assert not sessions[0].is_alive()
+        accepted.put(pairs[2][1])  # the second session: served, then the loop ends
+        assert answer(pairs[2][0]) == "w"
+        server.join(timeout=10)
+        assert not server.is_alive()
+    finally:
+        for peer, conn in pairs:
+            peer.close()
+            conn.close()
+        server.join(timeout=10)
+        for s in sessions:
+            s.join(timeout=10)
 
 
 def test_verify_refuses_general_mode_on_narrow_width(workspace):

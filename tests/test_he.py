@@ -75,8 +75,8 @@ def test_eval_basic_gates(tr_keys, she_keys):
         for a in (0, 1):
             for b in (0, 1):
                 cts = he.enc_word(keys.hpk, (a, b), rng)
-                assert he.dec(keys.hsk, he.eval(keys.hpk, and_c, cts)) == (a & b)
-                assert he.dec(keys.hsk, he.eval(keys.hpk, xor_c, cts)) == (a ^ b)
+                assert he.dec(keys.hsk, he.eval_word(keys.hpk, and_c, cts)[0]) == (a & b)
+                assert he.dec(keys.hsk, he.eval_word(keys.hpk, xor_c, cts)[0]) == (a ^ b)
 
 
 def test_eval_random_circuits_she(she_keys):
@@ -105,8 +105,8 @@ def test_eval_compactness(tr_keys, she_keys):
     big = random_circuit(rng, 3, 200, 1, max_mult_depth=6)
     for keys in (tr_keys, she_keys):
         cts = he.enc_word(keys.hpk, (1, 0, 1), rng)
-        assert len(he.eval(keys.hpk, small, cts)) == keys.hpk.lam_bytes
-        assert len(he.eval(keys.hpk, big, cts)) == keys.hpk.lam_bytes
+        assert len(he.eval_word(keys.hpk, small, cts)[0]) == keys.hpk.lam_bytes
+        assert len(he.eval_word(keys.hpk, big, cts)[0]) == keys.hpk.lam_bytes
 
 
 def test_depth_budget_enforced(she_keys):
@@ -119,7 +119,7 @@ def test_depth_budget_enforced(she_keys):
     c = Circuit(2, tuple(gates), (1 + n_gates,))
     cts = he.enc_word(she_keys.hpk, (1, 1), rng)
     with pytest.raises(he.DepthBudgetError):
-        he.eval(she_keys.hpk, c, cts)
+        he.eval_word(she_keys.hpk, c, cts)
 
 
 def test_backends_agree(tr_keys, she_keys):
@@ -141,8 +141,8 @@ def test_projection_byte_identity(tr_keys):
     cts = he.enc_word(tr_keys.hpk, (0, 1, 1, 0), rng)
     full = he.eval_word(tr_keys.hpk, c, cts)
     for k in range(3):
-        proj = c.with_outputs((c.outputs[k],))
-        assert he.eval(tr_keys.hpk, proj, cts) == full[k]
+        proj = Circuit(c.n_inputs, c.gates, (c.outputs[k],))
+        assert he.eval_word(tr_keys.hpk, proj, cts)[0] == full[k]
 
 
 def test_she_linear_distinguisher_smoke(she_keys):

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import bits_to_tagged
 from tabverify.demo import (
     DEMO_DOMAINS,
     chain_graph,
@@ -13,7 +14,6 @@ from tabverify.tables import (
     GraphError,
     Tagged,
     bits_to_int,
-    bits_to_tagged,
     check_properties,
     evaluate_original,
     evaluate_plain,
