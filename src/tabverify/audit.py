@@ -39,14 +39,15 @@ def certificate_hash(cert):
 
 
 def save_certificate(cert, path):
-    doc = {
-        "format": CERT_FORMAT,
-        "content_hash": certificate_hash(cert),
-        "certificate": cert,
-    }
+    """Write the certificate file; returns its content hash. The certificate
+    is serialised once: the file is the canonical JSON of
+    {"certificate", "content_hash", "format"}, written out around that text."""
+    text = canonical_json(cert)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     with open(path, "w", encoding="utf-8") as f:
-        f.write(canonical_json(doc))
-    return doc["content_hash"]
+        f.write(f'{{"certificate":{text},"content_hash":"{digest}",'
+                f'"format":"{CERT_FORMAT}"}}')
+    return digest
 
 
 def load_certificate(path):

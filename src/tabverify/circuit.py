@@ -315,6 +315,14 @@ def _mux_tree(b, sels, entries):
     return ents[0]
 
 
+def uc_layout(n_data, g, m):
+    """(bus width, selector bits, program length) of the universal circuit
+    with budget (n_data, g, m)."""
+    bus_width = n_data + 1 + g
+    sel_bits = (bus_width - 1).bit_length()  # fewest bits that address the bus
+    return bus_width, sel_bits, g * (2 * sel_bits + 4) + m * sel_bits
+
+
 @dataclass(frozen=True)
 class UniversalCircuit:
     """Gate-slot universal circuit: g programmable slots over a shared bus.
@@ -332,28 +340,21 @@ class UniversalCircuit:
 
     @property
     def bus_width(self):
-        return self.n_data + 1 + self.g
+        return uc_layout(self.n_data, self.g, self.m)[0]
 
     @property
     def sel_bits(self):
-        w, k = self.bus_width, 0
-        while (1 << k) < w:
-            k += 1
-        return k
+        return uc_layout(self.n_data, self.g, self.m)[1]
 
     @property
     def program_length(self):
-        return self.g * (2 * self.sel_bits + 4) + self.m * self.sel_bits
+        return uc_layout(self.n_data, self.g, self.m)[2]
 
 
 def build_universal(n_data, g, m):
     if n_data < 1 or g < 1 or m < 1:
         raise CircuitError("universal circuit budget must be positive")
-    w = n_data + 1 + g
-    sb = 0
-    while (1 << sb) < w:
-        sb += 1
-    plen = g * (2 * sb + 4) + m * sb
+    _, sb, plen = uc_layout(n_data, g, m)
     b = Builder(plen + n_data)
 
     data = list(range(plen, plen + n_data))

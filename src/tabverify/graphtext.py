@@ -24,7 +24,6 @@ from .expr import ExprError, ExprTypeError, infer_type, to_text
 from .tables import INPUT, OUTPUT, GraphError, Table, TableGraph, validate_references
 
 RESERVED = {INPUT, OUTPUT}
-_KEYWORDS = {"table", "edges", "inputs", "outputs", "rows", "width"}
 
 
 class _GraphParser(_expr._Parser):

@@ -11,6 +11,12 @@ answer slice under its own secret key, the developer commits to the
 decryption before seeing the key ciphertext's opening, and the revealed
 value must decrypt to exactly the answer the developer gave earlier.
 
+The developer checks every query against the structure it published (each
+table's ports and their producers, and which tables are external), the same
+data the verifier walks; both parties compute the values a query carries
+(the table step, the checker slice and the checker value) with the one
+function each below.
+
 Everything exchanged is recorded; the audit module replays it.
 """
 
@@ -39,6 +45,8 @@ from .tables import (
     Tagged,
     bits_to_int,
     evaluate_plain,
+    int_to_bits,
+    sibling_group,
     tagged_to_bits,
     transform,
 )
@@ -87,25 +95,10 @@ def b64_cts(items):
     return out
 
 
-def value_to_word(value, ptype, m):
-    if ptype == "bool":
-        return tagged_to_bits(Tagged(True, bool(value)), m)
-    return tagged_to_bits(Tagged(True, int(value)), m)
-
-
 def payload_to_value(bits, ptype):
     if ptype == "bool":
         return bool(bits[0])
     return bits_to_int(bits)
-
-
-def pad_data_cts(cts, n_data):
-    """Stretch a table's input ciphertexts to the bus width by cycling them."""
-    return [cts[i % len(cts)] for i in range(n_data)]
-
-
-def top_tag_bits(h):
-    return (1,) + (0,) * (h - 1)
 
 
 _U_CACHE = {}
@@ -126,6 +119,35 @@ def se_circuit_for(key_bits, width):
     if key not in _SE_CIRCUITS:
         _SE_CIRCUITS[key] = se_enc_circuit(key_bits, width)
     return _SE_CIRCUITS[key]
+
+
+# --- the values both parties compute from a query -------------------------------
+
+
+def table_step(pp, u, i, u_cts):
+    """Output ciphertexts of row table i on the input ciphertexts u_cts:
+    program i and the inputs, cycled to the bus width, through the universal
+    circuit u. The verifier computes it for a q2; the developer recomputes
+    it before it answers."""
+    data = [u_cts[k % len(u_cts)] for k in range(u.n_data)]
+    return he.eval_word(pp.hpk, u.circuit, pp.programs[i] + data)
+
+
+def checker_slice(word, case, h):
+    """The part of an answered word that a checker round of this case
+    covers: all of a q1 word, the tag half of an intermediate q2 word, the
+    payload half of an external one."""
+    if case == "input":
+        return word
+    return word[:h] if case == "intermediate" else word[h:]
+
+
+def checker_value(pp, ct_sk, p):
+    """y: the symmetric encryption of the slice p under the key inside
+    ct_sk, evaluated homomorphically. The verifier computes it for a checker
+    round; the developer recomputes it before it reveals."""
+    circ = se_circuit_for(pp.se_key_bits, len(p))
+    return he.eval_word(pp.hpk, circ, list(ct_sk) + list(p))
 
 
 # --- public parameters ----------------------------------------------------------
@@ -223,8 +245,9 @@ def table_circuits(tg):
 
 @dataclass
 class _SessionMem:
-    q1: dict = field(default_factory=dict)  # (i, port) -> (u_bits, w_cts)
-    q2: dict = field(default_factory=dict)  # i -> (v_cts, plaintext output word)
+    # each answered word as (ciphertexts, plaintext)
+    q1: dict = field(default_factory=dict)  # (i, port) -> (w_cts, u_bits)
+    q2: dict = field(default_factory=dict)  # i -> (v_cts, output word)
     pending: dict = field(default_factory=dict)  # checker subprotocol state
     swap_held: object = None  # previous answer, for the swap strategy
 
@@ -254,7 +277,6 @@ class Developer:
         self.graph = graph
         self.tg = transform(graph)
         self.index_of, circuits = table_circuits(self.tg)
-        self.name_of = {i: n for n, i in self.index_of.items()}
         n_data, g, m = budget_for(list(circuits.values()), floor=u_budget)
         self.u = universal_for((n_data, g, m))
 
@@ -307,6 +329,11 @@ class Developer:
             reply = {"error": f"unknown frame type {ftype!r}"}
         return make_frame("reply", reply)
 
+    def _published(self, i):
+        """Table i of the published structure, or None when there is none."""
+        tables = self.pp.structure["tables"]  # in index order, from 1
+        return tables[i - 1] if i is not None and 0 < i <= len(tables) else None
+
     # -- q1 / q2
 
     def _encode(self, body):
@@ -318,84 +345,71 @@ class Developer:
 
     def _encode_q1(self, body):
         m = self.pp.m
+        h = m // 2
         i, port = _int(body.get("i")), _int(body.get("port"))
-        name = self.name_of.get(i)
-        if name is None or port is None:
+        t = self._published(i)
+        if t is None or port is None or not 0 <= port < len(t["ports"]):
             return {"answer": {"kind": NULL}}
-        t = self.tg.tables[name]
-        if not 0 <= port < len(t.inputs):
-            return {"answer": {"kind": NULL}}
-        producers = self.tg.producers[(name, t.inputs[port][0])]
-        if producers[0][0] != INPUT:
+        if t["ports"][port]["producers"][0][0] != "input":
             return {"answer": {"kind": NULL}}
         try:
             u = str_bits(body.get("u", ""))
         except ProtocolError:
             return {"answer": {"kind": NULL}}
-        h = m // 2
-        if len(u) != m or u[:h] != top_tag_bits(h):
+        if len(u) != m or u[:h] != int_to_bits(1, h):
             return {"answer": {"kind": NULL}}
         encoded = u
         if self.strategy == "flip-payload":
             encoded = u[:h] + (u[h] ^ 1,) + u[h + 1 :]
         w = he.enc_word(self.hpk, encoded, self.rng)
-        self.mem.q1[(i, port)] = (u, w)
+        self.mem.q1[(i, port)] = (w, u)
         return {"answer": {"kind": "w", "w": cts_b64(w)}}
 
     def _encode_q2(self, body):
         m = self.pp.m
         h = m // 2
         i = _int(body.get("i"))
-        name = self.name_of.get(i)
-        if name is None:
+        t = self._published(i)
+        if t is None:
             return {"answer": {"kind": NULL}}
-        t = self.tg.tables[name]
         try:
             u_cts = b64_cts(body.get("u", []))
             v_cts = b64_cts(body.get("v", []))
         except ProtocolError:
             return {"answer": {"kind": NULL}}
-        if len(u_cts) != len(t.inputs) * m or len(v_cts) != m:
+        if len(u_cts) != len(t["ports"]) * m or len(v_cts) != m:
             return {"answer": {"kind": NULL}}
 
         u_plain = []
-        for j, (port, _) in enumerate(t.inputs):
+        for j, port in enumerate(t["ports"]):
             segment = u_cts[j * m : (j + 1) * m]
-            word = self._produced_word(i, j, name, port, segment)
+            word = self._produced_word(i, j, port["producers"], segment)
             if word is None:
                 return {"answer": {"kind": NULL}}
             u_plain.extend(word)
 
-        recomputed = he.eval_word(
-            self.hpk,
-            self.u.circuit,
-            self.pp.programs[i] + pad_data_cts(u_cts, self.u.n_data),
-        )
-        if recomputed != v_cts:
+        if table_step(self.pp, self.u, i, u_cts) != v_cts:
             return {"answer": {"kind": NULL}}
 
         out = self._open_output(i, v_cts, u_plain)
         if not any(out[:h]):
             honest = {"kind": BOT}
-        elif name in {n for n, _ in self.tg.external_outputs}:
+        elif t["external"]:
             honest = {"kind": "payload", "payload": bits_str(out[h:])}
         else:
             honest = {"kind": TOP}
         self.mem.q2[i] = (v_cts, out)
         return {"answer": self._apply_strategy(honest)}
 
-    def _produced_word(self, i, j, name, port, segment):
+    def _produced_word(self, i, j, producers, segment):
         """Plaintext of input segment j of table i, if an earlier answer
         produced exactly these ciphertexts; None otherwise."""
-        producers = self.tg.producers[(name, port)]
-        if producers[0][0] == INPUT:
+        if producers[0][0] == "input":
             known = self.mem.q1.get((i, j))
-            if known is None or known[1] != segment:
-                return None
-            return known[0]
+            return known[1] if known is not None and known[0] == segment else None
         h = self.pp.m // 2
-        for src, _sport in producers:
-            prior = self.mem.q2.get(self.index_of[src])
+        for _, ref in producers:
+            prior = self.mem.q2.get(ref)
             if prior is not None and prior[0] == segment:
                 # a producing output that decrypts to bot feeds nothing
                 return prior[1] if any(prior[1][:h]) else None
@@ -423,33 +437,23 @@ class Developer:
     # -- checker subprotocol
 
     def _checker(self, body):
-        m = self.pp.m
-        h = m // 2
+        h = self.pp.m // 2
         i, case, port = _int(body.get("i")), body.get("case"), _int(body.get("port"))
         try:
             p = b64_cts(body.get("p", []))
             y = b64_cts(body.get("y", []))
         except ProtocolError:
             return {"result": NULL}
-        want = m if case == "input" else h
-        if len(p) != want or len(y) != want or not he.well_formed(self.hpk, y):
-            return {"result": NULL}
         if case == "input":
             known = self.mem.q1.get((i, port))
-            if known is None or known[1] != p:
-                return {"result": NULL}
-            slice_plain = known[0]
         elif case in ("intermediate", "external"):
-            prior = self.mem.q2.get(i)
-            if prior is None:
-                return {"result": NULL}
-            half = slice(None, h) if case == "intermediate" else slice(h, None)
-            if prior[0][half] != p:
-                return {"result": NULL}
-            slice_plain = prior[1][half]
+            known = self.mem.q2.get(i)
         else:
             return {"result": NULL}
-        d_bits = self._open_checker(y, slice_plain)
+        if (known is None or checker_slice(known[0], case, h) != p
+                or len(y) != len(p) or not he.well_formed(self.hpk, y)):
+            return {"result": NULL}
+        d_bits = self._open_checker(y, checker_slice(known[1], case, h))
         self.mem.pending = {
             "d": d_bits,
             "p": p,
@@ -483,7 +487,6 @@ class Developer:
                 {"e": bits_str(cm.e), "exposed": [[i, b] for i, b in cm.exposed]}
             )
         pending["seeds"] = seeds
-        pending["Rs"] = rs
         return {"blocks": out}
 
     def _proof(self, body):
@@ -497,9 +500,8 @@ class Developer:
             return {"result": NULL}
         if len(ct_sk) != self.pp.se_key_bits:
             return {"result": NULL}
-        circ = se_circuit_for(self.pp.se_key_bits, len(pending["p"]))
         try:
-            recomputed = he.eval_word(self.hpk, circ, list(ct_sk) + pending["p"])
+            recomputed = checker_value(self.pp, ct_sk, pending["p"])
         except he.HeError:  # ct_sk is not a ciphertext under hpk
             return {"result": NULL}
         if recomputed != pending["y"]:
@@ -718,76 +720,72 @@ class Verifier:
 
     def _eval_encrypted(self, chan, X):
         m = self.pp.m
-        h = m // 2
         struct_tables = sorted(self.pp.structure["tables"], key=lambda t: t["index"])
         ext_types = dict(self.pp.structure["external_inputs"])
-        state = {}  # index -> {"v": cts|None, "kind": top/bot/payload/null, ...}
+        # per table, as a Tagged value or None for null: what it feeds its
+        # consumers (top and payload answers fire, carrying the output
+        # ciphertexts) and what it gives an output port (only payload
+        # answers fire, carrying the payload bits)
+        feeds, outs = {}, {}
 
         for t in struct_tables:
             i = t["index"]
             port_words = []
-            table_null = False
             for pos, port in enumerate(t["ports"]):
                 producers = port["producers"]
                 if producers[0][0] == "input":
                     name = producers[0][1]
-                    u_bits = value_to_word(X[name], ext_types[name], m)
+                    value = X[name]
+                    if ext_types[name] == "bool":  # read as the plaintext spec reads it
+                        value = bool(value)
+                    u_bits = tagged_to_bits(Tagged(True, value), m)
                     ans = self._encode_query(
                         chan,
                         {"i": i, "qkind": 1, "port": pos, "u": bits_str(u_bits)},
                     )
                     if ans["kind"] != "w":
                         self.failures.append({"reason": "q1-null", "i": i})
-                        table_null = True
                         break
                     port_words.append(b64_cts(ans["w"]))
                     continue
-                cand = [state.get(ref) for _, ref in producers]
                 # a null or uniformly non-firing feed makes the consumer
                 # null, matching the plaintext evaluation rules
-                if any(c is None or c["kind"] == NULL for c in cand):
-                    table_null = True
-                    break
-                tops = [c for c in cand if c["kind"] in (TOP, "payload")]
+                tops = sibling_group([feeds.get(ref) for _, ref in producers])
                 if not tops:
-                    table_null = True
                     break
-                port_words.append(tops[0]["v"])
-            if table_null:
-                state[i] = {"kind": NULL, "v": None}
+                port_words.append(tops[0].payload)
+            if len(port_words) < len(t["ports"]):
+                feeds[i] = outs[i] = None
                 continue
 
             u_cts = [ct for word in port_words for ct in word]
-            v_cts = he.eval_word(
-                self.pp.hpk,
-                self.u.circuit,
-                self.pp.programs[i] + pad_data_cts(u_cts, self.u.n_data),
-            )
+            v_cts = table_step(self.pp, self.u, i, u_cts)
             ans = self._encode_query(
                 chan,
                 {"i": i, "qkind": 2, "u": cts_b64(u_cts), "v": cts_b64(v_cts)},
             )
-            if ans["kind"] == NULL:
+            kind = ans["kind"]
+            if kind == NULL:
                 self.failures.append({"reason": "q2-null", "i": i})
-                state[i] = {"kind": NULL, "v": None}
-            else:  # top, bot or payload, with the payload
-                state[i] = {**ans, "v": v_cts}
+                feeds[i] = outs[i] = None
+                continue
+            silent = Tagged(False, 0)
+            feeds[i] = Tagged(True, v_cts) if kind in (TOP, "payload") else silent
+            outs[i] = Tagged(True, ans["payload"]) if kind == "payload" else silent
 
         outputs = {}
         for group in self.pp.structure["outputs"]:
-            vals = [state.get(i, {"kind": NULL}) for i in group["tables"]]
-            if any(v["kind"] == NULL for v in vals):
-                outputs[group["name"]] = None
-                continue
-            payloads = [v for v in vals if v["kind"] == "payload"]
-            if len(payloads) == 1:
-                bits = str_bits(payloads[0]["payload"])
-                outputs[group["name"]] = payload_to_value(bits, group["type"])
-            elif not payloads:
-                outputs[group["name"]] = BOT
+            name = group["name"]
+            tops = sibling_group([outs.get(i) for i in group["tables"]])
+            if tops is None:
+                outputs[name] = None
+            elif not tops:
+                outputs[name] = BOT
+            elif len(tops) == 1:
+                outputs[name] = payload_to_value(str_bits(tops[0].payload), group["type"])
             else:
-                self.failures.append({"reason": "ambiguous-output", "port": group["name"]})
-                outputs[group["name"]] = None
+                self.failures.append({"reason": "ambiguous-output", "port": name})
+                outputs[name] = None
         return outputs
 
     # -- checker round (general mode)
@@ -798,58 +796,50 @@ class Verifier:
         kind = answer["kind"]
         if kind == "payload":
             return "external", None, str_bits(answer["payload"])
-        if kind == TOP:
-            return "intermediate", None, top_tag_bits(h)
-        return "intermediate", None, (0,) * h
+        return "intermediate", None, int_to_bits(int(kind == TOP), h)
 
     def _checker_round(self, chan, q, answer):
-        m = self.pp.m
-        h = m // 2
+        """Pin an encode answer down; whether the revealed value decrypts
+        to exactly that answer. The query body is both the frame sent and
+        the record's q."""
+        h = self.pp.m // 2
         case, port, expected = self._expected_checker(q, answer, h)
-        if q["qkind"] == 1:
-            p = b64_cts(answer["w"])
-        else:
-            v = b64_cts(q["v"])
-            p = v[:h] if case == "intermediate" else v[h:]
-        circ = se_circuit_for(self.pp.se_key_bits, len(p))
-        y = he.eval_word(self.pp.hpk, circ, list(self.ct_sk) + p)
-
-        record = {
-            "q": {
-                "i": q["i"],
-                "case": case,
-                "port": port,
-                "p": cts_b64(p),
-                "y": cts_b64(y),
-            },
-            "a": {"d": None},
-            "s": {"blocks": []},
-        }
+        p64 = checker_slice(answer["w"] if q["qkind"] == 1 else q["v"], case, h)
+        p = b64_cts(p64)
+        y = checker_value(self.pp, self.ct_sk, p)
+        body = {"i": q["i"], "case": case, "port": port, "p": p64, "y": cts_b64(y)}
+        record = {"q": body, "a": {"d": None}, "s": {"blocks": []}}
         self.qa_c.append(record)
 
         if self.replay_qac is not None:
-            return self._checker_replay(record, expected)
-
-        r = self._ask(
-            chan,
-            "checker",
-            {"i": q["i"], "case": case, "port": port, "p": cts_b64(p), "y": cts_b64(y)},
-        )
-        n = len(split_blocks((0,) * len(p), self.code.m_c))
-        if _int(r.get("blocks")) != n:
+            d, blocks = self._recorded_opening(record, len(p))
+        else:
+            d, blocks = self._live_opening(chan, body, len(p))
+        if d is None:
             return False
+        record["a"]["d"] = d
+        record["s"]["blocks"] = blocks
+        return se_dec(self.sk, str_bits(d)) == tuple(expected)
+
+    def _live_opening(self, chan, body, width):
+        """Run the commit-and-reveal exchange for one checker query; the
+        revealed d and its blocks once every block opens, else (None, None)."""
+        r = self._ask(chan, "checker", body)
+        n = len(split_blocks((0,) * width, self.code.m_c))
+        if _int(r.get("blocks")) != n:
+            return None, None
         rs = [choose_challenge(self.code.q, self.rng) for _ in range(n)]
         c = self._ask(
             chan, "commit_challenge", {"Rs": [bits_str(R) for R in rs]}
         )
         commits = c.get("blocks")
         if not isinstance(commits, list) or len(commits) != n:
-            return False
+            return None, None
         res = self._ask(chan, "checker_proof", {"ct_sk": cts_b64(self.ct_sk)})
         try:
             d, reveals = res["d"], res["reveals"]
-            if len(str_bits(d)) != len(p) or len(reveals) != n:
-                return False
+            if len(reveals) != n:
+                return None, None
             blocks = [
                 {
                     "R": bits_str(R),
@@ -860,49 +850,49 @@ class Verifier:
                 }
                 for R, cm, rv in zip(rs, commits, reveals)
             ]
-            return self._check_opening(record, d, blocks, expected)
-        except (ProtocolError, KeyError, TypeError, ValueError):
-            return False
+        except (KeyError, TypeError):
+            return None, None
+        return (d, blocks) if self._opens(d, blocks, width) else (None, None)
 
-    def _checker_replay(self, record, expected):
-        """Check the recorded checker tuple for this round instead of asking."""
+    def _recorded_opening(self, record, width):
+        """The recorded d and blocks of this round, instead of asking. A live
+        round records d only once every block has opened, so a recorded d
+        whose blocks do not open fails the replay here."""
         k = len(self.qa_c) - 1  # this round's record is already appended
         if k >= len(self.replay_qac):
             raise SessionFailure("checker record missing")
         rec = self.replay_qac[k]
         if rec["q"] != record["q"]:
             raise SessionFailure("checker record mismatch")
-        if rec["a"].get("d") is None:
-            return False
-        return self._check_opening(record, rec["a"]["d"], rec["s"]["blocks"], expected)
+        d, blocks = rec["a"].get("d"), rec["s"]["blocks"]
+        if d is not None and not self._opens(d, blocks, width):
+            raise SessionFailure(f"checker record {k} does not open ($.qa_c[{k}])")
+        return d, blocks
 
-    def _check_opening(self, record, d, blocks, expected):
-        """Check the commitment openings of a revealed value d, live or replayed.
-
-        Every block must reveal its slice of d and open its commitment under
-        its challenge R; then d and the blocks go into the record, and d must
-        decrypt under the session key to the expected answer. A block that
-        does not parse raises (ProtocolError, KeyError, TypeError, ValueError).
-        """
-        bits = str_bits(d)
-        data_blocks = split_blocks(bits, self.code.m_c)
-        if len(blocks) != len(data_blocks):
+    def _opens(self, d, blocks, width):
+        """Whether d is a width-bit string and every block reveals its slice
+        of d and opens its commitment under its challenge R; False too when
+        d or a block does not parse."""
+        try:
+            bits = str_bits(d)
+            data_blocks = split_blocks(bits, self.code.m_c)
+            if len(bits) != width or len(blocks) != len(data_blocks):
+                return False
+            for blk, want_data in zip(blocks, data_blocks):
+                commit = CommitMessage(
+                    e=str_bits(blk["e"]),
+                    exposed=tuple((int(i), int(b)) for i, b in blk["exposed"]),
+                )
+                reveal = RevealMessage(
+                    seed=str_bits(blk["seed"]), data=str_bits(blk["data"])
+                )
+                if reveal.data != want_data:
+                    return False
+                if not verify_reveal(commit, reveal, str_bits(blk["R"]), self.code):
+                    return False
+            return True
+        except (ProtocolError, KeyError, TypeError, ValueError):
             return False
-        for blk, want_data in zip(blocks, data_blocks):
-            commit = CommitMessage(
-                e=str_bits(blk["e"]),
-                exposed=tuple((int(i), int(b)) for i, b in blk["exposed"]),
-            )
-            reveal = RevealMessage(
-                seed=str_bits(blk["seed"]), data=str_bits(blk["data"])
-            )
-            if reveal.data != want_data:
-                return False
-            if not verify_reveal(commit, reveal, str_bits(blk["R"]), self.code):
-                return False
-        record["a"]["d"] = d
-        record["s"]["blocks"] = blocks
-        return se_dec(self.sk, bits) == tuple(expected)
 
 
 # --- output comparison helpers ----------------------------------------------------
@@ -916,16 +906,11 @@ def spec_port_outputs(tg_spec, X):
         groups.setdefault(port, []).append(outputs[tname])
     result = {}
     for port, vals in groups.items():
-        if any(v is None for v in vals):
+        tops = sibling_group(vals)
+        if tops is None or len(tops) > 1:  # null, or an ill-formed group
             result[port] = None
-            continue
-        tops = [v for v in vals if v.tag]
-        if len(tops) == 1:
-            result[port] = tops[0].payload
-        elif not tops:
-            result[port] = BOT
         else:
-            result[port] = None
+            result[port] = tops[0].payload if tops else BOT
     return result
 
 

@@ -134,7 +134,10 @@ class TableGraph:
             self.external_inputs = sorted(ext.items())
 
         self._check_types()
-        self._check_acyclic()
+        unordered = set(self.tables) - set(self.topo_order())
+        if unordered:
+            raise GraphError("cycle detected: tables on or after a cycle: "
+                             + ", ".join(sorted(unordered)))
 
     def _check_types(self):
         h = self.m // 2
@@ -177,26 +180,6 @@ class TableGraph:
                 raise GraphError(
                     f"type mismatch on edge {src}.{sport} -> {dst}.{dport}"
                 )
-
-    def _check_acyclic(self):
-        succ = {name: set() for name in self.tables}
-        for (src, _), (dst, _) in self.edges:
-            if src in self.tables and dst in self.tables:
-                succ[src].add(dst)
-        state = {}
-
-        def visit(n, stack):
-            if state.get(n) == 2:
-                return
-            if state.get(n) == 1:
-                raise GraphError("cycle detected: " + " -> ".join(stack + [n]))
-            state[n] = 1
-            for nxt in sorted(succ[n]):
-                visit(nxt, stack + [n])
-            state[n] = 2
-
-        for n in self.tables:
-            visit(n, [])
 
     def topo_order(self):
         succ = {name: set() for name in self.tables}
@@ -398,25 +381,25 @@ def transform(g):
 # --- plain evaluation ---------------------------------------------------------
 
 
+def sibling_group(values):
+    """The rule for the sibling rows of one origin port: None (null) if any
+    member is null, else the members whose tag is top. A well-formed group
+    has at most one; a consumer takes the first, an output port is null
+    when there are several."""
+    if any(v is None for v in values):
+        return None
+    return [v for v in values if v.tag]
+
+
 def _resolve_port(tg, values, X, consumer, port):
     """Value feeding (consumer, port): Tagged, or None for null."""
     group = tg.producers[(consumer, port)]
-    if len(group) == 1:
-        src, sport = group[0]
-        if src == INPUT:
-            return Tagged(True, X[sport])
-        return values[(src, sport)]
-    vals = [values[(src, sport)] for src, sport in group if src != INPUT]
-    present = [v for v in vals if v is not None]
-    if not present:
+    if group[0][0] == INPUT:
+        return Tagged(True, X[group[0][1]])
+    tops = sibling_group([values[p] for p in group])
+    if tops is None:
         return None
-    tops = [v for v in present if v.tag]
-    if len(tops) == 1:
-        return tops[0]
-    if not tops:
-        return BOT
-    # ill-formed sibling group (disjointness violation); keep deterministic
-    return tops[0]
+    return tops[0] if tops else BOT
 
 
 def evaluate_plain(tg, X):

@@ -35,17 +35,16 @@ from tabverify.protocol import (
     Verifier,
     b64_cts,
     bits_str,
+    checker_value,
     cts_b64,
-    pad_data_cts,
-    se_circuit_for,
     spec_port_outputs,
     str_bits,
-    value_to_word,
+    table_step,
     verify_session,
 )
 from tabverify.simharness import OracleDeveloper
 from tabverify.symcrypto import se_keygen
-from tabverify.tables import evaluate_plain, tagged_to_bits, transform
+from tabverify.tables import Tagged, evaluate_plain, tagged_to_bits, transform
 from tabverify.vga import coverage_report, input_key
 
 from helpers import random_circuit
@@ -138,14 +137,13 @@ def test_c3_every_ciphertext_decrypts_to_plaintext_trace():
         _, verdict, cert = session(DEMO, DEMO_DOMAINS, [X], dev=dev, seed=k)
         assert verdict == "accept"
         _, trace = evaluate_plain(dev.tg, X)
-        ext_types = dict(dev.pp.structure["external_inputs"])
         for rec in cert["qa_e"]:
             q, a = rec["q"], rec["a"]
-            name = dev.name_of[q["i"]]
+            name = dev.tg.order[q["i"] - 1]  # indices are level-order positions
             if q["qkind"] == 1:
                 port = dev.tg.tables[name].inputs[q["port"]][0]
                 src = dev.tg.producers[(name, port)][0][1]
-                u = value_to_word(X[src], ext_types[src], m)
+                u = tagged_to_bits(Tagged(True, X[src]), m)
                 assert str_bits(q["u"]) == u
                 assert he.dec_word(dev.hsk, b64_cts(a["w"])) == u
             else:
@@ -263,7 +261,7 @@ def test_c8_oracles_byte_identical_to_services():
     src = [t for t in dev.pp.structure["tables"]
            if all(p["producers"][0][0] == "input" for p in t["ports"])]
     ext_types = dict(dev.pp.structure["external_inputs"])
-    all_idx = sorted(dev.name_of)
+    all_idx = sorted(dev.index_of.values())
     queries = 0
     sequences = 0
 
@@ -303,16 +301,13 @@ def test_c8_oracles_byte_identical_to_services():
                                        "u": bits_str(u)}, pair)
                     words.append(b64_cts(a["answer"]["w"]))
                 u_cts = [ct for w in words for ct in w]
-                v = he.eval_word(dev.hpk, dev.u.circuit,
-                                 dev.pp.programs[t["index"]]
-                                 + pad_data_cts(u_cts, dev.u.n_data))
+                v = table_step(dev.pp, dev.u, t["index"], u_cts)
                 ask("encode", {"qkind": 2, "i": t["index"], "u": cts_b64(u_cts),
                                "v": cts_b64(v)}, pair)
             elif op < 0.95:
                 pos, u, a = do_q1(rng, pair, t)
                 p = b64_cts(a["answer"]["w"])
-                y = he.eval_word(dev.hpk, se_circuit_for(16, m),
-                                 list(ct_sk) + p)
+                y = checker_value(dev.pp, ct_sk, p)
                 r = ask("checker", {"i": t["index"], "case": "input",
                                     "port": pos, "p": cts_b64(p),
                                     "y": cts_b64(y)}, pair)

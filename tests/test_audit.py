@@ -93,6 +93,17 @@ def test_save_load_round_trip(tmp_path):
     assert canonical_json(cert) == canonical_json(HONEST_CERT)
 
 
+@pytest.mark.parametrize("mode", ["honest", "general"])
+def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
+    cert = HONEST_CERT if mode == "honest" else GENERAL_CERT
+    path = tmp_path / "cert.json"
+    digest = save_certificate(cert, path)
+    doc = {"certificate": cert, "content_hash": certificate_hash(cert),
+           "format": "tabverify-cert-v1"}
+    assert digest == doc["content_hash"]
+    assert path.read_bytes() == canonical_json(doc).encode("utf-8")
+
+
 def test_load_rejects_tampered_file(tmp_path):
     path = tmp_path / "cert.json"
     save_certificate(HONEST_CERT, path)
@@ -162,6 +173,18 @@ def test_final_compare_names_first_differing_path():
     assert not ok
     assert report["reason"] == (
         "rebuilt certificate differs from the stored one at $.verdict")
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_unopenable_checker_record_is_named(k):
+    # a live round records d only once every block has opened, so a stored
+    # d whose blocks no longer open names its record, not $.failures
+    cert = copy.deepcopy(GENERAL_CERT)
+    block = cert["qa_c"][k]["s"]["blocks"][0]
+    block["seed"] = str(1 - int(block["seed"][0])) + block["seed"][1:]
+    ok, report = audit(cert)
+    assert ok == 0
+    assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"
 
 
 def test_first_difference():

@@ -22,14 +22,14 @@ from tabverify.protocol import (
     bits_str,
     cts_b64,
     b64_cts,
-    pad_data_cts,
+    checker_value,
     spec_port_outputs,
     str_bits,
-    top_tag_bits,
-    value_to_word,
+    table_step,
     verify_session,
 )
-from tabverify.tables import transform
+from tabverify.tables import Tagged, int_to_bits, tagged_to_bits, transform
+from tabverify.vga import input_key
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 DEMO_CP = [(DEMO_INPUT, {"w": False, "c": 2})]
@@ -156,7 +156,7 @@ def frame(dev, ftype, body):
 def test_q1_rejects_malformed_queries():
     dev = make_dev()
     m = dev.pp.m
-    good = bits_str(top_tag_bits(m // 2) + (0,) * (m // 2))
+    good = bits_str(int_to_bits(1, m // 2) + (0,) * (m // 2))
     assert frame(dev, "encode", {"qkind": 1, "i": 999, "port": 0, "u": good})[
         "answer"
     ]["kind"] == "null"
@@ -219,9 +219,7 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
         assert a["answer"]["kind"] == "w"
         words.append(b64_cts(a["answer"]["w"]))
     u_cts = [ct for w in words for ct in w]
-    v = he.eval_word(
-        dev.hpk, dev.u.circuit, dev.pp.programs[i] + pad_data_cts(u_cts, dev.u.n_data)
-    )
+    v = table_step(dev.pp, dev.u, i, u_cts)
     if corrupt == "v":
         v = [v[0][:-1] + bytes([v[0][-1] ^ 1])] + v[1:]
     if corrupt == "u":
@@ -243,8 +241,7 @@ def test_q2_honest_and_tampered():
     t = first_input_table(dev)
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
-    types = dict(dev.pp.structure["external_inputs"])
-    bits = [value_to_word(DEMO_INPUT[n], types[n], m) for n in names]
+    bits = [tagged_to_bits(Tagged(True, DEMO_INPUT[n]), m) for n in names]
     a = q1_then_q2(dev.session(), t["index"], bits)
     assert a["kind"] in ("top", "bot", "payload")
     # recomputation mismatch
@@ -256,12 +253,7 @@ def test_q2_honest_and_tampered():
     # q2 without any prior q1
     dev = dev.session()
     fake = he.enc_word(dev.hpk, bits[0], random.Random(9))
-    v = he.eval_word(
-        dev.hpk,
-        dev.u.circuit,
-        dev.pp.programs[t["index"]]
-        + pad_data_cts(fake * len(bits), dev.u.n_data),
-    )
+    v = table_step(dev.pp, dev.u, t["index"], fake * len(bits))
     a = frame(
         dev,
         "encode",
@@ -281,8 +273,7 @@ def test_memory_wiped_between_sessions():
     t = first_input_table(dev)
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
-    types = dict(dev.pp.structure["external_inputs"])
-    bits = [value_to_word(DEMO_INPUT[n], types[n], m) for n in names]
+    bits = [tagged_to_bits(Tagged(True, DEMO_INPUT[n]), m) for n in names]
     words = []
     for pos, u in enumerate(bits):
         a = frame(
@@ -292,11 +283,7 @@ def test_memory_wiped_between_sessions():
         )
         words.append(b64_cts(a["answer"]["w"]))
     u_cts = [ct for w in words for ct in w]
-    v = he.eval_word(
-        dev.hpk,
-        dev.u.circuit,
-        dev.pp.programs[t["index"]] + pad_data_cts(u_cts, dev.u.n_data),
-    )
+    v = table_step(dev.pp, dev.u, t["index"], u_cts)
     body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_cts), "v": cts_b64(v)}
     assert frame(s2, "encode", body)["answer"]["kind"] == "null"
     assert frame(s1, "encode", body)["answer"]["kind"] != "null"
@@ -310,13 +297,10 @@ def test_checker_requires_commit_before_proof():
     t = first_input_table(dev)
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
-    types = dict(dev.pp.structure["external_inputs"])
-    u = value_to_word(DEMO_INPUT[names[0]], types[names[0]], m)
+    u = tagged_to_bits(Tagged(True, DEMO_INPUT[names[0]]), m)
     a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)})
     p = b64_cts(a["answer"]["w"])
-    from tabverify.protocol import se_circuit_for
-
-    y = he.eval_word(dev.hpk, se_circuit_for(16, m), list(v.ct_sk) + p)
+    y = checker_value(dev.pp, v.ct_sk, p)
     r = frame(
         dev,
         "checker",
@@ -360,7 +344,7 @@ def test_serve_survives_malformed_checker_ciphertext():
         return chan.recv()["body"]
 
     try:
-        u = top_tag_bits(m // 2) + (0,) * (m // 2)
+        u = int_to_bits(1, m // 2) + (0,) * (m // 2)
         a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)})
         # right count and length, but no ciphertext under the developer's key
         y = [bytes(dev.hpk.lam_bytes)] * m
@@ -551,3 +535,47 @@ def test_general_mode_refuses_odd_half_word():
                  rng=random.Random(1))
     verdict, cert = verify_session(dev, v)
     assert verdict == "accept", cert["mismatches"]
+
+
+# rows 1 and 2 of T both fire for x > 5, so T is not disjoint there
+OVERLAP_TEXT = """\
+width: 16;
+table T {
+  inputs: x;
+  outputs: y;
+  rows: [
+    (x > 0, x + 1),
+    (x > 5, x + 2),
+    (x <= 0, 0),
+  ];
+}
+table C {
+  inputs: y;
+  outputs: z;
+  rows: [
+    (true, y + 10),
+  ];
+}
+edges:
+  Input.x -> T.x;
+  T.y -> Output.y;
+  T.y -> C.y;
+  C.z -> Output.z;
+"""
+
+
+def test_overlapping_rows_follow_the_sibling_rule_on_both_paths():
+    graph = parse_graph(OVERLAP_TEXT)
+    X = {"x": 7}
+    want = spec_port_outputs(transform(graph), X)
+    # two fired rows at an output port give null; the consumer takes the
+    # first fired row, 7 + 1
+    assert want == {"y": None, "z": 18}
+    dev = make_dev(graph)
+    v = Verifier(dev.pp.to_dict(), graph, {"x": [7]}, [(X, want)], seed=7,
+                 vga_budget=0, rng=random.Random(1))
+    verdict, cert = verify_session(dev, v)
+    assert cert["outputs"] == {input_key(X): want}
+    assert cert["failures"] == [{"reason": "ambiguous-output", "port": "y"}]
+    assert not cert["mismatches"]
+    assert verdict == "reject"
