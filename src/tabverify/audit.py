@@ -53,6 +53,8 @@ def save_certificate(cert, path):
 def load_certificate(path):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise AuditError("certificate file is not a JSON object")
     if doc.get("format") != CERT_FORMAT:
         raise AuditError(f"unknown certificate format {doc.get('format')!r}")
     cert = doc.get("certificate")
@@ -124,6 +126,9 @@ def replay(cert):
     cert is used as handed, JSON-native as `Verifier.run` returns it and
     `load_certificate` parses it, and is left unchanged.
     """
+    if not isinstance(cert, dict):
+        return False, {"mode": None, "verdict": None,
+                       "reason": "certificate is not a JSON object"}
     report = {"mode": cert.get("mode"), "verdict": cert.get("verdict")}
     try:
         bound = session_binding(cert) == cert["binding"]

@@ -324,19 +324,23 @@ def uc_layout(n_data, g, m):
 
 
 @dataclass(frozen=True)
-class UniversalCircuit:
+class UniversalCircuit(Circuit):
     """Gate-slot universal circuit: g programmable slots over a shared bus.
 
-    The bus holds the data inputs, a constant-zero line, then each slot's
-    output. A program supplies two bus selectors and a 4-bit truth table per
-    slot plus one selector per output; its length depends only on
-    (n_data, g, m), so equally budgeted circuits get equal-length programs.
+    Its inputs are the program bits, then the data bits. The bus holds the
+    data inputs, a constant-zero line, then each slot's output. A program
+    supplies two bus selectors and a 4-bit truth table per slot plus one
+    selector per output; its length depends only on (n_data, g, m).
     """
 
     n_data: int
     g: int
     m: int
-    circuit: Circuit  # inputs: program bits then data bits
+
+    @property
+    def circuit(self):
+        """The UC's gate list as a circuit: the UC itself."""
+        return self
 
     @property
     def bus_width(self):
@@ -349,6 +353,23 @@ class UniversalCircuit:
     @property
     def program_length(self):
         return uc_layout(self.n_data, self.g, self.m)[2]
+
+    def evaluate(self, bits):
+        """simulate(self, bits), slot by slot: each slot looks up its truth
+        table at (a << 1) | c, a and c being the bus lines its selectors name
+        (0 past the bus as it stands); each output selects from the full bus."""
+        _, sb, plen = uc_layout(self.n_data, self.g, self.m)
+        if len(bits) != self.n_inputs:
+            raise CircuitError(f"expected {self.n_inputs} input bits, got {len(bits)}")
+        bus = list(bits[plen:]) + [0]
+
+        def line(pos):
+            sel = sum(bits[pos + k] << k for k in range(sb))
+            return bus[sel] if sel < len(bus) else 0
+
+        for pos in range(0, self.g * (2 * sb + 4), 2 * sb + 4):
+            bus.append(bits[pos + 2 * sb + (line(pos) << 1 | line(pos + sb))])
+        return tuple(line(pos) for pos in range(plen - self.m * sb, plen, sb))
 
 
 def build_universal(n_data, g, m):
@@ -376,7 +397,7 @@ def build_universal(n_data, g, m):
         sel = list(range(pos, pos + sb))
         pos += sb
         outs.append(_mux_tree(b, sel, bus))
-    return UniversalCircuit(n_data=n_data, g=g, m=m, circuit=b.finish(outs))
+    return UniversalCircuit(b.n_inputs, tuple(b.gates), tuple(outs), n_data, g, m)
 
 
 def encode_program(c, u):

@@ -72,8 +72,13 @@ def write_json(path, obj):
 
 
 def read_json(path):
-    with open(resolve(path), encoding="utf-8") as f:
-        return json.load(f)
+    try:
+        with open(resolve(path), encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as exc:
+        fail(EXIT_USAGE, "io", str(exc))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        fail(EXIT_USAGE, "json", f"{path}: {exc}")
 
 
 def load_graph(path, m_width):
@@ -101,11 +106,14 @@ def load_domains(path, graph):
         return out
     raw = read_json(path)
     out = {}
-    for name, spec in raw.items():
-        if isinstance(spec, dict):
-            out[name] = list(range(spec["lo"], spec["hi"] + 1))
-        else:
-            out[name] = list(spec)
+    try:
+        for name, spec in raw.items():
+            if isinstance(spec, dict):
+                out[name] = list(range(spec["lo"], spec["hi"] + 1))
+            else:
+                out[name] = list(spec)
+    except (AttributeError, KeyError, TypeError) as exc:
+        fail(EXIT_USAGE, "domains", f"{path}: {exc!r}")
     return out
 
 

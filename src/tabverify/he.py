@@ -2,10 +2,13 @@
 
 Two backends share the same ciphertext container and operations:
 
-  transparent   carries the plaintext bit plus a nonce; eval simulates the
-                circuit on plaintexts and derives the output nonce
-                deterministically from (key, circuit, inputs). A testing
-                oracle, not encryption.
+  transparent   carries the plaintext bit plus a nonce; eval computes the
+                output bits from the plaintexts and derives each output
+                nonce deterministically from (key, gate list, output wire,
+                inputs). A universal circuit's output bits come from its
+                slot evaluator (UniversalCircuit.evaluate), any other
+                circuit's from simulating its gate list. A testing oracle,
+                not encryption.
   integer-she   toy somewhat-homomorphic scheme over the integers:
                 c = m + 2r + 2*(subset sum of public zeros) mod x0 with
                 x0 = p*q0; XOR is addition, AND is multiplication. Noise is
@@ -19,10 +22,9 @@ the backend payload padded to the key pair's length.
 
 import hashlib
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 
-from .circuit import simulate
+from .circuit import UniversalCircuit, simulate
 
 TAG_TRANSPARENT = 1
 TAG_SHE = 2
@@ -227,27 +229,6 @@ def well_formed(hpk, cts):
 
 # --- homomorphic evaluation ------------------------------------------------------
 
-# Output bits of recent plaintext evaluations. An audit replays the session's
-# evaluations on the same inputs, so repeated audits of one certificate hit.
-_SIM_CACHE = OrderedDict()
-_SIM_CACHE_MAX = 512
-
-
-def _cached_outputs(circuit, bits):
-    # sessions in other threads use the cache too: each step below is one
-    # atomic dict operation, and an entry they evict is just recomputed
-    key = (circuit.gates_digest(), circuit.outputs, bits)
-    outs = _SIM_CACHE.pop(key, None)
-    if outs is None:
-        outs = simulate(circuit, bits)
-    _SIM_CACHE[key] = outs
-    if len(_SIM_CACHE) > _SIM_CACHE_MAX:
-        try:
-            _SIM_CACHE.popitem(last=False)
-        except KeyError:  # emptied by other threads since the length check
-            pass
-    return outs
-
 
 def _tr_out_nonce(hpk, proj_digest, input_blob):
     h = hashlib.sha256()
@@ -261,7 +242,8 @@ def _tr_out_nonce(hpk, proj_digest, input_blob):
 def _eval_transparent(hpk, circuit, cts):
     bits = tuple(_unpack(hpk, ct)[0] & 1 for ct in cts)
     input_blob = b"".join(cts)
-    bits_out = _cached_outputs(circuit, bits)
+    bits_out = (circuit.evaluate(bits) if isinstance(circuit, UniversalCircuit)
+                else simulate(circuit, bits))
     gd = circuit.gates_digest()
     outs = []
     for w, bit in zip(circuit.outputs, bits_out):

@@ -130,7 +130,7 @@ def table_step(pp, u, i, u_cts):
     circuit u. The verifier computes it for a q2; the developer recomputes
     it before it answers."""
     data = [u_cts[k % len(u_cts)] for k in range(u.n_data)]
-    return he.eval_word(pp.hpk, u.circuit, pp.programs[i] + data)
+    return he.eval_word(pp.hpk, u, pp.programs[i] + data)
 
 
 def checker_slice(word, case, h):
@@ -590,13 +590,20 @@ class Verifier:
         sk=None,
         ct_sk=None,
     ):
-        pp = PublicParams.from_dict(pp)  # the published public-parameter dict
+        try:
+            pp = PublicParams.from_dict(pp)  # the published public-parameter dict
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
         if mode not in ("honest", "general"):
             raise ProtocolError(f"unknown mode {mode!r}")
         if mode == "general" and (pp.m < 8 or pp.m % 4):
             # checker rounds encrypt half words as SE blocks (even, >= 4 bits)
             raise ProtocolError(f"general mode needs a width that is a multiple "
                                 f"of 4 and at least 8; got width {pp.m}")
+        uncovered = [n for n, _ in g_spec.external_inputs if not domains.get(n)]
+        if uncovered:
+            raise ProtocolError("domains give no values for external input(s) "
+                                + ", ".join(uncovered))
         self.pp = pp
         self.g_spec = g_spec
         self.tg_spec = transform(g_spec)

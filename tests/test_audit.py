@@ -59,11 +59,26 @@ def same_json(a, b):
     return a == b
 
 
-@pytest.mark.parametrize("config", [
-    "demo-honest", "demo-general", "chain-honest", "chain-general",
-    "diamond-general", "flip-payload-honest", "flip-tag-honest",
-    "swap-answers-honest", "flip-payload-general", "flip-tag-general",
-    "swap-answers-general"])
+# sha256 of each configuration's canonical certificate JSON. Certificates
+# for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
+# a change that alters one must bump the format and re-record these.
+CERT_DIGESTS = {
+    "demo-honest": "9f5445e121595f602fab40a02f2c0c87738bc92632172a66a8a5244c537a7b29",
+    "demo-general": "6f6b404155934712d3618ee96a6651cb312af5b744752753d2332b57e06de34d",
+    "chain-honest": "5d3fe35b9a7e45064f5b0d4a854beaf2a1a691980ed80a341300e318601acf78",
+    "chain-general": "12d517c0d19d0f77b05071175f01901222893b2f1b90e9cdebcce2ceb3655a83",
+    "diamond-honest": "a45464dbd71583993c1d21382091577ea1b5b91f60c6ac3cbc495d52dee271ba",
+    "diamond-general": "c3ad83ba1a9f015cea17da34c8998664dac6652a69df444a4d2e1f8893fae465",
+    "flip-payload-honest": "0ef5e7c4c60bbe0a0a71ab40e43b05f79e2470a29204300f32b6568da6783afa",
+    "flip-tag-honest": "f820d5e5d650b70bc3ae2750ae4f0b9c65755eb923f1afd6879c89ef989bef5f",
+    "swap-answers-honest": "cb5ac2f3b07eb88bdcbebc529c89af8f3ddfd3ca49d2ab9257d6752d83b8d50a",
+    "flip-payload-general": "cf47c6031facfc2642bae42a6fdb68e31213db8a09092a15a82b51fddf35c981",
+    "flip-tag-general": "7164d9613d4fbad8ae572dbc121e154ed45a763ee30b52ce6e80d59c6015ef89",
+    "swap-answers-general": "481a581c9c6140a36c0b8de34fdd54a1d0455648d0ad91c662bc6c32e0d947db",
+}
+
+
+@pytest.mark.parametrize("config", list(CERT_DIGESTS))
 def test_session_certificate_is_json_native(config):
     # the audit and save_certificate use certificates as handed, with no
     # JSON round trip, so Verifier.run must build them in JSON types
@@ -83,6 +98,8 @@ def test_session_certificate_is_json_native(config):
     else:
         _, cert = make_cert(mode, strategy=design)
     assert same_json(cert, json.loads(canonical_json(cert)))
+    text = canonical_json(cert).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == CERT_DIGESTS[config]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -111,6 +128,25 @@ def test_load_rejects_tampered_file(tmp_path):
     path.write_text(blob.replace('"accept"', '"reject"', 1))
     with pytest.raises(AuditError):
         load_certificate(path)
+
+
+def test_load_rejects_a_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text("[]")
+    with pytest.raises(AuditError, match="not a JSON object"):
+        load_certificate(path)
+
+
+@pytest.mark.parametrize("cert", [[], "certificate", 7])
+def test_certificate_that_is_not_an_object_fails_audit(tmp_path, cert):
+    path = tmp_path / "cert.json"
+    save_certificate(cert, path)
+    loaded = load_certificate(path)
+    assert loaded == cert
+    ok, report = replay(loaded)
+    assert not ok
+    assert report["reason"] == "certificate is not a JSON object"
+    assert audit(loaded)[0] == 0
 
 
 def test_honest_certificate_audits_to_one():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import bits_to_tagged, random_bits, random_circuit, simulate_batch
 from tabverify.circuit import (
@@ -243,6 +244,25 @@ def test_projection_consistency():
             for k in range(3)
         )
         assert parts == full
+
+
+@st.composite
+def universal_inputs(draw):
+    """A small universal circuit and an input vector for it. The program
+    bits are random, so some selectors point past the bus: at a later
+    slot's line, or past the last line."""
+    u = build_universal(draw(st.integers(1, 6)), draw(st.integers(1, 12)),
+                        draw(st.integers(1, 4)))
+    bits = draw(st.lists(st.integers(0, 1), min_size=u.n_inputs,
+                         max_size=u.n_inputs))
+    return u, tuple(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(universal_inputs())
+def test_slot_evaluator_matches_gate_list(case):
+    u, bits = case
+    assert u.evaluate(bits) == simulate(u.circuit, bits)
 
 
 def test_program_length_uniform():

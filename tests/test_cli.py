@@ -233,6 +233,55 @@ def test_usage_error_exit_codes(workspace):
     assert r2.exit_code == 2
 
 
+@pytest.fixture(scope="module")
+def demo_pp():
+    return Developer(parse_graph(DEMO_GRAPH_TEXT), rng=random.Random(0)).pp.to_dict()
+
+
+@pytest.mark.parametrize("bad", [
+    "pp-missing", "pp-not-json", "pp-not-params", "domains-missing",
+    "domains-not-json", "domains-not-object", "domains-omit-input",
+    "cp-missing", "cp-not-json"])
+def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
+                                                           bad):
+    # each bad input is refused with a JSON error and exit 2 before the
+    # verifier connects: the listening socket never sees a connection
+    (workspace / "pp.json").write_text(json.dumps(demo_pp))
+    files = {"pp": "pp.json", "domains": "domains.json", "cp": "cp.json"}
+    option, _, fault = bad.partition("-")
+    files[option] = f"{bad}.json"
+    content = {"not-json": "{not json", "not-params": "{}",
+               "not-object": "[1, 2]",
+               "omit-input": json.dumps({"a": {"lo": 0, "hi": 3}})}
+    if fault != "missing":
+        (workspace / files[option]).write_text(content[fault])
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen()
+    srv.setblocking(False)
+    try:
+        r = run(["verify", "--spec", str(workspace / "demo.txt"),
+                 "--connect", f"127.0.0.1:{srv.getsockname()[1]}",
+                 "--cert", str(workspace / "c.json")]
+                + [arg for key, name in files.items()
+                   for arg in (f"--{key}", str(workspace / name))])
+        with pytest.raises(BlockingIOError):
+            srv.accept()
+    finally:
+        srv.close()
+    assert r.exit_code == 2, r.output
+    assert set(json.loads(r.stderr)) == {"error", "message"}
+    assert not (workspace / "c.json").exists()
+
+
+def test_audit_of_a_document_that_is_not_an_object_exits_one(workspace):
+    cert = workspace / "cert.json"
+    cert.write_text("[]")
+    r = run(["audit", "--cert", str(cert)])
+    assert r.exit_code == 1
+    assert "not a JSON object" in json.loads(r.stderr)["message"]
+
+
 def test_sim_equiv_one_session():
     r = run(["sim-equiv", "--sessions", "1"])
     assert r.exit_code == 0, r.output

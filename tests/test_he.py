@@ -157,35 +157,3 @@ def test_she_linear_distinguisher_smoke(she_keys):
         guess = ct[-1] & 1
         hits += guess == b
     assert abs(hits / n - 0.5) < 0.1
-
-
-def test_simulation_cache_shared_by_concurrent_sessions(monkeypatch):
-    # concurrent sessions evaluate through one cache; an entry another
-    # thread evicts mid-lookup must be recomputed, never raise
-    import sys
-    import threading
-
-    circuit = random_circuit(random.Random(7), 6, 20, n_outputs=3)
-    inputs = [random_bits(random.Random(k), 6) for k in range(4)]
-    want = [simulate(circuit, bits) for bits in inputs]
-    errors = []
-
-    def worker(k):
-        try:
-            for _ in range(2000):
-                assert he._cached_outputs(circuit, inputs[k]) == want[k]
-        except Exception as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
-
-    monkeypatch.setattr(he, "_SIM_CACHE_MAX", 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors == []
