@@ -19,6 +19,7 @@ import random
 from .channel import canonical_json, make_frame
 from .graphtext import parse_graph
 from .protocol import (
+    CERT_VERSION,
     SessionFailure,
     Verifier,
     b64_cts,
@@ -27,7 +28,7 @@ from .protocol import (
 )
 from .vga import coverage_report
 
-CERT_FORMAT = "tabverify-cert-v1"
+CERT_FORMAT = "tabverify-cert-v2"
 
 
 class AuditError(Exception):
@@ -119,9 +120,10 @@ def replay(cert):
 
     Returns (ok, report). ok is True only when every recomputed query
     matches the record, the transcript is fully consumed, and the rebuilt
-    certificate is byte-identical to the stored one. A certificate whose
-    binding does not match its configuration fields is rejected before any
-    replay; the final comparison would reject it too, only later.
+    certificate is byte-identical to the stored one. A certificate of
+    another version, or whose binding does not match its configuration
+    fields, is rejected before any replay; the final comparison would
+    reject it too, only later.
 
     cert is used as handed, JSON-native as `Verifier.run` returns it and
     `load_certificate` parses it, and is left unchanged.
@@ -130,6 +132,9 @@ def replay(cert):
         return False, {"mode": None, "verdict": None,
                        "reason": "certificate is not a JSON object"}
     report = {"mode": cert.get("mode"), "verdict": cert.get("verdict")}
+    if cert.get("version") != CERT_VERSION:
+        report["reason"] = f"certificate version {cert.get('version')} is not supported"
+        return False, report
     try:
         bound = session_binding(cert) == cert["binding"]
     except KeyError:  # a binding or configuration field is missing

@@ -9,6 +9,7 @@ significant bit first.
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expr import Binary, Const, IfThenElse, Ref, Unary
 from .tables import GraphError
@@ -18,6 +19,7 @@ TT_OR = 0b1110
 TT_XOR = 0b0110
 TT_XNOR = 0b1001
 TT_NOT = 0b0001  # unary via (w, w): index 0 -> 1, index 3 -> 0
+UC_CONSTRUCTION = "gate-slot-v1"  # UniversalCircuit's; change it with its gates
 
 
 class CircuitError(Exception):
@@ -324,23 +326,28 @@ def uc_layout(n_data, g, m):
 
 
 @dataclass(frozen=True)
-class UniversalCircuit(Circuit):
+class UniversalCircuit:
     """Gate-slot universal circuit: g programmable slots over a shared bus.
 
     Its inputs are the program bits, then the data bits. The bus holds the
     data inputs, a constant-zero line, then each slot's output. A program
     supplies two bus selectors and a 4-bit truth table per slot plus one
-    selector per output; its length depends only on (n_data, g, m).
+    selector per output; its length depends only on (n_data, g, m). The
+    construction and that budget fix the circuit: `name` names it and
+    `evaluate` runs it, and only `circuit` builds its gate list.
     """
 
     n_data: int
     g: int
     m: int
 
+    def __post_init__(self):
+        if self.n_data < 1 or self.g < 1 or self.m < 1:
+            raise CircuitError("universal circuit budget must be positive")
+
     @property
-    def circuit(self):
-        """The UC's gate list as a circuit: the UC itself."""
-        return self
+    def name(self):
+        return f"{UC_CONSTRUCTION}:{self.n_data},{self.g},{self.m}"
 
     @property
     def bus_width(self):
@@ -354,10 +361,19 @@ class UniversalCircuit(Circuit):
     def program_length(self):
         return uc_layout(self.n_data, self.g, self.m)[2]
 
+    @property
+    def n_inputs(self):
+        return self.program_length + self.n_data
+
+    @property
+    def gates(self):
+        """The gate list's gates, for the traced benchmark's gate counter."""
+        return self.circuit.gates
+
     def evaluate(self, bits):
-        """simulate(self, bits), slot by slot: each slot looks up its truth
-        table at (a << 1) | c, a and c being the bus lines its selectors name
-        (0 past the bus as it stands); each output selects from the full bus."""
+        """simulate(self.circuit, bits), slot by slot: each slot looks up its
+        truth table at (a << 1) | c, a and c being the bus lines its selectors
+        name (0 past the bus as it stands); each output reads the full bus."""
         _, sb, plen = uc_layout(self.n_data, self.g, self.m)
         if len(bits) != self.n_inputs:
             raise CircuitError(f"expected {self.n_inputs} input bits, got {len(bits)}")
@@ -371,33 +387,30 @@ class UniversalCircuit(Circuit):
             bus.append(bits[pos + 2 * sb + (line(pos) << 1 | line(pos + sb))])
         return tuple(line(pos) for pos in range(plen - self.m * sb, plen, sb))
 
-
-def build_universal(n_data, g, m):
-    if n_data < 1 or g < 1 or m < 1:
-        raise CircuitError("universal circuit budget must be positive")
-    _, sb, plen = uc_layout(n_data, g, m)
-    b = Builder(plen + n_data)
-
-    data = list(range(plen, plen + n_data))
-    bus = data + [b.constant(0)]
-    pos = 0
-    for _ in range(g):
-        sel_l = list(range(pos, pos + sb))
-        sel_r = list(range(pos + sb, pos + 2 * sb))
-        ttp = list(range(pos + 2 * sb, pos + 2 * sb + 4))
-        pos += 2 * sb + 4
-        a = _mux_tree(b, sel_l, bus)
-        c = _mux_tree(b, sel_r, bus)
-        # programmable gate: pick tt bit (a << 1) | c
-        hi = b.mux(c, ttp[3], ttp[2])
-        lo = b.mux(c, ttp[1], ttp[0])
-        bus.append(b.mux(a, hi, lo))
-    outs = []
-    for _ in range(m):
-        sel = list(range(pos, pos + sb))
-        pos += sb
-        outs.append(_mux_tree(b, sel, bus))
-    return UniversalCircuit(b.n_inputs, tuple(b.gates), tuple(outs), n_data, g, m)
+    @cached_property
+    def circuit(self):
+        """The gate list: a mux tree per slot operand and per output."""
+        _, sb, plen = uc_layout(self.n_data, self.g, self.m)
+        b = Builder(plen + self.n_data)
+        bus = list(range(plen, plen + self.n_data)) + [b.constant(0)]
+        pos = 0
+        for _ in range(self.g):
+            sel_l = list(range(pos, pos + sb))
+            sel_r = list(range(pos + sb, pos + 2 * sb))
+            ttp = list(range(pos + 2 * sb, pos + 2 * sb + 4))
+            pos += 2 * sb + 4
+            a = _mux_tree(b, sel_l, bus)
+            c = _mux_tree(b, sel_r, bus)
+            # programmable gate: pick tt bit (a << 1) | c
+            hi = b.mux(c, ttp[3], ttp[2])
+            lo = b.mux(c, ttp[1], ttp[0])
+            bus.append(b.mux(a, hi, lo))
+        outs = []
+        for _ in range(self.m):
+            sel = list(range(pos, pos + sb))
+            pos += sb
+            outs.append(_mux_tree(b, sel, bus))
+        return b.finish(outs)
 
 
 def encode_program(c, u):

@@ -118,9 +118,16 @@ def load_domains(path, graph):
 
 
 def load_cp(path):
+    """Critical points file: [[input, expected], ...], each a JSON object."""
     if path is None:
         return []
-    return [tuple(item) for item in read_json(path)]
+    raw = read_json(path)
+    if not (isinstance(raw, list) and all(
+            isinstance(item, list) and len(item) == 2
+            and all(isinstance(x, dict) for x in item) for item in raw)):
+        fail(EXIT_USAGE, "cp", f"{path}: expected a list of [input, expected] "
+                               "pairs of JSON objects")
+    return [tuple(item) for item in raw]
 
 
 def parse_hostport(value):

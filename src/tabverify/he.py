@@ -3,12 +3,14 @@
 Two backends share the same ciphertext container and operations:
 
   transparent   carries the plaintext bit plus a nonce; eval computes the
-                output bits from the plaintexts and derives each output
-                nonce deterministically from (key, gate list, output wire,
-                inputs). A universal circuit's output bits come from its
-                slot evaluator (UniversalCircuit.evaluate), any other
-                circuit's from simulating its gate list. A testing oracle,
-                not encryption.
+                output bits from the plaintexts, and output k's nonce is
+                sha256("tr-eval-v2", key id, sha256(joined inputs),
+                "name:label")[:24]. A universal circuit is named by its
+                construction and budget (UniversalCircuit.name), its label
+                is k and its bits come from UniversalCircuit.evaluate; any
+                other circuit is named by gates_digest(), its label is the
+                output wire and its bits come from simulating its gate
+                list. A testing oracle, not encryption.
   integer-she   toy somewhat-homomorphic scheme over the integers:
                 c = m + 2r + 2*(subset sum of public zeros) mod x0 with
                 x0 = p*q0; XOR is addition, AND is multiplication. Noise is
@@ -230,29 +232,18 @@ def well_formed(hpk, cts):
 # --- homomorphic evaluation ------------------------------------------------------
 
 
-def _tr_out_nonce(hpk, proj_digest, input_blob):
-    h = hashlib.sha256()
-    h.update(b"tr-eval")
-    h.update(hpk.key_id)
-    h.update(proj_digest.encode())
-    h.update(input_blob)
-    return h.digest()[:24]
-
-
 def _eval_transparent(hpk, circuit, cts):
     bits = tuple(_unpack(hpk, ct)[0] & 1 for ct in cts)
-    input_blob = b"".join(cts)
-    bits_out = (circuit.evaluate(bits) if isinstance(circuit, UniversalCircuit)
-                else simulate(circuit, bits))
-    gd = circuit.gates_digest()
+    if isinstance(circuit, UniversalCircuit):
+        name, labels, bits_out = circuit.name, range(circuit.m), circuit.evaluate(bits)
+    else:
+        name, labels, bits_out = (circuit.gates_digest(), circuit.outputs,
+                                  simulate(circuit, bits))
+    inputs = hashlib.sha256(b"".join(cts)).digest()
     outs = []
-    for w, bit in zip(circuit.outputs, bits_out):
-        # output wire w's nonce covers the gate list, the wire index and
-        # every input ciphertext: sha256 over gates_digest and "[w]"
-        h = hashlib.sha256()
-        h.update(gd.encode())
-        h.update(str([w]).encode())
-        nonce = _tr_out_nonce(hpk, h.hexdigest(), input_blob)
+    for label, bit in zip(labels, bits_out):
+        nonce = hashlib.sha256(b"tr-eval-v2" + hpk.key_id + inputs
+                               + f"{name}:{label}".encode()).digest()[:24]
         outs.append(_pack(hpk, _tr_payload(bit, nonce)))
     return outs
 
@@ -316,9 +307,9 @@ def eval_word(hpk, circuit, cts):
     """Homomorphically evaluate every output of the circuit.
 
     Deterministic: identical (key, circuit, inputs) give byte-identical
-    results, which the audit's recomputation checks rely on. Output k is
-    byte-identical to the one output of the same circuit cut down to its
-    output wire k.
+    results, which the audit's recomputation checks rely on. For a gate-list
+    circuit, output k is byte-identical to the one output of the same
+    circuit cut down to its output wire k.
     """
     if len(cts) != circuit.n_inputs:
         raise HeError(
@@ -326,6 +317,8 @@ def eval_word(hpk, circuit, cts):
         )
     if hpk.kind == "transparent":
         return _eval_transparent(hpk, circuit, cts)
+    if isinstance(circuit, UniversalCircuit):
+        circuit = circuit.circuit
     return _eval_she(hpk, circuit, cts)
 
 

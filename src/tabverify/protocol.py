@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import he
 from .channel import ChannelError, LoopbackChannel, canonical_json, make_frame
-from .circuit import budget_for, build_universal, compile_table, encode_program
+from .circuit import UniversalCircuit, budget_for, compile_table, encode_program
 from .commitment import (
     choose_challenge,
     commit_respond,
@@ -52,6 +52,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
+CERT_VERSION = 2  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
 SE_KEY_BITS = 16
 CODE_BLOCK_BITS = 4
@@ -99,16 +100,6 @@ def payload_to_value(bits, ptype):
     if ptype == "bool":
         return bool(bits[0])
     return bits_to_int(bits)
-
-
-_U_CACHE = {}
-
-
-def universal_for(params):
-    key = tuple(params)
-    if key not in _U_CACHE:
-        _U_CACHE[key] = build_universal(*key)
-    return _U_CACHE[key]
 
 
 _SE_CIRCUITS = {}
@@ -182,6 +173,19 @@ class PublicParams:
 
     @classmethod
     def from_dict(cls, d):
+        """Parse the published dict; a field missing or of the wrong shape
+        raises KeyError, TypeError or ValueError."""
+        if not all(type(d[k]) is int for k in ("m", "K", "se_key_bits")):
+            raise ValueError("m, K and se_key_bits must be integers")
+        u_params = d["u_params"]
+        if not (isinstance(u_params, list) and len(u_params) == 3
+                and all(type(x) is int and x > 0 for x in u_params)
+                and u_params[2] == d["m"]):
+            raise ValueError("u_params must be three positive integers, the last m")
+        plen = UniversalCircuit(*u_params).program_length
+        if not (isinstance(d["programs"], dict) and all(
+                isinstance(p, list) and len(p) == plen for p in d["programs"].values())):
+            raise ValueError(f"programs must be lists of {plen} ciphertexts")
         return cls(
             m=d["m"],
             K=d["K"],
@@ -278,7 +282,7 @@ class Developer:
         self.tg = transform(graph)
         self.index_of, circuits = table_circuits(self.tg)
         n_data, g, m = budget_for(list(circuits.values()), floor=u_budget)
-        self.u = universal_for((n_data, g, m))
+        self.u = UniversalCircuit(n_data, g, m)
 
         keys = he.keygen(HE_SECURITY, rng=self.rng)
         self.hpk, self.hsk = keys.hpk, keys.hsk
@@ -604,6 +608,11 @@ class Verifier:
         if uncovered:
             raise ProtocolError("domains give no values for external input(s) "
                                 + ", ".join(uncovered))
+        for X, _ in cp:
+            omitted = [n for n, _ in g_spec.external_inputs if n not in X]
+            if omitted:
+                raise ProtocolError("a critical point gives no value for external "
+                                    "input(s) " + ", ".join(omitted))
         self.pp = pp
         self.g_spec = g_spec
         self.tg_spec = transform(g_spec)
@@ -613,7 +622,7 @@ class Verifier:
         self.mode = mode
         self.vga_budget = vga_budget
         self.rng = rng or random.Random()
-        self.u = universal_for(pp.u_params)
+        self.u = UniversalCircuit(*pp.u_params)
         self.code = gen_code(**_code_kwargs(pp.code_params))
         if mode == "general":
             self.sk = tuple(sk) if sk else se_keygen(pp.se_key_bits, self.rng)
@@ -702,7 +711,7 @@ class Verifier:
             else "reject"
         )
         cert = {
-            "version": 1,
+            "version": CERT_VERSION,
             "mode": self.mode,
             "K": self.pp.K,
             "public_params": self.pp.to_dict(),

@@ -12,7 +12,7 @@ from helpers import mutate_certificate, simulate_batch
 from tabverify import audit as audit_mod
 from tabverify import he
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
-from tabverify.circuit import build_universal, encode_program, simulate
+from tabverify.circuit import encode_program, simulate
 from tabverify.commitment import (
     RevealMessage,
     choose_challenge,

@@ -17,6 +17,7 @@ from tabverify.audit import (
     save_certificate,
 )
 from tabverify.channel import canonical_json
+from tabverify.circuit import UniversalCircuit
 from tabverify.demo import (
     CHAIN_DOMAINS,
     DEMO_DOMAINS,
@@ -27,7 +28,7 @@ from tabverify.demo import (
     diamond_graph,
 )
 from tabverify.graphtext import parse_graph
-from tabverify.protocol import Developer, Verifier, verify_session
+from tabverify.protocol import Developer, Verifier, session_binding, verify_session
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 CP = [(DEMO_INPUT, {"w": False, "c": 2})]
@@ -62,19 +63,20 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
+# Recorded at certificate version 2.
 CERT_DIGESTS = {
-    "demo-honest": "9f5445e121595f602fab40a02f2c0c87738bc92632172a66a8a5244c537a7b29",
-    "demo-general": "6f6b404155934712d3618ee96a6651cb312af5b744752753d2332b57e06de34d",
-    "chain-honest": "5d3fe35b9a7e45064f5b0d4a854beaf2a1a691980ed80a341300e318601acf78",
-    "chain-general": "12d517c0d19d0f77b05071175f01901222893b2f1b90e9cdebcce2ceb3655a83",
-    "diamond-honest": "a45464dbd71583993c1d21382091577ea1b5b91f60c6ac3cbc495d52dee271ba",
-    "diamond-general": "c3ad83ba1a9f015cea17da34c8998664dac6652a69df444a4d2e1f8893fae465",
-    "flip-payload-honest": "0ef5e7c4c60bbe0a0a71ab40e43b05f79e2470a29204300f32b6568da6783afa",
-    "flip-tag-honest": "f820d5e5d650b70bc3ae2750ae4f0b9c65755eb923f1afd6879c89ef989bef5f",
-    "swap-answers-honest": "cb5ac2f3b07eb88bdcbebc529c89af8f3ddfd3ca49d2ab9257d6752d83b8d50a",
-    "flip-payload-general": "cf47c6031facfc2642bae42a6fdb68e31213db8a09092a15a82b51fddf35c981",
-    "flip-tag-general": "7164d9613d4fbad8ae572dbc121e154ed45a763ee30b52ce6e80d59c6015ef89",
-    "swap-answers-general": "481a581c9c6140a36c0b8de34fdd54a1d0455648d0ad91c662bc6c32e0d947db",
+    "demo-honest": "501c52512487a914b0f0f97d714eef6ac2cc2dffbcc8c21c08b9996b52363add",
+    "demo-general": "51067acc330810380ed332e19e8263cdcbd5f0760b6fbb53d599635c05e856ed",
+    "chain-honest": "1beceaf882db29d7860779acfcde650959733aa63489117b69ada2c950f1f7b1",
+    "chain-general": "d143d7d932d35a7dfda54dc7213c03c607ffb6c2fbec36fb8cb75a3e36002fae",
+    "diamond-honest": "f05d1817a474cc5a6b268747ec1d3e68d12567ea684f46f26cec5fb30047c65a",
+    "diamond-general": "803c41a67b4b332f4b62b4354c319943ce45fe87bcdc090447d2b9f8bb3a7277",
+    "flip-payload-honest": "75c2f357494ac6fa101fd760ed74a91401ca759d59604a2bfda3be40ed28447f",
+    "flip-tag-honest": "7ee04a9ff2b4d070eec1176178b50030fd63187332d4f54c65815368d15a069a",
+    "swap-answers-honest": "b0cf946b983ff02fe4b9f69a7022e7c2f4e79383f256c12b8d079c1d44bea760",
+    "flip-payload-general": "89c085cde88ff74ff498c8f20cf6efc2a675311b2f5927c2798bd433b7b797ff",
+    "flip-tag-general": "152a0f08f4e7b84b1e05e37981fbf6f43d47a7b5aa7e22e554ff07dca1400f25",
+    "swap-answers-general": "94d9a903b93e57b6788276f8d091ea69c3ffeb604e6fb6c7a521a53130cb4d4c",
 }
 
 
@@ -116,9 +118,24 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v1"}
+           "format": "tabverify-cert-v2"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
+
+
+def test_version_1_certificate_is_refused_by_name(tmp_path):
+    cert = dict(HONEST_CERT, version=1)
+    cert["binding"] = session_binding(cert)
+    ok, report = replay(cert)
+    assert not ok
+    assert report["reason"] == "certificate version 1 is not supported"
+    path = tmp_path / "cert.json"
+    save_certificate(cert, path)
+    path.write_text(path.read_text().replace("tabverify-cert-v2",
+                                             "tabverify-cert-v1"))
+    with pytest.raises(AuditError, match="unknown certificate format "
+                                         "'tabverify-cert-v1'"):
+        load_certificate(path)
 
 
 def test_load_rejects_tampered_file(tmp_path):
@@ -233,12 +250,26 @@ def test_first_difference():
     assert first_difference(doc, {"a": True}) == "$.b[0]"
 
 
+def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
+    # the UC is named by its budget and evaluated by its program; only
+    # integer-she, the tests and static counts read its gate list
+    def gate_list(u):
+        raise AssertionError(f"built the gate list of {u.name}")
+
+    monkeypatch.setattr(UniversalCircuit, "circuit", property(gate_list))
+    verdict, cert = make_cert(graph=diamond_graph(), domains=DIAMOND_DOMAINS,
+                              cp=[])
+    assert verdict == "accept"
+    ok, report = audit(cert)
+    assert ok == 1, report
+
+
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded when
     # mutate_certificate still worked on a full JSON copy of the certificate
     for cert, want in (
-        (HONEST_CERT, "19f9dd71db0ee3d339e89af77b80ab7d027a11c3c7404df44d84ecf3b8f17347"),
-        (GENERAL_CERT, "e479fd762e4f5df03fc555816615b030bbcd71a89b5d109a6bae1ff3d51fc43a"),
+        (HONEST_CERT, "e6a8c3116e15dfee51801c0a4e193cc9733b1f5237ac8a54a2433776e4a31274"),
+        (GENERAL_CERT, "5f9bfb8ade16a7b53cad047cf1472d6705633fc0fe1720d40ca3d0c9d7492544"),
     ):
         rng = random.Random(42)
         h = hashlib.sha256()

@@ -10,8 +10,9 @@ from tabverify.circuit import (
     Builder,
     Circuit,
     CircuitError,
+    UC_CONSTRUCTION,
+    UniversalCircuit,
     budget_for,
-    build_universal,
     compile_table,
     encode_program,
     simulate,
@@ -192,7 +193,7 @@ def test_compile_multi_output_rejected():
 
 
 def test_universal_one_slot_and():
-    u = build_universal(2, 1, 1)
+    u = UniversalCircuit(2, 1, 1)
     c = Circuit(2, ((0, 1, TT_AND),), (2,))
     prog = encode_program(c, u)
     for x in range(4):
@@ -202,7 +203,7 @@ def test_universal_one_slot_and():
 
 def test_universal_random_circuits():
     rng = random.Random(23)
-    u = build_universal(6, 20, 2)
+    u = UniversalCircuit(6, 20, 2)
     for _ in range(40):
         c = random_circuit(rng, rng.randrange(2, 7), rng.randrange(1, 21), 2)
         prog = encode_program(c, u)
@@ -219,7 +220,7 @@ def test_universal_random_circuits():
 
 def test_universal_exhaustive_small():
     rng = random.Random(5)
-    u = build_universal(4, 8, 1)
+    u = UniversalCircuit(4, 8, 1)
     for _ in range(10):
         c = random_circuit(rng, 4, 8, 1)
         prog = encode_program(c, u)
@@ -232,7 +233,7 @@ def test_universal_exhaustive_small():
 
 def test_projection_consistency():
     rng = random.Random(9)
-    u = build_universal(4, 10, 3)
+    u = UniversalCircuit(4, 10, 3)
     c = random_circuit(rng, 4, 10, 3)
     prog = encode_program(c, u)
     for _ in range(10):
@@ -251,8 +252,8 @@ def universal_inputs(draw):
     """A small universal circuit and an input vector for it. The program
     bits are random, so some selectors point past the bus: at a later
     slot's line, or past the last line."""
-    u = build_universal(draw(st.integers(1, 6)), draw(st.integers(1, 12)),
-                        draw(st.integers(1, 4)))
+    u = UniversalCircuit(draw(st.integers(1, 6)), draw(st.integers(1, 12)),
+                         draw(st.integers(1, 4)))
     bits = draw(st.lists(st.integers(0, 1), min_size=u.n_inputs,
                          max_size=u.n_inputs))
     return u, tuple(bits)
@@ -265,8 +266,29 @@ def test_slot_evaluator_matches_gate_list(case):
     assert u.evaluate(bits) == simulate(u.circuit, bits)
 
 
+# sha256 of the UC's gate list per budget. Nonces and certificates name a
+# UC by UniversalCircuit.name, the construction tag and the budget, not by
+# this list; so a change to the construction must change UC_CONSTRUCTION,
+# bump the certificate format and re-record these.
+UC_GATE_DIGESTS = {
+    (1, 1, 1): "67ecdf1719bc80bc7d690b8564bf44b7be4525b01a18e70fe3da1915963ce731",
+    (16, 84, 16): "df56451ac37f9b4bf7f479de7a8c9354748106689d4ac06080eed03bd7d00c68",
+    (32, 109, 16): "76936c07f8246eb88563891462a9d2b346aae4b14e627612b342802f7ad944c4",
+}
+
+
+@pytest.mark.parametrize("budget", list(UC_GATE_DIGESTS))
+def test_uc_gate_list_is_pinned_to_its_construction(budget):
+    u = UniversalCircuit(*budget)
+    assert u.circuit.gates_digest() == UC_GATE_DIGESTS[budget], (
+        "the UC gate list changed: change UC_CONSTRUCTION and bump the "
+        "certificate format")
+    assert u.name == f"{UC_CONSTRUCTION}:{budget[0]},{budget[1]},{budget[2]}"
+    assert u.circuit.n_inputs == u.n_inputs
+
+
 def test_program_length_uniform():
-    u = build_universal(16, 40, M)
+    u = UniversalCircuit(16, 40, M)
     c_small = random_circuit(random.Random(1), 3, 2, M)
     c_big = random_circuit(random.Random(2), 16, 40, M)
     assert len(encode_program(c_small, u)) == len(encode_program(c_big, u))
@@ -274,7 +296,7 @@ def test_program_length_uniform():
 
 
 def test_encode_rejects_over_budget():
-    u = build_universal(4, 5, 1)
+    u = UniversalCircuit(4, 5, 1)
     too_many_gates = random_circuit(random.Random(4), 4, 6, 1)
     with pytest.raises(CircuitError, match="budget"):
         encode_program(too_many_gates, u)
@@ -290,7 +312,7 @@ def test_demo_tables_share_one_budget():
     tg = transform(demo_graph())
     circuits = [compile_table(t, M) for t in tg.tables.values()]
     nd, g, m = budget_for(circuits)
-    u = build_universal(nd, g, m)
+    u = UniversalCircuit(nd, g, m)
     progs = [encode_program(c, u) for c in circuits]
     assert len({len(p) for p in progs}) == 1
 

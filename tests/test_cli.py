@@ -238,10 +238,40 @@ def demo_pp():
     return Developer(parse_graph(DEMO_GRAPH_TEXT), rng=random.Random(0)).pp.to_dict()
 
 
+def edited_pp(pp, fault):
+    """pp with one field of the wrong type or shape."""
+    pp = json.loads(json.dumps(pp))
+    first = next(iter(pp["programs"]))
+    if fault == "m-string":
+        pp["m"] = str(pp["m"])
+    elif fault == "key-bits-bool":
+        pp["se_key_bits"] = True
+    elif fault == "u-params-two":
+        pp["u_params"] = pp["u_params"][:2]
+    elif fault == "u-params-zero":
+        pp["u_params"][0] = 0
+    elif fault == "u-params-not-m":
+        pp["u_params"][2] = pp["m"] // 2
+    elif fault == "u-params-edited":
+        pp["u_params"][1] += 1
+    elif fault == "programs-list":
+        pp["programs"] = list(pp["programs"].values())
+    else:
+        assert fault == "program-short"
+        pp["programs"][first] = pp["programs"][first][:-1]
+    return json.dumps(pp)
+
+
+PP_FAULTS = ["m-string", "key-bits-bool", "u-params-two", "u-params-zero",
+             "u-params-not-m", "u-params-edited", "programs-list",
+             "program-short"]
+
+
 @pytest.mark.parametrize("bad", [
     "pp-missing", "pp-not-json", "pp-not-params", "domains-missing",
     "domains-not-json", "domains-not-object", "domains-omit-input",
-    "cp-missing", "cp-not-json"])
+    "cp-missing", "cp-not-json", "cp-not-list", "cp-not-pair",
+    "cp-input-omits-b"] + [f"pp-{fault}" for fault in PP_FAULTS])
 def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
                                                            bad):
     # each bad input is refused with a JSON error and exit 2 before the
@@ -251,8 +281,12 @@ def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
     option, _, fault = bad.partition("-")
     files[option] = f"{bad}.json"
     content = {"not-json": "{not json", "not-params": "{}",
-               "not-object": "[1, 2]",
+               "not-object": "[1, 2]", "not-list": "5",
+               "not-pair": json.dumps([[{"a": 1}]]),
+               "input-omits-b": json.dumps([[{"a": 1}, {}]]),
                "omit-input": json.dumps({"a": {"lo": 0, "hi": 3}})}
+    if fault in PP_FAULTS:
+        content[fault] = edited_pp(demo_pp, fault)
     if fault != "missing":
         (workspace / files[option]).write_text(content[fault])
     srv = socket.socket()
@@ -262,7 +296,7 @@ def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
     try:
         r = run(["verify", "--spec", str(workspace / "demo.txt"),
                  "--connect", f"127.0.0.1:{srv.getsockname()[1]}",
-                 "--cert", str(workspace / "c.json")]
+                 "--mode", "general", "--cert", str(workspace / "c.json")]
                 + [arg for key, name in files.items()
                    for arg in (f"--{key}", str(workspace / name))])
         with pytest.raises(BlockingIOError):

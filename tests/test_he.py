@@ -4,7 +4,7 @@ import pytest
 
 from helpers import random_bits, random_circuit
 from tabverify import he
-from tabverify.circuit import TT_AND, TT_XOR, Circuit, simulate
+from tabverify.circuit import TT_AND, TT_XOR, Circuit, UniversalCircuit, simulate
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +133,19 @@ def test_backends_agree(tr_keys, she_keys):
             cts = he.enc_word(keys.hpk, x, rng)
             results.append(he.dec_word(keys.hsk, he.eval_word(keys.hpk, c, cts)))
         assert results[0] == results[1] == simulate(c, x)
+
+
+def test_she_evaluates_a_universal_circuit_by_its_gate_list(she_keys):
+    # integer-she runs u.circuit; the smallest UC has AND depth 6, within
+    # the budget of 8
+    rng = random.Random(20)
+    u = UniversalCircuit(1, 1, 1)
+    assert u.circuit.mult_depth <= she_keys.hpk.config.depth_budget
+    for _ in range(20):
+        x = random_bits(rng, u.n_inputs)
+        cts = he.enc_word(she_keys.hpk, x, rng)
+        out = he.eval_word(she_keys.hpk, u, cts)
+        assert he.dec_word(she_keys.hsk, out) == u.evaluate(x)
 
 
 def test_projection_byte_identity(tr_keys):

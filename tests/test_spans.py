@@ -16,6 +16,9 @@ STALE = {
     "tabverify.audit:normalize",
     "tabverify.audit:encode_frame",
     "tabverify.audit:decode_frame",
+    # sessions and audits name the universal circuit by its budget and no
+    # longer build its gate list, so protocol imports no builder
+    "tabverify.protocol:build_universal",
 }
 
 
