@@ -28,7 +28,7 @@ from .protocol import (
 )
 from .vga import coverage_report
 
-CERT_FORMAT = "tabverify-cert-v2"
+CERT_FORMAT = "tabverify-cert-v3"
 
 
 class AuditError(Exception):

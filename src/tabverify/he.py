@@ -101,6 +101,13 @@ def _randbits(rng, n):
     return rng.getrandbits(n)
 
 
+def ciphertext_bytes(kind, config):
+    """lam_bytes of a key pair: the length of each of its ciphertexts."""
+    if kind == "transparent":
+        return 1 + 8 + 1 + 24  # tag, key id, bit, nonce
+    return 1 + 8 + 2 + (config.gamma + 7) // 8  # tag, key id, noise, value
+
+
 def keygen(K, kind="transparent", config=None, rng=None):
     if K < 8:
         raise HeError("security parameter too small (need K >= 8)")
@@ -108,9 +115,9 @@ def keygen(K, kind="transparent", config=None, rng=None):
         raise HeError(f"unknown backend '{kind}'")
     config = config or BackendConfig(kind=kind)
     key_id = _randbits(rng, 64).to_bytes(8, "big")
+    lam_bytes = ciphertext_bytes(kind, config)
 
     if kind == "transparent":
-        lam_bytes = 1 + 8 + 1 + 24  # tag, key id, bit, nonce
         hpk = Hpk(kind=kind, key_id=key_id, lam_bytes=lam_bytes, config=config)
         return HeKeyPair(hpk, Hsk(kind=kind, key_id=key_id, lam_bytes=lam_bytes))
 
@@ -125,7 +132,6 @@ def keygen(K, kind="transparent", config=None, rng=None):
         q = _randbits(rng, gamma - eta - 2)
         r = _randbits(rng, config.rho)
         zeros.append((p * q + 2 * r) % x0)
-    lam_bytes = 1 + 8 + 2 + (gamma + 7) // 8
     hpk = Hpk(
         kind=kind,
         key_id=key_id,
@@ -323,29 +329,36 @@ def eval_word(hpk, circuit, cts):
 
 
 def hpk_to_dict(hpk):
-    d = {
-        "kind": hpk.kind,
-        "key_id": hpk.key_id.hex(),
-        "lam_bytes": hpk.lam_bytes,
-        "config": {
-            "eta": hpk.config.eta,
-            "rho": hpk.config.rho,
-            "tau": hpk.config.tau,
-            "gamma_extra": hpk.config.gamma_extra,
-        },
-    }
+    """The published key: kind and key id, and for integer-she also the
+    parameter set and the public integers; lam_bytes follows from these."""
+    d = {"kind": hpk.kind, "key_id": hpk.key_id.hex()}
     if hpk.kind == "integer-she":
+        c = hpk.config
+        d["config"] = {"eta": c.eta, "rho": c.rho, "tau": c.tau,
+                       "gamma_extra": c.gamma_extra}
         d["x0"] = hex(hpk.x0)
         d["zeros"] = [hex(z) for z in hpk.zeros]
     return d
 
 
 def hpk_from_dict(d):
-    cfg = BackendConfig(kind=d["kind"], **d["config"])
+    """Parse a published key; HeError names an unknown kind, a missing or
+    unknown field, or a key id that is not 8 bytes."""
+    kind = d.get("kind")
+    if kind not in KINDS:
+        raise HeError(f"unknown backend {kind!r}")
+    fields = {"kind", "key_id"} | ({"config", "x0", "zeros"} if kind == "integer-she"
+                                   else set())
+    if set(d) != fields:
+        raise HeError(f"a {kind} key has exactly the fields {sorted(fields)}")
+    key_id = bytes.fromhex(d["key_id"])
+    if len(key_id) != 8:
+        raise HeError(f"key id must be 8 bytes, got {len(key_id)}")
+    cfg = BackendConfig(kind=kind, **d.get("config", {}))
     return Hpk(
-        kind=d["kind"],
-        key_id=bytes.fromhex(d["key_id"]),
-        lam_bytes=d["lam_bytes"],
+        kind=kind,
+        key_id=key_id,
+        lam_bytes=ciphertext_bytes(kind, cfg),
         config=cfg,
         x0=int(d["x0"], 16) if "x0" in d else 0,
         zeros=tuple(int(z, 16) for z in d.get("zeros", ())),

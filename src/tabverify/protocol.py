@@ -22,6 +22,7 @@ Everything exchanged is recorded; the audit module replays it.
 
 import base64
 import copy
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -52,10 +53,9 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 2  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 3  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
-SE_KEY_BITS = 16
-CODE_BLOCK_BITS = 4
+SE_KEY_BITS = 16  # the verifier's session key and each commitment seed
 
 TOP = "top"
 BOT = "bot"
@@ -102,14 +102,9 @@ def payload_to_value(bits, ptype):
     return bits_to_int(bits)
 
 
-_SE_CIRCUITS = {}
-
-
-def se_circuit_for(key_bits, width):
-    key = (key_bits, width)
-    if key not in _SE_CIRCUITS:
-        _SE_CIRCUITS[key] = se_enc_circuit(key_bits, width)
-    return _SE_CIRCUITS[key]
+@functools.cache  # one build per width (0.3-0.6 ms each), not one per checker round
+def se_circuit_for(width):
+    return se_enc_circuit(SE_KEY_BITS, width)
 
 
 # --- the values both parties compute from a query -------------------------------
@@ -137,7 +132,7 @@ def checker_value(pp, ct_sk, p):
     """y: the symmetric encryption of the slice p under the key inside
     ct_sk, evaluated homomorphically. The verifier computes it for a checker
     round; the developer recomputes it before it reveals."""
-    circ = se_circuit_for(pp.se_key_bits, len(p))
+    circ = se_circuit_for(len(p))
     return he.eval_word(pp.hpk, circ, list(ct_sk) + list(p))
 
 
@@ -146,57 +141,55 @@ def checker_value(pp, ct_sk, p):
 
 @dataclass
 class PublicParams:
-    m: int
-    K: int
-    backend: str
+    """Only the developer's own choices: key sizes and the checker's code are
+    constants of the certificate version, so a developer cannot weaken them."""
+
     hpk: object
     u_params: tuple  # (n_data, g, m)
     structure: dict
     programs: dict  # table index -> list of ciphertext bytes
-    se_key_bits: int = SE_KEY_BITS
-    code_params: dict = field(
-        default_factory=lambda: {"m_c": CODE_BLOCK_BITS, "eps": [1, 4], "K": 16, "seed": 0}
-    )
+
+    FIELDS = ("hpk", "u_params", "structure", "programs")
+
+    @property
+    def m(self):
+        """The word width: bits per encrypted port value."""
+        return self.u_params[2]
 
     def to_dict(self):
         return {
-            "m": self.m,
-            "K": self.K,
-            "backend": self.backend,
             "hpk": he.hpk_to_dict(self.hpk),
             "u_params": list(self.u_params),
             "structure": self.structure,
             "programs": {str(i): cts_b64(p) for i, p in self.programs.items()},
-            "se_key_bits": self.se_key_bits,
-            "code_params": self.code_params,
         }
 
     @classmethod
     def from_dict(cls, d):
-        """Parse the published dict; a field missing or of the wrong shape
-        raises KeyError, TypeError or ValueError."""
-        if not all(type(d[k]) is int for k in ("m", "K", "se_key_bits")):
-            raise ValueError("m, K and se_key_bits must be integers")
+        """Parse the published dict; ProtocolError names a field that is
+        missing, unknown or of the wrong shape."""
+        if not isinstance(d, dict):
+            raise ProtocolError("public parameters are not a JSON object")
+        unknown = sorted(set(d) - set(cls.FIELDS))
+        missing = [k for k in cls.FIELDS if k not in d]
+        if unknown or missing:
+            raise ProtocolError(f"public parameters: unknown fields {unknown}, "
+                                f"missing fields {missing}")
         u_params = d["u_params"]
         if not (isinstance(u_params, list) and len(u_params) == 3
-                and all(type(x) is int and x > 0 for x in u_params)
-                and u_params[2] == d["m"]):
-            raise ValueError("u_params must be three positive integers, the last m")
+                and all(type(x) is int and x > 0 for x in u_params)):
+            raise ProtocolError("u_params must be three positive integers")
         plen = UniversalCircuit(*u_params).program_length
         if not (isinstance(d["programs"], dict) and all(
                 isinstance(p, list) and len(p) == plen for p in d["programs"].values())):
-            raise ValueError(f"programs must be lists of {plen} ciphertexts")
-        return cls(
-            m=d["m"],
-            K=d["K"],
-            backend=d["backend"],
-            hpk=he.hpk_from_dict(d["hpk"]),
-            u_params=tuple(d["u_params"]),
-            structure=d["structure"],
-            programs={int(i): b64_cts(p) for i, p in d["programs"].items()},
-            se_key_bits=d["se_key_bits"],
-            code_params=d["code_params"],
-        )
+            raise ProtocolError(f"programs must be lists of {plen} ciphertexts")
+        try:
+            hpk = he.hpk_from_dict(d["hpk"])
+            programs = {int(i): b64_cts(p) for i, p in d["programs"].items()}
+        except (AttributeError, TypeError, ValueError, he.HeError) as exc:
+            raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
+        return cls(hpk=hpk, u_params=tuple(u_params), structure=d["structure"],
+                   programs=programs)
 
 
 def public_structure(tg, index_of):
@@ -231,7 +224,6 @@ def public_structure(tg, index_of):
         groups.setdefault(port, {"name": port, "type": ptype, "tables": []})
         groups[port]["tables"].append(index_of[tname])
     return {
-        "m": tg.m,
         "tables": tables,
         "external_inputs": [[n, t] for n, t in tg.external_inputs],
         "outputs": [groups[p] for p in sorted(groups)],
@@ -295,15 +287,12 @@ class Developer:
             for i, p in self.programs_plain.items()
         }
         self.pp = PublicParams(
-            m=m,
-            K=HE_SECURITY,
-            backend=self.hpk.kind,
             hpk=self.hpk,
             u_params=(n_data, g, m),
             structure=public_structure(self.tg, self.index_of),
             programs=programs_enc,
         )
-        self.code = gen_code(**_code_kwargs(self.pp.code_params))
+        self.code = gen_code()
         self.mem = _SessionMem()
 
     def session(self):
@@ -481,7 +470,7 @@ class Developer:
             return {"result": NULL}
         seeds, out = [], []
         for blk, R in zip(pending["blocks"], rs):
-            s = se_keygen(self.pp.se_key_bits, self.rng)
+            s = se_keygen(SE_KEY_BITS, self.rng)
             try:
                 cm = commit_respond(blk, R, s, self.code)
             except Exception:
@@ -502,7 +491,7 @@ class Developer:
             ct_sk = b64_cts(body.get("ct_sk", []))
         except ProtocolError:
             return {"result": NULL}
-        if len(ct_sk) != self.pp.se_key_bits:
+        if len(ct_sk) != SE_KEY_BITS:
             return {"result": NULL}
         try:
             recomputed = checker_value(self.pp, ct_sk, pending["p"])
@@ -528,15 +517,6 @@ class Developer:
 def _int(value):
     """value if it is an int (a bool is not), else None."""
     return value if type(value) is int else None
-
-
-def _code_kwargs(params):
-    return {
-        "m_c": params["m_c"],
-        "eps": tuple(params["eps"]),
-        "K": params["K"],
-        "seed": params["seed"],
-    }
 
 
 def serve(dev, chan):
@@ -567,10 +547,10 @@ def session_binding(cert):
     """Hash of the session's configuration fields.
 
     Some configuration values have no behavioural effect on a given
-    transcript (a spare code parameter, a domain value the suite never
-    sampled), so replay alone cannot notice when they are altered.  The
-    binding pins them all byte-wise; the auditor recomputes it from the
-    certificate it was handed and compares.
+    transcript (a domain value the suite never sampled), so replay alone
+    cannot notice when they are altered. The binding pins them all
+    byte-wise; the auditor recomputes it from the certificate it was handed
+    and compares.
     """
     blob = canonical_json({k: cert[k] for k in BINDING_FIELDS})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -594,10 +574,7 @@ class Verifier:
         sk=None,
         ct_sk=None,
     ):
-        try:
-            pp = PublicParams.from_dict(pp)  # the published public-parameter dict
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
+        pp = PublicParams.from_dict(pp)  # the published public-parameter dict
         if mode not in ("honest", "general"):
             raise ProtocolError(f"unknown mode {mode!r}")
         if mode == "general" and (pp.m < 8 or pp.m % 4):
@@ -613,6 +590,16 @@ class Verifier:
             if omitted:
                 raise ProtocolError("a critical point gives no value for external "
                                     "input(s) " + ", ".join(omitted))
+        # each input value is encoded as an int word (a bool is an int)
+        wrong = sorted({n for n, vals in domains.items() for v in vals
+                        if not isinstance(v, int)}
+                       | {n for X, _ in cp for n, v in X.items() if not isinstance(v, int)})
+        if wrong:
+            raise ProtocolError("domains or critical points give a value that is not "
+                                "an integer or boolean for input(s) " + ", ".join(wrong))
+        if vga_budget < 1 and not cp:
+            raise ProtocolError(f"a session with test budget {vga_budget} and no "
+                                "critical points tests nothing")
         self.pp = pp
         self.g_spec = g_spec
         self.tg_spec = transform(g_spec)
@@ -623,9 +610,9 @@ class Verifier:
         self.vga_budget = vga_budget
         self.rng = rng or random.Random()
         self.u = UniversalCircuit(*pp.u_params)
-        self.code = gen_code(**_code_kwargs(pp.code_params))
+        self.code = gen_code()
         if mode == "general":
-            self.sk = tuple(sk) if sk else se_keygen(pp.se_key_bits, self.rng)
+            self.sk = tuple(sk) if sk else se_keygen(SE_KEY_BITS, self.rng)
             self.ct_sk = (
                 list(ct_sk)
                 if ct_sk
@@ -713,7 +700,7 @@ class Verifier:
         cert = {
             "version": CERT_VERSION,
             "mode": self.mode,
-            "K": self.pp.K,
+            "K": HE_SECURITY,
             "public_params": self.pp.to_dict(),
             "g_spec": serialize_graph(self.g_spec),
             "domains": {k: list(v) for k, v in self.domains.items()},

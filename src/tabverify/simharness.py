@@ -195,9 +195,7 @@ def metadata_views(result):
         views[side] = {
             "structure": pp["structure"],
             "u_params": pp["u_params"],
-            "m": pp["m"],
-            "K": pp["K"],
-            "backend": pp["backend"],
+            "backend": pp["hpk"]["kind"],
             "program_lengths": sorted(len(v) for v in pp["programs"].values()),
             "verdict": cert["verdict"],
             "outputs": cert["outputs"],

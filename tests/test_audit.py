@@ -63,20 +63,20 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 2.
+# Recorded at certificate version 3.
 CERT_DIGESTS = {
-    "demo-honest": "501c52512487a914b0f0f97d714eef6ac2cc2dffbcc8c21c08b9996b52363add",
-    "demo-general": "51067acc330810380ed332e19e8263cdcbd5f0760b6fbb53d599635c05e856ed",
-    "chain-honest": "1beceaf882db29d7860779acfcde650959733aa63489117b69ada2c950f1f7b1",
-    "chain-general": "d143d7d932d35a7dfda54dc7213c03c607ffb6c2fbec36fb8cb75a3e36002fae",
-    "diamond-honest": "f05d1817a474cc5a6b268747ec1d3e68d12567ea684f46f26cec5fb30047c65a",
-    "diamond-general": "803c41a67b4b332f4b62b4354c319943ce45fe87bcdc090447d2b9f8bb3a7277",
-    "flip-payload-honest": "75c2f357494ac6fa101fd760ed74a91401ca759d59604a2bfda3be40ed28447f",
-    "flip-tag-honest": "7ee04a9ff2b4d070eec1176178b50030fd63187332d4f54c65815368d15a069a",
-    "swap-answers-honest": "b0cf946b983ff02fe4b9f69a7022e7c2f4e79383f256c12b8d079c1d44bea760",
-    "flip-payload-general": "89c085cde88ff74ff498c8f20cf6efc2a675311b2f5927c2798bd433b7b797ff",
-    "flip-tag-general": "152a0f08f4e7b84b1e05e37981fbf6f43d47a7b5aa7e22e554ff07dca1400f25",
-    "swap-answers-general": "94d9a903b93e57b6788276f8d091ea69c3ffeb604e6fb6c7a521a53130cb4d4c",
+    "demo-honest": "e2907c21a4fae4df75214b7695b61488636851d0fc574e535ed94fd539a15364",
+    "demo-general": "0f89790e55388465aa7a5aa6cb239d9d3eb44b65dbae4d9d6eb390f6d0815e2f",
+    "chain-honest": "c1a834d958ab139cce374ac96c53fe2456d2709b254438e5b24ad2eb87756f5b",
+    "chain-general": "0dccaec9174792e0460e9e47c8eb5116ba8e122323e55f176589b394ea3cf8f6",
+    "diamond-honest": "bf03a51edb5d44af8961065814acdaf32bcee5c57e6f6aaf79ed868b88fa0005",
+    "diamond-general": "d2d9602df1a625e3ebc3cffe0991b8247eb5cd75af117eb60d5acdf5a3594314",
+    "flip-payload-honest": "d8acef36ca7967e3c0c497a7929e07827045475fcba64a6276b30b9d24f1747c",
+    "flip-tag-honest": "b6bfe2873b358d33386fa48e525454ab82759f1825677b1a84f1f05173019c66",
+    "swap-answers-honest": "33346670bf939292c4254e37882632d0a942a731c59a169c486245de1a46ade0",
+    "flip-payload-general": "b29bcfa51e2d92db84089737554392cbbeeb3ce6ee7a8fda95fed9d46793dff6",
+    "flip-tag-general": "54d83bde538e77e18614cfb7cfb0b055aa72c5a16a444cc47df414dfed371da8",
+    "swap-answers-general": "ec45759d3c88ca0d3d4d3239ba31c308df4a590271a9e734628095264b99f2af",
 }
 
 
@@ -118,23 +118,23 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v2"}
+           "format": "tabverify-cert-v3"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
 
-def test_version_1_certificate_is_refused_by_name(tmp_path):
-    cert = dict(HONEST_CERT, version=1)
+def test_version_2_certificate_is_refused_by_name(tmp_path):
+    cert = dict(HONEST_CERT, version=2)
     cert["binding"] = session_binding(cert)
     ok, report = replay(cert)
     assert not ok
-    assert report["reason"] == "certificate version 1 is not supported"
+    assert report["reason"] == "certificate version 2 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v2",
-                                             "tabverify-cert-v1"))
+    path.write_text(path.read_text().replace("tabverify-cert-v3",
+                                             "tabverify-cert-v2"))
     with pytest.raises(AuditError, match="unknown certificate format "
-                                         "'tabverify-cert-v1'"):
+                                         "'tabverify-cert-v2'"):
         load_certificate(path)
 
 
@@ -195,7 +195,8 @@ def test_binding_mismatch_rejected_before_replay(tamper):
     if tamper == "vga-seed":
         cert["vga"]["seed"] += 1
     elif tamper == "public-params-leaf":
-        cert["public_params"]["code_params"]["seed"] += 1
+        key_id = cert["public_params"]["hpk"]["key_id"]
+        cert["public_params"]["hpk"]["key_id"] = key_id[::-1]
     else:
         del cert["binding"]
     ok, report = audit(cert)
@@ -268,8 +269,8 @@ def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded when
     # mutate_certificate still worked on a full JSON copy of the certificate
     for cert, want in (
-        (HONEST_CERT, "e6a8c3116e15dfee51801c0a4e193cc9733b1f5237ac8a54a2433776e4a31274"),
-        (GENERAL_CERT, "5f9bfb8ade16a7b53cad047cf1472d6705633fc0fe1720d40ca3d0c9d7492544"),
+        (HONEST_CERT, "b2675a21f9109309d0999a3cf7a2a46dc9ad74a134a430b5c74f21e33138d556"),
+        (GENERAL_CERT, "c897944d09baa2df379c547e0339cff38213bb5102e4d3a314c3a28092160ffc"),
     ):
         rng = random.Random(42)
         h = hashlib.sha256()

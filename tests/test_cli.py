@@ -231,6 +231,13 @@ def test_usage_error_exit_codes(workspace):
               "--graph", str(workspace / "demo.txt"),
               "--connect", "x:1", "--cert", str(workspace / "c.json")])
     assert r2.exit_code == 2
+    # a session with no test budget and no critical points tests nothing
+    r3 = run(["verify", "--spec", str(workspace / "demo.txt"),
+              "--graph", str(workspace / "demo.txt"), "--budget", "0",
+              "--cert", str(workspace / "c.json")])
+    assert r3.exit_code == 2
+    assert "tests nothing" in json.loads(r3.stderr)["message"]
+    assert not (workspace / "c.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -239,19 +246,19 @@ def demo_pp():
 
 
 def edited_pp(pp, fault):
-    """pp with one field of the wrong type or shape."""
+    """pp with one field added, or of the wrong type or shape."""
     pp = json.loads(json.dumps(pp))
     first = next(iter(pp["programs"]))
-    if fault == "m-string":
-        pp["m"] = str(pp["m"])
-    elif fault == "key-bits-bool":
-        pp["se_key_bits"] = True
+    if fault == "legacy-field":  # a field that format v2 published
+        pp["code_params"] = {"m_c": 4, "eps": [1, 4], "K": 16, "seed": 0}
+    elif fault == "key-id-short":
+        pp["hpk"]["key_id"] = pp["hpk"]["key_id"][:8]
+    elif fault == "kind-unknown":
+        pp["hpk"]["kind"] = "bogus"
     elif fault == "u-params-two":
         pp["u_params"] = pp["u_params"][:2]
     elif fault == "u-params-zero":
         pp["u_params"][0] = 0
-    elif fault == "u-params-not-m":
-        pp["u_params"][2] = pp["m"] // 2
     elif fault == "u-params-edited":
         pp["u_params"][1] += 1
     elif fault == "programs-list":
@@ -262,16 +269,17 @@ def edited_pp(pp, fault):
     return json.dumps(pp)
 
 
-PP_FAULTS = ["m-string", "key-bits-bool", "u-params-two", "u-params-zero",
-             "u-params-not-m", "u-params-edited", "programs-list",
+PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
+             "u-params-zero", "u-params-edited", "programs-list",
              "program-short"]
 
 
 @pytest.mark.parametrize("bad", [
     "pp-missing", "pp-not-json", "pp-not-params", "domains-missing",
     "domains-not-json", "domains-not-object", "domains-omit-input",
-    "cp-missing", "cp-not-json", "cp-not-list", "cp-not-pair",
-    "cp-input-omits-b"] + [f"pp-{fault}" for fault in PP_FAULTS])
+    "domains-value-not-int", "cp-missing", "cp-not-json", "cp-not-list",
+    "cp-not-pair", "cp-input-omits-b", "cp-input-not-int"]
+    + [f"pp-{fault}" for fault in PP_FAULTS])
 def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
                                                            bad):
     # each bad input is refused with a JSON error and exit 2 before the
@@ -284,7 +292,9 @@ def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
                "not-object": "[1, 2]", "not-list": "5",
                "not-pair": json.dumps([[{"a": 1}]]),
                "input-omits-b": json.dumps([[{"a": 1}, {}]]),
-               "omit-input": json.dumps({"a": {"lo": 0, "hi": 3}})}
+               "input-not-int": json.dumps([[{"a": "x", "b": True}, {}]]),
+               "omit-input": json.dumps({"a": {"lo": 0, "hi": 3}}),
+               "value-not-int": json.dumps({"a": ["x"], "b": [False, True]})}
     if fault in PP_FAULTS:
         content[fault] = edited_pp(demo_pp, fault)
     if fault != "missing":

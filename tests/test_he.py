@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -24,6 +25,14 @@ def test_keygen_errors():
         he.keygen(16, "nonsense")
     with pytest.raises(he.HeError):
         he.keygen(16, "integer-she", config=he.BackendConfig(eta=16, rho=16))
+
+
+def test_published_key_round_trips_both_backends(tr_keys, she_keys):
+    # the ciphertext length is not published: both ends derive it
+    assert set(he.hpk_to_dict(tr_keys.hpk)) == {"kind", "key_id"}
+    for keys in (tr_keys, she_keys):
+        d = json.loads(json.dumps(he.hpk_to_dict(keys.hpk)))
+        assert he.hpk_from_dict(d) == keys.hpk
 
 
 def test_round_trip_both_backends(tr_keys, she_keys):

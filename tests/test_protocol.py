@@ -393,10 +393,7 @@ def test_serve_drops_a_silent_peer():
 def test_certificate_public_half_has_no_secret_fields():
     dev, _, cert = run_pair(DEMO, DEMO_DOMAINS, [], mode="general")
     pp_dict = cert["public_params"]
-    assert set(pp_dict) == {
-        "m", "K", "backend", "hpk", "u_params", "structure", "programs",
-        "se_key_bits", "code_params",
-    }
+    assert set(pp_dict) == {"hpk", "u_params", "structure", "programs"}
     pp = PublicParams.from_dict(pp_dict)
     assert pp.hpk.kind == dev.hsk.kind == "transparent"
     # top-level certificate carries no decryption key material
@@ -406,7 +403,7 @@ def test_certificate_public_half_has_no_secret_fields():
 def test_vs_encrypt_returns_consistent_pair():
     dev = Developer(DEMO, rng=random.Random(11))
     pp = dev.pp
-    assert pp.K == 16
+    assert pp.m == DEMO.m
     assert pp.u_params[2] == DEMO.m
     assert set(pp.programs) == set(range(1, len(dev.tg.order) + 1))
     for cts in pp.programs.values():
