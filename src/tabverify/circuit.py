@@ -333,8 +333,10 @@ class UniversalCircuit:
     data inputs, a constant-zero line, then each slot's output. A program
     supplies two bus selectors and a 4-bit truth table per slot plus one
     selector per output; its length depends only on (n_data, g, m). The
-    construction and that budget fix the circuit: `name` names it and
-    `evaluate` runs it, and only `circuit` builds its gate list.
+    construction and that budget fix the circuit: `name` names it, and
+    `he.prepare` decodes a program into its slots once and then runs it slot
+    by slot, a selector past the bus as it stands reading 0. Only `circuit`
+    builds the gate list.
     """
 
     n_data: int
@@ -364,28 +366,6 @@ class UniversalCircuit:
     @property
     def n_inputs(self):
         return self.program_length + self.n_data
-
-    @property
-    def gates(self):
-        """The gate list's gates, for the traced benchmark's gate counter."""
-        return self.circuit.gates
-
-    def evaluate(self, bits):
-        """simulate(self.circuit, bits), slot by slot: each slot looks up its
-        truth table at (a << 1) | c, a and c being the bus lines its selectors
-        name (0 past the bus as it stands); each output reads the full bus."""
-        _, sb, plen = uc_layout(self.n_data, self.g, self.m)
-        if len(bits) != self.n_inputs:
-            raise CircuitError(f"expected {self.n_inputs} input bits, got {len(bits)}")
-        bus = list(bits[plen:]) + [0]
-
-        def line(pos):
-            sel = sum(bits[pos + k] << k for k in range(sb))
-            return bus[sel] if sel < len(bus) else 0
-
-        for pos in range(0, self.g * (2 * sb + 4), 2 * sb + 4):
-            bus.append(bits[pos + 2 * sb + (line(pos) << 1 | line(pos + sb))])
-        return tuple(line(pos) for pos in range(plen - self.m * sb, plen, sb))
 
     @cached_property
     def circuit(self):

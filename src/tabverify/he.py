@@ -5,12 +5,13 @@ Two backends share the same ciphertext container and operations:
   transparent   carries the plaintext bit plus a nonce; eval computes the
                 output bits from the plaintexts, and output k's nonce is
                 sha256("tr-eval-v2", key id, sha256(joined inputs),
-                "name:label")[:24]. A universal circuit is named by its
-                construction and budget (UniversalCircuit.name), its label
-                is k and its bits come from UniversalCircuit.evaluate; any
-                other circuit is named by gates_digest(), its label is the
-                output wire and its bits come from simulating its gate
-                list. A testing oracle, not encryption.
+                "name:label")[:24]. A gate-list circuit (eval_word) is
+                named by gates_digest(), its label is the output wire and
+                its bits come from simulating its gate list. A universal
+                circuit runs a program prepared once (prepare): it is named
+                by its construction and budget (UniversalCircuit.name), its
+                label is k and its bits come from the program's slots,
+                evaluated one by one. A testing oracle, not encryption.
   integer-she   toy somewhat-homomorphic scheme over the integers:
                 c = m + 2r + 2*(subset sum of public zeros) mod x0 with
                 x0 = p*q0; XOR is addition, AND is multiplication. Noise is
@@ -26,7 +27,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 
-from .circuit import UniversalCircuit, simulate
+from .circuit import simulate, uc_layout
 
 TAG_TRANSPARENT = 1
 TAG_SHE = 2
@@ -238,20 +239,21 @@ def well_formed(hpk, cts):
 # --- homomorphic evaluation ------------------------------------------------------
 
 
+def _tr_outputs(hpk, inputs, labels, bits):
+    """Transparent output ciphertexts: bit k with the nonce
+    sha256("tr-eval-v2", key id, inputs, label k)[:24], inputs being the
+    digest of the joined input ciphertexts."""
+    prefix = b"tr-eval-v2" + hpk.key_id + inputs
+    return [_pack(hpk, _tr_payload(bit, hashlib.sha256(prefix + label).digest()[:24]))
+            for label, bit in zip(labels, bits)]
+
+
 def _eval_transparent(hpk, circuit, cts):
     bits = tuple(_unpack(hpk, ct)[0] & 1 for ct in cts)
-    if isinstance(circuit, UniversalCircuit):
-        name, labels, bits_out = circuit.name, range(circuit.m), circuit.evaluate(bits)
-    else:
-        name, labels, bits_out = (circuit.gates_digest(), circuit.outputs,
-                                  simulate(circuit, bits))
-    inputs = hashlib.sha256(b"".join(cts)).digest()
-    outs = []
-    for label, bit in zip(labels, bits_out):
-        nonce = hashlib.sha256(b"tr-eval-v2" + hpk.key_id + inputs
-                               + f"{name}:{label}".encode()).digest()[:24]
-        outs.append(_pack(hpk, _tr_payload(bit, nonce)))
-    return outs
+    name = circuit.gates_digest()
+    return _tr_outputs(hpk, hashlib.sha256(b"".join(cts)).digest(),
+                       [f"{name}:{w}".encode() for w in circuit.outputs],
+                       simulate(circuit, bits))
 
 
 _ANF = {}  # tt -> (c0, c1, c2, c3): f(a,b) = c0 ^ c1 b ^ c2 a ^ c3 ab
@@ -260,13 +262,16 @@ for tt in range(16):
     _ANF[tt] = (t00, t01 ^ t00, t10 ^ t00, t11 ^ t10 ^ t01 ^ t00)
 
 
-def _eval_she(hpk, circuit, cts):
+def _she_wires(hpk, cts):
+    return [_she_open(hpk, _unpack(hpk, ct)) for ct in cts]
+
+
+def _eval_she(hpk, circuit, wires):
+    """Run the gate list on the input wires, (value, noise) pairs; wires
+    grows by one entry per gate."""
     cfg = hpk.config
     x0 = hpk.x0
     limit = cfg.eta - 2
-    wires = []
-    for ct in cts:
-        wires.append(_she_open(hpk, _unpack(hpk, ct)))
     for l, r, tt in circuit.gates:
         (av, an), (bv, bn) = wires[l], wires[r]
         if l == r:
@@ -310,12 +315,12 @@ def _eval_she(hpk, circuit, cts):
 
 
 def eval_word(hpk, circuit, cts):
-    """Homomorphically evaluate every output of the circuit.
+    """Homomorphically evaluate every output of a gate-list circuit.
 
     Deterministic: identical (key, circuit, inputs) give byte-identical
-    results, which the audit's recomputation checks rely on. For a gate-list
-    circuit, output k is byte-identical to the one output of the same
-    circuit cut down to its output wire k.
+    results, which the audit's recomputation checks rely on. Output k is
+    byte-identical to the one output of the same circuit cut down to its
+    output wire k. A universal circuit runs its programs through prepare.
     """
     if len(cts) != circuit.n_inputs:
         raise HeError(
@@ -323,9 +328,83 @@ def eval_word(hpk, circuit, cts):
         )
     if hpk.kind == "transparent":
         return _eval_transparent(hpk, circuit, cts)
-    if isinstance(circuit, UniversalCircuit):
-        circuit = circuit.circuit
-    return _eval_she(hpk, circuit, cts)
+    return _eval_she(hpk, circuit, _she_wires(hpk, cts))
+
+
+# --- prepared universal-circuit programs --------------------------------------------
+
+
+def prepare(hpk, u, program_cts):
+    """A program of the universal circuit u, parsed once for all the steps
+    that run it. Each program ciphertext is checked as every ciphertext is,
+    and a bad one raises HeError here. The result's run(data_cts) gives the
+    outputs of u on the program and those data ciphertexts."""
+    if len(program_cts) != u.program_length:
+        raise HeError(f"universal circuit expects {u.program_length} program "
+                      f"ciphertexts, got {len(program_cts)}")
+    if hpk.kind == "transparent":
+        return _TransparentProgram(hpk, u, program_cts)
+    return _SheProgram(hpk, u, program_cts)
+
+
+def _check_data(u, data_cts):
+    if len(data_cts) != u.n_data:
+        raise HeError(f"universal circuit expects {u.n_data} data ciphertexts, "
+                      f"got {len(data_cts)}")
+
+
+class _TransparentProgram:
+    """The slots and output selectors a program's bits spell, and the input
+    hash already fed the joined program ciphertexts. Output k of a step is
+    named by u's construction and budget (u.name) and k, and its nonce
+    hashes the joined program and data ciphertexts, as eval_word's do."""
+
+    def __init__(self, hpk, u, cts):
+        _, sb, plen = uc_layout(u.n_data, u.g, u.m)
+        bits = [_unpack(hpk, ct)[0] & 1 for ct in cts]
+        zero = u.n_data  # the bus's constant-zero line
+
+        def line(pos, lines):
+            # a selector past the bus as it stands reads the zero line
+            sel = sum(bits[pos + k] << k for k in range(sb))
+            return sel if sel < lines else zero
+
+        width = 2 * sb + 4
+        self.slots = tuple(  # (left line, right line, truth table)
+            (line(pos, zero + 1 + j), line(pos + sb, zero + 1 + j),
+             sum(bits[pos + 2 * sb + k] << k for k in range(4)))
+            for j, pos in enumerate(range(0, u.g * width, width)))
+        self.outs = tuple(line(pos, zero + 1 + u.g)
+                          for pos in range(u.g * width, plen, sb))
+        self.labels = tuple(f"{u.name}:{k}".encode() for k in range(u.m))
+        self.inputs = hashlib.sha256(b"".join(cts))
+        self.hpk, self.u = hpk, u
+
+    def run(self, data_cts):
+        """The slots, one by one: each looks up its truth table at
+        (a << 1) | c, a and c being the bus lines it names."""
+        _check_data(self.u, data_cts)
+        bus = [_unpack(self.hpk, ct)[0] & 1 for ct in data_cts]
+        bus.append(0)
+        for l, r, tt in self.slots:
+            bus.append(tt >> (bus[l] << 1 | bus[r]) & 1)
+        inputs = self.inputs.copy()
+        inputs.update(b"".join(data_cts))
+        return _tr_outputs(self.hpk, inputs.digest(), self.labels,
+                           [bus[s] for s in self.outs])
+
+
+class _SheProgram:
+    """A program's (value, noise) pairs; each step runs u's gate list."""
+
+    def __init__(self, hpk, u, cts):
+        self.wires = _she_wires(hpk, cts)
+        self.hpk, self.u = hpk, u
+
+    def run(self, data_cts):
+        _check_data(self.u, data_cts)
+        return _eval_she(self.hpk, self.u.circuit,
+                         self.wires + _she_wires(self.hpk, data_cts))
 
 
 def hpk_to_dict(hpk):

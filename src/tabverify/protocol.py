@@ -116,7 +116,7 @@ def table_step(pp, u, i, u_cts):
     circuit u. The verifier computes it for a q2; the developer recomputes
     it before it answers."""
     data = [u_cts[k % len(u_cts)] for k in range(u.n_data)]
-    return he.eval_word(pp.hpk, u, pp.programs[i] + data)
+    return pp.program(i).run(data)
 
 
 def checker_slice(word, case, h):
@@ -148,6 +148,9 @@ class PublicParams:
     u_params: tuple  # (n_data, g, m)
     structure: dict
     programs: dict  # table index -> list of ciphertext bytes
+    # table index -> he.prepare of its program, filled by program()
+    _prepared: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     FIELDS = ("hpk", "u_params", "structure", "programs")
 
@@ -155,6 +158,17 @@ class PublicParams:
     def m(self):
         """The word width: bits per encrypted port value."""
         return self.u_params[2]
+
+    def program(self, i):
+        """Program i, prepared for the universal circuit the first time a
+        table step runs it and kept: one per table at most. Sessions served
+        at once share it; two of them may both prepare program i, and both
+        get the same value, so the memo needs no lock."""
+        prepared = self._prepared.get(i)
+        if prepared is None:
+            prepared = self._prepared[i] = he.prepare(
+                self.hpk, UniversalCircuit(*self.u_params), self.programs[i])
+        return prepared
 
     def to_dict(self):
         return {
@@ -188,8 +202,23 @@ class PublicParams:
             programs = {int(i): b64_cts(p) for i, p in d["programs"].items()}
         except (AttributeError, TypeError, ValueError, he.HeError) as exc:
             raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
+        _refuse_portless(d["structure"])
         return cls(hpk=hpk, u_params=tuple(u_params), structure=d["structure"],
                    programs=programs)
+
+
+def _refuse_portless(structure):
+    """A table step cycles a table's input ciphertexts to the bus width, so
+    every published table needs a port and every port a producer."""
+    try:
+        for t in structure["tables"]:
+            if not t["ports"]:
+                raise ProtocolError(f"published table {t.get('index')} has no ports")
+            if any(not port["producers"] for port in t["ports"]):
+                raise ProtocolError(f"published table {t.get('index')} has a port "
+                                    "with no producers")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ProtocolError(f"published structure does not parse: {exc!r}") from None
 
 
 def public_structure(tg, index_of):

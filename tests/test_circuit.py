@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import bits_to_tagged, random_bits, random_circuit, simulate_batch
+from tabverify import he
 from tabverify.circuit import (
     TT_AND,
     TT_XOR,
@@ -259,11 +260,19 @@ def universal_inputs(draw):
     return u, tuple(bits)
 
 
+TR_KEYS = he.keygen(16, "transparent", rng=random.Random(31))
+
+
 @settings(max_examples=200, deadline=None)
 @given(universal_inputs())
 def test_slot_evaluator_matches_gate_list(case):
+    # the slot evaluator is the prepared program's, so run it through
+    # he.prepare on transparent ciphertexts of the program and data bits
     u, bits = case
-    assert u.evaluate(bits) == simulate(u.circuit, bits)
+    cts = he.enc_word(TR_KEYS.hpk, bits, random.Random(32))
+    program = he.prepare(TR_KEYS.hpk, u, cts[:u.program_length])
+    out = program.run(cts[u.program_length:])
+    assert he.dec_word(TR_KEYS.hsk, out) == simulate(u.circuit, bits)
 
 
 # sha256 of the UC's gate list per budget. Nonces and certificates name a

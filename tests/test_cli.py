@@ -263,15 +263,22 @@ def edited_pp(pp, fault):
         pp["u_params"][1] += 1
     elif fault == "programs-list":
         pp["programs"] = list(pp["programs"].values())
-    else:
-        assert fault == "program-short"
+    elif fault == "program-short":
         pp["programs"][first] = pp["programs"][first][:-1]
+    elif fault == "structure-empty":
+        pp["structure"] = {}
+    elif fault == "table-no-ports":  # the table step would cycle no inputs
+        pp["structure"]["tables"][0]["ports"] = []
+    else:
+        assert fault == "port-no-producers"
+        pp["structure"]["tables"][0]["ports"][0]["producers"] = []
     return json.dumps(pp)
 
 
 PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
              "u-params-zero", "u-params-edited", "programs-list",
-             "program-short"]
+             "program-short", "structure-empty", "table-no-ports",
+             "port-no-producers"]
 
 
 @pytest.mark.parametrize("bad", [

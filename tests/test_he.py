@@ -145,16 +145,38 @@ def test_backends_agree(tr_keys, she_keys):
 
 
 def test_she_evaluates_a_universal_circuit_by_its_gate_list(she_keys):
-    # integer-she runs u.circuit; the smallest UC has AND depth 6, within
-    # the budget of 8
+    # an integer-she prepared program runs u.circuit; the smallest UC has
+    # AND depth 6, within the budget of 8
     rng = random.Random(20)
     u = UniversalCircuit(1, 1, 1)
     assert u.circuit.mult_depth <= she_keys.hpk.config.depth_budget
     for _ in range(20):
         x = random_bits(rng, u.n_inputs)
         cts = he.enc_word(she_keys.hpk, x, rng)
-        out = he.eval_word(she_keys.hpk, u, cts)
-        assert he.dec_word(she_keys.hsk, out) == u.evaluate(x)
+        program = he.prepare(she_keys.hpk, u, cts[:u.program_length])
+        out = program.run(cts[u.program_length:])
+        assert he.dec_word(she_keys.hsk, out) == simulate(u.circuit, x)
+
+
+def test_prepare_checks_every_program_ciphertext(tr_keys, she_keys):
+    # a program ciphertext is checked for length, backend tag and key id
+    # as eval_word checks any ciphertext; so is a data ciphertext, per step
+    rng = random.Random(21)
+    u = UniversalCircuit(2, 2, 1)
+    other = he.keygen(16, "transparent", rng=random.Random(22))
+    for keys in (tr_keys, she_keys):
+        cts = he.enc_word(keys.hpk, random_bits(rng, u.n_inputs), rng)
+        prog, data = cts[:u.program_length], cts[u.program_length:]
+        foreign = he.enc(other.hpk, 1, rng)
+        for bad in (prog[0][:-1], b"\x09" + prog[0][1:], foreign):
+            with pytest.raises(he.HeError):
+                he.prepare(keys.hpk, u, [bad] + prog[1:])
+            with pytest.raises(he.HeError):
+                he.prepare(keys.hpk, u, prog).run([bad] + data[1:])
+        with pytest.raises(he.HeError):
+            he.prepare(keys.hpk, u, prog[1:])
+        with pytest.raises(he.HeError):
+            he.prepare(keys.hpk, u, prog).run(data[1:])
 
 
 def test_projection_byte_identity(tr_keys):

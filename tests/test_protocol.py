@@ -1,8 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from helpers import simulate_batch
 from tabverify import he
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
 from tabverify.demo import (
@@ -441,7 +443,9 @@ def test_loopback_equals_queue_pair():
 
 def test_same_seed_verifiers_served_concurrently():
     # each connection is its own session, so two verifiers that draw the
-    # same queries no longer share (and corrupt) one session's memory
+    # same queries no longer share (and corrupt) one session's memory; the
+    # sessions do share dev.pp's prepared programs, which a race can at
+    # worst prepare twice, with equal results
     import socket
     import threading
 
@@ -576,3 +580,101 @@ def test_overlapping_rows_follow_the_sibling_rule_on_both_paths():
     assert cert["failures"] == [{"reason": "ambiguous-output", "port": "y"}]
     assert not cert["mismatches"]
     assert verdict == "reject"
+
+
+# --- prepared programs ------------------------------------------------------------
+
+
+def gate_list_step(hpk, hsk, u, cts):
+    """he.eval_word on a universal circuit as it ran before programs were
+    prepared, kept here as the reference: the gate list simulated on every
+    input (a batch of words at once), output k's nonce naming u.name and
+    k. cts is a list of program + data ciphertext lists."""
+    words = [he.dec_word(hsk, w) for w in cts]
+    columns = [sum(bits[n] << k for k, bits in enumerate(words))
+               for n in range(u.n_inputs)]
+    outs = simulate_batch(u.circuit, columns, len(words))
+    steps = []
+    for k, word in enumerate(cts):
+        inputs = hashlib.sha256(b"".join(word)).digest()
+        steps.append([
+            bytes([he.TAG_TRANSPARENT]) + hpk.key_id + bytes([col >> k & 1])
+            + hashlib.sha256(b"tr-eval-v2" + hpk.key_id + inputs
+                             + f"{u.name}:{j}".encode()).digest()[:24]
+            for j, col in enumerate(outs)])
+    return steps
+
+
+def test_table_step_is_byte_identical_to_the_gate_list_evaluation():
+    dev = make_dev(diamond_graph(), seed=5)
+    rng = random.Random(6)
+    assert len(dev.pp.programs) == 8
+    for t in dev.pp.structure["tables"]:
+        i, width = t["index"], len(t["ports"]) * dev.pp.m
+        data = [he.enc_word(dev.hpk, [rng.randrange(2) for _ in range(width)], rng)
+                for _ in range(50)]
+        cycled = [[w[k % width] for k in range(dev.u.n_data)] for w in data]
+        want = gate_list_step(dev.hpk, dev.hsk, dev.u,
+                              [dev.pp.programs[i] + c for c in cycled])
+        assert [table_step(dev.pp, dev.u, i, w) for w in data] == want
+
+
+def test_programs_are_prepared_on_first_use_once_per_public_params(monkeypatch):
+    from tabverify import audit
+
+    prepared = []  # each program ciphertext list he.prepare was handed
+    real = he.prepare
+
+    def counting(hpk, u, program_cts):
+        prepared.append(program_cts)
+        return real(hpk, u, program_cts)
+
+    monkeypatch.setattr(he, "prepare", counting)
+    dev = make_dev(diamond_graph(), seed=1)
+    v = Verifier(dev.pp.to_dict(), diamond_graph(), DIAMOND_DOMAINS, [], seed=7,
+                 rng=random.Random(2))
+    # construction parses no program, so set-up time pays for none
+    assert prepared == []
+    verdict, cert = verify_session(dev, v)
+    assert verdict == "accept"
+    assert audit.audit(cert)[0] == 1
+    # developer, verifier and auditor each hold their own public parameters,
+    # and prepare each of its programs once at most
+    assert prepared
+    assert len({id(p) for p in prepared}) == len(prepared) <= 3 * len(dev.pp.programs)
+    assert set(dev.pp._prepared) == set(v.pp._prepared)
+
+
+def test_concurrent_table_steps_share_one_memo():
+    # threads that race to prepare the same program may each prepare it,
+    # but every one of them gets the sequential result
+    import sys
+    import threading
+
+    dev = make_dev(diamond_graph(), seed=5)
+    rng = random.Random(7)
+    steps = []
+    for t in dev.pp.structure["tables"]:
+        width = len(t["ports"]) * dev.pp.m
+        u_cts = he.enc_word(dev.hpk, [rng.randrange(2) for _ in range(width)], rng)
+        steps.append((t["index"], u_cts))
+    want = [table_step(dev.pp, dev.u, i, u_cts) for i, u_cts in steps]
+    shared = PublicParams.from_dict(dev.pp.to_dict())
+    got = [None] * 4
+
+    def work(k):
+        got[k] = [table_step(shared, dev.u, i, u_cts) for i, u_cts in steps]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 4
+    assert set(shared._prepared) == {i for i, _ in steps}
