@@ -28,7 +28,7 @@ from .protocol import (
 )
 from .vga import coverage_report
 
-CERT_FORMAT = "tabverify-cert-v3"
+CERT_FORMAT = "tabverify-cert-v4"
 
 
 class AuditError(Exception):

@@ -1,19 +1,19 @@
 """Commit-to-many-bits protocol over a pseudorandom generator.
 
 The committer encodes an m_c-bit block with a random linear code whose
-minimum distance is brute-force verified, masks the codeword with PRG bits
-selected by the receiver's weight-q challenge over 2q generator positions,
-and exposes the PRG bits at unselected positions. Revealing the seed and the
-data lets the receiver recheck everything; changing the data afterwards
-would require a seed matching q exposed bits and a codeword within masked
-distance, which the verified distance rules out.
-
-Each commit or check expands the seed once into the 2q-bit PRG stream and
-reads the mask and the exposed bits from it.
+minimum distance is brute-force verified, expands its seed into a 2q-bit
+PRG stream, and splits the stream by the receiver's weight-q challenge R:
+the bits at R's one-positions mask the codeword, and the bits at its
+zero-positions are exposed, in position order. Revealing the seed and the
+data lets the receiver rerun the commit and compare; changing the data
+afterwards would require a seed matching q exposed bits and a codeword
+within masked distance, which the verified distance rules out (Naor, "Bit
+commitment using pseudorandomness", J. Cryptology 1991).
 
 Longer data is split into independently committed blocks.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -51,7 +51,7 @@ class CodeSpec:
 @dataclass(frozen=True)
 class CommitMessage:
     e: tuple  # q masked codeword bits
-    exposed: tuple  # ((position, prg bit), ...) for challenge zeros
+    exposed: tuple  # q PRG bits at the challenge's zeros, in position order
 
 
 @dataclass(frozen=True)
@@ -107,41 +107,25 @@ def _check_challenge(R, q):
         raise CommitError("challenge must have length 2q and weight q")
 
 
-def _mask_bits(R, stream):
-    """PRG stream bits at the challenge's one-positions, in order."""
-    return tuple(g for g, r in zip(stream, R) if r)
-
-
 def commit_respond(D, R, s, code):
-    """Committer's message: masked codeword plus exposed PRG bits."""
+    """Committer's message: the codeword masked by the stream at R's
+    one-positions, and the stream at its zero-positions exposed."""
     _check_challenge(R, code.q)
     stream = prg(s, 2 * code.q)
-    mask = _mask_bits(R, stream)
+    mask = itertools.compress(stream, R)
     e = tuple(c ^ g for c, g in zip(code.encode(tuple(D)), mask))
-    exposed = tuple((i, g) for i, (g, r) in enumerate(zip(stream, R)) if not r)
+    exposed = tuple(g for g, r in zip(stream, R) if not r)
     return CommitMessage(e=e, exposed=exposed)
 
 
 def verify_reveal(commit, reveal, R, code):
-    """Accept iff the seed reproduces the exposed bits and the masking."""
+    """Accept iff the revealed seed and data, committed under R, give
+    exactly the commit message: the commit rule rerun, not restated."""
     try:
-        _check_challenge(R, code.q)
-    except CommitError:
+        expect = commit_respond(reveal.data, R, reveal.seed, code)
+    except CommitError:  # a malformed challenge or data of the wrong length
         return False
-    if len(commit.exposed) != code.q or len(commit.e) != code.q:
-        return False
-    zero_positions = tuple(i for i, r in enumerate(R) if not r)
-    if tuple(i for i, _ in commit.exposed) != zero_positions:
-        return False
-    # the compare above keeps every exposed position inside the stream
-    stream = prg(reveal.seed, 2 * code.q)
-    if any(stream[i] != b for i, b in commit.exposed):
-        return False
-    if len(reveal.data) != code.m_c:
-        return False
-    mask = _mask_bits(R, stream)
-    expect = tuple(c ^ g for c, g in zip(code.encode(tuple(reveal.data)), mask))
-    return expect == tuple(commit.e)
+    return (tuple(commit.e), tuple(commit.exposed)) == (expect.e, expect.exposed)
 
 
 # --- multi-block commitments --------------------------------------------------

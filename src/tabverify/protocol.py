@@ -25,6 +25,7 @@ import copy
 import functools
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import he
@@ -53,9 +54,10 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 3  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 4  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
 SE_KEY_BITS = 16  # the verifier's session key and each commitment seed
+WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
 TOP = "top"
 BOT = "bot"
@@ -202,22 +204,35 @@ class PublicParams:
             programs = {int(i): b64_cts(p) for i, p in d["programs"].items()}
         except (AttributeError, TypeError, ValueError, he.HeError) as exc:
             raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
-        _refuse_portless(d["structure"])
+        _refuse_unwalkable(d["structure"])
         return cls(hpk=hpk, u_params=tuple(u_params), structure=d["structure"],
                    programs=programs)
 
 
-def _refuse_portless(structure):
-    """A table step cycles a table's input ciphertexts to the bus width, so
-    every published table needs a port and every port a producer."""
+def _refuse_unwalkable(structure):
+    """Refuse a structure the verifier could not walk. A table step cycles a
+    table's input ciphertexts to the bus width, so every published table
+    needs a port and every port a producer; an input producer names a
+    published external input; and external inputs and output groups carry
+    a type that a word encodes, int or bool."""
     try:
+        types = [t for _, t in structure["external_inputs"]]
+        types += [group["type"] for group in structure["outputs"]]
+        if any(t not in WORD_TYPES for t in types):
+            raise ProtocolError("published structure has a type other than "
+                                "int or bool")
+        inputs = {name for name, _ in structure["external_inputs"]}
         for t in structure["tables"]:
             if not t["ports"]:
                 raise ProtocolError(f"published table {t.get('index')} has no ports")
             if any(not port["producers"] for port in t["ports"]):
                 raise ProtocolError(f"published table {t.get('index')} has a port "
                                     "with no producers")
-    except (KeyError, TypeError, AttributeError) as exc:
+            if any(kind == "input" and ref not in inputs
+                   for port in t["ports"] for kind, ref in port["producers"]):
+                raise ProtocolError(f"published table {t.get('index')} reads an "
+                                    "input that is not published")
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ProtocolError(f"published structure does not parse: {exc!r}") from None
 
 
@@ -505,9 +520,7 @@ class Developer:
             except Exception:
                 return {"result": NULL}
             seeds.append(s)
-            out.append(
-                {"e": bits_str(cm.e), "exposed": [[i, b] for i, b in cm.exposed]}
-            )
+            out.append({"e": bits_str(cm.e), "exposed": bits_str(cm.exposed)})
         pending["seeds"] = seeds
         return {"blocks": out}
 
@@ -604,6 +617,10 @@ class Verifier:
         ct_sk=None,
     ):
         pp = PublicParams.from_dict(pp)  # the published public-parameter dict
+        published = [tuple(x) for x in pp.structure["external_inputs"]]
+        if Counter(published) != Counter(g_spec.external_inputs):
+            raise ProtocolError(f"published external inputs {published} are not "
+                                f"the specification's {g_spec.external_inputs}")
         if mode not in ("honest", "general"):
             raise ProtocolError(f"unknown mode {mode!r}")
         if mode == "general" and (pp.m < 8 or pp.m % 4):
@@ -912,8 +929,7 @@ class Verifier:
                 return False
             for blk, want_data in zip(blocks, data_blocks):
                 commit = CommitMessage(
-                    e=str_bits(blk["e"]),
-                    exposed=tuple((int(i), int(b)) for i, b in blk["exposed"]),
+                    e=str_bits(blk["e"]), exposed=str_bits(blk["exposed"])
                 )
                 reveal = RevealMessage(
                     seed=str_bits(blk["seed"]), data=str_bits(blk["data"])

@@ -4,50 +4,32 @@ SE is a balanced Feistel network with a quadratic (single-AND) round
 function, so its encryption map has a small circuit: 8 rounds give
 multiplicative depth 8, inside the integer backend's budget. One Feistel
 routine, parameterized over bit operations, produces the plain
-evaluation, the bit-sliced PRG evaluation and the circuit, which keeps
-the three extensionally equal by construction.
+evaluation and the circuit, which keeps the two extensionally equal by
+construction.
 
-The PRG is the same permutation in counter mode: output bit i is bit
-i % 32 of se_enc(s, counter), where counter holds the block index i // 32
-as 32 bits, least significant first. It is evaluated bit-sliced (Biham,
-"A fast new DES implementation in software", FSE 1997): every wire is a
-Python int with one lane per counter block, so one pass through the
-Feistel computes every block of the stream.
+The PRG is SHAKE128 (FIPS 202): output bit i is bit i % 8 of byte i // 8
+of the SHAKE128 output over the seed, one byte per seed bit.
 """
+
+import hashlib
+import operator
 
 from .circuit import Builder
 
 ROUNDS = 8
 _RC = 0x9E3779B97F4A7C15  # round-constant bit source
-_PRG_BLOCK = 32
 
 
 class SymError(Exception):
     pass
 
 
-class _LaneOps:
-    """Bit-sliced evaluation: each wire is an int with one bit per lane.
+class _PlainOps:
+    """Evaluation on bits."""
 
-    ones has a 1 in every lane; a single lane (ones = 1) is plain evaluation.
-    """
-
-    def __init__(self, ones):
-        self.ones = ones
-
-    def const(self, v):
-        return self.ones if v else 0
-
-    @staticmethod
-    def xor(a, b):
-        return a ^ b
-
-    @staticmethod
-    def and_(a, b):
-        return a & b
-
-
-_PLAIN = _LaneOps(1)
+    const = staticmethod(int)
+    xor = staticmethod(operator.xor)
+    and_ = staticmethod(operator.and_)
 
 
 class _BuildOps:
@@ -92,8 +74,6 @@ def _round_fn(ops, R, rk, w):
 
 def _feistel_enc(ops, key, block, rounds=ROUNDS):
     w = len(block) // 2
-    if w < 2 or len(block) % 2:
-        raise SymError(f"block width {len(block)} unsupported (need even >= 4)")
     L, R = list(block[:w]), list(block[w:])
     for rk in _round_keys(ops, key, w, rounds):
         f = _round_fn(ops, R, rk, w)
@@ -102,13 +82,10 @@ def _feistel_enc(ops, key, block, rounds=ROUNDS):
 
 
 def _feistel_dec(key, block, rounds=ROUNDS):
-    ops = _PLAIN
     w = len(block) // 2
-    if w < 2 or len(block) % 2:
-        raise SymError(f"block width {len(block)} unsupported (need even >= 4)")
     L, R = list(block[:w]), list(block[w:])
-    for rk in reversed(_round_keys(ops, key, w, rounds)):
-        f = _round_fn(ops, L, rk, w)
+    for rk in reversed(_round_keys(_PlainOps, key, w, rounds)):
+        f = _round_fn(_PlainOps, L, rk, w)
         L, R = [a ^ b for a, b in zip(R, f)], L
     return tuple(L + R)
 
@@ -125,7 +102,7 @@ def se_keygen(K, rng):
 def se_enc(sk, M):
     """Deterministic permutation of the |M|-bit block under sk."""
     _check_block(M)
-    return _feistel_enc(_PLAIN, tuple(sk), tuple(int(b) for b in M))
+    return _feistel_enc(_PlainOps, tuple(sk), tuple(int(b) for b in M))
 
 
 def se_dec(sk, C):
@@ -133,17 +110,20 @@ def se_dec(sk, C):
     return _feistel_dec(tuple(sk), tuple(int(b) for b in C))
 
 
+def _check_width(width):
+    if width < 4 or width % 2:
+        raise SymError(f"block width {width} unsupported (need even >= 4)")
+
+
 def _check_block(M):
-    if len(M) < 4 or len(M) % 2:
-        raise SymError(f"block width {len(M)} unsupported (need even >= 4)")
+    _check_width(len(M))
     if any(b not in (0, 1, True, False) for b in M):
         raise SymError("block must be bits")
 
 
 def se_enc_circuit(key_bits, width):
     """Circuit over (key || message) computing se_enc; |key| = key_bits."""
-    if width < 4 or width % 2:
-        raise SymError(f"block width {width} unsupported (need even >= 4)")
+    _check_width(width)
     b = Builder(key_bits + width)
     ops = _BuildOps(b)
     key = list(range(key_bits))
@@ -155,18 +135,9 @@ def se_enc_circuit(key_bits, width):
 
 
 def prg(s, n):
-    """First n output bits for seed s; prefixes are consistent.
-
-    Lane b of the counter wires holds block index b (bit j on wire j), so
-    lane b of the output wires is block b of the stream.
-    """
+    """First n output bits for seed s; prefixes are consistent."""
     if n < 1:
         raise SymError("length must be positive")
-    blocks = (n + _PRG_BLOCK - 1) // _PRG_BLOCK
-    ops = _LaneOps((1 << blocks) - 1)
-    key = [ops.const(int(b)) for b in s]
-    counter = [
-        sum(1 << b for b in range(blocks) if (b >> j) & 1) for j in range(_PRG_BLOCK)
-    ]
-    wires = _feistel_enc(ops, key, counter)
-    return tuple((wires[i % _PRG_BLOCK] >> (i // _PRG_BLOCK)) & 1 for i in range(n))
+    out = hashlib.shake_128(bytes(int(b) for b in s)).digest((n + 7) // 8)
+    word = int.from_bytes(out, "little")
+    return tuple((word >> i) & 1 for i in range(n))

@@ -63,20 +63,20 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 3.
+# Recorded at certificate version 4.
 CERT_DIGESTS = {
-    "demo-honest": "e2907c21a4fae4df75214b7695b61488636851d0fc574e535ed94fd539a15364",
-    "demo-general": "0f89790e55388465aa7a5aa6cb239d9d3eb44b65dbae4d9d6eb390f6d0815e2f",
-    "chain-honest": "c1a834d958ab139cce374ac96c53fe2456d2709b254438e5b24ad2eb87756f5b",
-    "chain-general": "0dccaec9174792e0460e9e47c8eb5116ba8e122323e55f176589b394ea3cf8f6",
-    "diamond-honest": "bf03a51edb5d44af8961065814acdaf32bcee5c57e6f6aaf79ed868b88fa0005",
-    "diamond-general": "d2d9602df1a625e3ebc3cffe0991b8247eb5cd75af117eb60d5acdf5a3594314",
-    "flip-payload-honest": "d8acef36ca7967e3c0c497a7929e07827045475fcba64a6276b30b9d24f1747c",
-    "flip-tag-honest": "b6bfe2873b358d33386fa48e525454ab82759f1825677b1a84f1f05173019c66",
-    "swap-answers-honest": "33346670bf939292c4254e37882632d0a942a731c59a169c486245de1a46ade0",
-    "flip-payload-general": "b29bcfa51e2d92db84089737554392cbbeeb3ce6ee7a8fda95fed9d46793dff6",
-    "flip-tag-general": "54d83bde538e77e18614cfb7cfb0b055aa72c5a16a444cc47df414dfed371da8",
-    "swap-answers-general": "ec45759d3c88ca0d3d4d3239ba31c308df4a590271a9e734628095264b99f2af",
+    "demo-honest": "8bea979b8386e6005908b7a0259617afb91498fb41d5dda31d5fd8733360db82",
+    "demo-general": "7e1d1d3f9d5201c56820013a7cac6627c72034c84c065b45e3c3e0335b6af071",
+    "chain-honest": "fb96f84e3a3922484dcbf00a542c90441526baa70c3cfae74c2efee7e29cd617",
+    "chain-general": "34c076379a4f185cd9130ceda868d990623e1c5c28c87f50dac4a3d30845e770",
+    "diamond-honest": "808637f6ff05f252cad535185931c672a0ab2540bc87618890a03e4afc5f075a",
+    "diamond-general": "20da2ce39e33ed9ca0a5cc379f2b2cfbd72fcfb493dfedf8fa3d3a278ed93ce8",
+    "flip-payload-honest": "2c19703c78dae145f2e6c2899943cfe52a4d6999498aef5d2baca4a23ffeef1d",
+    "flip-tag-honest": "2d449ef6bb371ad5f803764de6c9e8d04ff877bda30f9ab1222e164a11c9caf2",
+    "swap-answers-honest": "b9a94b5186585e4ad33a1cc80abd188fba9985ed4dbcdee47686cc9be310f62f",
+    "flip-payload-general": "1451826d291d933803581d810c7c9c4de3a034bcc05f39c02fa69eecae64e650",
+    "flip-tag-general": "e568d3cdf450344b580e22d16515fc452053e9da8bf640ab6ad1269a9ce59c37",
+    "swap-answers-general": "6310268c96813fe8a9bd882cabd5c3a63c96893a8e8b81f5d315bbadb0a0945b",
 }
 
 
@@ -118,23 +118,23 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v3"}
+           "format": "tabverify-cert-v4"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
 
-def test_version_2_certificate_is_refused_by_name(tmp_path):
-    cert = dict(HONEST_CERT, version=2)
+def test_version_3_certificate_is_refused_by_name(tmp_path):
+    cert = dict(HONEST_CERT, version=3)
     cert["binding"] = session_binding(cert)
     ok, report = replay(cert)
     assert not ok
-    assert report["reason"] == "certificate version 2 is not supported"
+    assert report["reason"] == "certificate version 3 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v3",
-                                             "tabverify-cert-v2"))
+    path.write_text(path.read_text().replace("tabverify-cert-v4",
+                                             "tabverify-cert-v3"))
     with pytest.raises(AuditError, match="unknown certificate format "
-                                         "'tabverify-cert-v2'"):
+                                         "'tabverify-cert-v3'"):
         load_certificate(path)
 
 
@@ -233,12 +233,13 @@ def test_final_compare_names_first_differing_path():
 def test_unopenable_checker_record_is_named(k):
     # a live round records d only once every block has opened, so a stored
     # d whose blocks no longer open names its record, not $.failures
-    cert = copy.deepcopy(GENERAL_CERT)
-    block = cert["qa_c"][k]["s"]["blocks"][0]
-    block["seed"] = str(1 - int(block["seed"][0])) + block["seed"][1:]
-    ok, report = audit(cert)
-    assert ok == 0
-    assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"
+    for key in ("seed", "exposed", "e"):
+        cert = copy.deepcopy(GENERAL_CERT)
+        block = cert["qa_c"][k]["s"]["blocks"][0]
+        block[key] = str(1 - int(block[key][0])) + block[key][1:]
+        ok, report = audit(cert)
+        assert ok == 0, key
+        assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"
 
 
 def test_first_difference():
@@ -269,8 +270,8 @@ def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded when
     # mutate_certificate still worked on a full JSON copy of the certificate
     for cert, want in (
-        (HONEST_CERT, "b2675a21f9109309d0999a3cf7a2a46dc9ad74a134a430b5c74f21e33138d556"),
-        (GENERAL_CERT, "c897944d09baa2df379c547e0339cff38213bb5102e4d3a314c3a28092160ffc"),
+        (HONEST_CERT, "073f2812b332acdd9a8b6e4f1d1c721a7ff3d47140ad4e5cd09393cd8d473320"),
+        (GENERAL_CERT, "7bf23654d8b129895bfe2ebcd76c14f4271c52cb87f1fbfdb29d9e06d1fb9caf"),
     ):
         rng = random.Random(42)
         h = hashlib.sha256()

@@ -269,6 +269,19 @@ def edited_pp(pp, fault):
         pp["structure"] = {}
     elif fault == "table-no-ports":  # the table step would cycle no inputs
         pp["structure"]["tables"][0]["ports"] = []
+    elif fault == "input-renamed":  # consistent, but not the spec's name
+        old = pp["structure"]["external_inputs"][0][0]
+        pp["structure"]["external_inputs"][0][0] = "zz"
+        for t in pp["structure"]["tables"]:
+            for port in t["ports"]:
+                port["producers"] = [["input", "zz"] if p == ["input", old] else p
+                                     for p in port["producers"]]
+    elif fault == "input-unpublished":  # only the producer is renamed
+        port = pp["structure"]["tables"][0]["ports"][0]
+        assert port["producers"][0][0] == "input"
+        port["producers"][0][1] = "zz"
+    elif fault == "output-type-str":  # was read as an int
+        pp["structure"]["outputs"][0]["type"] = "str"
     else:
         assert fault == "port-no-producers"
         pp["structure"]["tables"][0]["ports"][0]["producers"] = []
@@ -278,7 +291,8 @@ def edited_pp(pp, fault):
 PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
              "u-params-zero", "u-params-edited", "programs-list",
              "program-short", "structure-empty", "table-no-ports",
-             "port-no-producers"]
+             "port-no-producers", "input-renamed", "input-unpublished",
+             "output-type-str"]
 
 
 @pytest.mark.parametrize("bad", [

@@ -111,17 +111,14 @@ def test_prg_prefix_consistency():
     assert prg(s, 33) == prg(s, 100)[:33]
 
 
-def test_prg_is_se_in_counter_mode():
-    # reference: one se_enc call per 32-bit counter block, least significant
-    # counter bit first, blocks concatenated and the stream cut to n bits
+def test_prg_is_shake128():
+    # reference: SHAKE128 over the seed, one byte per seed bit; output bit i
+    # is bit i % 8 of output byte i // 8
     rng = random.Random(10)
     for n in (1, 31, 32, 33, 100, 504, 1000):
         s = se_keygen(16, rng)
-        blocks = (n + 31) // 32
-        ref = ()
-        for b in range(blocks):
-            ref += se_enc(s, tuple((b >> j) & 1 for j in range(32)))
-        assert prg(s, n) == ref[:n]
+        out = hashlib.shake_128(bytes(s)).digest(n // 8 + 1)
+        assert prg(s, n) == tuple((out[i // 8] >> (i % 8)) & 1 for i in range(n))
 
 
 def test_prg_golden_digest():
@@ -130,7 +127,7 @@ def test_prg_golden_digest():
     assert s == tuple(int(c) for c in "0011001101110101")
     bits = "".join(map(str, prg(s, 504)))
     assert hashlib.sha256(bits.encode()).hexdigest() == (
-        "3c6afe9a1cd21e4b91e812412eb5b6811b04f587e3027b25817122493d0a81d4"
+        "caca1303a486bc3a5c08d2ebcfaaf5d49298083f32b719acc0acff9a9bebe88c"
     )
 
 
