@@ -15,10 +15,12 @@ Longer data is split into independently committed blocks.
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
 from .symcrypto import prg
+from .tables import int_to_bits
 
 EPSILON = (1, 4)  # relative distance target
 MAX_CODE_RETRIES = 64
@@ -45,7 +47,7 @@ class CodeSpec:
         for b, row in zip(bits, self.rows):
             if b:
                 word ^= row
-        return tuple((word >> i) & 1 for i in range(self.q))
+        return int_to_bits(word, self.q)
 
 
 @dataclass(frozen=True)
@@ -98,23 +100,34 @@ def gen_code(m_c=4, eps=EPSILON, K=16, seed=0):
 
 def choose_challenge(q, rng):
     """Uniform weight-q vector of length 2q."""
-    ones = set(rng.sample(range(2 * q), q))
-    return tuple(1 if i in ones else 0 for i in range(2 * q))
+    R = bytearray(2 * q)
+    for i in rng.sample(range(2 * q), q):
+        R[i] = 1
+    return tuple(R)
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a challenge's complement
 
 
 def _check_challenge(R, q):
-    if len(R) != 2 * q or sum(R) != q:
-        raise CommitError("challenge must have length 2q and weight q")
+    """R as one byte per bit, once it is checked to be 2q bits of weight q."""
+    try:
+        r = bytes(R)
+    except (TypeError, ValueError):  # an entry that is no int in 0..255
+        raise CommitError("challenge must be bits") from None
+    if len(r) != 2 * q or r.count(1) != q or r.count(0) != q:
+        raise CommitError("challenge must be 2q bits of weight q")
+    return r
 
 
 def commit_respond(D, R, s, code):
     """Committer's message: the codeword masked by the stream at R's
     one-positions, and the stream at its zero-positions exposed."""
-    _check_challenge(R, code.q)
+    r = _check_challenge(R, code.q)
     stream = prg(s, 2 * code.q)
-    mask = itertools.compress(stream, R)
-    e = tuple(c ^ g for c, g in zip(code.encode(tuple(D)), mask))
-    exposed = tuple(g for g, r in zip(stream, R) if not r)
+    mask = itertools.compress(stream, r)
+    e = tuple(map(operator.xor, code.encode(tuple(D)), mask))
+    exposed = tuple(itertools.compress(stream, r.translate(_FLIP)))
     return CommitMessage(e=e, exposed=exposed)
 
 

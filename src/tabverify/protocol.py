@@ -71,14 +71,18 @@ class ProtocolError(Exception):
 # --- encoding helpers ---------------------------------------------------------
 
 
+_TEXT = b"0" + b"1" * 255  # a bit by its truth: byte 0 is "0", any other "1"
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def bits_str(bits):
-    return "".join("1" if b else "0" for b in bits)
+    return bytes(bits).translate(_TEXT).decode("ascii")
 
 
 def str_bits(s):
     if not isinstance(s, str) or set(s) - {"0", "1"}:
         raise ProtocolError(f"bad bit string {s!r}")
-    return tuple(int(ch) for ch in s)
+    return tuple(s.encode("ascii").translate(_BITS))
 
 
 def cts_b64(cts):
@@ -213,9 +217,21 @@ def _refuse_unwalkable(structure):
     """Refuse a structure the verifier could not walk. A table step cycles a
     table's input ciphertexts to the bus width, so every published table
     needs a port and every port a producer; an input producer names a
-    published external input; and external inputs and output groups carry
-    a type that a word encodes, int or bool."""
+    published external input; external inputs and output groups carry a
+    type that a word encodes, int or bool; every table has an int index and
+    a bool external flag; and every output group has a str name and a list
+    of int table indices."""
     try:
+        if any(type(t["index"]) is not int or type(t["external"]) is not bool
+               for t in structure["tables"]):
+            raise ProtocolError("published tables need an int index and a "
+                                "bool external flag")
+        if any(not isinstance(group["name"], str)
+               or not isinstance(group["tables"], list)
+               or any(type(i) is not int for i in group["tables"])
+               for group in structure["outputs"]):
+            raise ProtocolError("published output groups need a str name and "
+                                "a list of int table indices")
         types = [t for _, t in structure["external_inputs"]]
         types += [group["type"] for group in structure["outputs"]]
         if any(t not in WORD_TYPES for t in types):

@@ -15,6 +15,7 @@ import hashlib
 import operator
 
 from .circuit import Builder
+from .tables import int_to_bits
 
 ROUNDS = 8
 _RC = 0x9E3779B97F4A7C15  # round-constant bit source
@@ -139,5 +140,4 @@ def prg(s, n):
     if n < 1:
         raise SymError("length must be positive")
     out = hashlib.shake_128(bytes(int(b) for b in s)).digest((n + 7) // 8)
-    word = int.from_bytes(out, "little")
-    return tuple((word >> i) & 1 for i in range(n))
+    return int_to_bits(int.from_bytes(out, "little"), n)

@@ -45,10 +45,15 @@ class Tagged:
 BOT = Tagged(False, 0)
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" text -> bit bytes
+
+
 def int_to_bits(value, width):
     """Two's-complement bits, least significant first."""
-    v = value & ((1 << width) - 1)
-    return tuple((v >> i) & 1 for i in range(width))
+    # a 1 above the top bit keeps leading zeros; reversed, the text reads
+    # least significant first, and the slice stops short of that 1
+    text = format((value & ((1 << width) - 1)) | (1 << width), "b")[:0:-1]
+    return tuple(text.encode("ascii").translate(_BITS))
 
 
 def bits_to_int(bits):

@@ -282,6 +282,16 @@ def edited_pp(pp, fault):
         port["producers"][0][1] = "zz"
     elif fault == "output-type-str":  # was read as an int
         pp["structure"]["outputs"][0]["type"] = "str"
+    elif fault == "output-tables-int":
+        pp["structure"]["outputs"][0]["tables"] = 3
+    elif fault == "output-name-list":
+        pp["structure"]["outputs"][0]["name"] = ["z"]
+    elif fault == "index-str":
+        pp["structure"]["tables"][0]["index"] = "1"
+    elif fault == "index-missing":
+        del pp["structure"]["tables"][0]["index"]
+    elif fault == "external-missing":
+        del pp["structure"]["tables"][0]["external"]
     else:
         assert fault == "port-no-producers"
         pp["structure"]["tables"][0]["ports"][0]["producers"] = []
@@ -292,7 +302,8 @@ PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
              "u-params-zero", "u-params-edited", "programs-list",
              "program-short", "structure-empty", "table-no-ports",
              "port-no-producers", "input-renamed", "input-unpublished",
-             "output-type-str"]
+             "output-type-str", "output-tables-int", "output-name-list",
+             "index-str", "index-missing", "external-missing"]
 
 
 @pytest.mark.parametrize("bad", [

@@ -143,6 +143,17 @@ def test_reject_malformed_challenge():
         commit_respond((1, 0, 0, 0), bad, s, CODE)
 
 
+def test_reject_challenge_with_entries_that_are_not_bits():
+    commit, reveal, R = _honest_opening(13)
+    first, second = [k for k, r in enumerate(R) if r][:2]
+    two = list(R)
+    two[first], two[second] = 2, 0  # length 2q and sum q, but not bits
+    for bad in (tuple(two), R[:-1] + (-1,), R[:-1] + (1.0,), R[:-1] + ("1",)):
+        with pytest.raises(CommitError):
+            commit_respond(reveal.data, bad, reveal.seed, CODE)
+        assert verify_reveal(commit, reveal, bad, CODE) is False
+
+
 def test_binding_adversarial_reopen():
     # committed to D, then search seeds trying to open a different D'
     rng = random.Random(8)
