@@ -20,12 +20,20 @@ Two backends share the same ciphertext container and operations:
                 corrupted.
 
 Ciphertexts are fixed-length byte strings: backend tag, 8-byte key id, then
-the backend payload padded to the key pair's length.
+the backend payload padded to the key pair's length. Code that reads
+ciphertexts reads a word of them at a time: _check_word is the one check of
+a ciphertext (bytes, the key pair's length, tag and key id) and hands back
+the word joined into one byte string, on which each header byte, and each
+transparent bit, of every ciphertext is one strided slice. enc_word on the
+transparent backend draws all its nonces in one call, 192 bits per
+ciphertext; from a random.Random these are the same nonces, and leave the
+same state, as one draw per ciphertext.
 """
 
 import hashlib
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 from .circuit import simulate, uc_layout
 
@@ -147,28 +155,37 @@ def keygen(K, kind="transparent", config=None, rng=None):
 # --- ciphertext packing -------------------------------------------------------
 
 
+_TAGS = {"transparent": TAG_TRANSPARENT, "integer-she": TAG_SHE}
+_BYTES = (bytes, bytearray)
+_LOW_BIT = bytes(b & 1 for b in range(256))  # a transparent bit byte -> its bit
+_BIT_TEXT = b"01" * 128  # the same, as the ASCII digit
+
+
 def _pack(hpk, payload):
-    tag = TAG_TRANSPARENT if hpk.kind == "transparent" else TAG_SHE
-    blob = bytes([tag]) + hpk.key_id + payload
+    blob = bytes([_TAGS[hpk.kind]]) + hpk.key_id + payload
     if len(blob) != hpk.lam_bytes:
         raise HeError("internal: ciphertext payload size drift")
     return blob
 
-def _unpack(hpk_or_hsk, ct):
-    want_tag = TAG_TRANSPARENT if hpk_or_hsk.kind == "transparent" else TAG_SHE
-    if not isinstance(ct, (bytes, bytearray)):
+
+def _check_word(h, cts):
+    """The ciphertexts of a word joined into one byte string, once each is
+    bytes of the key pair's length with its backend tag and key id; h is
+    either half of the key pair. HeError names the first of these checks
+    that some ciphertext fails. The one ciphertext check: it reads each
+    header byte of every ciphertext at once, as a strided slice of the
+    join."""
+    if not all(map(isinstance, cts, repeat(_BYTES))):
         raise HeError("ciphertext must be bytes")
-    if len(ct) != hpk_or_hsk.lam_bytes:
+    lam = h.lam_bytes
+    if set(map(len, cts)) - {lam}:
         raise HeError("malformed ciphertext length")
-    if ct[0] != want_tag:
+    joined, n = b"".join(cts), len(cts)
+    if joined[::lam] != bytes([_TAGS[h.kind]]) * n:
         raise HeError("malformed ciphertext (backend tag)")
-    if ct[1:9] != hpk_or_hsk.key_id:
+    if any(joined[k::lam] != h.key_id[k - 1:k] * n for k in range(1, 9)):
         raise HeError("ciphertext does not match this key pair")
-    return bytes(ct[9:])
-
-
-def _tr_payload(bit, nonce):
-    return bytes([bit]) + nonce
+    return joined
 
 
 def _she_payload(hpk, value, noise_bits):
@@ -176,23 +193,41 @@ def _she_payload(hpk, value, noise_bits):
     return noise_bits.to_bytes(2, "big") + value.to_bytes(gb, "big")
 
 
-def _she_open(hpk, payload):
-    gb = (hpk.config.gamma + 7) // 8
-    if len(payload) != 2 + gb:
-        raise HeError("malformed ciphertext length")
-    return int.from_bytes(payload[2:], "big"), int.from_bytes(payload[:2], "big")
-
-
 # --- enc / dec ------------------------------------------------------------------
 
 
 def enc(hpk, bit, rng=None):
-    if bit not in (0, 1, True, False):
+    return enc_word(hpk, (bit,), rng)[0]
+
+
+def enc_word(hpk, bits, rng=None):
+    """One fresh ciphertext per bit; HeError when an item is not a bit. The
+    transparent backend draws every nonce in one _randbits call of 192 bits
+    per ciphertext. A random.Random fills such a draw 32 bits at a time from
+    the low end, so nonce j is chunk j of its little-endian bytes, reversed:
+    the same nonces, and the same rng state, as one 192-bit draw each."""
+    bits = tuple(bits)
+    try:
+        plain = bytes(map(int, bits)) if set(bits) <= {0, 1} else None
+    except TypeError:  # an unhashable item
+        plain = None
+    if plain is None:
         raise HeError("plaintext must be a bit")
-    bit = int(bit)
-    if hpk.kind == "transparent":
-        nonce = _randbits(rng, 24 * 8).to_bytes(24, "big")
-        return _pack(hpk, _tr_payload(bit, nonce))
+    if hpk.kind != "transparent":
+        return [_enc_she(hpk, bit, rng) for bit in plain]
+    n, lam = len(plain), hpk.lam_bytes
+    if not n:
+        return []
+    nonces = _randbits(rng, 192 * n).to_bytes(24 * n, "little")
+    word = bytearray((bytes([TAG_TRANSPARENT]) + hpk.key_id + bytes(25)) * n)
+    word[9::lam] = plain
+    for k in range(24):
+        word[10 + k::lam] = nonces[23 - k::24]
+    word = bytes(word)
+    return [word[o:o + lam] for o in range(0, len(word), lam)]
+
+
+def _enc_she(hpk, bit, rng):
     cfg = hpk.config
     r = _randbits(rng, cfg.rho)
     acc = bit + 2 * r
@@ -202,35 +237,27 @@ def enc(hpk, bit, rng=None):
     return _pack(hpk, _she_payload(hpk, acc % hpk.x0, cfg.fresh_noise_bits))
 
 
-def enc_word(hpk, bits, rng=None):
-    return [enc(hpk, b, rng) for b in bits]
-
-
 def dec(hsk, ct):
-    payload = _unpack(hsk, ct)
-    if hsk.kind == "transparent":
-        if len(payload) != 25:
-            raise HeError("malformed ciphertext length")
-        return payload[0] & 1
-    if len(payload) < 3:
-        raise HeError("malformed ciphertext length")
-    value = int.from_bytes(payload[2:], "big")
-    p = hsk.p
-    v = value % p
-    if v > p // 2:
-        v -= p
-    return v & 1
+    return dec_word(hsk, (ct,))[0]
 
 
 def dec_word(hsk, cts):
-    return tuple(dec(hsk, ct) for ct in cts)
+    if hsk.kind == "transparent":
+        return tuple(_check_word(hsk, cts)[9::hsk.lam_bytes].translate(_LOW_BIT))
+    p = hsk.p
+    out = []
+    for value, _ in _she_wires(hsk, cts):
+        v = value % p
+        if v > p // 2:
+            v -= p
+        out.append(v & 1)
+    return tuple(out)
 
 
 def well_formed(hpk, cts):
     """True when every ciphertext has this key pair's length, tag and id."""
     try:
-        for ct in cts:
-            _unpack(hpk, ct)
+        _check_word(hpk, cts)
     except HeError:
         return False
     return True
@@ -244,14 +271,15 @@ def _tr_outputs(hpk, inputs, labels, bits):
     sha256("tr-eval-v2", key id, inputs, label k)[:24], inputs being the
     digest of the joined input ciphertexts."""
     prefix = b"tr-eval-v2" + hpk.key_id + inputs
-    return [_pack(hpk, _tr_payload(bit, hashlib.sha256(prefix + label).digest()[:24]))
+    return [_pack(hpk, bytes([bit]) + hashlib.sha256(prefix + label).digest()[:24])
             for label, bit in zip(labels, bits)]
 
 
 def _eval_transparent(hpk, circuit, cts):
-    bits = tuple(_unpack(hpk, ct)[0] & 1 for ct in cts)
+    joined = _check_word(hpk, cts)
+    bits = tuple(joined[9::hpk.lam_bytes].translate(_LOW_BIT))
     name = circuit.gates_digest()
-    return _tr_outputs(hpk, hashlib.sha256(b"".join(cts)).digest(),
+    return _tr_outputs(hpk, hashlib.sha256(joined).digest(),
                        [f"{name}:{w}".encode() for w in circuit.outputs],
                        simulate(circuit, bits))
 
@@ -262,8 +290,11 @@ for tt in range(16):
     _ANF[tt] = (t00, t01 ^ t00, t10 ^ t00, t11 ^ t10 ^ t01 ^ t00)
 
 
-def _she_wires(hpk, cts):
-    return [_she_open(hpk, _unpack(hpk, ct)) for ct in cts]
+def _she_wires(h, cts):
+    """The (value, noise) pair of each integer-she ciphertext."""
+    _check_word(h, cts)
+    return [(int.from_bytes(ct[11:], "big"), int.from_bytes(ct[9:11], "big"))
+            for ct in cts]
 
 
 def _eval_she(hpk, circuit, wires):
@@ -361,35 +392,41 @@ class _TransparentProgram:
 
     def __init__(self, hpk, u, cts):
         _, sb, plen = uc_layout(u.n_data, u.g, u.m)
-        bits = [_unpack(hpk, ct)[0] & 1 for ct in cts]
+        joined = _check_word(hpk, cts)
+        # program bit i is bit i of one int, read from the bits' text
+        program = int(joined[9::hpk.lam_bytes].translate(_BIT_TEXT)[::-1], 2)
         zero = u.n_data  # the bus's constant-zero line
+
+        def field(pos, k):  # the k bits from pos, least significant first
+            return program >> pos & ((1 << k) - 1)
 
         def line(pos, lines):
             # a selector past the bus as it stands reads the zero line
-            sel = sum(bits[pos + k] << k for k in range(sb))
+            sel = field(pos, sb)
             return sel if sel < lines else zero
 
         width = 2 * sb + 4
         self.slots = tuple(  # (left line, right line, truth table)
             (line(pos, zero + 1 + j), line(pos + sb, zero + 1 + j),
-             sum(bits[pos + 2 * sb + k] << k for k in range(4)))
+             field(pos + 2 * sb, 4))
             for j, pos in enumerate(range(0, u.g * width, width)))
         self.outs = tuple(line(pos, zero + 1 + u.g)
                           for pos in range(u.g * width, plen, sb))
         self.labels = tuple(f"{u.name}:{k}".encode() for k in range(u.m))
-        self.inputs = hashlib.sha256(b"".join(cts))
+        self.inputs = hashlib.sha256(joined)
         self.hpk, self.u = hpk, u
 
     def run(self, data_cts):
         """The slots, one by one: each looks up its truth table at
         (a << 1) | c, a and c being the bus lines it names."""
         _check_data(self.u, data_cts)
-        bus = [_unpack(self.hpk, ct)[0] & 1 for ct in data_cts]
+        joined = _check_word(self.hpk, data_cts)
+        bus = list(joined[9::self.hpk.lam_bytes].translate(_LOW_BIT))
         bus.append(0)
         for l, r, tt in self.slots:
             bus.append(tt >> (bus[l] << 1 | bus[r]) & 1)
         inputs = self.inputs.copy()
-        inputs.update(b"".join(data_cts))
+        inputs.update(joined)
         return _tr_outputs(self.hpk, inputs.digest(), self.labels,
                            [bus[s] for s in self.outs])
 

@@ -20,11 +20,11 @@ function each below.
 Everything exchanged is recorded; the audit module replays it.
 """
 
-import base64
 import copy
 import functools
 import hashlib
 import random
+from binascii import a2b_base64, b2a_base64
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -86,17 +86,18 @@ def str_bits(s):
 
 
 def cts_b64(cts):
-    return [base64.b64encode(ct).decode("ascii") for ct in cts]
+    return [b2a_base64(ct, newline=False).decode("ascii") for ct in cts]
 
 
 def b64_cts(items):
     try:
-        out = [base64.b64decode(x, validate=True) for x in items]
+        out = [a2b_base64(x) for x in items]
     except Exception as exc:
         raise ProtocolError(f"bad ciphertext encoding: {exc}") from exc
-    # b64decode drops the unused trailing bits of the last symbol, so two
-    # distinct strings can decode to the same bytes; insist on the canonical
-    # spelling so transcripts have a single byte representation
+    # a2b_base64 skips characters outside the alphabet and drops the unused
+    # trailing bits of the last symbol, so distinct strings can decode to the
+    # same bytes; insist on the canonical spelling, so that transcripts have
+    # a single byte representation and only that spelling is accepted
     if cts_b64(out) != list(items):
         raise ProtocolError("non-canonical ciphertext encoding")
     return out
@@ -208,46 +209,65 @@ class PublicParams:
             programs = {int(i): b64_cts(p) for i, p in d["programs"].items()}
         except (AttributeError, TypeError, ValueError, he.HeError) as exc:
             raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
-        _refuse_unwalkable(d["structure"])
+        _refuse_unwalkable(d["structure"], programs)
         return cls(hpk=hpk, u_params=tuple(u_params), structure=d["structure"],
                    programs=programs)
 
 
-def _refuse_unwalkable(structure):
-    """Refuse a structure the verifier could not walk. A table step cycles a
-    table's input ciphertexts to the bus width, so every published table
-    needs a port and every port a producer; an input producer names a
-    published external input; external inputs and output groups carry a
-    type that a word encodes, int or bool; every table has an int index and
-    a bool external flag; and every output group has a str name and a list
-    of int table indices."""
+def _refuse_unwalkable(structure, programs):
+    """Refuse a structure the verifier could not walk. Every table has an
+    int index and a bool external flag, and the indices are 1..n in order,
+    which are the programs' keys. A table step cycles a table's input
+    ciphertexts to the bus width, so every table needs a port and every port
+    a producer. A producer is an input, which names a published external
+    input, or a table, which names an earlier one. External inputs and
+    output groups carry a type that a word encodes, int or bool. Every
+    output group has a str name and a list of the indices of one or more
+    external tables."""
     try:
+        tables = structure["tables"]
         if any(type(t["index"]) is not int or type(t["external"]) is not bool
-               for t in structure["tables"]):
+               for t in tables):
             raise ProtocolError("published tables need an int index and a "
                                 "bool external flag")
+        indices = [t["index"] for t in tables]
+        if indices != list(range(1, len(tables) + 1)) or set(indices) != set(programs):
+            raise ProtocolError(f"published tables are indexed {indices}; they need "
+                                "1..n in order, one program each")
         if any(not isinstance(group["name"], str)
                or not isinstance(group["tables"], list)
                or any(type(i) is not int for i in group["tables"])
                for group in structure["outputs"]):
             raise ProtocolError("published output groups need a str name and "
                                 "a list of int table indices")
+        external = {t["index"] for t in tables if t["external"]}
+        for group in structure["outputs"]:
+            if not group["tables"] or not set(group["tables"]) <= external:
+                raise ProtocolError(f"published output group {group['name']!r} "
+                                    "needs one or more external tables")
         types = [t for _, t in structure["external_inputs"]]
         types += [group["type"] for group in structure["outputs"]]
         if any(t not in WORD_TYPES for t in types):
             raise ProtocolError("published structure has a type other than "
                                 "int or bool")
         inputs = {name for name, _ in structure["external_inputs"]}
-        for t in structure["tables"]:
+        for t in tables:
+            i = t["index"]
             if not t["ports"]:
-                raise ProtocolError(f"published table {t.get('index')} has no ports")
+                raise ProtocolError(f"published table {i} has no ports")
             if any(not port["producers"] for port in t["ports"]):
-                raise ProtocolError(f"published table {t.get('index')} has a port "
-                                    "with no producers")
-            if any(kind == "input" and ref not in inputs
-                   for port in t["ports"] for kind, ref in port["producers"]):
-                raise ProtocolError(f"published table {t.get('index')} reads an "
-                                    "input that is not published")
+                raise ProtocolError(f"published table {i} has a port with no "
+                                    "producers")
+            for kind, ref in (p for port in t["ports"] for p in port["producers"]):
+                if kind not in ("input", "table"):
+                    raise ProtocolError(f"published table {i} has a producer of "
+                                        f"kind {kind!r}")
+                if kind == "input" and ref not in inputs:
+                    raise ProtocolError(f"published table {i} reads an input that "
+                                        "is not published")
+                if kind == "table" and not (type(ref) is int and 0 < ref < i):
+                    raise ProtocolError(f"published table {i} reads table {ref!r}, "
+                                        "which is not an earlier table")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ProtocolError(f"published structure does not parse: {exc!r}") from None
 

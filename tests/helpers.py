@@ -93,14 +93,19 @@ def simulate_batch(c, columns, width):
     return [wires[w] & mask for w in c.outputs]
 
 
-def mutate_certificate(cert, rng):
+def scalar_leaves(cert):
+    """(path, value) of every scalar leaf of cert, in json_leaves order."""
+    return [(p, v) for p, v in json_leaves(cert) if not isinstance(v, (dict, list))]
+
+
+def mutate_certificate(cert, rng, leaves):
     """Copy of cert with one randomly chosen scalar leaf perturbed.
 
-    Leaves are drawn in json_leaves order (dict keys sorted). Only the dicts
-    and lists on the path to the chosen leaf are copied; the rest is shared
-    with cert, which is left unchanged.
+    leaves is scalar_leaves(cert), listed once for all the mutations of
+    cert; the leaf is drawn from it. Only the dicts and lists on the path to
+    the chosen leaf are copied; the rest is shared with cert, which is left
+    unchanged.
     """
-    leaves = [(p, v) for p, v in json_leaves(cert) if not isinstance(v, (dict, list))]
     path, value = leaves[rng.randrange(len(leaves))]
     if isinstance(value, bool):
         new = not value

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from helpers import mutate_certificate, simulate_batch
+from helpers import mutate_certificate, scalar_leaves, simulate_batch
 from tabverify import audit as audit_mod
 from tabverify import he
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
@@ -194,9 +194,10 @@ def test_c5_honest_audit_one_mutations_zero():
     assert ok == 1
     t0 = time.time()
     rng = random.Random(505)
+    leaves = scalar_leaves(cert)
     undetected = 0
     for _ in range(1000):
-        mutated = mutate_certificate(cert, rng)
+        mutated = mutate_certificate(cert, rng, leaves)
         if audit_mod.audit(mutated)[0] != 0:
             undetected += 1
     elapsed = time.time() - t0

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import mutate_certificate
+from helpers import mutate_certificate, scalar_leaves
 from tabverify.audit import (
     AuditError,
     ReplayChannel,
@@ -273,10 +273,10 @@ def test_mutate_certificate_draws_recorded_leaves():
         (HONEST_CERT, "073f2812b332acdd9a8b6e4f1d1c721a7ff3d47140ad4e5cd09393cd8d473320"),
         (GENERAL_CERT, "7bf23654d8b129895bfe2ebcd76c14f4271c52cb87f1fbfdb29d9e06d1fb9caf"),
     ):
-        rng = random.Random(42)
+        rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()
         for _ in range(5):
-            h.update(canonical_json(mutate_certificate(cert, rng)).encode())
+            h.update(canonical_json(mutate_certificate(cert, rng, leaves)).encode())
         assert h.hexdigest() == want
 
 
@@ -285,8 +285,9 @@ def test_mutations_detected(mode):
     cert = HONEST_CERT if mode == "honest" else GENERAL_CERT
     rng = random.Random(42)
     before = canonical_json(cert)
+    leaves = scalar_leaves(cert)
     for _ in range(25):
-        mutated = mutate_certificate(cert, rng)
+        mutated = mutate_certificate(cert, rng, leaves)
         ok, report = audit(mutated)
         assert ok == 0, report
     # mutated copies share all but one path with cert; audits change none of it

@@ -292,6 +292,24 @@ def edited_pp(pp, fault):
         del pp["structure"]["tables"][0]["index"]
     elif fault == "external-missing":
         del pp["structure"]["tables"][0]["external"]
+    elif fault == "index-skips":  # table 8 renumbered 9; its program stays 8
+        pp["structure"]["tables"][7]["index"] = 9
+    elif fault == "program-key-skips":
+        pp["programs"]["9"] = pp["programs"].pop("8")
+    elif fault.startswith("producer-"):  # table 7 reads tables 1-4
+        producer = pp["structure"]["tables"][6]["ports"][0]["producers"][0]
+        assert producer == ["table", 1]
+        kind, ref = {"producer-kind-tabel": ("tabel", 1),
+                     "producer-same-table": ("table", 7),
+                     "producer-later-table": ("table", 8),
+                     "producer-missing-table": ("table", 9)}[fault]
+        producer[:] = [kind, ref]
+    elif fault.startswith("output-") and fault.endswith("-table"):
+        group = pp["structure"]["outputs"][0]  # c, from tables 5 and 6
+        assert group["tables"] == [5, 6]
+        group["tables"] = [1, 6] if fault == "output-internal-table" else [5, 9]
+    elif fault == "output-no-tables":
+        pp["structure"]["outputs"][0]["tables"] = []
     else:
         assert fault == "port-no-producers"
         pp["structure"]["tables"][0]["ports"][0]["producers"] = []
@@ -303,7 +321,10 @@ PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
              "program-short", "structure-empty", "table-no-ports",
              "port-no-producers", "input-renamed", "input-unpublished",
              "output-type-str", "output-tables-int", "output-name-list",
-             "index-str", "index-missing", "external-missing"]
+             "index-str", "index-missing", "external-missing", "index-skips",
+             "program-key-skips", "producer-kind-tabel", "producer-same-table",
+             "producer-later-table", "producer-missing-table",
+             "output-internal-table", "output-missing-table", "output-no-tables"]
 
 
 @pytest.mark.parametrize("bad", [
