@@ -28,7 +28,7 @@ from .protocol import (
 )
 from .vga import coverage_report
 
-CERT_FORMAT = "tabverify-cert-v4"
+CERT_FORMAT = "tabverify-cert-v5"
 
 
 class AuditError(Exception):

@@ -10,7 +10,13 @@ afterwards would require a seed matching q exposed bits and a codeword
 within masked distance, which the verified distance rules out (Naor, "Bit
 commitment using pseudorandomness", J. Cryptology 1991).
 
-Longer data is split into independently committed blocks.
+Longer data is split into independently committed blocks, the last one
+padded with zeros. The protocol's code, gen_code(), holds 8 data bits per
+block with q = 256, so R is 512 bits: a 16-bit word takes two blocks and a
+half word one. The length bound on q does not depend on the block size,
+so larger blocks mean fewer of them; 16 bits would halve them again, but
+the distance check covers all 2^m_c - 1 nonzero codewords, and at 16 bits
+that costs each party tens of milliseconds in every set-up.
 """
 
 import itertools
@@ -70,7 +76,7 @@ def required_length(m_c, eps, K):
     return c * m_c
 
 
-def gen_code(m_c=4, eps=EPSILON, K=16, seed=0):
+def gen_code(m_c=8, eps=EPSILON, K=16, seed=0):
     """Random linear code with verified distance >= eps * q."""
     if not 1 <= m_c <= 16:
         raise CommitError("message block must be 1..16 bits")
@@ -82,13 +88,12 @@ def gen_code(m_c=4, eps=EPSILON, K=16, seed=0):
     rng = random.Random(seed)
     for _ in range(MAX_CODE_RETRIES):
         rows = tuple(rng.getrandbits(q) for _ in range(m_c))
-        d_min = q
-        for msg in range(1, 1 << m_c):
-            word = 0
-            for i in range(m_c):
-                if (msg >> i) & 1:
-                    word ^= rows[i]
-            d_min = min(d_min, bin(word).count("1"))
+        # every nonzero codeword in Gray-code order: codeword k differs from
+        # codeword k - 1 by the row of k's lowest set bit, one XOR each
+        d_min, word = q, 0
+        for k in range(1, 1 << m_c):
+            word ^= rows[(k & -k).bit_length() - 1]
+            d_min = min(d_min, word.bit_count())
             if d_min < need:
                 break
         if d_min >= need:

@@ -54,7 +54,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 4  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 5  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
 SE_KEY_BITS = 16  # the verifier's session key and each commitment seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
@@ -158,6 +158,11 @@ class PublicParams:
     # table index -> he.prepare of its program, filled by program()
     _prepared: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    # table index -> the published base64 strings of its program, which
+    # from_dict has checked to be their canonical spelling; to_dict hands
+    # them back instead of encoding every program ciphertext again
+    _programs_b64: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     FIELDS = ("hpk", "u_params", "structure", "programs")
 
@@ -178,11 +183,13 @@ class PublicParams:
         return prepared
 
     def to_dict(self):
+        programs = self._programs_b64 or {
+            i: cts_b64(p) for i, p in self.programs.items()}
         return {
             "hpk": he.hpk_to_dict(self.hpk),
             "u_params": list(self.u_params),
             "structure": self.structure,
-            "programs": {str(i): cts_b64(p) for i, p in self.programs.items()},
+            "programs": {str(i): list(p) for i, p in programs.items()},
         }
 
     @classmethod
@@ -210,8 +217,10 @@ class PublicParams:
         except (AttributeError, TypeError, ValueError, he.HeError) as exc:
             raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
         _refuse_unwalkable(d["structure"], programs)
-        return cls(hpk=hpk, u_params=tuple(u_params), structure=d["structure"],
-                   programs=programs)
+        pp = cls(hpk=hpk, u_params=tuple(u_params), structure=d["structure"],
+                 programs=programs)
+        pp._programs_b64 = {int(i): list(p) for i, p in d["programs"].items()}
+        return pp
 
 
 def _refuse_unwalkable(structure, programs):

@@ -1,5 +1,5 @@
 """Shared test utilities: random circuit generation, bit conversions, batch
-simulation, certificate mutation and a narrow design."""
+simulation, certificate mutation and two small designs."""
 
 import copy
 import random
@@ -27,6 +27,11 @@ edges:
   T.y -> Output.y;
 """
 NARROW_DOMAINS = {"x": list(range(-3, 4))}
+
+# the same design at width 12: a 12-bit word is one 8-bit commitment block
+# and one 4-bit block padded to 8, and a 6-bit half word one block padded
+# by 2 bits, so every checker round ends in padding
+WIDTH12_TEXT = NARROW_TEXT.replace("width: 6;", "width: 12;")
 
 
 def random_circuit(rng, n_inputs, n_gates, n_outputs=1, max_mult_depth=None):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import mutate_certificate, scalar_leaves
+from helpers import NARROW_DOMAINS, WIDTH12_TEXT, mutate_certificate, scalar_leaves
 from tabverify.audit import (
     AuditError,
     ReplayChannel,
@@ -63,20 +63,20 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 4.
+# Recorded at certificate version 5.
 CERT_DIGESTS = {
-    "demo-honest": "8bea979b8386e6005908b7a0259617afb91498fb41d5dda31d5fd8733360db82",
-    "demo-general": "7e1d1d3f9d5201c56820013a7cac6627c72034c84c065b45e3c3e0335b6af071",
-    "chain-honest": "fb96f84e3a3922484dcbf00a542c90441526baa70c3cfae74c2efee7e29cd617",
-    "chain-general": "34c076379a4f185cd9130ceda868d990623e1c5c28c87f50dac4a3d30845e770",
-    "diamond-honest": "808637f6ff05f252cad535185931c672a0ab2540bc87618890a03e4afc5f075a",
-    "diamond-general": "20da2ce39e33ed9ca0a5cc379f2b2cfbd72fcfb493dfedf8fa3d3a278ed93ce8",
-    "flip-payload-honest": "2c19703c78dae145f2e6c2899943cfe52a4d6999498aef5d2baca4a23ffeef1d",
-    "flip-tag-honest": "2d449ef6bb371ad5f803764de6c9e8d04ff877bda30f9ab1222e164a11c9caf2",
-    "swap-answers-honest": "b9a94b5186585e4ad33a1cc80abd188fba9985ed4dbcdee47686cc9be310f62f",
-    "flip-payload-general": "1451826d291d933803581d810c7c9c4de3a034bcc05f39c02fa69eecae64e650",
-    "flip-tag-general": "e568d3cdf450344b580e22d16515fc452053e9da8bf640ab6ad1269a9ce59c37",
-    "swap-answers-general": "6310268c96813fe8a9bd882cabd5c3a63c96893a8e8b81f5d315bbadb0a0945b",
+    "demo-honest": "a6f4b281675e10f7863268069d05fcb635951cca8e384fba45272772affa7997",
+    "demo-general": "e94dd02ea1b121d7937be89a193a1918a26f5edafe8b1e2f7d35182817cc1b2c",
+    "chain-honest": "f160e6614eadb9d1aa6d37ea99f8b3a3fd1b529f2b36646498b7198d708e985f",
+    "chain-general": "d83e75e123367a70ce34851b08cb42c04d6a09a9409fe9cb6f8e631753712a1f",
+    "diamond-honest": "f5bdcd2bd4c4d4502616c167ef2ea1645df4fc05f66b9f2f945232f6997a8150",
+    "diamond-general": "464f31162756e66c19b8d7b96bf98bc0eb99e1b9c10233183f15f3a4b119224b",
+    "flip-payload-honest": "9ebb910402077021e034b2eacffc92866277986a9b06b233a338b7e555c1b8c1",
+    "flip-tag-honest": "88e936802a8bcfb5de24d42e533559d593ee262e6d7ff82f6cbc4e11528dcc19",
+    "swap-answers-honest": "1d7ed9a816cd405faf5aaf06f26a3838cdd9b317503a3a2e1047f40cf405380e",
+    "flip-payload-general": "28e75663bafaca654a68330bb7399c30f8d1143161e18ecdbbce4b39e1a47e56",
+    "flip-tag-general": "504f8f6a12622a2d786424ce2c1e3dec8257171fc23a998d4c24786b9ae9f283",
+    "swap-answers-general": "890ac28f4e180730a4b6ee92c2dddab8259501506317bb951c86ad1583d7a8f3",
 }
 
 
@@ -118,23 +118,23 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v4"}
+           "format": "tabverify-cert-v5"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
 
-def test_version_3_certificate_is_refused_by_name(tmp_path):
-    cert = dict(HONEST_CERT, version=3)
+def test_version_4_certificate_is_refused_by_name(tmp_path):
+    cert = dict(HONEST_CERT, version=4)
     cert["binding"] = session_binding(cert)
     ok, report = replay(cert)
     assert not ok
-    assert report["reason"] == "certificate version 3 is not supported"
+    assert report["reason"] == "certificate version 4 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v4",
-                                             "tabverify-cert-v3"))
+    path.write_text(path.read_text().replace("tabverify-cert-v5",
+                                             "tabverify-cert-v4"))
     with pytest.raises(AuditError, match="unknown certificate format "
-                                         "'tabverify-cert-v3'"):
+                                         "'tabverify-cert-v4'"):
         load_certificate(path)
 
 
@@ -242,6 +242,27 @@ def test_unopenable_checker_record_is_named(k):
         assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"
 
 
+def test_padded_blocks_open_and_their_padding_is_committed():
+    # at width 12 the last block of every checker round is padded with
+    # zeros; the session accepts and audits, and a padding bit flipped in
+    # a stored opening no longer opens
+    verdict, cert = make_cert("general", graph=parse_graph(WIDTH12_TEXT),
+                              domains=NARROW_DOMAINS, cp=[])
+    assert verdict == "accept", cert["failures"]
+    ok, report = audit(cert)
+    assert ok == 1, report
+    shapes = {(len(r["a"]["d"]), len(r["s"]["blocks"])) for r in cert["qa_c"]}
+    assert shapes == {(12, 2), (6, 1)}
+    for k in range(len(cert["qa_c"])):
+        bad = copy.deepcopy(cert)
+        block = bad["qa_c"][k]["s"]["blocks"][-1]
+        assert block["data"][-1] == "0"  # padding
+        block["data"] = block["data"][:-1] + "1"
+        ok, report = audit(bad)
+        assert ok == 0, k
+        assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"
+
+
 def test_first_difference():
     doc = {"b": [1, {"c": "x", "d": []}], "a": True}
     assert first_difference(doc, copy.deepcopy(doc)) == "$"
@@ -270,8 +291,8 @@ def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded when
     # mutate_certificate still worked on a full JSON copy of the certificate
     for cert, want in (
-        (HONEST_CERT, "073f2812b332acdd9a8b6e4f1d1c721a7ff3d47140ad4e5cd09393cd8d473320"),
-        (GENERAL_CERT, "7bf23654d8b129895bfe2ebcd76c14f4271c52cb87f1fbfdb29d9e06d1fb9caf"),
+        (HONEST_CERT, "23b115302188f9a86c7d94be49c35937c2930ab0a763b73467c40ec8a225ebaf"),
+        (GENERAL_CERT, "d0d5e5978cd104b16ca0ea46b5274600cf862f55d414a7ab894c80519428f870"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

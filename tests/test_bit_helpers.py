@@ -97,7 +97,7 @@ def test_prg_matches_the_reference(seed, n):
     assert prg(seed, n) == ref_prg(seed, n)
 
 
-@pytest.mark.parametrize("q", [1, 3, CODE.q])
+@pytest.mark.parametrize("q", [1, 3, CODE.q, gen_code().q])
 def test_choose_challenge_draws_like_the_reference(q):
     for seed in range(100):
         fast, ref = random.Random(seed), random.Random(seed)
@@ -107,9 +107,10 @@ def test_choose_challenge_draws_like_the_reference(q):
 
 def test_commit_respond_matches_the_reference():
     rng = random.Random(31)
-    for _ in range(200):
-        D = tuple(rng.getrandbits(1) for _ in range(CODE.m_c))
-        R = choose_challenge(CODE.q, rng)
-        s = tuple(rng.getrandbits(1) for _ in range(16))
-        commit = commit_respond(D, R, s, CODE)
-        assert (commit.e, commit.exposed) == ref_commit_respond(D, R, s, CODE)
+    for code in (CODE, gen_code()):  # 4 data bits per block, and 8
+        for _ in range(200):
+            D = tuple(rng.getrandbits(1) for _ in range(code.m_c))
+            R = choose_challenge(code.q, rng)
+            s = tuple(rng.getrandbits(1) for _ in range(16))
+            commit = commit_respond(D, R, s, code)
+            assert (commit.e, commit.exposed) == ref_commit_respond(D, R, s, code)

@@ -5,12 +5,15 @@ import random
 import pytest
 
 from tabverify.commitment import (
+    MAX_CODE_RETRIES,
+    CodeSpec,
     CommitError,
     CommitMessage,
     RevealMessage,
     choose_challenge,
     commit_respond,
     gen_code,
+    required_length,
     split_blocks,
     verify_reveal,
 )
@@ -36,6 +39,48 @@ def test_code_repetition_single_bit():
 def test_code_unsatisfiable():
     with pytest.raises(CommitError):
         gen_code(m_c=4, eps=(1, 1), K=16, seed=0)
+
+
+def ref_gen_code(m_c, eps=(1, 4), K=16, seed=0):
+    """gen_code as it was before the Gray-code order: every codeword built
+    from its message bits, in message order."""
+    num, den = eps
+    q = required_length(m_c, eps, K)
+    need = math.ceil(q * num / den)
+    rng = random.Random(seed)
+    for _ in range(MAX_CODE_RETRIES):
+        rows = tuple(rng.getrandbits(q) for _ in range(m_c))
+        d_min = q
+        for msg in range(1, 1 << m_c):
+            word = 0
+            for i in range(m_c):
+                if (msg >> i) & 1:
+                    word ^= rows[i]
+            d_min = min(d_min, bin(word).count("1"))
+            if d_min < need:
+                break
+        if d_min >= need:
+            return CodeSpec(m_c=m_c, q=q, eps=eps, K=K, rows=rows,
+                            d_min=d_min, seed=seed)
+    raise CommitError("could not generate a code with the required distance")
+
+
+@pytest.mark.parametrize("m_c", range(1, 11))
+def test_gray_code_distance_check_matches_the_nested_loop(m_c):
+    for seed in range(21):
+        assert gen_code(m_c=m_c, seed=seed) == ref_gen_code(m_c, seed=seed)
+
+
+def test_protocol_code_commits_8_bits_per_block():
+    # the code every party builds with gen_code(): a constant of the
+    # certificate format, so its rows are pinned here
+    code = gen_code()
+    assert (code.m_c, code.q) == (8, 256)
+    assert code.d_min >= 64
+    rows = ",".join(map(str, code.rows)).encode()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "d3e1eb4de80676b34c5db9fa4f9056e90dbc20c30e8e3fad99bc7ca9079a1e37"
+    )
 
 
 def test_code_deterministic_in_seed():

@@ -65,6 +65,20 @@ def test_public_params_round_trip():
     assert pp2.programs == dev.pp.programs
 
 
+def test_published_programs_are_handed_back_not_encoded_again(monkeypatch):
+    # from_dict has checked each published string to be the canonical
+    # spelling of its ciphertext, so to_dict returns copies of those strings
+    from tabverify import protocol
+
+    d = make_dev().pp.to_dict()
+    pp = PublicParams.from_dict(d)
+    monkeypatch.setattr(protocol, "cts_b64", None)  # any call would fail
+    out = pp.to_dict()
+    assert out == d
+    out["programs"]["1"][0] = "changed"
+    assert pp.to_dict() == d
+
+
 def test_structure_hides_design_details():
     dev = make_dev()
     blob = canonical_json(dev.pp.structure)
