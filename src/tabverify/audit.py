@@ -22,13 +22,12 @@ from .protocol import (
     CERT_VERSION,
     SessionFailure,
     Verifier,
-    b64_cts,
     session_binding,
     str_bits,
 )
 from .vga import coverage_report
 
-CERT_FORMAT = "tabverify-cert-v5"
+CERT_FORMAT = "tabverify-cert-v6"
 
 
 class AuditError(Exception):
@@ -100,7 +99,7 @@ def _rebuild_verifier(cert):
     kwargs = {}
     if cert["mode"] == "general":
         kwargs["sk"] = str_bits(cert["sk"])
-        kwargs["ct_sk"] = b64_cts(cert["ct_sk"])
+        kwargs["ct_sk"] = cert["ct_sk"]
     v = Verifier(
         cert["public_params"],
         g_spec,

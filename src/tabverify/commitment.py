@@ -103,15 +103,26 @@ def gen_code(m_c=8, eps=EPSILON, K=16, seed=0):
     raise CommitError("could not generate a code with the required distance")
 
 
-def choose_challenge(q, rng):
-    """Uniform weight-q vector of length 2q."""
-    R = bytearray(2 * q)
-    for i in rng.sample(range(2 * q), q):
-        R[i] = 1
-    return tuple(R)
-
-
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a challenge's complement
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def choose_challenge(q, rng):
+    """Uniform weight-q vector of length 2q. Position i starts as bit i of
+    2q random bits; then a uniform sample of the ones beyond q is cleared, or
+    of the zeros short of q set. Both steps commute with every permutation
+    of the positions, and the weight-q vectors are one orbit of those, so
+    each is equally likely. The sample is of about |weight - q| positions
+    (9 on average at q = 256), not of q."""
+    n = 2 * q
+    R = bytearray(format(rng.getrandbits(n), f"0{n}b")[::-1].encode("ascii")
+                  .translate(_DIGIT_BITS))
+    excess = R.count(1) - q
+    if excess:
+        pool = R if excess > 0 else R.translate(_FLIP)
+        for i in rng.sample(list(itertools.compress(range(n), pool)), abs(excess)):
+            R[i] ^= 1
+    return tuple(R)
 
 
 def _check_challenge(R, q):

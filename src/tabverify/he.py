@@ -20,20 +20,21 @@ Two backends share the same ciphertext container and operations:
                 corrupted.
 
 Ciphertexts are fixed-length byte strings: backend tag, 8-byte key id, then
-the backend payload padded to the key pair's length. Code that reads
-ciphertexts reads a word of them at a time: _check_word is the one check of
-a ciphertext (bytes, the key pair's length, tag and key id) and hands back
-the word joined into one byte string, on which each header byte, and each
-transparent bit, of every ciphertext is one strided slice. enc_word on the
-transparent backend draws all its nonces in one call, 192 bits per
-ciphertext; from a random.Random these are the same nonces, and leave the
-same state, as one draw per ciphertext.
+the backend payload padded to the key pair's length. A word of ciphertexts
+is one bytes value, their concatenation, in every layer: enc_word and
+eval_word return one, a prepared program's run takes and returns one, and
+dec_word, well_formed and prepare take one. _check_word is the one check of
+a word (bytes, a whole number of the key pair's ciphertexts, each with its
+tag and key id); each header byte, and each transparent bit, of every
+ciphertext is one strided slice of the word. enc_word on the transparent
+backend draws all its nonces in one call, 192 bits per ciphertext; from a
+random.Random these are the same nonces, and leave the same state, as one
+draw per ciphertext.
 """
 
 import hashlib
 import os
 from dataclasses import dataclass
-from itertools import repeat
 
 from .circuit import simulate, uc_layout
 
@@ -156,7 +157,6 @@ def keygen(K, kind="transparent", config=None, rng=None):
 
 
 _TAGS = {"transparent": TAG_TRANSPARENT, "integer-she": TAG_SHE}
-_BYTES = (bytes, bytearray)
 _LOW_BIT = bytes(b & 1 for b in range(256))  # a transparent bit byte -> its bit
 _BIT_TEXT = b"01" * 128  # the same, as the ASCII digit
 
@@ -168,24 +168,23 @@ def _pack(hpk, payload):
     return blob
 
 
-def _check_word(h, cts):
-    """The ciphertexts of a word joined into one byte string, once each is
-    bytes of the key pair's length with its backend tag and key id; h is
-    either half of the key pair. HeError names the first of these checks
-    that some ciphertext fails. The one ciphertext check: it reads each
-    header byte of every ciphertext at once, as a strided slice of the
-    join."""
-    if not all(map(isinstance, cts, repeat(_BYTES))):
-        raise HeError("ciphertext must be bytes")
+def _check_word(h, word):
+    """The number of ciphertexts in word, once it is bytes of a whole number
+    of the key pair's ciphertexts, each with its backend tag and key id; h
+    is either half of the key pair. HeError names the first of these checks
+    that the word fails. The one ciphertext check: it reads each header
+    byte of every ciphertext at once, as a strided slice of the word."""
+    if not isinstance(word, bytes):
+        raise HeError("ciphertext word must be bytes")
     lam = h.lam_bytes
-    if set(map(len, cts)) - {lam}:
+    n, rest = divmod(len(word), lam)
+    if rest:
         raise HeError("malformed ciphertext length")
-    joined, n = b"".join(cts), len(cts)
-    if joined[::lam] != bytes([_TAGS[h.kind]]) * n:
+    if word[::lam] != bytes([_TAGS[h.kind]]) * n:
         raise HeError("malformed ciphertext (backend tag)")
-    if any(joined[k::lam] != h.key_id[k - 1:k] * n for k in range(1, 9)):
+    if any(word[k::lam] != h.key_id[k - 1:k] * n for k in range(1, 9)):
         raise HeError("ciphertext does not match this key pair")
-    return joined
+    return n
 
 
 def _she_payload(hpk, value, noise_bits):
@@ -197,15 +196,17 @@ def _she_payload(hpk, value, noise_bits):
 
 
 def enc(hpk, bit, rng=None):
-    return enc_word(hpk, (bit,), rng)[0]
+    """One fresh ciphertext: a word of one."""
+    return enc_word(hpk, (bit,), rng)
 
 
 def enc_word(hpk, bits, rng=None):
-    """One fresh ciphertext per bit; HeError when an item is not a bit. The
-    transparent backend draws every nonce in one _randbits call of 192 bits
-    per ciphertext. A random.Random fills such a draw 32 bits at a time from
-    the low end, so nonce j is chunk j of its little-endian bytes, reversed:
-    the same nonces, and the same rng state, as one 192-bit draw each."""
+    """The word of one fresh ciphertext per bit; HeError when an item is not
+    a bit. The transparent backend draws every nonce in one _randbits call
+    of 192 bits per ciphertext. A random.Random fills such a draw 32 bits at
+    a time from the low end, so nonce j is chunk j of its little-endian
+    bytes, reversed: the same nonces, and the same rng state, as one 192-bit
+    draw each."""
     bits = tuple(bits)
     try:
         plain = bytes(map(int, bits)) if set(bits) <= {0, 1} else None
@@ -214,17 +215,16 @@ def enc_word(hpk, bits, rng=None):
     if plain is None:
         raise HeError("plaintext must be a bit")
     if hpk.kind != "transparent":
-        return [_enc_she(hpk, bit, rng) for bit in plain]
+        return b"".join([_enc_she(hpk, bit, rng) for bit in plain])
     n, lam = len(plain), hpk.lam_bytes
     if not n:
-        return []
+        return b""
     nonces = _randbits(rng, 192 * n).to_bytes(24 * n, "little")
     word = bytearray((bytes([TAG_TRANSPARENT]) + hpk.key_id + bytes(25)) * n)
     word[9::lam] = plain
     for k in range(24):
         word[10 + k::lam] = nonces[23 - k::24]
-    word = bytes(word)
-    return [word[o:o + lam] for o in range(0, len(word), lam)]
+    return bytes(word)
 
 
 def _enc_she(hpk, bit, rng):
@@ -238,15 +238,21 @@ def _enc_she(hpk, bit, rng):
 
 
 def dec(hsk, ct):
-    return dec_word(hsk, (ct,))[0]
+    """The bit of one ciphertext."""
+    bits = dec_word(hsk, ct)
+    if len(bits) != 1:
+        raise HeError(f"expected one ciphertext, got {len(bits)}")
+    return bits[0]
 
 
-def dec_word(hsk, cts):
+def dec_word(hsk, word):
+    """The bits of a word, one per ciphertext."""
     if hsk.kind == "transparent":
-        return tuple(_check_word(hsk, cts)[9::hsk.lam_bytes].translate(_LOW_BIT))
+        _check_word(hsk, word)
+        return tuple(word[9::hsk.lam_bytes].translate(_LOW_BIT))
     p = hsk.p
     out = []
-    for value, _ in _she_wires(hsk, cts):
+    for value, _ in _she_wires(hsk, word):
         v = value % p
         if v > p // 2:
             v -= p
@@ -254,10 +260,10 @@ def dec_word(hsk, cts):
     return tuple(out)
 
 
-def well_formed(hpk, cts):
-    """True when every ciphertext has this key pair's length, tag and id."""
+def well_formed(hpk, word):
+    """True when word is ciphertexts of this key pair's length, tag and id."""
     try:
-        _check_word(hpk, cts)
+        _check_word(hpk, word)
     except HeError:
         return False
     return True
@@ -267,19 +273,20 @@ def well_formed(hpk, cts):
 
 
 def _tr_outputs(hpk, inputs, labels, bits):
-    """Transparent output ciphertexts: bit k with the nonce
+    """The word of transparent output ciphertexts: bit k with the nonce
     sha256("tr-eval-v2", key id, inputs, label k)[:24], inputs being the
-    digest of the joined input ciphertexts."""
+    digest of the input word."""
+    heads = (bytes([TAG_TRANSPARENT]) + hpk.key_id + b"\0",
+             bytes([TAG_TRANSPARENT]) + hpk.key_id + b"\1")
     prefix = b"tr-eval-v2" + hpk.key_id + inputs
-    return [_pack(hpk, bytes([bit]) + hashlib.sha256(prefix + label).digest()[:24])
-            for label, bit in zip(labels, bits)]
+    return b"".join([heads[bit] + hashlib.sha256(prefix + label).digest()[:24]
+                     for label, bit in zip(labels, bits)])
 
 
-def _eval_transparent(hpk, circuit, cts):
-    joined = _check_word(hpk, cts)
-    bits = tuple(joined[9::hpk.lam_bytes].translate(_LOW_BIT))
+def _eval_transparent(hpk, circuit, word):
+    bits = tuple(word[9::hpk.lam_bytes].translate(_LOW_BIT))
     name = circuit.gates_digest()
-    return _tr_outputs(hpk, hashlib.sha256(joined).digest(),
+    return _tr_outputs(hpk, hashlib.sha256(word).digest(),
                        [f"{name}:{w}".encode() for w in circuit.outputs],
                        simulate(circuit, bits))
 
@@ -290,11 +297,13 @@ for tt in range(16):
     _ANF[tt] = (t00, t01 ^ t00, t10 ^ t00, t11 ^ t10 ^ t01 ^ t00)
 
 
-def _she_wires(h, cts):
-    """The (value, noise) pair of each integer-she ciphertext."""
-    _check_word(h, cts)
-    return [(int.from_bytes(ct[11:], "big"), int.from_bytes(ct[9:11], "big"))
-            for ct in cts]
+def _she_wires(h, word):
+    """The (value, noise) pair of each integer-she ciphertext of a word."""
+    _check_word(h, word)
+    lam = h.lam_bytes
+    return [(int.from_bytes(word[o + 11:o + lam], "big"),
+             int.from_bytes(word[o + 9:o + 11], "big"))
+            for o in range(0, len(word), lam)]
 
 
 def _eval_she(hpk, circuit, wires):
@@ -338,67 +347,64 @@ def _eval_she(hpk, circuit, wires):
         if noise > limit:
             raise DepthBudgetError(f"noise {noise} bits exceeds budget {limit}")
         wires.append((val % x0, noise))
-    outs = []
-    for w in circuit.outputs:
-        val, noise = wires[w]
-        outs.append(_pack(hpk, _she_payload(hpk, val, noise)))
-    return outs
+    return b"".join([_pack(hpk, _she_payload(hpk, *wires[w]))
+                     for w in circuit.outputs])
 
 
-def eval_word(hpk, circuit, cts):
-    """Homomorphically evaluate every output of a gate-list circuit.
+def eval_word(hpk, circuit, word):
+    """The word of every output of a gate-list circuit on an input word.
 
     Deterministic: identical (key, circuit, inputs) give byte-identical
     results, which the audit's recomputation checks rely on. Output k is
     byte-identical to the one output of the same circuit cut down to its
     output wire k. A universal circuit runs its programs through prepare.
     """
-    if len(cts) != circuit.n_inputs:
-        raise HeError(
-            f"circuit expects {circuit.n_inputs} ciphertexts, got {len(cts)}"
-        )
+    n = _check_word(hpk, word)
+    if n != circuit.n_inputs:
+        raise HeError(f"circuit expects {circuit.n_inputs} ciphertexts, got {n}")
     if hpk.kind == "transparent":
-        return _eval_transparent(hpk, circuit, cts)
-    return _eval_she(hpk, circuit, _she_wires(hpk, cts))
+        return _eval_transparent(hpk, circuit, word)
+    return _eval_she(hpk, circuit, _she_wires(hpk, word))
 
 
 # --- prepared universal-circuit programs --------------------------------------------
 
 
-def prepare(hpk, u, program_cts):
-    """A program of the universal circuit u, parsed once for all the steps
-    that run it. Each program ciphertext is checked as every ciphertext is,
-    and a bad one raises HeError here. The result's run(data_cts) gives the
-    outputs of u on the program and those data ciphertexts."""
-    if len(program_cts) != u.program_length:
+def prepare(hpk, u, program):
+    """A program word of the universal circuit u, parsed once for all the
+    steps that run it. It is checked as every word is, and a bad one raises
+    HeError here. The result's run(data) gives the word of u's outputs on
+    the program and that data word."""
+    n = _check_word(hpk, program)
+    if n != u.program_length:
         raise HeError(f"universal circuit expects {u.program_length} program "
-                      f"ciphertexts, got {len(program_cts)}")
+                      f"ciphertexts, got {n}")
     if hpk.kind == "transparent":
-        return _TransparentProgram(hpk, u, program_cts)
-    return _SheProgram(hpk, u, program_cts)
+        return _TransparentProgram(hpk, u, program)
+    return _SheProgram(hpk, u, program)
 
 
-def _check_data(u, data_cts):
-    if len(data_cts) != u.n_data:
+def _check_data(hpk, u, data):
+    n = _check_word(hpk, data)
+    if n != u.n_data:
         raise HeError(f"universal circuit expects {u.n_data} data ciphertexts, "
-                      f"got {len(data_cts)}")
+                      f"got {n}")
 
 
 class _TransparentProgram:
     """The slots and output selectors a program's bits spell, and the input
-    hash already fed the joined program ciphertexts. Output k of a step is
-    named by u's construction and budget (u.name) and k, and its nonce
-    hashes the joined program and data ciphertexts, as eval_word's do."""
+    hash already fed the program word. Output k of a step is named by u's
+    construction and budget (u.name) and k, and its nonce hashes the program
+    and data words, as eval_word's do."""
 
-    def __init__(self, hpk, u, cts):
+    def __init__(self, hpk, u, program):
         _, sb, plen = uc_layout(u.n_data, u.g, u.m)
-        joined = _check_word(hpk, cts)
         # program bit i is bit i of one int, read from the bits' text
-        program = int(joined[9::hpk.lam_bytes].translate(_BIT_TEXT)[::-1], 2)
+        bits = int(program[9::hpk.lam_bytes].translate(_BIT_TEXT)[::-1], 2)
         zero = u.n_data  # the bus's constant-zero line
 
         def field(pos, k):  # the k bits from pos, least significant first
-            return program >> pos & ((1 << k) - 1)
+            return bits >> pos & ((1 << k) - 1)
 
         def line(pos, lines):
             # a selector past the bus as it stands reads the zero line
@@ -413,20 +419,19 @@ class _TransparentProgram:
         self.outs = tuple(line(pos, zero + 1 + u.g)
                           for pos in range(u.g * width, plen, sb))
         self.labels = tuple(f"{u.name}:{k}".encode() for k in range(u.m))
-        self.inputs = hashlib.sha256(joined)
+        self.inputs = hashlib.sha256(program)
         self.hpk, self.u = hpk, u
 
-    def run(self, data_cts):
+    def run(self, data):
         """The slots, one by one: each looks up its truth table at
         (a << 1) | c, a and c being the bus lines it names."""
-        _check_data(self.u, data_cts)
-        joined = _check_word(self.hpk, data_cts)
-        bus = list(joined[9::self.hpk.lam_bytes].translate(_LOW_BIT))
+        _check_data(self.hpk, self.u, data)
+        bus = list(data[9::self.hpk.lam_bytes].translate(_LOW_BIT))
         bus.append(0)
         for l, r, tt in self.slots:
             bus.append(tt >> (bus[l] << 1 | bus[r]) & 1)
         inputs = self.inputs.copy()
-        inputs.update(joined)
+        inputs.update(data)
         return _tr_outputs(self.hpk, inputs.digest(), self.labels,
                            [bus[s] for s in self.outs])
 
@@ -434,14 +439,14 @@ class _TransparentProgram:
 class _SheProgram:
     """A program's (value, noise) pairs; each step runs u's gate list."""
 
-    def __init__(self, hpk, u, cts):
-        self.wires = _she_wires(hpk, cts)
+    def __init__(self, hpk, u, program):
+        self.wires = _she_wires(hpk, program)
         self.hpk, self.u = hpk, u
 
-    def run(self, data_cts):
-        _check_data(self.u, data_cts)
+    def run(self, data):
+        _check_data(self.hpk, self.u, data)
         return _eval_she(self.hpk, self.u.circuit,
-                         self.wires + _she_wires(self.hpk, data_cts))
+                         self.wires + _she_wires(self.hpk, data))
 
 
 def hpk_to_dict(hpk):

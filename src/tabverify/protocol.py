@@ -17,6 +17,12 @@ data the verifier walks; both parties compute the values a query carries
 (the table step, the checker slice and the checker value) with the one
 function each below.
 
+A ciphertext word (he's one bytes value of concatenated ciphertexts) is
+one base64 string on the wire and in the certificate: a published program,
+a q1 answer's w, a q2's u and v, a checker round's p and y, and ct_sk.
+cts_b64 and b64_cts are the one encoding and the one decoding, and b64_cts
+accepts only the canonical spelling of a whole number of ciphertexts.
+
 Everything exchanged is recorded; the audit module replays it.
 """
 
@@ -54,7 +60,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 5  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 6  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
 SE_KEY_BITS = 16  # the verifier's session key and each commitment seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
@@ -85,22 +91,34 @@ def str_bits(s):
     return tuple(s.encode("ascii").translate(_BITS))
 
 
-def cts_b64(cts):
-    return [b2a_base64(ct, newline=False).decode("ascii") for ct in cts]
+def cts_b64(word):
+    """The base64 string of a ciphertext word."""
+    return b2a_base64(word, newline=False).decode("ascii")
 
 
-def b64_cts(items):
+def b64_cts(text, lam, n=None):
+    """The ciphertext word a base64 string spells: a whole number of lam-byte
+    ciphertexts, and exactly n of them when n is given. ProtocolError when
+    text is not ASCII str, does not decode, is not the canonical spelling of
+    what it decodes to, or has another length."""
+    if not isinstance(text, str) or not text.isascii():
+        raise ProtocolError("a ciphertext word must be ASCII text")
     try:
-        out = [a2b_base64(x) for x in items]
-    except Exception as exc:
-        raise ProtocolError(f"bad ciphertext encoding: {exc}") from exc
+        word = a2b_base64(text)
+    except ValueError as exc:  # binascii.Error
+        raise ProtocolError(f"bad ciphertext encoding: {exc}") from None
     # a2b_base64 skips characters outside the alphabet and drops the unused
     # trailing bits of the last symbol, so distinct strings can decode to the
     # same bytes; insist on the canonical spelling, so that transcripts have
     # a single byte representation and only that spelling is accepted
-    if cts_b64(out) != list(items):
+    if b2a_base64(word, newline=False) != text.encode("ascii"):
         raise ProtocolError("non-canonical ciphertext encoding")
-    return out
+    count, rest = divmod(len(word), lam)
+    if rest or (n is not None and count != n):
+        want = "a whole number of" if n is None else str(n)
+        raise ProtocolError(f"a ciphertext word must be {want} {lam}-byte "
+                            f"ciphertexts, got {len(word)} bytes")
+    return word
 
 
 def payload_to_value(bits, ptype):
@@ -117,30 +135,32 @@ def se_circuit_for(width):
 # --- the values both parties compute from a query -------------------------------
 
 
-def table_step(pp, u, i, u_cts):
-    """Output ciphertexts of row table i on the input ciphertexts u_cts:
-    program i and the inputs, cycled to the bus width, through the universal
-    circuit u. The verifier computes it for a q2; the developer recomputes
-    it before it answers."""
-    data = [u_cts[k % len(u_cts)] for k in range(u.n_data)]
-    return pp.program(i).run(data)
+def table_step(pp, u, i, u_word):
+    """The output word of row table i on the input word u_word: program i
+    and the input ciphertexts, cycled to the bus width, through the
+    universal circuit u. The verifier computes it for a q2; the developer
+    recomputes it before it answers."""
+    need = u.n_data * pp.hpk.lam_bytes
+    return pp.program(i).run((u_word * -(-need // len(u_word)))[:need])
 
 
-def checker_slice(word, case, h):
+def checker_slice(word, case, h, size=1):
     """The part of an answered word that a checker round of this case
     covers: all of a q1 word, the tag half of an intermediate q2 word, the
-    payload half of an external one."""
+    payload half of an external one. A word's items are size bytes each:
+    lam_bytes for a ciphertext word, 1 for its bits."""
     if case == "input":
         return word
-    return word[:h] if case == "intermediate" else word[h:]
+    cut = h * size
+    return word[:cut] if case == "intermediate" else word[cut:]
 
 
 def checker_value(pp, ct_sk, p):
     """y: the symmetric encryption of the slice p under the key inside
     ct_sk, evaluated homomorphically. The verifier computes it for a checker
     round; the developer recomputes it before it reveals."""
-    circ = se_circuit_for(len(p))
-    return he.eval_word(pp.hpk, circ, list(ct_sk) + list(p))
+    circ = se_circuit_for(len(p) // pp.hpk.lam_bytes)
+    return he.eval_word(pp.hpk, circ, ct_sk + p)
 
 
 # --- public parameters ----------------------------------------------------------
@@ -154,13 +174,13 @@ class PublicParams:
     hpk: object
     u_params: tuple  # (n_data, g, m)
     structure: dict
-    programs: dict  # table index -> list of ciphertext bytes
+    programs: dict  # table index -> its program's ciphertext word
     # table index -> he.prepare of its program, filled by program()
     _prepared: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    # table index -> the published base64 strings of its program, which
-    # from_dict has checked to be their canonical spelling; to_dict hands
-    # them back instead of encoding every program ciphertext again
+    # table index -> the published base64 string of its program, which
+    # from_dict has checked to be its canonical spelling; to_dict hands it
+    # back instead of encoding every program again
     _programs_b64: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
 
@@ -189,7 +209,7 @@ class PublicParams:
             "hpk": he.hpk_to_dict(self.hpk),
             "u_params": list(self.u_params),
             "structure": self.structure,
-            "programs": {str(i): list(p) for i, p in programs.items()},
+            "programs": {str(i): p for i, p in programs.items()},
         }
 
     @classmethod
@@ -208,18 +228,21 @@ class PublicParams:
                 and all(type(x) is int and x > 0 for x in u_params)):
             raise ProtocolError("u_params must be three positive integers")
         plen = UniversalCircuit(*u_params).program_length
-        if not (isinstance(d["programs"], dict) and all(
-                isinstance(p, list) and len(p) == plen for p in d["programs"].values())):
-            raise ProtocolError(f"programs must be lists of {plen} ciphertexts")
+        if not isinstance(d["programs"], dict):
+            raise ProtocolError("programs must map table indices to words")
         try:
             hpk = he.hpk_from_dict(d["hpk"])
-            programs = {int(i): b64_cts(p) for i, p in d["programs"].items()}
+            programs = {int(i): b64_cts(p, hpk.lam_bytes, plen)
+                        for i, p in d["programs"].items()}
+        except ProtocolError as exc:
+            raise ProtocolError(f"a program is not a word of {plen} ciphertexts: "
+                                f"{exc}") from None
         except (AttributeError, TypeError, ValueError, he.HeError) as exc:
             raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
         _refuse_unwalkable(d["structure"], programs)
         pp = cls(hpk=hpk, u_params=tuple(u_params), structure=d["structure"],
                  programs=programs)
-        pp._programs_b64 = {int(i): list(p) for i, p in d["programs"].items()}
+        pp._programs_b64 = {int(i): p for i, p in d["programs"].items()}
         return pp
 
 
@@ -330,9 +353,9 @@ def table_circuits(tg):
 
 @dataclass
 class _SessionMem:
-    # each answered word as (ciphertexts, plaintext)
-    q1: dict = field(default_factory=dict)  # (i, port) -> (w_cts, u_bits)
-    q2: dict = field(default_factory=dict)  # i -> (v_cts, output word)
+    # each answered word as (ciphertext word, plaintext bits)
+    q1: dict = field(default_factory=dict)  # (i, port) -> (w, u_bits)
+    q2: dict = field(default_factory=dict)  # i -> (v, output bits)
     pending: dict = field(default_factory=dict)  # checker subprotocol state
     swap_held: object = None  # previous answer, for the swap strategy
 
@@ -450,42 +473,42 @@ class Developer:
     def _encode_q2(self, body):
         m = self.pp.m
         h = m // 2
+        lam = self.hpk.lam_bytes
         i = _int(body.get("i"))
         t = self._published(i)
         if t is None:
             return {"answer": {"kind": NULL}}
         try:
-            u_cts = b64_cts(body.get("u", []))
-            v_cts = b64_cts(body.get("v", []))
+            u_word = b64_cts(body.get("u"), lam, len(t["ports"]) * m)
+            v_word = b64_cts(body.get("v"), lam, m)
         except ProtocolError:
-            return {"answer": {"kind": NULL}}
-        if len(u_cts) != len(t["ports"]) * m or len(v_cts) != m:
             return {"answer": {"kind": NULL}}
 
         u_plain = []
+        span = m * lam  # one port's word
         for j, port in enumerate(t["ports"]):
-            segment = u_cts[j * m : (j + 1) * m]
+            segment = u_word[j * span:(j + 1) * span]
             word = self._produced_word(i, j, port["producers"], segment)
             if word is None:
                 return {"answer": {"kind": NULL}}
             u_plain.extend(word)
 
-        if table_step(self.pp, self.u, i, u_cts) != v_cts:
+        if table_step(self.pp, self.u, i, u_word) != v_word:
             return {"answer": {"kind": NULL}}
 
-        out = self._open_output(i, v_cts, u_plain)
+        out = self._open_output(i, v_word, u_plain)
         if not any(out[:h]):
             honest = {"kind": BOT}
         elif t["external"]:
             honest = {"kind": "payload", "payload": bits_str(out[h:])}
         else:
             honest = {"kind": TOP}
-        self.mem.q2[i] = (v_cts, out)
+        self.mem.q2[i] = (v_word, out)
         return {"answer": self._apply_strategy(honest)}
 
     def _produced_word(self, i, j, producers, segment):
         """Plaintext of input segment j of table i, if an earlier answer
-        produced exactly these ciphertexts; None otherwise."""
+        produced exactly this ciphertext word; None otherwise."""
         if producers[0][0] == "input":
             known = self.mem.q1.get((i, j))
             return known[1] if known is not None and known[0] == segment else None
@@ -497,9 +520,9 @@ class Developer:
                 return prior[1] if any(prior[1][:h]) else None
         return None
 
-    def _open_output(self, i, v_cts, u_plain):
+    def _open_output(self, i, v_word, u_plain):
         """Plaintext output word of table i, whose inputs are u_plain."""
-        return he.dec_word(self.hsk, v_cts)
+        return he.dec_word(self.hsk, v_word)
 
     def _open_checker(self, y, slice_plain):
         """The value y decrypts to: the verifier's SE encryption of slice_plain."""
@@ -520,10 +543,11 @@ class Developer:
 
     def _checker(self, body):
         h = self.pp.m // 2
+        lam = self.hpk.lam_bytes
         i, case, port = _int(body.get("i")), body.get("case"), _int(body.get("port"))
         try:
-            p = b64_cts(body.get("p", []))
-            y = b64_cts(body.get("y", []))
+            p = b64_cts(body.get("p"), lam)
+            y = b64_cts(body.get("y"), lam)
         except ProtocolError:
             return {"result": NULL}
         if case == "input":
@@ -532,7 +556,7 @@ class Developer:
             known = self.mem.q2.get(i)
         else:
             return {"result": NULL}
-        if (known is None or checker_slice(known[0], case, h) != p
+        if (known is None or checker_slice(known[0], case, h, lam) != p
                 or len(y) != len(p) or not he.well_formed(self.hpk, y)):
             return {"result": NULL}
         d_bits = self._open_checker(y, checker_slice(known[1], case, h))
@@ -575,10 +599,8 @@ class Developer:
             return {"result": NULL}
         self.mem.pending = {}
         try:
-            ct_sk = b64_cts(body.get("ct_sk", []))
+            ct_sk = b64_cts(body.get("ct_sk"), self.hpk.lam_bytes, SE_KEY_BITS)
         except ProtocolError:
-            return {"result": NULL}
-        if len(ct_sk) != SE_KEY_BITS:
             return {"result": NULL}
         try:
             recomputed = checker_value(self.pp, ct_sk, pending["p"])
@@ -648,6 +670,10 @@ class SessionFailure(Exception):
 
 
 class Verifier:
+    """Drives one session against the public parameters pp, the published
+    dict. A replay hands it the recorded session key: sk as bits and ct_sk
+    as the base64 string the certificate holds."""
+
     def __init__(
         self,
         pp,
@@ -701,16 +727,20 @@ class Verifier:
         self.vga_budget = vga_budget
         self.rng = rng or random.Random()
         self.u = UniversalCircuit(*pp.u_params)
+        # the tables in index order and the type of each external input,
+        # as every input's walk reads them
+        self.tables = sorted(pp.structure["tables"], key=lambda t: t["index"])
+        self.input_types = dict(pp.structure["external_inputs"])
         self.code = gen_code()
         if mode == "general":
             self.sk = tuple(sk) if sk else se_keygen(SE_KEY_BITS, self.rng)
-            self.ct_sk = (
-                list(ct_sk)
-                if ct_sk
-                else he.enc_word(pp.hpk, self.sk, self.rng)
-            )
+            if ct_sk is not None:
+                self.ct_sk = b64_cts(ct_sk, pp.hpk.lam_bytes, SE_KEY_BITS)
+            else:
+                self.ct_sk = he.enc_word(pp.hpk, self.sk, self.rng)
+            self.ct_sk_b64 = cts_b64(self.ct_sk)
         else:
-            self.sk, self.ct_sk = None, None
+            self.sk = self.ct_sk = self.ct_sk_b64 = None
         self.qa_e = []
         self.qa_c = []
         self.failures = []
@@ -725,33 +755,41 @@ class Verifier:
         body = reply.get("body") if isinstance(reply, dict) else None
         return body if isinstance(body, dict) else {}
 
-    def _encode_query(self, chan, body):
+    def _encode_query(self, chan, body, v_word=b""):
+        """The developer's answer to an encode query, null when it is not
+        well formed, and the ciphertext word it answers for: a q1 answer's
+        w, decoded, or a q2's v_word."""
         answer = self._ask(chan, "encode", body).get("answer")
-        if not self._well_formed(body["qkind"], answer):
+        w = self._well_formed(body["qkind"], answer)
+        if w is None:
             answer = {"kind": NULL}
+        word = w if body["qkind"] == 1 else v_word
         self.qa_e.append({"q": body, "a": answer})
         if self.mode == "general" and answer["kind"] != NULL:
-            if not self._checker_round(chan, body, answer):
+            if not self._checker_round(chan, body, answer, word):
                 self.failures.append(
                     {"reason": "checker", "i": body.get("i")}
                 )
-        return answer
+        return answer, word
 
     def _well_formed(self, qkind, answer):
         """Whether an encode answer has the fields its kind needs, in shape;
-        the one check on them. An answer that fails it counts as null."""
+        the one check on them. An answer that fails it gives None and counts
+        as null; one that passes gives its w decoded, or b"" when it has no
+        w."""
         kind = answer.get("kind") if isinstance(answer, dict) else None
         if kind == NULL or (qkind == 2 and kind in (TOP, BOT)):
-            return True
+            return b""
         try:
             if qkind == 1 and kind == "w":
-                w = answer.get("w")
-                return (isinstance(w, list) and len(w) == self.pp.m
-                        and he.well_formed(self.pp.hpk, b64_cts(w)))
-            return qkind == 2 and kind == "payload" and (
-                len(str_bits(answer.get("payload"))) == self.pp.m // 2)
+                w = b64_cts(answer.get("w"), self.pp.hpk.lam_bytes, self.pp.m)
+                return w if he.well_formed(self.pp.hpk, w) else None
+            if qkind == 2 and kind == "payload" and (
+                    len(str_bits(answer.get("payload"))) == self.pp.m // 2):
+                return b""
         except ProtocolError:
-            return False
+            pass
+        return None
 
     # -- session driver
 
@@ -808,21 +846,19 @@ class Verifier:
         if self.mode == "general":
             cert["qa_c"] = self.qa_c
             cert["sk"] = bits_str(self.sk)
-            cert["ct_sk"] = cts_b64(self.ct_sk)
+            cert["ct_sk"] = self.ct_sk_b64
         cert["binding"] = session_binding(cert)
         return verdict, cert
 
     def _eval_encrypted(self, chan, X):
         m = self.pp.m
-        struct_tables = sorted(self.pp.structure["tables"], key=lambda t: t["index"])
-        ext_types = dict(self.pp.structure["external_inputs"])
         # per table, as a Tagged value or None for null: what it feeds its
         # consumers (top and payload answers fire, carrying the output
         # ciphertexts) and what it gives an output port (only payload
         # answers fire, carrying the payload bits)
         feeds, outs = {}, {}
 
-        for t in struct_tables:
+        for t in self.tables:
             i = t["index"]
             port_words = []
             for pos, port in enumerate(t["ports"]):
@@ -830,17 +866,17 @@ class Verifier:
                 if producers[0][0] == "input":
                     name = producers[0][1]
                     value = X[name]
-                    if ext_types[name] == "bool":  # read as the plaintext spec reads it
+                    if self.input_types[name] == "bool":  # as the plaintext spec reads it
                         value = bool(value)
                     u_bits = tagged_to_bits(Tagged(True, value), m)
-                    ans = self._encode_query(
+                    ans, w = self._encode_query(
                         chan,
                         {"i": i, "qkind": 1, "port": pos, "u": bits_str(u_bits)},
                     )
                     if ans["kind"] != "w":
                         self.failures.append({"reason": "q1-null", "i": i})
                         break
-                    port_words.append(b64_cts(ans["w"]))
+                    port_words.append(w)
                     continue
                 # a null or uniformly non-firing feed makes the consumer
                 # null, matching the plaintext evaluation rules
@@ -852,11 +888,12 @@ class Verifier:
                 feeds[i] = outs[i] = None
                 continue
 
-            u_cts = [ct for word in port_words for ct in word]
-            v_cts = table_step(self.pp, self.u, i, u_cts)
-            ans = self._encode_query(
+            u_word = b"".join(port_words)
+            v_word = table_step(self.pp, self.u, i, u_word)
+            ans, _ = self._encode_query(
                 chan,
-                {"i": i, "qkind": 2, "u": cts_b64(u_cts), "v": cts_b64(v_cts)},
+                {"i": i, "qkind": 2, "u": cts_b64(u_word), "v": cts_b64(v_word)},
+                v_word,
             )
             kind = ans["kind"]
             if kind == NULL:
@@ -864,7 +901,7 @@ class Verifier:
                 feeds[i] = outs[i] = None
                 continue
             silent = Tagged(False, 0)
-            feeds[i] = Tagged(True, v_cts) if kind in (TOP, "payload") else silent
+            feeds[i] = Tagged(True, v_word) if kind in (TOP, "payload") else silent
             outs[i] = Tagged(True, ans["payload"]) if kind == "payload" else silent
 
         outputs = {}
@@ -892,23 +929,25 @@ class Verifier:
             return "external", None, str_bits(answer["payload"])
         return "intermediate", None, int_to_bits(int(kind == TOP), h)
 
-    def _checker_round(self, chan, q, answer):
+    def _checker_round(self, chan, q, answer, word):
         """Pin an encode answer down; whether the revealed value decrypts
-        to exactly that answer. The query body is both the frame sent and
-        the record's q."""
+        to exactly that answer. word is the ciphertext word it answers for.
+        The query body is both the frame sent and the record's q."""
         h = self.pp.m // 2
+        lam = self.pp.hpk.lam_bytes
         case, port, expected = self._expected_checker(q, answer, h)
-        p64 = checker_slice(answer["w"] if q["qkind"] == 1 else q["v"], case, h)
-        p = b64_cts(p64)
+        p = checker_slice(word, case, h, lam)
         y = checker_value(self.pp, self.ct_sk, p)
-        body = {"i": q["i"], "case": case, "port": port, "p": p64, "y": cts_b64(y)}
+        body = {"i": q["i"], "case": case, "port": port, "p": cts_b64(p),
+                "y": cts_b64(y)}
         record = {"q": body, "a": {"d": None}, "s": {"blocks": []}}
         self.qa_c.append(record)
 
+        width = len(p) // lam
         if self.replay_qac is not None:
-            d, blocks = self._recorded_opening(record, len(p))
+            d, blocks = self._recorded_opening(record, width)
         else:
-            d, blocks = self._live_opening(chan, body, len(p))
+            d, blocks = self._live_opening(chan, body, width)
         if d is None:
             return False
         record["a"]["d"] = d
@@ -929,7 +968,7 @@ class Verifier:
         commits = c.get("blocks")
         if not isinstance(commits, list) or len(commits) != n:
             return None, None
-        res = self._ask(chan, "checker_proof", {"ct_sk": cts_b64(self.ct_sk)})
+        res = self._ask(chan, "checker_proof", {"ct_sk": self.ct_sk_b64})
         try:
             d, reveals = res["d"], res["reveals"]
             if len(reveals) != n:

@@ -63,20 +63,20 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 5.
+# Recorded at certificate version 6.
 CERT_DIGESTS = {
-    "demo-honest": "a6f4b281675e10f7863268069d05fcb635951cca8e384fba45272772affa7997",
-    "demo-general": "e94dd02ea1b121d7937be89a193a1918a26f5edafe8b1e2f7d35182817cc1b2c",
-    "chain-honest": "f160e6614eadb9d1aa6d37ea99f8b3a3fd1b529f2b36646498b7198d708e985f",
-    "chain-general": "d83e75e123367a70ce34851b08cb42c04d6a09a9409fe9cb6f8e631753712a1f",
-    "diamond-honest": "f5bdcd2bd4c4d4502616c167ef2ea1645df4fc05f66b9f2f945232f6997a8150",
-    "diamond-general": "464f31162756e66c19b8d7b96bf98bc0eb99e1b9c10233183f15f3a4b119224b",
-    "flip-payload-honest": "9ebb910402077021e034b2eacffc92866277986a9b06b233a338b7e555c1b8c1",
-    "flip-tag-honest": "88e936802a8bcfb5de24d42e533559d593ee262e6d7ff82f6cbc4e11528dcc19",
-    "swap-answers-honest": "1d7ed9a816cd405faf5aaf06f26a3838cdd9b317503a3a2e1047f40cf405380e",
-    "flip-payload-general": "28e75663bafaca654a68330bb7399c30f8d1143161e18ecdbbce4b39e1a47e56",
-    "flip-tag-general": "504f8f6a12622a2d786424ce2c1e3dec8257171fc23a998d4c24786b9ae9f283",
-    "swap-answers-general": "890ac28f4e180730a4b6ee92c2dddab8259501506317bb951c86ad1583d7a8f3",
+    "demo-honest": "d35903a2228c359bdebf983114daaf9420a30411ecceb124ddff4e38cef85f30",
+    "demo-general": "8338bdfc9807575505a0d775f79efa1b26b8b72d6a272f4f9c04957848cd3c07",
+    "chain-honest": "056afadcae73e8df3ae2c673e8a6e2b451bee03e02885d5483e6e5f835d937fc",
+    "chain-general": "155d4b3135d0e37dd0083ba6dbc3708da2267fd27f368c67580d7ebde4e2e7f0",
+    "diamond-honest": "a6fc57e42440f67a03deb03e617a85f7f5549d9f9769fbf40b7beecc109065f5",
+    "diamond-general": "c21d42a1978e9a6393fbec5d0016787cfc8471f7efc00c2530d694ee8bca313e",
+    "flip-payload-honest": "53c8150e26172ff3967606fabc27264a141473c00cea7921a559dd190185e37a",
+    "flip-tag-honest": "41ad2a712ef68a320e8e5e808d8293fe5dd300ab9faa92534d9c9686b872a6a3",
+    "swap-answers-honest": "112629c00733046da3f6752a10e9afede63b79aaaad41e127b65178599fe0018",
+    "flip-payload-general": "ca9fd1546174bf7bfc37cac98a7ee092d39cef76e2cd58e64cdce65cb84d27d3",
+    "flip-tag-general": "a2e1851b5afb4b13038bb0e6bfcff93493d1c2c90512a6565376e31aec6b3163",
+    "swap-answers-general": "d6608bb698a95a05d97946c2e2a8113040dc95fc2974bb2198e523371b4aa1b6",
 }
 
 
@@ -118,23 +118,23 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v5"}
+           "format": "tabverify-cert-v6"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
 
-def test_version_4_certificate_is_refused_by_name(tmp_path):
-    cert = dict(HONEST_CERT, version=4)
+def test_version_5_certificate_is_refused_by_name(tmp_path):
+    cert = dict(HONEST_CERT, version=5)
     cert["binding"] = session_binding(cert)
     ok, report = replay(cert)
     assert not ok
-    assert report["reason"] == "certificate version 4 is not supported"
+    assert report["reason"] == "certificate version 5 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v5",
-                                             "tabverify-cert-v4"))
+    path.write_text(path.read_text().replace("tabverify-cert-v6",
+                                             "tabverify-cert-v5"))
     with pytest.raises(AuditError, match="unknown certificate format "
-                                         "'tabverify-cert-v4'"):
+                                         "'tabverify-cert-v5'"):
         load_certificate(path)
 
 
@@ -288,11 +288,12 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 
 def test_mutate_certificate_draws_recorded_leaves():
-    # sha256 over the first five mutated documents, recorded when
-    # mutate_certificate still worked on a full JSON copy of the certificate
+    # sha256 over the first five mutated documents, recorded at certificate
+    # version 6 with the digests of the full-copy mutate_certificate that
+    # drew from the same leaves
     for cert, want in (
-        (HONEST_CERT, "23b115302188f9a86c7d94be49c35937c2930ab0a763b73467c40ec8a225ebaf"),
-        (GENERAL_CERT, "d0d5e5978cd104b16ca0ea46b5274600cf862f55d414a7ab894c80519428f870"),
+        (HONEST_CERT, "13a1f78bdcde5bb269735901df5a4beb0c685d43bfae9d704fc98eba6c306306"),
+        (GENERAL_CERT, "2204bd1f81b3273d939d26f3f8b69a321886cf7e8d02b0d78a055a18070dab1d"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

@@ -40,8 +40,16 @@ def ref_prg(s, n):
 
 
 def ref_choose_challenge(q, rng):
-    ones = set(rng.sample(range(2 * q), q))
-    return tuple(1 if i in ones else 0 for i in range(2 * q))
+    draw = rng.getrandbits(2 * q)
+    R = [(draw >> i) & 1 for i in range(2 * q)]
+    excess = sum(R) - q
+    if excess > 0:  # clear a uniform sample of the ones beyond q
+        for i in rng.sample([i for i in range(2 * q) if R[i]], excess):
+            R[i] = 0
+    elif excess < 0:  # set a uniform sample of the zeros short of q
+        for i in rng.sample([i for i in range(2 * q) if not R[i]], -excess):
+            R[i] = 1
+    return tuple(R)
 
 
 def ref_commit_respond(D, R, s, code):

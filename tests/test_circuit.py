@@ -269,9 +269,9 @@ def test_slot_evaluator_matches_gate_list(case):
     # the slot evaluator is the prepared program's, so run it through
     # he.prepare on transparent ciphertexts of the program and data bits
     u, bits = case
-    cts = he.enc_word(TR_KEYS.hpk, bits, random.Random(32))
-    program = he.prepare(TR_KEYS.hpk, u, cts[:u.program_length])
-    out = program.run(cts[u.program_length:])
+    word = he.enc_word(TR_KEYS.hpk, bits, random.Random(32))
+    cut = u.program_length * TR_KEYS.hpk.lam_bytes
+    out = he.prepare(TR_KEYS.hpk, u, word[:cut]).run(word[cut:])
     assert he.dec_word(TR_KEYS.hsk, out) == simulate(u.circuit, bits)
 
 

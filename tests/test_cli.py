@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import queue
@@ -263,8 +264,9 @@ def edited_pp(pp, fault):
         pp["u_params"][1] += 1
     elif fault == "programs-list":
         pp["programs"] = list(pp["programs"].values())
-    elif fault == "program-short":
-        pp["programs"][first] = pp["programs"][first][:-1]
+    elif fault == "program-short":  # one ciphertext fewer than u_params say
+        word = base64.b64decode(pp["programs"][first])
+        pp["programs"][first] = base64.b64encode(word[:-34]).decode("ascii")
     elif fault == "structure-empty":
         pp["structure"] = {}
     elif fault == "table-no-ports":  # the table step would cycle no inputs

@@ -57,8 +57,8 @@ def test_ciphertext_fixed_length(tr_keys, she_keys):
     for keys in (tr_keys, she_keys):
         lam = keys.hpk.lam_bytes
         word = he.enc_word(keys.hpk, (0, 1, 1, 0), rng)
-        assert len(word) == 4
-        assert all(len(ct) == lam for ct in word)
+        assert isinstance(word, bytes) and len(word) == 4 * lam
+        assert len(he.enc(keys.hpk, 1, rng)) == lam
 
 
 def test_dec_malformed(tr_keys, she_keys):
@@ -84,8 +84,8 @@ def test_eval_basic_gates(tr_keys, she_keys):
         for a in (0, 1):
             for b in (0, 1):
                 cts = he.enc_word(keys.hpk, (a, b), rng)
-                assert he.dec(keys.hsk, he.eval_word(keys.hpk, and_c, cts)[0]) == (a & b)
-                assert he.dec(keys.hsk, he.eval_word(keys.hpk, xor_c, cts)[0]) == (a ^ b)
+                assert he.dec(keys.hsk, he.eval_word(keys.hpk, and_c, cts)) == (a & b)
+                assert he.dec(keys.hsk, he.eval_word(keys.hpk, xor_c, cts)) == (a ^ b)
 
 
 def test_eval_random_circuits_she(she_keys):
@@ -114,8 +114,8 @@ def test_eval_compactness(tr_keys, she_keys):
     big = random_circuit(rng, 3, 200, 1, max_mult_depth=6)
     for keys in (tr_keys, she_keys):
         cts = he.enc_word(keys.hpk, (1, 0, 1), rng)
-        assert len(he.eval_word(keys.hpk, small, cts)[0]) == keys.hpk.lam_bytes
-        assert len(he.eval_word(keys.hpk, big, cts)[0]) == keys.hpk.lam_bytes
+        assert len(he.eval_word(keys.hpk, small, cts)) == keys.hpk.lam_bytes
+        assert len(he.eval_word(keys.hpk, big, cts)) == keys.hpk.lam_bytes
 
 
 def test_depth_budget_enforced(she_keys):
@@ -152,9 +152,9 @@ def test_she_evaluates_a_universal_circuit_by_its_gate_list(she_keys):
     assert u.circuit.mult_depth <= she_keys.hpk.config.depth_budget
     for _ in range(20):
         x = random_bits(rng, u.n_inputs)
-        cts = he.enc_word(she_keys.hpk, x, rng)
-        program = he.prepare(she_keys.hpk, u, cts[:u.program_length])
-        out = program.run(cts[u.program_length:])
+        word = he.enc_word(she_keys.hpk, x, rng)
+        cut = u.program_length * she_keys.hpk.lam_bytes
+        out = he.prepare(she_keys.hpk, u, word[:cut]).run(word[cut:])
         assert he.dec_word(she_keys.hsk, out) == simulate(u.circuit, x)
 
 
@@ -165,18 +165,19 @@ def test_prepare_checks_every_program_ciphertext(tr_keys, she_keys):
     u = UniversalCircuit(2, 2, 1)
     other = he.keygen(16, "transparent", rng=random.Random(22))
     for keys in (tr_keys, she_keys):
-        cts = he.enc_word(keys.hpk, random_bits(rng, u.n_inputs), rng)
-        prog, data = cts[:u.program_length], cts[u.program_length:]
+        lam = keys.hpk.lam_bytes
+        word = he.enc_word(keys.hpk, random_bits(rng, u.n_inputs), rng)
+        prog, data = word[:u.program_length * lam], word[u.program_length * lam:]
         foreign = he.enc(other.hpk, 1, rng)
-        for bad in (prog[0][:-1], b"\x09" + prog[0][1:], foreign):
+        for bad in (prog[:lam - 1], b"\x09" + prog[1:lam], foreign):
             with pytest.raises(he.HeError):
-                he.prepare(keys.hpk, u, [bad] + prog[1:])
+                he.prepare(keys.hpk, u, bad + prog[lam:])
             with pytest.raises(he.HeError):
-                he.prepare(keys.hpk, u, prog).run([bad] + data[1:])
+                he.prepare(keys.hpk, u, prog).run(bad + data[lam:])
         with pytest.raises(he.HeError):
-            he.prepare(keys.hpk, u, prog[1:])
+            he.prepare(keys.hpk, u, prog[lam:])
         with pytest.raises(he.HeError):
-            he.prepare(keys.hpk, u, prog).run(data[1:])
+            he.prepare(keys.hpk, u, prog).run(data[lam:])
 
 
 def test_projection_byte_identity(tr_keys):
@@ -184,9 +185,10 @@ def test_projection_byte_identity(tr_keys):
     c = random_circuit(rng, 4, 10, 3)
     cts = he.enc_word(tr_keys.hpk, (0, 1, 1, 0), rng)
     full = he.eval_word(tr_keys.hpk, c, cts)
+    lam = tr_keys.hpk.lam_bytes
     for k in range(3):
         proj = Circuit(c.n_inputs, c.gates, (c.outputs[k],))
-        assert he.eval_word(tr_keys.hpk, proj, cts)[0] == full[k]
+        assert he.eval_word(tr_keys.hpk, proj, cts) == full[k * lam:(k + 1) * lam]
 
 
 def test_she_linear_distinguisher_smoke(she_keys):

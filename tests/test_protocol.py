@@ -67,7 +67,7 @@ def test_public_params_round_trip():
 
 def test_published_programs_are_handed_back_not_encoded_again(monkeypatch):
     # from_dict has checked each published string to be the canonical
-    # spelling of its ciphertext, so to_dict returns copies of those strings
+    # spelling of its program word, so to_dict returns those strings
     from tabverify import protocol
 
     d = make_dev().pp.to_dict()
@@ -75,7 +75,8 @@ def test_published_programs_are_handed_back_not_encoded_again(monkeypatch):
     monkeypatch.setattr(protocol, "cts_b64", None)  # any call would fail
     out = pp.to_dict()
     assert out == d
-    out["programs"]["1"][0] = "changed"
+    assert all(out["programs"][i] is d["programs"][i] for i in d["programs"])
+    out["programs"]["1"] = "changed"
     assert pp.to_dict() == d
 
 
@@ -228,20 +229,20 @@ def test_verifier_sends_exactly_the_served_frame_types():
 
 def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
     """Drive one table manually: q1 every port, compute v, ask q2."""
-    m = dev.pp.m
+    lam = dev.hpk.lam_bytes
     words = []
     for pos, u in enumerate(X_bits_by_port):
         a = frame(dev, "encode", {"qkind": 1, "i": i, "port": pos, "u": bits_str(u)})
         assert a["answer"]["kind"] == "w"
-        words.append(b64_cts(a["answer"]["w"]))
-    u_cts = [ct for w in words for ct in w]
-    v = table_step(dev.pp, dev.u, i, u_cts)
-    if corrupt == "v":
-        v = [v[0][:-1] + bytes([v[0][-1] ^ 1])] + v[1:]
+        words.append(b64_cts(a["answer"]["w"], lam))
+    u_word = b"".join(words)
+    v = table_step(dev.pp, dev.u, i, u_word)
+    if corrupt == "v":  # the last byte of the first ciphertext
+        v = v[:lam - 1] + bytes([v[lam - 1] ^ 1]) + v[lam:]
     if corrupt == "u":
-        u_cts = list(reversed(u_cts))
+        u_word = b"".join(reversed(words))
     return frame(
-        dev, "encode", {"qkind": 2, "i": i, "u": cts_b64(u_cts), "v": cts_b64(v)}
+        dev, "encode", {"qkind": 2, "i": i, "u": cts_b64(u_word), "v": cts_b64(v)}
     )["answer"]
 
 
@@ -297,10 +298,10 @@ def test_memory_wiped_between_sessions():
             "encode",
             {"qkind": 1, "i": t["index"], "port": pos, "u": bits_str(u)},
         )
-        words.append(b64_cts(a["answer"]["w"]))
-    u_cts = [ct for w in words for ct in w]
-    v = table_step(dev.pp, dev.u, t["index"], u_cts)
-    body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_cts), "v": cts_b64(v)}
+        words.append(b64_cts(a["answer"]["w"], dev.hpk.lam_bytes))
+    u_word = b"".join(words)
+    v = table_step(dev.pp, dev.u, t["index"], u_word)
+    body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_word), "v": cts_b64(v)}
     assert frame(s2, "encode", body)["answer"]["kind"] == "null"
     assert frame(s1, "encode", body)["answer"]["kind"] != "null"
     assert s1.mem.q1 and not s2.mem.q1 and not dev.mem.q1
@@ -315,7 +316,7 @@ def test_checker_requires_commit_before_proof():
     names = [p["producers"][0][1] for p in t["ports"]]
     u = tagged_to_bits(Tagged(True, DEMO_INPUT[names[0]]), m)
     a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)})
-    p = b64_cts(a["answer"]["w"])
+    p = b64_cts(a["answer"]["w"], dev.hpk.lam_bytes)
     y = checker_value(dev.pp, v.ct_sk, p)
     r = frame(
         dev,
@@ -363,7 +364,7 @@ def test_serve_survives_malformed_checker_ciphertext():
         u = int_to_bits(1, m // 2) + (0,) * (m // 2)
         a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)})
         # right count and length, but no ciphertext under the developer's key
-        y = [bytes(dev.hpk.lam_bytes)] * m
+        y = bytes(dev.hpk.lam_bytes) * m
         r = ask("checker", {"i": t["index"], "case": "input", "port": 0,
                             "p": a["answer"]["w"], "y": cts_b64(y)})
         assert r == {"result": "null"}
@@ -422,8 +423,8 @@ def test_vs_encrypt_returns_consistent_pair():
     assert pp.m == DEMO.m
     assert pp.u_params[2] == DEMO.m
     assert set(pp.programs) == set(range(1, len(dev.tg.order) + 1))
-    for cts in pp.programs.values():
-        assert len(cts) == dev.u.program_length
+    for word in pp.programs.values():
+        assert len(word) == dev.u.program_length * dev.hpk.lam_bytes
 
 
 def test_loopback_equals_queue_pair():
@@ -599,35 +600,38 @@ def test_overlapping_rows_follow_the_sibling_rule_on_both_paths():
 # --- prepared programs ------------------------------------------------------------
 
 
-def gate_list_step(hpk, hsk, u, cts):
+def gate_list_step(hpk, hsk, u, words):
     """he.eval_word on a universal circuit as it ran before programs were
     prepared, kept here as the reference: the gate list simulated on every
     input (a batch of words at once), output k's nonce naming u.name and
-    k. cts is a list of program + data ciphertext lists."""
-    words = [he.dec_word(hsk, w) for w in cts]
-    columns = [sum(bits[n] << k for k, bits in enumerate(words))
+    k. words is a list of program + data words."""
+    plain = [he.dec_word(hsk, w) for w in words]
+    columns = [sum(bits[n] << k for k, bits in enumerate(plain))
                for n in range(u.n_inputs)]
-    outs = simulate_batch(u.circuit, columns, len(words))
+    outs = simulate_batch(u.circuit, columns, len(plain))
     steps = []
-    for k, word in enumerate(cts):
-        inputs = hashlib.sha256(b"".join(word)).digest()
-        steps.append([
+    for k, word in enumerate(words):
+        inputs = hashlib.sha256(word).digest()
+        steps.append(b"".join(
             bytes([he.TAG_TRANSPARENT]) + hpk.key_id + bytes([col >> k & 1])
             + hashlib.sha256(b"tr-eval-v2" + hpk.key_id + inputs
                              + f"{u.name}:{j}".encode()).digest()[:24]
-            for j, col in enumerate(outs)])
+            for j, col in enumerate(outs)))
     return steps
 
 
 def test_table_step_is_byte_identical_to_the_gate_list_evaluation():
     dev = make_dev(diamond_graph(), seed=5)
     rng = random.Random(6)
+    lam = dev.hpk.lam_bytes
     assert len(dev.pp.programs) == 8
     for t in dev.pp.structure["tables"]:
         i, width = t["index"], len(t["ports"]) * dev.pp.m
         data = [he.enc_word(dev.hpk, [rng.randrange(2) for _ in range(width)], rng)
                 for _ in range(50)]
-        cycled = [[w[k % width] for k in range(dev.u.n_data)] for w in data]
+        # ciphertext k of the bus is input ciphertext k mod width
+        cycled = [b"".join(w[k % width * lam:(k % width + 1) * lam]
+                           for k in range(dev.u.n_data)) for w in data]
         want = gate_list_step(dev.hpk, dev.hsk, dev.u,
                               [dev.pp.programs[i] + c for c in cycled])
         assert [table_step(dev.pp, dev.u, i, w) for w in data] == want
@@ -636,12 +640,12 @@ def test_table_step_is_byte_identical_to_the_gate_list_evaluation():
 def test_programs_are_prepared_on_first_use_once_per_public_params(monkeypatch):
     from tabverify import audit
 
-    prepared = []  # each program ciphertext list he.prepare was handed
+    prepared = []  # each program word he.prepare was handed
     real = he.prepare
 
-    def counting(hpk, u, program_cts):
-        prepared.append(program_cts)
-        return real(hpk, u, program_cts)
+    def counting(hpk, u, program):
+        prepared.append(program)
+        return real(hpk, u, program)
 
     monkeypatch.setattr(he, "prepare", counting)
     dev = make_dev(diamond_graph(), seed=1)
@@ -670,14 +674,14 @@ def test_concurrent_table_steps_share_one_memo():
     steps = []
     for t in dev.pp.structure["tables"]:
         width = len(t["ports"]) * dev.pp.m
-        u_cts = he.enc_word(dev.hpk, [rng.randrange(2) for _ in range(width)], rng)
-        steps.append((t["index"], u_cts))
-    want = [table_step(dev.pp, dev.u, i, u_cts) for i, u_cts in steps]
+        u_word = he.enc_word(dev.hpk, [rng.randrange(2) for _ in range(width)], rng)
+        steps.append((t["index"], u_word))
+    want = [table_step(dev.pp, dev.u, i, u_word) for i, u_word in steps]
     shared = PublicParams.from_dict(dev.pp.to_dict())
     got = [None] * 4
 
     def work(k):
-        got[k] = [table_step(shared, dev.u, i, u_cts) for i, u_cts in steps]
+        got[k] = [table_step(shared, dev.u, i, u_word) for i, u_word in steps]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

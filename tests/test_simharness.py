@@ -58,7 +58,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     m = dev.pp.m
     t = next(t for t in dev.pp.structure["tables"]
              if all(p["producers"][0][0] == "input" for p in t["ports"]))
-    junk = [bytes(dev.hpk.lam_bytes)]  # right length, no valid tag or key id
+    junk = bytes(dev.hpk.lam_bytes)  # right length, no valid tag or key id
 
     def ask(ftype, body):
         f = make_frame(ftype, body)
@@ -73,7 +73,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     checker = {"i": t["index"], "case": "input", "port": 0, "p": w}
     assert ask("checker", dict(checker, y=cts_b64(junk * m))) == {"result": "null"}
 
-    y = checker_value(dev.pp, ct_sk, b64_cts(w))
+    y = checker_value(dev.pp, ct_sk, b64_cts(w, dev.hpk.lam_bytes))
     assert ask("checker", dict(checker, i=[1], y=cts_b64(y))) == {"result": "null"}
     r = ask("checker", dict(checker, y=cts_b64(y)))
     assert ask("commit_challenge", {"Rs": 5}) == {"result": "null"}

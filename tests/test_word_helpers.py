@@ -1,12 +1,15 @@
-"""The ciphertext word helpers against the per-ciphertext forms they replaced.
+"""The ciphertext word helpers against per-ciphertext references.
 
-Each reference below is the earlier per-ciphertext definition. Certificates
-for fixed seeds depend on these exact bytes and on which ciphertexts are
-refused, so the word forms must agree with the references everywhere, not
-only on the golden seeds.
+A word is one bytes value, its ciphertexts concatenated, and one base64
+string on the wire and in the certificate. Each reference below cuts the
+word into its ciphertexts and checks or decodes them one at a time, as the
+earlier per-ciphertext definitions did. Certificates for fixed seeds depend
+on these exact bytes and on which words are refused, so the word forms must
+agree with the references everywhere, not only on the golden seeds.
 """
 
 import base64
+import copy
 import hashlib
 import random
 
@@ -15,10 +18,21 @@ from hypothesis import given, strategies as st
 
 from helpers import random_bits
 from tabverify import he
+from tabverify.audit import audit
 from tabverify.circuit import uc_layout
-from tabverify.demo import DEMO_GRAPH_TEXT, diamond_graph
+from tabverify.demo import DEMO_DOMAINS, DEMO_GRAPH_TEXT, diamond_graph
 from tabverify.graphtext import parse_graph
-from tabverify.protocol import Developer, ProtocolError, b64_cts, cts_b64
+from tabverify.protocol import (
+    Developer,
+    ProtocolError,
+    Verifier,
+    b64_cts,
+    cts_b64,
+    session_binding,
+    verify_session,
+)
+
+DEMO = parse_graph(DEMO_GRAPH_TEXT)
 
 
 @pytest.fixture(scope="module", params=["transparent", "integer-she"])
@@ -26,23 +40,30 @@ def keys(request):
     return he.keygen(16, request.param, rng=random.Random(1))
 
 
+def cut(h, word):
+    """The ciphertexts of a word, one bytes value each."""
+    lam = h.lam_bytes
+    return [word[o:o + lam] for o in range(0, len(word), lam)]
+
+
 def ref_unpack(h, ct):
     want_tag = he.TAG_TRANSPARENT if h.kind == "transparent" else he.TAG_SHE
-    if not isinstance(ct, (bytes, bytearray)):
-        raise he.HeError("ciphertext must be bytes")
-    if len(ct) != h.lam_bytes:
-        raise he.HeError("malformed ciphertext length")
     if ct[0] != want_tag:
         raise he.HeError("malformed ciphertext (backend tag)")
     if ct[1:9] != h.key_id:
         raise he.HeError("ciphertext does not match this key pair")
-    return bytes(ct[9:])
+    return ct[9:]
 
 
-def ref_check_word(h, cts):
+def ref_check_word(h, word):
+    if not isinstance(word, bytes):
+        raise he.HeError("ciphertext word must be bytes")
+    if len(word) % h.lam_bytes:
+        raise he.HeError("malformed ciphertext length")
+    cts = cut(h, word)
     for ct in cts:
         ref_unpack(h, ct)
-    return b"".join(cts)
+    return len(cts)
 
 
 def ref_enc_transparent(hpk, bit, rng):
@@ -50,40 +71,41 @@ def ref_enc_transparent(hpk, bit, rng):
     return bytes([he.TAG_TRANSPARENT]) + hpk.key_id + bytes([bit]) + nonce
 
 
-def outcome(check, h, cts):
+def outcome(check, h, word):
     try:
-        return "accept", check(h, cts)
+        return "accept", check(h, word)
     except he.HeError as exc:
         return "refuse", str(exc)
 
 
-def faults(ct, other_tag):
-    """One bad stand-in for ct per check: type, length, tag and key id."""
-    yield from (ct.decode("latin-1"), 5, None, list(ct), memoryview(ct))
-    yield from (ct[:-1], ct + b"\0", b"")
-    yield bytes([other_tag]) + ct[1:]
+def faults(word, pos, lam, other_tag):
+    """Bad stand-ins for word: of another type or length, and with a bad tag
+    or key-id byte in ciphertext pos."""
+    yield from (word.decode("latin-1"), 5, None, list(word), memoryview(word),
+                bytearray(word), [word])
+    o = pos * lam  # where ciphertext pos starts
+    yield from (word[:-1], word + b"\0", word[:o] + word[o + 1:])
+    yield word[:o] + bytes([other_tag]) + word[o + 1:]
     for k in range(1, 9):
-        yield ct[:k] + bytes([ct[k] ^ 1]) + ct[k + 1:]
+        yield word[:o + k] + bytes([word[o + k] ^ 1]) + word[o + k + 1:]
 
 
 def test_check_word_accepts_and_refuses_as_the_reference(keys):
     rng = random.Random(2)
     word = he.enc_word(keys.hpk, random_bits(rng, 5), rng)
+    lam = keys.hpk.lam_bytes
     other_tag = he.TAG_SHE if keys.hpk.kind == "transparent" else he.TAG_TRANSPARENT
-    assert outcome(he._check_word, keys.hpk, []) == ("accept", b"")
+    assert outcome(he._check_word, keys.hpk, b"") == ("accept", 0)
     for h in (keys.hpk, keys.hsk):
-        assert outcome(he._check_word, h, word) == ("accept", b"".join(word))
-        mixed = [bytearray(ct) if k % 2 else ct for k, ct in enumerate(word)]
-        assert outcome(he._check_word, h, mixed) == ("accept", b"".join(word))
+        assert outcome(he._check_word, h, word) == ("accept", 5)
         for pos in (0, 2, 4):  # first, middle and last
-            for bad in faults(word[pos], other_tag):
-                cts = word[:pos] + [bad] + word[pos + 1:]
-                got = outcome(he._check_word, h, cts)
+            for bad in faults(word, pos, lam, other_tag):
+                got = outcome(he._check_word, h, bad)
                 assert got[0] == "refuse"
-                assert got == outcome(ref_check_word, h, cts)
-                assert not he.well_formed(h, cts)
+                assert got == outcome(ref_check_word, h, bad)
+                assert not he.well_formed(h, bad)
                 with pytest.raises(he.HeError):
-                    he.dec_word(keys.hsk, cts)
+                    he.dec_word(keys.hsk, bad)
 
 
 @pytest.mark.parametrize("n", [0, 1, 16, 2308])
@@ -92,8 +114,8 @@ def test_enc_word_draws_like_one_enc_per_bit(n):
     bits = random_bits(random.Random(n), n)
     fast, per_bit, ref = (random.Random(60 + n) for _ in range(3))
     word = he.enc_word(hpk, bits, fast)
-    assert word == [he.enc(hpk, b, per_bit) for b in bits]
-    assert word == [ref_enc_transparent(hpk, b, ref) for b in bits]
+    assert word == b"".join(he.enc(hpk, b, per_bit) for b in bits)
+    assert word == b"".join(ref_enc_transparent(hpk, b, ref) for b in bits)
     assert fast.getstate() == per_bit.getstate() == ref.getstate()
 
 
@@ -101,7 +123,8 @@ def test_enc_word_draws_like_one_enc_per_bit_she():
     hpk = he.keygen(16, "integer-she", rng=random.Random(6)).hpk
     bits = random_bits(random.Random(7), 16)
     fast, per_bit = random.Random(8), random.Random(8)
-    assert he.enc_word(hpk, bits, fast) == [he.enc(hpk, b, per_bit) for b in bits]
+    assert he.enc_word(hpk, bits, fast) == b"".join(he.enc(hpk, b, per_bit)
+                                                    for b in bits)
     assert fast.getstate() == per_bit.getstate()
 
 
@@ -110,8 +133,8 @@ def test_enc_word_without_an_rng(keys):
     word = he.enc_word(keys.hpk, bits)
     assert he.well_formed(keys.hpk, word)
     assert he.dec_word(keys.hsk, word) == bits
-    assert len(set(word)) == len(word)  # fresh nonces, no two alike
-    assert he.dec_word(keys.hsk, [he.enc(keys.hpk, b) for b in bits]) == bits
+    assert len(set(cut(keys.hpk, word))) == 40  # fresh nonces, no two alike
+    assert he.dec_word(keys.hsk, b"".join(he.enc(keys.hpk, b) for b in bits)) == bits
 
 
 @pytest.mark.parametrize("bits", [
@@ -133,40 +156,45 @@ def test_enc_word_reads_bools_and_integral_values_as_bits(keys):
 # --- base64 ---------------------------------------------------------------------
 
 
-def ref_cts_b64(cts):
-    return [base64.b64encode(ct).decode("ascii") for ct in cts]
+def ref_cts_b64(word):
+    return base64.b64encode(word).decode("ascii")
 
 
-def ref_b64_cts(items):
+def ref_b64_cts(text, lam, n=None):
+    if not isinstance(text, str) or not text.isascii():
+        raise ProtocolError("not ASCII text")
     try:
-        out = [base64.b64decode(x, validate=True) for x in items]
+        word = base64.b64decode(text, validate=True)
     except Exception as exc:
         raise ProtocolError(f"bad ciphertext encoding: {exc}") from exc
-    if ref_cts_b64(out) != list(items):
+    if ref_cts_b64(word) != text:
         raise ProtocolError("non-canonical ciphertext encoding")
-    return out
+    if len(word) % lam or (n is not None and len(word) != n * lam):
+        raise ProtocolError("wrong length")
+    return word
 
 
-def same_decode(items):
+def same_decode(text, lam=1, n=None):
     try:
-        want = ref_b64_cts(items)
+        want = ref_b64_cts(text, lam, n)
     except ProtocolError:
         with pytest.raises(ProtocolError):
-            b64_cts(items)
+            b64_cts(text, lam, n)
         return False
-    assert b64_cts(items) == want
+    assert b64_cts(text, lam, n) == want
     return True
 
 
-@given(st.lists(st.binary(max_size=40), max_size=4))
-def test_cts_b64_matches_the_reference(cts):
-    assert cts_b64(cts) == ref_cts_b64(cts)
-    assert b64_cts(cts_b64(cts)) == cts
+@given(st.binary(max_size=120))
+def test_cts_b64_matches_the_reference(word):
+    assert cts_b64(word) == ref_cts_b64(word)
+    assert b64_cts(cts_b64(word), 1) == word
 
 
-@given(st.lists(st.text(alphabet="AQgwBb9+/=\n é\0", max_size=10), max_size=3))
-def test_b64_cts_accepts_exactly_what_the_reference_accepts(items):
-    same_decode(items)
+@given(st.text(alphabet="AQgwBb9+/=\n é\0", max_size=16))
+def test_b64_cts_accepts_exactly_what_the_reference_accepts(text):
+    for lam in (1, 2, 3):
+        same_decode(text, lam)
 
 
 def test_b64_cts_on_fuzzed_short_strings():
@@ -174,8 +202,9 @@ def test_b64_cts_on_fuzzed_short_strings():
     alphabet = "ABQgwz09+/=-_ \né"
     accepted = 0
     for _ in range(20000):
-        s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(9)))
-        accepted += same_decode([s])
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
+        accepted += same_decode(s)
+        same_decode(s, 2, 3)
     assert accepted > 100  # the fuzz reaches canonical spellings too
 
 
@@ -184,17 +213,87 @@ def test_b64_cts_on_fuzzed_short_strings():
     "AA==AA==", "AAAA\n", " AAAA", "AA-_", "AAé=", "ÿÿÿÿ", "",
     b"AA==", bytearray(b"AAAA"), 5, None, ["AA=="], 1.5])
 def test_b64_cts_edge_cases(item):
-    same_decode([item])
-    same_decode(["AAAA", item])
+    same_decode(item)
+    same_decode(item, 3)
+    if isinstance(item, str):
+        same_decode("AAAA" + item)
+        same_decode("AAAA" + item, 3, 1)
+
+
+def test_b64_cts_refuses_a_word_of_the_wrong_type_or_length():
+    lam = 34
+    word = he.enc_word(he.keygen(16, rng=random.Random(15)).hpk, (0, 1, 1), None)
+    text = cts_b64(word)
+    assert b64_cts(text, lam) == b64_cts(text, lam, 3) == word
+    assert b64_cts("", lam) == b""  # no length required: the empty word
+    for bad in (word, bytearray(word), None, 5, [text], text.encode("ascii")):
+        with pytest.raises(ProtocolError, match="ASCII text"):
+            b64_cts(bad, lam)
+    with pytest.raises(ProtocolError, match="ASCII text"):
+        b64_cts(text[:-4] + "é===", lam)
+    for short_or_long in (word[:-1], word + b"\0"):  # off by one byte
+        with pytest.raises(ProtocolError, match="ciphertexts, got"):
+            b64_cts(cts_b64(short_or_long), lam)
+    for n in (0, 2, 4):  # a whole number of ciphertexts, but not n
+        with pytest.raises(ProtocolError, match=f"must be {n} 34-byte"):
+            b64_cts(text, lam, n)
+    with pytest.raises(ProtocolError, match="must be 1 34-byte"):
+        b64_cts("", lam, 1)  # the empty word where one ciphertext is due
+
+
+B64_ALPHABET = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                "0123456789+/=")
+
+
+@pytest.fixture(scope="module")
+def demo_cert():
+    dev = Developer(DEMO, rng=random.Random(16))
+    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, [], seed=17, vga_budget=2,
+                 rng=random.Random(18))
+    verdict, cert = verify_session(dev, v)
+    assert verdict == "accept" and audit(cert)[0] == 1
+    return cert
+
+
+def test_one_character_change_to_a_long_program_word(demo_cert):
+    # every change of one character, at the first, middle and last places
+    # of a program's string, is refused as a spelling that is not
+    # canonical, as a wrong length, or decodes to another word; the audit of
+    # a certificate carrying such a change, bound again, is 0 in each way
+    text = demo_cert["public_params"]["programs"]["1"]
+    lam, plen = 34, len(b64_cts(text, 34)) // 34
+    assert plen > 1000 and text.endswith("==")
+    ways = {"spelling": 0, "length": 0, "word": 0}
+    for pos in (0, len(text) // 2, len(text) - 3, len(text) - 2, len(text) - 1):
+        audited = set()
+        for c in B64_ALPHABET.replace(text[pos], ""):
+            changed = text[:pos] + c + text[pos + 1:]
+            try:
+                word = b64_cts(changed, lam, plen)
+            except ProtocolError as exc:
+                way = "length" if "ciphertexts, got" in str(exc) else "spelling"
+                assert way == "length" or "encoding" in str(exc)
+            else:
+                way = "word"
+                assert word != b64_cts(text, lam)
+            ways[way] += 1
+            if way not in audited:  # one audit per way and place
+                audited.add(way)
+                cert = copy.deepcopy(demo_cert)
+                cert["public_params"]["programs"]["1"] = changed
+                cert["binding"] = session_binding(cert)
+                ok, report = audit(cert)
+                assert ok == 0 and report["reason"] != "session binding mismatch"
+    assert all(ways.values()), ways
 
 
 # --- prepared programs ----------------------------------------------------------
 
 
-def ref_run(hpk, u, program_cts, data_cts):
+def ref_run(hpk, u, program, data):
     """The earlier per-ciphertext decode and run of one table step."""
     _, sb, plen = uc_layout(u.n_data, u.g, u.m)
-    bits = [ref_unpack(hpk, ct)[0] & 1 for ct in program_cts]
+    bits = [ref_unpack(hpk, ct)[0] & 1 for ct in cut(hpk, program)]
     zero = u.n_data
 
     def line(pos, lines):
@@ -206,19 +305,20 @@ def ref_run(hpk, u, program_cts, data_cts):
               sum(bits[pos + 2 * sb + k] << k for k in range(4)))
              for j, pos in enumerate(range(0, u.g * width, width))]
     outs = [line(pos, zero + 1 + u.g) for pos in range(u.g * width, plen, sb)]
-    bus = [ref_unpack(hpk, ct)[0] & 1 for ct in data_cts] + [0]
+    bus = [ref_unpack(hpk, ct)[0] & 1 for ct in cut(hpk, data)] + [0]
     for l, r, tt in slots:
         bus.append((tt >> ((bus[l] << 1) | bus[r])) & 1)
-    inputs = hashlib.sha256(b"".join(program_cts) + b"".join(data_cts)).digest()
+    inputs = hashlib.sha256(program + data).digest()
     prefix = b"tr-eval-v2" + hpk.key_id + inputs
-    return [bytes([he.TAG_TRANSPARENT]) + hpk.key_id + bytes([bus[s]])
-            + hashlib.sha256(prefix + f"{u.name}:{k}".encode()).digest()[:24]
-            for k, s in enumerate(outs)]
+    return b"".join(
+        bytes([he.TAG_TRANSPARENT]) + hpk.key_id + bytes([bus[s]])
+        + hashlib.sha256(prefix + f"{u.name}:{k}".encode()).digest()[:24]
+        for k, s in enumerate(outs))
 
 
 @pytest.mark.parametrize("design", ["demo", "diamond"])
 def test_prepared_programs_match_the_reference_decode(design):
-    graph = parse_graph(DEMO_GRAPH_TEXT) if design == "demo" else diamond_graph()
+    graph = DEMO if design == "demo" else diamond_graph()
     dev = Developer(graph, rng=random.Random(13))
     rng = random.Random(14)
     assert len(dev.pp.programs) == 8
