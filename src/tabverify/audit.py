@@ -168,9 +168,7 @@ def replay(cert):
                             f"at {first_difference(cert, rebuilt)}")
         return False, report
     report["replayed_verdict"] = verdict
-    report["coverage"] = coverage_report(
-        cert["qa_e"], cert["public_params"]["structure"]
-    ).summary()
+    report["coverage"] = coverage_report(cert["qa_e"], v.pp.structure).summary()
     return True, report
 
 

@@ -294,7 +294,7 @@ def verify(spec_path, graph, connect, pp_path, mode, m_width, seed,
     finally:
         chan.close()  # closing the connection ends the developer's session
     digest = audit_mod.save_certificate(cert, resolve(cert_path))
-    report = coverage_report(cert["qa_e"], pp["structure"])
+    report = coverage_report(cert["qa_e"], v.pp.structure)
     if out:
         with open(resolve(out), "w", encoding="utf-8") as f:
             f.write(report.render_text() + "\n")

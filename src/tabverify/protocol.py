@@ -11,11 +11,14 @@ answer slice under its own secret key, the developer commits to the
 decryption before seeing the key ciphertext's opening, and the revealed
 value must decrypt to exactly the answer the developer gave earlier.
 
-The developer checks every query against the structure it published (each
-table's ports and their producers, and which tables are external), the same
-data the verifier walks; both parties compute the values a query carries
-(the table step, the checker slice and the checker value) with the one
-function each below.
+The published structure is one value, Structure: per table, whether it is
+external and what feeds each of its ports (an external input, or the sibling
+rows of earlier tables), then the external inputs and the output groups. It
+alone writes and reads its JSON, and refuses any JSON its to_dict would not
+have written or that the verifier could not walk. The developer checks every
+query against the structure it published, the same value the verifier walks;
+both parties compute the values a query carries (the table step, the checker
+slice and the checker value) with the one function each below.
 
 A ciphertext word (he's one bytes value of concatenated ciphertexts) is
 one base64 string on the wire and in the certificate: a published program,
@@ -135,12 +138,12 @@ def se_circuit_for(width):
 # --- the values both parties compute from a query -------------------------------
 
 
-def table_step(pp, u, i, u_word):
+def table_step(pp, i, u_word):
     """The output word of row table i on the input word u_word: program i
     and the input ciphertexts, cycled to the bus width, through the
-    universal circuit u. The verifier computes it for a q2; the developer
+    universal circuit. The verifier computes it for a q2; the developer
     recomputes it before it answers."""
-    need = u.n_data * pp.hpk.lam_bytes
+    need = pp.u_params[0] * pp.hpk.lam_bytes
     return pp.program(i).run((u_word * -(-need // len(u_word)))[:need])
 
 
@@ -166,6 +169,96 @@ def checker_value(pp, ct_sk, p):
 # --- public parameters ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Structure:
+    """The published structure: the diagram of interconnections between the
+    row tables, with only the specification's boundary names. Table i is
+    tables[i - 1] = (external, feeds): whether it feeds an output, and per
+    port the name of the external input it reads (a str) or the tuple of the
+    earlier tables whose sibling rows produce it. inputs are (name, type)
+    pairs; outputs are groups (name, type, table indices), in name order."""
+
+    tables: tuple
+    inputs: tuple
+    outputs: tuple
+
+    def table(self, i):
+        """(external, feeds) of table i; None when i is no table's index."""
+        valid = type(i) is int and 0 < i <= len(self.tables)
+        return self.tables[i - 1] if valid else None
+
+    def to_dict(self):
+        return {
+            "tables": [
+                {"index": i,
+                 "ports": [{"producers": [["input", f]] if isinstance(f, str)
+                            else [["table", j] for j in f]} for f in feeds],
+                 "external": external}
+                for i, (external, feeds) in enumerate(self.tables, 1)],
+            "external_inputs": [list(x) for x in self.inputs],
+            "outputs": [{"name": name, "type": ptype, "tables": list(group)}
+                        for name, ptype, group in self.outputs],
+        }
+
+    @classmethod
+    def from_dict(cls, d):
+        """Parse a published structure. ProtocolError unless to_dict writes
+        it back exactly, and the verifier can walk it: see _check."""
+        try:
+            s = cls(
+                tables=tuple(
+                    (t["external"], tuple(
+                        p[0][1] if p[0][0] == "input" else tuple(j for _, j in p)
+                        for p in (port["producers"] for port in t["ports"])))
+                    for t in d["tables"]),
+                inputs=tuple((name, ptype) for name, ptype in d["external_inputs"]),
+                outputs=tuple((g["name"], g["type"], tuple(g["tables"]))
+                              for g in d["outputs"]))
+            if canonical_json(s.to_dict()) != canonical_json(d):
+                raise ProtocolError("published structure is not in the published layout")
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise ProtocolError(f"published structure does not parse: {exc!r}") from None
+        s._check()
+        return s
+
+    def _check(self):
+        """Refuse a structure the verifier could not walk. Names are
+        distinct strs, and types int or bool, which a word encodes. A table
+        step cycles a table's input ciphertexts to the bus width, so every
+        table needs a port; a port reads a published input, or one or more
+        distinct earlier tables. Each output group lists one or more
+        distinct external tables, and each external table is listed."""
+        inputs = [name for name, _ in self.inputs]
+        names = [name for name, _, _ in self.outputs]
+        types = [t for _, t in self.inputs] + [t for _, t, _ in self.outputs]
+        if (not all(type(n) is str for n in inputs + names)
+                or any(t not in WORD_TYPES for t in types)):
+            raise ProtocolError("published names must be strs, and types int or bool")
+        if len(set(inputs)) < len(inputs) or names != sorted(set(names)):
+            raise ProtocolError("published names must be distinct, the outputs "
+                                "in name order")
+        for i, (external, feeds) in enumerate(self.tables, 1):
+            if type(external) is not bool or not feeds or not all(
+                    f in inputs if isinstance(f, str) else _distinct(f, range(1, i))
+                    for f in feeds):
+                raise ProtocolError(f"published table {i} needs a bool external "
+                                    "flag, and ports that read published inputs "
+                                    "or distinct earlier tables")
+        external = {i for i, (ext, _) in enumerate(self.tables, 1) if ext}
+        for name, _, group in self.outputs:
+            if not _distinct(group, external):
+                raise ProtocolError(f"published output group {name!r} needs one "
+                                    "or more distinct external tables")
+        if external - {i for _, _, group in self.outputs for i in group}:
+            raise ProtocolError("a published external table is in no output group")
+
+
+def _distinct(indices, allowed):
+    """Whether indices are one or more distinct ints, each in allowed."""
+    return (bool(indices) and all(type(i) is int and i in allowed for i in indices)
+            and len(set(indices)) == len(indices))
+
+
 @dataclass
 class PublicParams:
     """Only the developer's own choices: key sizes and the checker's code are
@@ -173,7 +266,7 @@ class PublicParams:
 
     hpk: object
     u_params: tuple  # (n_data, g, m)
-    structure: dict
+    structure: Structure
     programs: dict  # table index -> its program's ciphertext word
     # table index -> he.prepare of its program, filled by program()
     _prepared: dict = field(default_factory=dict, init=False, repr=False,
@@ -208,7 +301,7 @@ class PublicParams:
         return {
             "hpk": he.hpk_to_dict(self.hpk),
             "u_params": list(self.u_params),
-            "structure": self.structure,
+            "structure": self.structure.to_dict(),
             "programs": {str(i): p for i, p in programs.items()},
         }
 
@@ -227,6 +320,7 @@ class PublicParams:
         if not (isinstance(u_params, list) and len(u_params) == 3
                 and all(type(x) is int and x > 0 for x in u_params)):
             raise ProtocolError("u_params must be three positive integers")
+        structure = Structure.from_dict(d["structure"])
         plen = UniversalCircuit(*u_params).program_length
         if not isinstance(d["programs"], dict):
             raise ProtocolError("programs must map table indices to words")
@@ -239,69 +333,13 @@ class PublicParams:
                                 f"{exc}") from None
         except (AttributeError, TypeError, ValueError, he.HeError) as exc:
             raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
-        _refuse_unwalkable(d["structure"], programs)
-        pp = cls(hpk=hpk, u_params=tuple(u_params), structure=d["structure"],
+        if set(programs) != set(range(1, len(structure.tables) + 1)):
+            raise ProtocolError(f"programs are keyed {sorted(programs)}; the "
+                                "published tables 1..n need one each")
+        pp = cls(hpk=hpk, u_params=tuple(u_params), structure=structure,
                  programs=programs)
         pp._programs_b64 = {int(i): p for i, p in d["programs"].items()}
         return pp
-
-
-def _refuse_unwalkable(structure, programs):
-    """Refuse a structure the verifier could not walk. Every table has an
-    int index and a bool external flag, and the indices are 1..n in order,
-    which are the programs' keys. A table step cycles a table's input
-    ciphertexts to the bus width, so every table needs a port and every port
-    a producer. A producer is an input, which names a published external
-    input, or a table, which names an earlier one. External inputs and
-    output groups carry a type that a word encodes, int or bool. Every
-    output group has a str name and a list of the indices of one or more
-    external tables."""
-    try:
-        tables = structure["tables"]
-        if any(type(t["index"]) is not int or type(t["external"]) is not bool
-               for t in tables):
-            raise ProtocolError("published tables need an int index and a "
-                                "bool external flag")
-        indices = [t["index"] for t in tables]
-        if indices != list(range(1, len(tables) + 1)) or set(indices) != set(programs):
-            raise ProtocolError(f"published tables are indexed {indices}; they need "
-                                "1..n in order, one program each")
-        if any(not isinstance(group["name"], str)
-               or not isinstance(group["tables"], list)
-               or any(type(i) is not int for i in group["tables"])
-               for group in structure["outputs"]):
-            raise ProtocolError("published output groups need a str name and "
-                                "a list of int table indices")
-        external = {t["index"] for t in tables if t["external"]}
-        for group in structure["outputs"]:
-            if not group["tables"] or not set(group["tables"]) <= external:
-                raise ProtocolError(f"published output group {group['name']!r} "
-                                    "needs one or more external tables")
-        types = [t for _, t in structure["external_inputs"]]
-        types += [group["type"] for group in structure["outputs"]]
-        if any(t not in WORD_TYPES for t in types):
-            raise ProtocolError("published structure has a type other than "
-                                "int or bool")
-        inputs = {name for name, _ in structure["external_inputs"]}
-        for t in tables:
-            i = t["index"]
-            if not t["ports"]:
-                raise ProtocolError(f"published table {i} has no ports")
-            if any(not port["producers"] for port in t["ports"]):
-                raise ProtocolError(f"published table {i} has a port with no "
-                                    "producers")
-            for kind, ref in (p for port in t["ports"] for p in port["producers"]):
-                if kind not in ("input", "table"):
-                    raise ProtocolError(f"published table {i} has a producer of "
-                                        f"kind {kind!r}")
-                if kind == "input" and ref not in inputs:
-                    raise ProtocolError(f"published table {i} reads an input that "
-                                        "is not published")
-                if kind == "table" and not (type(ref) is int and 0 < ref < i):
-                    raise ProtocolError(f"published table {i} reads table {ref!r}, "
-                                        "which is not an earlier table")
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ProtocolError(f"published structure does not parse: {exc!r}") from None
 
 
 def public_structure(tg, index_of):
@@ -311,35 +349,24 @@ def public_structure(tg, index_of):
     positions; only the boundary interface (external input names and output
     port names, which the public specification fixes anyway) keeps names.
     """
-    tables = []
-    for name in tg.order:
-        t = tg.tables[name]
-        ports = []
-        for port, _ in t.inputs:
-            producers = []
-            for src, _sport in tg.producers[(name, port)]:
-                if src == INPUT:
-                    producers.append(["input", _sport])
-                else:
-                    producers.append(["table", index_of[src]])
-            ports.append({"producers": producers})
-        tables.append(
-            {
-                "index": index_of[name],
-                "ports": ports,
-                "external": name in {n for n, _ in tg.external_outputs},
-            }
-        )
+
+    def feed(producers):  # one external input, or the sibling rows of a port
+        src, port = producers[0]
+        return port if src == INPUT else tuple(index_of[s] for s, _ in producers)
+
+    external = {name for name, _ in tg.external_outputs}
     groups = {}
     for tname, port in tg.external_outputs:
         ptype = dict(tg.tables[tname].outputs)[port]
-        groups.setdefault(port, {"name": port, "type": ptype, "tables": []})
-        groups[port]["tables"].append(index_of[tname])
-    return {
-        "tables": tables,
-        "external_inputs": [[n, t] for n, t in tg.external_inputs],
-        "outputs": [groups[p] for p in sorted(groups)],
-    }
+        groups.setdefault(port, (port, ptype, []))[2].append(index_of[tname])
+    return Structure(
+        tables=tuple((name in external, tuple(feed(tg.producers[(name, port)])
+                                              for port, _ in tg.tables[name].inputs))
+                     for name in tg.order),
+        inputs=tuple(tuple(x) for x in tg.external_inputs),
+        outputs=tuple((port, ptype, tuple(group))
+                      for port, ptype, group in (groups[p] for p in sorted(groups))),
+    )
 
 
 # --- developer -------------------------------------------------------------------
@@ -434,11 +461,6 @@ class Developer:
             reply = {"error": f"unknown frame type {ftype!r}"}
         return make_frame("reply", reply)
 
-    def _published(self, i):
-        """Table i of the published structure, or None when there is none."""
-        tables = self.pp.structure["tables"]  # in index order, from 1
-        return tables[i - 1] if i is not None and 0 < i <= len(tables) else None
-
     # -- q1 / q2
 
     def _encode(self, body):
@@ -451,11 +473,10 @@ class Developer:
     def _encode_q1(self, body):
         m = self.pp.m
         h = m // 2
-        i, port = _int(body.get("i")), _int(body.get("port"))
-        t = self._published(i)
-        if t is None or port is None or not 0 <= port < len(t["ports"]):
-            return {"answer": {"kind": NULL}}
-        if t["ports"][port]["producers"][0][0] != "input":
+        i, port = body.get("i"), _int(body.get("port"))
+        t = self.pp.structure.table(i)
+        if (t is None or port is None or not 0 <= port < len(t[1])
+                or not isinstance(t[1][port], str)):  # tables, not an input, feed it
             return {"answer": {"kind": NULL}}
         try:
             u = str_bits(body.get("u", ""))
@@ -474,46 +495,47 @@ class Developer:
         m = self.pp.m
         h = m // 2
         lam = self.hpk.lam_bytes
-        i = _int(body.get("i"))
-        t = self._published(i)
+        i = body.get("i")
+        t = self.pp.structure.table(i)
         if t is None:
             return {"answer": {"kind": NULL}}
+        external, feeds = t
         try:
-            u_word = b64_cts(body.get("u"), lam, len(t["ports"]) * m)
+            u_word = b64_cts(body.get("u"), lam, len(feeds) * m)
             v_word = b64_cts(body.get("v"), lam, m)
         except ProtocolError:
             return {"answer": {"kind": NULL}}
 
         u_plain = []
         span = m * lam  # one port's word
-        for j, port in enumerate(t["ports"]):
+        for j, feed in enumerate(feeds):
             segment = u_word[j * span:(j + 1) * span]
-            word = self._produced_word(i, j, port["producers"], segment)
+            word = self._produced_word(i, j, feed, segment)
             if word is None:
                 return {"answer": {"kind": NULL}}
             u_plain.extend(word)
 
-        if table_step(self.pp, self.u, i, u_word) != v_word:
+        if table_step(self.pp, i, u_word) != v_word:
             return {"answer": {"kind": NULL}}
 
         out = self._open_output(i, v_word, u_plain)
         if not any(out[:h]):
             honest = {"kind": BOT}
-        elif t["external"]:
+        elif external:
             honest = {"kind": "payload", "payload": bits_str(out[h:])}
         else:
             honest = {"kind": TOP}
         self.mem.q2[i] = (v_word, out)
         return {"answer": self._apply_strategy(honest)}
 
-    def _produced_word(self, i, j, producers, segment):
-        """Plaintext of input segment j of table i, if an earlier answer
-        produced exactly this ciphertext word; None otherwise."""
-        if producers[0][0] == "input":
+    def _produced_word(self, i, j, feed, segment):
+        """Plaintext of input segment j of table i, which feed feeds, if an
+        earlier answer produced exactly this ciphertext word; None otherwise."""
+        if isinstance(feed, str):
             known = self.mem.q1.get((i, j))
             return known[1] if known is not None and known[0] == segment else None
         h = self.pp.m // 2
-        for _, ref in producers:
+        for ref in feed:
             prior = self.mem.q2.get(ref)
             if prior is not None and prior[0] == segment:
                 # a producing output that decrypts to bot feeds nothing
@@ -688,7 +710,7 @@ class Verifier:
         ct_sk=None,
     ):
         pp = PublicParams.from_dict(pp)  # the published public-parameter dict
-        published = [tuple(x) for x in pp.structure["external_inputs"]]
+        published = list(pp.structure.inputs)
         if Counter(published) != Counter(g_spec.external_inputs):
             raise ProtocolError(f"published external inputs {published} are not "
                                 f"the specification's {g_spec.external_inputs}")
@@ -726,11 +748,8 @@ class Verifier:
         self.mode = mode
         self.vga_budget = vga_budget
         self.rng = rng or random.Random()
-        self.u = UniversalCircuit(*pp.u_params)
-        # the tables in index order and the type of each external input,
-        # as every input's walk reads them
-        self.tables = sorted(pp.structure["tables"], key=lambda t: t["index"])
-        self.input_types = dict(pp.structure["external_inputs"])
+        # the type of each external input, as every input's walk reads it
+        self.input_types = dict(pp.structure.inputs)
         self.code = gen_code()
         if mode == "general":
             self.sk = tuple(sk) if sk else se_keygen(SE_KEY_BITS, self.rng)
@@ -858,15 +877,12 @@ class Verifier:
         # answers fire, carrying the payload bits)
         feeds, outs = {}, {}
 
-        for t in self.tables:
-            i = t["index"]
+        for i, (_, ports) in enumerate(self.pp.structure.tables, 1):
             port_words = []
-            for pos, port in enumerate(t["ports"]):
-                producers = port["producers"]
-                if producers[0][0] == "input":
-                    name = producers[0][1]
-                    value = X[name]
-                    if self.input_types[name] == "bool":  # as the plaintext spec reads it
+            for pos, feed in enumerate(ports):
+                if isinstance(feed, str):  # an external input
+                    value = X[feed]
+                    if self.input_types[feed] == "bool":  # as the plaintext spec reads it
                         value = bool(value)
                     u_bits = tagged_to_bits(Tagged(True, value), m)
                     ans, w = self._encode_query(
@@ -880,16 +896,16 @@ class Verifier:
                     continue
                 # a null or uniformly non-firing feed makes the consumer
                 # null, matching the plaintext evaluation rules
-                tops = sibling_group([feeds.get(ref) for _, ref in producers])
+                tops = sibling_group([feeds.get(ref) for ref in feed])
                 if not tops:
                     break
                 port_words.append(tops[0].payload)
-            if len(port_words) < len(t["ports"]):
+            if len(port_words) < len(ports):
                 feeds[i] = outs[i] = None
                 continue
 
             u_word = b"".join(port_words)
-            v_word = table_step(self.pp, self.u, i, u_word)
+            v_word = table_step(self.pp, i, u_word)
             ans, _ = self._encode_query(
                 chan,
                 {"i": i, "qkind": 2, "u": cts_b64(u_word), "v": cts_b64(v_word)},
@@ -905,15 +921,14 @@ class Verifier:
             outs[i] = Tagged(True, ans["payload"]) if kind == "payload" else silent
 
         outputs = {}
-        for group in self.pp.structure["outputs"]:
-            name = group["name"]
-            tops = sibling_group([outs.get(i) for i in group["tables"]])
+        for name, ptype, group in self.pp.structure.outputs:
+            tops = sibling_group([outs.get(i) for i in group])
             if tops is None:
                 outputs[name] = None
             elif not tops:
                 outputs[name] = BOT
             elif len(tops) == 1:
-                outputs[name] = payload_to_value(str_bits(tops[0].payload), group["type"])
+                outputs[name] = payload_to_value(str_bits(tops[0].payload), ptype)
             else:
                 self.failures.append({"reason": "ambiguous-output", "port": name})
                 outputs[name] = None

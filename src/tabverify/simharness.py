@@ -161,29 +161,19 @@ def run_experiment(graph, domains, cp, seed, mode="general", vga_budget=8):
     """
     fake = fake_graph_like(graph, seed)
     budget = shared_budget(graph, fake)
-
-    dev_r = Developer(graph, rng=random.Random(seed), u_budget=budget)
-    v_r = Verifier(
-        dev_r.pp.to_dict(), graph, domains, cp, seed=seed, mode=mode,
-        vga_budget=vga_budget, rng=random.Random(seed + 1),
-    )
-    verdict_r, cert_r = verify_session(dev_r, v_r)
-
-    dev_i = OracleDeveloper(
-        fake, answer_graph=graph, rng=random.Random(seed), u_budget=budget
-    )
-    v_i = Verifier(
-        dev_i.pp.to_dict(), graph, domains, cp, seed=seed, mode=mode,
-        vga_budget=vga_budget, rng=random.Random(seed + 1),
-    )
-    if mode == "general":
-        dev_i.learn_sk(v_i.sk)
-    verdict_i, cert_i = verify_session(dev_i, v_i)
-
-    return {
-        "real": {"verdict": verdict_r, "cert": cert_r},
-        "ideal": {"verdict": verdict_i, "cert": cert_i},
-    }
+    result = {}
+    for side, dev in (
+        ("real", Developer(graph, rng=random.Random(seed), u_budget=budget)),
+        ("ideal", OracleDeveloper(fake, answer_graph=graph, rng=random.Random(seed),
+                                  u_budget=budget)),
+    ):
+        v = Verifier(dev.pp.to_dict(), graph, domains, cp, seed=seed, mode=mode,
+                     vga_budget=vga_budget, rng=random.Random(seed + 1))
+        if side == "ideal" and mode == "general":
+            dev.learn_sk(v.sk)
+        verdict, cert = verify_session(dev, v)
+        result[side] = {"verdict": verdict, "cert": cert}
+    return result
 
 
 def metadata_views(result):

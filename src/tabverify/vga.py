@@ -22,21 +22,17 @@ def input_key(X):
 
 
 def enumerate_paths(structure, limit):
-    """Simple Input-to-Output paths over the anonymized node indices."""
-    succ = {}
-    starts = []
-    external = set()
-    for t in structure["tables"]:
-        idx = t["index"]
-        succ.setdefault(idx, [])
-        if t["external"]:
-            external.add(idx)
-        for port in t["ports"]:
-            for kind, ref in port["producers"]:
-                if kind == "input":
-                    starts.append(idx)
-                else:
+    """Simple Input-to-Output paths over the anonymized node indices of the
+    published structure."""
+    succ, starts = {}, set()
+    for idx, (_, feeds) in enumerate(structure.tables, 1):
+        for feed in feeds:
+            if isinstance(feed, str):  # an external input
+                starts.add(idx)
+            else:
+                for ref in feed:
                     succ.setdefault(ref, []).append(idx)
+    external = {i for i, (ext, _) in enumerate(structure.tables, 1) if ext}
     paths = []
 
     def walk(node, acc):
@@ -50,7 +46,7 @@ def enumerate_paths(structure, limit):
             if nxt not in acc:
                 walk(nxt, acc + [nxt])
 
-    for s in sorted(set(starts)):
+    for s in sorted(starts):
         walk(s, [s])
     return paths
 
@@ -138,8 +134,8 @@ class CoverageReport:
 def coverage_report(qa_e, structure):
     """Row coverage from the public transcript's q2 answers alone."""
     tables = {
-        t["index"]: {"covered": False, "anti_covered": False, "reached": False}
-        for t in structure["tables"]
+        i: {"covered": False, "anti_covered": False, "reached": False}
+        for i in range(1, len(structure.tables) + 1)
     }
     for rec in qa_e:
         q, a = rec["q"], rec["a"]

@@ -32,6 +32,7 @@ from tabverify.demo import (
 )
 from tabverify.protocol import (
     Developer,
+    Structure,
     Verifier,
     b64_cts,
     bits_str,
@@ -259,9 +260,10 @@ def test_c8_oracles_byte_identical_to_services():
     ct_sk = he.enc_word(dev.hpk, sk, random.Random(6))
     orc.learn_sk(sk)
     m, lam = graph.m, dev.hpk.lam_bytes
-    src = [t for t in dev.pp.structure["tables"]
+    structure = dev.pp.to_dict()["structure"]
+    src = [t for t in structure["tables"]
            if all(p["producers"][0][0] == "input" for p in t["ports"])]
-    ext_types = dict(dev.pp.structure["external_inputs"])
+    ext_types = dict(structure["external_inputs"])
     all_idx = sorted(dev.index_of.values())
     queries = 0
     sequences = 0
@@ -302,7 +304,7 @@ def test_c8_oracles_byte_identical_to_services():
                                        "u": bits_str(u)}, pair)
                     words.append(b64_cts(a["answer"]["w"], lam))
                 u_word = b"".join(words)
-                v = table_step(dev.pp, dev.u, t["index"], u_word)
+                v = table_step(dev.pp, t["index"], u_word)
                 ask("encode", {"qkind": 2, "i": t["index"], "u": cts_b64(u_word),
                                "v": cts_b64(v)}, pair)
             elif op < 0.95:
@@ -354,7 +356,8 @@ def test_c9_demo_pipeline_general_mode(tmp_path):
     assert ok == 1
 
     # coverage must mark exactly the rows whose predicates held
-    rep = coverage_report(loaded["qa_e"], loaded["public_params"]["structure"])
+    rep = coverage_report(loaded["qa_e"],
+                          Structure.from_dict(loaded["public_params"]["structure"]))
     want_cov, want_anti, want_reached = set(), set(), set()
     for key in loaded["outputs"]:
         X = json.loads(key)

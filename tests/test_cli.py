@@ -171,7 +171,7 @@ def test_serve_closes_connections_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(cli, "serve_loop", serve_loop)
     dev = Developer(parse_graph(DEMO_GRAPH_TEXT), rng=random.Random(0))
-    t = next(t for t in dev.pp.structure["tables"]
+    t = next(t for t in dev.pp.to_dict()["structure"]["tables"]
              if t["ports"][0]["producers"][0][0] == "input")
     q1 = make_frame("encode", {"qkind": 1, "i": t["index"], "port": 0,
                                "u": bits_str(int_to_bits(1, 8) + (0,) * 8)})
@@ -246,6 +246,15 @@ def demo_pp():
     return Developer(parse_graph(DEMO_GRAPH_TEXT), rng=random.Random(0)).pp.to_dict()
 
 
+# a fault that appends a producer to the first port of one table: the
+# table's position in the list, and the producer; tables 1-4 read a, 5-6
+# read b, and 7-8 read tables 1-4
+PORT_GAINS = {"port-input-then-table": (4, ["table", 1]),
+              "port-two-inputs": (0, ["input", "b"]),
+              "port-table-then-input": (6, ["input", "a"]),
+              "port-table-twice": (6, ["table", 1])}
+
+
 def edited_pp(pp, fault):
     """pp with one field added, or of the wrong type or shape."""
     pp = json.loads(json.dumps(pp))
@@ -312,6 +321,15 @@ def edited_pp(pp, fault):
         group["tables"] = [1, 6] if fault == "output-internal-table" else [5, 9]
     elif fault == "output-no-tables":
         pp["structure"]["outputs"][0]["tables"] = []
+    elif fault == "output-table-twice":
+        pp["structure"]["outputs"][0]["tables"] = [5, 6, 5]
+    elif fault == "output-name-twice":  # a second group c, after w
+        pp["structure"]["outputs"].append(dict(pp["structure"]["outputs"][0]))
+    elif fault == "external-unlisted":  # table 1 feeds no output group
+        pp["structure"]["tables"][0]["external"] = True
+    elif fault in PORT_GAINS:
+        position, producer = PORT_GAINS[fault]
+        pp["structure"]["tables"][position]["ports"][0]["producers"].append(producer)
     else:
         assert fault == "port-no-producers"
         pp["structure"]["tables"][0]["ports"][0]["producers"] = []
@@ -326,7 +344,10 @@ PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
              "index-str", "index-missing", "external-missing", "index-skips",
              "program-key-skips", "producer-kind-tabel", "producer-same-table",
              "producer-later-table", "producer-missing-table",
-             "output-internal-table", "output-missing-table", "output-no-tables"]
+             "output-internal-table", "output-missing-table", "output-no-tables",
+             "port-input-then-table", "port-two-inputs", "port-table-then-input",
+             "port-table-twice", "output-table-twice", "output-name-twice",
+             "external-unlisted"]
 
 
 @pytest.mark.parametrize("bad", [

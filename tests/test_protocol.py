@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import simulate_batch
+from tabverify.audit import json_leaves
 from tabverify import he
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
 from tabverify.demo import (
@@ -19,7 +20,9 @@ from tabverify.demo import (
 from tabverify.graphtext import parse_graph
 from tabverify.protocol import (
     Developer,
+    ProtocolError,
     PublicParams,
+    Structure,
     Verifier,
     bits_str,
     cts_b64,
@@ -82,7 +85,7 @@ def test_published_programs_are_handed_back_not_encoded_again(monkeypatch):
 
 def test_structure_hides_design_details():
     dev = make_dev()
-    blob = canonical_json(dev.pp.structure)
+    blob = canonical_json(dev.pp.to_dict()["structure"])
     # no table names, predicates, or function text leak; only the public
     # boundary names appear
     for secret in ("DL", "CT", "OP", ">", "45", "pred"):
@@ -92,7 +95,7 @@ def test_structure_hides_design_details():
 
 def test_structure_shape():
     dev = make_dev()
-    s = dev.pp.structure
+    s = dev.pp.to_dict()["structure"]
     tg = transform(DEMO)
     assert len(s["tables"]) == len(tg.order)
     assert {t["index"] for t in s["tables"]} == set(range(1, len(tg.order) + 1))
@@ -100,6 +103,79 @@ def test_structure_shape():
         n for n, _ in s["external_inputs"]
     )
     assert {g["name"] for g in s["outputs"]} == {"w", "c"}
+
+
+@pytest.mark.parametrize("design", ["demo", "chain", "diamond", "width12", "narrow"])
+def test_structure_reads_back_what_it_writes(design):
+    from helpers import NARROW_TEXT, WIDTH12_TEXT
+
+    graph = {"demo": DEMO, "chain": chain_graph(), "diamond": diamond_graph(),
+             "width12": parse_graph(WIDTH12_TEXT),
+             "narrow": parse_graph(NARROW_TEXT)}[design]
+    dev = make_dev(graph)
+    assert Structure.from_dict(dev.pp.to_dict()["structure"]) == dev.pp.structure
+
+
+SWEEP_VALUES = [None, 0, -1, 1, 99, "zz", True, [], {}, [1], ["input", "a"],
+                ["table", 1]]
+
+
+def structure_edits(s):
+    """Every one-place edit of the published structure s: each leaf set to
+    each of SWEEP_VALUES, each key deleted, and one producer of each kind
+    appended to each port."""
+
+    def nodes(node, path=()):
+        yield path, node
+        if isinstance(node, (dict, list)):
+            for k, sub in (node.items() if isinstance(node, dict) else enumerate(node)):
+                yield from nodes(sub, path + (k,))
+
+    def edited(path, change):
+        copy = json.loads(json.dumps(s))
+        node = copy
+        for k in path[:-1]:
+            node = node[k]
+        change(node, path[-1])
+        return copy
+
+    for path, node in list(nodes(s)):
+        if not isinstance(node, (dict, list)):
+            for value in SWEEP_VALUES:
+                yield edited(path, lambda parent, k: parent.__setitem__(k, value))
+        elif isinstance(node, dict):
+            for key in node:
+                yield edited(path + (key,), lambda parent, k: parent.__delitem__(k))
+        elif path[-2:-1] == ("ports",):
+            for producer in (["input", "a"], ["table", 1]):
+                yield edited(path + ("producers",),
+                             lambda parent, k: parent[k].append(producer))
+
+
+@pytest.mark.parametrize("graph", [DEMO, diamond_graph()], ids=["demo", "diamond"])
+def test_structure_sweep_refuses_or_reads_back_each_edit(graph):
+    # an edited structure is refused as a ProtocolError, or read back
+    # exactly: no other exception, and nothing dropped or reinterpreted
+    pp = make_dev(graph).pp.to_dict()
+    was = dict(json_leaves(pp["structure"]))
+    edits = read_back = 0
+    for s in structure_edits(pp["structure"]):
+        edits += 1
+        try:
+            got = PublicParams.from_dict(dict(pp, structure=s)).to_dict()["structure"]
+        except ProtocolError:
+            continue
+        read_back += 1
+        assert canonical_json(got) == canonical_json(s)
+        now = dict(json_leaves(s))
+        for path in set(was) | set(now):
+            if canonical_json(was.get(path)) != canonical_json(now.get(path)):
+                # only an output's name, or the earlier table a producer
+                # names, can change and leave a structure the developer
+                # could have published
+                assert path[-1] == "name" or (
+                    path[-1] == 1 and was.get(path[:-1] + (0,)) == "table"), path
+    assert edits > 700 and read_back
 
 
 def test_honest_session_accepts_demo():
@@ -236,7 +312,7 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
         assert a["answer"]["kind"] == "w"
         words.append(b64_cts(a["answer"]["w"], lam))
     u_word = b"".join(words)
-    v = table_step(dev.pp, dev.u, i, u_word)
+    v = table_step(dev.pp, i, u_word)
     if corrupt == "v":  # the last byte of the first ciphertext
         v = v[:lam - 1] + bytes([v[lam - 1] ^ 1]) + v[lam:]
     if corrupt == "u":
@@ -247,7 +323,7 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
 
 
 def first_input_table(dev):
-    for t in sorted(dev.pp.structure["tables"], key=lambda t: t["index"]):
+    for t in sorted(dev.pp.to_dict()["structure"]["tables"], key=lambda t: t["index"]):
         if all(p["producers"][0][0] == "input" for p in t["ports"]):
             return t
     raise AssertionError("no source table")
@@ -270,7 +346,7 @@ def test_q2_honest_and_tampered():
     # q2 without any prior q1
     dev = dev.session()
     fake = he.enc_word(dev.hpk, bits[0], random.Random(9))
-    v = table_step(dev.pp, dev.u, t["index"], fake * len(bits))
+    v = table_step(dev.pp, t["index"], fake * len(bits))
     a = frame(
         dev,
         "encode",
@@ -300,7 +376,7 @@ def test_memory_wiped_between_sessions():
         )
         words.append(b64_cts(a["answer"]["w"], dev.hpk.lam_bytes))
     u_word = b"".join(words)
-    v = table_step(dev.pp, dev.u, t["index"], u_word)
+    v = table_step(dev.pp, t["index"], u_word)
     body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_word), "v": cts_b64(v)}
     assert frame(s2, "encode", body)["answer"]["kind"] == "null"
     assert frame(s1, "encode", body)["answer"]["kind"] != "null"
@@ -625,7 +701,7 @@ def test_table_step_is_byte_identical_to_the_gate_list_evaluation():
     rng = random.Random(6)
     lam = dev.hpk.lam_bytes
     assert len(dev.pp.programs) == 8
-    for t in dev.pp.structure["tables"]:
+    for t in dev.pp.to_dict()["structure"]["tables"]:
         i, width = t["index"], len(t["ports"]) * dev.pp.m
         data = [he.enc_word(dev.hpk, [rng.randrange(2) for _ in range(width)], rng)
                 for _ in range(50)]
@@ -634,7 +710,7 @@ def test_table_step_is_byte_identical_to_the_gate_list_evaluation():
                            for k in range(dev.u.n_data)) for w in data]
         want = gate_list_step(dev.hpk, dev.hsk, dev.u,
                               [dev.pp.programs[i] + c for c in cycled])
-        assert [table_step(dev.pp, dev.u, i, w) for w in data] == want
+        assert [table_step(dev.pp, i, w) for w in data] == want
 
 
 def test_programs_are_prepared_on_first_use_once_per_public_params(monkeypatch):
@@ -672,16 +748,16 @@ def test_concurrent_table_steps_share_one_memo():
     dev = make_dev(diamond_graph(), seed=5)
     rng = random.Random(7)
     steps = []
-    for t in dev.pp.structure["tables"]:
+    for t in dev.pp.to_dict()["structure"]["tables"]:
         width = len(t["ports"]) * dev.pp.m
         u_word = he.enc_word(dev.hpk, [rng.randrange(2) for _ in range(width)], rng)
         steps.append((t["index"], u_word))
-    want = [table_step(dev.pp, dev.u, i, u_word) for i, u_word in steps]
+    want = [table_step(dev.pp, i, u_word) for i, u_word in steps]
     shared = PublicParams.from_dict(dev.pp.to_dict())
     got = [None] * 4
 
     def work(k):
-        got[k] = [table_step(shared, dev.u, i, u_word) for i, u_word in steps]
+        got[k] = [table_step(shared, i, u_word) for i, u_word in steps]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

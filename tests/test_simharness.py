@@ -56,7 +56,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     ct_sk = he.enc_word(dev.hpk, sk, random.Random(4))
     orc.learn_sk(sk)
     m = dev.pp.m
-    t = next(t for t in dev.pp.structure["tables"]
+    t = next(t for t in dev.pp.to_dict()["structure"]["tables"]
              if all(p["producers"][0][0] == "input" for p in t["ports"]))
     junk = bytes(dev.hpk.lam_bytes)  # right length, no valid tag or key id
 

@@ -7,7 +7,7 @@ from tabverify.demo import (
     chain_graph,
 )
 from tabverify.graphtext import parse_graph
-from tabverify.protocol import Developer, public_structure
+from tabverify.protocol import Developer, Structure, public_structure
 from tabverify.tables import evaluate_plain, transform
 from tabverify.vga import (
     coverage_report,
@@ -25,7 +25,8 @@ def test_enumerate_paths_demo():
     paths = enumerate_paths(demo_structure(), limit=64)
     assert paths
     # every path ends at an external table and respects index order
-    ext = {t["index"] for t in demo_structure()["tables"] if t["external"]}
+    ext = {i for i, (external, _) in enumerate(demo_structure().tables, 1)
+           if external}
     for p in paths:
         assert p[-1] in ext
         assert len(set(p)) == len(p)
@@ -65,7 +66,8 @@ def test_coverage_report_from_transcript():
         {"q": {"qkind": 1, "i": 3, "port": 0}, "a": {"kind": "w"}},
         {"q": {"qkind": 2, "i": 4}, "a": {"kind": "payload", "payload": "01"}},
     ]
-    structure = {"tables": [{"index": i} for i in range(1, 6)]}
+    structure = Structure(tables=((False, ("a",)),) * 5, inputs=(("a", "int"),),
+                          outputs=())
     rep = coverage_report(qa_e, structure)
     assert rep.covered == [1, 4]
     assert rep.anti_covered == [2]
