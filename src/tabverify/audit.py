@@ -19,6 +19,7 @@ import random
 from .channel import canonical_json, make_frame
 from .graphtext import parse_graph
 from .protocol import (
+    BINDING_FIELDS,
     CERT_VERSION,
     SessionFailure,
     Verifier,
@@ -27,7 +28,7 @@ from .protocol import (
 )
 from .vga import coverage_report
 
-CERT_FORMAT = "tabverify-cert-v6"
+CERT_FORMAT = "tabverify-cert-v7"
 
 
 class AuditError(Exception):
@@ -124,6 +125,10 @@ def replay(cert):
     fields, is rejected before any replay; the final comparison would
     reject it too, only later.
 
+    Each top-level field of cert is serialised once: the binding fields for
+    the binding, before the replay, and the others only at the final
+    comparison (_same_certificate).
+
     cert is used as handed, JSON-native as `Verifier.run` returns it and
     `load_certificate` parses it, and is left unchanged.
     """
@@ -163,13 +168,27 @@ def replay(cert):
         # commentary attached after the session; not replayable, but still
         # covered by the certificate file's content hash
         rebuilt = dict(rebuilt, annotations=cert["annotations"])
-    if canonical_json(rebuilt) != canonical_json(cert):
+    if not _same_certificate(cert, rebuilt):
         report["reason"] = ("rebuilt certificate differs from the stored one "
                             f"at {first_difference(cert, rebuilt)}")
         return False, report
     report["replayed_verdict"] = verdict
     report["coverage"] = coverage_report(cert["qa_e"], v.pp.structure).summary()
     return True, report
+
+
+def _same_certificate(stored, rebuilt):
+    """Whether rebuilt serialises to exactly the bytes of stored, whose
+    binding replay has checked against its binding fields. Verifier.run
+    sets the rebuilt binding to the hash of the rebuilt binding fields, so
+    equal bindings mean those fields serialise alike (as far as SHA-256
+    binds, which the session binding relies on anyway), and only the other
+    fields are serialised here. A dict's canonical JSON is its sorted keys
+    each with its value's canonical JSON, so the same keys with the same
+    texts are the same bytes."""
+    return set(stored) == set(rebuilt) and all(
+        canonical_json(stored[k]) == canonical_json(rebuilt[k])
+        for k in stored if k not in BINDING_FIELDS)
 
 
 def audit(cert):

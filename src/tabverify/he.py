@@ -4,7 +4,7 @@ Two backends share the same ciphertext container and operations:
 
   transparent   carries the plaintext bit plus a nonce; eval computes the
                 output bits from the plaintexts, and output k's nonce is
-                sha256("tr-eval-v2", key id, sha256(joined inputs),
+                sha256("tr-eval-v2", key id, sha256(input word),
                 "name:label")[:24]. A gate-list circuit (eval_word) is
                 named by gates_digest(), its label is the output wire and
                 its bits come from simulating its gate list. A universal
@@ -19,15 +19,17 @@ Two backends share the same ciphertext container and operations:
                 an AND would exceed the budget; results are never silently
                 corrupted.
 
-Ciphertexts are fixed-length byte strings: backend tag, 8-byte key id, then
-the backend payload padded to the key pair's length. A word of ciphertexts
-is one bytes value, their concatenation, in every layer: enc_word and
-eval_word return one, a prepared program's run takes and returns one, and
-dec_word, well_formed and prepare take one. _check_word is the one check of
-a word (bytes, a whole number of the key pair's ciphertexts, each with its
-tag and key id); each header byte, and each transparent bit, of every
-ciphertext is one strided slice of the word. enc_word on the transparent
-backend draws all its nonces in one call, 192 bits per ciphertext; from a
+A word of ciphertexts is one bytes value in every layer: a 9-byte header,
+the backend tag and the 8-byte key id, once, then one fixed-length payload
+per ciphertext (lam_bytes - 9 bytes: the bit and a 24-byte nonce, or the
+noise and the value). A word of one ciphertext is lam_bytes long. enc_word
+and eval_word return a word, a prepared program's run takes and returns
+one, and dec_word, well_formed and prepare take one. check_word is the one
+check of a word (bytes, a header of the key pair's tag and key id, and a
+whole number of payloads); cut_word and join_words are the one way to take
+ciphertexts out of a word and to put words together. Each transparent bit
+of a word is one strided slice of it. enc_word on the transparent backend
+draws all its nonces in one call, 192 bits per ciphertext; from a
 random.Random these are the same nonces, and leave the same state, as one
 draw per ciphertext.
 """
@@ -40,6 +42,8 @@ from .circuit import simulate, uc_layout
 
 TAG_TRANSPARENT = 1
 TAG_SHE = 2
+HEADER = 9  # bytes of a word's header: backend tag and key id
+_TR = 25  # bytes of a transparent payload: the bit and a 24-byte nonce
 
 KINDS = ("transparent", "integer-she")
 
@@ -112,10 +116,11 @@ def _randbits(rng, n):
 
 
 def ciphertext_bytes(kind, config):
-    """lam_bytes of a key pair: the length of each of its ciphertexts."""
+    """lam_bytes of a key pair: the length of a word of one ciphertext, its
+    header and one payload."""
     if kind == "transparent":
-        return 1 + 8 + 1 + 24  # tag, key id, bit, nonce
-    return 1 + 8 + 2 + (config.gamma + 7) // 8  # tag, key id, noise, value
+        return HEADER + _TR
+    return HEADER + 2 + (config.gamma + 7) // 8  # noise, value
 
 
 def keygen(K, kind="transparent", config=None, rng=None):
@@ -153,38 +158,55 @@ def keygen(K, kind="transparent", config=None, rng=None):
     return HeKeyPair(hpk, Hsk(kind=kind, key_id=key_id, lam_bytes=lam_bytes, p=p))
 
 
-# --- ciphertext packing -------------------------------------------------------
+# --- ciphertext words ---------------------------------------------------------
 
 
 _TAGS = {"transparent": TAG_TRANSPARENT, "integer-she": TAG_SHE}
 _LOW_BIT = bytes(b & 1 for b in range(256))  # a transparent bit byte -> its bit
 _BIT_TEXT = b"01" * 128  # the same, as the ASCII digit
+_BIT_BYTE = (b"\0", b"\1")
 
 
-def _pack(hpk, payload):
-    blob = bytes([_TAGS[hpk.kind]]) + hpk.key_id + payload
-    if len(blob) != hpk.lam_bytes:
-        raise HeError("internal: ciphertext payload size drift")
-    return blob
+def _header(h):
+    return bytes([_TAGS[h.kind]]) + h.key_id
 
 
-def _check_word(h, word):
-    """The number of ciphertexts in word, once it is bytes of a whole number
-    of the key pair's ciphertexts, each with its backend tag and key id; h
-    is either half of the key pair. HeError names the first of these checks
-    that the word fails. The one ciphertext check: it reads each header
-    byte of every ciphertext at once, as a strided slice of the word."""
+def check_word(h, word):
+    """The number of ciphertexts in word, once it is bytes of a header with
+    the key pair's backend tag and key id and a whole number of its
+    payloads; h is either half of the key pair. HeError names the first of
+    these checks that the word fails. The one ciphertext check: it compares
+    the header once, whatever the number of ciphertexts."""
     if not isinstance(word, bytes):
         raise HeError("ciphertext word must be bytes")
-    lam = h.lam_bytes
-    n, rest = divmod(len(word), lam)
+    if len(word) < HEADER:
+        raise HeError("malformed ciphertext word (short header)")
+    n, rest = divmod(len(word) - HEADER, h.lam_bytes - HEADER)
     if rest:
         raise HeError("malformed ciphertext length")
-    if word[::lam] != bytes([_TAGS[h.kind]]) * n:
+    if word[0] != _TAGS[h.kind]:
         raise HeError("malformed ciphertext (backend tag)")
-    if any(word[k::lam] != h.key_id[k - 1:k] * n for k in range(1, 9)):
+    if word[1:HEADER] != h.key_id:
         raise HeError("ciphertext does not match this key pair")
     return n
+
+
+def cut_word(h, word, start, stop=None):
+    """The word of ciphertexts start to stop of word (to its end when stop
+    is None), 0 <= start <= stop; HeError when word is not a word of h's
+    key pair."""
+    check_word(h, word)
+    size = h.lam_bytes - HEADER
+    return word[:HEADER] + word[HEADER + start * size:
+                                None if stop is None else HEADER + stop * size]
+
+
+def join_words(h, words):
+    """One word of the ciphertexts of words, in order; HeError when one of
+    them is not a word of h's key pair."""
+    for word in words:
+        check_word(h, word)
+    return _header(h) + b"".join([word[HEADER:] for word in words])
 
 
 def _she_payload(hpk, value, noise_bits):
@@ -215,26 +237,25 @@ def enc_word(hpk, bits, rng=None):
     if plain is None:
         raise HeError("plaintext must be a bit")
     if hpk.kind != "transparent":
-        return b"".join([_enc_she(hpk, bit, rng) for bit in plain])
-    n, lam = len(plain), hpk.lam_bytes
-    if not n:
-        return b""
+        return _header(hpk) + b"".join([_enc_she(hpk, bit, rng) for bit in plain])
+    n = len(plain)
     nonces = _randbits(rng, 192 * n).to_bytes(24 * n, "little")
-    word = bytearray((bytes([TAG_TRANSPARENT]) + hpk.key_id + bytes(25)) * n)
-    word[9::lam] = plain
+    word = bytearray(_header(hpk) + bytes(_TR * n))
+    word[HEADER::_TR] = plain
     for k in range(24):
-        word[10 + k::lam] = nonces[23 - k::24]
+        word[HEADER + 1 + k::_TR] = nonces[23 - k::24]
     return bytes(word)
 
 
 def _enc_she(hpk, bit, rng):
+    """The payload of one fresh integer-she ciphertext."""
     cfg = hpk.config
     r = _randbits(rng, cfg.rho)
     acc = bit + 2 * r
     for z in hpk.zeros:
         if _randbits(rng, 1):
             acc += z  # z carries an even noise term, so parity is preserved
-    return _pack(hpk, _she_payload(hpk, acc % hpk.x0, cfg.fresh_noise_bits))
+    return _she_payload(hpk, acc % hpk.x0, cfg.fresh_noise_bits)
 
 
 def dec(hsk, ct):
@@ -248,8 +269,8 @@ def dec(hsk, ct):
 def dec_word(hsk, word):
     """The bits of a word, one per ciphertext."""
     if hsk.kind == "transparent":
-        _check_word(hsk, word)
-        return tuple(word[9::hsk.lam_bytes].translate(_LOW_BIT))
+        check_word(hsk, word)
+        return tuple(word[HEADER::_TR].translate(_LOW_BIT))
     p = hsk.p
     out = []
     for value, _ in _she_wires(hsk, word):
@@ -261,9 +282,10 @@ def dec_word(hsk, word):
 
 
 def well_formed(hpk, word):
-    """True when word is ciphertexts of this key pair's length, tag and id."""
+    """True when word is a word of this key pair: its tag and key id, and a
+    whole number of its payloads."""
     try:
-        _check_word(hpk, word)
+        check_word(hpk, word)
     except HeError:
         return False
     return True
@@ -276,15 +298,14 @@ def _tr_outputs(hpk, inputs, labels, bits):
     """The word of transparent output ciphertexts: bit k with the nonce
     sha256("tr-eval-v2", key id, inputs, label k)[:24], inputs being the
     digest of the input word."""
-    heads = (bytes([TAG_TRANSPARENT]) + hpk.key_id + b"\0",
-             bytes([TAG_TRANSPARENT]) + hpk.key_id + b"\1")
     prefix = b"tr-eval-v2" + hpk.key_id + inputs
-    return b"".join([heads[bit] + hashlib.sha256(prefix + label).digest()[:24]
-                     for label, bit in zip(labels, bits)])
+    return _header(hpk) + b"".join([
+        _BIT_BYTE[bit] + hashlib.sha256(prefix + label).digest()[:24]
+        for label, bit in zip(labels, bits)])
 
 
 def _eval_transparent(hpk, circuit, word):
-    bits = tuple(word[9::hpk.lam_bytes].translate(_LOW_BIT))
+    bits = tuple(word[HEADER::_TR].translate(_LOW_BIT))
     name = circuit.gates_digest()
     return _tr_outputs(hpk, hashlib.sha256(word).digest(),
                        [f"{name}:{w}".encode() for w in circuit.outputs],
@@ -299,11 +320,11 @@ for tt in range(16):
 
 def _she_wires(h, word):
     """The (value, noise) pair of each integer-she ciphertext of a word."""
-    _check_word(h, word)
-    lam = h.lam_bytes
-    return [(int.from_bytes(word[o + 11:o + lam], "big"),
-             int.from_bytes(word[o + 9:o + 11], "big"))
-            for o in range(0, len(word), lam)]
+    check_word(h, word)
+    size = h.lam_bytes - HEADER
+    return [(int.from_bytes(word[o + 2:o + size], "big"),
+             int.from_bytes(word[o:o + 2], "big"))
+            for o in range(HEADER, len(word), size)]
 
 
 def _eval_she(hpk, circuit, wires):
@@ -347,8 +368,8 @@ def _eval_she(hpk, circuit, wires):
         if noise > limit:
             raise DepthBudgetError(f"noise {noise} bits exceeds budget {limit}")
         wires.append((val % x0, noise))
-    return b"".join([_pack(hpk, _she_payload(hpk, *wires[w]))
-                     for w in circuit.outputs])
+    return _header(hpk) + b"".join([_she_payload(hpk, *wires[w])
+                                    for w in circuit.outputs])
 
 
 def eval_word(hpk, circuit, word):
@@ -359,7 +380,7 @@ def eval_word(hpk, circuit, word):
     byte-identical to the one output of the same circuit cut down to its
     output wire k. A universal circuit runs its programs through prepare.
     """
-    n = _check_word(hpk, word)
+    n = check_word(hpk, word)
     if n != circuit.n_inputs:
         raise HeError(f"circuit expects {circuit.n_inputs} ciphertexts, got {n}")
     if hpk.kind == "transparent":
@@ -375,7 +396,7 @@ def prepare(hpk, u, program):
     steps that run it. It is checked as every word is, and a bad one raises
     HeError here. The result's run(data) gives the word of u's outputs on
     the program and that data word."""
-    n = _check_word(hpk, program)
+    n = check_word(hpk, program)
     if n != u.program_length:
         raise HeError(f"universal circuit expects {u.program_length} program "
                       f"ciphertexts, got {n}")
@@ -385,7 +406,7 @@ def prepare(hpk, u, program):
 
 
 def _check_data(hpk, u, data):
-    n = _check_word(hpk, data)
+    n = check_word(hpk, data)
     if n != u.n_data:
         raise HeError(f"universal circuit expects {u.n_data} data ciphertexts, "
                       f"got {n}")
@@ -395,12 +416,12 @@ class _TransparentProgram:
     """The slots and output selectors a program's bits spell, and the input
     hash already fed the program word. Output k of a step is named by u's
     construction and budget (u.name) and k, and its nonce hashes the program
-    and data words, as eval_word's do."""
+    and data words joined, as eval_word's hashes its input word."""
 
     def __init__(self, hpk, u, program):
         _, sb, plen = uc_layout(u.n_data, u.g, u.m)
         # program bit i is bit i of one int, read from the bits' text
-        bits = int(program[9::hpk.lam_bytes].translate(_BIT_TEXT)[::-1], 2)
+        bits = int(program[HEADER::_TR].translate(_BIT_TEXT)[::-1], 2)
         zero = u.n_data  # the bus's constant-zero line
 
         def field(pos, k):  # the k bits from pos, least significant first
@@ -426,12 +447,12 @@ class _TransparentProgram:
         """The slots, one by one: each looks up its truth table at
         (a << 1) | c, a and c being the bus lines it names."""
         _check_data(self.hpk, self.u, data)
-        bus = list(data[9::self.hpk.lam_bytes].translate(_LOW_BIT))
+        bus = list(data[HEADER::_TR].translate(_LOW_BIT))
         bus.append(0)
         for l, r, tt in self.slots:
             bus.append(tt >> (bus[l] << 1 | bus[r]) & 1)
         inputs = self.inputs.copy()
-        inputs.update(data)
+        inputs.update(data[HEADER:])  # the joined word has one header
         return _tr_outputs(self.hpk, inputs.digest(), self.labels,
                            [bus[s] for s in self.outs])
 

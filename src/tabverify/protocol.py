@@ -20,11 +20,14 @@ query against the structure it published, the same value the verifier walks;
 both parties compute the values a query carries (the table step, the checker
 slice and the checker value) with the one function each below.
 
-A ciphertext word (he's one bytes value of concatenated ciphertexts) is
-one base64 string on the wire and in the certificate: a published program,
-a q1 answer's w, a q2's u and v, a checker round's p and y, and ct_sk.
-cts_b64 and b64_cts are the one encoding and the one decoding, and b64_cts
-accepts only the canonical spelling of a whole number of ciphertexts.
+A ciphertext word (he's one bytes value: the backend tag and key id once,
+then one payload per ciphertext) is one base64 string on the wire and in
+the certificate: a published program, a q1 answer's w, a q2's u and v, a
+checker round's p and y, and ct_sk. cts_b64 and b64_cts are the one
+encoding and the one decoding, and b64_cts accepts only the canonical
+spelling of a header and a whole number of payloads. Words are cut and
+joined by ciphertext index with he.cut_word and he.join_words, never by
+byte arithmetic here.
 
 Everything exchanged is recorded; the audit module replays it.
 """
@@ -63,7 +66,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 6  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 7  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
 SE_KEY_BITS = 16  # the verifier's session key and each commitment seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
@@ -100,10 +103,12 @@ def cts_b64(word):
 
 
 def b64_cts(text, lam, n=None):
-    """The ciphertext word a base64 string spells: a whole number of lam-byte
-    ciphertexts, and exactly n of them when n is given. ProtocolError when
-    text is not ASCII str, does not decode, is not the canonical spelling of
-    what it decodes to, or has another length."""
+    """The ciphertext word a base64 string spells: a header and a whole
+    number of payloads of a key pair whose words of one ciphertext are lam
+    bytes, and exactly n of them when n is given. ProtocolError when text is
+    not ASCII str, does not decode, is not the canonical spelling of what it
+    decodes to, or has another length. The header's content is he's to
+    check, where the word is used."""
     if not isinstance(text, str) or not text.isascii():
         raise ProtocolError("a ciphertext word must be ASCII text")
     try:
@@ -116,11 +121,12 @@ def b64_cts(text, lam, n=None):
     # a single byte representation and only that spelling is accepted
     if b2a_base64(word, newline=False) != text.encode("ascii"):
         raise ProtocolError("non-canonical ciphertext encoding")
-    count, rest = divmod(len(word), lam)
-    if rest or (n is not None and count != n):
+    size = lam - he.HEADER
+    count, rest = divmod(len(word) - he.HEADER, size)
+    if count < 0 or rest or (n is not None and count != n):
         want = "a whole number of" if n is None else str(n)
-        raise ProtocolError(f"a ciphertext word must be {want} {lam}-byte "
-                            f"ciphertexts, got {len(word)} bytes")
+        raise ProtocolError(f"a ciphertext word must be a {he.HEADER}-byte header "
+                            f"and {want} {size}-byte payloads, got {len(word)} bytes")
     return word
 
 
@@ -143,27 +149,31 @@ def table_step(pp, i, u_word):
     and the input ciphertexts, cycled to the bus width, through the
     universal circuit. The verifier computes it for a q2; the developer
     recomputes it before it answers."""
-    need = pp.u_params[0] * pp.hpk.lam_bytes
-    return pp.program(i).run((u_word * -(-need // len(u_word)))[:need])
+    need = pp.u_params[0]
+    copies = -(-need // he.check_word(pp.hpk, u_word))
+    cycled = he.join_words(pp.hpk, [u_word] * copies)
+    return pp.program(i).run(he.cut_word(pp.hpk, cycled, 0, need))
 
 
-def checker_slice(word, case, h, size=1):
+def checker_slice(word, case, h, hpk=None):
     """The part of an answered word that a checker round of this case
     covers: all of a q1 word, the tag half of an intermediate q2 word, the
-    payload half of an external one. A word's items are size bytes each:
-    lam_bytes for a ciphertext word, 1 for its bits."""
+    payload half of an external one. word is a ciphertext word under hpk,
+    or its bits when hpk is None."""
     if case == "input":
         return word
-    cut = h * size
-    return word[:cut] if case == "intermediate" else word[cut:]
+    start, stop = (0, h) if case == "intermediate" else (h, None)
+    if hpk is None:
+        return word[start:stop]
+    return he.cut_word(hpk, word, start, stop)
 
 
 def checker_value(pp, ct_sk, p):
     """y: the symmetric encryption of the slice p under the key inside
     ct_sk, evaluated homomorphically. The verifier computes it for a checker
     round; the developer recomputes it before it reveals."""
-    circ = se_circuit_for(len(p) // pp.hpk.lam_bytes)
-    return he.eval_word(pp.hpk, circ, ct_sk + p)
+    circ = se_circuit_for(he.check_word(pp.hpk, p))
+    return he.eval_word(pp.hpk, circ, he.join_words(pp.hpk, (ct_sk, p)))
 
 
 # --- public parameters ----------------------------------------------------------
@@ -354,18 +364,18 @@ def public_structure(tg, index_of):
         src, port = producers[0]
         return port if src == INPUT else tuple(index_of[s] for s, _ in producers)
 
-    external = {name for name, _ in tg.external_outputs}
-    groups = {}
-    for tname, port in tg.external_outputs:
+    external = {tname for tname, _, _ in tg.external_outputs}
+    groups = {}  # Output port -> (its type, the row tables that produce it)
+    for tname, port, name in tg.external_outputs:
         ptype = dict(tg.tables[tname].outputs)[port]
-        groups.setdefault(port, (port, ptype, []))[2].append(index_of[tname])
+        groups.setdefault(name, (ptype, []))[1].append(index_of[tname])
     return Structure(
         tables=tuple((name in external, tuple(feed(tg.producers[(name, port)])
                                               for port, _ in tg.tables[name].inputs))
                      for name in tg.order),
         inputs=tuple(tuple(x) for x in tg.external_inputs),
-        outputs=tuple((port, ptype, tuple(group))
-                      for port, ptype, group in (groups[p] for p in sorted(groups))),
+        outputs=tuple((name, groups[name][0], tuple(groups[name][1]))
+                      for name in sorted(groups)),
     )
 
 
@@ -505,11 +515,12 @@ class Developer:
             v_word = b64_cts(body.get("v"), lam, m)
         except ProtocolError:
             return {"answer": {"kind": NULL}}
+        if not he.well_formed(self.hpk, u_word):
+            return {"answer": {"kind": NULL}}
 
         u_plain = []
-        span = m * lam  # one port's word
         for j, feed in enumerate(feeds):
-            segment = u_word[j * span:(j + 1) * span]
+            segment = he.cut_word(self.hpk, u_word, j * m, (j + 1) * m)
             word = self._produced_word(i, j, feed, segment)
             if word is None:
                 return {"answer": {"kind": NULL}}
@@ -578,7 +589,7 @@ class Developer:
             known = self.mem.q2.get(i)
         else:
             return {"result": NULL}
-        if (known is None or checker_slice(known[0], case, h, lam) != p
+        if (known is None or checker_slice(known[0], case, h, self.hpk) != p
                 or len(y) != len(p) or not he.well_formed(self.hpk, y)):
             return {"result": NULL}
         d_bits = self._open_checker(y, checker_slice(known[1], case, h))
@@ -904,7 +915,7 @@ class Verifier:
                 feeds[i] = outs[i] = None
                 continue
 
-            u_word = b"".join(port_words)
+            u_word = he.join_words(self.pp.hpk, port_words)
             v_word = table_step(self.pp, i, u_word)
             ans, _ = self._encode_query(
                 chan,
@@ -949,16 +960,15 @@ class Verifier:
         to exactly that answer. word is the ciphertext word it answers for.
         The query body is both the frame sent and the record's q."""
         h = self.pp.m // 2
-        lam = self.pp.hpk.lam_bytes
         case, port, expected = self._expected_checker(q, answer, h)
-        p = checker_slice(word, case, h, lam)
+        p = checker_slice(word, case, h, self.pp.hpk)
         y = checker_value(self.pp, self.ct_sk, p)
         body = {"i": q["i"], "case": case, "port": port, "p": cts_b64(p),
                 "y": cts_b64(y)}
         record = {"q": body, "a": {"d": None}, "s": {"blocks": []}}
         self.qa_c.append(record)
 
-        width = len(p) // lam
+        width = he.check_word(self.pp.hpk, p)
         if self.replay_qac is not None:
             d, blocks = self._recorded_opening(record, width)
         else:
@@ -1049,8 +1059,8 @@ def spec_port_outputs(tg_spec, X):
     """Per-output-port plaintext results of the public specification."""
     outputs, _ = evaluate_plain(tg_spec, X)
     groups = {}
-    for tname, port in tg_spec.external_outputs:
-        groups.setdefault(port, []).append(outputs[tname])
+    for tname, _, name in tg_spec.external_outputs:
+        groups.setdefault(name, []).append(outputs[tname])
     result = {}
     for port, vals in groups.items():
         tops = sibling_group(vals)

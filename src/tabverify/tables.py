@@ -303,7 +303,8 @@ class TransformedGraph:
     tables: dict  # name -> TTable, insertion order = origin order
     producers: dict  # (consumer, port) -> [(producer|INPUT, port), ...]
     external_inputs: list  # [(name, type)]
-    external_outputs: list  # [(table, port)] edges into OUTPUT
+    # [(row table, its port, Output port)] per edge into OUTPUT
+    external_outputs: list
     levels: dict = field(init=False)
     order: list = field(init=False)
 
@@ -364,7 +365,7 @@ def transform(g):
     for (src, sport), (dst, dport) in g.edges:
         if dst == OUTPUT:
             for rname in siblings[(src, sport)]:
-                external_outputs.append((rname, sport))
+                external_outputs.append((rname, sport, dport))
             continue
         for i in range(len(g.tables[dst].rows)):
             key = (f"{dst}#{i + 1}", dport)
@@ -448,7 +449,7 @@ def evaluate_plain(tg, X):
         trace[name] = {"inputs": ins, "outputs": outs}
 
     outputs = {}
-    for tname, port in tg.external_outputs:
+    for tname, port, _ in tg.external_outputs:
         outputs[tname] = values[(tname, port)]
     return outputs, trace
 

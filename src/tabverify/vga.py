@@ -8,6 +8,7 @@ in the seed so an auditor can regenerate the exact suite.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -84,8 +85,11 @@ def generate_suite(structure, g_spec, domains, seed, budget):
                 break
         if found is not None:
             push(found)
-    # top up with plain random samples so small graphs still get a spread
-    while len(inputs) < min(budget, len(tg.order) + 2):
+    # top up with plain random samples so small graphs still get a spread,
+    # while the domains allow an input not pushed yet
+    distinct = math.prod(len({json.dumps(v) for v in vals})
+                         for vals in domains.values())
+    while len(inputs) < min(budget, len(tg.order) + 2, distinct):
         push(_sample_input(domains, rng))
     return paths, inputs
 

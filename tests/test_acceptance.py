@@ -303,7 +303,7 @@ def test_c8_oracles_byte_identical_to_services():
                     a = ask("encode", {"qkind": 1, "i": t["index"], "port": pos,
                                        "u": bits_str(u)}, pair)
                     words.append(b64_cts(a["answer"]["w"], lam))
-                u_word = b"".join(words)
+                u_word = he.join_words(dev.hpk, words)
                 v = table_step(dev.pp, t["index"], u_word)
                 ask("encode", {"qkind": 2, "i": t["index"], "u": cts_b64(u_word),
                                "v": cts_b64(v)}, pair)

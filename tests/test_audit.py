@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import NARROW_DOMAINS, WIDTH12_TEXT, mutate_certificate, scalar_leaves
+from tabverify import audit as audit_module, channel, protocol
 from tabverify.audit import (
     AuditError,
     ReplayChannel,
@@ -63,21 +64,26 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 6.
+# Recorded at certificate version 7.
 CERT_DIGESTS = {
-    "demo-honest": "d35903a2228c359bdebf983114daaf9420a30411ecceb124ddff4e38cef85f30",
-    "demo-general": "8338bdfc9807575505a0d775f79efa1b26b8b72d6a272f4f9c04957848cd3c07",
-    "chain-honest": "056afadcae73e8df3ae2c673e8a6e2b451bee03e02885d5483e6e5f835d937fc",
-    "chain-general": "155d4b3135d0e37dd0083ba6dbc3708da2267fd27f368c67580d7ebde4e2e7f0",
-    "diamond-honest": "a6fc57e42440f67a03deb03e617a85f7f5549d9f9769fbf40b7beecc109065f5",
-    "diamond-general": "c21d42a1978e9a6393fbec5d0016787cfc8471f7efc00c2530d694ee8bca313e",
-    "flip-payload-honest": "53c8150e26172ff3967606fabc27264a141473c00cea7921a559dd190185e37a",
-    "flip-tag-honest": "41ad2a712ef68a320e8e5e808d8293fe5dd300ab9faa92534d9c9686b872a6a3",
-    "swap-answers-honest": "112629c00733046da3f6752a10e9afede63b79aaaad41e127b65178599fe0018",
-    "flip-payload-general": "ca9fd1546174bf7bfc37cac98a7ee092d39cef76e2cd58e64cdce65cb84d27d3",
-    "flip-tag-general": "a2e1851b5afb4b13038bb0e6bfcff93493d1c2c90512a6565376e31aec6b3163",
-    "swap-answers-general": "d6608bb698a95a05d97946c2e2a8113040dc95fc2974bb2198e523371b4aa1b6",
+    "demo-honest": "da625cc45ad8b022a796b1d238fa5100cf1bb0b7f37d1b41b1acbfd900110b56",
+    "demo-general": "dfa72bc8495d25e6933c32bd32cbfe9c198a24f03a8d3cdc29a9faaaad174059",
+    "chain-honest": "48367f27a43d2aab86c79c2b569e4540760614a78f3d86df874ed1d6267ff3fd",
+    "chain-general": "cc4d035374725231ca3cc2eb09dc05af6e0d811fbf28bd90f44008065f313e90",
+    "diamond-honest": "3bcc524fdd68e25c81f0ab6eb06302c8df0cab9edcaf3ff086187618fb44a7f9",
+    "diamond-general": "712445055d1d09b72d1edb0fda8dc244cff9e7b2ed9fef6202ef4f0170468483",
+    "flip-payload-honest": "b7aaa97f8adba8551b5a4433145aca686bd6ef81e58d5b70a140adb54046cc24",
+    "flip-tag-honest": "a353c9c20345b17e00333887d1bdc08dd56899638553d7ba188b4dbd320861af",
+    "swap-answers-honest": "e5474fdc1bb0bc7e2d2a95fbc395b7fc3ca018f73fd24aa020358c7b38236090",
+    "flip-payload-general": "2936a54b44a504b499fa2abce87427171981784b3c0175788e73db774dfa9184",
+    "flip-tag-general": "6fc6aa4b370a0818570d2f5728d43c8d8926bbfed69ac6e783caa48a73142351",
+    "swap-answers-general": "84915f6f4cf2d6c6a410b993dbd2b0ebb4b27796e02e9a2fe89b75ba0bd7b06c",
 }
+# the length of three of them, so that a change of size shows by itself; at
+# version 6, with the tag and key id in every ciphertext, they were 778,755,
+# 991,587 and 1,196,208 bytes
+CERT_BYTES = {"demo-honest": 579387, "diamond-honest": 733875,
+              "demo-general": 958116}
 
 
 @pytest.mark.parametrize("config", list(CERT_DIGESTS))
@@ -102,6 +108,12 @@ def test_session_certificate_is_json_native(config):
     assert same_json(cert, json.loads(canonical_json(cert)))
     text = canonical_json(cert).encode("utf-8")
     assert hashlib.sha256(text).hexdigest() == CERT_DIGESTS[config]
+    if config in CERT_BYTES:
+        assert len(text) == CERT_BYTES[config]
+    # a dict's canonical JSON is its sorted keys, each with its value's
+    # canonical JSON: the audit's final compare, field by field, relies on it
+    assert "{" + ",".join(f"{json.dumps(k)}:{canonical_json(cert[k])}"
+                          for k in sorted(cert)) + "}" == text.decode("utf-8")
 
 
 def test_save_load_round_trip(tmp_path):
@@ -118,23 +130,23 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v6"}
+           "format": "tabverify-cert-v7"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
 
-def test_version_5_certificate_is_refused_by_name(tmp_path):
-    cert = dict(HONEST_CERT, version=5)
+def test_version_6_certificate_is_refused_by_name(tmp_path):
+    cert = dict(HONEST_CERT, version=6)
     cert["binding"] = session_binding(cert)
     ok, report = replay(cert)
     assert not ok
-    assert report["reason"] == "certificate version 5 is not supported"
+    assert report["reason"] == "certificate version 6 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v6",
-                                             "tabverify-cert-v5"))
+    path.write_text(path.read_text().replace("tabverify-cert-v7",
+                                             "tabverify-cert-v6"))
     with pytest.raises(AuditError, match="unknown certificate format "
-                                         "'tabverify-cert-v5'"):
+                                         "'tabverify-cert-v6'"):
         load_certificate(path)
 
 
@@ -289,11 +301,11 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 6 with the digests of the full-copy mutate_certificate that
+    # version 7 with the digests of the full-copy mutate_certificate that
     # drew from the same leaves
     for cert, want in (
-        (HONEST_CERT, "13a1f78bdcde5bb269735901df5a4beb0c685d43bfae9d704fc98eba6c306306"),
-        (GENERAL_CERT, "2204bd1f81b3273d939d26f3f8b69a321886cf7e8d02b0d78a055a18070dab1d"),
+        (HONEST_CERT, "1c69a4ffdcb449d695de920918b4c9634023dc6b5fc8ea38b74e5b0be9d95abb"),
+        (GENERAL_CERT, "a9a10d6d0b468e60948278b90c34f3f920f0c2d24b61d4f269b68de9ed51675d"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()
@@ -343,3 +355,29 @@ def test_extra_transcript_records_fail():
     cert["qa_e"] = cert["qa_e"] + [cert["qa_e"][-1]]
     ok, report = replay(cert)
     assert not ok
+
+
+@pytest.mark.parametrize("mode", ["honest", "general"])
+def test_load_and_audit_serialise_the_certificate_three_times(tmp_path, monkeypatch,
+                                                              mode):
+    # the load's content hash, the stored certificate and the rebuilt one,
+    # each field once; and a binding reject stops after the binding fields
+    cert = HONEST_CERT if mode == "honest" else GENERAL_CERT
+    whole = len(canonical_json(cert))
+    path = tmp_path / "cert.json"
+    save_certificate(cert, path)
+    dumped = []
+
+    def counting(obj):
+        text = canonical_json(obj)
+        dumped.append(len(text))
+        return text
+
+    for module in (audit_module, channel, protocol):
+        monkeypatch.setattr(module, "canonical_json", counting)
+    assert audit(load_certificate(path))[0] == 1
+    assert 3 * whole <= sum(dumped) < 3.01 * whole
+    dumped.clear()
+    ok, report = replay(dict(cert, binding="0" * 64))
+    assert report["reason"] == "session binding mismatch"
+    assert sum(dumped) < whole

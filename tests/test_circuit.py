@@ -270,8 +270,9 @@ def test_slot_evaluator_matches_gate_list(case):
     # he.prepare on transparent ciphertexts of the program and data bits
     u, bits = case
     word = he.enc_word(TR_KEYS.hpk, bits, random.Random(32))
-    cut = u.program_length * TR_KEYS.hpk.lam_bytes
-    out = he.prepare(TR_KEYS.hpk, u, word[:cut]).run(word[cut:])
+    program = he.cut_word(TR_KEYS.hpk, word, 0, u.program_length)
+    data = he.cut_word(TR_KEYS.hpk, word, u.program_length)
+    out = he.prepare(TR_KEYS.hpk, u, program).run(data)
     assert he.dec_word(TR_KEYS.hsk, out) == simulate(u.circuit, bits)
 
 

@@ -273,9 +273,9 @@ def edited_pp(pp, fault):
         pp["u_params"][1] += 1
     elif fault == "programs-list":
         pp["programs"] = list(pp["programs"].values())
-    elif fault == "program-short":  # one ciphertext fewer than u_params say
+    elif fault == "program-short":  # one payload fewer than u_params say
         word = base64.b64decode(pp["programs"][first])
-        pp["programs"][first] = base64.b64encode(word[:-34]).decode("ascii")
+        pp["programs"][first] = base64.b64encode(word[:-25]).decode("ascii")
     elif fault == "structure-empty":
         pp["structure"] = {}
     elif fault == "table-no-ports":  # the table step would cycle no inputs

@@ -53,11 +53,14 @@ def test_enc_probabilistic(tr_keys, she_keys):
 
 
 def test_ciphertext_fixed_length(tr_keys, she_keys):
+    # a word is the 9-byte header once and a fixed-length payload per
+    # ciphertext; a word of one ciphertext is lam_bytes long
     rng = random.Random(5)
+    assert tr_keys.hpk.lam_bytes == 9 + 25
     for keys in (tr_keys, she_keys):
         lam = keys.hpk.lam_bytes
         word = he.enc_word(keys.hpk, (0, 1, 1, 0), rng)
-        assert isinstance(word, bytes) and len(word) == 4 * lam
+        assert isinstance(word, bytes) and len(word) == 9 + 4 * (lam - 9)
         assert len(he.enc(keys.hpk, 1, rng)) == lam
 
 
@@ -153,8 +156,9 @@ def test_she_evaluates_a_universal_circuit_by_its_gate_list(she_keys):
     for _ in range(20):
         x = random_bits(rng, u.n_inputs)
         word = he.enc_word(she_keys.hpk, x, rng)
-        cut = u.program_length * she_keys.hpk.lam_bytes
-        out = he.prepare(she_keys.hpk, u, word[:cut]).run(word[cut:])
+        program = he.cut_word(she_keys.hpk, word, 0, u.program_length)
+        data = he.cut_word(she_keys.hpk, word, u.program_length)
+        out = he.prepare(she_keys.hpk, u, program).run(data)
         assert he.dec_word(she_keys.hsk, out) == simulate(u.circuit, x)
 
 
@@ -165,19 +169,22 @@ def test_prepare_checks_every_program_ciphertext(tr_keys, she_keys):
     u = UniversalCircuit(2, 2, 1)
     other = he.keygen(16, "transparent", rng=random.Random(22))
     for keys in (tr_keys, she_keys):
-        lam = keys.hpk.lam_bytes
         word = he.enc_word(keys.hpk, random_bits(rng, u.n_inputs), rng)
-        prog, data = word[:u.program_length * lam], word[u.program_length * lam:]
-        foreign = he.enc(other.hpk, 1, rng)
-        for bad in (prog[:lam - 1], b"\x09" + prog[1:lam], foreign):
+        prog = he.cut_word(keys.hpk, word, 0, u.program_length)
+        data = he.cut_word(keys.hpk, word, u.program_length)
+        foreign = he.enc_word(other.hpk, random_bits(rng, u.program_length), rng)
+        prepared = he.prepare(keys.hpk, u, prog)
+
+        def faults(good):  # ragged, a bad tag, another key pair's header, short
+            return (good[:-1], b"\x09" + good[1:], foreign[:9] + good[9:],
+                    he.cut_word(keys.hpk, good, 1))
+
+        for bad in faults(prog):
             with pytest.raises(he.HeError):
-                he.prepare(keys.hpk, u, bad + prog[lam:])
+                he.prepare(keys.hpk, u, bad)
+        for bad in faults(data):
             with pytest.raises(he.HeError):
-                he.prepare(keys.hpk, u, prog).run(bad + data[lam:])
-        with pytest.raises(he.HeError):
-            he.prepare(keys.hpk, u, prog[lam:])
-        with pytest.raises(he.HeError):
-            he.prepare(keys.hpk, u, prog).run(data[lam:])
+                prepared.run(bad)
 
 
 def test_projection_byte_identity(tr_keys):
@@ -185,10 +192,10 @@ def test_projection_byte_identity(tr_keys):
     c = random_circuit(rng, 4, 10, 3)
     cts = he.enc_word(tr_keys.hpk, (0, 1, 1, 0), rng)
     full = he.eval_word(tr_keys.hpk, c, cts)
-    lam = tr_keys.hpk.lam_bytes
     for k in range(3):
         proj = Circuit(c.n_inputs, c.gates, (c.outputs[k],))
-        assert he.eval_word(tr_keys.hpk, proj, cts) == full[k * lam:(k + 1) * lam]
+        assert he.eval_word(tr_keys.hpk, proj, cts) == he.cut_word(tr_keys.hpk, full,
+                                                                   k, k + 1)
 
 
 def test_she_linear_distinguisher_smoke(she_keys):

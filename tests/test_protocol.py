@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import simulate_batch
-from tabverify.audit import json_leaves
+from tabverify.audit import audit, json_leaves
 from tabverify import he
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
 from tabverify.demo import (
@@ -311,12 +311,12 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
         a = frame(dev, "encode", {"qkind": 1, "i": i, "port": pos, "u": bits_str(u)})
         assert a["answer"]["kind"] == "w"
         words.append(b64_cts(a["answer"]["w"], lam))
-    u_word = b"".join(words)
+    u_word = he.join_words(dev.hpk, words)
     v = table_step(dev.pp, i, u_word)
     if corrupt == "v":  # the last byte of the first ciphertext
         v = v[:lam - 1] + bytes([v[lam - 1] ^ 1]) + v[lam:]
     if corrupt == "u":
-        u_word = b"".join(reversed(words))
+        u_word = he.join_words(dev.hpk, reversed(words))
     return frame(
         dev, "encode", {"qkind": 2, "i": i, "u": cts_b64(u_word), "v": cts_b64(v)}
     )["answer"]
@@ -345,15 +345,16 @@ def test_q2_honest_and_tampered():
                           corrupt="u")["kind"] == "null"
     # q2 without any prior q1
     dev = dev.session()
-    fake = he.enc_word(dev.hpk, bits[0], random.Random(9))
-    v = table_step(dev.pp, t["index"], fake * len(bits))
+    fake = he.join_words(dev.hpk, [he.enc_word(dev.hpk, bits[0], random.Random(9))]
+                         * len(bits))
+    v = table_step(dev.pp, t["index"], fake)
     a = frame(
         dev,
         "encode",
         {
             "qkind": 2,
             "i": t["index"],
-            "u": cts_b64(fake * len(bits)),
+            "u": cts_b64(fake),
             "v": cts_b64(v),
         },
     )["answer"]
@@ -375,7 +376,7 @@ def test_memory_wiped_between_sessions():
             {"qkind": 1, "i": t["index"], "port": pos, "u": bits_str(u)},
         )
         words.append(b64_cts(a["answer"]["w"], dev.hpk.lam_bytes))
-    u_word = b"".join(words)
+    u_word = he.join_words(dev.hpk, words)
     v = table_step(dev.pp, t["index"], u_word)
     body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_word), "v": cts_b64(v)}
     assert frame(s2, "encode", body)["answer"]["kind"] == "null"
@@ -440,7 +441,7 @@ def test_serve_survives_malformed_checker_ciphertext():
         u = int_to_bits(1, m // 2) + (0,) * (m // 2)
         a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)})
         # right count and length, but no ciphertext under the developer's key
-        y = bytes(dev.hpk.lam_bytes) * m
+        y = bytes(9 + m * (dev.hpk.lam_bytes - 9))
         r = ask("checker", {"i": t["index"], "case": "input", "port": 0,
                             "p": a["answer"]["w"], "y": cts_b64(y)})
         assert r == {"result": "null"}
@@ -500,7 +501,7 @@ def test_vs_encrypt_returns_consistent_pair():
     assert pp.u_params[2] == DEMO.m
     assert set(pp.programs) == set(range(1, len(dev.tg.order) + 1))
     for word in pp.programs.values():
-        assert len(word) == dev.u.program_length * dev.hpk.lam_bytes
+        assert he.check_word(dev.hpk, word) == dev.u.program_length
 
 
 def test_loopback_equals_queue_pair():
@@ -673,6 +674,72 @@ def test_overlapping_rows_follow_the_sibling_rule_on_both_paths():
     assert verdict == "reject"
 
 
+# two tables whose output ports share the name y feed two Output ports
+TWO_SOURCES_TEXT = """\
+width: 16;
+table A {
+  inputs: x;
+  outputs: y;
+  rows: [
+    (x > 0, x + 1),
+    (x <= 0, 0),
+  ];
+}
+table B {
+  inputs: x;
+  outputs: y;
+  rows: [
+    (x > 2, x + 2),
+    (x <= 2, 1),
+  ];
+}
+edges:
+  Input.x -> A.x;
+  Input.x -> B.x;
+  A.y -> Output.p;
+  B.y -> Output.q;
+"""
+
+# one output port feeds two Output ports
+FORKED_TEXT = """\
+width: 16;
+table T {
+  inputs: x;
+  outputs: y;
+  rows: [
+    (x > 0, x - 1),
+    (x <= 0, 0 - x),
+  ];
+}
+edges:
+  Input.x -> T.x;
+  T.y -> Output.y;
+  T.y -> Output.z;
+"""
+
+
+@pytest.mark.parametrize("mode", ["honest", "general"])
+@pytest.mark.parametrize("text, groups", [
+    (TWO_SOURCES_TEXT, [("p", "int", (1, 2)), ("q", "int", (3, 4))]),
+    (FORKED_TEXT, [("y", "int", (1, 2)), ("z", "int", (1, 2))]),
+])
+def test_output_groups_are_named_by_their_output_ports(text, groups, mode):
+    # a group is named by the Output port it produces, not by the port of
+    # the table that produces it, so these honest designs accept
+    graph = parse_graph(text)
+    dev = make_dev(graph)
+    assert list(dev.pp.structure.outputs) == groups
+    X = {"x": 4}
+    want = spec_port_outputs(transform(graph), X)
+    assert set(want) == {name for name, _, _ in groups}
+    v = Verifier(dev.pp.to_dict(), graph, {"x": [-3, 0, 1, 4, 5]}, [(X, want)],
+                 seed=7, mode=mode, rng=random.Random(1))
+    verdict, cert = verify_session(dev, v)
+    assert verdict == "accept", cert["failures"]
+    assert cert["outputs"][input_key(X)] == want
+    assert audit(cert)[0] == 1
+
+
 # --- prepared programs ------------------------------------------------------------
 
 
@@ -680,7 +747,7 @@ def gate_list_step(hpk, hsk, u, words):
     """he.eval_word on a universal circuit as it ran before programs were
     prepared, kept here as the reference: the gate list simulated on every
     input (a batch of words at once), output k's nonce naming u.name and
-    k. words is a list of program + data words."""
+    k. words is a list of program and data words joined."""
     plain = [he.dec_word(hsk, w) for w in words]
     columns = [sum(bits[n] << k for k, bits in enumerate(plain))
                for n in range(u.n_inputs)]
@@ -688,8 +755,8 @@ def gate_list_step(hpk, hsk, u, words):
     steps = []
     for k, word in enumerate(words):
         inputs = hashlib.sha256(word).digest()
-        steps.append(b"".join(
-            bytes([he.TAG_TRANSPARENT]) + hpk.key_id + bytes([col >> k & 1])
+        steps.append(bytes([he.TAG_TRANSPARENT]) + hpk.key_id + b"".join(
+            bytes([col >> k & 1])
             + hashlib.sha256(b"tr-eval-v2" + hpk.key_id + inputs
                              + f"{u.name}:{j}".encode()).digest()[:24]
             for j, col in enumerate(outs)))
@@ -699,17 +766,17 @@ def gate_list_step(hpk, hsk, u, words):
 def test_table_step_is_byte_identical_to_the_gate_list_evaluation():
     dev = make_dev(diamond_graph(), seed=5)
     rng = random.Random(6)
-    lam = dev.hpk.lam_bytes
     assert len(dev.pp.programs) == 8
     for t in dev.pp.to_dict()["structure"]["tables"]:
         i, width = t["index"], len(t["ports"]) * dev.pp.m
         data = [he.enc_word(dev.hpk, [rng.randrange(2) for _ in range(width)], rng)
                 for _ in range(50)]
         # ciphertext k of the bus is input ciphertext k mod width
-        cycled = [b"".join(w[k % width * lam:(k % width + 1) * lam]
-                           for k in range(dev.u.n_data)) for w in data]
+        cycled = [he.join_words(dev.hpk, [he.cut_word(dev.hpk, w, k % width, k % width + 1)
+                                          for k in range(dev.u.n_data)]) for w in data]
         want = gate_list_step(dev.hpk, dev.hsk, dev.u,
-                              [dev.pp.programs[i] + c for c in cycled])
+                              [he.join_words(dev.hpk, (dev.pp.programs[i], c))
+                               for c in cycled])
         assert [table_step(dev.pp, i, w) for w in data] == want
 
 

@@ -58,7 +58,8 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     m = dev.pp.m
     t = next(t for t in dev.pp.to_dict()["structure"]["tables"]
              if all(p["producers"][0][0] == "input" for p in t["ports"]))
-    junk = bytes(dev.hpk.lam_bytes)  # right length, no valid tag or key id
+    # a word of n ciphertexts of the right length, with no valid tag or key id
+    junk = {n: bytes(9 + n * (dev.hpk.lam_bytes - 9)) for n in (m, 16)}
 
     def ask(ftype, body):
         f = make_frame(ftype, body)
@@ -71,7 +72,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     assert ask("encode", dict(q1, i=[1])) == {"answer": {"kind": "null"}}
     w = ask("encode", q1)["answer"]["w"]
     checker = {"i": t["index"], "case": "input", "port": 0, "p": w}
-    assert ask("checker", dict(checker, y=cts_b64(junk * m))) == {"result": "null"}
+    assert ask("checker", dict(checker, y=cts_b64(junk[m]))) == {"result": "null"}
 
     y = checker_value(dev.pp, ct_sk, b64_cts(w, dev.hpk.lam_bytes))
     assert ask("checker", dict(checker, i=[1], y=cts_b64(y))) == {"result": "null"}
@@ -79,7 +80,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     assert ask("commit_challenge", {"Rs": 5}) == {"result": "null"}
     rs = [choose_challenge(dev.code.q, random.Random(5)) for _ in range(r["blocks"])]
     assert "blocks" in ask("commit_challenge", {"Rs": [bits_str(R) for R in rs]})
-    proof = ask("checker_proof", {"ct_sk": cts_b64(junk * len(sk))})
+    proof = ask("checker_proof", {"ct_sk": cts_b64(junk[len(sk)])})
     assert proof == {"result": "null"}
 
 

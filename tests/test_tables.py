@@ -178,8 +178,8 @@ def test_transform_demo_shape():
         "DL#3",
         "DL#4",
     ]
-    assert ("OP#1", "c") in tg.external_outputs
-    assert ("CT#2", "w") in tg.external_outputs
+    assert ("OP#1", "c", "c") in tg.external_outputs
+    assert ("CT#2", "w", "w") in tg.external_outputs
 
 
 def test_levels_and_consistent_order():
@@ -281,7 +281,7 @@ def test_transform_matches_original_evaluation():
         for X in inputs:
             outputs, _ = evaluate_plain(tg, X)
             ref = evaluate_original(g, X)
-            for (tname, port) in tg.external_outputs:
+            for tname, port, _ in tg.external_outputs:
                 tt = tg.tables[tname]
                 got = outputs[tname]
                 want = ref[tt.origin][port]

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 from tabverify.demo import (
     CHAIN_DOMAINS,
@@ -84,3 +88,34 @@ def test_chain_structure_paths():
     )
     assert suite_paths == paths[:8] or suite_paths == paths
     assert inputs
+
+
+NARROW_SESSION = """
+import random
+from helpers import NARROW_TEXT
+from tabverify.audit import audit
+from tabverify.graphtext import parse_graph
+from tabverify.protocol import Developer, Verifier, verify_session
+from tabverify.vga import generate_suite
+
+graph = parse_graph(NARROW_TEXT)
+dev = Developer(graph, rng=random.Random(1))
+domains = {"x": [1, 2, 3]}
+_, inputs = generate_suite(dev.pp.structure, graph, domains, 7, 16)
+v = Verifier(dev.pp.to_dict(), graph, domains, [], seed=7, rng=random.Random(2))
+verdict, cert = verify_session(dev, v)
+print(sorted(X["x"] for X in inputs), verdict, audit(cert)[0])
+"""
+
+
+def test_suite_stops_when_the_domains_allow_no_new_input():
+    # the top-up aims at 4 inputs (2 row tables + 2), and the domains allow
+    # 3; the suite holds those 3 instead of sampling forever. A subprocess
+    # with a timeout, so that a hang fails the test instead of the run
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    r = subprocess.run([sys.executable, "-c", NARROW_SESSION], env=env,
+                       timeout=30, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["[1,", "2,", "3]", "accept", "1"]

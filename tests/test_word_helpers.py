@@ -1,11 +1,13 @@
 """The ciphertext word helpers against per-ciphertext references.
 
-A word is one bytes value, its ciphertexts concatenated, and one base64
-string on the wire and in the certificate. Each reference below cuts the
-word into its ciphertexts and checks or decodes them one at a time, as the
-earlier per-ciphertext definitions did. Certificates for fixed seeds depend
-on these exact bytes and on which words are refused, so the word forms must
-agree with the references everywhere, not only on the golden seeds.
+A word is one bytes value: the backend tag and key id once, then one payload
+per ciphertext; and one base64 string on the wire and in the certificate.
+Each reference below works on the word's ciphertexts one at a time, each a
+whole ciphertext with its own tag and key id, as the earlier per-ciphertext
+layout had them; strip turns such ciphertexts into a word. Certificates for
+fixed seeds depend on these exact bytes and on which words are refused, so
+the word forms must agree with the references everywhere, not only on the
+golden seeds.
 """
 
 import base64
@@ -41,13 +43,26 @@ def keys(request):
 
 
 def cut(h, word):
-    """The ciphertexts of a word, one bytes value each."""
-    lam = h.lam_bytes
-    return [word[o:o + lam] for o in range(0, len(word), lam)]
+    """The ciphertexts of a word, each whole: the word's header and one
+    payload."""
+    size = h.lam_bytes - 9
+    return [word[:9] + word[o:o + size] for o in range(9, len(word), size)]
+
+
+def tag(h):
+    return he.TAG_TRANSPARENT if h.kind == "transparent" else he.TAG_SHE
+
+
+def strip(h, cts):
+    """The word of whole ciphertexts of h's key pair: its header once, then
+    each ciphertext's payload."""
+    header = bytes([tag(h)]) + h.key_id
+    assert all(ct[:9] == header for ct in cts)
+    return header + b"".join(ct[9:] for ct in cts)
 
 
 def ref_unpack(h, ct):
-    want_tag = he.TAG_TRANSPARENT if h.kind == "transparent" else he.TAG_SHE
+    want_tag = tag(h)
     if ct[0] != want_tag:
         raise he.HeError("malformed ciphertext (backend tag)")
     if ct[1:9] != h.key_id:
@@ -58,10 +73,12 @@ def ref_unpack(h, ct):
 def ref_check_word(h, word):
     if not isinstance(word, bytes):
         raise he.HeError("ciphertext word must be bytes")
-    if len(word) % h.lam_bytes:
+    if len(word) < 9:
+        raise he.HeError("malformed ciphertext word (short header)")
+    if (len(word) - 9) % (h.lam_bytes - 9):
         raise he.HeError("malformed ciphertext length")
     cts = cut(h, word)
-    for ct in cts:
+    for ct in [word[:9]] + cts:  # the header alone, and each ciphertext
         ref_unpack(h, ct)
     return len(cts)
 
@@ -78,34 +95,68 @@ def outcome(check, h, word):
         return "refuse", str(exc)
 
 
-def faults(word, pos, lam, other_tag):
-    """Bad stand-ins for word: of another type or length, and with a bad tag
-    or key-id byte in ciphertext pos."""
+def faults(word, pos, size, other_tag):
+    """Bad stand-ins for word: of another type, too short for a header, of
+    a ragged length (one byte short in payload pos, among others), and with
+    a bad tag or key-id byte."""
     yield from (word.decode("latin-1"), 5, None, list(word), memoryview(word),
                 bytearray(word), [word])
-    o = pos * lam  # where ciphertext pos starts
+    yield from (b"", word[:1], word[:8])
+    o = 9 + pos * size  # where payload pos starts
     yield from (word[:-1], word + b"\0", word[:o] + word[o + 1:])
-    yield word[:o] + bytes([other_tag]) + word[o + 1:]
+    yield bytes([other_tag]) + word[1:]
     for k in range(1, 9):
-        yield word[:o + k] + bytes([word[o + k] ^ 1]) + word[o + k + 1:]
+        yield word[:k] + bytes([word[k] ^ 1]) + word[k + 1:]
 
 
 def test_check_word_accepts_and_refuses_as_the_reference(keys):
     rng = random.Random(2)
     word = he.enc_word(keys.hpk, random_bits(rng, 5), rng)
-    lam = keys.hpk.lam_bytes
+    size = keys.hpk.lam_bytes - 9
     other_tag = he.TAG_SHE if keys.hpk.kind == "transparent" else he.TAG_TRANSPARENT
-    assert outcome(he._check_word, keys.hpk, b"") == ("accept", 0)
+    # the word of no ciphertexts is the header alone
+    assert outcome(he.check_word, keys.hpk, word[:9]) == ("accept", 0)
+    assert he.enc_word(keys.hpk, ()) == word[:9]
     for h in (keys.hpk, keys.hsk):
-        assert outcome(he._check_word, h, word) == ("accept", 5)
+        assert outcome(he.check_word, h, word) == ("accept", 5)
         for pos in (0, 2, 4):  # first, middle and last
-            for bad in faults(word, pos, lam, other_tag):
-                got = outcome(he._check_word, h, bad)
+            for bad in faults(word, pos, size, other_tag):
+                got = outcome(he.check_word, h, bad)
                 assert got[0] == "refuse"
                 assert got == outcome(ref_check_word, h, bad)
                 assert not he.well_formed(h, bad)
                 with pytest.raises(he.HeError):
                     he.dec_word(keys.hsk, bad)
+
+
+def test_cut_and_join_by_ciphertext_index(keys):
+    rng = random.Random(4)
+    bits = random_bits(rng, 7)
+    word = he.enc_word(keys.hpk, bits, rng)
+    cts = cut(keys.hpk, word)
+    for start, stop in ((0, 7), (0, 3), (3, None), (2, 5), (4, 4), (6, None)):
+        part = he.cut_word(keys.hpk, word, start, stop)
+        assert part == strip(keys.hpk, cts[start:stop])
+        assert he.dec_word(keys.hsk, part) == bits[start:stop]
+    assert he.cut_word(keys.hsk, word, 1, 2) == cts[1]  # a word of one
+    halves = [he.cut_word(keys.hpk, word, 0, 3), he.cut_word(keys.hpk, word, 3)]
+    assert he.join_words(keys.hpk, halves) == word
+    assert he.join_words(keys.hpk, [word, word]) == strip(keys.hpk, cts + cts)
+    assert he.join_words(keys.hpk, []) == word[:9]
+
+
+def test_cut_and_join_refuse_a_word_under_another_key(keys):
+    rng = random.Random(5)
+    word = he.enc_word(keys.hpk, (0, 1, 1), rng)
+    other = he.keygen(16, keys.hpk.kind, rng=random.Random(6)).hpk
+    foreign = he.enc_word(other, (1, 0), rng)
+    with pytest.raises(he.HeError, match="key pair"):
+        he.cut_word(keys.hpk, foreign, 0, 1)
+    for words in ([foreign], [word, foreign], [foreign, word]):
+        with pytest.raises(he.HeError, match="key pair"):
+            he.join_words(keys.hpk, words)
+    with pytest.raises(he.HeError, match="length"):
+        he.join_words(keys.hpk, [word, word[:-1]])
 
 
 @pytest.mark.parametrize("n", [0, 1, 16, 2308])
@@ -114,8 +165,8 @@ def test_enc_word_draws_like_one_enc_per_bit(n):
     bits = random_bits(random.Random(n), n)
     fast, per_bit, ref = (random.Random(60 + n) for _ in range(3))
     word = he.enc_word(hpk, bits, fast)
-    assert word == b"".join(he.enc(hpk, b, per_bit) for b in bits)
-    assert word == b"".join(ref_enc_transparent(hpk, b, ref) for b in bits)
+    assert word == strip(hpk, [he.enc(hpk, b, per_bit) for b in bits])
+    assert word == strip(hpk, [ref_enc_transparent(hpk, b, ref) for b in bits])
     assert fast.getstate() == per_bit.getstate() == ref.getstate()
 
 
@@ -123,8 +174,8 @@ def test_enc_word_draws_like_one_enc_per_bit_she():
     hpk = he.keygen(16, "integer-she", rng=random.Random(6)).hpk
     bits = random_bits(random.Random(7), 16)
     fast, per_bit = random.Random(8), random.Random(8)
-    assert he.enc_word(hpk, bits, fast) == b"".join(he.enc(hpk, b, per_bit)
-                                                    for b in bits)
+    assert he.enc_word(hpk, bits, fast) == strip(hpk, [he.enc(hpk, b, per_bit)
+                                                       for b in bits])
     assert fast.getstate() == per_bit.getstate()
 
 
@@ -134,7 +185,7 @@ def test_enc_word_without_an_rng(keys):
     assert he.well_formed(keys.hpk, word)
     assert he.dec_word(keys.hsk, word) == bits
     assert len(set(cut(keys.hpk, word))) == 40  # fresh nonces, no two alike
-    assert he.dec_word(keys.hsk, b"".join(he.enc(keys.hpk, b) for b in bits)) == bits
+    assert he.dec_word(keys.hsk, strip(keys.hpk, [he.enc(keys.hpk, b) for b in bits])) == bits
 
 
 @pytest.mark.parametrize("bits", [
@@ -169,32 +220,40 @@ def ref_b64_cts(text, lam, n=None):
         raise ProtocolError(f"bad ciphertext encoding: {exc}") from exc
     if ref_cts_b64(word) != text:
         raise ProtocolError("non-canonical ciphertext encoding")
-    if len(word) % lam or (n is not None and len(word) != n * lam):
+    size = lam - 9
+    if (len(word) < 9 or (len(word) - 9) % size
+            or (n is not None and len(word) != 9 + n * size)):
         raise ProtocolError("wrong length")
     return word
 
 
-def same_decode(text, lam=1, n=None):
+HEAD = "A" * 12  # the spelling of 9 zero bytes: a header's length
+
+
+def same_decode(text, size=1, n=None):
+    """Whether b64_cts accepts text, for payloads of size bytes, as the
+    reference does, and decodes it to the same word."""
     try:
-        want = ref_b64_cts(text, lam, n)
+        want = ref_b64_cts(text, 9 + size, n)
     except ProtocolError:
         with pytest.raises(ProtocolError):
-            b64_cts(text, lam, n)
+            b64_cts(text, 9 + size, n)
         return False
-    assert b64_cts(text, lam, n) == want
+    assert b64_cts(text, 9 + size, n) == want
     return True
 
 
 @given(st.binary(max_size=120))
 def test_cts_b64_matches_the_reference(word):
     assert cts_b64(word) == ref_cts_b64(word)
-    assert b64_cts(cts_b64(word), 1) == word
+    assert same_decode(cts_b64(word)) == (len(word) >= 9)
 
 
 @given(st.text(alphabet="AQgwBb9+/=\n é\0", max_size=16))
 def test_b64_cts_accepts_exactly_what_the_reference_accepts(text):
-    for lam in (1, 2, 3):
-        same_decode(text, lam)
+    for size in (1, 2, 3):
+        same_decode(text, size)
+        same_decode(HEAD + text, size)
 
 
 def test_b64_cts_on_fuzzed_short_strings():
@@ -203,8 +262,9 @@ def test_b64_cts_on_fuzzed_short_strings():
     accepted = 0
     for _ in range(20000):
         s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
-        accepted += same_decode(s)
-        same_decode(s, 2, 3)
+        same_decode(s)
+        accepted += same_decode(HEAD + s)
+        same_decode(HEAD + s, 2, 3)
     assert accepted > 100  # the fuzz reaches canonical spellings too
 
 
@@ -216,8 +276,26 @@ def test_b64_cts_edge_cases(item):
     same_decode(item)
     same_decode(item, 3)
     if isinstance(item, str):
-        same_decode("AAAA" + item)
-        same_decode("AAAA" + item, 3, 1)
+        same_decode(HEAD + item)
+        same_decode(HEAD + item, 3, 1)
+        same_decode(HEAD + "AAAA" + item, 3, 1)
+
+
+def test_b64_cts_counts_ciphertexts(keys):
+    # (length - 9) / payload ciphertexts, on both backends
+    rng = random.Random(14)
+    size = keys.hpk.lam_bytes - 9
+    for n in range(6):
+        word = he.enc_word(keys.hpk, random_bits(rng, n), rng)
+        assert len(word) == 9 + n * size
+        text = cts_b64(word)
+        assert b64_cts(text, keys.hpk.lam_bytes) == word
+        for k in range(6):
+            if k == n:
+                assert b64_cts(text, keys.hpk.lam_bytes, k) == word
+            else:
+                with pytest.raises(ProtocolError, match=f"and {k} {size}-byte payloads"):
+                    b64_cts(text, keys.hpk.lam_bytes, k)
 
 
 def test_b64_cts_refuses_a_word_of_the_wrong_type_or_length():
@@ -225,20 +303,22 @@ def test_b64_cts_refuses_a_word_of_the_wrong_type_or_length():
     word = he.enc_word(he.keygen(16, rng=random.Random(15)).hpk, (0, 1, 1), None)
     text = cts_b64(word)
     assert b64_cts(text, lam) == b64_cts(text, lam, 3) == word
-    assert b64_cts("", lam) == b""  # no length required: the empty word
+    header = cts_b64(word[:9])  # the word of no ciphertexts
+    assert b64_cts(header, lam) == b64_cts(header, lam, 0) == word[:9]
     for bad in (word, bytearray(word), None, 5, [text], text.encode("ascii")):
         with pytest.raises(ProtocolError, match="ASCII text"):
             b64_cts(bad, lam)
     with pytest.raises(ProtocolError, match="ASCII text"):
         b64_cts(text[:-4] + "é===", lam)
-    for short_or_long in (word[:-1], word + b"\0"):  # off by one byte
-        with pytest.raises(ProtocolError, match="ciphertexts, got"):
-            b64_cts(cts_b64(short_or_long), lam)
+    # off by one byte, a short header, and no header
+    for bad in (word[:-1], word + b"\0", word[:8], b""):
+        with pytest.raises(ProtocolError, match="payloads, got"):
+            b64_cts(cts_b64(bad), lam)
     for n in (0, 2, 4):  # a whole number of ciphertexts, but not n
-        with pytest.raises(ProtocolError, match=f"must be {n} 34-byte"):
+        with pytest.raises(ProtocolError, match=f"header and {n} 25-byte payloads"):
             b64_cts(text, lam, n)
-    with pytest.raises(ProtocolError, match="must be 1 34-byte"):
-        b64_cts("", lam, 1)  # the empty word where one ciphertext is due
+    with pytest.raises(ProtocolError, match="header and 1 25-byte payloads"):
+        b64_cts(header, lam, 1)  # the empty word where one ciphertext is due
 
 
 B64_ALPHABET = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
@@ -261,7 +341,7 @@ def test_one_character_change_to_a_long_program_word(demo_cert):
     # canonical, as a wrong length, or decodes to another word; the audit of
     # a certificate carrying such a change, bound again, is 0 in each way
     text = demo_cert["public_params"]["programs"]["1"]
-    lam, plen = 34, len(b64_cts(text, 34)) // 34
+    lam, plen = 34, (len(b64_cts(text, 34)) - 9) // 25
     assert plen > 1000 and text.endswith("==")
     ways = {"spelling": 0, "length": 0, "word": 0}
     for pos in (0, len(text) // 2, len(text) - 3, len(text) - 2, len(text) - 1):
@@ -271,7 +351,7 @@ def test_one_character_change_to_a_long_program_word(demo_cert):
             try:
                 word = b64_cts(changed, lam, plen)
             except ProtocolError as exc:
-                way = "length" if "ciphertexts, got" in str(exc) else "spelling"
+                way = "length" if "payloads, got" in str(exc) else "spelling"
                 assert way == "length" or "encoding" in str(exc)
             else:
                 way = "word"
@@ -308,12 +388,13 @@ def ref_run(hpk, u, program, data):
     bus = [ref_unpack(hpk, ct)[0] & 1 for ct in cut(hpk, data)] + [0]
     for l, r, tt in slots:
         bus.append((tt >> ((bus[l] << 1) | bus[r])) & 1)
-    inputs = hashlib.sha256(program + data).digest()
-    prefix = b"tr-eval-v2" + hpk.key_id + inputs
-    return b"".join(
+    # the nonces hash the program and data ciphertexts as one word
+    joined = strip(hpk, cut(hpk, program) + cut(hpk, data))
+    prefix = b"tr-eval-v2" + hpk.key_id + hashlib.sha256(joined).digest()
+    return strip(hpk, [
         bytes([he.TAG_TRANSPARENT]) + hpk.key_id + bytes([bus[s]])
         + hashlib.sha256(prefix + f"{u.name}:{k}".encode()).digest()[:24]
-        for k, s in enumerate(outs))
+        for k, s in enumerate(outs)])
 
 
 @pytest.mark.parametrize("design", ["demo", "diamond"])
