@@ -3,12 +3,13 @@
 A certificate contains everything a third party needs to re-run the
 verifier against the recorded developer answers: public parameters, the
 public spec, the generation seed, and the full query/answer transcript.
-The auditor rebuilds the verifier, feeds it the recorded answers through a
-replay channel that insists every outgoing query is byte-identical to the
-recorded one, and finally requires the rebuilt certificate to serialize to
-exactly the stored bytes. In general mode the checker records are replayed
-too: commitments are re-verified and every revealed value is re-decrypted
-under the disclosed session key.
+The auditor is the verifier itself, with its three hooks played back from
+the record (ReplayVerifier): the disclosed session key instead of a fresh
+one, the recorded answer to each query once the query equals its record,
+and in general mode the recorded opening of each checker round, whose
+commitments are re-verified and whose revealed value is re-decrypted under
+the disclosed key. The rebuilt certificate must then serialize to exactly
+the stored bytes.
 """
 
 import hashlib
@@ -16,13 +17,14 @@ import itertools
 import json
 import random
 
-from .channel import canonical_json, make_frame
+from .channel import canonical_json
 from .graphtext import parse_graph
 from .protocol import (
     BINDING_FIELDS,
     CERT_VERSION,
-    SessionFailure,
+    SE_KEY_BITS,
     Verifier,
+    b64_cts,
     session_binding,
     str_bits,
 )
@@ -64,55 +66,58 @@ def load_certificate(path):
     return cert
 
 
-class ReplayChannel:
-    """Serves recorded answers; any divergence from the transcript fails."""
+class ReplayVerifier(Verifier):
+    """The verifier of a certificate, played back: built from the
+    certificate's configuration, it overrides the verifier's three hooks
+    with the record. _session_key returns the recorded key, _ask the
+    recorded answer to each query once the query equals its record, and
+    _opening the recorded opening of each checker round once its query
+    equals the record and its blocks open. Any divergence raises
+    AuditError."""
 
-    def __init__(self, qa_e):
-        self.records = list(qa_e)
-        self.pos = 0
-        self._reply = None
+    def __init__(self, cert):
+        self.cert = cert
+        super().__init__(
+            cert["public_params"],
+            parse_graph(cert["g_spec"]),
+            cert["domains"],
+            [tuple(x) for x in cert["cp"]],
+            seed=cert["vga"]["seed"],
+            mode=cert["mode"],
+            vga_budget=cert["vga"]["budget"],
+            rng=random.Random(0),  # never consulted during replay
+        )
 
-    def send(self, frame):
-        ftype = frame["type"]
-        if ftype != "encode":
-            raise AuditError(f"unexpected frame type {ftype!r} during replay")
-        if self.pos >= len(self.records):
+    def _session_key(self):
+        sk = str_bits(self.cert["sk"])
+        if len(sk) != SE_KEY_BITS:
+            raise AuditError(f"the session key at $.sk has {len(sk)} bits, "
+                             f"not {SE_KEY_BITS}")
+        return sk, b64_cts(self.cert["ct_sk"], self.pp.hpk, SE_KEY_BITS)
+
+    def _ask(self, chan, ftype, body):
+        k = len(self.qa_e)  # queries answered so far; only encodes ask
+        if k >= len(self.cert["qa_e"]):
             raise AuditError("replay ran past the recorded transcript")
-        rec = self.records[self.pos]
-        self.pos += 1
-        if frame["body"] != rec["q"]:
-            raise AuditError(f"query {self.pos} diverges from the transcript")
-        self._reply = make_frame("reply", {"answer": rec["a"]})
+        rec = self.cert["qa_e"][k]
+        if body != rec["q"]:
+            raise AuditError(f"query {k + 1} diverges from the transcript")
+        return {"answer": rec["a"]}
 
-    def recv(self):
-        if self._reply is None:
-            raise AuditError("no pending reply")
-        reply, self._reply = self._reply, None
-        return reply
-
-    @property
-    def exhausted(self):
-        return self.pos == len(self.records)
-
-
-def _rebuild_verifier(cert):
-    g_spec = parse_graph(cert["g_spec"])
-    kwargs = {}
-    if cert["mode"] == "general":
-        kwargs["sk"] = str_bits(cert["sk"])
-        kwargs["ct_sk"] = cert["ct_sk"]
-    v = Verifier(
-        cert["public_params"],
-        g_spec,
-        cert["domains"],
-        [tuple(x) for x in cert["cp"]],
-        seed=cert["vga"]["seed"],
-        mode=cert["mode"],
-        vga_budget=cert["vga"]["budget"],
-        rng=random.Random(0),  # never consulted during replay
-        **kwargs,
-    )
-    return v
+    def _opening(self, chan, body, width):
+        """The recorded d and blocks of this round. A live round records d
+        only once every block has opened, so a recorded d whose blocks do
+        not open fails the replay here."""
+        k = len(self.qa_c) - 1  # this round's record is already appended
+        if k >= len(self.cert["qa_c"]):
+            raise AuditError("checker record missing")
+        rec = self.cert["qa_c"][k]
+        if rec["q"] != body:
+            raise AuditError("checker record mismatch")
+        d, blocks = rec["a"].get("d"), rec["s"]["blocks"]
+        if d is not None and not self._opens(d, blocks, width):
+            raise AuditError(f"checker record {k} does not open ($.qa_c[{k}])")
+        return d, blocks
 
 
 def replay(cert):
@@ -147,22 +152,17 @@ def replay(cert):
         report["reason"] = "session binding mismatch"
         return False, report
     try:
-        v = _rebuild_verifier(cert)
-        if cert["mode"] == "general":
-            v.replay_qac = cert["qa_c"]
-        chan = ReplayChannel(cert["qa_e"])
-        verdict, rebuilt = v.run(chan)
-    except (AuditError, SessionFailure) as exc:
+        v = ReplayVerifier(cert)
+        verdict, rebuilt = v.run(None)
+        if len(v.qa_e) < len(cert["qa_e"]):
+            raise AuditError("transcript has unconsumed records")
+        if cert["mode"] == "general" and len(v.qa_c) < len(cert["qa_c"]):
+            raise AuditError("checker records left unconsumed")
+    except AuditError as exc:
         report["reason"] = str(exc)
         return False, report
     except Exception as exc:  # malformed field: still a clean audit failure
         report["reason"] = f"{type(exc).__name__}: {exc}"
-        return False, report
-    if not chan.exhausted:
-        report["reason"] = "transcript has unconsumed records"
-        return False, report
-    if cert["mode"] == "general" and len(v.qa_c) < len(v.replay_qac):
-        report["reason"] = "checker records left unconsumed"
         return False, report
     if "annotations" in cert:
         # commentary attached after the session; not replayable, but still

@@ -24,7 +24,7 @@ the backend tag and the 8-byte key id, once, then one fixed-length payload
 per ciphertext (lam_bytes - 9 bytes: the bit and a 24-byte nonce, or the
 noise and the value). A word of one ciphertext is lam_bytes long. enc_word
 and eval_word return a word, a prepared program's run takes and returns
-one, and dec_word, well_formed and prepare take one. check_word is the one
+one, and dec_word and prepare take one. check_word is the one
 check of a word (bytes, a header of the key pair's tag and key id, and a
 whole number of payloads); cut_word and join_words are the one way to take
 ciphertexts out of a word and to put words together. Each transparent bit
@@ -279,16 +279,6 @@ def dec_word(hsk, word):
             v -= p
         out.append(v & 1)
     return tuple(out)
-
-
-def well_formed(hpk, word):
-    """True when word is a word of this key pair: its tag and key id, and a
-    whole number of its payloads."""
-    try:
-        check_word(hpk, word)
-    except HeError:
-        return False
-    return True
 
 
 # --- homomorphic evaluation ------------------------------------------------------

@@ -25,11 +25,13 @@ then one payload per ciphertext) is one base64 string on the wire and in
 the certificate: a published program, a q1 answer's w, a q2's u and v, a
 checker round's p and y, and ct_sk. cts_b64 and b64_cts are the one
 encoding and the one decoding, and b64_cts accepts only the canonical
-spelling of a header and a whole number of payloads. Words are cut and
-joined by ciphertext index with he.cut_word and he.join_words, never by
-byte arithmetic here.
+spelling of a word of the key pair, which he.check_word checks once. Words
+are cut and joined by ciphertext index with he.cut_word and he.join_words,
+never by byte arithmetic here.
 
-Everything exchanged is recorded; the audit module replays it.
+The verifier meets the developer only through its hooks (Verifier); the
+audit module's ReplayVerifier overrides them to replay a certificate.
+Everything exchanged is recorded.
 """
 
 import copy
@@ -102,13 +104,12 @@ def cts_b64(word):
     return b2a_base64(word, newline=False).decode("ascii")
 
 
-def b64_cts(text, lam, n=None):
-    """The ciphertext word a base64 string spells: a header and a whole
-    number of payloads of a key pair whose words of one ciphertext are lam
-    bytes, and exactly n of them when n is given. ProtocolError when text is
-    not ASCII str, does not decode, is not the canonical spelling of what it
-    decodes to, or has another length. The header's content is he's to
-    check, where the word is used."""
+def b64_cts(text, hpk, n=None):
+    """The ciphertext word a base64 string spells: a word of hpk's key pair
+    (he.check_word), of exactly n ciphertexts when n is given. ProtocolError
+    when text is not ASCII str, does not decode, is not the canonical
+    spelling of what it decodes to, is not a word of the key pair, or holds
+    another number of ciphertexts."""
     if not isinstance(text, str) or not text.isascii():
         raise ProtocolError("a ciphertext word must be ASCII text")
     try:
@@ -121,12 +122,13 @@ def b64_cts(text, lam, n=None):
     # a single byte representation and only that spelling is accepted
     if b2a_base64(word, newline=False) != text.encode("ascii"):
         raise ProtocolError("non-canonical ciphertext encoding")
-    size = lam - he.HEADER
-    count, rest = divmod(len(word) - he.HEADER, size)
-    if count < 0 or rest or (n is not None and count != n):
-        want = "a whole number of" if n is None else str(n)
-        raise ProtocolError(f"a ciphertext word must be a {he.HEADER}-byte header "
-                            f"and {want} {size}-byte payloads, got {len(word)} bytes")
+    try:
+        count = he.check_word(hpk, word)
+    except he.HeError as exc:
+        raise ProtocolError(f"bad ciphertext word: {exc}") from None
+    if n is not None and count != n:
+        raise ProtocolError(f"a ciphertext word must hold {n} ciphertexts, "
+                            f"got {count}")
     return word
 
 
@@ -336,7 +338,7 @@ class PublicParams:
             raise ProtocolError("programs must map table indices to words")
         try:
             hpk = he.hpk_from_dict(d["hpk"])
-            programs = {int(i): b64_cts(p, hpk.lam_bytes, plen)
+            programs = {int(i): b64_cts(p, hpk, plen)
                         for i, p in d["programs"].items()}
         except ProtocolError as exc:
             raise ProtocolError(f"a program is not a word of {plen} ciphertexts: "
@@ -504,18 +506,15 @@ class Developer:
     def _encode_q2(self, body):
         m = self.pp.m
         h = m // 2
-        lam = self.hpk.lam_bytes
         i = body.get("i")
         t = self.pp.structure.table(i)
         if t is None:
             return {"answer": {"kind": NULL}}
         external, feeds = t
         try:
-            u_word = b64_cts(body.get("u"), lam, len(feeds) * m)
-            v_word = b64_cts(body.get("v"), lam, m)
+            u_word = b64_cts(body.get("u"), self.hpk, len(feeds) * m)
+            v_word = b64_cts(body.get("v"), self.hpk, m)
         except ProtocolError:
-            return {"answer": {"kind": NULL}}
-        if not he.well_formed(self.hpk, u_word):
             return {"answer": {"kind": NULL}}
 
         u_plain = []
@@ -576,11 +575,10 @@ class Developer:
 
     def _checker(self, body):
         h = self.pp.m // 2
-        lam = self.hpk.lam_bytes
         i, case, port = _int(body.get("i")), body.get("case"), _int(body.get("port"))
         try:
-            p = b64_cts(body.get("p"), lam)
-            y = b64_cts(body.get("y"), lam)
+            p = b64_cts(body.get("p"), self.hpk)
+            y = b64_cts(body.get("y"), self.hpk)
         except ProtocolError:
             return {"result": NULL}
         if case == "input":
@@ -590,7 +588,7 @@ class Developer:
         else:
             return {"result": NULL}
         if (known is None or checker_slice(known[0], case, h, self.hpk) != p
-                or len(y) != len(p) or not he.well_formed(self.hpk, y)):
+                or len(y) != len(p)):
             return {"result": NULL}
         d_bits = self._open_checker(y, checker_slice(known[1], case, h))
         self.mem.pending = {
@@ -632,14 +630,10 @@ class Developer:
             return {"result": NULL}
         self.mem.pending = {}
         try:
-            ct_sk = b64_cts(body.get("ct_sk"), self.hpk.lam_bytes, SE_KEY_BITS)
+            ct_sk = b64_cts(body.get("ct_sk"), self.hpk, SE_KEY_BITS)
         except ProtocolError:
             return {"result": NULL}
-        try:
-            recomputed = checker_value(self.pp, ct_sk, pending["p"])
-        except he.HeError:  # ct_sk is not a ciphertext under hpk
-            return {"result": NULL}
-        if recomputed != pending["y"]:
+        if checker_value(self.pp, ct_sk, pending["p"]) != pending["y"]:
             return {"result": NULL}
         reveals = [
             {"seed": bits_str(s), "data": bits_str(d)}
@@ -698,14 +692,15 @@ def session_binding(cert):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class SessionFailure(Exception):
-    """Protocol-visible failure (a null where the flow required substance)."""
-
-
 class Verifier:
     """Drives one session against the public parameters pp, the published
-    dict. A replay hands it the recorded session key: sk as bits and ct_sk
-    as the base64 string the certificate holds."""
+    dict.
+
+    The verifier meets the developer and its own randomness through three
+    hooks: _session_key draws the general-mode session key, _ask sends a
+    query and returns the reply's body, and _opening runs the commit and
+    reveal exchange of a checker round. audit.ReplayVerifier overrides just
+    these three to play a certificate back."""
 
     def __init__(
         self,
@@ -717,8 +712,6 @@ class Verifier:
         mode="honest",
         vga_budget=16,
         rng=None,
-        sk=None,
-        ct_sk=None,
     ):
         pp = PublicParams.from_dict(pp)  # the published public-parameter dict
         published = list(pp.structure.inputs)
@@ -763,20 +756,20 @@ class Verifier:
         self.input_types = dict(pp.structure.inputs)
         self.code = gen_code()
         if mode == "general":
-            self.sk = tuple(sk) if sk else se_keygen(SE_KEY_BITS, self.rng)
-            if ct_sk is not None:
-                self.ct_sk = b64_cts(ct_sk, pp.hpk.lam_bytes, SE_KEY_BITS)
-            else:
-                self.ct_sk = he.enc_word(pp.hpk, self.sk, self.rng)
+            self.sk, self.ct_sk = self._session_key()
             self.ct_sk_b64 = cts_b64(self.ct_sk)
         else:
             self.sk = self.ct_sk = self.ct_sk_b64 = None
         self.qa_e = []
         self.qa_c = []
         self.failures = []
-        self.replay_qac = None  # recorded checker tuples, set by the auditor
 
-    # -- plumbing
+    # -- hooks (with _opening, under the checker round)
+
+    def _session_key(self):
+        """The session key sk, as bits, and ct_sk, its word under hpk."""
+        sk = se_keygen(SE_KEY_BITS, self.rng)
+        return sk, he.enc_word(self.pp.hpk, sk, self.rng)
 
     def _ask(self, chan, ftype, body):
         """The body of the developer's reply; {} when it is not a dict."""
@@ -784,6 +777,8 @@ class Verifier:
         reply = chan.recv()
         body = reply.get("body") if isinstance(reply, dict) else None
         return body if isinstance(body, dict) else {}
+
+    # -- encode queries
 
     def _encode_query(self, chan, body, v_word=b""):
         """The developer's answer to an encode query, null when it is not
@@ -812,8 +807,7 @@ class Verifier:
             return b""
         try:
             if qkind == 1 and kind == "w":
-                w = b64_cts(answer.get("w"), self.pp.hpk.lam_bytes, self.pp.m)
-                return w if he.well_formed(self.pp.hpk, w) else None
+                return b64_cts(answer.get("w"), self.pp.hpk, self.pp.m)
             if qkind == 2 and kind == "payload" and (
                     len(str_bits(answer.get("payload"))) == self.pp.m // 2):
                 return b""
@@ -968,18 +962,14 @@ class Verifier:
         record = {"q": body, "a": {"d": None}, "s": {"blocks": []}}
         self.qa_c.append(record)
 
-        width = he.check_word(self.pp.hpk, p)
-        if self.replay_qac is not None:
-            d, blocks = self._recorded_opening(record, width)
-        else:
-            d, blocks = self._live_opening(chan, body, width)
+        d, blocks = self._opening(chan, body, he.check_word(self.pp.hpk, p))
         if d is None:
             return False
         record["a"]["d"] = d
         record["s"]["blocks"] = blocks
         return se_dec(self.sk, str_bits(d)) == tuple(expected)
 
-    def _live_opening(self, chan, body, width):
+    def _opening(self, chan, body, width):
         """Run the commit-and-reveal exchange for one checker query; the
         revealed d and its blocks once every block opens, else (None, None)."""
         r = self._ask(chan, "checker", body)
@@ -1011,21 +1001,6 @@ class Verifier:
         except (KeyError, TypeError):
             return None, None
         return (d, blocks) if self._opens(d, blocks, width) else (None, None)
-
-    def _recorded_opening(self, record, width):
-        """The recorded d and blocks of this round, instead of asking. A live
-        round records d only once every block has opened, so a recorded d
-        whose blocks do not open fails the replay here."""
-        k = len(self.qa_c) - 1  # this round's record is already appended
-        if k >= len(self.replay_qac):
-            raise SessionFailure("checker record missing")
-        rec = self.replay_qac[k]
-        if rec["q"] != record["q"]:
-            raise SessionFailure("checker record mismatch")
-        d, blocks = rec["a"].get("d"), rec["s"]["blocks"]
-        if d is not None and not self._opens(d, blocks, width):
-            raise SessionFailure(f"checker record {k} does not open ($.qa_c[{k}])")
-        return d, blocks
 
     def _opens(self, d, blocks, width):
         """Whether d is a width-bit string and every block reveals its slice

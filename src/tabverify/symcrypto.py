@@ -3,9 +3,9 @@
 SE is a balanced Feistel network with a quadratic (single-AND) round
 function, so its encryption map has a small circuit: 8 rounds give
 multiplicative depth 8, inside the integer backend's budget. One Feistel
-routine, parameterized over bit operations, produces the plain
-evaluation and the circuit, which keeps the two extensionally equal by
-construction.
+routine, parameterized over bit operations (constant, xor, and_: those of
+_PlainOps or of a circuit.Builder), produces the plain evaluation and the
+circuit, which keeps the two extensionally equal by construction.
 
 The PRG is SHAKE128 (FIPS 202): output bit i is bit i % 8 of byte i // 8
 of the SHAKE128 output over the seed, one byte per seed bit.
@@ -26,25 +26,11 @@ class SymError(Exception):
 
 
 class _PlainOps:
-    """Evaluation on bits."""
+    """Evaluation on bits, with the bit operations of a circuit.Builder."""
 
-    const = staticmethod(int)
+    constant = staticmethod(int)
     xor = staticmethod(operator.xor)
     and_ = staticmethod(operator.and_)
-
-
-class _BuildOps:
-    def __init__(self, builder):
-        self.b = builder
-
-    def const(self, v):
-        return self.b.constant(v)
-
-    def xor(self, a, b):
-        return self.b.xor(a, b)
-
-    def and_(self, a, b):
-        return self.b.and_(a, b)
 
 
 def _rc_bit(i, j):
@@ -52,13 +38,13 @@ def _rc_bit(i, j):
 
 
 def _round_keys(ops, key, w, rounds):
-    folded = [ops.const(0)] * w
+    folded = [ops.constant(0)] * w
     for t, k in enumerate(key):
         folded[t % w] = ops.xor(folded[t % w], k)
     rks = []
     for i in range(rounds):
         rks.append(
-            [ops.xor(folded[(j + i) % w], ops.const(_rc_bit(i, j))) for j in range(w)]
+            [ops.xor(folded[(j + i) % w], ops.constant(_rc_bit(i, j))) for j in range(w)]
         )
     return rks
 
@@ -126,10 +112,9 @@ def se_enc_circuit(key_bits, width):
     """Circuit over (key || message) computing se_enc; |key| = key_bits."""
     _check_width(width)
     b = Builder(key_bits + width)
-    ops = _BuildOps(b)
     key = list(range(key_bits))
     block = list(range(key_bits, key_bits + width))
-    return b.finish(list(_feistel_enc(ops, key, block)))
+    return b.finish(list(_feistel_enc(b, key, block)))
 
 
 # --- PRG -----------------------------------------------------------------------

@@ -132,7 +132,7 @@ def test_c2_universal_circuit_equals_programmed_circuit():
 def test_c3_every_ciphertext_decrypts_to_plaintext_trace():
     """100 single-input sessions: all recorded words decrypt to the trace."""
     dev = Developer(DEMO, rng=random.Random(3))
-    m, lam = DEMO.m, dev.hpk.lam_bytes
+    m = DEMO.m
     checked = 0
     for k, X in enumerate(sample_inputs(DEMO_DOMAINS, 100, 303)):
         _, verdict, cert = session(DEMO, DEMO_DOMAINS, [X], dev=dev, seed=k)
@@ -146,11 +146,11 @@ def test_c3_every_ciphertext_decrypts_to_plaintext_trace():
                 src = dev.tg.producers[(name, port)][0][1]
                 u = tagged_to_bits(Tagged(True, X[src]), m)
                 assert str_bits(q["u"]) == u
-                assert he.dec_word(dev.hsk, b64_cts(a["w"], lam)) == u
+                assert he.dec_word(dev.hsk, b64_cts(a["w"], dev.hpk)) == u
             else:
                 out = next(iter(trace[name]["outputs"].values()))
                 want = tagged_to_bits(out, m)
-                assert he.dec_word(dev.hsk, b64_cts(q["v"], lam)) == want
+                assert he.dec_word(dev.hsk, b64_cts(q["v"], dev.hpk)) == want
             checked += 1
     print(f"criterion 3: {checked} recorded words match the plaintext trace")
 
@@ -259,7 +259,7 @@ def test_c8_oracles_byte_identical_to_services():
     sk = se_keygen(16, random.Random(5))
     ct_sk = he.enc_word(dev.hpk, sk, random.Random(6))
     orc.learn_sk(sk)
-    m, lam = graph.m, dev.hpk.lam_bytes
+    m = graph.m
     structure = dev.pp.to_dict()["structure"]
     src = [t for t in structure["tables"]
            if all(p["producers"][0][0] == "input" for p in t["ports"])]
@@ -302,14 +302,14 @@ def test_c8_oracles_byte_identical_to_services():
                     u = (1,) + (0,) * (m // 2 - 1) + payload
                     a = ask("encode", {"qkind": 1, "i": t["index"], "port": pos,
                                        "u": bits_str(u)}, pair)
-                    words.append(b64_cts(a["answer"]["w"], lam))
+                    words.append(b64_cts(a["answer"]["w"], dev.hpk))
                 u_word = he.join_words(dev.hpk, words)
                 v = table_step(dev.pp, t["index"], u_word)
                 ask("encode", {"qkind": 2, "i": t["index"], "u": cts_b64(u_word),
                                "v": cts_b64(v)}, pair)
             elif op < 0.95:
                 pos, u, a = do_q1(rng, pair, t)
-                p = b64_cts(a["answer"]["w"], lam)
+                p = b64_cts(a["answer"]["w"], dev.hpk)
                 y = checker_value(dev.pp, ct_sk, p)
                 r = ask("checker", {"i": t["index"], "case": "input",
                                     "port": pos, "p": cts_b64(p),

@@ -9,7 +9,7 @@ from helpers import NARROW_DOMAINS, WIDTH12_TEXT, mutate_certificate, scalar_lea
 from tabverify import audit as audit_module, channel, protocol
 from tabverify.audit import (
     AuditError,
-    ReplayChannel,
+    ReplayVerifier,
     audit,
     certificate_hash,
     first_difference,
@@ -328,19 +328,56 @@ def test_mutations_detected(mode):
     assert canonical_json(cert) == before
 
 
-def test_replay_channel_strictness():
-    qa_e = copy.deepcopy(HONEST_CERT["qa_e"])
-    chan = ReplayChannel(qa_e)
-    from tabverify.channel import make_frame
+def test_replay_names_the_first_diverging_query():
+    cert = copy.deepcopy(HONEST_CERT)
+    cert["qa_e"][1]["q"]["i"] = 99
+    ok, report = replay(cert)
+    assert not ok
+    assert report["reason"] == "query 2 diverges from the transcript"
 
-    with pytest.raises(AuditError, match="unexpected frame type"):
-        chan.send(make_frame("hello", {}))
-    chan.send(make_frame("encode", qa_e[0]["q"]))
-    assert chan.recv()["body"] == {"answer": qa_e[0]["a"]}
-    wrong = dict(qa_e[1]["q"])
-    wrong["i"] = 99
-    with pytest.raises(AuditError):
-        chan.send(make_frame("encode", wrong))
+
+@pytest.mark.parametrize("change, reason", [
+    ("drop-last", "checker record missing"),
+    ("port", "checker record mismatch"),
+    ("repeat-last", "checker records left unconsumed"),
+])
+def test_checker_record_faults_are_named(change, reason):
+    cert = copy.deepcopy(GENERAL_CERT)
+    if change == "drop-last":
+        cert["qa_c"].pop()
+    elif change == "port":
+        q = cert["qa_c"][0]["q"]
+        assert q["case"] == "input"
+        q["port"] += 1
+    else:
+        cert["qa_c"].append(copy.deepcopy(cert["qa_c"][-1]))
+    ok, report = replay(cert)
+    assert not ok
+    assert report["reason"] == reason
+
+
+@pytest.mark.parametrize("sk", ["", "0", "x15", "x+0", "x+00", "x+" + "0" * 16])
+def test_recorded_session_key_must_have_the_key_size(monkeypatch, sk):
+    # the key folds into the block width, so zeros appended to it decrypt
+    # alike; the auditor refuses any recorded key of another length before
+    # it replays a query
+    cert = copy.deepcopy(GENERAL_CERT)
+    stored = cert["sk"]
+    assert len(stored) == protocol.SE_KEY_BITS
+    if sk == "x15":
+        sk = stored[:15]
+    elif sk.startswith("x+"):
+        sk = stored + sk[2:]
+    cert["sk"] = sk
+
+    def no_query(*args):
+        raise AssertionError("a query was replayed")
+
+    monkeypatch.setattr(ReplayVerifier, "_ask", no_query)
+    ok, report = audit(cert)
+    assert ok == 0
+    assert report["reason"] == (f"the session key at $.sk has {len(sk)} bits, "
+                                f"not {protocol.SE_KEY_BITS}")
 
 
 def test_truncated_transcript_fails():

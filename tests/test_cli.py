@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import tabverify
-from tabverify import cli
+from tabverify import cli, he
 from tabverify.channel import SocketChannel, make_frame
 from tabverify.cli import main
 from tabverify.demo import DEMO_GRAPH_TEXT
@@ -276,6 +276,13 @@ def edited_pp(pp, fault):
     elif fault == "program-short":  # one payload fewer than u_params say
         word = base64.b64decode(pp["programs"][first])
         pp["programs"][first] = base64.b64encode(word[:-25]).decode("ascii")
+    elif fault in ("program-tag", "program-key-id"):  # another key pair's word
+        word = bytearray(base64.b64decode(pp["programs"][first]))
+        if fault == "program-tag":
+            word[0] = he.TAG_SHE
+        else:
+            word[8] ^= 1
+        pp["programs"][first] = base64.b64encode(word).decode("ascii")
     elif fault == "structure-empty":
         pp["structure"] = {}
     elif fault == "table-no-ports":  # the table step would cycle no inputs
@@ -338,8 +345,8 @@ def edited_pp(pp, fault):
 
 PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
              "u-params-zero", "u-params-edited", "programs-list",
-             "program-short", "structure-empty", "table-no-ports",
-             "port-no-producers", "input-renamed", "input-unpublished",
+             "program-short", "program-tag", "program-key-id", "structure-empty",
+             "table-no-ports", "port-no-producers", "input-renamed", "input-unpublished",
              "output-type-str", "output-tables-int", "output-name-list",
              "index-str", "index-missing", "external-missing", "index-skips",
              "program-key-skips", "producer-kind-tabel", "producer-same-table",

@@ -310,7 +310,7 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
     for pos, u in enumerate(X_bits_by_port):
         a = frame(dev, "encode", {"qkind": 1, "i": i, "port": pos, "u": bits_str(u)})
         assert a["answer"]["kind"] == "w"
-        words.append(b64_cts(a["answer"]["w"], lam))
+        words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
     v = table_step(dev.pp, i, u_word)
     if corrupt == "v":  # the last byte of the first ciphertext
@@ -375,7 +375,7 @@ def test_memory_wiped_between_sessions():
             "encode",
             {"qkind": 1, "i": t["index"], "port": pos, "u": bits_str(u)},
         )
-        words.append(b64_cts(a["answer"]["w"], dev.hpk.lam_bytes))
+        words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
     v = table_step(dev.pp, t["index"], u_word)
     body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_word), "v": cts_b64(v)}
@@ -393,7 +393,7 @@ def test_checker_requires_commit_before_proof():
     names = [p["producers"][0][1] for p in t["ports"]]
     u = tagged_to_bits(Tagged(True, DEMO_INPUT[names[0]]), m)
     a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)})
-    p = b64_cts(a["answer"]["w"], dev.hpk.lam_bytes)
+    p = b64_cts(a["answer"]["w"], dev.hpk)
     y = checker_value(dev.pp, v.ct_sk, p)
     r = frame(
         dev,

@@ -74,7 +74,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     checker = {"i": t["index"], "case": "input", "port": 0, "p": w}
     assert ask("checker", dict(checker, y=cts_b64(junk[m]))) == {"result": "null"}
 
-    y = checker_value(dev.pp, ct_sk, b64_cts(w, dev.hpk.lam_bytes))
+    y = checker_value(dev.pp, ct_sk, b64_cts(w, dev.hpk))
     assert ask("checker", dict(checker, i=[1], y=cts_b64(y))) == {"result": "null"}
     r = ask("checker", dict(checker, y=cts_b64(y)))
     assert ask("commit_challenge", {"Rs": 5}) == {"result": "null"}

@@ -12,8 +12,10 @@ golden seeds.
 
 import base64
 import copy
+import dataclasses
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,9 +39,14 @@ from tabverify.protocol import (
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 
 
-@pytest.fixture(scope="module", params=["transparent", "integer-she"])
+# one key pair per backend; the keys fixture hands out each in turn, and
+# tests whose ids name no backend run on both
+KEYS = {kind: he.keygen(16, kind, rng=random.Random(1)) for kind in he.KINDS}
+
+
+@pytest.fixture(scope="module", params=list(KEYS))
 def keys(request):
-    return he.keygen(16, request.param, rng=random.Random(1))
+    return KEYS[request.param]
 
 
 def cut(h, word):
@@ -124,7 +131,9 @@ def test_check_word_accepts_and_refuses_as_the_reference(keys):
                 got = outcome(he.check_word, h, bad)
                 assert got[0] == "refuse"
                 assert got == outcome(ref_check_word, h, bad)
-                assert not he.well_formed(h, bad)
+                if isinstance(bad, bytes):  # a word a base64 string spells
+                    with pytest.raises(ProtocolError, match=re.escape(got[1])):
+                        b64_cts(cts_b64(bad), h)
                 with pytest.raises(he.HeError):
                     he.dec_word(keys.hsk, bad)
 
@@ -182,7 +191,7 @@ def test_enc_word_draws_like_one_enc_per_bit_she():
 def test_enc_word_without_an_rng(keys):
     bits = random_bits(random.Random(9), 40)
     word = he.enc_word(keys.hpk, bits)
-    assert he.well_formed(keys.hpk, word)
+    assert he.check_word(keys.hpk, word) == 40
     assert he.dec_word(keys.hsk, word) == bits
     assert len(set(cut(keys.hpk, word))) == 40  # fresh nonces, no two alike
     assert he.dec_word(keys.hsk, strip(keys.hpk, [he.enc(keys.hpk, b) for b in bits])) == bits
@@ -211,7 +220,7 @@ def ref_cts_b64(word):
     return base64.b64encode(word).decode("ascii")
 
 
-def ref_b64_cts(text, lam, n=None):
+def ref_b64_cts(text, h, n=None):
     if not isinstance(text, str) or not text.isascii():
         raise ProtocolError("not ASCII text")
     try:
@@ -220,52 +229,62 @@ def ref_b64_cts(text, lam, n=None):
         raise ProtocolError(f"bad ciphertext encoding: {exc}") from exc
     if ref_cts_b64(word) != text:
         raise ProtocolError("non-canonical ciphertext encoding")
-    size = lam - 9
-    if (len(word) < 9 or (len(word) - 9) % size
-            or (n is not None and len(word) != 9 + n * size)):
-        raise ProtocolError("wrong length")
+    try:
+        count = ref_check_word(h, word)
+    except he.HeError as exc:
+        raise ProtocolError(f"bad ciphertext word: {exc}") from exc
+    if n is not None and count != n:
+        raise ProtocolError("wrong count")
     return word
 
 
-HEAD = "A" * 12  # the spelling of 9 zero bytes: a header's length
+def head(h):
+    """The spelling of h's header, 9 bytes: 12 characters, a whole number of
+    base64 groups."""
+    return cts_b64(he.enc_word(h, ()))
 
 
-def same_decode(text, size=1, n=None):
-    """Whether b64_cts accepts text, for payloads of size bytes, as the
-    reference does, and decodes it to the same word."""
+def same_decode(h, text, size=1, n=None):
+    """Whether b64_cts accepts text, for h's key pair with payloads of size
+    bytes, as the reference does, and decodes it to the same word."""
+    h = dataclasses.replace(h, lam_bytes=9 + size)
     try:
-        want = ref_b64_cts(text, 9 + size, n)
+        want = ref_b64_cts(text, h, n)
     except ProtocolError:
         with pytest.raises(ProtocolError):
-            b64_cts(text, 9 + size, n)
+            b64_cts(text, h, n)
         return False
-    assert b64_cts(text, 9 + size, n) == want
+    assert b64_cts(text, h, n) == want
     return True
 
 
 @given(st.binary(max_size=120))
 def test_cts_b64_matches_the_reference(word):
     assert cts_b64(word) == ref_cts_b64(word)
-    assert same_decode(cts_b64(word)) == (len(word) >= 9)
+    for keys in KEYS.values():
+        same_decode(keys.hpk, cts_b64(word))
+        assert same_decode(keys.hpk, cts_b64(he.enc_word(keys.hpk, ()) + word))
 
 
 @given(st.text(alphabet="AQgwBb9+/=\n é\0", max_size=16))
 def test_b64_cts_accepts_exactly_what_the_reference_accepts(text):
-    for size in (1, 2, 3):
-        same_decode(text, size)
-        same_decode(HEAD + text, size)
+    for keys in KEYS.values():
+        for size in (1, 2, 3):
+            same_decode(keys.hpk, text, size)
+            same_decode(keys.hpk, head(keys.hpk) + text, size)
 
 
 def test_b64_cts_on_fuzzed_short_strings():
-    rng = random.Random(12)
-    alphabet = "ABQgwz09+/=-_ \né"
-    accepted = 0
-    for _ in range(20000):
-        s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
-        same_decode(s)
-        accepted += same_decode(HEAD + s)
-        same_decode(HEAD + s, 2, 3)
-    assert accepted > 100  # the fuzz reaches canonical spellings too
+    for keys in KEYS.values():
+        rng = random.Random(12)
+        alphabet = "ABQgwz09+/=-_ \né"
+        accepted, prefix = 0, head(keys.hpk)
+        for _ in range(20000):
+            s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
+            same_decode(keys.hpk, s)
+            accepted += same_decode(keys.hpk, prefix + s)
+            same_decode(keys.hpk, prefix + s, 2, 3)
+        assert accepted > 100  # the fuzz reaches canonical spellings too
 
 
 @pytest.mark.parametrize("item", [
@@ -273,12 +292,14 @@ def test_b64_cts_on_fuzzed_short_strings():
     "AA==AA==", "AAAA\n", " AAAA", "AA-_", "AAé=", "ÿÿÿÿ", "",
     b"AA==", bytearray(b"AAAA"), 5, None, ["AA=="], 1.5])
 def test_b64_cts_edge_cases(item):
-    same_decode(item)
-    same_decode(item, 3)
-    if isinstance(item, str):
-        same_decode(HEAD + item)
-        same_decode(HEAD + item, 3, 1)
-        same_decode(HEAD + "AAAA" + item, 3, 1)
+    for keys in KEYS.values():
+        same_decode(keys.hpk, item)
+        same_decode(keys.hpk, item, 3)
+        if isinstance(item, str):
+            h = head(keys.hpk)
+            same_decode(keys.hpk, h + item)
+            same_decode(keys.hpk, h + item, 3, 1)
+            same_decode(keys.hpk, h + "AAAA" + item, 3, 1)
 
 
 def test_b64_cts_counts_ciphertexts(keys):
@@ -289,36 +310,45 @@ def test_b64_cts_counts_ciphertexts(keys):
         word = he.enc_word(keys.hpk, random_bits(rng, n), rng)
         assert len(word) == 9 + n * size
         text = cts_b64(word)
-        assert b64_cts(text, keys.hpk.lam_bytes) == word
+        assert b64_cts(text, keys.hpk) == word
         for k in range(6):
             if k == n:
-                assert b64_cts(text, keys.hpk.lam_bytes, k) == word
+                assert b64_cts(text, keys.hpk, k) == word
             else:
-                with pytest.raises(ProtocolError, match=f"and {k} {size}-byte payloads"):
-                    b64_cts(text, keys.hpk.lam_bytes, k)
+                with pytest.raises(ProtocolError, match=f"hold {k} ciphertexts, got {n}$"):
+                    b64_cts(text, keys.hpk, k)
 
 
 def test_b64_cts_refuses_a_word_of_the_wrong_type_or_length():
-    lam = 34
-    word = he.enc_word(he.keygen(16, rng=random.Random(15)).hpk, (0, 1, 1), None)
-    text = cts_b64(word)
-    assert b64_cts(text, lam) == b64_cts(text, lam, 3) == word
-    header = cts_b64(word[:9])  # the word of no ciphertexts
-    assert b64_cts(header, lam) == b64_cts(header, lam, 0) == word[:9]
-    for bad in (word, bytearray(word), None, 5, [text], text.encode("ascii")):
+    # the type and length faults, and a header of another backend or key
+    for keys in KEYS.values():
+        h = keys.hpk
+        word = he.enc_word(h, (0, 1, 1), random.Random(15))
+        text = cts_b64(word)
+        assert b64_cts(text, h) == b64_cts(text, h, 3) == word
+        header = cts_b64(word[:9])  # the word of no ciphertexts
+        assert b64_cts(header, h) == b64_cts(header, h, 0) == word[:9]
+        for bad in (word, bytearray(word), None, 5, [text], text.encode("ascii")):
+            with pytest.raises(ProtocolError, match="ASCII text"):
+                b64_cts(bad, h)
         with pytest.raises(ProtocolError, match="ASCII text"):
-            b64_cts(bad, lam)
-    with pytest.raises(ProtocolError, match="ASCII text"):
-        b64_cts(text[:-4] + "é===", lam)
-    # off by one byte, a short header, and no header
-    for bad in (word[:-1], word + b"\0", word[:8], b""):
-        with pytest.raises(ProtocolError, match="payloads, got"):
-            b64_cts(cts_b64(bad), lam)
-    for n in (0, 2, 4):  # a whole number of ciphertexts, but not n
-        with pytest.raises(ProtocolError, match=f"header and {n} 25-byte payloads"):
-            b64_cts(text, lam, n)
-    with pytest.raises(ProtocolError, match="header and 1 25-byte payloads"):
-        b64_cts(header, lam, 1)  # the empty word where one ciphertext is due
+            b64_cts(text[:-4] + "é===", h)
+        # off by one byte, a short header, and no header
+        for bad, why in ((word[:-1], "length"), (word + b"\0", "length"),
+                         (word[:8], "short header"), (b"", "short header")):
+            with pytest.raises(ProtocolError, match=f"bad ciphertext word: .*{why}"):
+                b64_cts(cts_b64(bad), h)
+        # another backend's tag, and another key pair's key id
+        other = he.TAG_SHE if h.kind == "transparent" else he.TAG_TRANSPARENT
+        for bad, why in ((bytes([other]) + word[1:], "backend tag"),
+                         (word[:8] + bytes([word[8] ^ 1]) + word[9:], "key pair")):
+            with pytest.raises(ProtocolError, match=f"bad ciphertext word: .*{why}"):
+                b64_cts(cts_b64(bad), h)
+        for n in (0, 2, 4):  # a whole number of ciphertexts, but not n
+            with pytest.raises(ProtocolError, match=f"hold {n} ciphertexts, got 3"):
+                b64_cts(text, h, n)
+        with pytest.raises(ProtocolError, match="hold 1 ciphertexts, got 0"):
+            b64_cts(header, h, 1)  # the empty word where one ciphertext is due
 
 
 B64_ALPHABET = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
@@ -338,24 +368,28 @@ def demo_cert():
 def test_one_character_change_to_a_long_program_word(demo_cert):
     # every change of one character, at the first, middle and last places
     # of a program's string, is refused as a spelling that is not
-    # canonical, as a wrong length, or decodes to another word; the audit of
-    # a certificate carrying such a change, bound again, is 0 in each way
+    # canonical, as another backend's tag, as a wrong length, or decodes to
+    # another word; the audit of a certificate carrying such a change, bound
+    # again, is 0 in each way
     text = demo_cert["public_params"]["programs"]["1"]
-    lam, plen = 34, (len(b64_cts(text, 34)) - 9) // 25
+    hpk = he.hpk_from_dict(demo_cert["public_params"]["hpk"])
+    plen = he.check_word(hpk, b64_cts(text, hpk))
     assert plen > 1000 and text.endswith("==")
-    ways = {"spelling": 0, "length": 0, "word": 0}
+    ways = {"spelling": 0, "header": 0, "length": 0, "word": 0}
     for pos in (0, len(text) // 2, len(text) - 3, len(text) - 2, len(text) - 1):
         audited = set()
         for c in B64_ALPHABET.replace(text[pos], ""):
             changed = text[:pos] + c + text[pos + 1:]
             try:
-                word = b64_cts(changed, lam, plen)
+                word = b64_cts(changed, hpk, plen)
             except ProtocolError as exc:
-                way = "length" if "payloads, got" in str(exc) else "spelling"
-                assert way == "length" or "encoding" in str(exc)
+                why = str(exc)
+                way = ("spelling" if "encoding" in why else
+                       "length" if "length" in why else "header")
+                assert way != "header" or "backend tag" in why
             else:
                 way = "word"
-                assert word != b64_cts(text, lam)
+                assert word != b64_cts(text, hpk)
             ways[way] += 1
             if way not in audited:  # one audit per way and place
                 audited.add(way)
