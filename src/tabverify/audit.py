@@ -4,10 +4,11 @@ A certificate contains everything a third party needs to re-run the
 verifier against the recorded developer answers: public parameters, the
 public spec, the generation seed, and the full query/answer transcript.
 The auditor is the verifier itself, with its three hooks played back from
-the record (ReplayVerifier): the disclosed session key instead of a fresh
-one, the recorded answer to each query once the query equals its record,
+the record (ReplayVerifier): the disclosed session secrets instead of fresh
+ones, the recorded answer to each query once the query equals its record,
 and in general mode the recorded opening of each checker round, whose
-commitments are re-verified and whose revealed value is re-decrypted under
+commitments are re-verified under the challenges drawn again from the
+disclosed challenge seed and whose revealed value is re-decrypted under
 the disclosed key. The rebuilt certificate must then serialize to exactly
 the stored bytes.
 """
@@ -22,15 +23,17 @@ from .graphtext import parse_graph
 from .protocol import (
     BINDING_FIELDS,
     CERT_VERSION,
+    CHALLENGE_SEED_BITS,
     SE_KEY_BITS,
+    ProtocolError,
     Verifier,
     b64_cts,
+    hex_bits,
     session_binding,
-    str_bits,
 )
 from .vga import coverage_report
 
-CERT_FORMAT = "tabverify-cert-v7"
+CERT_FORMAT = "tabverify-cert-v8"
 
 
 class AuditError(Exception):
@@ -69,11 +72,11 @@ def load_certificate(path):
 class ReplayVerifier(Verifier):
     """The verifier of a certificate, played back: built from the
     certificate's configuration, it overrides the verifier's three hooks
-    with the record. _session_key returns the recorded key, _ask the
+    with the record. _session_key returns the recorded secrets, _ask the
     recorded answer to each query once the query equals its record, and
     _opening the recorded opening of each checker round once its query
-    equals the record and its blocks open. Any divergence raises
-    AuditError."""
+    equals the record and its blocks open under the challenges drawn from
+    the recorded seed. Any divergence raises AuditError."""
 
     def __init__(self, cert):
         self.cert = cert
@@ -89,11 +92,15 @@ class ReplayVerifier(Verifier):
         )
 
     def _session_key(self):
-        sk = str_bits(self.cert["sk"])
-        if len(sk) != SE_KEY_BITS:
-            raise AuditError(f"the session key at $.sk has {len(sk)} bits, "
-                             f"not {SE_KEY_BITS}")
-        return sk, b64_cts(self.cert["ct_sk"], self.pp.hpk, SE_KEY_BITS)
+        return (self._recorded_bits("sk", SE_KEY_BITS),
+                b64_cts(self.cert["ct_sk"], self.pp.hpk, SE_KEY_BITS),
+                self._recorded_bits("challenge_seed", CHALLENGE_SEED_BITS))
+
+    def _recorded_bits(self, key, n):
+        try:
+            return hex_bits(self.cert[key], n)
+        except ProtocolError as exc:
+            raise AuditError(f"$.{key}: {exc}") from None
 
     def _ask(self, chan, ftype, body):
         k = len(self.qa_e)  # queries answered so far; only encodes ask
@@ -104,10 +111,10 @@ class ReplayVerifier(Verifier):
             raise AuditError(f"query {k + 1} diverges from the transcript")
         return {"answer": rec["a"]}
 
-    def _opening(self, chan, body, width):
+    def _opening(self, chan, body, width, rs):
         """The recorded d and blocks of this round. A live round records d
-        only once every block has opened, so a recorded d whose blocks do
-        not open fails the replay here."""
+        only once every block has opened under its challenge in rs, so a
+        recorded d whose blocks do not open fails the replay here."""
         k = len(self.qa_c) - 1  # this round's record is already appended
         if k >= len(self.cert["qa_c"]):
             raise AuditError("checker record missing")
@@ -115,7 +122,7 @@ class ReplayVerifier(Verifier):
         if rec["q"] != body:
             raise AuditError("checker record mismatch")
         d, blocks = rec["a"].get("d"), rec["s"]["blocks"]
-        if d is not None and not self._opens(d, blocks, width):
+        if d is not None and not self._opens(d, blocks, width, rs):
             raise AuditError(f"checker record {k} does not open ($.qa_c[{k}])")
         return d, blocks
 

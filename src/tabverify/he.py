@@ -7,11 +7,13 @@ Two backends share the same ciphertext container and operations:
                 sha256("tr-eval-v2", key id, sha256(input word),
                 "name:label")[:24]. A gate-list circuit (eval_word) is
                 named by gates_digest(), its label is the output wire and
-                its bits come from simulating its gate list. A universal
-                circuit runs a program prepared once (prepare): it is named
-                by its construction and budget (UniversalCircuit.name), its
-                label is k and its bits come from the program's slots,
-                evaluated one by one. A testing oracle, not encryption.
+                its bits come from simulating its gate list; only the
+                tests evaluate one. A circuit named by its construction
+                and sizes has the label k, and no gate list is built: a
+                universal circuit (UniversalCircuit.name) runs a program
+                prepared once (prepare), slot by slot, and the SE circuit
+                (symcrypto.SECircuit.name, eval_named) its word Feistel.
+                A testing oracle, not encryption.
   integer-she   toy somewhat-homomorphic scheme over the integers:
                 c = m + 2r + 2*(subset sum of public zeros) mod x0 with
                 x0 = p*q0; XOR is addition, AND is multiplication. Noise is
@@ -376,6 +378,24 @@ def eval_word(hpk, circuit, word):
     if hpk.kind == "transparent":
         return _eval_transparent(hpk, circuit, word)
     return _eval_she(hpk, circuit, _she_wires(hpk, word))
+
+
+def eval_named(hpk, c, word):
+    """The word of the outputs of a circuit named by its construction and
+    sizes (a symcrypto.SECircuit: name, n_inputs, evaluate and the gate
+    list gates) on an input word. On the transparent backend output k is
+    bit k of c.evaluate with the nonce labelled name:k, as output k of a
+    universal-circuit step is, and no gate list is built; integer-she runs
+    the gate list."""
+    n = check_word(hpk, word)
+    if n != c.n_inputs:
+        raise HeError(f"{c.name} expects {c.n_inputs} ciphertexts, got {n}")
+    if hpk.kind != "transparent":
+        return _eval_she(hpk, c.gates, _she_wires(hpk, word))
+    bits = c.evaluate(word[HEADER::_TR].translate(_LOW_BIT))
+    name = c.name
+    return _tr_outputs(hpk, hashlib.sha256(word).digest(),
+                       [f"{name}:{k}".encode() for k in range(len(bits))], bits)
 
 
 # --- prepared universal-circuit programs --------------------------------------------

@@ -29,13 +29,24 @@ spelling of a word of the key pair, which he.check_word checks once. Words
 are cut and joined by ciphertext index with he.cut_word and he.join_words,
 never by byte arithmetic here.
 
+Every bit string is hex on the wire and in the certificate: a q1's u, a q2
+answer's payload, a checker round's d, each commitment block's R, e,
+exposed, seed and data, and the disclosed sk and challenge seed. Bit i of
+the string is bit i of an integer written as exactly ceil(n / 4) lowercase
+hex digits, the most significant first. bits_hex writes it and hex_bits,
+told n by every caller, reads it and refuses any other spelling, so that
+each recorded string has one spelling: the audit hands recorded openings
+into the rebuilt certificate unchanged. The checker value is the SE
+circuit named by its sizes (symcrypto.SECircuit) evaluated under he, and
+the verifier draws its challenges from its challenge seed, which the
+auditor reads from the certificate to draw them again.
+
 The verifier meets the developer only through its hooks (Verifier); the
 audit module's ReplayVerifier overrides them to replay a certificate.
 Everything exchanged is recorded.
 """
 
 import copy
-import functools
 import hashlib
 import random
 from binascii import a2b_base64, b2a_base64
@@ -55,11 +66,12 @@ from .commitment import (
     RevealMessage,
 )
 from .graphtext import serialize_graph
-from .symcrypto import se_dec, se_enc_circuit, se_keygen
+from .symcrypto import SECircuit, block_width_ok, se_dec, se_keygen
 from .tables import (
     INPUT,
     Tagged,
     bits_to_int,
+    bits_uint,
     evaluate_plain,
     int_to_bits,
     sibling_group,
@@ -68,9 +80,10 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 7  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 8  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
 SE_KEY_BITS = 16  # the verifier's session key and each commitment seed
+CHALLENGE_SEED_BITS = 128  # the seed of the verifier's checker challenges
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
 TOP = "top"
@@ -85,18 +98,31 @@ class ProtocolError(Exception):
 # --- encoding helpers ---------------------------------------------------------
 
 
-_TEXT = b"0" + b"1" * 255  # a bit by its truth: byte 0 is "0", any other "1"
-_BITS = bytes.maketrans(b"01", b"\0\1")
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
-def bits_str(bits):
-    return bytes(bits).translate(_TEXT).decode("ascii")
+def bits_hex(bits):
+    """The hex spelling of n bits, each read by its truth: bit i of the
+    string is bit i of an integer, written as exactly ceil(n / 4) lowercase
+    hex digits, the most significant first."""
+    digits = -(-len(bits) // 4)
+    return format(bits_uint(bits) | 1 << 4 * digits, "x")[1:]  # past a leading 1
 
 
-def str_bits(s):
-    if not isinstance(s, str) or set(s) - {"0", "1"}:
-        raise ProtocolError(f"bad bit string {s!r}")
-    return tuple(s.encode("ascii").translate(_BITS))
+def hex_bits(text, n):
+    """The n bits that text spells: the inverse of bits_hex. ProtocolError
+    unless text is a str of exactly ceil(n / 4) digits from 0-9a-f whose
+    bits at n and above are clear, so that each bit string has one
+    spelling."""
+    if not isinstance(text, str):
+        raise ProtocolError(f"a bit string must be hex text, not {type(text).__name__}")
+    digits = -(-n // 4)
+    if len(text) != digits or not _HEX_DIGITS.issuperset(text):
+        raise ProtocolError(f"a {n}-bit string must be {digits} lowercase hex digits")
+    value = int(text, 16) if text else 0
+    if value >> n:
+        raise ProtocolError(f"a {n}-bit string sets a bit past its {n} bits")
+    return int_to_bits(value, n)
 
 
 def cts_b64(word):
@@ -138,11 +164,6 @@ def payload_to_value(bits, ptype):
     return bits_to_int(bits)
 
 
-@functools.cache  # one build per width (0.3-0.6 ms each), not one per checker round
-def se_circuit_for(width):
-    return se_enc_circuit(SE_KEY_BITS, width)
-
-
 # --- the values both parties compute from a query -------------------------------
 
 
@@ -172,10 +193,11 @@ def checker_slice(word, case, h, hpk=None):
 
 def checker_value(pp, ct_sk, p):
     """y: the symmetric encryption of the slice p under the key inside
-    ct_sk, evaluated homomorphically. The verifier computes it for a checker
-    round; the developer recomputes it before it reveals."""
-    circ = se_circuit_for(he.check_word(pp.hpk, p))
-    return he.eval_word(pp.hpk, circ, he.join_words(pp.hpk, (ct_sk, p)))
+    ct_sk, evaluated homomorphically as the SE circuit named by its sizes.
+    The verifier computes it for a checker round; the developer recomputes
+    it before it reveals."""
+    se = SECircuit(SE_KEY_BITS, he.check_word(pp.hpk, p))
+    return he.eval_named(pp.hpk, se, he.join_words(pp.hpk, (ct_sk, p)))
 
 
 # --- public parameters ----------------------------------------------------------
@@ -491,10 +513,10 @@ class Developer:
                 or not isinstance(t[1][port], str)):  # tables, not an input, feed it
             return {"answer": {"kind": NULL}}
         try:
-            u = str_bits(body.get("u", ""))
+            u = hex_bits(body.get("u"), m)
         except ProtocolError:
             return {"answer": {"kind": NULL}}
-        if len(u) != m or u[:h] != int_to_bits(1, h):
+        if u[:h] != int_to_bits(1, h):
             return {"answer": {"kind": NULL}}
         encoded = u
         if self.strategy == "flip-payload":
@@ -532,7 +554,7 @@ class Developer:
         if not any(out[:h]):
             honest = {"kind": BOT}
         elif external:
-            honest = {"kind": "payload", "payload": bits_str(out[h:])}
+            honest = {"kind": "payload", "payload": bits_hex(out[h:])}
         else:
             honest = {"kind": TOP}
         self.mem.q2[i] = (v_word, out)
@@ -562,8 +584,8 @@ class Developer:
 
     def _apply_strategy(self, honest):
         if self.strategy == "flip-payload" and honest["kind"] == "payload":
-            bits = str_bits(honest["payload"])
-            return {"kind": "payload", "payload": bits_str((bits[0] ^ 1,) + bits[1:])}
+            bits = hex_bits(honest["payload"], self.pp.m // 2)
+            return {"kind": "payload", "payload": bits_hex((bits[0] ^ 1,) + bits[1:])}
         if self.strategy == "flip-tag" and honest["kind"] in (TOP, BOT):
             return {"kind": BOT if honest["kind"] == TOP else TOP}
         if self.strategy == "swap-answers":
@@ -587,8 +609,9 @@ class Developer:
             known = self.mem.q2.get(i)
         else:
             return {"result": NULL}
+        # SE encrypts the slice as one block: an even width of 4 or more bits
         if (known is None or checker_slice(known[0], case, h, self.hpk) != p
-                or len(y) != len(p)):
+                or len(y) != len(p) or not block_width_ok(he.check_word(self.hpk, p))):
             return {"result": NULL}
         d_bits = self._open_checker(y, checker_slice(known[1], case, h))
         self.mem.pending = {
@@ -607,7 +630,7 @@ class Developer:
         if not isinstance(body.get("Rs"), list):
             return {"result": NULL}
         try:
-            rs = [str_bits(r) for r in body["Rs"]]
+            rs = [hex_bits(r, 2 * self.code.q) for r in body["Rs"]]
         except ProtocolError:
             return {"result": NULL}
         if len(rs) != len(pending["blocks"]):
@@ -620,7 +643,7 @@ class Developer:
             except Exception:
                 return {"result": NULL}
             seeds.append(s)
-            out.append({"e": bits_str(cm.e), "exposed": bits_str(cm.exposed)})
+            out.append({"e": bits_hex(cm.e), "exposed": bits_hex(cm.exposed)})
         pending["seeds"] = seeds
         return {"blocks": out}
 
@@ -636,10 +659,10 @@ class Developer:
         if checker_value(self.pp, ct_sk, pending["p"]) != pending["y"]:
             return {"result": NULL}
         reveals = [
-            {"seed": bits_str(s), "data": bits_str(d)}
+            {"seed": bits_hex(s), "data": bits_hex(d)}
             for s, d in zip(pending["seeds"], pending["blocks"])
         ]
-        return {"d": bits_str(pending["d"]), "reveals": reveals}
+        return {"d": bits_hex(pending["d"]), "reveals": reveals}
 
     # frame type -> answer method: the only frames a session carries
     ANSWERS = {
@@ -697,10 +720,12 @@ class Verifier:
     dict.
 
     The verifier meets the developer and its own randomness through three
-    hooks: _session_key draws the general-mode session key, _ask sends a
-    query and returns the reply's body, and _opening runs the commit and
+    hooks: _session_key draws the general-mode session secrets, _ask sends
+    a query and returns the reply's body, and _opening runs the commit and
     reveal exchange of a checker round. audit.ReplayVerifier overrides just
-    these three to play a certificate back."""
+    these three to play a certificate back. The checker's challenges come
+    from the challenge seed, a session secret that is never sent and is
+    disclosed in the certificate, so the auditor draws them again."""
 
     def __init__(
         self,
@@ -754,12 +779,17 @@ class Verifier:
         self.rng = rng or random.Random()
         # the type of each external input, as every input's walk reads it
         self.input_types = dict(pp.structure.inputs)
+        # the type of each external table's payload, as its output groups read it
+        self.payload_types = {i: ptype for _, ptype, group in pp.structure.outputs
+                              for i in group}
         self.code = gen_code()
         if mode == "general":
-            self.sk, self.ct_sk = self._session_key()
+            self.sk, self.ct_sk, self.challenge_seed = self._session_key()
             self.ct_sk_b64 = cts_b64(self.ct_sk)
+            self.challenges = random.Random(bits_uint(self.challenge_seed))
         else:
             self.sk = self.ct_sk = self.ct_sk_b64 = None
+            self.challenge_seed = self.challenges = None
         self.qa_e = []
         self.qa_c = []
         self.failures = []
@@ -767,9 +797,12 @@ class Verifier:
     # -- hooks (with _opening, under the checker round)
 
     def _session_key(self):
-        """The session key sk, as bits, and ct_sk, its word under hpk."""
+        """The session secrets: the session key sk, as bits, ct_sk, its word
+        under hpk, and the challenge seed, as bits."""
         sk = se_keygen(SE_KEY_BITS, self.rng)
-        return sk, he.enc_word(self.pp.hpk, sk, self.rng)
+        ct_sk = he.enc_word(self.pp.hpk, sk, self.rng)
+        seed = self.rng.getrandbits(CHALLENGE_SEED_BITS)
+        return sk, ct_sk, int_to_bits(seed, CHALLENGE_SEED_BITS)
 
     def _ask(self, chan, ftype, body):
         """The body of the developer's reply; {} when it is not a dict."""
@@ -785,7 +818,7 @@ class Verifier:
         well formed, and the ciphertext word it answers for: a q1 answer's
         w, decoded, or a q2's v_word."""
         answer = self._ask(chan, "encode", body).get("answer")
-        w = self._well_formed(body["qkind"], answer)
+        w = self._well_formed(body, answer)
         if w is None:
             answer = {"kind": NULL}
         word = w if body["qkind"] == 1 else v_word
@@ -797,20 +830,23 @@ class Verifier:
                 )
         return answer, word
 
-    def _well_formed(self, qkind, answer):
-        """Whether an encode answer has the fields its kind needs, in shape;
-        the one check on them. An answer that fails it gives None and counts
-        as null; one that passes gives its w decoded, or b"" when it has no
-        w."""
+    def _well_formed(self, q, answer):
+        """Whether an encode answer to the query q has the fields its kind
+        needs, in shape; the one check on them. A payload spells h bits, and
+        a bool payload only bit 0, as tagged_to_bits writes a bool. An
+        answer that fails it gives None and counts as null; one that passes
+        gives its w decoded, or b"" when it has no w."""
+        qkind = q["qkind"]
         kind = answer.get("kind") if isinstance(answer, dict) else None
         if kind == NULL or (qkind == 2 and kind in (TOP, BOT)):
             return b""
         try:
             if qkind == 1 and kind == "w":
                 return b64_cts(answer.get("w"), self.pp.hpk, self.pp.m)
-            if qkind == 2 and kind == "payload" and (
-                    len(str_bits(answer.get("payload"))) == self.pp.m // 2):
-                return b""
+            if qkind == 2 and kind == "payload":
+                bits = hex_bits(answer.get("payload"), self.pp.m // 2)
+                if self.payload_types.get(q["i"]) != "bool" or not any(bits[1:]):
+                    return b""
         except ProtocolError:
             pass
         return None
@@ -869,8 +905,9 @@ class Verifier:
         }
         if self.mode == "general":
             cert["qa_c"] = self.qa_c
-            cert["sk"] = bits_str(self.sk)
+            cert["sk"] = bits_hex(self.sk)
             cert["ct_sk"] = self.ct_sk_b64
+            cert["challenge_seed"] = bits_hex(self.challenge_seed)
         cert["binding"] = session_binding(cert)
         return verdict, cert
 
@@ -892,7 +929,7 @@ class Verifier:
                     u_bits = tagged_to_bits(Tagged(True, value), m)
                     ans, w = self._encode_query(
                         chan,
-                        {"i": i, "qkind": 1, "port": pos, "u": bits_str(u_bits)},
+                        {"i": i, "qkind": 1, "port": pos, "u": bits_hex(u_bits)},
                     )
                     if ans["kind"] != "w":
                         self.failures.append({"reason": "q1-null", "i": i})
@@ -933,7 +970,8 @@ class Verifier:
             elif not tops:
                 outputs[name] = BOT
             elif len(tops) == 1:
-                outputs[name] = payload_to_value(str_bits(tops[0].payload), ptype)
+                outputs[name] = payload_to_value(hex_bits(tops[0].payload, m // 2),
+                                                 ptype)
             else:
                 self.failures.append({"reason": "ambiguous-output", "port": name})
                 outputs[name] = None
@@ -943,10 +981,10 @@ class Verifier:
 
     def _expected_checker(self, q, answer, h):
         if q["qkind"] == 1:
-            return "input", q.get("port"), str_bits(q["u"])
+            return "input", q.get("port"), hex_bits(q["u"], 2 * h)
         kind = answer["kind"]
         if kind == "payload":
-            return "external", None, str_bits(answer["payload"])
+            return "external", None, hex_bits(answer["payload"], h)
         return "intermediate", None, int_to_bits(int(kind == TOP), h)
 
     def _checker_round(self, chan, q, answer, word):
@@ -962,24 +1000,27 @@ class Verifier:
         record = {"q": body, "a": {"d": None}, "s": {"blocks": []}}
         self.qa_c.append(record)
 
-        d, blocks = self._opening(chan, body, he.check_word(self.pp.hpk, p))
+        width = he.check_word(self.pp.hpk, p)
+        # every round draws its challenges, one per block, whatever the
+        # developer answers, so that the auditor draws the same ones
+        rs = [choose_challenge(self.code.q, self.challenges)
+              for _ in split_blocks((0,) * width, self.code.m_c)]
+        d, blocks = self._opening(chan, body, width, rs)
         if d is None:
             return False
         record["a"]["d"] = d
         record["s"]["blocks"] = blocks
-        return se_dec(self.sk, str_bits(d)) == tuple(expected)
+        return se_dec(self.sk, hex_bits(d, width)) == tuple(expected)
 
-    def _opening(self, chan, body, width):
-        """Run the commit-and-reveal exchange for one checker query; the
-        revealed d and its blocks once every block opens, else (None, None)."""
+    def _opening(self, chan, body, width, rs):
+        """Run the commit-and-reveal exchange for one checker query under
+        the challenges rs; the revealed d and its blocks once every block
+        opens, else (None, None)."""
         r = self._ask(chan, "checker", body)
-        n = len(split_blocks((0,) * width, self.code.m_c))
+        n = len(rs)
         if _int(r.get("blocks")) != n:
             return None, None
-        rs = [choose_challenge(self.code.q, self.rng) for _ in range(n)]
-        c = self._ask(
-            chan, "commit_challenge", {"Rs": [bits_str(R) for R in rs]}
-        )
+        c = self._ask(chan, "commit_challenge", {"Rs": [bits_hex(R) for R in rs]})
         commits = c.get("blocks")
         if not isinstance(commits, list) or len(commits) != n:
             return None, None
@@ -990,7 +1031,7 @@ class Verifier:
                 return None, None
             blocks = [
                 {
-                    "R": bits_str(R),
+                    "R": bits_hex(R),
                     "e": cm["e"],
                     "exposed": cm["exposed"],
                     "seed": rv["seed"],
@@ -1000,27 +1041,28 @@ class Verifier:
             ]
         except (KeyError, TypeError):
             return None, None
-        return (d, blocks) if self._opens(d, blocks, width) else (None, None)
+        return (d, blocks) if self._opens(d, blocks, width, rs) else (None, None)
 
-    def _opens(self, d, blocks, width):
-        """Whether d is a width-bit string and every block reveals its slice
-        of d and opens its commitment under its challenge R; False too when
-        d or a block does not parse."""
+    def _opens(self, d, blocks, width, rs):
+        """Whether d spells width bits and every block spells its challenge
+        in rs, reveals its slice of d and opens its commitment under that
+        challenge; False too when d or a block does not parse."""
+        q, m_c = self.code.q, self.code.m_c
         try:
-            bits = str_bits(d)
-            data_blocks = split_blocks(bits, self.code.m_c)
-            if len(bits) != width or len(blocks) != len(data_blocks):
+            data_blocks = split_blocks(hex_bits(d, width), m_c)
+            if len(blocks) != len(data_blocks):
                 return False
-            for blk, want_data in zip(blocks, data_blocks):
+            for blk, R, want_data in zip(blocks, rs, data_blocks):
                 commit = CommitMessage(
-                    e=str_bits(blk["e"]), exposed=str_bits(blk["exposed"])
+                    e=hex_bits(blk["e"], q), exposed=hex_bits(blk["exposed"], q)
                 )
                 reveal = RevealMessage(
-                    seed=str_bits(blk["seed"]), data=str_bits(blk["data"])
+                    seed=hex_bits(blk["seed"], SE_KEY_BITS),
+                    data=hex_bits(blk["data"], m_c),
                 )
-                if reveal.data != want_data:
+                if blk["R"] != bits_hex(R) or reveal.data != want_data:
                     return False
-                if not verify_reveal(commit, reveal, str_bits(blk["R"]), self.code):
+                if not verify_reveal(commit, reveal, R, self.code):
                     return False
             return True
         except (ProtocolError, KeyError, TypeError, ValueError):

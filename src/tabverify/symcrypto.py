@@ -1,23 +1,36 @@
 """Deterministic symmetric encryption and the pseudorandom generator.
 
-SE is a balanced Feistel network with a quadratic (single-AND) round
-function, so its encryption map has a small circuit: 8 rounds give
-multiplicative depth 8, inside the integer backend's budget. One Feistel
-routine, parameterized over bit operations (constant, xor, and_: those of
-_PlainOps or of a circuit.Builder), produces the plain evaluation and the
-circuit, which keeps the two extensionally equal by construction.
+SE is a balanced Feistel network whose round function is SIMON's
+(Beaulieu et al., "The SIMON and SPECK families of lightweight block
+ciphers", 2013): f(R) = (R<<<1 & R<<<s) ^ R<<<2 ^ rk, where R<<<k reads bit
+j + k of R at bit j and s = max(2, w // 2) for w-bit halves. Round key i is
+the key folded to w bits (the XOR of its w-bit chunks) rotated by i, XOR
+the round constant: bits of _RC rotated by 13 * i mod 64. f has a single
+AND in depth, so 8 rounds give multiplicative depth 8, inside the integer
+backend's budget.
+
+One Feistel routine, written over word operations (rot, xor, and_,
+constant), gives both evaluations: _Ints holds a w-bit int, for se_enc,
+se_dec and SECircuit.evaluate, and _Wires a list of circuit.Builder wires,
+for SECircuit.gates. The two are extensionally equal by construction.
+SECircuit names the encryption circuit by its construction and sizes, as
+the universal circuit is named, so the transparent backend evaluates it
+without building its gate list.
 
 The PRG is SHAKE128 (FIPS 202): output bit i is bit i % 8 of byte i // 8
 of the SHAKE128 output over the seed, one byte per seed bit.
 """
 
+import functools
 import hashlib
 import operator
+from dataclasses import dataclass
 
 from .circuit import Builder
-from .tables import int_to_bits
+from .tables import bits_uint, int_to_bits
 
 ROUNDS = 8
+SE_CONSTRUCTION = "se-feistel-v2"  # SECircuit's; change it with the Feistel
 _RC = 0x9E3779B97F4A7C15  # round-constant bit source
 
 
@@ -25,56 +38,81 @@ class SymError(Exception):
     pass
 
 
-class _PlainOps:
-    """Evaluation on bits, with the bit operations of a circuit.Builder."""
+class _Ints:
+    """Word operations on w-bit ints, bit j of a word being bit j of the int."""
 
-    constant = staticmethod(int)
+    def __init__(self, w):
+        self.w, self.mask = w, (1 << w) - 1
+
+    def rot(self, x, k):  # bit j reads bit (j + k) mod w
+        k %= self.w
+        return (x >> k | x << (self.w - k)) & self.mask
+
     xor = staticmethod(operator.xor)
     and_ = staticmethod(operator.and_)
 
+    def constant(self, c):
+        return c
 
-def _rc_bit(i, j):
-    return (_RC >> ((i * 13 + j) % 64)) & 1
+
+class _Wires:
+    """The same operations on lists of w wires of a circuit.Builder."""
+
+    def __init__(self, b, w):
+        self.b, self.w = b, w
+
+    def rot(self, x, k):
+        k %= self.w
+        return x[k:] + x[:k]
+
+    def xor(self, x, y):
+        return [self.b.xor(a, c) for a, c in zip(x, y)]
+
+    def and_(self, x, y):
+        return [self.b.and_(a, c) for a, c in zip(x, y)]
+
+    def constant(self, c):
+        return [self.b.constant(c >> j & 1) for j in range(self.w)]
 
 
-def _round_keys(ops, key, w, rounds):
-    folded = [ops.constant(0)] * w
-    for t, k in enumerate(key):
-        folded[t % w] = ops.xor(folded[t % w], k)
-    rks = []
-    for i in range(rounds):
-        rks.append(
-            [ops.xor(folded[(j + i) % w], ops.constant(_rc_bit(i, j))) for j in range(w)]
-        )
-    return rks
+def _round_constant(i, w):
+    """Bit j is bit (13 * i + j) mod 64 of _RC: _RC rotated by 13 * i mod
+    64, repeated to w bits."""
+    r = 13 * i % 64
+    rc, n = (_RC >> r | _RC << (64 - r)) & ((1 << 64) - 1), 64
+    while n < w:
+        rc, n = rc | rc << n, 2 * n
+    return rc & ((1 << w) - 1)
 
-def _round_fn(ops, R, rk, w):
+
+def _feistel(ops, key, L, R, decrypt=False):
+    """The Feistel network on halves L and R, under key, the list of the
+    key's w-bit chunks (the last one zero-padded); (L, R) after all rounds,
+    or before them when decrypt."""
+    w, rot, xor, and_ = ops.w, ops.rot, ops.xor, ops.and_
+    folded = functools.reduce(xor, key)
+    rks = [xor(rot(folded, i), ops.constant(_round_constant(i, w)))
+           for i in range(ROUNDS)]
     s = max(2, w // 2)
-    return [
-        ops.xor(
-            ops.xor(ops.and_(R[(j + 1) % w], R[(j + s) % w]), R[(j + 2) % w]),
-            rk[j],
-        )
-        for j in range(w)
-    ]
+    for rk in reversed(rks) if decrypt else rks:
+        x = L if decrypt else R
+        f = xor(xor(and_(rot(x, 1), rot(x, s)), rot(x, 2)), rk)
+        L, R = (xor(R, f), L) if decrypt else (R, xor(L, f))
+    return L, R
 
 
-def _feistel_enc(ops, key, block, rounds=ROUNDS):
-    w = len(block) // 2
-    L, R = list(block[:w]), list(block[w:])
-    for rk in _round_keys(ops, key, w, rounds):
-        f = _round_fn(ops, R, rk, w)
-        L, R = R, [ops.xor(a, b) for a, b in zip(L, f)]
-    return tuple(L + R)
+def _int_key(key, w):
+    """The w-bit chunks of a key given as bits, as ints."""
+    k = bits_uint(key)
+    return [k >> t & ((1 << w) - 1) for t in range(0, max(len(key), 1), w)]
 
 
-def _feistel_dec(key, block, rounds=ROUNDS):
-    w = len(block) // 2
-    L, R = list(block[:w]), list(block[w:])
-    for rk in reversed(_round_keys(_PlainOps, key, w, rounds)):
-        f = _round_fn(_PlainOps, L, rk, w)
-        L, R = [a ^ b for a, b in zip(R, f)], L
-    return tuple(L + R)
+def _block(key, bits, decrypt):
+    """se_enc, or se_dec when decrypt, of the bits of one block under key."""
+    w = _check_block(bits)
+    m = bits_uint(bits)
+    L, R = _feistel(_Ints(w), _int_key(key, w), m & ((1 << w) - 1), m >> w, decrypt)
+    return int_to_bits(L | R << w, 2 * w)
 
 
 # --- public SE interface -----------------------------------------------------
@@ -88,33 +126,67 @@ def se_keygen(K, rng):
 
 def se_enc(sk, M):
     """Deterministic permutation of the |M|-bit block under sk."""
-    _check_block(M)
-    return _feistel_enc(_PlainOps, tuple(sk), tuple(int(b) for b in M))
+    return _block(sk, M, False)
 
 
 def se_dec(sk, C):
-    _check_block(C)
-    return _feistel_dec(tuple(sk), tuple(int(b) for b in C))
+    return _block(sk, C, True)
+
+
+def block_width_ok(width):
+    """Whether SE encrypts blocks of width bits: an even number, at least 4."""
+    return width >= 4 and width % 2 == 0
 
 
 def _check_width(width):
-    if width < 4 or width % 2:
+    if not block_width_ok(width):
         raise SymError(f"block width {width} unsupported (need even >= 4)")
 
 
 def _check_block(M):
+    """The half width w of the block M, once it is a block of bits."""
     _check_width(len(M))
-    if any(b not in (0, 1, True, False) for b in M):
+    if not set(M) <= {0, 1}:
         raise SymError("block must be bits")
+    return len(M) // 2
 
 
-def se_enc_circuit(key_bits, width):
-    """Circuit over (key || message) computing se_enc; |key| = key_bits."""
-    _check_width(width)
-    b = Builder(key_bits + width)
-    key = list(range(key_bits))
-    block = list(range(key_bits, key_bits + width))
-    return b.finish(list(_feistel_enc(b, key, block)))
+@dataclass(frozen=True)
+class SECircuit:
+    """The circuit of se_enc over (key || message), key_bits + width input
+    bits, named by its construction and sizes. evaluate runs the word
+    Feistel; gates builds the gate list, which only integer-she and the
+    tests read."""
+
+    key_bits: int
+    width: int
+
+    def __post_init__(self):
+        _check_width(self.width)
+
+    @property
+    def name(self):
+        return f"{SE_CONSTRUCTION}:{self.key_bits},{self.width}"
+
+    @property
+    def n_inputs(self):
+        return self.key_bits + self.width
+
+    def evaluate(self, bits):
+        """se_enc of the message bits under the key bits, bits being the
+        key's then the message's."""
+        return se_enc(bits[:self.key_bits], bits[self.key_bits:])
+
+    @functools.cached_property
+    def gates(self):
+        """The gate list, from the Feistel routine on wire lists."""
+        k, w = self.key_bits, self.width // 2
+        b = Builder(self.n_inputs)
+        ops = _Wires(b, w)
+        key = list(range(k)) + [b.constant(0)] * (-k % w)
+        L, R = _feistel(ops, [key[t:t + w] for t in range(0, len(key), w)],
+                        list(range(k, k + w)), list(range(k + w, k + 2 * w)))
+        return b.finish(L + R)
 
 
 # --- PRG -----------------------------------------------------------------------

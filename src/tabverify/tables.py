@@ -46,6 +46,7 @@ BOT = Tagged(False, 0)
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" text -> bit bytes
+_TRUTH = b"0" + b"1" * 255  # a bit byte by its truth: 0 is "0", any other "1"
 
 
 def int_to_bits(value, width):
@@ -54,6 +55,11 @@ def int_to_bits(value, width):
     # least significant first, and the slice stops short of that 1
     text = format((value & ((1 << width) - 1)) | (1 << width), "b")[:0:-1]
     return tuple(text.encode("ascii").translate(_BITS))
+
+
+def bits_uint(bits):
+    """The unsigned integer whose bit i is bits[i], each read by its truth."""
+    return int(bytes(bits).translate(_TRUTH)[::-1] or b"0", 2)
 
 
 def bits_to_int(bits):

@@ -35,11 +35,11 @@ from tabverify.protocol import (
     Structure,
     Verifier,
     b64_cts,
-    bits_str,
+    bits_hex,
     checker_value,
     cts_b64,
+    hex_bits,
     spec_port_outputs,
-    str_bits,
     table_step,
     verify_session,
 )
@@ -145,7 +145,7 @@ def test_c3_every_ciphertext_decrypts_to_plaintext_trace():
                 port = dev.tg.tables[name].inputs[q["port"]][0]
                 src = dev.tg.producers[(name, port)][0][1]
                 u = tagged_to_bits(Tagged(True, X[src]), m)
-                assert str_bits(q["u"]) == u
+                assert hex_bits(q["u"], m) == u
                 assert he.dec_word(dev.hsk, b64_cts(a["w"], dev.hpk)) == u
             else:
                 out = next(iter(trace[name]["outputs"].values()))
@@ -281,7 +281,7 @@ def test_c8_oracles_byte_identical_to_services():
         payload = tuple(rng.getrandbits(1) for _ in range(m // 2))
         u = (1,) + (0,) * (m // 2 - 1) + payload
         return pos, u, ask("encode", {"qkind": 1, "i": t["index"], "port": pos,
-                                      "u": bits_str(u)}, pair)
+                                      "u": bits_hex(u)}, pair)
 
     for s in range(1000):
         rng = random.Random(8000 + s)
@@ -301,7 +301,7 @@ def test_c8_oracles_byte_identical_to_services():
                     payload = tuple(rng.getrandbits(1) for _ in range(m // 2))
                     u = (1,) + (0,) * (m // 2 - 1) + payload
                     a = ask("encode", {"qkind": 1, "i": t["index"], "port": pos,
-                                       "u": bits_str(u)}, pair)
+                                       "u": bits_hex(u)}, pair)
                     words.append(b64_cts(a["answer"]["w"], dev.hpk))
                 u_word = he.join_words(dev.hpk, words)
                 v = table_step(dev.pp, t["index"], u_word)
@@ -317,7 +317,7 @@ def test_c8_oracles_byte_identical_to_services():
                 if "blocks" in r:
                     rs = [choose_challenge(dev.code.q, rng)
                           for _ in range(r["blocks"])]
-                    ask("commit_challenge", {"Rs": [bits_str(R) for R in rs]},
+                    ask("commit_challenge", {"Rs": [bits_hex(R) for R in rs]},
                         pair)
                     ask("checker_proof", {"ct_sk": cts_b64(ct_sk)}, pair)
             else:

@@ -29,7 +29,15 @@ from tabverify.demo import (
     diamond_graph,
 )
 from tabverify.graphtext import parse_graph
-from tabverify.protocol import Developer, Verifier, session_binding, verify_session
+from tabverify.commitment import CommitMessage, RevealMessage, gen_code, verify_reveal
+from tabverify.protocol import (
+    Developer,
+    Verifier,
+    bits_hex,
+    hex_bits,
+    session_binding,
+    verify_session,
+)
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 CP = [(DEMO_INPUT, {"w": False, "c": 2})]
@@ -64,26 +72,26 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 7.
+# Recorded at certificate version 8.
 CERT_DIGESTS = {
-    "demo-honest": "da625cc45ad8b022a796b1d238fa5100cf1bb0b7f37d1b41b1acbfd900110b56",
-    "demo-general": "dfa72bc8495d25e6933c32bd32cbfe9c198a24f03a8d3cdc29a9faaaad174059",
-    "chain-honest": "48367f27a43d2aab86c79c2b569e4540760614a78f3d86df874ed1d6267ff3fd",
-    "chain-general": "cc4d035374725231ca3cc2eb09dc05af6e0d811fbf28bd90f44008065f313e90",
-    "diamond-honest": "3bcc524fdd68e25c81f0ab6eb06302c8df0cab9edcaf3ff086187618fb44a7f9",
-    "diamond-general": "712445055d1d09b72d1edb0fda8dc244cff9e7b2ed9fef6202ef4f0170468483",
-    "flip-payload-honest": "b7aaa97f8adba8551b5a4433145aca686bd6ef81e58d5b70a140adb54046cc24",
-    "flip-tag-honest": "a353c9c20345b17e00333887d1bdc08dd56899638553d7ba188b4dbd320861af",
-    "swap-answers-honest": "e5474fdc1bb0bc7e2d2a95fbc395b7fc3ca018f73fd24aa020358c7b38236090",
-    "flip-payload-general": "2936a54b44a504b499fa2abce87427171981784b3c0175788e73db774dfa9184",
-    "flip-tag-general": "6fc6aa4b370a0818570d2f5728d43c8d8926bbfed69ac6e783caa48a73142351",
-    "swap-answers-general": "84915f6f4cf2d6c6a410b993dbd2b0ebb4b27796e02e9a2fe89b75ba0bd7b06c",
+    "demo-honest": "70f58ceb396a33c82eb31cd3e6cf6292642a1aec3de01c6385e6e20b2be95a56",
+    "demo-general": "3aa90e148624cf6f9fc561fae9ca28bfb98d14ac571bf7a9cd1ea4e6e11e61b0",
+    "chain-honest": "a04aad4a9a694de70265610bfd83aa67814a9de2d2216444659947d4c328500d",
+    "chain-general": "3d8cad0bea9246403bebf9565fd678d9f95a4fe9017fceb2793ca13457ef9dbc",
+    "diamond-honest": "b43bef21108be6470e9db69215c7b7e879def03bb61c7ede4b020c1e7610b4a0",
+    "diamond-general": "926b8d3e3b23ed123b7cc9c5dd883ebf74e31e3bf7a524e3c0d85085cb3d1f0f",
+    "flip-payload-honest": "10db3466f4c7df3bb55f8b4839c6c1b0fbd9d8316fa745d14e3c67e76962202e",
+    "flip-tag-honest": "c293accaadb970f62a063d89611afefe62d2758be26eaff2c6a1e72841ab9eaf",
+    "swap-answers-honest": "d889f3066d8916bfa4c70c63c86d4fe925fa3777f94db5a7af8050d47ee65039",
+    "flip-payload-general": "a49d7fdab79c6e0964b40f7db5dc6e96b98d5f18e0ffa9e556bc4582d6ab6de7",
+    "flip-tag-general": "90252e9b6e0abfb90cd66c1b6232b45d6ae23665e3360ed14b62ac19cb1ab5c6",
+    "swap-answers-general": "a291bb0ecf3a537d38135e9ca0aecff33b6470bd1086c35f283d541aba150e67",
 }
 # the length of three of them, so that a change of size shows by itself; at
-# version 6, with the tag and key id in every ciphertext, they were 778,755,
-# 991,587 and 1,196,208 bytes
-CERT_BYTES = {"demo-honest": 579387, "diamond-honest": 733875,
-              "demo-general": 958116}
+# version 7, with bit strings one character per bit, they were 579,387,
+# 733,875 and 958,116 bytes
+CERT_BYTES = {"demo-honest": 578463, "diamond-honest": 733575,
+              "demo-general": 782992}
 
 
 @pytest.mark.parametrize("config", list(CERT_DIGESTS))
@@ -130,23 +138,23 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v7"}
+           "format": "tabverify-cert-v8"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
 
-def test_version_6_certificate_is_refused_by_name(tmp_path):
-    cert = dict(HONEST_CERT, version=6)
+def test_version_7_certificate_is_refused_by_name(tmp_path):
+    cert = dict(HONEST_CERT, version=7)
     cert["binding"] = session_binding(cert)
     ok, report = replay(cert)
     assert not ok
-    assert report["reason"] == "certificate version 6 is not supported"
+    assert report["reason"] == "certificate version 7 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v7",
-                                             "tabverify-cert-v6"))
+    path.write_text(path.read_text().replace("tabverify-cert-v8",
+                                             "tabverify-cert-v7"))
     with pytest.raises(AuditError, match="unknown certificate format "
-                                         "'tabverify-cert-v6'"):
+                                         "'tabverify-cert-v7'"):
         load_certificate(path)
 
 
@@ -248,31 +256,81 @@ def test_unopenable_checker_record_is_named(k):
     for key in ("seed", "exposed", "e"):
         cert = copy.deepcopy(GENERAL_CERT)
         block = cert["qa_c"][k]["s"]["blocks"][0]
-        block[key] = str(1 - int(block[key][0])) + block[key][1:]
+        block[key] = f"{int(block[key][0], 16) ^ 1:x}" + block[key][1:]
         ok, report = audit(cert)
         assert ok == 0, key
         assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"
 
 
+def set_top_bit(text):
+    """text with the top bit of its first, most significant, hex digit set."""
+    return f"{int(text[0], 16) | 8:x}" + text[1:]
+
+
 def test_padded_blocks_open_and_their_padding_is_committed():
     # at width 12 the last block of every checker round is padded with
-    # zeros; the session accepts and audits, and a padding bit flipped in
-    # a stored opening no longer opens
+    # zeros; the session accepts and audits, and a padding bit set in a
+    # stored opening no longer opens. d of a 6-bit half word is two hex
+    # digits, the top two bits padding, and one spelling: setting a padding
+    # bit, or upper-casing a digit of a challenge, no longer opens either
     verdict, cert = make_cert("general", graph=parse_graph(WIDTH12_TEXT),
                               domains=NARROW_DOMAINS, cp=[])
     assert verdict == "accept", cert["failures"]
     ok, report = audit(cert)
     assert ok == 1, report
     shapes = {(len(r["a"]["d"]), len(r["s"]["blocks"])) for r in cert["qa_c"]}
-    assert shapes == {(12, 2), (6, 1)}
+    assert shapes == {(3, 2), (2, 1)}  # 12 and 6 bits, in hex digits
     for k in range(len(cert["qa_c"])):
-        bad = copy.deepcopy(cert)
-        block = bad["qa_c"][k]["s"]["blocks"][-1]
-        assert block["data"][-1] == "0"  # padding
-        block["data"] = block["data"][:-1] + "1"
-        ok, report = audit(bad)
-        assert ok == 0, k
+        rec = cert["qa_c"][k]
+        # 12 bits: 4 data bits in the last block; 6 bits: 6
+        assert int(rec["s"]["blocks"][-1]["data"], 16) < (16 if len(rec["a"]["d"]) == 3
+                                                          else 64)
+        bad_data, bad_d, bad_r = (copy.deepcopy(cert) for _ in range(3))
+        block = bad_data["qa_c"][k]["s"]["blocks"][-1]
+        block["data"] = set_top_bit(block["data"])
+        if len(rec["a"]["d"]) == 2:
+            bad_d["qa_c"][k]["a"]["d"] = set_top_bit(rec["a"]["d"])
+        else:
+            bad_d = None  # 12 bits are three whole digits
+        R = rec["s"]["blocks"][0]["R"]
+        i = next(i for i, c in enumerate(R) if c in "abcdef")
+        bad_r["qa_c"][k]["s"]["blocks"][0]["R"] = R[:i] + R[i].upper() + R[i + 1:]
+        for bad in (bad_data, bad_d, bad_r):
+            if bad is not None:
+                ok, report = audit(bad)
+                assert ok == 0, k
+                assert report["reason"] == (f"checker record {k} does not open "
+                                            f"($.qa_c[{k}])")
+
+
+def test_a_changed_challenge_that_still_opens_is_refused():
+    # a challenge is 2q bits of weight q; moving one of its ones within a
+    # hex digit keeps the weight, and where the PRG stream has equal bits at
+    # the two places the commitment still opens under it. The auditor draws
+    # the challenges again from the disclosed seed, and refuses it
+    code = gen_code()
+    for k, rec in enumerate(GENERAL_CERT["qa_c"]):
+        block = rec["s"]["blocks"][0]
+        R = list(hex_bits(block["R"], 2 * code.q))
+        commit = CommitMessage(hex_bits(block["e"], code.q),
+                               hex_bits(block["exposed"], code.q))
+        reveal = RevealMessage(hex_bits(block["seed"], protocol.SE_KEY_BITS),
+                               hex_bits(block["data"], code.m_c))
+        moves = [i for i in range(0, len(R), 2) if R[i] != R[i + 1]]
+        for i in moves:
+            moved = R[:i] + [R[i + 1], R[i]] + R[i + 2:]
+            if verify_reveal(commit, reveal, tuple(moved), code):
+                break
+        else:
+            continue
+        cert = copy.deepcopy(GENERAL_CERT)
+        cert["qa_c"][k]["s"]["blocks"][0]["R"] = bits_hex(moved)
+        assert len(cert["qa_c"][k]["s"]["blocks"][0]["R"]) == len(block["R"])
+        ok, report = audit(cert)
+        assert ok == 0
         assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"
+        return
+    raise AssertionError("no challenge of the certificate moves and still opens")
 
 
 def test_first_difference():
@@ -301,11 +359,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 7 with the digests of the full-copy mutate_certificate that
-    # drew from the same leaves
+    # version 8
     for cert, want in (
-        (HONEST_CERT, "1c69a4ffdcb449d695de920918b4c9634023dc6b5fc8ea38b74e5b0be9d95abb"),
-        (GENERAL_CERT, "a9a10d6d0b468e60948278b90c34f3f920f0c2d24b61d4f269b68de9ed51675d"),
+        (HONEST_CERT, "8da22afa1c640838d827e33c01dfb878673f5669c2bba3fd405c8ca658c41b32"),
+        (GENERAL_CERT, "bf62c40b3895de3d07ef17dba0c092f64dfd0b4b4a4af57841c7fd2a55e35739"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()
@@ -360,12 +417,13 @@ def test_checker_record_faults_are_named(change, reason):
 def test_recorded_session_key_must_have_the_key_size(monkeypatch, sk):
     # the key folds into the block width, so zeros appended to it decrypt
     # alike; the auditor refuses any recorded key of another length before
-    # it replays a query
+    # it replays a query. The key is 4 hex digits: x15 is the stored key
+    # one digit short, and x+ the stored key with zeros appended
     cert = copy.deepcopy(GENERAL_CERT)
     stored = cert["sk"]
-    assert len(stored) == protocol.SE_KEY_BITS
+    assert len(stored) == protocol.SE_KEY_BITS // 4
     if sk == "x15":
-        sk = stored[:15]
+        sk = stored[:-1]
     elif sk.startswith("x+"):
         sk = stored + sk[2:]
     cert["sk"] = sk
@@ -376,8 +434,7 @@ def test_recorded_session_key_must_have_the_key_size(monkeypatch, sk):
     monkeypatch.setattr(ReplayVerifier, "_ask", no_query)
     ok, report = audit(cert)
     assert ok == 0
-    assert report["reason"] == (f"the session key at $.sk has {len(sk)} bits, "
-                                f"not {protocol.SE_KEY_BITS}")
+    assert report["reason"] == "$.sk: a 16-bit string must be 4 lowercase hex digits"
 
 
 def test_truncated_transcript_fails():

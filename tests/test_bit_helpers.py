@@ -1,8 +1,11 @@
 """The bit helpers against the per-bit generator forms they replaced.
 
-Each reference below is the earlier per-bit definition. Certificates for
-fixed seeds depend on these exact bits, so the helpers must agree with the
-references everywhere, not only on the golden seeds.
+Each reference below is the earlier per-bit definition, or for the hex
+spelling of bit strings a digit-at-a-time one. Certificates for fixed seeds
+depend on these exact bits, and on which spellings are refused, so the
+helpers must agree with the references everywhere, not only on the golden
+seeds. Tests named for str_bits and bits_str cover the reading and writing
+of bit strings, which hex_bits and bits_hex do since certificate format v8.
 """
 
 import hashlib
@@ -13,19 +16,31 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tabverify.commitment import choose_challenge, commit_respond, gen_code
-from tabverify.protocol import ProtocolError, bits_str, str_bits
+from tabverify.protocol import ProtocolError, bits_hex, hex_bits
 from tabverify.symcrypto import prg
 from tabverify.tables import int_to_bits
 
 CODE = gen_code(m_c=4, eps=(1, 4), K=16, seed=0)
 
 
-def ref_bits_str(bits):
-    return "".join("1" if b else "0" for b in bits)
+HEX = "0123456789abcdef"
 
 
-def ref_str_bits(s):
-    return tuple(int(ch) for ch in s)
+def ref_bits_hex(bits):
+    """Digit k, counted from the right, spells bits 4k to 4k + 3, each read
+    by its truth."""
+    return "".join(HEX[sum(1 << j for j, b in enumerate(bits[k:k + 4]) if b)]
+                   for k in reversed(range(0, len(bits), 4)))
+
+
+def ref_hex_bits(text, n):
+    """The n bits text spells, or None when it is not their one spelling."""
+    if not isinstance(text, str) or len(text) != (n + 3) // 4:
+        return None
+    if any(ch not in HEX for ch in text):
+        return None
+    bits = [HEX.index(ch) >> j & 1 for ch in reversed(text) for j in range(4)]
+    return tuple(bits[:n]) if not any(bits[n:]) else None
 
 
 def ref_int_to_bits(value, width):
@@ -65,22 +80,24 @@ def ref_commit_respond(D, R, s, code):
     return e, exposed
 
 
-@given(st.text(alphabet="01", max_size=600))
-def test_str_bits_and_bits_str_match_the_reference(s):
-    bits = str_bits(s)
-    assert bits == ref_str_bits(s)
-    assert bits_str(bits) == s == ref_bits_str(bits)
+@given(st.lists(st.integers(0, 1), max_size=600))
+def test_str_bits_and_bits_str_match_the_reference(bits):
+    s = bits_hex(bits)
+    assert s == ref_bits_hex(bits)
+    assert hex_bits(s, len(bits)) == tuple(bits) == ref_hex_bits(s, len(bits))
 
 
 @given(st.lists(st.sampled_from([0, 1, False, True, 2, 255]), max_size=100))
 def test_bits_str_reads_each_bit_by_truth(bits):
-    assert bits_str(bits) == ref_bits_str(bits)
-    assert bits_str(tuple(bits)) == ref_bits_str(bits)
+    assert bits_hex(bits) == ref_bits_hex(bits)
+    assert bits_hex(tuple(bits)) == ref_bits_hex(bits)
 
 
 def test_str_bits_of_the_empty_string():
-    assert str_bits("") == ()
-    assert bits_str(()) == ""
+    assert hex_bits("", 0) == ()
+    assert bits_hex(()) == ""
+    with pytest.raises(ProtocolError):
+        hex_bits("", 1)
 
 
 @pytest.mark.parametrize("bad", [
@@ -89,8 +106,62 @@ def test_str_bits_of_the_empty_string():
     "01０", "2", "0b1", " 0", "01\n", "a", "-1",
     None, 5, 1.0, b"01", ["0", "1"], ("0",)])
 def test_str_bits_refuses_what_is_not_a_bit_string(bad):
+    # none of these is the one spelling of a single bit, "0" or "1"
     with pytest.raises(ProtocolError):
-        str_bits(bad)
+        hex_bits(bad, 1)
+
+
+@given(st.text(alphabet="0123456789abcdefABF x\n_+-", max_size=10),
+       st.integers(min_value=0, max_value=40))
+def test_hex_bits_on_fuzzed_strings(text, n):
+    want = ref_hex_bits(text, n)
+    if want is None:
+        with pytest.raises(ProtocolError):
+            hex_bits(text, n)
+    else:
+        assert hex_bits(text, n) == want
+        assert bits_hex(want) == text
+
+
+def test_hex_bits_padding_at_every_width():
+    # every width from 1 to 16, spelled with digits 0 and 8: an 8 first sets
+    # the top digit's top bit, a padding bit unless the width is a multiple of 4
+    for n in range(1, 17):
+        digits = (n + 3) // 4
+        for text in map("".join, itertools.product("08", repeat=digits)):
+            want = ref_hex_bits(text, n)
+            assert (want is not None) == (n % 4 == 0 or text[0] == "0")
+            if want is None:
+                with pytest.raises(ProtocolError):
+                    hex_bits(text, n)
+            else:
+                assert hex_bits(text, n) == want
+
+
+@pytest.mark.parametrize("text, n", [
+    ("A5", 8),  # uppercase
+    ("aB", 8),
+    ("0x5", 8),  # a prefix
+    ("0x", 8),
+    (" 5", 8),  # whitespace
+    ("5 ", 8),
+    ("\n5", 8),
+    ("5", 8),  # one digit short
+    ("005", 8),  # one digit over
+    ("4", 2),  # a padding bit set: 2 bits are one digit, 0-3
+    ("40", 6),
+    ("2000", 13),
+    ("8", 3),
+    ("1_0", 12),  # what int() would also read
+    ("+5", 8),
+    (None, 8),  # not a str
+    (b"a5", 8),
+    (165, 8),
+    (["a", "5"], 8),
+])
+def test_hex_bits_refuses_every_other_spelling(text, n):
+    with pytest.raises(ProtocolError):
+        hex_bits(text, n)
 
 
 @given(st.integers(min_value=-(1 << 700), max_value=1 << 700),

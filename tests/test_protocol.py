@@ -7,6 +7,7 @@ import pytest
 from helpers import simulate_batch
 from tabverify.audit import audit, json_leaves
 from tabverify import he
+from tabverify.commitment import choose_challenge
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
 from tabverify.demo import (
     CHAIN_DOMAINS,
@@ -19,20 +20,22 @@ from tabverify.demo import (
 )
 from tabverify.graphtext import parse_graph
 from tabverify.protocol import (
+    SE_KEY_BITS,
     Developer,
     ProtocolError,
     PublicParams,
     Structure,
     Verifier,
-    bits_str,
+    bits_hex,
     cts_b64,
     b64_cts,
     checker_value,
+    hex_bits,
     spec_port_outputs,
-    str_bits,
     table_step,
     verify_session,
 )
+from tabverify.symcrypto import se_keygen
 from tabverify.tables import Tagged, int_to_bits, tagged_to_bits, transform
 from tabverify.vga import input_key
 
@@ -210,7 +213,8 @@ def test_general_mode_accepts_and_records_checkers():
     answered = [r for r in cert["qa_e"] if r["a"].get("kind") != "null"]
     assert len(cert["qa_c"]) == len(answered)
     assert all(r["a"]["d"] is not None for r in cert["qa_c"])
-    assert len(str_bits(cert["sk"])) == 16
+    assert len(hex_bits(cert["sk"], 16)) == 16
+    assert len(hex_bits(cert["challenge_seed"], 128)) == 128
 
 
 @pytest.mark.parametrize("strategy", ["flip-payload", "flip-tag", "swap-answers"])
@@ -249,7 +253,7 @@ def frame(dev, ftype, body):
 def test_q1_rejects_malformed_queries():
     dev = make_dev()
     m = dev.pp.m
-    good = bits_str(int_to_bits(1, m // 2) + (0,) * (m // 2))
+    good = bits_hex(int_to_bits(1, m // 2) + (0,) * (m // 2))
     assert frame(dev, "encode", {"qkind": 1, "i": 999, "port": 0, "u": good})[
         "answer"
     ]["kind"] == "null"
@@ -259,7 +263,7 @@ def test_q1_rejects_malformed_queries():
     assert frame(dev, "encode", {"qkind": 1, "i": 1, "port": 0, "u": "01"})[
         "answer"
     ]["kind"] == "null"
-    bad_tag = "0" * m
+    bad_tag = "0" * (m // 4)
     assert frame(dev, "encode", {"qkind": 1, "i": 1, "port": 0, "u": bad_tag})[
         "answer"
     ]["kind"] == "null"
@@ -308,7 +312,7 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
     lam = dev.hpk.lam_bytes
     words = []
     for pos, u in enumerate(X_bits_by_port):
-        a = frame(dev, "encode", {"qkind": 1, "i": i, "port": pos, "u": bits_str(u)})
+        a = frame(dev, "encode", {"qkind": 1, "i": i, "port": pos, "u": bits_hex(u)})
         assert a["answer"]["kind"] == "w"
         words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
@@ -373,7 +377,7 @@ def test_memory_wiped_between_sessions():
         a = frame(
             s1,
             "encode",
-            {"qkind": 1, "i": t["index"], "port": pos, "u": bits_str(u)},
+            {"qkind": 1, "i": t["index"], "port": pos, "u": bits_hex(u)},
         )
         words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
@@ -392,7 +396,7 @@ def test_checker_requires_commit_before_proof():
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
     u = tagged_to_bits(Tagged(True, DEMO_INPUT[names[0]]), m)
-    a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)})
+    a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u)})
     p = b64_cts(a["answer"]["w"], dev.hpk)
     y = checker_value(dev.pp, v.ct_sk, p)
     r = frame(
@@ -439,7 +443,7 @@ def test_serve_survives_malformed_checker_ciphertext():
 
     try:
         u = int_to_bits(1, m // 2) + (0,) * (m // 2)
-        a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)})
+        a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u)})
         # right count and length, but no ciphertext under the developer's key
         y = bytes(9 + m * (dev.hpk.lam_bytes - 9))
         r = ask("checker", {"i": t["index"], "case": "input", "port": 0,
@@ -628,6 +632,32 @@ def test_general_mode_refuses_odd_half_word():
                  rng=random.Random(1))
     verdict, cert = verify_session(dev, v)
     assert verdict == "accept", cert["mismatches"]
+
+
+def test_checker_on_a_slice_se_cannot_encrypt_is_null():
+    # width 6: the payload half is 3 bits, which no SE block is. An honest
+    # verifier refuses general mode there; the developer answers a checker
+    # round of such a slice null before any commitment, not with SymError
+    from helpers import NARROW_TEXT
+
+    dev = make_dev(parse_graph(NARROW_TEXT))
+    session = dev.session()
+    u = tagged_to_bits(Tagged(True, 2), 6)
+    a = frame(session, "encode", {"qkind": 1, "i": 1, "port": 0, "u": bits_hex(u)})
+    u_word = b64_cts(a["answer"]["w"], dev.hpk)
+    v_word = table_step(dev.pp, 1, u_word)
+    a = frame(session, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word),
+                                  "v": cts_b64(v_word)})
+    assert a["answer"]["kind"] == "payload"
+    p = cts_b64(he.cut_word(dev.hpk, v_word, 3))
+    r = frame(session, "checker", {"i": 1, "case": "external", "port": None,
+                                   "p": p, "y": p})
+    assert r == {"result": "null"}
+    rs = [bits_hex(choose_challenge(dev.code.q, random.Random(2)))]
+    assert frame(session, "commit_challenge", {"Rs": rs}) == {"result": "null"}
+    sk = se_keygen(SE_KEY_BITS, random.Random(3))
+    ct_sk = cts_b64(he.enc_word(dev.hpk, sk, random.Random(4)))
+    assert frame(session, "checker_proof", {"ct_sk": ct_sk}) == {"result": "null"}
 
 
 # rows 1 and 2 of T both fire for x > 5, so T is not disjoint there

@@ -15,7 +15,7 @@ from tabverify.graphtext import parse_graph
 from tabverify.protocol import (
     Developer,
     b64_cts,
-    bits_str,
+    bits_hex,
     checker_value,
     cts_b64,
 )
@@ -68,7 +68,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
         return r1["body"]
 
     u = (1,) + (0,) * (m - 1)
-    q1 = {"qkind": 1, "i": t["index"], "port": 0, "u": bits_str(u)}
+    q1 = {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u)}
     assert ask("encode", dict(q1, i=[1])) == {"answer": {"kind": "null"}}
     w = ask("encode", q1)["answer"]["w"]
     checker = {"i": t["index"], "case": "input", "port": 0, "p": w}
@@ -79,7 +79,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     r = ask("checker", dict(checker, y=cts_b64(y)))
     assert ask("commit_challenge", {"Rs": 5}) == {"result": "null"}
     rs = [choose_challenge(dev.code.q, random.Random(5)) for _ in range(r["blocks"])]
-    assert "blocks" in ask("commit_challenge", {"Rs": [bits_str(R) for R in rs]})
+    assert "blocks" in ask("commit_challenge", {"Rs": [bits_hex(R) for R in rs]})
     proof = ask("checker_proof", {"ct_sk": cts_b64(junk[len(sk)])})
     assert proof == {"result": "null"}
 

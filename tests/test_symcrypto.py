@@ -1,18 +1,156 @@
 import hashlib
+import operator
 import random
 
 import pytest
 
 from tabverify import he
 from tabverify.circuit import simulate
+from tabverify.protocol import SE_KEY_BITS, checker_value
 from tabverify.symcrypto import (
+    ROUNDS,
+    SECircuit,
     SymError,
     prg,
     se_dec,
     se_enc,
-    se_enc_circuit,
     se_keygen,
 )
+
+# --- the bit-level Feistel that the word Feistel replaced: the reference ------
+
+
+_RC = 0x9E3779B97F4A7C15
+
+
+class _PlainOps:
+    constant = staticmethod(int)
+    xor = staticmethod(operator.xor)
+    and_ = staticmethod(operator.and_)
+
+
+def _rc_bit(i, j):
+    return (_RC >> ((i * 13 + j) % 64)) & 1
+
+
+def _round_keys(ops, key, w, rounds):
+    folded = [ops.constant(0)] * w
+    for t, k in enumerate(key):
+        folded[t % w] = ops.xor(folded[t % w], k)
+    rks = []
+    for i in range(rounds):
+        rks.append(
+            [ops.xor(folded[(j + i) % w], ops.constant(_rc_bit(i, j))) for j in range(w)]
+        )
+    return rks
+
+
+def _round_fn(ops, R, rk, w):
+    s = max(2, w // 2)
+    return [
+        ops.xor(
+            ops.xor(ops.and_(R[(j + 1) % w], R[(j + s) % w]), R[(j + 2) % w]),
+            rk[j],
+        )
+        for j in range(w)
+    ]
+
+
+def _feistel_enc(ops, key, block, rounds=ROUNDS):
+    w = len(block) // 2
+    L, R = list(block[:w]), list(block[w:])
+    for rk in _round_keys(ops, key, w, rounds):
+        f = _round_fn(ops, R, rk, w)
+        L, R = R, [ops.xor(a, b) for a, b in zip(L, f)]
+    return tuple(L + R)
+
+
+def _feistel_dec(key, block, rounds=ROUNDS):
+    w = len(block) // 2
+    L, R = list(block[:w]), list(block[w:])
+    for rk in reversed(_round_keys(_PlainOps, key, w, rounds)):
+        f = _round_fn(_PlainOps, L, rk, w)
+        L, R = [a ^ b for a, b in zip(R, f)], L
+    return tuple(L + R)
+
+
+def ref_se_enc(sk, M):
+    return _feistel_enc(_PlainOps, tuple(sk), tuple(M))
+
+
+def ref_se_dec(sk, C):
+    return _feistel_dec(tuple(sk), tuple(C))
+
+
+@pytest.mark.parametrize("width", range(4, 33, 2))
+def test_word_feistel_matches_the_bit_reference(width):
+    rng = random.Random(width)
+    se = SECircuit(16, width)
+    gates = se.gates
+    assert gates.mult_depth <= ROUNDS
+    for _ in range(100):
+        sk = se_keygen(16, rng)
+        M = tuple(rng.getrandbits(1) for _ in range(width))
+        C = se_enc(sk, M)
+        assert C == ref_se_enc(sk, M)
+        assert se_dec(sk, M) == ref_se_dec(sk, M)
+        assert se_dec(sk, C) == M
+        assert se.evaluate(sk + M) == C == simulate(gates, sk + M)
+
+
+@pytest.mark.parametrize("key_bits", [8, 12, 16, 40])
+def test_word_feistel_folds_keys_of_any_length(key_bits):
+    # keys longer than a half, and ones whose last chunk is partial
+    rng = random.Random(key_bits)
+    for width in (4, 6, 10, 16):
+        se = SECircuit(key_bits, width)
+        for _ in range(20):
+            sk = tuple(rng.getrandbits(1) for _ in range(key_bits))
+            M = tuple(rng.getrandbits(1) for _ in range(width))
+            assert se_enc(sk, M) == ref_se_enc(sk, M) == simulate(se.gates, sk + M)
+            assert se_dec(sk, M) == ref_se_dec(sk, M)
+
+
+def test_se_circuit_is_named_by_its_sizes():
+    se = SECircuit(SE_KEY_BITS, 8)
+    assert se.name == "se-feistel-v2:16,8"
+    assert se.n_inputs == 24
+    assert SECircuit(16, 8) == se and SECircuit(16, 10) != se
+
+
+@pytest.mark.parametrize("width", [4, 8, 16])
+def test_transparent_checker_value_is_the_gate_list_evaluated(width):
+    # the same bits as he.eval_word on the gate list; only the nonces'
+    # labels differ: name:k instead of the gate-list digest and wire
+    rng = random.Random(40 + width)
+    keys = he.keygen(16, rng=rng)
+
+    class PP:
+        hpk = keys.hpk
+
+    se = SECircuit(SE_KEY_BITS, width)
+    for _ in range(30):
+        sk = se_keygen(SE_KEY_BITS, rng)
+        M = tuple(rng.getrandbits(1) for _ in range(width))
+        ct_sk, p = he.enc_word(keys.hpk, sk, rng), he.enc_word(keys.hpk, M, rng)
+        y = checker_value(PP, ct_sk, p)
+        gate_list = he.eval_word(keys.hpk, se.gates, he.join_words(keys.hpk, (ct_sk, p)))
+        assert he.dec_word(keys.hsk, y) == he.dec_word(keys.hsk, gate_list) == se_enc(sk, M)
+        assert y != gate_list
+        assert y == checker_value(PP, ct_sk, p)  # deterministic
+
+
+def test_eval_named_runs_the_gate_list_on_integer_she():
+    rng = random.Random(17)
+    keys = he.keygen(16, "integer-she", rng=rng)
+    se = SECircuit(SE_KEY_BITS, 8)
+    sk = se_keygen(SE_KEY_BITS, rng)
+    M = tuple(rng.getrandbits(1) for _ in range(8))
+    word = he.enc_word(keys.hpk, sk + M, rng)
+    assert he.eval_named(keys.hpk, se, word) == he.eval_word(keys.hpk, se.gates, word)
+    assert he.dec_word(keys.hsk, he.eval_named(keys.hpk, se, word)) == se_enc(sk, M)
+    with pytest.raises(he.HeError):
+        he.eval_named(keys.hpk, se, he.cut_word(keys.hpk, word, 1))
 
 
 def test_keygen():
@@ -52,13 +190,15 @@ def test_width_checks():
     with pytest.raises(SymError):
         se_enc(sk, (1, 0))  # too narrow
     with pytest.raises(SymError):
-        se_enc_circuit(16, 7)
+        SECircuit(16, 7)
+    with pytest.raises(SymError):
+        SECircuit(16, 2)
 
 
 def test_circuit_matches_function():
     rng = random.Random(6)
     for width in (8, 16):
-        c = se_enc_circuit(16, width)
+        c = SECircuit(16, width).gates
         for _ in range(100):
             sk = se_keygen(16, rng)
             M = tuple(rng.getrandbits(1) for _ in range(width))
@@ -66,21 +206,21 @@ def test_circuit_matches_function():
 
 
 def test_circuit_all_zero_consistency():
-    c = se_enc_circuit(16, 8)
+    c = SECircuit(16, 8).gates
     assert simulate(c, (0,) * 24) == se_enc((0,) * 16, (0,) * 8)
 
 
 def test_circuit_depth_within_default_budget():
     budget = he.BackendConfig(kind="integer-she").depth_budget
     for width in (8, 16):
-        assert se_enc_circuit(16, width).mult_depth <= budget
+        assert SECircuit(16, width).gates.mult_depth <= budget
 
 
 def test_circuit_evaluates_homomorphically():
     # one round trip through the integer backend at full depth
     rng = random.Random(7)
     keys = he.keygen(16, "integer-she", rng=rng)
-    c = se_enc_circuit(16, 8)
+    c = SECircuit(16, 8).gates
     sk = se_keygen(16, rng)
     M = tuple(rng.getrandbits(1) for _ in range(8))
     cts = he.enc_word(keys.hpk, sk + M, rng)
