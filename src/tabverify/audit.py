@@ -6,11 +6,12 @@ public spec, the generation seed, and the full query/answer transcript.
 The auditor is the verifier itself, with its three hooks played back from
 the record (ReplayVerifier): the disclosed session secrets instead of fresh
 ones, the recorded answer to each query once the query equals its record,
-and in general mode the recorded opening of each checker round, whose
-commitments are re-verified under the challenges drawn again from the
-disclosed challenge seed and whose revealed value is re-decrypted under
-the disclosed key. The rebuilt certificate must then serialize to exactly
-the stored bytes.
+and in general mode the recorded opening of each checker round. The
+verifier's own code draws every round's key again from the disclosed key
+seed, and its challenges from the disclosed challenge seed; the recorded
+commitments are re-verified under those challenges, and the revealed value
+is re-decrypted under that key. The rebuilt certificate must then
+serialize to exactly the stored bytes.
 """
 
 import hashlib
@@ -23,17 +24,15 @@ from .graphtext import parse_graph
 from .protocol import (
     BINDING_FIELDS,
     CERT_VERSION,
-    CHALLENGE_SEED_BITS,
-    SE_KEY_BITS,
+    SESSION_SEED_BITS,
     ProtocolError,
     Verifier,
-    b64_cts,
     hex_bits,
     session_binding,
 )
 from .vga import coverage_report
 
-CERT_FORMAT = "tabverify-cert-v8"
+CERT_FORMAT = f"tabverify-cert-v{CERT_VERSION}"
 
 
 class AuditError(Exception):
@@ -72,11 +71,11 @@ def load_certificate(path):
 class ReplayVerifier(Verifier):
     """The verifier of a certificate, played back: built from the
     certificate's configuration, it overrides the verifier's three hooks
-    with the record. _session_key returns the recorded secrets, _ask the
+    with the record. _session_key returns the recorded seeds, _ask the
     recorded answer to each query once the query equals its record, and
     _opening the recorded opening of each checker round once its query
     equals the record and its blocks open under the challenges drawn from
-    the recorded seed. Any divergence raises AuditError."""
+    the recorded challenge seed. Any divergence raises AuditError."""
 
     def __init__(self, cert):
         self.cert = cert
@@ -92,9 +91,8 @@ class ReplayVerifier(Verifier):
         )
 
     def _session_key(self):
-        return (self._recorded_bits("sk", SE_KEY_BITS),
-                b64_cts(self.cert["ct_sk"], self.pp.hpk, SE_KEY_BITS),
-                self._recorded_bits("challenge_seed", CHALLENGE_SEED_BITS))
+        return tuple(self._recorded_bits(key, SESSION_SEED_BITS)
+                     for key in ("key_seed", "challenge_seed"))
 
     def _recorded_bits(self, key, n):
         try:
@@ -111,10 +109,11 @@ class ReplayVerifier(Verifier):
             raise AuditError(f"query {k + 1} diverges from the transcript")
         return {"answer": rec["a"]}
 
-    def _opening(self, chan, body, width, rs):
+    def _opening(self, chan, body, width, rs, ct_sk):
         """The recorded d and blocks of this round. A live round records d
         only once every block has opened under its challenge in rs, so a
-        recorded d whose blocks do not open fails the replay here."""
+        recorded d whose blocks do not open fails the replay here. ct_sk
+        went to the developer and is not recorded: the query's y binds it."""
         k = len(self.qa_c) - 1  # this round's record is already appended
         if k >= len(self.cert["qa_c"]):
             raise AuditError("checker record missing")
@@ -204,7 +203,7 @@ def audit(cert):
 
     For a general-mode certificate the replay also re-verifies every
     commitment opening and re-decrypts every revealed checker value under
-    the disclosed session key.
+    its round's key, drawn again from the disclosed key seed.
     """
     ok, report = replay(cert)
     return (1 if ok and report.get("replayed_verdict") == "accept" else 0), report

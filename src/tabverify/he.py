@@ -5,7 +5,7 @@ Two backends share the same ciphertext container and operations:
   transparent   carries the plaintext bit plus a nonce; eval computes the
                 output bits from the plaintexts, and output k's nonce is
                 sha256("tr-eval-v2", key id, sha256(input word),
-                "name:label")[:24]. A gate-list circuit (eval_word) is
+                "name:label")[:16]. A gate-list circuit (eval_word) is
                 named by gates_digest(), its label is the output wire and
                 its bits come from simulating its gate list; only the
                 tests evaluate one. A circuit named by its construction
@@ -23,7 +23,7 @@ Two backends share the same ciphertext container and operations:
 
 A word of ciphertexts is one bytes value in every layer: a 9-byte header,
 the backend tag and the 8-byte key id, once, then one fixed-length payload
-per ciphertext (lam_bytes - 9 bytes: the bit and a 24-byte nonce, or the
+per ciphertext (lam_bytes - 9 bytes: the bit and a 16-byte nonce, or the
 noise and the value). A word of one ciphertext is lam_bytes long. enc_word
 and eval_word return a word, a prepared program's run takes and returns
 one, and dec_word and prepare take one. check_word is the one
@@ -31,9 +31,10 @@ check of a word (bytes, a header of the key pair's tag and key id, and a
 whole number of payloads); cut_word and join_words are the one way to take
 ciphertexts out of a word and to put words together. Each transparent bit
 of a word is one strided slice of it. enc_word on the transparent backend
-draws all its nonces in one call, 192 bits per ciphertext; from a
+draws all its nonces in one call, 128 bits per ciphertext; from a
 random.Random these are the same nonces, and leave the same state, as one
-draw per ciphertext.
+draw per ciphertext. 128-bit nonces keep collisions negligible for a
+testing oracle.
 """
 
 import hashlib
@@ -45,7 +46,8 @@ from .circuit import simulate, uc_layout
 TAG_TRANSPARENT = 1
 TAG_SHE = 2
 HEADER = 9  # bytes of a word's header: backend tag and key id
-_TR = 25  # bytes of a transparent payload: the bit and a 24-byte nonce
+_TR = 17  # bytes of a transparent payload: the bit and a 16-byte nonce
+_NONCE = _TR - 1
 
 KINDS = ("transparent", "integer-she")
 
@@ -227,9 +229,9 @@ def enc(hpk, bit, rng=None):
 def enc_word(hpk, bits, rng=None):
     """The word of one fresh ciphertext per bit; HeError when an item is not
     a bit. The transparent backend draws every nonce in one _randbits call
-    of 192 bits per ciphertext. A random.Random fills such a draw 32 bits at
+    of 128 bits per ciphertext. A random.Random fills such a draw 32 bits at
     a time from the low end, so nonce j is chunk j of its little-endian
-    bytes, reversed: the same nonces, and the same rng state, as one 192-bit
+    bytes, reversed: the same nonces, and the same rng state, as one 128-bit
     draw each."""
     bits = tuple(bits)
     try:
@@ -241,11 +243,11 @@ def enc_word(hpk, bits, rng=None):
     if hpk.kind != "transparent":
         return _header(hpk) + b"".join([_enc_she(hpk, bit, rng) for bit in plain])
     n = len(plain)
-    nonces = _randbits(rng, 192 * n).to_bytes(24 * n, "little")
+    nonces = _randbits(rng, 8 * _NONCE * n).to_bytes(_NONCE * n, "little")
     word = bytearray(_header(hpk) + bytes(_TR * n))
     word[HEADER::_TR] = plain
-    for k in range(24):
-        word[HEADER + 1 + k::_TR] = nonces[23 - k::24]
+    for k in range(_NONCE):
+        word[HEADER + 1 + k::_TR] = nonces[_NONCE - 1 - k::_NONCE]
     return bytes(word)
 
 
@@ -288,11 +290,11 @@ def dec_word(hsk, word):
 
 def _tr_outputs(hpk, inputs, labels, bits):
     """The word of transparent output ciphertexts: bit k with the nonce
-    sha256("tr-eval-v2", key id, inputs, label k)[:24], inputs being the
+    sha256("tr-eval-v2", key id, inputs, label k)[:16], inputs being the
     digest of the input word."""
     prefix = b"tr-eval-v2" + hpk.key_id + inputs
     return _header(hpk) + b"".join([
-        _BIT_BYTE[bit] + hashlib.sha256(prefix + label).digest()[:24]
+        _BIT_BYTE[bit] + hashlib.sha256(prefix + label).digest()[:_NONCE]
         for label, bit in zip(labels, bits)])
 
 

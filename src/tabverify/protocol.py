@@ -7,9 +7,10 @@ encode external inputs (q1), homomorphically runs the universal circuit on
 each table, and asks the developer to validate and decode every output (q2).
 In general mode each encode answer is additionally pinned down by a checker
 round: the verifier homomorphically computes the symmetric encryption of the
-answer slice under its own secret key, the developer commits to the
-decryption before seeing the key ciphertext's opening, and the revealed
-value must decrypt to exactly the answer the developer gave earlier.
+answer slice under a fresh secret key of its own, drawn for that round
+alone, the developer commits to the decryption before it is sent the key's
+ciphertext, and the revealed value must decrypt to exactly the answer the
+developer gave earlier.
 
 The published structure is one value, Structure: per table, whether it is
 external and what feeds each of its ports (an external input, or the sibling
@@ -22,24 +23,26 @@ slice and the checker value) with the one function each below.
 
 A ciphertext word (he's one bytes value: the backend tag and key id once,
 then one payload per ciphertext) is one base64 string on the wire and in
-the certificate: a published program, a q1 answer's w, a q2's u and v, a
-checker round's p and y, and ct_sk. cts_b64 and b64_cts are the one
-encoding and the one decoding, and b64_cts accepts only the canonical
-spelling of a word of the key pair, which he.check_word checks once. Words
-are cut and joined by ciphertext index with he.cut_word and he.join_words,
-never by byte arithmetic here.
+the certificate: a published program, a q1 answer's w, a q2's u and v, and
+a checker round's p and y; on the wire also each round's ct_sk. cts_b64
+and b64_cts are the one encoding and the one decoding, and b64_cts accepts
+only the canonical spelling of a word of the key pair, which he.check_word
+checks once. Words are cut and joined by ciphertext index with
+he.cut_word and he.join_words, never by byte arithmetic here.
 
 Every bit string is hex on the wire and in the certificate: a q1's u, a q2
-answer's payload, a checker round's d, each commitment block's R, e,
-exposed, seed and data, and the disclosed sk and challenge seed. Bit i of
-the string is bit i of an integer written as exactly ceil(n / 4) lowercase
-hex digits, the most significant first. bits_hex writes it and hex_bits,
-told n by every caller, reads it and refuses any other spelling, so that
-each recorded string has one spelling: the audit hands recorded openings
-into the rebuilt certificate unchanged. The checker value is the SE
-circuit named by its sizes (symcrypto.SECircuit) evaluated under he, and
-the verifier draws its challenges from its challenge seed, which the
-auditor reads from the certificate to draw them again.
+answer's payload, a checker round's d, each commitment block's e, exposed,
+seed and data, on the wire each challenge R, and the disclosed key seed
+and challenge seed. Bit i of the string is bit i of an integer written as
+exactly ceil(n / 4) lowercase hex digits, the most significant first.
+bits_hex writes it and hex_bits, told n by every caller, reads it and
+refuses any other spelling, so that each recorded string has one
+spelling: the audit hands recorded openings into the rebuilt certificate
+unchanged. The checker value is the SE circuit named by its block width
+(symcrypto.SECircuit) evaluated under he. The verifier draws each round's
+key from its key seed (checker_key) and each block's challenge from its
+challenge seed; the certificate records neither, only the two seeds, from
+which the auditor draws them again.
 
 The verifier meets the developer only through its hooks (Verifier); the
 audit module's ReplayVerifier overrides them to replay a certificate.
@@ -66,7 +69,7 @@ from .commitment import (
     RevealMessage,
 )
 from .graphtext import serialize_graph
-from .symcrypto import SECircuit, block_width_ok, se_dec, se_keygen
+from .symcrypto import SECircuit, block_width_ok, se_dec, se_key_bits, se_keygen
 from .tables import (
     INPUT,
     Tagged,
@@ -80,10 +83,10 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 8  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 9  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
-SE_KEY_BITS = 16  # the verifier's session key and each commitment seed
-CHALLENGE_SEED_BITS = 128  # the seed of the verifier's checker challenges
+COMMIT_SEED_BITS = 16  # each commitment seed; SE keys are se_key_bits wide
+SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
 TOP = "top"
@@ -191,12 +194,23 @@ def checker_slice(word, case, h, hpk=None):
     return he.cut_word(hpk, word, start, stop)
 
 
+def checker_key(keys, hpk, width):
+    """The SE key of one checker round on a slice of width bits, as bits,
+    and its word under hpk: se_key_bits(width) bits drawn from the key
+    stream keys, then encrypted with nonces from the same stream. The
+    verifier draws one for every round it runs; the auditor draws them
+    again from the disclosed key seed, and the simulation oracle from the
+    seed it is told."""
+    sk = se_keygen(se_key_bits(width), keys)
+    return sk, he.enc_word(hpk, sk, keys)
+
+
 def checker_value(pp, ct_sk, p):
     """y: the symmetric encryption of the slice p under the key inside
-    ct_sk, evaluated homomorphically as the SE circuit named by its sizes.
-    The verifier computes it for a checker round; the developer recomputes
-    it before it reveals."""
-    se = SECircuit(SE_KEY_BITS, he.check_word(pp.hpk, p))
+    ct_sk, evaluated homomorphically as the SE circuit named by its block
+    width. The verifier computes it for a checker round; the developer
+    recomputes it before it reveals."""
+    se = SECircuit(he.check_word(pp.hpk, p))
     return he.eval_named(pp.hpk, se, he.join_words(pp.hpk, (ct_sk, p)))
 
 
@@ -637,7 +651,7 @@ class Developer:
             return {"result": NULL}
         seeds, out = [], []
         for blk, R in zip(pending["blocks"], rs):
-            s = se_keygen(SE_KEY_BITS, self.rng)
+            s = se_keygen(COMMIT_SEED_BITS, self.rng)
             try:
                 cm = commit_respond(blk, R, s, self.code)
             except Exception:
@@ -652,8 +666,9 @@ class Developer:
         if not pending or pending.get("seeds") is None:
             return {"result": NULL}
         self.mem.pending = {}
+        width = he.check_word(self.hpk, pending["p"])
         try:
-            ct_sk = b64_cts(body.get("ct_sk"), self.hpk, SE_KEY_BITS)
+            ct_sk = b64_cts(body.get("ct_sk"), self.hpk, se_key_bits(width))
         except ProtocolError:
             return {"result": NULL}
         if checker_value(self.pp, ct_sk, pending["p"]) != pending["y"]:
@@ -700,6 +715,8 @@ def serve(dev, chan):
 BINDING_FIELDS = (
     "version", "mode", "K", "public_params", "g_spec", "domains", "cp", "vga",
 )
+# the fields of a recorded commitment block, no more and no fewer
+_BLOCK_FIELDS = frozenset(("e", "exposed", "seed", "data"))
 
 
 def session_binding(cert):
@@ -723,9 +740,10 @@ class Verifier:
     hooks: _session_key draws the general-mode session secrets, _ask sends
     a query and returns the reply's body, and _opening runs the commit and
     reveal exchange of a checker round. audit.ReplayVerifier overrides just
-    these three to play a certificate back. The checker's challenges come
-    from the challenge seed, a session secret that is never sent and is
-    disclosed in the certificate, so the auditor draws them again."""
+    these three to play a certificate back. The session secrets are two
+    seeds, never sent and disclosed in the certificate: every checker
+    round's key comes from the key seed and every challenge from the
+    challenge seed, so the auditor draws them again."""
 
     def __init__(
         self,
@@ -784,12 +802,11 @@ class Verifier:
                               for i in group}
         self.code = gen_code()
         if mode == "general":
-            self.sk, self.ct_sk, self.challenge_seed = self._session_key()
-            self.ct_sk_b64 = cts_b64(self.ct_sk)
+            self.key_seed, self.challenge_seed = self._session_key()
+            self.keys = random.Random(bits_uint(self.key_seed))
             self.challenges = random.Random(bits_uint(self.challenge_seed))
         else:
-            self.sk = self.ct_sk = self.ct_sk_b64 = None
-            self.challenge_seed = self.challenges = None
+            self.key_seed = self.challenge_seed = self.keys = self.challenges = None
         self.qa_e = []
         self.qa_c = []
         self.failures = []
@@ -797,12 +814,10 @@ class Verifier:
     # -- hooks (with _opening, under the checker round)
 
     def _session_key(self):
-        """The session secrets: the session key sk, as bits, ct_sk, its word
-        under hpk, and the challenge seed, as bits."""
-        sk = se_keygen(SE_KEY_BITS, self.rng)
-        ct_sk = he.enc_word(self.pp.hpk, sk, self.rng)
-        seed = self.rng.getrandbits(CHALLENGE_SEED_BITS)
-        return sk, ct_sk, int_to_bits(seed, CHALLENGE_SEED_BITS)
+        """The session secrets, as bits: the key seed, of every checker
+        round's key, and the challenge seed, of every challenge."""
+        return tuple(int_to_bits(self.rng.getrandbits(SESSION_SEED_BITS),
+                                 SESSION_SEED_BITS) for _ in range(2))
 
     def _ask(self, chan, ftype, body):
         """The body of the developer's reply; {} when it is not a dict."""
@@ -905,8 +920,7 @@ class Verifier:
         }
         if self.mode == "general":
             cert["qa_c"] = self.qa_c
-            cert["sk"] = bits_hex(self.sk)
-            cert["ct_sk"] = self.ct_sk_b64
+            cert["key_seed"] = bits_hex(self.key_seed)
             cert["challenge_seed"] = bits_hex(self.challenge_seed)
         cert["binding"] = session_binding(cert)
         return verdict, cert
@@ -994,28 +1008,31 @@ class Verifier:
         h = self.pp.m // 2
         case, port, expected = self._expected_checker(q, answer, h)
         p = checker_slice(word, case, h, self.pp.hpk)
-        y = checker_value(self.pp, self.ct_sk, p)
+        width = he.check_word(self.pp.hpk, p)
+        # every round draws its own key and its challenges, one per block,
+        # before it asks and whatever the developer answers, so that the
+        # auditor draws the same ones
+        sk, ct_sk = checker_key(self.keys, self.pp.hpk, width)
+        rs = [choose_challenge(self.code.q, self.challenges)
+              for _ in split_blocks((0,) * width, self.code.m_c)]
+        y = checker_value(self.pp, ct_sk, p)
         body = {"i": q["i"], "case": case, "port": port, "p": cts_b64(p),
                 "y": cts_b64(y)}
         record = {"q": body, "a": {"d": None}, "s": {"blocks": []}}
         self.qa_c.append(record)
 
-        width = he.check_word(self.pp.hpk, p)
-        # every round draws its challenges, one per block, whatever the
-        # developer answers, so that the auditor draws the same ones
-        rs = [choose_challenge(self.code.q, self.challenges)
-              for _ in split_blocks((0,) * width, self.code.m_c)]
-        d, blocks = self._opening(chan, body, width, rs)
+        d, blocks = self._opening(chan, body, width, rs, ct_sk)
         if d is None:
             return False
         record["a"]["d"] = d
         record["s"]["blocks"] = blocks
-        return se_dec(self.sk, hex_bits(d, width)) == tuple(expected)
+        return se_dec(sk, hex_bits(d, width)) == tuple(expected)
 
-    def _opening(self, chan, body, width, rs):
+    def _opening(self, chan, body, width, rs, ct_sk):
         """Run the commit-and-reveal exchange for one checker query under
-        the challenges rs; the revealed d and its blocks once every block
-        opens, else (None, None)."""
+        the challenges rs, sending the round's key word ct_sk only once the
+        developer has committed; the revealed d and its blocks once every
+        block opens, else (None, None)."""
         r = self._ask(chan, "checker", body)
         n = len(rs)
         if _int(r.get("blocks")) != n:
@@ -1024,45 +1041,47 @@ class Verifier:
         commits = c.get("blocks")
         if not isinstance(commits, list) or len(commits) != n:
             return None, None
-        res = self._ask(chan, "checker_proof", {"ct_sk": self.ct_sk_b64})
+        res = self._ask(chan, "checker_proof", {"ct_sk": cts_b64(ct_sk)})
         try:
             d, reveals = res["d"], res["reveals"]
             if len(reveals) != n:
                 return None, None
             blocks = [
                 {
-                    "R": bits_hex(R),
                     "e": cm["e"],
                     "exposed": cm["exposed"],
                     "seed": rv["seed"],
                     "data": rv["data"],
                 }
-                for R, cm, rv in zip(rs, commits, reveals)
+                for cm, rv in zip(commits, reveals)
             ]
         except (KeyError, TypeError):
             return None, None
         return (d, blocks) if self._opens(d, blocks, width, rs) else (None, None)
 
     def _opens(self, d, blocks, width, rs):
-        """Whether d spells width bits and every block spells its challenge
-        in rs, reveals its slice of d and opens its commitment under that
-        challenge; False too when d or a block does not parse."""
+        """Whether d spells width bits and every block, of exactly the fields
+        a live round records, reveals its slice of d and opens its
+        commitment under its challenge in rs; False too when d or a block
+        does not parse. The challenges are not recorded: the auditor draws
+        them again."""
         q, m_c = self.code.q, self.code.m_c
         try:
             data_blocks = split_blocks(hex_bits(d, width), m_c)
             if len(blocks) != len(data_blocks):
                 return False
             for blk, R, want_data in zip(blocks, rs, data_blocks):
+                if set(blk) != _BLOCK_FIELDS:
+                    return False
                 commit = CommitMessage(
                     e=hex_bits(blk["e"], q), exposed=hex_bits(blk["exposed"], q)
                 )
                 reveal = RevealMessage(
-                    seed=hex_bits(blk["seed"], SE_KEY_BITS),
+                    seed=hex_bits(blk["seed"], COMMIT_SEED_BITS),
                     data=hex_bits(blk["data"], m_c),
                 )
-                if blk["R"] != bits_hex(R) or reveal.data != want_data:
-                    return False
-                if not verify_reveal(commit, reveal, R, self.code):
+                if reveal.data != want_data or not verify_reveal(
+                        commit, reveal, R, self.code):
                     return False
             return True
         except (ProtocolError, KeyError, TypeError, ValueError):

@@ -7,10 +7,11 @@ Two pieces back the indistinguishability claims:
    an encode answer opens the output word by evaluating the secret table in
    the clear on the plaintext inputs the session memory already holds, and
    a checker round opens y as the symmetric encryption of the answer slice
-   under the verifier's key, which the oracle is told. Every check on a
-   query is the Developer's own, so against identical keys and randomness
-   the oracle answers byte for byte like the real developer for any valid
-   query sequence.
+   under the round's key, which the oracle draws as the verifier does
+   (protocol.checker_key) from the verifier's key seed, which it is told.
+   Every check on a query is the Developer's own, so against identical
+   keys and randomness the oracle answers byte for byte like the real
+   developer for any valid query sequence.
 
 2. A structure-preserving fake-design generator plus a real/ideal
    experiment runner: the ideal run encrypts a fake design with the same
@@ -25,12 +26,13 @@ from .expr import parse_expr
 from .protocol import (
     Developer,
     Verifier,
+    checker_key,
     public_structure,
     table_circuits,
     verify_session,
 )
 from .symcrypto import se_enc
-from .tables import Table, TableGraph, transform
+from .tables import Table, TableGraph, bits_uint, transform
 
 
 class OracleDeveloper(Developer):
@@ -40,13 +42,15 @@ class OracleDeveloper(Developer):
     answer_graph supplies the table semantics that _open_output evaluates.
     They must share the interconnection structure. With answer_graph
     omitted this is a drop-in plaintext twin of Developer. In general mode
-    _open_checker needs the verifier's symmetric key, given by learn_sk.
+    _open_checker needs every checker round's key: learn_key_seed gives it
+    the verifier's key seed, from which it draws the next round's key at
+    each checker frame it opens. Its sessions share that key stream.
     """
 
     def __init__(self, cipher_graph, answer_graph=None, **kw):
         super().__init__(cipher_graph, **kw)
         self.hsk = None  # any accidental decryption now fails loudly
-        self.sk = None
+        self.keys = None
         self.answer_circuits = self.circuits
         if answer_graph is not None:
             tg = transform(answer_graph)
@@ -54,14 +58,15 @@ class OracleDeveloper(Developer):
             if public_structure(tg, index_of) != self.pp.structure:
                 raise ValueError("answer graph has a different structure")
 
-    def learn_sk(self, sk):
-        self.sk = tuple(sk)
+    def learn_key_seed(self, key_seed):
+        self.keys = random.Random(bits_uint(key_seed))
 
     def _open_output(self, i, v_cts, u_plain):
         return simulate(self.answer_circuits[i], u_plain)
 
     def _open_checker(self, y, slice_plain):
-        return se_enc(self.sk, slice_plain)
+        sk, _ = checker_key(self.keys, self.hpk, len(slice_plain))
+        return se_enc(sk, slice_plain)
 
 
 def paired_session(graph, domains, dev_seed, v_seed, v_rng_seed, mode="general"):
@@ -77,7 +82,7 @@ def paired_session(graph, domains, dev_seed, v_seed, v_rng_seed, mode="general")
         v = Verifier(dev.pp.to_dict(), graph, domains, [], seed=v_seed,
                      mode=mode, rng=random.Random(v_rng_seed))
         if cls is OracleDeveloper and mode == "general":
-            dev.learn_sk(v.sk)
+            dev.learn_key_seed(v.key_seed)
         certs.append(verify_session(dev, v)[1])
     return certs
 
@@ -170,7 +175,7 @@ def run_experiment(graph, domains, cp, seed, mode="general", vga_budget=8):
         v = Verifier(dev.pp.to_dict(), graph, domains, cp, seed=seed, mode=mode,
                      vga_budget=vga_budget, rng=random.Random(seed + 1))
         if side == "ideal" and mode == "general":
-            dev.learn_sk(v.sk)
+            dev.learn_key_seed(v.key_seed)
         verdict, cert = verify_session(dev, v)
         result[side] = {"verdict": verdict, "cert": cert}
     return result

@@ -3,19 +3,22 @@
 SE is a balanced Feistel network whose round function is SIMON's
 (Beaulieu et al., "The SIMON and SPECK families of lightweight block
 ciphers", 2013): f(R) = (R<<<1 & R<<<s) ^ R<<<2 ^ rk, where R<<<k reads bit
-j + k of R at bit j and s = max(2, w // 2) for w-bit halves. Round key i is
-the key folded to w bits (the XOR of its w-bit chunks) rotated by i, XOR
-the round constant: bits of _RC rotated by 13 * i mod 64. f has a single
-AND in depth, so 8 rounds give multiplicative depth 8, inside the integer
+j + k of R at bit j and s = max(2, w // 2) for w-bit halves. The key is
+ROUNDS chunks of w bits, ROUNDS * w = 4 * width bits for a block of width
+bits (se_key_bits), and round key i is the key's chunk i XOR the round
+constant: bits of _RC rotated by 13 * i mod 64. No two rounds share key
+bits, so one block and its encryption leave 2^(6w) of the 2^(8w) keys
+possible. f has a single AND in depth and the key enters only through
+XOR, so 8 rounds give multiplicative depth 8, inside the integer
 backend's budget.
 
 One Feistel routine, written over word operations (rot, xor, and_,
 constant), gives both evaluations: _Ints holds a w-bit int, for se_enc,
 se_dec and SECircuit.evaluate, and _Wires a list of circuit.Builder wires,
 for SECircuit.gates. The two are extensionally equal by construction.
-SECircuit names the encryption circuit by its construction and sizes, as
-the universal circuit is named, so the transparent backend evaluates it
-without building its gate list.
+SECircuit names the encryption circuit by its construction and block
+width, as the universal circuit is named, so the transparent backend
+evaluates it without building its gate list.
 
 The PRG is SHAKE128 (FIPS 202): output bit i is bit i % 8 of byte i // 8
 of the SHAKE128 output over the seed, one byte per seed bit.
@@ -30,7 +33,7 @@ from .circuit import Builder
 from .tables import bits_uint, int_to_bits
 
 ROUNDS = 8
-SE_CONSTRUCTION = "se-feistel-v2"  # SECircuit's; change it with the Feistel
+SE_CONSTRUCTION = "se-feistel-v3"  # SECircuit's; change it with the Feistel
 _RC = 0x9E3779B97F4A7C15  # round-constant bit source
 
 
@@ -87,12 +90,13 @@ def _round_constant(i, w):
 
 def _feistel(ops, key, L, R, decrypt=False):
     """The Feistel network on halves L and R, under key, the list of the
-    key's w-bit chunks (the last one zero-padded); (L, R) after all rounds,
-    or before them when decrypt."""
+    key's w-bit chunks, one per round; (L, R) after all rounds, or before
+    them when decrypt. SymError unless the key is ROUNDS chunks."""
+    if len(key) != ROUNDS:
+        raise SymError(f"an SE key is {ROUNDS} chunks of {ops.w} bits, "
+                       f"got {len(key)}")
     w, rot, xor, and_ = ops.w, ops.rot, ops.xor, ops.and_
-    folded = functools.reduce(xor, key)
-    rks = [xor(rot(folded, i), ops.constant(_round_constant(i, w)))
-           for i in range(ROUNDS)]
+    rks = [xor(k, ops.constant(_round_constant(i, w))) for i, k in enumerate(key)]
     s = max(2, w // 2)
     for rk in reversed(rks) if decrypt else rks:
         x = L if decrypt else R
@@ -102,9 +106,12 @@ def _feistel(ops, key, L, R, decrypt=False):
 
 
 def _int_key(key, w):
-    """The w-bit chunks of a key given as bits, as ints."""
+    """The w-bit chunks of a key given as bits, as ints; SymError when its
+    last chunk would be partial."""
+    if len(key) % w:
+        raise SymError(f"an SE key is whole chunks of {w} bits, got {len(key)} bits")
     k = bits_uint(key)
-    return [k >> t & ((1 << w) - 1) for t in range(0, max(len(key), 1), w)]
+    return [k >> t & ((1 << w) - 1) for t in range(0, len(key), w)]
 
 
 def _block(key, bits, decrypt):
@@ -124,8 +131,15 @@ def se_keygen(K, rng):
     return tuple(rng.getrandbits(1) for _ in range(K))
 
 
+def se_key_bits(width):
+    """The size of an SE key for blocks of width bits: ROUNDS chunks of
+    half a block."""
+    return ROUNDS * (width // 2)
+
+
 def se_enc(sk, M):
-    """Deterministic permutation of the |M|-bit block under sk."""
+    """Deterministic permutation of the |M|-bit block under sk, a key of
+    se_key_bits(|M|) bits."""
     return _block(sk, M, False)
 
 
@@ -153,20 +167,23 @@ def _check_block(M):
 
 @dataclass(frozen=True)
 class SECircuit:
-    """The circuit of se_enc over (key || message), key_bits + width input
-    bits, named by its construction and sizes. evaluate runs the word
-    Feistel; gates builds the gate list, which only integer-she and the
-    tests read."""
+    """The circuit of se_enc over (key || message) for blocks of width
+    bits, key_bits + width input bits, named by its construction and block
+    width. evaluate runs the word Feistel; gates builds the gate list,
+    which only integer-she and the tests read."""
 
-    key_bits: int
     width: int
 
     def __post_init__(self):
         _check_width(self.width)
 
     @property
+    def key_bits(self):
+        return se_key_bits(self.width)
+
+    @property
     def name(self):
-        return f"{SE_CONSTRUCTION}:{self.key_bits},{self.width}"
+        return f"{SE_CONSTRUCTION}:{self.width}"
 
     @property
     def n_inputs(self):
@@ -182,9 +199,7 @@ class SECircuit:
         """The gate list, from the Feistel routine on wire lists."""
         k, w = self.key_bits, self.width // 2
         b = Builder(self.n_inputs)
-        ops = _Wires(b, w)
-        key = list(range(k)) + [b.constant(0)] * (-k % w)
-        L, R = _feistel(ops, [key[t:t + w] for t in range(0, len(key), w)],
+        L, R = _feistel(_Wires(b, w), [list(range(t, t + w)) for t in range(0, k, w)],
                         list(range(k, k + w)), list(range(k + w, k + 2 * w)))
         return b.finish(L + R)
 

@@ -36,6 +36,7 @@ from tabverify.protocol import (
     Verifier,
     b64_cts,
     bits_hex,
+    checker_key,
     checker_value,
     cts_b64,
     hex_bits,
@@ -45,7 +46,14 @@ from tabverify.protocol import (
 )
 from tabverify.simharness import OracleDeveloper
 from tabverify.symcrypto import se_keygen
-from tabverify.tables import Tagged, evaluate_plain, tagged_to_bits, transform
+from tabverify.tables import (
+    Tagged,
+    bits_uint,
+    evaluate_plain,
+    int_to_bits,
+    tagged_to_bits,
+    transform,
+)
 from tabverify.vga import coverage_report, input_key
 
 from helpers import random_circuit
@@ -256,9 +264,11 @@ def test_c8_oracles_byte_identical_to_services():
     dev = Developer(graph, rng=random.Random(77))
     orc = OracleDeveloper(graph, rng=random.Random(77))
     assert canonical_json(dev.pp.to_dict()) == canonical_json(orc.pp.to_dict())
-    sk = se_keygen(16, random.Random(5))
-    ct_sk = he.enc_word(dev.hpk, sk, random.Random(6))
-    orc.learn_sk(sk)
+    # every checker round has its own key, drawn from one key stream by
+    # the oracle as here
+    key_seed = int_to_bits(random.Random(5).getrandbits(128), 128)
+    keys = random.Random(bits_uint(key_seed))
+    orc.learn_key_seed(key_seed)
     m = graph.m
     structure = dev.pp.to_dict()["structure"]
     src = [t for t in structure["tables"]
@@ -310,6 +320,7 @@ def test_c8_oracles_byte_identical_to_services():
             elif op < 0.95:
                 pos, u, a = do_q1(rng, pair, t)
                 p = b64_cts(a["answer"]["w"], dev.hpk)
+                _, ct_sk = checker_key(keys, dev.hpk, m)
                 y = checker_value(dev.pp, ct_sk, p)
                 r = ask("checker", {"i": t["index"], "case": "input",
                                     "port": pos, "p": cts_b64(p),

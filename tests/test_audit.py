@@ -29,7 +29,14 @@ from tabverify.demo import (
     diamond_graph,
 )
 from tabverify.graphtext import parse_graph
-from tabverify.commitment import CommitMessage, RevealMessage, gen_code, verify_reveal
+from tabverify.tables import bits_uint
+from tabverify.commitment import (
+    CommitMessage,
+    RevealMessage,
+    choose_challenge,
+    gen_code,
+    verify_reveal,
+)
 from tabverify.protocol import (
     Developer,
     Verifier,
@@ -72,26 +79,26 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 8.
+# Recorded at certificate version 9.
 CERT_DIGESTS = {
-    "demo-honest": "70f58ceb396a33c82eb31cd3e6cf6292642a1aec3de01c6385e6e20b2be95a56",
-    "demo-general": "3aa90e148624cf6f9fc561fae9ca28bfb98d14ac571bf7a9cd1ea4e6e11e61b0",
-    "chain-honest": "a04aad4a9a694de70265610bfd83aa67814a9de2d2216444659947d4c328500d",
-    "chain-general": "3d8cad0bea9246403bebf9565fd678d9f95a4fe9017fceb2793ca13457ef9dbc",
-    "diamond-honest": "b43bef21108be6470e9db69215c7b7e879def03bb61c7ede4b020c1e7610b4a0",
-    "diamond-general": "926b8d3e3b23ed123b7cc9c5dd883ebf74e31e3bf7a524e3c0d85085cb3d1f0f",
-    "flip-payload-honest": "10db3466f4c7df3bb55f8b4839c6c1b0fbd9d8316fa745d14e3c67e76962202e",
-    "flip-tag-honest": "c293accaadb970f62a063d89611afefe62d2758be26eaff2c6a1e72841ab9eaf",
-    "swap-answers-honest": "d889f3066d8916bfa4c70c63c86d4fe925fa3777f94db5a7af8050d47ee65039",
-    "flip-payload-general": "a49d7fdab79c6e0964b40f7db5dc6e96b98d5f18e0ffa9e556bc4582d6ab6de7",
-    "flip-tag-general": "90252e9b6e0abfb90cd66c1b6232b45d6ae23665e3360ed14b62ac19cb1ab5c6",
-    "swap-answers-general": "a291bb0ecf3a537d38135e9ca0aecff33b6470bd1086c35f283d541aba150e67",
+    "demo-honest": "60281507f35623d5185c85120240c5afb2c8d6989a890d2ae67071eb2aa1c7b9",
+    "demo-general": "bd1587638b5d6cfc81f3ed3e1a02479c9f522147c55021fadbc8b40a0d0c0194",
+    "chain-honest": "bf37b721200d19f89bd525c8ae4bcb14ae144c578c854bfbb11682e29df5e718",
+    "chain-general": "6a6865cf23026fa8997df07f89e86ce3bb33238f712a63c7aaf811b2776a2341",
+    "diamond-honest": "b10f8c729777c9ca2ebd01b0656c9bf662e57194f694d6f064aab6d27285dc97",
+    "diamond-general": "df9ebbd6a40b85009e70c09b4a70a7d369e127f4e75fab70e2e5d7812f85c24a",
+    "flip-payload-honest": "07abca08f675ec0a5175057bae824df4f70571af23115ebe014d50d5e272f792",
+    "flip-tag-honest": "bc960c180c05eecafa496d4cc8e429f20182d6e447e6df221a759a8bbb481690",
+    "swap-answers-honest": "f1d6dd2387aa4ba984835c37227a69a3d6789a56ad649227f9db0c2821ec3bb2",
+    "flip-payload-general": "8296fb95ec993b0c5ac8f07550130ef0811ae946940e118d0f80402ac099185b",
+    "flip-tag-general": "99d0704575b755f031c279a3e4c130d4dfbc3881adf575ea7f5a2c0cdb550f69",
+    "swap-answers-general": "335f26c5e640fbed368dfcb4120e5969b71b5edb1ccd191e0f0b11296793b069",
 }
 # the length of three of them, so that a change of size shows by itself; at
-# version 7, with bit strings one character per bit, they were 579,387,
-# 733,875 and 958,116 bytes
-CERT_BYTES = {"demo-honest": 578463, "diamond-honest": 733575,
-              "demo-general": 782992}
+# version 8, with 24-byte nonces, a recorded key and recorded challenges,
+# they were 578,463, 733,575 and 782,992 bytes
+CERT_BYTES = {"demo-honest": 398247, "diamond-honest": 502295,
+              "demo-general": 535063}
 
 
 @pytest.mark.parametrize("config", list(CERT_DIGESTS))
@@ -138,23 +145,24 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v8"}
+           "format": "tabverify-cert-v9"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
 
-def test_version_7_certificate_is_refused_by_name(tmp_path):
-    cert = dict(HONEST_CERT, version=7)
+def test_version_8_certificate_is_refused_by_name(tmp_path):
+    assert audit_module.CERT_FORMAT == f"tabverify-cert-v{protocol.CERT_VERSION}"
+    cert = dict(HONEST_CERT, version=8)
     cert["binding"] = session_binding(cert)
     ok, report = replay(cert)
     assert not ok
-    assert report["reason"] == "certificate version 7 is not supported"
+    assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v8",
-                                             "tabverify-cert-v7"))
+    path.write_text(path.read_text().replace("tabverify-cert-v9",
+                                             "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
-                                         "'tabverify-cert-v7'"):
+                                         "'tabverify-cert-v8'"):
         load_certificate(path)
 
 
@@ -272,7 +280,8 @@ def test_padded_blocks_open_and_their_padding_is_committed():
     # zeros; the session accepts and audits, and a padding bit set in a
     # stored opening no longer opens. d of a 6-bit half word is two hex
     # digits, the top two bits padding, and one spelling: setting a padding
-    # bit, or upper-casing a digit of a challenge, no longer opens either
+    # bit, or upper-casing a digit of a block's exposed bits, no longer
+    # opens either
     verdict, cert = make_cert("general", graph=parse_graph(WIDTH12_TEXT),
                               domains=NARROW_DOMAINS, cp=[])
     assert verdict == "accept", cert["failures"]
@@ -285,17 +294,17 @@ def test_padded_blocks_open_and_their_padding_is_committed():
         # 12 bits: 4 data bits in the last block; 6 bits: 6
         assert int(rec["s"]["blocks"][-1]["data"], 16) < (16 if len(rec["a"]["d"]) == 3
                                                           else 64)
-        bad_data, bad_d, bad_r = (copy.deepcopy(cert) for _ in range(3))
+        bad_data, bad_d, bad_x = (copy.deepcopy(cert) for _ in range(3))
         block = bad_data["qa_c"][k]["s"]["blocks"][-1]
         block["data"] = set_top_bit(block["data"])
         if len(rec["a"]["d"]) == 2:
             bad_d["qa_c"][k]["a"]["d"] = set_top_bit(rec["a"]["d"])
         else:
             bad_d = None  # 12 bits are three whole digits
-        R = rec["s"]["blocks"][0]["R"]
-        i = next(i for i, c in enumerate(R) if c in "abcdef")
-        bad_r["qa_c"][k]["s"]["blocks"][0]["R"] = R[:i] + R[i].upper() + R[i + 1:]
-        for bad in (bad_data, bad_d, bad_r):
+        x = rec["s"]["blocks"][0]["exposed"]
+        i = next(i for i, c in enumerate(x) if c in "abcdef")
+        bad_x["qa_c"][k]["s"]["blocks"][0]["exposed"] = x[:i] + x[i].upper() + x[i + 1:]
+        for bad in (bad_data, bad_d, bad_x):
             if bad is not None:
                 ok, report = audit(bad)
                 assert ok == 0, k
@@ -303,19 +312,31 @@ def test_padded_blocks_open_and_their_padding_is_committed():
                                             f"($.qa_c[{k}])")
 
 
+def drawn_challenges(cert):
+    """Each checker record's challenges, one per block, drawn again from the
+    certificate's challenge seed as the verifier draws them."""
+    code = gen_code()
+    stream = random.Random(bits_uint(hex_bits(cert["challenge_seed"], 128)))
+    return [[choose_challenge(code.q, stream) for _ in rec["s"]["blocks"]]
+            for rec in cert["qa_c"]]
+
+
 def test_a_changed_challenge_that_still_opens_is_refused():
     # a challenge is 2q bits of weight q; moving one of its ones within a
     # hex digit keeps the weight, and where the PRG stream has equal bits at
-    # the two places the commitment still opens under it. The auditor draws
-    # the challenges again from the disclosed seed, and refuses it
+    # the two places the commitment still opens under it. The certificate
+    # records no challenge: each block opens under the one drawn again from
+    # the disclosed seed, and a block that carries a challenge of its own,
+    # even one that still opens, is refused
     code = gen_code()
-    for k, rec in enumerate(GENERAL_CERT["qa_c"]):
-        block = rec["s"]["blocks"][0]
-        R = list(hex_bits(block["R"], 2 * code.q))
+    for k, (rec, rs) in enumerate(zip(GENERAL_CERT["qa_c"], drawn_challenges(GENERAL_CERT))):
+        block, R = rec["s"]["blocks"][0], list(rs[0])
+        assert "R" not in block
         commit = CommitMessage(hex_bits(block["e"], code.q),
                                hex_bits(block["exposed"], code.q))
-        reveal = RevealMessage(hex_bits(block["seed"], protocol.SE_KEY_BITS),
+        reveal = RevealMessage(hex_bits(block["seed"], protocol.COMMIT_SEED_BITS),
                                hex_bits(block["data"], code.m_c))
+        assert verify_reveal(commit, reveal, tuple(R), code)
         moves = [i for i in range(0, len(R), 2) if R[i] != R[i + 1]]
         for i in moves:
             moved = R[:i] + [R[i + 1], R[i]] + R[i + 2:]
@@ -325,12 +346,36 @@ def test_a_changed_challenge_that_still_opens_is_refused():
             continue
         cert = copy.deepcopy(GENERAL_CERT)
         cert["qa_c"][k]["s"]["blocks"][0]["R"] = bits_hex(moved)
-        assert len(cert["qa_c"][k]["s"]["blocks"][0]["R"]) == len(block["R"])
         ok, report = audit(cert)
         assert ok == 0
         assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"
         return
     raise AssertionError("no challenge of the certificate moves and still opens")
+
+
+def test_a_null_checker_answer_mid_session_replays():
+    # the verifier draws every round's key and challenges before it asks,
+    # so a round the developer answers null leaves the streams where the
+    # auditor, which draws them again, finds them; the later rounds open
+    # under their own keys and the certificate replays
+    class NullOnce(Developer):
+        def _checker(self, body):
+            self.checkers = getattr(self, "checkers", 0) + 1
+            return {"result": "null"} if self.checkers == 5 else super()._checker(body)
+
+        ANSWERS = dict(Developer.ANSWERS, checker=_checker)
+
+    dev = NullOnce(DEMO, rng=random.Random(1))
+    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, CP, seed=7, mode="general",
+                 rng=random.Random(2))
+    verdict, cert = verify_session(dev, v)
+    assert verdict == "reject"
+    assert [f["reason"] for f in cert["failures"]] == ["checker"]
+    assert cert["qa_c"][4]["a"]["d"] is None
+    assert sum(r["a"]["d"] is not None for r in cert["qa_c"]) == len(cert["qa_c"]) - 1
+    ok, report = replay(cert)
+    assert ok, report
+    assert report["replayed_verdict"] == "reject"
 
 
 def test_first_difference():
@@ -359,10 +404,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 8
+    # version 9
     for cert, want in (
-        (HONEST_CERT, "8da22afa1c640838d827e33c01dfb878673f5669c2bba3fd405c8ca658c41b32"),
-        (GENERAL_CERT, "bf62c40b3895de3d07ef17dba0c092f64dfd0b4b4a4af57841c7fd2a55e35739"),
+        (HONEST_CERT, "e25ba00c443a0440a357b0aa4a5f3204f529626df2382f883846bf1cb54d9260"),
+        (GENERAL_CERT, "f7175609536215c14eed9f2d0d1c85b63f9395968fed76b5d68d461994af4c18"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()
@@ -415,18 +460,19 @@ def test_checker_record_faults_are_named(change, reason):
 
 @pytest.mark.parametrize("sk", ["", "0", "x15", "x+0", "x+00", "x+" + "0" * 16])
 def test_recorded_session_key_must_have_the_key_size(monkeypatch, sk):
-    # the key folds into the block width, so zeros appended to it decrypt
-    # alike; the auditor refuses any recorded key of another length before
-    # it replays a query. The key is 4 hex digits: x15 is the stored key
-    # one digit short, and x+ the stored key with zeros appended
+    # the certificate discloses the key seed of every checker round's key,
+    # not a key; the auditor refuses a recorded seed of another length
+    # before it replays a query. The seed is 32 hex digits: x15 is the
+    # stored seed one digit short, and x+ the stored seed with zeros appended
     cert = copy.deepcopy(GENERAL_CERT)
-    stored = cert["sk"]
-    assert len(stored) == protocol.SE_KEY_BITS // 4
+    assert "sk" not in cert and "ct_sk" not in cert
+    stored = cert["key_seed"]
+    assert len(stored) == protocol.SESSION_SEED_BITS // 4
     if sk == "x15":
         sk = stored[:-1]
     elif sk.startswith("x+"):
         sk = stored + sk[2:]
-    cert["sk"] = sk
+    cert["key_seed"] = sk
 
     def no_query(*args):
         raise AssertionError("a query was replayed")
@@ -434,7 +480,8 @@ def test_recorded_session_key_must_have_the_key_size(monkeypatch, sk):
     monkeypatch.setattr(ReplayVerifier, "_ask", no_query)
     ok, report = audit(cert)
     assert ok == 0
-    assert report["reason"] == "$.sk: a 16-bit string must be 4 lowercase hex digits"
+    assert report["reason"] == ("$.key_seed: a 128-bit string must be 32 lowercase "
+                                "hex digits")
 
 
 def test_truncated_transcript_fails():

@@ -275,7 +275,7 @@ def edited_pp(pp, fault):
         pp["programs"] = list(pp["programs"].values())
     elif fault == "program-short":  # one payload fewer than u_params say
         word = base64.b64decode(pp["programs"][first])
-        pp["programs"][first] = base64.b64encode(word[:-25]).decode("ascii")
+        pp["programs"][first] = base64.b64encode(word[:-17]).decode("ascii")
     elif fault in ("program-tag", "program-key-id"):  # another key pair's word
         word = bytearray(base64.b64decode(pp["programs"][first]))
         if fault == "program-tag":

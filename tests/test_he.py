@@ -56,7 +56,7 @@ def test_ciphertext_fixed_length(tr_keys, she_keys):
     # a word is the 9-byte header once and a fixed-length payload per
     # ciphertext; a word of one ciphertext is lam_bytes long
     rng = random.Random(5)
-    assert tr_keys.hpk.lam_bytes == 9 + 25
+    assert tr_keys.hpk.lam_bytes == 9 + 17
     for keys in (tr_keys, she_keys):
         lam = keys.hpk.lam_bytes
         word = he.enc_word(keys.hpk, (0, 1, 1, 0), rng)

@@ -20,7 +20,6 @@ from tabverify.demo import (
 )
 from tabverify.graphtext import parse_graph
 from tabverify.protocol import (
-    SE_KEY_BITS,
     Developer,
     ProtocolError,
     PublicParams,
@@ -29,13 +28,14 @@ from tabverify.protocol import (
     bits_hex,
     cts_b64,
     b64_cts,
+    checker_key,
     checker_value,
     hex_bits,
     spec_port_outputs,
     table_step,
     verify_session,
 )
-from tabverify.symcrypto import se_keygen
+from tabverify.symcrypto import se_dec
 from tabverify.tables import Tagged, int_to_bits, tagged_to_bits, transform
 from tabverify.vga import input_key
 
@@ -213,8 +213,12 @@ def test_general_mode_accepts_and_records_checkers():
     answered = [r for r in cert["qa_e"] if r["a"].get("kind") != "null"]
     assert len(cert["qa_c"]) == len(answered)
     assert all(r["a"]["d"] is not None for r in cert["qa_c"])
-    assert len(hex_bits(cert["sk"], 16)) == 16
+    # the certificate discloses two seeds, and neither a key nor a challenge
+    assert "sk" not in cert and "ct_sk" not in cert
+    assert len(hex_bits(cert["key_seed"], 128)) == 128
     assert len(hex_bits(cert["challenge_seed"], 128)) == 128
+    assert all(set(b) == {"e", "exposed", "seed", "data"}
+               for r in cert["qa_c"] for b in r["s"]["blocks"])
 
 
 @pytest.mark.parametrize("strategy", ["flip-payload", "flip-tag", "swap-answers"])
@@ -390,15 +394,14 @@ def test_memory_wiped_between_sessions():
 
 def test_checker_requires_commit_before_proof():
     dev = make_dev()
-    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, [], seed=3, mode="general",
-                 rng=random.Random(4))
     t = first_input_table(dev)
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
     u = tagged_to_bits(Tagged(True, DEMO_INPUT[names[0]]), m)
     a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u)})
     p = b64_cts(a["answer"]["w"], dev.hpk)
-    y = checker_value(dev.pp, v.ct_sk, p)
+    _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
+    y = checker_value(dev.pp, ct_sk, p)
     r = frame(
         dev,
         "checker",
@@ -406,7 +409,35 @@ def test_checker_requires_commit_before_proof():
     )
     assert "blocks" in r
     # proof before the commitment exchange must fail
-    assert frame(dev, "checker_proof", {"ct_sk": cts_b64(v.ct_sk)})["result"] == "null"
+    assert frame(dev, "checker_proof", {"ct_sk": cts_b64(ct_sk)})["result"] == "null"
+
+
+def test_checker_proof_with_a_key_word_of_another_size_is_null():
+    # a round's key is 4 * width bits, one chunk of half the slice per
+    # round; a proof whose ct_sk holds another number of ciphertexts, such
+    # as the 16-bit key of format v8, is answered null, and one of the
+    # round's key size opens to the answer
+    dev = make_dev()
+    t = first_input_table(dev)
+    m = dev.pp.m
+    u = tagged_to_bits(Tagged(True, 3), m)
+    a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u)})
+    p = b64_cts(a["answer"]["w"], dev.hpk)
+    keys = random.Random(4)
+    for n in (16, 4 * m - 1, 4 * m + 1, 4 * m):
+        sk, ct_sk = checker_key(keys, dev.hpk, m)
+        assert he.check_word(dev.hpk, ct_sk) == 4 * m
+        y = checker_value(dev.pp, ct_sk, p)
+        r = frame(dev, "checker", {"i": t["index"], "case": "input", "port": 0,
+                                   "p": cts_b64(p), "y": cts_b64(y)})
+        rs = [bits_hex(choose_challenge(dev.code.q, keys)) for _ in range(r["blocks"])]
+        assert "blocks" in frame(dev, "commit_challenge", {"Rs": rs})
+        sent = he.cut_word(dev.hpk, he.join_words(dev.hpk, (ct_sk, ct_sk)), 0, n)
+        proof = frame(dev, "checker_proof", {"ct_sk": cts_b64(sent)})
+        if n == 4 * m:
+            assert se_dec(sk, hex_bits(proof["d"], m)) == u
+        else:
+            assert proof == {"result": "null"}, n
 
 
 def test_checker_rejects_unknown_slice():
@@ -655,9 +686,8 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
     assert r == {"result": "null"}
     rs = [bits_hex(choose_challenge(dev.code.q, random.Random(2)))]
     assert frame(session, "commit_challenge", {"Rs": rs}) == {"result": "null"}
-    sk = se_keygen(SE_KEY_BITS, random.Random(3))
-    ct_sk = cts_b64(he.enc_word(dev.hpk, sk, random.Random(4)))
-    assert frame(session, "checker_proof", {"ct_sk": ct_sk}) == {"result": "null"}
+    _, ct_sk = checker_key(random.Random(3), dev.hpk, 4)
+    assert frame(session, "checker_proof", {"ct_sk": cts_b64(ct_sk)}) == {"result": "null"}
 
 
 # rows 1 and 2 of T both fire for x > 5, so T is not disjoint there
@@ -788,7 +818,7 @@ def gate_list_step(hpk, hsk, u, words):
         steps.append(bytes([he.TAG_TRANSPARENT]) + hpk.key_id + b"".join(
             bytes([col >> k & 1])
             + hashlib.sha256(b"tr-eval-v2" + hpk.key_id + inputs
-                             + f"{u.name}:{j}".encode()).digest()[:24]
+                             + f"{u.name}:{j}".encode()).digest()[:16]
             for j, col in enumerate(outs)))
     return steps
 

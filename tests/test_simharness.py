@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from tabverify import he
+from tabverify.audit import audit
 from tabverify.channel import canonical_json, make_frame
 from tabverify.commitment import choose_challenge
 from tabverify.demo import (
@@ -13,11 +15,16 @@ from tabverify.demo import (
 )
 from tabverify.graphtext import parse_graph
 from tabverify.protocol import (
+    HE_SECURITY,
     Developer,
+    ProtocolError,
+    Verifier,
     b64_cts,
     bits_hex,
+    checker_key,
     checker_value,
     cts_b64,
+    verify_session,
 )
 from tabverify.simharness import (
     OracleDeveloper,
@@ -27,8 +34,8 @@ from tabverify.simharness import (
     run_experiment,
     shared_budget,
 )
-from tabverify.symcrypto import se_keygen
-from tabverify.tables import evaluate_plain, transform
+from tabverify.symcrypto import se_enc, se_key_bits
+from tabverify.tables import bits_uint, evaluate_plain, int_to_bits, transform
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 
@@ -52,14 +59,14 @@ def test_oracle_never_holds_decryption_key():
 def test_oracle_matches_service_on_malformed_ciphertexts():
     dev = Developer(DEMO, rng=random.Random(2))
     orc = OracleDeveloper(DEMO, rng=random.Random(2))
-    sk = se_keygen(16, random.Random(3))
-    ct_sk = he.enc_word(dev.hpk, sk, random.Random(4))
-    orc.learn_sk(sk)
+    key_seed = int_to_bits(random.Random(3).getrandbits(128), 128)
+    orc.learn_key_seed(key_seed)
     m = dev.pp.m
+    _, ct_sk = checker_key(random.Random(bits_uint(key_seed)), dev.hpk, m)
     t = next(t for t in dev.pp.to_dict()["structure"]["tables"]
              if all(p["producers"][0][0] == "input" for p in t["ports"]))
     # a word of n ciphertexts of the right length, with no valid tag or key id
-    junk = {n: bytes(9 + n * (dev.hpk.lam_bytes - 9)) for n in (m, 16)}
+    junk = {n: bytes(9 + n * (dev.hpk.lam_bytes - 9)) for n in (m, 4 * m)}
 
     def ask(ftype, body):
         f = make_frame(ftype, body)
@@ -80,7 +87,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     assert ask("commit_challenge", {"Rs": 5}) == {"result": "null"}
     rs = [choose_challenge(dev.code.q, random.Random(5)) for _ in range(r["blocks"])]
     assert "blocks" in ask("commit_challenge", {"Rs": [bits_hex(R) for R in rs]})
-    proof = ask("checker_proof", {"ct_sk": cts_b64(junk[len(sk)])})
+    proof = ask("checker_proof", {"ct_sk": cts_b64(junk[4 * m])})
     assert proof == {"result": "null"}
 
 
@@ -132,3 +139,103 @@ def test_real_ideal_ciphertexts_do_differ():
     p_r = res["real"]["cert"]["public_params"]["programs"]
     p_i = res["ideal"]["cert"]["public_params"]["programs"]
     assert p_r != p_i
+
+
+# --- developers that forge checker openings ------------------------------------
+#
+# Each answers for the demo design while its programs encrypt a fake design
+# of the same structure, so every q2 whose fake output differs from the
+# demo's is a lie that only a forged opening of its checker round could
+# hide. Developer.ANSWERS binds its handlers by function, so each rebinds
+# the handler it changes.
+
+
+class Forger(OracleDeveloper):
+    """The oracle of the demo design over a fake one's programs, holding the
+    decryption key of its own key pair. Its checker rounds open honestly
+    where its claim is the slice x its programs computed, and list the
+    others, its lies, which _forge opens. Its sessions share that list."""
+
+    def __init__(self, s):
+        super().__init__(fake_graph_like(DEMO, s), answer_graph=DEMO,
+                         rng=random.Random(s))
+        keys = he.keygen(HE_SECURITY, rng=random.Random(s))  # its first draws
+        assert keys.hpk == self.hpk
+        self.hsk, self.lies = keys.hsk, []
+
+    def _checker(self, body):
+        self.p = body.get("p")
+        return Developer._checker(self, body)
+
+    def _open_checker(self, y, claimed):
+        x = he.dec_word(self.hsk, b64_cts(self.p, self.hpk))
+        c = he.dec_word(self.hsk, y)
+        if claimed == x:
+            return c
+        self.lies.append(claimed)
+        return self._forge(x, c, claimed)
+
+    ANSWERS = dict(Developer.ANSWERS, checker=_checker)
+
+
+class KeySearcher(Forger):
+    """Searches the keys whose first w-bit chunk takes every value and whose
+    other bits are zero: under a key folded to w bits these are all the
+    keys there are. Of the keys that map x to c, the encryption of x, it
+    opens its claim under the one most of them agree on."""
+
+    def _forge(self, x, c, claimed):
+        w, n = len(x) // 2, se_key_bits(len(x))
+        candidates = (int_to_bits(v, w) + (0,) * (n - w) for v in range(1 << w))
+        opens = Counter(se_enc(k, claimed) for k in candidates if se_enc(k, x) == c)
+        return opens.most_common(1)[0][0] if opens else c
+
+
+class KeyStealer(Forger):
+    """Decrypts every ct_sk it is sent, and opens each later lie as its
+    encryption under the last key it stole of the lie's key size; a single
+    session key would open every lie after the first round."""
+
+    def __init__(self, s):
+        super().__init__(s)
+        self.stolen = {}
+
+    def _proof(self, body):
+        try:
+            sk = he.dec_word(self.hsk, b64_cts(body.get("ct_sk"), self.hpk))
+            self.stolen[len(sk)] = sk
+        except ProtocolError:
+            pass
+        return Developer._proof(self, body)
+
+    def _forge(self, x, c, claimed):
+        sk = self.stolen.get(se_key_bits(len(claimed)))
+        return se_enc(sk, claimed) if sk else c
+
+    ANSWERS = dict(Forger.ANSWERS, checker_proof=_proof)
+
+
+def general_session(dev, s):
+    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, [], seed=s, mode="general",
+                 rng=random.Random(100 + s))
+    return verify_session(dev, v)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_forged_checker_openings_reject_and_audit_to_zero(s):
+    # the honest developer of the fake design shows its 10 mismatches; the
+    # forgers answer for the demo design, so they show none, and only
+    # their checker rounds can catch them: each round has its own key of
+    # ROUNDS chunks, which neither a key search nor a stolen key opens
+    verdict, cert = general_session(Developer(fake_graph_like(DEMO, s),
+                                              rng=random.Random(s)), s)
+    assert verdict == "reject" and len(cert["mismatches"]) == 10
+    for forger in (KeySearcher, KeyStealer):
+        dev = forger(s)
+        verdict, cert = general_session(dev, s)
+        failures = [f["reason"] for f in cert["failures"]]
+        print(f"{forger.__name__} s={s}: {len(failures)} checker failures, "
+              f"{len(dev.lies)} lies")
+        assert verdict == "reject" and not cert["mismatches"]
+        assert set(failures) == {"checker"} and len(failures) == len(dev.lies)
+        assert audit(cert)[0] == 0

@@ -6,18 +6,23 @@ import pytest
 
 from tabverify import he
 from tabverify.circuit import simulate
-from tabverify.protocol import SE_KEY_BITS, checker_value
+from tabverify.protocol import checker_value
 from tabverify.symcrypto import (
     ROUNDS,
     SECircuit,
     SymError,
+    _feistel,
+    _Ints,
+    _round_constant,
     prg,
     se_dec,
     se_enc,
+    se_key_bits,
     se_keygen,
 )
 
-# --- the bit-level Feistel that the word Feistel replaced: the reference ------
+# --- the bit-level Feistel that the word Feistel replaced, with the unfolded
+# key schedule: the reference --------------------------------------------------
 
 
 _RC = 0x9E3779B97F4A7C15
@@ -34,15 +39,10 @@ def _rc_bit(i, j):
 
 
 def _round_keys(ops, key, w, rounds):
-    folded = [ops.constant(0)] * w
-    for t, k in enumerate(key):
-        folded[t % w] = ops.xor(folded[t % w], k)
-    rks = []
-    for i in range(rounds):
-        rks.append(
-            [ops.xor(folded[(j + i) % w], ops.constant(_rc_bit(i, j))) for j in range(w)]
-        )
-    return rks
+    # round key i is the key's bits i * w to (i + 1) * w, XOR the round
+    # constant
+    return [[ops.xor(key[i * w + j], ops.constant(_rc_bit(i, j))) for j in range(w)]
+            for i in range(rounds)]
 
 
 def _round_fn(ops, R, rk, w):
@@ -85,11 +85,12 @@ def ref_se_dec(sk, C):
 @pytest.mark.parametrize("width", range(4, 33, 2))
 def test_word_feistel_matches_the_bit_reference(width):
     rng = random.Random(width)
-    se = SECircuit(16, width)
+    se = SECircuit(width)
+    assert se.key_bits == 4 * width == ROUNDS * width // 2
     gates = se.gates
     assert gates.mult_depth <= ROUNDS
     for _ in range(100):
-        sk = se_keygen(16, rng)
+        sk = se_keygen(se.key_bits, rng)
         M = tuple(rng.getrandbits(1) for _ in range(width))
         C = se_enc(sk, M)
         assert C == ref_se_enc(sk, M)
@@ -99,23 +100,34 @@ def test_word_feistel_matches_the_bit_reference(width):
 
 
 @pytest.mark.parametrize("key_bits", [8, 12, 16, 40])
-def test_word_feistel_folds_keys_of_any_length(key_bits):
-    # keys longer than a half, and ones whose last chunk is partial
+def test_word_feistel_takes_keys_of_rounds_chunks_only(key_bits):
+    # a key is ROUNDS chunks of half a block: 16 bits for 4-bit blocks and
+    # 40 for 10-bit ones; any other key, shorter, longer or ending in a
+    # partial chunk, is refused, not folded
     rng = random.Random(key_bits)
     for width in (4, 6, 10, 16):
-        se = SECircuit(key_bits, width)
-        for _ in range(20):
-            sk = tuple(rng.getrandbits(1) for _ in range(key_bits))
-            M = tuple(rng.getrandbits(1) for _ in range(width))
+        sk = tuple(rng.getrandbits(1) for _ in range(key_bits))
+        M = tuple(rng.getrandbits(1) for _ in range(width))
+        if key_bits == se_key_bits(width):
+            se = SECircuit(width)
             assert se_enc(sk, M) == ref_se_enc(sk, M) == simulate(se.gates, sk + M)
             assert se_dec(sk, M) == ref_se_dec(sk, M)
+            continue
+        with pytest.raises(SymError):
+            se_enc(sk, M)
+        with pytest.raises(SymError):
+            se_dec(sk, M)
+    w = 4
+    with pytest.raises(SymError, match=f"{ROUNDS} chunks"):
+        _feistel(_Ints(w), [0] * (key_bits // w), 0, 0)
 
 
 def test_se_circuit_is_named_by_its_sizes():
-    se = SECircuit(SE_KEY_BITS, 8)
-    assert se.name == "se-feistel-v2:16,8"
-    assert se.n_inputs == 24
-    assert SECircuit(16, 8) == se and SECircuit(16, 10) != se
+    # the key size is the circuit's rule, ROUNDS chunks of half a block
+    se = SECircuit(8)
+    assert se.name == "se-feistel-v3:8"
+    assert se.key_bits == 32 and se.n_inputs == 40
+    assert SECircuit(8) == se and SECircuit(10) != se
 
 
 @pytest.mark.parametrize("width", [4, 8, 16])
@@ -128,9 +140,9 @@ def test_transparent_checker_value_is_the_gate_list_evaluated(width):
     class PP:
         hpk = keys.hpk
 
-    se = SECircuit(SE_KEY_BITS, width)
+    se = SECircuit(width)
     for _ in range(30):
-        sk = se_keygen(SE_KEY_BITS, rng)
+        sk = se_keygen(se.key_bits, rng)
         M = tuple(rng.getrandbits(1) for _ in range(width))
         ct_sk, p = he.enc_word(keys.hpk, sk, rng), he.enc_word(keys.hpk, M, rng)
         y = checker_value(PP, ct_sk, p)
@@ -143,14 +155,61 @@ def test_transparent_checker_value_is_the_gate_list_evaluated(width):
 def test_eval_named_runs_the_gate_list_on_integer_she():
     rng = random.Random(17)
     keys = he.keygen(16, "integer-she", rng=rng)
-    se = SECircuit(SE_KEY_BITS, 8)
-    sk = se_keygen(SE_KEY_BITS, rng)
-    M = tuple(rng.getrandbits(1) for _ in range(8))
-    word = he.enc_word(keys.hpk, sk + M, rng)
-    assert he.eval_named(keys.hpk, se, word) == he.eval_word(keys.hpk, se.gates, word)
-    assert he.dec_word(keys.hsk, he.eval_named(keys.hpk, se, word)) == se_enc(sk, M)
-    with pytest.raises(he.HeError):
-        he.eval_named(keys.hpk, se, he.cut_word(keys.hpk, word, 1))
+    for width in (8, 16):
+        se = SECircuit(width)
+        sk = se_keygen(se.key_bits, rng)
+        M = tuple(rng.getrandbits(1) for _ in range(width))
+        word = he.enc_word(keys.hpk, sk + M, rng)
+        out = he.eval_named(keys.hpk, se, word)
+        assert out == he.eval_word(keys.hpk, se.gates, word)
+        assert he.dec_word(keys.hsk, out) == se_enc(sk, M)
+        with pytest.raises(he.HeError):
+            he.eval_named(keys.hpk, se, he.cut_word(keys.hpk, word, 1))
+
+
+def consistent_key(rng, w, x, c):
+    """A key drawn uniformly among the keys that encrypt the block x to c:
+    its first ROUNDS - 2 chunks at random, the last two solved for. After
+    round ROUNDS - 2 the halves are (L, R); the last two rounds must give
+    (cl, cr), c's halves, so R' = cl and the two round keys follow."""
+    ops, s = _Ints(w), max(2, w // 2)
+
+    def f(v):  # the round function before its round key
+        return ops.rot(v, 1) & ops.rot(v, s) ^ ops.rot(v, 2)
+
+    m = sum(b << j for j, b in enumerate(x))
+    L, R = m & ((1 << w) - 1), m >> w
+    chunks = [rng.getrandbits(w) for _ in range(ROUNDS - 2)]
+    for i, chunk in enumerate(chunks):
+        L, R = R, L ^ f(R) ^ chunk ^ _round_constant(i, w)
+    c_int = sum(b << j for j, b in enumerate(c))
+    cl, cr = c_int & ((1 << w) - 1), c_int >> w
+    chunks.append(L ^ f(R) ^ cl ^ _round_constant(ROUNDS - 2, w))
+    chunks.append(R ^ f(cl) ^ cr ^ _round_constant(ROUNDS - 1, w))
+    key = sum(chunk << (i * w) for i, chunk in enumerate(chunks))
+    return tuple(key >> j & 1 for j in range(ROUNDS * w))
+
+
+def test_one_known_pair_rarely_opens_a_chosen_false_answer():
+    # a developer that knows a slice x and its encryption c under the
+    # round's key, but not the key itself, takes a key among those that map
+    # x to c and opens its false claim x2 as x2's encryption under that key;
+    # the verifier decrypts the opening under the true key. With the key
+    # unfolded, 2^(6w) keys fit the pair, and on 8-bit slices the opening
+    # decrypts to x2 about as often as a guess of the block, 2^-8. A key
+    # folded to w bits opened it in 291 of 300 cases
+    rng = random.Random(2113)
+    width, trials, opened = 8, 3000, 0
+    for _ in range(trials):
+        k = se_keygen(se_key_bits(width), rng)
+        x, x2 = rng.sample(range(1 << width), 2)
+        x, x2 = (tuple(v >> j & 1 for j in range(width)) for v in (x, x2))
+        c = se_enc(k, x)
+        forged = consistent_key(rng, width // 2, x, c)
+        assert se_enc(forged, x) == c
+        opened += se_dec(k, se_enc(forged, x2)) == x2
+    print(f"forged openings: {opened}/{trials}")
+    assert opened * 32 <= trials
 
 
 def test_keygen():
@@ -165,20 +224,20 @@ def test_keygen():
 def test_round_trip():
     rng = random.Random(2)
     for width in (8, 16):
-        sk = se_keygen(16, rng)
+        sk = se_keygen(se_key_bits(width), rng)
         for _ in range(300):
             M = tuple(rng.getrandbits(1) for _ in range(width))
             assert se_dec(sk, se_enc(sk, M)) == M
 
 
 def test_deterministic():
-    sk = se_keygen(16, random.Random(3))
+    sk = se_keygen(se_key_bits(8), random.Random(3))
     M = (1, 0, 1, 1, 0, 0, 1, 0)
     assert se_enc(sk, M) == se_enc(sk, M)
 
 
 def test_permutation_exhaustive_8bit():
-    sk = se_keygen(16, random.Random(4))
+    sk = se_keygen(se_key_bits(8), random.Random(4))
     images = {se_enc(sk, tuple((v >> i) & 1 for i in range(8))) for v in range(256)}
     assert len(images) == 256
 
@@ -190,38 +249,39 @@ def test_width_checks():
     with pytest.raises(SymError):
         se_enc(sk, (1, 0))  # too narrow
     with pytest.raises(SymError):
-        SECircuit(16, 7)
+        SECircuit(7)
     with pytest.raises(SymError):
-        SECircuit(16, 2)
+        SECircuit(2)
 
 
 def test_circuit_matches_function():
     rng = random.Random(6)
     for width in (8, 16):
-        c = SECircuit(16, width).gates
+        c = SECircuit(width).gates
         for _ in range(100):
-            sk = se_keygen(16, rng)
+            sk = se_keygen(se_key_bits(width), rng)
             M = tuple(rng.getrandbits(1) for _ in range(width))
             assert simulate(c, sk + M) == se_enc(sk, M)
 
 
 def test_circuit_all_zero_consistency():
-    c = SECircuit(16, 8).gates
-    assert simulate(c, (0,) * 24) == se_enc((0,) * 16, (0,) * 8)
+    c = SECircuit(8).gates
+    assert simulate(c, (0,) * 40) == se_enc((0,) * 32, (0,) * 8)
 
 
 def test_circuit_depth_within_default_budget():
     budget = he.BackendConfig(kind="integer-she").depth_budget
     for width in (8, 16):
-        assert SECircuit(16, width).gates.mult_depth <= budget
+        # the key enters only through XOR: the depth is the rounds'
+        assert SECircuit(width).gates.mult_depth == ROUNDS <= budget
 
 
 def test_circuit_evaluates_homomorphically():
     # one round trip through the integer backend at full depth
     rng = random.Random(7)
     keys = he.keygen(16, "integer-she", rng=rng)
-    c = SECircuit(16, 8).gates
-    sk = se_keygen(16, rng)
+    c = SECircuit(8).gates
+    sk = se_keygen(se_key_bits(8), rng)
     M = tuple(rng.getrandbits(1) for _ in range(8))
     cts = he.enc_word(keys.hpk, sk + M, rng)
     out = he.eval_word(keys.hpk, c, cts)
@@ -234,7 +294,7 @@ def test_avalanche_smoke():
     trials = 300
     width = 16
     for _ in range(trials):
-        sk = se_keygen(16, rng)
+        sk = se_keygen(se_key_bits(width), rng)
         M = list(rng.getrandbits(1) for _ in range(width))
         base = se_enc(sk, tuple(M))
         i = rng.randrange(width)
