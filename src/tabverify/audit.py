@@ -91,12 +91,11 @@ class ReplayVerifier(Verifier):
         )
 
     def _session_key(self):
-        return tuple(self._recorded_bits(key, SESSION_SEED_BITS)
-                     for key in ("key_seed", "challenge_seed"))
+        return tuple(self._recorded_seed(key) for key in ("key_seed", "challenge_seed"))
 
-    def _recorded_bits(self, key, n):
+    def _recorded_seed(self, key):
         try:
-            return hex_bits(self.cert[key], n)
+            return hex_bits(self.cert[key], SESSION_SEED_BITS)
         except ProtocolError as exc:
             raise AuditError(f"$.{key}: {exc}") from None
 

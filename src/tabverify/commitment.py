@@ -17,19 +17,22 @@ half word one. The length bound on q does not depend on the block size,
 so larger blocks mean fewer of them; 16 bits would halve them again, but
 the distance check covers all 2^m_c - 1 nonzero codewords, and at 16 bits
 that costs each party tens of milliseconds in every set-up.
+
+Above he, an n-bit string is an int whose bit i is bit i of the string,
+and n comes from the caller: a challenge is a 2q-bit int, a block's data
+an m_c-bit int, a seed a COMMIT_SEED_BITS-bit int, and e and exposed
+q-bit ints.
 """
 
-import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 
-from .symcrypto import prg
-from .tables import int_to_bits
+from .symcrypto import SymError, prg
 
 EPSILON = (1, 4)  # relative distance target
 MAX_CODE_RETRIES = 64
+COMMIT_SEED_BITS = 16  # each commitment's PRG seed
 
 
 class CommitError(Exception):
@@ -46,26 +49,28 @@ class CodeSpec:
     d_min: int  # verified minimum distance
     seed: int  # regeneration seed, recorded for replay
 
-    def encode(self, bits):
-        if len(bits) != self.m_c:
-            raise CommitError(f"expected {self.m_c} data bits, got {len(bits)}")
+    def encode(self, data):
+        """The q-bit codeword of the m_c-bit data: the XOR of the rows at
+        data's ones."""
+        if data >> self.m_c:
+            raise CommitError(f"data sets a bit past its {self.m_c} bits")
         word = 0
-        for b, row in zip(bits, self.rows):
-            if b:
+        for i, row in enumerate(self.rows):
+            if data >> i & 1:
                 word ^= row
-        return int_to_bits(word, self.q)
+        return word
 
 
 @dataclass(frozen=True)
 class CommitMessage:
-    e: tuple  # q masked codeword bits
-    exposed: tuple  # q PRG bits at the challenge's zeros, in position order
+    e: int  # q masked codeword bits
+    exposed: int  # q PRG bits at the challenge's zeros, in position order
 
 
 @dataclass(frozen=True)
 class RevealMessage:
-    seed: tuple  # PRG seed bits
-    data: tuple  # the m_c committed bits
+    seed: int  # COMMIT_SEED_BITS PRG seed bits
+    data: int  # the m_c committed bits
 
 
 def required_length(m_c, eps, K):
@@ -103,48 +108,49 @@ def gen_code(m_c=8, eps=EPSILON, K=16, seed=0):
     raise CommitError("could not generate a code with the required distance")
 
 
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a challenge's complement
-_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def choose_challenge(q, rng):
-    """Uniform weight-q vector of length 2q. Position i starts as bit i of
-    2q random bits; then a uniform sample of the ones beyond q is cleared, or
-    of the zeros short of q set. Both steps commute with every permutation
-    of the positions, and the weight-q vectors are one orbit of those, so
-    each is equally likely. The sample is of about |weight - q| positions
-    (9 on average at q = 256), not of q."""
+    """Uniform weight-q vector of length 2q, as a 2q-bit int. Position i
+    starts as bit i of 2q random bits; then a uniform sample of the ones
+    beyond q is cleared, or of the zeros short of q set. Both steps commute
+    with every permutation of the positions, and the weight-q vectors are
+    one orbit of those, so each is equally likely. The sample is of about
+    |weight - q| positions (9 on average at q = 256), not of q."""
     n = 2 * q
-    R = bytearray(format(rng.getrandbits(n), f"0{n}b")[::-1].encode("ascii")
-                  .translate(_DIGIT_BITS))
-    excess = R.count(1) - q
+    R = rng.getrandbits(n)
+    excess = R.bit_count() - q
     if excess:
-        pool = R if excess > 0 else R.translate(_FLIP)
-        for i in rng.sample(list(itertools.compress(range(n), pool)), abs(excess)):
-            R[i] ^= 1
-    return tuple(R)
+        digit = "1" if excess > 0 else "0"  # the positions to sample from
+        pool = [i for i, c in enumerate(format(R, f"0{n}b")[::-1]) if c == digit]
+        for i in rng.sample(pool, abs(excess)):
+            R ^= 1 << i
+    return R
 
 
-def _check_challenge(R, q):
-    """R as one byte per bit, once it is checked to be 2q bits of weight q."""
-    try:
-        r = bytes(R)
-    except (TypeError, ValueError):  # an entry that is no int in 0..255
-        raise CommitError("challenge must be bits") from None
-    if len(r) != 2 * q or r.count(1) != q or r.count(0) != q:
-        raise CommitError("challenge must be 2q bits of weight q")
-    return r
+_AT_ONES = str.maketrans("13", "01", "02")  # hex digit 2s + r to s, where r = 1
+_AT_ZEROS = str.maketrans("02", "01", "13")  # and where r = 0
+
+
+def _split(stream, R, n):
+    """The bits of the n-bit stream at R's one-positions and at its
+    zero-positions, each in position order, as two ints. A number's binary
+    digits read as hex put its bit i at hex digit i, so hex digit i of the
+    sum below is 2 * stream's bit i + R's bit i."""
+    spread = int(format(stream, "b"), 16) * 2 + int(format(R, "b"), 16)
+    digits = format(spread, f"0{n}x")
+    return int(digits.translate(_AT_ONES), 2), int(digits.translate(_AT_ZEROS), 2)
 
 
 def commit_respond(D, R, s, code):
-    """Committer's message: the codeword masked by the stream at R's
-    one-positions, and the stream at its zero-positions exposed."""
-    r = _check_challenge(R, code.q)
-    stream = prg(s, 2 * code.q)
-    mask = itertools.compress(stream, r)
-    e = tuple(map(operator.xor, code.encode(tuple(D)), mask))
-    exposed = tuple(itertools.compress(stream, r.translate(_FLIP)))
-    return CommitMessage(e=e, exposed=exposed)
+    """Committer's message for the data D under the challenge R and the
+    seed s: the codeword masked by the stream at R's one-positions, and the
+    stream at its zero-positions exposed. CommitError unless R is 2q bits
+    of weight q and D is m_c bits; SymError unless s is COMMIT_SEED_BITS
+    bits."""
+    n = 2 * code.q
+    if R >> n or R.bit_count() != code.q:
+        raise CommitError("challenge must be 2q bits of weight q")
+    mask, exposed = _split(prg(s, COMMIT_SEED_BITS, n), R, n)
+    return CommitMessage(e=code.encode(D) ^ mask, exposed=exposed)
 
 
 def verify_reveal(commit, reveal, R, code):
@@ -152,19 +158,15 @@ def verify_reveal(commit, reveal, R, code):
     exactly the commit message: the commit rule rerun, not restated."""
     try:
         expect = commit_respond(reveal.data, R, reveal.seed, code)
-    except CommitError:  # a malformed challenge or data of the wrong length
+    except (CommitError, SymError):  # a malformed challenge, data or seed
         return False
-    return (tuple(commit.e), tuple(commit.exposed)) == (expect.e, expect.exposed)
+    return (commit.e, commit.exposed) == (expect.e, expect.exposed)
 
 
 # --- multi-block commitments --------------------------------------------------
 
 
-def split_blocks(bits, m_c):
-    bits = tuple(int(b) for b in bits)
-    blocks = []
-    for i in range(0, len(bits), m_c):
-        chunk = bits[i : i + m_c]
-        blocks.append(chunk + (0,) * (m_c - len(chunk)))
-    return blocks
-
+def split_blocks(value, n, m_c):
+    """The n-bit value as ceil(n / m_c) blocks of m_c bits, the last one
+    padded with zeros: block k holds bits k * m_c to (k + 1) * m_c - 1."""
+    return [value >> i & ((1 << m_c) - 1) for i in range(0, n, m_c)]

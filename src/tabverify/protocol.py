@@ -30,15 +30,15 @@ only the canonical spelling of a word of the key pair, which he.check_word
 checks once. Words are cut and joined by ciphertext index with
 he.cut_word and he.join_words, never by byte arithmetic here.
 
-Every bit string is hex on the wire and in the certificate: a q1's u, a q2
-answer's payload, a checker round's d, each commitment block's e, exposed,
-seed and data, on the wire each challenge R, and the disclosed key seed
-and challenge seed. Bit i of the string is bit i of an integer written as
-exactly ceil(n / 4) lowercase hex digits, the most significant first.
-bits_hex writes it and hex_bits, told n by every caller, reads it and
-refuses any other spelling, so that each recorded string has one
-spelling: the audit hands recorded openings into the rebuilt certificate
-unchanged. The checker value is the SE circuit named by its block width
+Above he, an n-bit string is an int whose bit i is bit i of the string,
+and n comes from the caller: a q1's u, a q2 answer's payload, a checker
+round's d, every commitment field and challenge, the two session seeds
+and the developer's plaintext memory. On the wire and in the certificate
+it is exactly ceil(n / 4) lowercase hex digits, the most significant
+first: bits_hex writes it, and hex_bits reads it back and refuses any
+other spelling, so that each recorded string has one spelling (the audit
+hands recorded openings into the rebuilt certificate unchanged). The
+checker value is the SE circuit named by its block width
 (symcrypto.SECircuit) evaluated under he. The verifier draws each round's
 key from its key seed (checker_key) and each block's challenge from its
 challenge seed; the certificate records neither, only the two seeds, from
@@ -60,6 +60,8 @@ from . import he
 from .channel import ChannelError, LoopbackChannel, canonical_json, make_frame
 from .circuit import UniversalCircuit, budget_for, compile_table, encode_program
 from .commitment import (
+    COMMIT_SEED_BITS,
+    CommitError,
     choose_challenge,
     commit_respond,
     gen_code,
@@ -73,19 +75,17 @@ from .symcrypto import SECircuit, block_width_ok, se_dec, se_key_bits, se_keygen
 from .tables import (
     INPUT,
     Tagged,
-    bits_to_int,
     bits_uint,
     evaluate_plain,
     int_to_bits,
     sibling_group,
-    tagged_to_bits,
+    tagged_word,
     transform,
 )
 from .vga import generate_suite, input_key
 
 CERT_VERSION = 9  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
-COMMIT_SEED_BITS = 16  # each commitment seed; SE keys are se_key_bits wide
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
@@ -104,19 +104,17 @@ class ProtocolError(Exception):
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
-def bits_hex(bits):
-    """The hex spelling of n bits, each read by its truth: bit i of the
-    string is bit i of an integer, written as exactly ceil(n / 4) lowercase
-    hex digits, the most significant first."""
-    digits = -(-len(bits) // 4)
-    return format(bits_uint(bits) | 1 << 4 * digits, "x")[1:]  # past a leading 1
+def bits_hex(value, n):
+    """The hex spelling of the n-bit string value: exactly ceil(n / 4)
+    lowercase hex digits, the most significant first."""
+    return format(value | 1 << 4 * -(-n // 4), "x")[1:]  # past a leading 1
 
 
 def hex_bits(text, n):
-    """The n bits that text spells: the inverse of bits_hex. ProtocolError
-    unless text is a str of exactly ceil(n / 4) digits from 0-9a-f whose
-    bits at n and above are clear, so that each bit string has one
-    spelling."""
+    """The n-bit string that text spells, as an int: the inverse of
+    bits_hex. ProtocolError unless text is a str of exactly ceil(n / 4)
+    digits from 0-9a-f whose bits at n and above are clear, so that each
+    bit string has one spelling."""
     if not isinstance(text, str):
         raise ProtocolError(f"a bit string must be hex text, not {type(text).__name__}")
     digits = -(-n // 4)
@@ -125,7 +123,7 @@ def hex_bits(text, n):
     value = int(text, 16) if text else 0
     if value >> n:
         raise ProtocolError(f"a {n}-bit string sets a bit past its {n} bits")
-    return int_to_bits(value, n)
+    return value
 
 
 def cts_b64(word):
@@ -161,10 +159,11 @@ def b64_cts(text, hpk, n=None):
     return word
 
 
-def payload_to_value(bits, ptype):
+def payload_to_value(value, h, ptype):
+    """The value of an h-bit payload: bit 0 for a bool, two's complement for an int."""
     if ptype == "bool":
-        return bool(bits[0])
-    return bits_to_int(bits)
+        return bool(value & 1)
+    return value - (value >> (h - 1) << h)
 
 
 # --- the values both parties compute from a query -------------------------------
@@ -185,24 +184,24 @@ def checker_slice(word, case, h, hpk=None):
     """The part of an answered word that a checker round of this case
     covers: all of a q1 word, the tag half of an intermediate q2 word, the
     payload half of an external one. word is a ciphertext word under hpk,
-    or its bits when hpk is None."""
+    or its plaintext when hpk is None."""
     if case == "input":
         return word
     start, stop = (0, h) if case == "intermediate" else (h, None)
     if hpk is None:
-        return word[start:stop]
+        return word >> start & ((1 << h) - 1)
     return he.cut_word(hpk, word, start, stop)
 
 
 def checker_key(keys, hpk, width):
-    """The SE key of one checker round on a slice of width bits, as bits,
-    and its word under hpk: se_key_bits(width) bits drawn from the key
-    stream keys, then encrypted with nonces from the same stream. The
-    verifier draws one for every round it runs; the auditor draws them
-    again from the disclosed key seed, and the simulation oracle from the
-    seed it is told."""
-    sk = se_keygen(se_key_bits(width), keys)
-    return sk, he.enc_word(hpk, sk, keys)
+    """The SE key of one checker round on a slice of width bits, and its
+    word under hpk: se_key_bits(width) bits drawn from the key stream keys,
+    then encrypted with nonces from the same stream. The verifier draws one
+    for every round it runs; the auditor draws them again from the key
+    seed, and the simulation oracle from the seed it is told."""
+    k = se_key_bits(width)
+    sk = se_keygen(k, keys)
+    return sk, he.enc_word(hpk, int_to_bits(sk, k), keys)
 
 
 def checker_value(pp, ct_sk, p):
@@ -428,9 +427,9 @@ def table_circuits(tg):
 
 @dataclass
 class _SessionMem:
-    # each answered word as (ciphertext word, plaintext bits)
-    q1: dict = field(default_factory=dict)  # (i, port) -> (w, u_bits)
-    q2: dict = field(default_factory=dict)  # i -> (v, output bits)
+    # each answered word as (ciphertext word, its plaintext)
+    q1: dict = field(default_factory=dict)  # (i, port) -> (w, u)
+    q2: dict = field(default_factory=dict)  # i -> (v, output)
     pending: dict = field(default_factory=dict)  # checker subprotocol state
     swap_held: object = None  # previous answer, for the swap strategy
 
@@ -530,12 +529,10 @@ class Developer:
             u = hex_bits(body.get("u"), m)
         except ProtocolError:
             return {"answer": {"kind": NULL}}
-        if u[:h] != int_to_bits(1, h):
+        if u & ((1 << h) - 1) != 1:  # the tag half of a top value
             return {"answer": {"kind": NULL}}
-        encoded = u
-        if self.strategy == "flip-payload":
-            encoded = u[:h] + (u[h] ^ 1,) + u[h + 1 :]
-        w = he.enc_word(self.hpk, encoded, self.rng)
+        encoded = u ^ 1 << h if self.strategy == "flip-payload" else u
+        w = he.enc_word(self.hpk, int_to_bits(encoded, m), self.rng)
         self.mem.q1[(i, port)] = (w, u)
         return {"answer": {"kind": "w", "w": cts_b64(w)}}
 
@@ -553,22 +550,22 @@ class Developer:
         except ProtocolError:
             return {"answer": {"kind": NULL}}
 
-        u_plain = []
+        u_plain = 0
         for j, feed in enumerate(feeds):
             segment = he.cut_word(self.hpk, u_word, j * m, (j + 1) * m)
             word = self._produced_word(i, j, feed, segment)
             if word is None:
                 return {"answer": {"kind": NULL}}
-            u_plain.extend(word)
+            u_plain |= word << j * m
 
         if table_step(self.pp, i, u_word) != v_word:
             return {"answer": {"kind": NULL}}
 
         out = self._open_output(i, v_word, u_plain)
-        if not any(out[:h]):
+        if not out & ((1 << h) - 1):
             honest = {"kind": BOT}
         elif external:
-            honest = {"kind": "payload", "payload": bits_hex(out[h:])}
+            honest = {"kind": "payload", "payload": bits_hex(out >> h, h)}
         else:
             honest = {"kind": TOP}
         self.mem.q2[i] = (v_word, out)
@@ -585,21 +582,22 @@ class Developer:
             prior = self.mem.q2.get(ref)
             if prior is not None and prior[0] == segment:
                 # a producing output that decrypts to bot feeds nothing
-                return prior[1] if any(prior[1][:h]) else None
+                return prior[1] if prior[1] & ((1 << h) - 1) else None
         return None
 
     def _open_output(self, i, v_word, u_plain):
         """Plaintext output word of table i, whose inputs are u_plain."""
-        return he.dec_word(self.hsk, v_word)
+        return bits_uint(he.dec_word(self.hsk, v_word))
 
-    def _open_checker(self, y, slice_plain):
-        """The value y decrypts to: the verifier's SE encryption of slice_plain."""
-        return he.dec_word(self.hsk, y)
+    def _open_checker(self, y, slice_plain, width):
+        """The value y decrypts to: the SE encryption of the slice."""
+        return bits_uint(he.dec_word(self.hsk, y))
 
     def _apply_strategy(self, honest):
         if self.strategy == "flip-payload" and honest["kind"] == "payload":
-            bits = hex_bits(honest["payload"], self.pp.m // 2)
-            return {"kind": "payload", "payload": bits_hex((bits[0] ^ 1,) + bits[1:])}
+            h = self.pp.m // 2
+            return {"kind": "payload",
+                    "payload": bits_hex(hex_bits(honest["payload"], h) ^ 1, h)}
         if self.strategy == "flip-tag" and honest["kind"] in (TOP, BOT):
             return {"kind": BOT if honest["kind"] == TOP else TOP}
         if self.strategy == "swap-answers":
@@ -623,16 +621,18 @@ class Developer:
             known = self.mem.q2.get(i)
         else:
             return {"result": NULL}
+        width = he.check_word(self.hpk, p)
         # SE encrypts the slice as one block: an even width of 4 or more bits
         if (known is None or checker_slice(known[0], case, h, self.hpk) != p
-                or len(y) != len(p) or not block_width_ok(he.check_word(self.hpk, p))):
+                or len(y) != len(p) or not block_width_ok(width)):
             return {"result": NULL}
-        d_bits = self._open_checker(y, checker_slice(known[1], case, h))
+        d = self._open_checker(y, checker_slice(known[1], case, h), width)
         self.mem.pending = {
-            "d": d_bits,
+            "d": d,
+            "width": width,
             "p": p,
             "y": y,
-            "blocks": split_blocks(d_bits, self.code.m_c),
+            "blocks": split_blocks(d, width, self.code.m_c),
             "seeds": None,
         }
         return {"blocks": len(self.mem.pending["blocks"])}
@@ -643,8 +643,9 @@ class Developer:
             return {"result": NULL}
         if not isinstance(body.get("Rs"), list):
             return {"result": NULL}
+        q = self.code.q
         try:
-            rs = [hex_bits(r, 2 * self.code.q) for r in body["Rs"]]
+            rs = [hex_bits(r, 2 * q) for r in body["Rs"]]
         except ProtocolError:
             return {"result": NULL}
         if len(rs) != len(pending["blocks"]):
@@ -654,10 +655,10 @@ class Developer:
             s = se_keygen(COMMIT_SEED_BITS, self.rng)
             try:
                 cm = commit_respond(blk, R, s, self.code)
-            except Exception:
+            except CommitError:  # hex_bits fixed R's length: a wrong weight
                 return {"result": NULL}
             seeds.append(s)
-            out.append({"e": bits_hex(cm.e), "exposed": bits_hex(cm.exposed)})
+            out.append({"e": bits_hex(cm.e, q), "exposed": bits_hex(cm.exposed, q)})
         pending["seeds"] = seeds
         return {"blocks": out}
 
@@ -666,7 +667,7 @@ class Developer:
         if not pending or pending.get("seeds") is None:
             return {"result": NULL}
         self.mem.pending = {}
-        width = he.check_word(self.hpk, pending["p"])
+        width = pending["width"]
         try:
             ct_sk = b64_cts(body.get("ct_sk"), self.hpk, se_key_bits(width))
         except ProtocolError:
@@ -674,10 +675,10 @@ class Developer:
         if checker_value(self.pp, ct_sk, pending["p"]) != pending["y"]:
             return {"result": NULL}
         reveals = [
-            {"seed": bits_hex(s), "data": bits_hex(d)}
+            {"seed": bits_hex(s, COMMIT_SEED_BITS), "data": bits_hex(d, self.code.m_c)}
             for s, d in zip(pending["seeds"], pending["blocks"])
         ]
-        return {"d": bits_hex(pending["d"]), "reveals": reveals}
+        return {"d": bits_hex(pending["d"], width), "reveals": reveals}
 
     # frame type -> answer method: the only frames a session carries
     ANSWERS = {
@@ -803,8 +804,8 @@ class Verifier:
         self.code = gen_code()
         if mode == "general":
             self.key_seed, self.challenge_seed = self._session_key()
-            self.keys = random.Random(bits_uint(self.key_seed))
-            self.challenges = random.Random(bits_uint(self.challenge_seed))
+            self.keys = random.Random(self.key_seed)
+            self.challenges = random.Random(self.challenge_seed)
         else:
             self.key_seed = self.challenge_seed = self.keys = self.challenges = None
         self.qa_e = []
@@ -814,10 +815,9 @@ class Verifier:
     # -- hooks (with _opening, under the checker round)
 
     def _session_key(self):
-        """The session secrets, as bits: the key seed, of every checker
-        round's key, and the challenge seed, of every challenge."""
-        return tuple(int_to_bits(self.rng.getrandbits(SESSION_SEED_BITS),
-                                 SESSION_SEED_BITS) for _ in range(2))
+        """The session secrets: the key seed, of every checker round's key,
+        and the challenge seed, of every challenge."""
+        return tuple(self.rng.getrandbits(SESSION_SEED_BITS) for _ in range(2))
 
     def _ask(self, chan, ftype, body):
         """The body of the developer's reply; {} when it is not a dict."""
@@ -848,7 +848,7 @@ class Verifier:
     def _well_formed(self, q, answer):
         """Whether an encode answer to the query q has the fields its kind
         needs, in shape; the one check on them. A payload spells h bits, and
-        a bool payload only bit 0, as tagged_to_bits writes a bool. An
+        a bool payload only bit 0, as tagged_word writes a bool. An
         answer that fails it gives None and counts as null; one that passes
         gives its w decoded, or b"" when it has no w."""
         qkind = q["qkind"]
@@ -859,8 +859,8 @@ class Verifier:
             if qkind == 1 and kind == "w":
                 return b64_cts(answer.get("w"), self.pp.hpk, self.pp.m)
             if qkind == 2 and kind == "payload":
-                bits = hex_bits(answer.get("payload"), self.pp.m // 2)
-                if self.payload_types.get(q["i"]) != "bool" or not any(bits[1:]):
+                payload = hex_bits(answer.get("payload"), self.pp.m // 2)
+                if self.payload_types.get(q["i"]) != "bool" or not payload >> 1:
                     return b""
         except ProtocolError:
             pass
@@ -920,13 +920,14 @@ class Verifier:
         }
         if self.mode == "general":
             cert["qa_c"] = self.qa_c
-            cert["key_seed"] = bits_hex(self.key_seed)
-            cert["challenge_seed"] = bits_hex(self.challenge_seed)
+            cert["key_seed"] = bits_hex(self.key_seed, SESSION_SEED_BITS)
+            cert["challenge_seed"] = bits_hex(self.challenge_seed, SESSION_SEED_BITS)
         cert["binding"] = session_binding(cert)
         return verdict, cert
 
     def _eval_encrypted(self, chan, X):
         m = self.pp.m
+        h = m // 2
         # per table, as a Tagged value or None for null: what it feeds its
         # consumers (top and payload answers fire, carrying the output
         # ciphertexts) and what it gives an output port (only payload
@@ -940,11 +941,9 @@ class Verifier:
                     value = X[feed]
                     if self.input_types[feed] == "bool":  # as the plaintext spec reads it
                         value = bool(value)
-                    u_bits = tagged_to_bits(Tagged(True, value), m)
+                    u = bits_hex(tagged_word(Tagged(True, value), m), m)
                     ans, w = self._encode_query(
-                        chan,
-                        {"i": i, "qkind": 1, "port": pos, "u": bits_hex(u_bits)},
-                    )
+                        chan, {"i": i, "qkind": 1, "port": pos, "u": u})
                     if ans["kind"] != "w":
                         self.failures.append({"reason": "q1-null", "i": i})
                         break
@@ -984,8 +983,7 @@ class Verifier:
             elif not tops:
                 outputs[name] = BOT
             elif len(tops) == 1:
-                outputs[name] = payload_to_value(hex_bits(tops[0].payload, m // 2),
-                                                 ptype)
+                outputs[name] = payload_to_value(hex_bits(tops[0].payload, h), h, ptype)
             else:
                 self.failures.append({"reason": "ambiguous-output", "port": name})
                 outputs[name] = None
@@ -999,7 +997,7 @@ class Verifier:
         kind = answer["kind"]
         if kind == "payload":
             return "external", None, hex_bits(answer["payload"], h)
-        return "intermediate", None, int_to_bits(int(kind == TOP), h)
+        return "intermediate", None, int(kind == TOP)
 
     def _checker_round(self, chan, q, answer, word):
         """Pin an encode answer down; whether the revealed value decrypts
@@ -1014,7 +1012,7 @@ class Verifier:
         # auditor draws the same ones
         sk, ct_sk = checker_key(self.keys, self.pp.hpk, width)
         rs = [choose_challenge(self.code.q, self.challenges)
-              for _ in split_blocks((0,) * width, self.code.m_c)]
+              for _ in range(-(-width // self.code.m_c))]
         y = checker_value(self.pp, ct_sk, p)
         body = {"i": q["i"], "case": case, "port": port, "p": cts_b64(p),
                 "y": cts_b64(y)}
@@ -1026,7 +1024,7 @@ class Verifier:
             return False
         record["a"]["d"] = d
         record["s"]["blocks"] = blocks
-        return se_dec(sk, hex_bits(d, width)) == tuple(expected)
+        return se_dec(sk, hex_bits(d, width), width) == expected
 
     def _opening(self, chan, body, width, rs, ct_sk):
         """Run the commit-and-reveal exchange for one checker query under
@@ -1037,7 +1035,8 @@ class Verifier:
         n = len(rs)
         if _int(r.get("blocks")) != n:
             return None, None
-        c = self._ask(chan, "commit_challenge", {"Rs": [bits_hex(R) for R in rs]})
+        c = self._ask(chan, "commit_challenge",
+                      {"Rs": [bits_hex(R, 2 * self.code.q) for R in rs]})
         commits = c.get("blocks")
         if not isinstance(commits, list) or len(commits) != n:
             return None, None
@@ -1067,7 +1066,7 @@ class Verifier:
         them again."""
         q, m_c = self.code.q, self.code.m_c
         try:
-            data_blocks = split_blocks(hex_bits(d, width), m_c)
+            data_blocks = split_blocks(hex_bits(d, width), width, m_c)
             if len(blocks) != len(data_blocks):
                 return False
             for blk, R, want_data in zip(blocks, rs, data_blocks):

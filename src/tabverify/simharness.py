@@ -32,7 +32,7 @@ from .protocol import (
     verify_session,
 )
 from .symcrypto import se_enc
-from .tables import Table, TableGraph, bits_uint, transform
+from .tables import Table, TableGraph, bits_uint, int_to_bits, transform
 
 
 class OracleDeveloper(Developer):
@@ -59,14 +59,15 @@ class OracleDeveloper(Developer):
                 raise ValueError("answer graph has a different structure")
 
     def learn_key_seed(self, key_seed):
-        self.keys = random.Random(bits_uint(key_seed))
+        self.keys = random.Random(key_seed)
 
     def _open_output(self, i, v_cts, u_plain):
-        return simulate(self.answer_circuits[i], u_plain)
+        c = self.answer_circuits[i]
+        return bits_uint(simulate(c, int_to_bits(u_plain, c.n_inputs)))
 
-    def _open_checker(self, y, slice_plain):
-        sk, _ = checker_key(self.keys, self.hpk, len(slice_plain))
-        return se_enc(sk, slice_plain)
+    def _open_checker(self, y, slice_plain, width):
+        sk, _ = checker_key(self.keys, self.hpk, width)
+        return se_enc(sk, slice_plain, width)
 
 
 def paired_session(graph, domains, dev_seed, v_seed, v_rng_seed, mode="general"):

@@ -22,6 +22,11 @@ evaluates it without building its gate list.
 
 The PRG is SHAKE128 (FIPS 202): output bit i is bit i % 8 of byte i // 8
 of the SHAKE128 output over the seed, one byte per seed bit.
+
+Above he, an n-bit string is an int whose bit i is bit i of the string,
+and n comes from the caller: se_enc and se_dec take the block's width,
+prg the seed's size. Only SECircuit.evaluate, at he.eval_named's
+boundary, and prg's hash input spell the bits out.
 """
 
 import functools
@@ -105,30 +110,25 @@ def _feistel(ops, key, L, R, decrypt=False):
     return L, R
 
 
-def _int_key(key, w):
-    """The w-bit chunks of a key given as bits, as ints; SymError when its
-    last chunk would be partial."""
-    if len(key) % w:
-        raise SymError(f"an SE key is whole chunks of {w} bits, got {len(key)} bits")
-    k = bits_uint(key)
-    return [k >> t & ((1 << w) - 1) for t in range(0, len(key), w)]
-
-
-def _block(key, bits, decrypt):
-    """se_enc, or se_dec when decrypt, of the bits of one block under key."""
-    w = _check_block(bits)
-    m = bits_uint(bits)
-    L, R = _feistel(_Ints(w), _int_key(key, w), m & ((1 << w) - 1), m >> w, decrypt)
-    return int_to_bits(L | R << w, 2 * w)
+def _block(key, m, width, decrypt):
+    """se_enc, or se_dec when decrypt, of the width-bit block m under key."""
+    _check_width(width)
+    if m >> width or key >> se_key_bits(width):
+        raise SymError(f"a block or key sets a bit past its size ({width}-bit blocks)")
+    w, mask = width // 2, (1 << width // 2) - 1
+    L, R = _feistel(_Ints(w), [key >> t & mask for t in range(0, ROUNDS * w, w)],
+                    m & mask, m >> w, decrypt)
+    return L | R << w
 
 
 # --- public SE interface -----------------------------------------------------
 
 
 def se_keygen(K, rng):
+    """A K-bit key whose bit i is the i-th of K one-bit draws from rng."""
     if K < 8:
         raise SymError("key size too small (need K >= 8)")
-    return tuple(rng.getrandbits(1) for _ in range(K))
+    return sum(rng.getrandbits(1) << i for i in range(K))
 
 
 def se_key_bits(width):
@@ -137,14 +137,15 @@ def se_key_bits(width):
     return ROUNDS * (width // 2)
 
 
-def se_enc(sk, M):
-    """Deterministic permutation of the |M|-bit block under sk, a key of
-    se_key_bits(|M|) bits."""
-    return _block(sk, M, False)
+def se_enc(sk, M, width):
+    """Deterministic permutation of the width-bit block M under sk, a key
+    of se_key_bits(width) bits; SymError when either sets a bit past its
+    size."""
+    return _block(sk, M, width, False)
 
 
-def se_dec(sk, C):
-    return _block(sk, C, True)
+def se_dec(sk, C, width):
+    return _block(sk, C, width, True)
 
 
 def block_width_ok(width):
@@ -155,14 +156,6 @@ def block_width_ok(width):
 def _check_width(width):
     if not block_width_ok(width):
         raise SymError(f"block width {width} unsupported (need even >= 4)")
-
-
-def _check_block(M):
-    """The half width w of the block M, once it is a block of bits."""
-    _check_width(len(M))
-    if not set(M) <= {0, 1}:
-        raise SymError("block must be bits")
-    return len(M) // 2
 
 
 @dataclass(frozen=True)
@@ -190,9 +183,11 @@ class SECircuit:
         return self.key_bits + self.width
 
     def evaluate(self, bits):
-        """se_enc of the message bits under the key bits, bits being the
-        key's then the message's."""
-        return se_enc(bits[:self.key_bits], bits[self.key_bits:])
+        """The bits of se_enc of the message under the key, bits being the
+        key's then the message's: he.eval_named's bits, read once into an
+        int and the result spelled out once."""
+        x, k = bits_uint(bits), self.key_bits
+        return int_to_bits(se_enc(x & ((1 << k) - 1), x >> k, self.width), self.width)
 
     @functools.cached_property
     def gates(self):
@@ -207,9 +202,12 @@ class SECircuit:
 # --- PRG -----------------------------------------------------------------------
 
 
-def prg(s, n):
-    """First n output bits for seed s; prefixes are consistent."""
+def prg(s, k, n):
+    """The first n output bits, as an int, for the k-bit seed s; prefixes
+    are consistent. SymError when s sets a bit past its k bits."""
     if n < 1:
         raise SymError("length must be positive")
-    out = hashlib.shake_128(bytes(int(b) for b in s)).digest((n + 7) // 8)
-    return int_to_bits(int.from_bytes(out, "little"), n)
+    if s >> k:
+        raise SymError(f"a {k}-bit seed sets a bit past its {k} bits")
+    out = hashlib.shake_128(bytes(int_to_bits(s, k))).digest((n + 7) // 8)
+    return int.from_bytes(out, "little") & ((1 << n) - 1)

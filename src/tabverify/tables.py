@@ -62,20 +62,11 @@ def bits_uint(bits):
     return int(bytes(bits).translate(_TRUTH)[::-1] or b"0", 2)
 
 
-def bits_to_int(bits):
-    """Signed integer from least-significant-first bits."""
-    v = sum(b << i for i, b in enumerate(bits))
-    if bits and bits[-1]:
-        v -= 1 << len(bits)
-    return v
-
-
-def tagged_to_bits(tv, m):
-    """Encode as m bits: tag half first (top = 1, bot = 0), then payload."""
+def tagged_word(tv, m):
+    """The m-bit word of a tagged value, as an int: the tag half first
+    (top = 1, bot = 0), then the payload, two's complement."""
     h = m // 2
-    tag_half = int_to_bits(1 if tv.tag else 0, h)
-    payload = int(tv.payload) if tv.tag else 0
-    return tag_half + int_to_bits(payload, h)
+    return 1 | (int(tv.payload) & ((1 << h) - 1)) << h if tv.tag else 0
 
 
 # --- tables and graphs ------------------------------------------------------

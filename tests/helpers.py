@@ -7,7 +7,7 @@ import random
 from tabverify.audit import json_leaves
 from tabverify.channel import canonical_json
 from tabverify.circuit import Circuit, CircuitError
-from tabverify.tables import BOT, Tagged, bits_to_int
+from tabverify.tables import BOT, Tagged, int_to_bits, tagged_word
 
 LINEAR_TTS = (0b0110, 0b1001, 0b0001, 0b0000, 0b1111)
 
@@ -62,8 +62,21 @@ def fresh_rng(seed):
     return random.Random(seed)
 
 
+def bits_to_int(bits):
+    """Signed integer from least-significant-first bits."""
+    v = sum(b << i for i, b in enumerate(bits))
+    if bits and bits[-1]:
+        v -= 1 << len(bits)
+    return v
+
+
+def tagged_to_bits(tv, m):
+    """The bits of tables.tagged_word, least significant first."""
+    return int_to_bits(tagged_word(tv, m), m)
+
+
 def bits_to_tagged(bits, ptype="int"):
-    """Inverse of tables.tagged_to_bits: tag half first, then the payload."""
+    """Inverse of tagged_to_bits: tag half first, then the payload."""
     h = len(bits) // 2
     if not any(bits[:h]):
         return BOT

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from helpers import mutate_certificate, scalar_leaves, simulate_batch
+from helpers import mutate_certificate, scalar_leaves, simulate_batch, tagged_to_bits
 from tabverify import audit as audit_mod
 from tabverify import he
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
@@ -51,7 +51,6 @@ from tabverify.tables import (
     bits_uint,
     evaluate_plain,
     int_to_bits,
-    tagged_to_bits,
     transform,
 )
 from tabverify.vga import coverage_report, input_key
@@ -153,7 +152,7 @@ def test_c3_every_ciphertext_decrypts_to_plaintext_trace():
                 port = dev.tg.tables[name].inputs[q["port"]][0]
                 src = dev.tg.producers[(name, port)][0][1]
                 u = tagged_to_bits(Tagged(True, X[src]), m)
-                assert hex_bits(q["u"], m) == u
+                assert int_to_bits(hex_bits(q["u"], m), m) == u
                 assert he.dec_word(dev.hsk, b64_cts(a["w"], dev.hpk)) == u
             else:
                 out = next(iter(trace[name]["outputs"].values()))
@@ -241,11 +240,12 @@ def test_c7_commitment_binding_and_honest_opening():
         D = tuple(rng.getrandbits(1) for _ in range(code.m_c))
         s = se_keygen(16, rng)
         R = choose_challenge(code.q, rng)
-        commit = commit_respond(D, R, s, code)
-        honest_ok += verify_reveal(commit, RevealMessage(seed=s, data=D), R, code)
+        commit = commit_respond(bits_uint(D), R, s, code)
+        honest_ok += verify_reveal(commit, RevealMessage(seed=s, data=bits_uint(D)),
+                                   R, code)
         D2 = list(D)
         D2[rng.randrange(code.m_c)] ^= 1
-        D2 = tuple(D2)
+        D2 = bits_uint(D2)
         for _ in range(10):
             s2 = se_keygen(16, rng)
             if verify_reveal(commit, RevealMessage(seed=s2, data=D2), R, code):
@@ -266,8 +266,8 @@ def test_c8_oracles_byte_identical_to_services():
     assert canonical_json(dev.pp.to_dict()) == canonical_json(orc.pp.to_dict())
     # every checker round has its own key, drawn from one key stream by
     # the oracle as here
-    key_seed = int_to_bits(random.Random(5).getrandbits(128), 128)
-    keys = random.Random(bits_uint(key_seed))
+    key_seed = random.Random(5).getrandbits(128)
+    keys = random.Random(key_seed)
     orc.learn_key_seed(key_seed)
     m = graph.m
     structure = dev.pp.to_dict()["structure"]
@@ -291,7 +291,7 @@ def test_c8_oracles_byte_identical_to_services():
         payload = tuple(rng.getrandbits(1) for _ in range(m // 2))
         u = (1,) + (0,) * (m // 2 - 1) + payload
         return pos, u, ask("encode", {"qkind": 1, "i": t["index"], "port": pos,
-                                      "u": bits_hex(u)}, pair)
+                                      "u": bits_hex(bits_uint(u), m)}, pair)
 
     for s in range(1000):
         rng = random.Random(8000 + s)
@@ -311,7 +311,7 @@ def test_c8_oracles_byte_identical_to_services():
                     payload = tuple(rng.getrandbits(1) for _ in range(m // 2))
                     u = (1,) + (0,) * (m // 2 - 1) + payload
                     a = ask("encode", {"qkind": 1, "i": t["index"], "port": pos,
-                                       "u": bits_hex(u)}, pair)
+                                       "u": bits_hex(bits_uint(u), m)}, pair)
                     words.append(b64_cts(a["answer"]["w"], dev.hpk))
                 u_word = he.join_words(dev.hpk, words)
                 v = table_step(dev.pp, t["index"], u_word)
@@ -328,8 +328,8 @@ def test_c8_oracles_byte_identical_to_services():
                 if "blocks" in r:
                     rs = [choose_challenge(dev.code.q, rng)
                           for _ in range(r["blocks"])]
-                    ask("commit_challenge", {"Rs": [bits_hex(R) for R in rs]},
-                        pair)
+                    ask("commit_challenge",
+                        {"Rs": [bits_hex(R, 2 * dev.code.q) for R in rs]}, pair)
                     ask("checker_proof", {"ct_sk": cts_b64(ct_sk)}, pair)
             else:
                 ask("encode", {"qkind": 1, "i": 999, "port": 0, "u": "01"}, pair)

@@ -29,7 +29,7 @@ from tabverify.demo import (
     diamond_graph,
 )
 from tabverify.graphtext import parse_graph
-from tabverify.tables import bits_uint
+from tabverify.tables import bits_uint, int_to_bits
 from tabverify.commitment import (
     CommitMessage,
     RevealMessage,
@@ -316,7 +316,7 @@ def drawn_challenges(cert):
     """Each checker record's challenges, one per block, drawn again from the
     certificate's challenge seed as the verifier draws them."""
     code = gen_code()
-    stream = random.Random(bits_uint(hex_bits(cert["challenge_seed"], 128)))
+    stream = random.Random(hex_bits(cert["challenge_seed"], 128))
     return [[choose_challenge(code.q, stream) for _ in rec["s"]["blocks"]]
             for rec in cert["qa_c"]]
 
@@ -330,22 +330,22 @@ def test_a_changed_challenge_that_still_opens_is_refused():
     # even one that still opens, is refused
     code = gen_code()
     for k, (rec, rs) in enumerate(zip(GENERAL_CERT["qa_c"], drawn_challenges(GENERAL_CERT))):
-        block, R = rec["s"]["blocks"][0], list(rs[0])
+        block, R = rec["s"]["blocks"][0], list(int_to_bits(rs[0], 2 * code.q))
         assert "R" not in block
         commit = CommitMessage(hex_bits(block["e"], code.q),
                                hex_bits(block["exposed"], code.q))
         reveal = RevealMessage(hex_bits(block["seed"], protocol.COMMIT_SEED_BITS),
                                hex_bits(block["data"], code.m_c))
-        assert verify_reveal(commit, reveal, tuple(R), code)
+        assert verify_reveal(commit, reveal, bits_uint(R), code)
         moves = [i for i in range(0, len(R), 2) if R[i] != R[i + 1]]
         for i in moves:
             moved = R[:i] + [R[i + 1], R[i]] + R[i + 2:]
-            if verify_reveal(commit, reveal, tuple(moved), code):
+            if verify_reveal(commit, reveal, bits_uint(moved), code):
                 break
         else:
             continue
         cert = copy.deepcopy(GENERAL_CERT)
-        cert["qa_c"][k]["s"]["blocks"][0]["R"] = bits_hex(moved)
+        cert["qa_c"][k]["s"]["blocks"][0]["R"] = bits_hex(bits_uint(moved), 2 * code.q)
         ok, report = audit(cert)
         assert ok == 0
         assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"

@@ -4,8 +4,9 @@ Each reference below is the earlier per-bit definition, or for the hex
 spelling of bit strings a digit-at-a-time one. Certificates for fixed seeds
 depend on these exact bits, and on which spellings are refused, so the
 helpers must agree with the references everywhere, not only on the golden
-seeds. Tests named for str_bits and bits_str cover the reading and writing
-of bit strings, which hex_bits and bits_hex do since certificate format v8.
+seeds. The helpers take and return an n-bit string as an int; the
+references work bit by bit, so each comparison spells the int out with
+int_to_bits(value, n).
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from hypothesis import given, strategies as st
 from tabverify.commitment import choose_challenge, commit_respond, gen_code
 from tabverify.protocol import ProtocolError, bits_hex, hex_bits
 from tabverify.symcrypto import prg
-from tabverify.tables import int_to_bits
+from tabverify.tables import bits_uint, int_to_bits
 
 CODE = gen_code(m_c=4, eps=(1, 4), K=16, seed=0)
 
@@ -81,21 +82,23 @@ def ref_commit_respond(D, R, s, code):
 
 
 @given(st.lists(st.integers(0, 1), max_size=600))
-def test_str_bits_and_bits_str_match_the_reference(bits):
-    s = bits_hex(bits)
+def test_hex_bits_and_bits_hex_match_the_reference(bits):
+    n = len(bits)
+    s = bits_hex(bits_uint(bits), n)
     assert s == ref_bits_hex(bits)
-    assert hex_bits(s, len(bits)) == tuple(bits) == ref_hex_bits(s, len(bits))
+    assert int_to_bits(hex_bits(s, n), n) == tuple(bits) == ref_hex_bits(s, n)
 
 
 @given(st.lists(st.sampled_from([0, 1, False, True, 2, 255]), max_size=100))
-def test_bits_str_reads_each_bit_by_truth(bits):
-    assert bits_hex(bits) == ref_bits_hex(bits)
-    assert bits_hex(tuple(bits)) == ref_bits_hex(bits)
+def test_bits_hex_reads_each_bit_by_truth(bits):
+    # bits_uint reads each item by its truth, as the reference does
+    assert bits_hex(bits_uint(bits), len(bits)) == ref_bits_hex(bits)
+    assert bits_hex(bits_uint(tuple(bits)), len(bits)) == ref_bits_hex(bits)
 
 
-def test_str_bits_of_the_empty_string():
-    assert hex_bits("", 0) == ()
-    assert bits_hex(()) == ""
+def test_hex_bits_of_the_empty_string():
+    assert hex_bits("", 0) == 0
+    assert bits_hex(0, 0) == ""
     with pytest.raises(ProtocolError):
         hex_bits("", 1)
 
@@ -119,8 +122,8 @@ def test_hex_bits_on_fuzzed_strings(text, n):
         with pytest.raises(ProtocolError):
             hex_bits(text, n)
     else:
-        assert hex_bits(text, n) == want
-        assert bits_hex(want) == text
+        assert int_to_bits(hex_bits(text, n), n) == want
+        assert bits_hex(hex_bits(text, n), n) == text
 
 
 def test_hex_bits_padding_at_every_width():
@@ -135,7 +138,7 @@ def test_hex_bits_padding_at_every_width():
                 with pytest.raises(ProtocolError):
                     hex_bits(text, n)
             else:
-                assert hex_bits(text, n) == want
+                assert int_to_bits(hex_bits(text, n), n) == want
 
 
 @pytest.mark.parametrize("text, n", [
@@ -173,14 +176,15 @@ def test_int_to_bits_matches_the_reference(value, width):
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=32),
        st.integers(min_value=1, max_value=1100))
 def test_prg_matches_the_reference(seed, n):
-    assert prg(seed, n) == ref_prg(seed, n)
+    assert int_to_bits(prg(bits_uint(seed), len(seed), n), n) == ref_prg(seed, n)
 
 
 @pytest.mark.parametrize("q", [1, 3, CODE.q, gen_code().q])
 def test_choose_challenge_draws_like_the_reference(q):
     for seed in range(100):
         fast, ref = random.Random(seed), random.Random(seed)
-        assert choose_challenge(q, fast) == ref_choose_challenge(q, ref)
+        R = choose_challenge(q, fast)
+        assert int_to_bits(R, 2 * q) == ref_choose_challenge(q, ref)
         assert fast.getstate() == ref.getstate()
 
 
@@ -191,5 +195,6 @@ def test_commit_respond_matches_the_reference():
             D = tuple(rng.getrandbits(1) for _ in range(code.m_c))
             R = choose_challenge(code.q, rng)
             s = tuple(rng.getrandbits(1) for _ in range(16))
-            commit = commit_respond(D, R, s, code)
-            assert (commit.e, commit.exposed) == ref_commit_respond(D, R, s, code)
+            commit = commit_respond(bits_uint(D), R, bits_uint(s), code)
+            assert ((int_to_bits(commit.e, code.q), int_to_bits(commit.exposed, code.q))
+                    == ref_commit_respond(D, int_to_bits(R, 2 * code.q), s, code))

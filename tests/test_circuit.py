@@ -1,9 +1,16 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bits_to_tagged, random_bits, random_circuit, simulate_batch
+from helpers import (
+    bits_to_tagged,
+    random_bits,
+    random_circuit,
+    simulate_batch,
+    tagged_to_bits,
+)
 from tabverify import he
 from tabverify.circuit import (
     TT_AND,
@@ -19,8 +26,17 @@ from tabverify.circuit import (
     simulate,
 )
 from tabverify.demo import demo_graph
-from tabverify.expr import evaluate, parse_expr
-from tabverify.tables import Tagged, tagged_to_bits, transform
+from tabverify.expr import (
+    Binary,
+    Const,
+    IfThenElse,
+    Ref,
+    Unary,
+    evaluate,
+    parse_expr,
+    to_text,
+)
+from tabverify.tables import BOT, Tagged, TTable, transform
 
 M = 16
 H = M // 2
@@ -174,6 +190,70 @@ def test_compile_matches_interpreter_on_random_exprs():
                 assert out == Tagged(True, evaluate(parse_expr(func), env, H))
             else:
                 assert out.tag is False
+
+
+# every operator _compile_expr handles; "==b" is == on bools
+INT_OPS = ("+", "-", "*", "neg", "if")
+BOOL_OPS = ("<", "<=", ">", ">=", "==", "==b", "not", "and", "or", "if")
+
+
+def random_expr(rng, env, want, depth, seen):
+    """A random expression of type want ("int" or "bool") over the inputs
+    env (name -> type), at most depth operators deep; adds the operators
+    it uses to seen."""
+    refs = [name for name, t in env.items() if t == want]
+    if depth == 0 or rng.random() < 0.2:
+        if refs and rng.random() < 0.7:
+            return Ref(rng.choice(refs))
+        return Const(rng.randrange(-20, 21) if want == "int" else rng.random() < 0.5)
+    op = rng.choice(INT_OPS if want == "int" else BOOL_OPS)
+    seen.add(op)
+
+    def sub(t):
+        return random_expr(rng, env, t, depth - 1, seen)
+
+    if op in ("neg", "not"):
+        return Unary(op, sub(want))
+    if op == "if":
+        return IfThenElse(sub("bool"), sub(want), sub(want))
+    operand = "bool" if op in ("and", "or", "==b") else "int"
+    return Binary(op.rstrip("b"), sub(operand), sub(operand))
+
+
+@pytest.mark.parametrize("ports", [1, 2, 3])
+def test_compiled_random_trees_match_the_interpreter(ports):
+    # random well-typed trees up to depth 3 over int and bool inputs, as a
+    # predicate and as the row function, on every input of up to two ports
+    # at width 8 (a 4-bit payload), and on up to 64 sampled inputs of
+    # three; the compiled circuit's tagged word must be the interpreter's
+    rng = random.Random(400 + ports)
+    m, h = 8, 4
+    seen = set()
+    for _ in range(250):
+        env = {f"x{k}": rng.choice(("int", "bool")) for k in range(ports)}
+        otype = rng.choice(("int", "bool"))
+        pred = Const(True)
+        if rng.random() < 0.7:
+            pred = random_expr(rng, env, "bool", 3, seen)
+        func = random_expr(rng, env, otype, 3, seen)
+        c = compile_table(TTable("T#1", "T", 1, tuple(env.items()), (("y", otype),),
+                                 pred, (func,)), m)
+        domains = [range(-8, 8) if t == "int" else (False, True) for t in env.values()]
+        points = list(itertools.product(*domains))
+        if ports > 2:
+            points = rng.sample(points, min(64, len(points)))
+        inputs = [encode_input([Tagged(True, v) for v in point], m) for point in points]
+        columns = [sum(bits[i] << k for k, bits in enumerate(inputs))
+                   for i in range(c.n_inputs)]
+        outs = simulate_batch(c, columns, len(points))
+        assert simulate(c, inputs[0]) == tuple(o & 1 for o in outs)
+        for k, point in enumerate(points):
+            values = dict(zip(env, point))
+            want = (Tagged(True, evaluate(func, values, h))
+                    if evaluate(pred, values, h) else BOT)
+            got = bits_to_tagged(tuple(o >> k & 1 for o in outs), otype)
+            assert got == want, (to_text(pred), to_text(func), values)
+    assert seen == set(INT_OPS) | set(BOOL_OPS)
 
 
 def test_compile_multi_output_rejected():

@@ -18,7 +18,6 @@ from tabverify.cli import main
 from tabverify.demo import DEMO_GRAPH_TEXT
 from tabverify.graphtext import parse_graph
 from tabverify.protocol import Developer, bits_hex
-from tabverify.tables import int_to_bits
 
 
 @pytest.fixture()
@@ -174,7 +173,7 @@ def test_serve_closes_connections_past_the_cap(monkeypatch):
     t = next(t for t in dev.pp.to_dict()["structure"]["tables"]
              if t["ports"][0]["producers"][0][0] == "input")
     q1 = make_frame("encode", {"qkind": 1, "i": t["index"], "port": 0,
-                               "u": bits_hex(int_to_bits(1, 8) + (0,) * 8)})
+                               "u": bits_hex(1, 16)})
     accepted = queue.Queue()
     server = threading.Thread(target=cli.serve_connections,
                               args=(dev, accepted.get, 2), daemon=True)

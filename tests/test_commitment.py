@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tabverify.commitment import (
     MAX_CODE_RETRIES,
@@ -19,6 +20,7 @@ from tabverify.commitment import (
     verify_reveal,
 )
 from tabverify.symcrypto import se_keygen
+from tabverify.tables import bits_uint, int_to_bits
 
 
 CODE = gen_code(m_c=4, eps=(1, 4), K=16, seed=0)
@@ -93,14 +95,14 @@ def test_challenge_weight():
     rng = random.Random(2)
     for _ in range(100):
         R = choose_challenge(CODE.q, rng)
-        assert len(R) == 2 * CODE.q
-        assert sum(R) == CODE.q
+        assert R >> 2 * CODE.q == 0
+        assert R.bit_count() == CODE.q
 
 
 def test_challenge_small_distribution():
     rng = random.Random(3)
     seen = {choose_challenge(1, rng) for _ in range(100)}
-    assert seen == {(0, 1), (1, 0)}
+    assert seen == {0b10, 0b01}
 
 
 def test_challenge_is_uniform_over_weight_q_vectors():
@@ -109,39 +111,38 @@ def test_challenge_is_uniform_over_weight_q_vectors():
     rng = random.Random(4)
     counts = Counter(choose_challenge(3, rng) for _ in range(200_000))
     assert len(counts) == math.comb(6, 3) == 20
-    assert all(sum(R) == 3 for R in counts)
+    assert all(R >> 6 == 0 and R.bit_count() == 3 for R in counts)
     assert all(9600 <= n <= 10400 for n in counts.values()), counts
 
 
 def test_honest_round_trip():
     rng = random.Random(4)
     for _ in range(20):
-        D = tuple(rng.getrandbits(1) for _ in range(4))
+        D = bits_uint(tuple(rng.getrandbits(1) for _ in range(4)))
         s = se_keygen(16, rng)
         R = choose_challenge(CODE.q, rng)
         commit = commit_respond(D, R, s, CODE)
-        assert len(commit.exposed) == CODE.q
+        assert commit.exposed >> CODE.q == 0 and commit.e >> CODE.q == 0
         assert verify_reveal(commit, RevealMessage(seed=s, data=D), R, CODE)
 
 
 def test_reject_wrong_data():
     rng = random.Random(5)
-    D = (1, 0, 1, 0)
+    D = bits_uint((1, 0, 1, 0))
     s = se_keygen(16, rng)
     R = choose_challenge(CODE.q, rng)
     commit = commit_respond(D, R, s, CODE)
-    assert not verify_reveal(commit, RevealMessage(seed=s, data=(1, 0, 1, 1)), R, CODE)
+    wrong = bits_uint((1, 0, 1, 1))
+    assert not verify_reveal(commit, RevealMessage(seed=s, data=wrong), R, CODE)
 
 
 def test_reject_tampered_exposed_bit():
     rng = random.Random(6)
-    D = (0, 1, 1, 0)
+    D = bits_uint((0, 1, 1, 0))
     s = se_keygen(16, rng)
     R = choose_challenge(CODE.q, rng)
     commit = commit_respond(D, R, s, CODE)
-    exposed = list(commit.exposed)
-    exposed[3] ^= 1
-    tampered = type(commit)(e=commit.e, exposed=tuple(exposed))
+    tampered = type(commit)(e=commit.e, exposed=commit.exposed ^ 1 << 3)
     assert not verify_reveal(tampered, RevealMessage(seed=s, data=D), R, CODE)
 
 
@@ -151,8 +152,9 @@ def test_commit_golden_digest():
     rng = random.Random(77)
     s = se_keygen(16, rng)
     R = choose_challenge(CODE.q, rng)
-    commit = commit_respond((1, 0, 1, 1), R, s, CODE)
-    text = "".join(map(str, commit.e)) + ";" + "".join(map(str, commit.exposed))
+    commit = commit_respond(bits_uint((1, 0, 1, 1)), R, s, CODE)
+    text = ("".join(map(str, int_to_bits(commit.e, CODE.q))) + ";"
+            + "".join(map(str, int_to_bits(commit.exposed, CODE.q))))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f24d8ade8c0eb7cfdc2bf5dc4d107d47609053b87c65164439c5e6ad513df4c2"
     )
@@ -160,7 +162,7 @@ def test_commit_golden_digest():
 
 def _honest_opening(seed):
     rng = random.Random(seed)
-    D = tuple(rng.getrandbits(1) for _ in range(4))
+    D = bits_uint(tuple(rng.getrandbits(1) for _ in range(4)))
     s = se_keygen(16, rng)
     R = choose_challenge(CODE.q, rng)
     return commit_respond(D, R, s, CODE), RevealMessage(seed=s, data=D), R
@@ -168,26 +170,27 @@ def _honest_opening(seed):
 
 def test_reject_wrong_seed():
     commit, reveal, R = _honest_opening(10)
-    seed = list(reveal.seed)
-    seed[0] ^= 1
-    wrong = RevealMessage(seed=tuple(seed), data=reveal.data)
+    wrong = RevealMessage(seed=reveal.seed ^ 1, data=reveal.data)
+    past = RevealMessage(seed=reveal.seed | 1 << 16, data=reveal.data)  # 17 bits
     assert verify_reveal(commit, reveal, R, CODE)
     assert not verify_reveal(commit, wrong, R, CODE)
+    assert verify_reveal(commit, past, R, CODE) is False
 
 
 def test_reject_flipped_masked_bit():
     commit, reveal, R = _honest_opening(11)
     for k in (0, CODE.q - 1):
-        e = list(commit.e)
-        e[k] ^= 1
-        tampered = CommitMessage(e=tuple(e), exposed=commit.exposed)
+        tampered = CommitMessage(e=commit.e ^ 1 << k, exposed=commit.exposed)
         assert not verify_reveal(tampered, reveal, R, CODE)
 
 
 def test_reject_exposed_of_wrong_length_or_not_bits():
+    # exposed is q bits: one that also sets a bit at q or beyond, or a
+    # negative int equal to it mod 2^q, does not open
     commit, reveal, R = _honest_opening(12)
-    for exposed in (commit.exposed[:-1], commit.exposed + (0,),
-                    commit.exposed[:-1] + (2,)):
+    q = CODE.q
+    for exposed in (commit.exposed | 1 << q, commit.exposed | 1 << 2 * q,
+                    commit.exposed - (1 << q)):
         tampered = CommitMessage(e=commit.e, exposed=exposed)
         assert verify_reveal(tampered, reveal, R, CODE) is False
 
@@ -195,20 +198,33 @@ def test_reject_exposed_of_wrong_length_or_not_bits():
 def test_reject_malformed_challenge():
     rng = random.Random(7)
     s = se_keygen(16, rng)
-    bad = (1,) * (2 * CODE.q)  # wrong weight
+    bad = (1 << 2 * CODE.q) - 1  # wrong weight
     with pytest.raises(CommitError):
-        commit_respond((1, 0, 0, 0), bad, s, CODE)
+        commit_respond(bits_uint((1, 0, 0, 0)), bad, s, CODE)
 
 
 def test_reject_challenge_with_entries_that_are_not_bits():
+    # a challenge is 2q bits: one of weight q that reaches past them, a
+    # one moved from its lowest position to position 2q or above, is
+    # refused, as is a negative int
     commit, reveal, R = _honest_opening(13)
-    first, second = [k for k, r in enumerate(R) if r][:2]
-    two = list(R)
-    two[first], two[second] = 2, 0  # length 2q and sum q, but not bits
-    for bad in (tuple(two), R[:-1] + (-1,), R[:-1] + (1.0,), R[:-1] + ("1",)):
+    low = R & -R
+    n = 2 * CODE.q
+    for bad in (R ^ low | 1 << n, R ^ low | 1 << n + 7, -R, R - (1 << n)):
         with pytest.raises(CommitError):
             commit_respond(reveal.data, bad, reveal.seed, CODE)
         assert verify_reveal(commit, reveal, bad, CODE) is False
+
+
+def test_reject_data_past_the_block():
+    # a block's data is m_c bits: a bit at m_c or above is refused
+    commit, reveal, R = _honest_opening(14)
+    for data in (reveal.data | 1 << CODE.m_c, 1 << 40, -1):
+        with pytest.raises(CommitError):
+            CODE.encode(data)
+        with pytest.raises(CommitError):
+            commit_respond(data, R, reveal.seed, CODE)
+        assert verify_reveal(commit, RevealMessage(reveal.seed, data), R, CODE) is False
 
 
 def test_binding_adversarial_reopen():
@@ -217,13 +233,11 @@ def test_binding_adversarial_reopen():
     accepted = 0
     trials = 200
     for _ in range(trials):
-        D = tuple(rng.getrandbits(1) for _ in range(4))
+        D = bits_uint(tuple(rng.getrandbits(1) for _ in range(4)))
         s = se_keygen(16, rng)
         R = choose_challenge(CODE.q, rng)
         commit = commit_respond(D, R, s, CODE)
-        D2 = list(D)
-        D2[rng.randrange(4)] ^= 1
-        D2 = tuple(D2)
+        D2 = D ^ 1 << rng.randrange(4)
         for _ in range(25):
             s2 = se_keygen(16, rng)
             if verify_reveal(commit, RevealMessage(seed=s2, data=D2), R, CODE):
@@ -240,16 +254,26 @@ def test_hiding_smoke():
     hits = 0
     for _ in range(n):
         b = rng.getrandbits(1)
-        D = (1, 1, 1, 1) if b else (0, 0, 0, 0)
+        D = 0b1111 if b else 0b0000
         s = se_keygen(16, rng)
         R = choose_challenge(CODE.q, rng)
         commit = commit_respond(D, R, s, CODE)
-        guess = sum(commit.e) & 1
+        guess = commit.e.bit_count() & 1
         hits += guess == b
     assert abs(hits / n - 0.5) < 0.1
 
 
 def test_split_join_blocks():
     bits = (1, 0, 1, 1, 0, 0, 1)
-    blocks = split_blocks(bits, 4)
-    assert blocks == [(1, 0, 1, 1), (0, 0, 1, 0)]
+    blocks = split_blocks(bits_uint(bits), len(bits), 4)
+    assert [int_to_bits(b, 4) for b in blocks] == [(1, 0, 1, 1), (0, 0, 1, 0)]
+
+
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=16),
+       st.data())
+def test_split_blocks_reassemble_to_the_value(n, m_c, data):
+    value = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    blocks = split_blocks(value, n, m_c)
+    assert len(blocks) == math.ceil(n / m_c)
+    assert all(0 <= b < 1 << m_c for b in blocks)
+    assert sum(b << k * m_c for k, b in enumerate(blocks)) == value

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from helpers import simulate_batch
+from helpers import simulate_batch, tagged_to_bits
 from tabverify.audit import audit, json_leaves
-from tabverify import he
+from tabverify import he, protocol
 from tabverify.commitment import choose_challenge
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
 from tabverify.demo import (
@@ -36,7 +36,7 @@ from tabverify.protocol import (
     verify_session,
 )
 from tabverify.symcrypto import se_dec
-from tabverify.tables import Tagged, int_to_bits, tagged_to_bits, transform
+from tabverify.tables import Tagged, bits_uint, tagged_word, transform
 from tabverify.vga import input_key
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
@@ -74,8 +74,6 @@ def test_public_params_round_trip():
 def test_published_programs_are_handed_back_not_encoded_again(monkeypatch):
     # from_dict has checked each published string to be the canonical
     # spelling of its program word, so to_dict returns those strings
-    from tabverify import protocol
-
     d = make_dev().pp.to_dict()
     pp = PublicParams.from_dict(d)
     monkeypatch.setattr(protocol, "cts_b64", None)  # any call would fail
@@ -215,8 +213,8 @@ def test_general_mode_accepts_and_records_checkers():
     assert all(r["a"]["d"] is not None for r in cert["qa_c"])
     # the certificate discloses two seeds, and neither a key nor a challenge
     assert "sk" not in cert and "ct_sk" not in cert
-    assert len(hex_bits(cert["key_seed"], 128)) == 128
-    assert len(hex_bits(cert["challenge_seed"], 128)) == 128
+    assert 0 <= hex_bits(cert["key_seed"], 128) < 1 << 128
+    assert 0 <= hex_bits(cert["challenge_seed"], 128) < 1 << 128
     assert all(set(b) == {"e", "exposed", "seed", "data"}
                for r in cert["qa_c"] for b in r["s"]["blocks"])
 
@@ -257,7 +255,7 @@ def frame(dev, ftype, body):
 def test_q1_rejects_malformed_queries():
     dev = make_dev()
     m = dev.pp.m
-    good = bits_hex(int_to_bits(1, m // 2) + (0,) * (m // 2))
+    good = bits_hex(1, m)  # tag 1, payload 0
     assert frame(dev, "encode", {"qkind": 1, "i": 999, "port": 0, "u": good})[
         "answer"
     ]["kind"] == "null"
@@ -316,7 +314,8 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
     lam = dev.hpk.lam_bytes
     words = []
     for pos, u in enumerate(X_bits_by_port):
-        a = frame(dev, "encode", {"qkind": 1, "i": i, "port": pos, "u": bits_hex(u)})
+        a = frame(dev, "encode", {"qkind": 1, "i": i, "port": pos,
+                                  "u": bits_hex(bits_uint(u), len(u))})
         assert a["answer"]["kind"] == "w"
         words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
@@ -375,13 +374,13 @@ def test_memory_wiped_between_sessions():
     t = first_input_table(dev)
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
-    bits = [tagged_to_bits(Tagged(True, DEMO_INPUT[n]), m) for n in names]
     words = []
-    for pos, u in enumerate(bits):
+    for pos, n in enumerate(names):
+        u = tagged_word(Tagged(True, DEMO_INPUT[n]), m)
         a = frame(
             s1,
             "encode",
-            {"qkind": 1, "i": t["index"], "port": pos, "u": bits_hex(u)},
+            {"qkind": 1, "i": t["index"], "port": pos, "u": bits_hex(u, m)},
         )
         words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
@@ -397,8 +396,8 @@ def test_checker_requires_commit_before_proof():
     t = first_input_table(dev)
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
-    u = tagged_to_bits(Tagged(True, DEMO_INPUT[names[0]]), m)
-    a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u)})
+    u = tagged_word(Tagged(True, DEMO_INPUT[names[0]]), m)
+    a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u, m)})
     p = b64_cts(a["answer"]["w"], dev.hpk)
     _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
     y = checker_value(dev.pp, ct_sk, p)
@@ -412,6 +411,43 @@ def test_checker_requires_commit_before_proof():
     assert frame(dev, "checker_proof", {"ct_sk": cts_b64(ct_sk)})["result"] == "null"
 
 
+def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):
+    # R is spelled as 2q bits, so hex_bits takes it, but it does not have
+    # weight q: commit_respond refuses it with CommitError, and the
+    # developer answers null. Any other error there is the developer's
+    # own, and is not taken for a hostile verifier's
+    dev = make_dev()
+    t = first_input_table(dev)
+    m, q = dev.pp.m, dev.code.q
+
+    def open_round(session):
+        a = frame(session, "encode", {"qkind": 1, "i": t["index"], "port": 0,
+                                      "u": bits_hex(1, m)})
+        p = b64_cts(a["answer"]["w"], dev.hpk)
+        _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
+        y = checker_value(dev.pp, ct_sk, p)
+        r = frame(session, "checker", {"i": t["index"], "case": "input", "port": 0,
+                                       "p": cts_b64(p), "y": cts_b64(y)})
+        return [choose_challenge(q, random.Random(k)) for k in range(r["blocks"])]
+
+    session = dev.session()
+    rs = open_round(session)
+    for bad in (rs[0] ^ (rs[0] & -rs[0]), (1 << 2 * q) - 1, 0):  # weight q - 1, 2q, 0
+        sent = [bits_hex(bad, 2 * q)] + [bits_hex(R, 2 * q) for R in rs[1:]]
+        assert frame(session, "commit_challenge", {"Rs": sent}) == {"result": "null"}
+    assert "blocks" in frame(session, "commit_challenge",
+                             {"Rs": [bits_hex(R, 2 * q) for R in rs]})
+
+    def broken(D, R, s, code):
+        raise RuntimeError("a fault in the committer")
+
+    monkeypatch.setattr(protocol, "commit_respond", broken)
+    session = dev.session()
+    rs = open_round(session)
+    with pytest.raises(RuntimeError, match="a fault in the committer"):
+        frame(session, "commit_challenge", {"Rs": [bits_hex(R, 2 * q) for R in rs]})
+
+
 def test_checker_proof_with_a_key_word_of_another_size_is_null():
     # a round's key is 4 * width bits, one chunk of half the slice per
     # round; a proof whose ct_sk holds another number of ciphertexts, such
@@ -420,8 +456,8 @@ def test_checker_proof_with_a_key_word_of_another_size_is_null():
     dev = make_dev()
     t = first_input_table(dev)
     m = dev.pp.m
-    u = tagged_to_bits(Tagged(True, 3), m)
-    a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u)})
+    u = tagged_word(Tagged(True, 3), m)
+    a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u, m)})
     p = b64_cts(a["answer"]["w"], dev.hpk)
     keys = random.Random(4)
     for n in (16, 4 * m - 1, 4 * m + 1, 4 * m):
@@ -430,12 +466,13 @@ def test_checker_proof_with_a_key_word_of_another_size_is_null():
         y = checker_value(dev.pp, ct_sk, p)
         r = frame(dev, "checker", {"i": t["index"], "case": "input", "port": 0,
                                    "p": cts_b64(p), "y": cts_b64(y)})
-        rs = [bits_hex(choose_challenge(dev.code.q, keys)) for _ in range(r["blocks"])]
+        rs = [bits_hex(choose_challenge(dev.code.q, keys), 2 * dev.code.q)
+              for _ in range(r["blocks"])]
         assert "blocks" in frame(dev, "commit_challenge", {"Rs": rs})
         sent = he.cut_word(dev.hpk, he.join_words(dev.hpk, (ct_sk, ct_sk)), 0, n)
         proof = frame(dev, "checker_proof", {"ct_sk": cts_b64(sent)})
         if n == 4 * m:
-            assert se_dec(sk, hex_bits(proof["d"], m)) == u
+            assert se_dec(sk, hex_bits(proof["d"], m), m) == u
         else:
             assert proof == {"result": "null"}, n
 
@@ -473,8 +510,7 @@ def test_serve_survives_malformed_checker_ciphertext():
         return chan.recv()["body"]
 
     try:
-        u = int_to_bits(1, m // 2) + (0,) * (m // 2)
-        a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u)})
+        a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(1, m)})
         # right count and length, but no ciphertext under the developer's key
         y = bytes(9 + m * (dev.hpk.lam_bytes - 9))
         r = ask("checker", {"i": t["index"], "case": "input", "port": 0,
@@ -673,8 +709,8 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
 
     dev = make_dev(parse_graph(NARROW_TEXT))
     session = dev.session()
-    u = tagged_to_bits(Tagged(True, 2), 6)
-    a = frame(session, "encode", {"qkind": 1, "i": 1, "port": 0, "u": bits_hex(u)})
+    u = tagged_word(Tagged(True, 2), 6)
+    a = frame(session, "encode", {"qkind": 1, "i": 1, "port": 0, "u": bits_hex(u, 6)})
     u_word = b64_cts(a["answer"]["w"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
     a = frame(session, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word),
@@ -684,7 +720,7 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
     r = frame(session, "checker", {"i": 1, "case": "external", "port": None,
                                    "p": p, "y": p})
     assert r == {"result": "null"}
-    rs = [bits_hex(choose_challenge(dev.code.q, random.Random(2)))]
+    rs = [bits_hex(choose_challenge(dev.code.q, random.Random(2)), 2 * dev.code.q)]
     assert frame(session, "commit_challenge", {"Rs": rs}) == {"result": "null"}
     _, ct_sk = checker_key(random.Random(3), dev.hpk, 4)
     assert frame(session, "checker_proof", {"ct_sk": cts_b64(ct_sk)}) == {"result": "null"}

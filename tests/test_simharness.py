@@ -35,7 +35,7 @@ from tabverify.simharness import (
     shared_budget,
 )
 from tabverify.symcrypto import se_enc, se_key_bits
-from tabverify.tables import bits_uint, evaluate_plain, int_to_bits, transform
+from tabverify.tables import bits_uint, evaluate_plain, transform
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 
@@ -59,10 +59,10 @@ def test_oracle_never_holds_decryption_key():
 def test_oracle_matches_service_on_malformed_ciphertexts():
     dev = Developer(DEMO, rng=random.Random(2))
     orc = OracleDeveloper(DEMO, rng=random.Random(2))
-    key_seed = int_to_bits(random.Random(3).getrandbits(128), 128)
+    key_seed = random.Random(3).getrandbits(128)
     orc.learn_key_seed(key_seed)
     m = dev.pp.m
-    _, ct_sk = checker_key(random.Random(bits_uint(key_seed)), dev.hpk, m)
+    _, ct_sk = checker_key(random.Random(key_seed), dev.hpk, m)
     t = next(t for t in dev.pp.to_dict()["structure"]["tables"]
              if all(p["producers"][0][0] == "input" for p in t["ports"]))
     # a word of n ciphertexts of the right length, with no valid tag or key id
@@ -74,8 +74,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
         assert canonical_json(r1) == canonical_json(r2)
         return r1["body"]
 
-    u = (1,) + (0,) * (m - 1)
-    q1 = {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u)}
+    q1 = {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(1, m)}
     assert ask("encode", dict(q1, i=[1])) == {"answer": {"kind": "null"}}
     w = ask("encode", q1)["answer"]["w"]
     checker = {"i": t["index"], "case": "input", "port": 0, "p": w}
@@ -86,7 +85,8 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     r = ask("checker", dict(checker, y=cts_b64(y)))
     assert ask("commit_challenge", {"Rs": 5}) == {"result": "null"}
     rs = [choose_challenge(dev.code.q, random.Random(5)) for _ in range(r["blocks"])]
-    assert "blocks" in ask("commit_challenge", {"Rs": [bits_hex(R) for R in rs]})
+    assert "blocks" in ask("commit_challenge",
+                           {"Rs": [bits_hex(R, 2 * dev.code.q) for R in rs]})
     proof = ask("checker_proof", {"ct_sk": cts_b64(junk[4 * m])})
     assert proof == {"result": "null"}
 
@@ -167,13 +167,13 @@ class Forger(OracleDeveloper):
         self.p = body.get("p")
         return Developer._checker(self, body)
 
-    def _open_checker(self, y, claimed):
-        x = he.dec_word(self.hsk, b64_cts(self.p, self.hpk))
-        c = he.dec_word(self.hsk, y)
+    def _open_checker(self, y, claimed, width):
+        x = bits_uint(he.dec_word(self.hsk, b64_cts(self.p, self.hpk)))
+        c = bits_uint(he.dec_word(self.hsk, y))
         if claimed == x:
             return c
         self.lies.append(claimed)
-        return self._forge(x, c, claimed)
+        return self._forge(x, c, claimed, width)
 
     ANSWERS = dict(Developer.ANSWERS, checker=_checker)
 
@@ -184,10 +184,10 @@ class KeySearcher(Forger):
     keys there are. Of the keys that map x to c, the encryption of x, it
     opens its claim under the one most of them agree on."""
 
-    def _forge(self, x, c, claimed):
-        w, n = len(x) // 2, se_key_bits(len(x))
-        candidates = (int_to_bits(v, w) + (0,) * (n - w) for v in range(1 << w))
-        opens = Counter(se_enc(k, claimed) for k in candidates if se_enc(k, x) == c)
+    def _forge(self, x, c, claimed, width):
+        candidates = range(1 << width // 2)  # the first chunk's values
+        opens = Counter(se_enc(k, claimed, width) for k in candidates
+                        if se_enc(k, x, width) == c)
         return opens.most_common(1)[0][0] if opens else c
 
 
@@ -203,14 +203,14 @@ class KeyStealer(Forger):
     def _proof(self, body):
         try:
             sk = he.dec_word(self.hsk, b64_cts(body.get("ct_sk"), self.hpk))
-            self.stolen[len(sk)] = sk
+            self.stolen[len(sk)] = bits_uint(sk)
         except ProtocolError:
             pass
         return Developer._proof(self, body)
 
-    def _forge(self, x, c, claimed):
-        sk = self.stolen.get(se_key_bits(len(claimed)))
-        return se_enc(sk, claimed) if sk else c
+    def _forge(self, x, c, claimed, width):
+        sk = self.stolen.get(se_key_bits(width))
+        return se_enc(sk, claimed, width) if sk is not None else c
 
     ANSWERS = dict(Forger.ANSWERS, checker_proof=_proof)
 

@@ -20,6 +20,7 @@ from tabverify.symcrypto import (
     se_key_bits,
     se_keygen,
 )
+from tabverify.tables import bits_uint, int_to_bits
 
 # --- the bit-level Feistel that the word Feistel replaced, with the unfolded
 # key schedule: the reference --------------------------------------------------
@@ -92,31 +93,36 @@ def test_word_feistel_matches_the_bit_reference(width):
     for _ in range(100):
         sk = se_keygen(se.key_bits, rng)
         M = tuple(rng.getrandbits(1) for _ in range(width))
-        C = se_enc(sk, M)
-        assert C == ref_se_enc(sk, M)
-        assert se_dec(sk, M) == ref_se_dec(sk, M)
-        assert se_dec(sk, C) == M
-        assert se.evaluate(sk + M) == C == simulate(gates, sk + M)
+        key, m = int_to_bits(sk, se.key_bits), bits_uint(M)
+        C = se_enc(sk, m, width)
+        assert int_to_bits(C, width) == ref_se_enc(key, M)
+        assert int_to_bits(se_dec(sk, m, width), width) == ref_se_dec(key, M)
+        assert se_dec(sk, C, width) == m
+        assert se.evaluate(key + M) == int_to_bits(C, width) == simulate(gates, key + M)
 
 
 @pytest.mark.parametrize("key_bits", [8, 12, 16, 40])
 def test_word_feistel_takes_keys_of_rounds_chunks_only(key_bits):
     # a key is ROUNDS chunks of half a block: 16 bits for 4-bit blocks and
-    # 40 for 10-bit ones; any other key, shorter, longer or ending in a
-    # partial chunk, is refused, not folded
+    # 40 for 10-bit ones. A key is an int, so a shorter one is that key
+    # with its top bits clear; a key that sets a bit past them, in a
+    # partial chunk or beyond, is refused, not folded
     rng = random.Random(key_bits)
     for width in (4, 6, 10, 16):
         sk = tuple(rng.getrandbits(1) for _ in range(key_bits))
         M = tuple(rng.getrandbits(1) for _ in range(width))
-        if key_bits == se_key_bits(width):
-            se = SECircuit(width)
-            assert se_enc(sk, M) == ref_se_enc(sk, M) == simulate(se.gates, sk + M)
-            assert se_dec(sk, M) == ref_se_dec(sk, M)
+        full, k, m = se_key_bits(width), bits_uint(sk), bits_uint(M)
+        if key_bits <= full:
+            se, key = SECircuit(width), int_to_bits(k, full)
+            assert (int_to_bits(se_enc(k, m, width), width)
+                    == ref_se_enc(key, M) == simulate(se.gates, key + M))
+            assert int_to_bits(se_dec(k, m, width), width) == ref_se_dec(key, M)
             continue
+        past = k | 1 << (key_bits - 1)  # its top bit set
         with pytest.raises(SymError):
-            se_enc(sk, M)
+            se_enc(past, m, width)
         with pytest.raises(SymError):
-            se_dec(sk, M)
+            se_dec(past, m, width)
     w = 4
     with pytest.raises(SymError, match=f"{ROUNDS} chunks"):
         _feistel(_Ints(w), [0] * (key_bits // w), 0, 0)
@@ -144,10 +150,12 @@ def test_transparent_checker_value_is_the_gate_list_evaluated(width):
     for _ in range(30):
         sk = se_keygen(se.key_bits, rng)
         M = tuple(rng.getrandbits(1) for _ in range(width))
-        ct_sk, p = he.enc_word(keys.hpk, sk, rng), he.enc_word(keys.hpk, M, rng)
+        ct_sk = he.enc_word(keys.hpk, int_to_bits(sk, se.key_bits), rng)
+        p = he.enc_word(keys.hpk, M, rng)
         y = checker_value(PP, ct_sk, p)
         gate_list = he.eval_word(keys.hpk, se.gates, he.join_words(keys.hpk, (ct_sk, p)))
-        assert he.dec_word(keys.hsk, y) == he.dec_word(keys.hsk, gate_list) == se_enc(sk, M)
+        assert (he.dec_word(keys.hsk, y) == he.dec_word(keys.hsk, gate_list)
+                == int_to_bits(se_enc(sk, bits_uint(M), width), width))
         assert y != gate_list
         assert y == checker_value(PP, ct_sk, p)  # deterministic
 
@@ -159,10 +167,11 @@ def test_eval_named_runs_the_gate_list_on_integer_she():
         se = SECircuit(width)
         sk = se_keygen(se.key_bits, rng)
         M = tuple(rng.getrandbits(1) for _ in range(width))
-        word = he.enc_word(keys.hpk, sk + M, rng)
+        word = he.enc_word(keys.hpk, int_to_bits(sk, se.key_bits) + M, rng)
         out = he.eval_named(keys.hpk, se, word)
         assert out == he.eval_word(keys.hpk, se.gates, word)
-        assert he.dec_word(keys.hsk, out) == se_enc(sk, M)
+        C = se_enc(sk, bits_uint(M), width)
+        assert he.dec_word(keys.hsk, out) == int_to_bits(C, width)
         with pytest.raises(he.HeError):
             he.eval_named(keys.hpk, se, he.cut_word(keys.hpk, word, 1))
 
@@ -177,17 +186,14 @@ def consistent_key(rng, w, x, c):
     def f(v):  # the round function before its round key
         return ops.rot(v, 1) & ops.rot(v, s) ^ ops.rot(v, 2)
 
-    m = sum(b << j for j, b in enumerate(x))
-    L, R = m & ((1 << w) - 1), m >> w
+    L, R = x & ((1 << w) - 1), x >> w
     chunks = [rng.getrandbits(w) for _ in range(ROUNDS - 2)]
     for i, chunk in enumerate(chunks):
         L, R = R, L ^ f(R) ^ chunk ^ _round_constant(i, w)
-    c_int = sum(b << j for j, b in enumerate(c))
-    cl, cr = c_int & ((1 << w) - 1), c_int >> w
+    cl, cr = c & ((1 << w) - 1), c >> w
     chunks.append(L ^ f(R) ^ cl ^ _round_constant(ROUNDS - 2, w))
     chunks.append(R ^ f(cl) ^ cr ^ _round_constant(ROUNDS - 1, w))
-    key = sum(chunk << (i * w) for i, chunk in enumerate(chunks))
-    return tuple(key >> j & 1 for j in range(ROUNDS * w))
+    return sum(chunk << (i * w) for i, chunk in enumerate(chunks))
 
 
 def test_one_known_pair_rarely_opens_a_chosen_false_answer():
@@ -203,11 +209,10 @@ def test_one_known_pair_rarely_opens_a_chosen_false_answer():
     for _ in range(trials):
         k = se_keygen(se_key_bits(width), rng)
         x, x2 = rng.sample(range(1 << width), 2)
-        x, x2 = (tuple(v >> j & 1 for j in range(width)) for v in (x, x2))
-        c = se_enc(k, x)
+        c = se_enc(k, x, width)
         forged = consistent_key(rng, width // 2, x, c)
-        assert se_enc(forged, x) == c
-        opened += se_dec(k, se_enc(forged, x2)) == x2
+        assert se_enc(forged, x, width) == c
+        opened += se_dec(k, se_enc(forged, x2, width), width) == x2
     print(f"forged openings: {opened}/{trials}")
     assert opened * 32 <= trials
 
@@ -215,7 +220,10 @@ def test_one_known_pair_rarely_opens_a_chosen_false_answer():
 def test_keygen():
     rng = random.Random(1)
     sk = se_keygen(16, rng)
-    assert len(sk) == 16 and set(sk) <= {0, 1}
+    assert sk >> 16 == 0
+    # one one-bit draw per key bit, bit i from draw i
+    ref = random.Random(1)
+    assert int_to_bits(sk, 16) == tuple(ref.getrandbits(1) for _ in range(16))
     assert se_keygen(16, rng) != sk  # overwhelmingly
     with pytest.raises(SymError):
         se_keygen(4, rng)
@@ -226,32 +234,45 @@ def test_round_trip():
     for width in (8, 16):
         sk = se_keygen(se_key_bits(width), rng)
         for _ in range(300):
-            M = tuple(rng.getrandbits(1) for _ in range(width))
-            assert se_dec(sk, se_enc(sk, M)) == M
+            m = bits_uint(tuple(rng.getrandbits(1) for _ in range(width)))
+            assert se_dec(sk, se_enc(sk, m, width), width) == m
 
 
 def test_deterministic():
     sk = se_keygen(se_key_bits(8), random.Random(3))
-    M = (1, 0, 1, 1, 0, 0, 1, 0)
-    assert se_enc(sk, M) == se_enc(sk, M)
+    m = bits_uint((1, 0, 1, 1, 0, 0, 1, 0))
+    assert se_enc(sk, m, 8) == se_enc(sk, m, 8)
 
 
 def test_permutation_exhaustive_8bit():
     sk = se_keygen(se_key_bits(8), random.Random(4))
-    images = {se_enc(sk, tuple((v >> i) & 1 for i in range(8))) for v in range(256)}
+    images = {se_enc(sk, v, 8) for v in range(256)}
     assert len(images) == 256
 
 
 def test_width_checks():
     sk = se_keygen(16, random.Random(5))
     with pytest.raises(SymError):
-        se_enc(sk, (1, 0, 1))  # odd width
+        se_enc(sk, 0b101, 3)  # odd width
     with pytest.raises(SymError):
-        se_enc(sk, (1, 0))  # too narrow
+        se_enc(sk, 0b01, 2)  # too narrow
     with pytest.raises(SymError):
         SECircuit(7)
     with pytest.raises(SymError):
         SECircuit(2)
+
+
+def test_se_refuses_a_block_or_key_past_its_width():
+    # a block is width bits and its key se_key_bits(width): a bit at or
+    # past either size, or a negative int, is refused
+    sk = se_keygen(se_key_bits(8), random.Random(15))
+    for key, block in ((sk, 1 << 8), (sk, 0xff | 1 << 20), (sk, -1),
+                       (sk | 1 << 32, 0), (1 << 40, 0x12), (-1, 0x12)):
+        with pytest.raises(SymError):
+            se_enc(key, block, 8)
+        with pytest.raises(SymError):
+            se_dec(key, block, 8)
+    assert se_dec(sk, se_enc(sk, 0xff, 8), 8) == 0xff
 
 
 def test_circuit_matches_function():
@@ -261,12 +282,13 @@ def test_circuit_matches_function():
         for _ in range(100):
             sk = se_keygen(se_key_bits(width), rng)
             M = tuple(rng.getrandbits(1) for _ in range(width))
-            assert simulate(c, sk + M) == se_enc(sk, M)
+            assert (simulate(c, int_to_bits(sk, se_key_bits(width)) + M)
+                    == int_to_bits(se_enc(sk, bits_uint(M), width), width))
 
 
 def test_circuit_all_zero_consistency():
     c = SECircuit(8).gates
-    assert simulate(c, (0,) * 40) == se_enc((0,) * 32, (0,) * 8)
+    assert simulate(c, (0,) * 40) == int_to_bits(se_enc(0, 0, 8), 8)
 
 
 def test_circuit_depth_within_default_budget():
@@ -283,9 +305,9 @@ def test_circuit_evaluates_homomorphically():
     c = SECircuit(8).gates
     sk = se_keygen(se_key_bits(8), rng)
     M = tuple(rng.getrandbits(1) for _ in range(8))
-    cts = he.enc_word(keys.hpk, sk + M, rng)
+    cts = he.enc_word(keys.hpk, int_to_bits(sk, se_key_bits(8)) + M, rng)
     out = he.eval_word(keys.hpk, c, cts)
-    assert he.dec_word(keys.hsk, out) == se_enc(sk, M)
+    assert he.dec_word(keys.hsk, out) == int_to_bits(se_enc(sk, bits_uint(M), 8), 8)
 
 
 def test_avalanche_smoke():
@@ -296,19 +318,19 @@ def test_avalanche_smoke():
     for _ in range(trials):
         sk = se_keygen(se_key_bits(width), rng)
         M = list(rng.getrandbits(1) for _ in range(width))
-        base = se_enc(sk, tuple(M))
+        base = se_enc(sk, bits_uint(M), width)
         i = rng.randrange(width)
         M[i] ^= 1
-        other = se_enc(sk, tuple(M))
-        flips += sum(a != b for a, b in zip(base, other))
+        other = se_enc(sk, bits_uint(M), width)
+        flips += (base ^ other).bit_count()
     assert flips / (trials * width) >= 0.30
 
 
 def test_prg_prefix_consistency():
     rng = random.Random(9)
     s = se_keygen(16, rng)
-    assert prg(s, 8) == prg(s, 64)[:8]
-    assert prg(s, 33) == prg(s, 100)[:33]
+    assert prg(s, 16, 8) == prg(s, 16, 64) & (1 << 8) - 1
+    assert prg(s, 16, 33) == prg(s, 16, 100) & (1 << 33) - 1
 
 
 def test_prg_is_shake128():
@@ -317,15 +339,16 @@ def test_prg_is_shake128():
     rng = random.Random(10)
     for n in (1, 31, 32, 33, 100, 504, 1000):
         s = se_keygen(16, rng)
-        out = hashlib.shake_128(bytes(s)).digest(n // 8 + 1)
-        assert prg(s, n) == tuple((out[i // 8] >> (i % 8)) & 1 for i in range(n))
+        out = hashlib.shake_128(bytes(int_to_bits(s, 16))).digest(n // 8 + 1)
+        assert int_to_bits(prg(s, 16, n), n) == tuple((out[i // 8] >> (i % 8)) & 1
+                                                      for i in range(n))
 
 
 def test_prg_golden_digest():
     # fixed digest: certificates for fixed seeds depend on these exact bits
     s = se_keygen(16, random.Random(2024))
-    assert s == tuple(int(c) for c in "0011001101110101")
-    bits = "".join(map(str, prg(s, 504)))
+    assert int_to_bits(s, 16) == tuple(int(c) for c in "0011001101110101")
+    bits = "".join(map(str, int_to_bits(prg(s, 16, 504), 504)))
     assert hashlib.sha256(bits.encode()).hexdigest() == (
         "caca1303a486bc3a5c08d2ebcfaaf5d49298083f32b719acc0acff9a9bebe88c"
     )
@@ -334,18 +357,20 @@ def test_prg_golden_digest():
 def test_prg_deterministic_and_seed_sensitive():
     s1 = se_keygen(16, random.Random(11))
     s2 = se_keygen(16, random.Random(12))
-    assert prg(s1, 64) == prg(s1, 64)
-    assert prg(s1, 64) != prg(s2, 64)
+    assert prg(s1, 16, 64) == prg(s1, 16, 64)
+    assert prg(s1, 16, 64) != prg(s2, 16, 64)
 
 
 def test_prg_monobit():
     s = se_keygen(16, random.Random(13))
-    bits = prg(s, 10_000)
-    ones = sum(bits)
+    ones = prg(s, 16, 10_000).bit_count()
     assert abs(ones / 10_000 - 0.5) < 0.05
 
 
 def test_prg_errors():
     s = se_keygen(16, random.Random(14))
     with pytest.raises(SymError):
-        prg(s, 0)
+        prg(s, 16, 0)
+    for past in (s | 1 << 16, -1):  # a seed with a bit past its 16 bits
+        with pytest.raises(SymError):
+            prg(past, 16, 8)

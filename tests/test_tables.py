@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import bits_to_tagged
+from helpers import bits_to_int, bits_to_tagged, tagged_to_bits
 from tabverify.demo import (
     DEMO_DOMAINS,
     chain_graph,
@@ -13,12 +13,11 @@ from tabverify.tables import (
     BOT,
     GraphError,
     Tagged,
-    bits_to_int,
     check_properties,
     evaluate_original,
     evaluate_plain,
     int_to_bits,
-    tagged_to_bits,
+    tagged_word,
     transform,
 )
 
@@ -37,6 +36,10 @@ def test_tagged_encoding():
     assert bits_to_tagged(word) == Tagged(True, 26)
     assert tagged_to_bits(BOT, m) == (0,) * m
     assert bits_to_tagged((0,) * m) == BOT
+    # as an int: tag 1 in bit 0, the payload from bit 8, two's complement
+    assert tagged_word(Tagged(True, 26), m) == 1 | 26 << 8
+    assert tagged_word(Tagged(True, -2), m) == 1 | 0xfe << 8
+    assert tagged_word(BOT, m) == 0
 
 
 def test_tagged_bool_payload():
