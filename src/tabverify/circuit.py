@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .expr import Binary, Const, IfThenElse, Ref, Unary
-from .tables import GraphError
 
 TT_AND = 0b1000
 TT_OR = 0b1110
@@ -273,11 +272,6 @@ def compile_table(tt, m):
     Input: the table's input words concatenated in port order, m bits each.
     Output: the m-bit tagged result; the bot branch yields the all-zero word.
     """
-    if len(tt.outputs) != 1:
-        raise CircuitError(
-            f"table '{tt.name}' has {len(tt.outputs)} outputs; circuits cover "
-            "single-output tables"
-        )
     h = m // 2
     b = Builder(len(tt.inputs) * m)
     env = {}

@@ -151,21 +151,6 @@ def evaluate(expr, env, width):
     raise ExprError(f"not an expression: {expr!r}")
 
 
-def references(expr):
-    """Set of input names read by the expression."""
-    if isinstance(expr, Const):
-        return set()
-    if isinstance(expr, Ref):
-        return {expr.name}
-    if isinstance(expr, Unary):
-        return references(expr.operand)
-    if isinstance(expr, Binary):
-        return references(expr.left) | references(expr.right)
-    if isinstance(expr, IfThenElse):
-        return references(expr.cond) | references(expr.then) | references(expr.other)
-    raise ExprError(f"not an expression: {expr!r}")
-
-
 def to_text(expr):
     if isinstance(expr, Const):
         return str(expr.value)

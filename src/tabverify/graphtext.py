@@ -13,17 +13,15 @@
       Input.a -> DL.a;
       DL.z -> Output.z;
 
-Input ports default to int; write `b: bool` to override. `outputs` may be
-omitted for a single output named `out` (type inferred from the first row).
-Rows may list several functions, one per output port. `Input` and `Output`
-are the reserved boundary nodes.
+Input ports default to int; write `b: bool` to override. A table has one
+output port; `outputs` may be omitted for one named `out` (type inferred
+from the first row). `Input` and `Output` are the reserved boundary nodes.
+The design rules themselves are TableGraph.validate's.
 """
 
 from . import expr as _expr
 from .expr import ExprError, ExprTypeError, infer_type, to_text
-from .tables import INPUT, OUTPUT, GraphError, Table, TableGraph, validate_references
-
-RESERVED = {INPUT, OUTPUT}
+from .tables import GraphError, Table, TableGraph
 
 
 class _GraphParser(_expr._Parser):
@@ -64,16 +62,14 @@ def parse_graph(text, m=16):
             p.take()
             p.take(":")
             m = p.take()
-            if not isinstance(m, int) or m < 4 or m % 2:
-                raise GraphError(f"bad width {m!r} (need an even value >= 4)")
+            if not isinstance(m, int):  # its value is validate's to check
+                raise GraphError(f"expected a width, got {m!r}")
             p.maybe(";")
 
         while p.peek() == "table":
             name, table = _parse_table(p)
             if name in tables:
                 raise GraphError(f"duplicate table name '{name}'")
-            if name in RESERVED:
-                raise GraphError(f"'{name}' is a reserved node name")
             tables[name] = table
 
         if p.peek() != "edges":
@@ -89,11 +85,7 @@ def parse_graph(text, m=16):
     except ExprError as exc:
         raise GraphError(str(exc)) from exc
 
-    if not tables:
-        raise GraphError("no tables")
-    g = TableGraph(tables=tables, edges=edges, m=m)
-    validate_references(g)
-    return g
+    return TableGraph(tables=tables, edges=edges, m=m)
 
 
 def _parse_endpoint(p):
@@ -124,7 +116,7 @@ def _parse_table(p):
     name = p.name("table name")
     p.take("{")
     inputs = outputs = None
-    rows = None
+    rows = ()
     while p.peek() != "}":
         section = p.take()
         p.take(":")
@@ -140,24 +132,13 @@ def _parse_table(p):
 
     if inputs is None:
         raise GraphError(f"table '{name}' has no inputs section")
-    if rows is None or not rows:
-        raise GraphError(f"table '{name}' has no rows")
-
-    env = dict(inputs)
-    if outputs is None:
+    if outputs is None and rows:
         try:
-            ftype = infer_type(rows[0][1][0], env)
+            ftype = infer_type(rows[0][1][0], dict(inputs))
         except ExprTypeError as exc:
             raise GraphError(f"table '{name}': {exc}") from exc
         outputs = (("out", ftype),)
-
-    for pred, funcs in rows:
-        if len(funcs) != len(outputs):
-            raise GraphError(
-                f"table '{name}': row has {len(funcs)} functions for "
-                f"{len(outputs)} outputs"
-            )
-    return name, Table(name=name, inputs=inputs, outputs=outputs, rows=rows)
+    return name, Table(name=name, inputs=inputs, outputs=outputs or (), rows=rows)
 
 
 def _parse_rows(p):

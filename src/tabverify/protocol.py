@@ -84,7 +84,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 9  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 10  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
@@ -772,6 +772,10 @@ class Verifier:
         if uncovered:
             raise ProtocolError("domains give no values for external input(s) "
                                 + ", ".join(uncovered))
+        unknown = sorted(set(domains) - {n for n, _ in g_spec.external_inputs})
+        if unknown:
+            raise ProtocolError("domains name input(s) the specification does not "
+                                "have: " + ", ".join(unknown))
         for X, _ in cp:
             omitted = [n for n, _ in g_spec.external_inputs if n not in X]
             if omitted:
@@ -846,19 +850,23 @@ class Verifier:
         return answer, word
 
     def _well_formed(self, q, answer):
-        """Whether an encode answer to the query q has the fields its kind
-        needs, in shape; the one check on them. A payload spells h bits, and
-        a bool payload only bit 0, as tagged_word writes a bool. An
-        answer that fails it gives None and counts as null; one that passes
-        gives its w decoded, or b"" when it has no w."""
+        """Whether an encode answer to the query q has a kind its table can
+        give and the fields that kind needs, in shape; the one check on
+        them. A q2 answer is bot, or fires: an external table (one with a
+        payload type) with a payload, any other with top. A payload spells
+        h bits, and a bool payload only bit 0, as tagged_word writes a bool.
+        An answer that fails it gives None and counts as null; one that
+        passes gives its w decoded, or b"" when it has no w."""
         qkind = q["qkind"]
         kind = answer.get("kind") if isinstance(answer, dict) else None
-        if kind == NULL or (qkind == 2 and kind in (TOP, BOT)):
+        external = q["i"] in self.payload_types
+        if kind == NULL or (qkind == 2 and kind == BOT) or (
+                qkind == 2 and kind == TOP and not external):
             return b""
         try:
             if qkind == 1 and kind == "w":
                 return b64_cts(answer.get("w"), self.pp.hpk, self.pp.m)
-            if qkind == 2 and kind == "payload":
+            if qkind == 2 and kind == "payload" and external:
                 payload = hex_bits(answer.get("payload"), self.pp.m // 2)
                 if self.payload_types.get(q["i"]) != "bool" or not payload >> 1:
                     return b""

@@ -11,13 +11,7 @@ second half the payload.
 
 from dataclasses import dataclass, field
 
-from .expr import (
-    ExprTypeError,
-    evaluate,
-    infer_type,
-    references,
-    wrap_signed,
-)
+from .expr import ExprTypeError, evaluate, infer_type, wrap_signed
 
 INPUT = "Input"
 OUTPUT = "Output"
@@ -76,8 +70,8 @@ def tagged_word(tv, m):
 class Table:
     name: str
     inputs: tuple  # ((port, 'int'|'bool'), ...)
-    outputs: tuple  # ((port, 'int'|'bool'), ...)
-    rows: tuple  # ((pred, (func, ...)), ...) one func per output
+    outputs: tuple  # ((port, 'int'|'bool'),): one port
+    rows: tuple  # ((pred, (func,)), ...)
 
     def input_env(self):
         return dict(self.inputs)
@@ -89,6 +83,8 @@ class TableGraph:
 
     Edges are ((producer, port), (consumer, port)); producer may be INPUT and
     consumer may be OUTPUT. Every consumer port has exactly one producer.
+    validate is the one check of a design's rules, whether it was parsed
+    or built in code.
     """
 
     tables: dict
@@ -100,8 +96,18 @@ class TableGraph:
         self.validate()
 
     def validate(self):
+        if not isinstance(self.m, int) or self.m < 4 or self.m % 2:
+            raise GraphError(f"bad width {self.m!r} (need an even value >= 4)")
         if not self.tables:
             raise GraphError("no tables")
+        for t in self.tables.values():
+            if t.name in (INPUT, OUTPUT):
+                raise GraphError(f"'{t.name}' is a reserved node name")
+            if not t.rows:
+                raise GraphError(f"table '{t.name}' has no rows")
+            if len(t.outputs) != 1:
+                raise GraphError(f"table '{t.name}' has {len(t.outputs)} outputs; "
+                                 "a table has one output port")
         for (src, sport), (dst, dport) in self.edges:
             if src != INPUT and src not in self.tables:
                 raise GraphError(f"dangling edge: unknown producer '{src}'")
@@ -149,7 +155,8 @@ class TableGraph:
             out_types = dict(t.outputs)
             for pred, funcs in t.rows:
                 if len(funcs) != len(t.outputs):
-                    raise GraphError(f"table '{t.name}': row arity != output arity")
+                    raise GraphError(f"table '{t.name}': row has {len(funcs)} "
+                                     f"functions for {len(t.outputs)} outputs")
                 try:
                     if infer_type(pred, env) != "bool":
                         raise GraphError(
@@ -184,6 +191,8 @@ class TableGraph:
                 )
 
     def topo_order(self):
+        """The tables, each after its producers, the least name first among
+        those ready; a table on or after a cycle is left out."""
         succ = {name: set() for name in self.tables}
         indeg = {name: 0 for name in self.tables}
         for (src, _), (dst, _) in self.edges:
@@ -302,41 +311,22 @@ class TransformedGraph:
     external_inputs: list  # [(name, type)]
     # [(row table, its port, Output port)] per edge into OUTPUT
     external_outputs: list
-    levels: dict = field(init=False)
-    order: list = field(init=False)
+    levels: dict  # name -> 1 + the highest level among its producers
+    order: list = field(init=False)  # by (level, name)
 
     def __post_init__(self):
-        self.levels = self._compute_levels()
         self.order = sorted(self.tables, key=lambda n: (self.levels[n], n))
-        for (dst, _), group in self.producers.items():
-            for src, _ in group:
-                if src != INPUT and self.levels[src] >= self.levels[dst]:
-                    raise GraphError(
-                        f"edge {src} -> {dst} does not increase level"
-                    )
-
-    def _compute_levels(self):
-        levels = {}
-
-        def level_of(name):
-            if name in levels:
-                return levels[name]
-            t = self.tables[name]
-            best = 0
-            for port, _ in t.inputs:
-                for src, _ in self.producers[(name, port)]:
-                    if src != INPUT:
-                        best = max(best, level_of(src))
-            levels[name] = best + 1
-            return levels[name]
-
-        for name in self.tables:
-            level_of(name)
-        return levels
 
 
 def transform(g):
-    """Rewrite each row as its own single-row table over tagged values."""
+    """Rewrite each row as its own single-row table over tagged values.
+
+    Each origin table's level is 1 + the highest level among its producers,
+    taken in g's topological order; its row tables share it."""
+    level = {}
+    for name in g.topo_order():
+        feeds = (g.producers[(name, port)][0] for port, _ in g.tables[name].inputs)
+        level[name] = 1 + max((level[src] for src in feeds if src != INPUT), default=0)
     ttables = {}
     # row tables inherit the origin's ports; sibling rows share output ports
     for t in g.tables.values():
@@ -378,6 +368,7 @@ def transform(g):
         producers=producers,
         external_inputs=list(g.external_inputs),
         external_outputs=external_outputs,
+        levels={name: level[tt.origin] for name, tt in ttables.items()},
     )
 
 
@@ -491,16 +482,3 @@ def evaluate_original(g, X):
             values[(name, port)] = v
         results[name] = outs
     return results
-
-
-def validate_references(g):
-    """Every row expression must read only declared ports."""
-    for t in g.tables.values():
-        declared = {p for p, _ in t.inputs}
-        for pred, funcs in t.rows:
-            for e in (pred,) + tuple(funcs):
-                extra = references(e) - declared
-                if extra:
-                    raise GraphError(
-                        f"table '{t.name}' reads undeclared ports {sorted(extra)}"
-                    )

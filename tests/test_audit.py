@@ -79,8 +79,25 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 9.
+# Recorded at certificate version 10.
 CERT_DIGESTS = {
+    "demo-honest": "5ce21d7d0b44b8b48d7f656ccc569a9d5c361dc29fde78d7cc1bda5ca2e7fe98",
+    "demo-general": "7751daa1bd45847e8ba4056c94058806f479494d892692f162d753892cfc6725",
+    "chain-honest": "69007f3da8239a35e4fcaeb1bda6eb0b8f8f08a52b0b9237109906cd087c684e",
+    "chain-general": "0e786fb2ff68f4228cba55fe247e8275034887530553df08a646ac0715a82842",
+    "diamond-honest": "c08e00aa1b73263a51b4d8138a7143a5bdd2f64cbde772565de2c21586a2478e",
+    "diamond-general": "05e3edeb859903f112af5419bc1634e9156a980780f155466dd7fd38dcecfa34",
+    "flip-payload-honest": "f3673cf971794b02536b2e44ffc1a40f2f18808f483b422e541c04e8084daafd",
+    "flip-tag-honest": "f88f0402ddfaa1ad7b9307600c2103fcaf7f6ffd79f8e93121d9d2404b0f6989",
+    "swap-answers-honest": "17bcbdf09d212bf71223b4913ac9e466169eb15510d606f7e6c4d6aeaeec7d57",
+    "flip-payload-general": "6dcd9b9e25d46c657ac95a6a41d534a80de5be86518cadf8622915eb7f62a2ba",
+    "flip-tag-general": "9f5ee36936520423361504a24b1452f4be7023b00a91f3aec8b082c958de874b",
+    "swap-answers-general": "39cef47b03863045d3406a247a425797d06fc20fa2a45168dbfd2ce88d2162e5",
+}
+# the version 9 digests of the configurations whose sessions version 10
+# left as they were: only a flip-tag or swap-answers developer answers a q2
+# with a kind its table cannot give, which version 10 counts as null
+V9_DIGESTS = {
     "demo-honest": "60281507f35623d5185c85120240c5afb2c8d6989a890d2ae67071eb2aa1c7b9",
     "demo-general": "bd1587638b5d6cfc81f3ed3e1a02479c9f522147c55021fadbc8b40a0d0c0194",
     "chain-honest": "bf37b721200d19f89bd525c8ae4bcb14ae144c578c854bfbb11682e29df5e718",
@@ -88,23 +105,18 @@ CERT_DIGESTS = {
     "diamond-honest": "b10f8c729777c9ca2ebd01b0656c9bf662e57194f694d6f064aab6d27285dc97",
     "diamond-general": "df9ebbd6a40b85009e70c09b4a70a7d369e127f4e75fab70e2e5d7812f85c24a",
     "flip-payload-honest": "07abca08f675ec0a5175057bae824df4f70571af23115ebe014d50d5e272f792",
-    "flip-tag-honest": "bc960c180c05eecafa496d4cc8e429f20182d6e447e6df221a759a8bbb481690",
-    "swap-answers-honest": "f1d6dd2387aa4ba984835c37227a69a3d6789a56ad649227f9db0c2821ec3bb2",
     "flip-payload-general": "8296fb95ec993b0c5ac8f07550130ef0811ae946940e118d0f80402ac099185b",
-    "flip-tag-general": "99d0704575b755f031c279a3e4c130d4dfbc3881adf575ea7f5a2c0cdb550f69",
-    "swap-answers-general": "335f26c5e640fbed368dfcb4120e5969b71b5edb1ccd191e0f0b11296793b069",
 }
 # the length of three of them, so that a change of size shows by itself; at
 # version 8, with 24-byte nonces, a recorded key and recorded challenges,
-# they were 578,463, 733,575 and 782,992 bytes
-CERT_BYTES = {"demo-honest": 398247, "diamond-honest": 502295,
-              "demo-general": 535063}
+# they were 578,463, 733,575 and 782,992 bytes, and at version 9 one byte
+# shorter than now
+CERT_BYTES = {"demo-honest": 398248, "diamond-honest": 502296,
+              "demo-general": 535064}
 
 
-@pytest.mark.parametrize("config", list(CERT_DIGESTS))
-def test_session_certificate_is_json_native(config):
-    # the audit and save_certificate use certificates as handed, with no
-    # JSON round trip, so Verifier.run must build them in JSON types
+def config_cert(config):
+    """The certificate of one of CERT_DIGESTS' configurations."""
     design, mode = config.rsplit("-", 1)
     if config == "demo-honest":
         cert = HONEST_CERT
@@ -120,6 +132,14 @@ def test_session_certificate_is_json_native(config):
         cert = FLIP_TAG_CERT
     else:
         _, cert = make_cert(mode, strategy=design)
+    return cert
+
+
+@pytest.mark.parametrize("config", list(CERT_DIGESTS))
+def test_session_certificate_is_json_native(config):
+    # the audit and save_certificate use certificates as handed, with no
+    # JSON round trip, so Verifier.run must build them in JSON types
+    cert = config_cert(config)
     assert same_json(cert, json.loads(canonical_json(cert)))
     text = canonical_json(cert).encode("utf-8")
     assert hashlib.sha256(text).hexdigest() == CERT_DIGESTS[config]
@@ -129,6 +149,14 @@ def test_session_certificate_is_json_native(config):
     # canonical JSON: the audit's final compare, field by field, relies on it
     assert "{" + ",".join(f"{json.dumps(k)}:{canonical_json(cert[k])}"
                           for k in sorted(cert)) + "}" == text.decode("utf-8")
+
+
+@pytest.mark.parametrize("config", list(V9_DIGESTS))
+def test_version_10_changed_only_the_version_of_these_sessions(config):
+    cert = dict(config_cert(config), version=9)
+    cert["binding"] = session_binding(cert)
+    text = canonical_json(cert).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == V9_DIGESTS[config]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -145,7 +173,7 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v9"}
+           "format": "tabverify-cert-v10"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
@@ -159,7 +187,7 @@ def test_version_8_certificate_is_refused_by_name(tmp_path):
     assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v9",
+    path.write_text(path.read_text().replace("tabverify-cert-v10",
                                              "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
                                          "'tabverify-cert-v8'"):
@@ -404,10 +432,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 9
+    # version 10
     for cert, want in (
-        (HONEST_CERT, "e25ba00c443a0440a357b0aa4a5f3204f529626df2382f883846bf1cb54d9260"),
-        (GENERAL_CERT, "f7175609536215c14eed9f2d0d1c85b63f9395968fed76b5d68d461994af4c18"),
+        (HONEST_CERT, "39257c05e0ed013037a9293058b276b92aa5240bb56fefa8e68895bd8947857d"),
+        (GENERAL_CERT, "f29956def3df4461ef16166b8fe2f86e24af1bda10276422da624102c40809c6"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

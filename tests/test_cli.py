@@ -223,6 +223,67 @@ def test_verify_refuses_general_mode_on_narrow_width(workspace):
     assert run(args).exit_code == 0
 
 
+ONE_TABLE = """
+table T { inputs: x; outputs: y; rows: [(x > 0, x), (x <= 0, 0)]; }
+edges:
+  Input.x -> T.x;
+  T.y -> Output.y;
+"""
+
+
+@pytest.mark.parametrize("width", ["0", "-4", "5"])
+def test_verify_refuses_a_bad_m_width(workspace, width):
+    # the file has no width line, so --m-width is the design's width
+    design = workspace / "one.txt"
+    design.write_text(ONE_TABLE)
+    r = run(["verify", "--spec", str(design), "--graph", str(design),
+             "--m-width", width, "--cert", str(workspace / "c.json")])
+    assert r.exit_code == 2
+    err = json.loads(r.stderr)
+    assert err["error"] == "graph"
+    assert err["message"].startswith(f"bad width {width}")
+    assert not (workspace / "c.json").exists()
+
+
+TWO_OUTPUTS = """
+table T { inputs: x; outputs: y, z; rows: [(x > 0, x - 1, x), (x <= 0, 0 - x, 0)]; }
+edges:
+  Input.x -> T.x;
+  T.y -> Output.y;
+  T.z -> Output.z;
+"""
+SPLIT = """
+table Y { inputs: x; outputs: y; rows: [(x > 0, x - 1), (x <= 0, 0 - x)]; }
+table Z { inputs: x; outputs: z; rows: [(x > 0, x), (x <= 0, 0)]; }
+edges:
+  Input.x -> Y.x;
+  Input.x -> Z.x;
+  Y.y -> Output.y;
+  Z.z -> Output.z;
+"""
+
+
+@pytest.mark.parametrize("command", ["compile", "encrypt", "verify-graph",
+                                     "verify-spec"])
+def test_a_two_output_table_is_refused(workspace, command):
+    (workspace / "two.txt").write_text(TWO_OUTPUTS)
+    (workspace / "split.txt").write_text(SPLIT)
+    two, split = str(workspace / "two.txt"), str(workspace / "split.txt")
+    cert = ["--cert", str(workspace / "c.json")]
+    args = {"compile": ["compile", "--graph", two],
+            "encrypt": ["encrypt", "--graph", two, "--out",
+                        str(workspace / "pp.json")],
+            "verify-graph": ["verify", "--spec", split, "--graph", two] + cert,
+            "verify-spec": ["verify", "--spec", two, "--graph", split] + cert}
+    r = run(args[command])
+    assert r.exit_code == 2
+    assert json.loads(r.stderr) == {
+        "error": "graph",
+        "message": "table 'T' has 2 outputs; a table has one output port"}
+    assert not (workspace / "c.json").exists()
+    assert not (workspace / "pp.json").exists()
+
+
 def test_usage_error_exit_codes(workspace):
     r = run(["verify", "--spec", str(workspace / "demo.txt"),
              "--cert", str(workspace / "c.json")])
@@ -359,6 +420,7 @@ PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
 @pytest.mark.parametrize("bad", [
     "pp-missing", "pp-not-json", "pp-not-params", "domains-missing",
     "domains-not-json", "domains-not-object", "domains-omit-input",
+    "domains-names-unknown-input",
     "domains-value-not-int", "cp-missing", "cp-not-json", "cp-not-list",
     "cp-not-pair", "cp-input-omits-b", "cp-input-not-int"]
     + [f"pp-{fault}" for fault in PP_FAULTS])
@@ -376,6 +438,8 @@ def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
                "input-omits-b": json.dumps([[{"a": 1}, {}]]),
                "input-not-int": json.dumps([[{"a": "x", "b": True}, {}]]),
                "omit-input": json.dumps({"a": {"lo": 0, "hi": 3}}),
+               "names-unknown-input": json.dumps(
+                   {"a": {"lo": 0, "hi": 3}, "b": [False, True], "extra": []}),
                "value-not-int": json.dumps({"a": ["x"], "b": [False, True]})}
     if fault in PP_FAULTS:
         content[fault] = edited_pp(demo_pp, fault)

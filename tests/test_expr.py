@@ -12,7 +12,6 @@ from tabverify.expr import (
     evaluate,
     infer_type,
     parse_expr,
-    references,
     to_text,
     wrap_signed,
 )
@@ -85,11 +84,6 @@ def test_infer_type():
         infer_type(parse_expr("b > true"), env)
     with pytest.raises(ExprTypeError):
         infer_type(parse_expr("c"), env)
-
-
-def test_references():
-    assert references(parse_expr("if a > 0 then b else c + 1")) == {"a", "b", "c"}
-    assert references(Const(4)) == set()
 
 
 def test_to_text_round_trip():

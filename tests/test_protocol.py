@@ -18,6 +18,7 @@ from tabverify.demo import (
     chain_graph,
     diamond_graph,
 )
+from tabverify.expr import wrap_signed
 from tabverify.graphtext import parse_graph
 from tabverify.protocol import (
     Developer,
@@ -935,3 +936,78 @@ def test_concurrent_table_steps_share_one_memo():
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * 4
     assert set(shared._prepared) == {i for i, _ in steps}
+
+
+def one_table(rows):
+    """A design of one table T from x to the Output port y."""
+    return parse_graph("table T { inputs: x; outputs: y; rows: [%s]; }\n"
+                       "edges:\n  Input.x -> T.x;\n  T.y -> Output.y;\n" % rows)
+
+
+def lying_session(spec, design, lie, mode="general"):
+    """A session over x in -5..7 against a developer of design whose q2
+    answers lie(developer, i, x, honest answer) rewrites."""
+    class Liar(Developer):
+        x = None
+
+        def _open_output(self, i, v_word, u_plain):
+            h = self.pp.m // 2
+            self.x = wrap_signed(u_plain >> h, h)  # the payload of T's input
+            return super()._open_output(i, v_word, u_plain)
+
+        def _encode_q2(self, body):
+            reply = super()._encode_q2(body)
+            return {"answer": lie(self, body["i"], self.x, reply["answer"])}
+
+    dev = (Developer if lie is None else Liar)(design, rng=random.Random(1))
+    v = Verifier(dev.pp.to_dict(), spec, {"x": list(range(-5, 8))}, [], seed=3,
+                 mode=mode, rng=random.Random(2))
+    return verify_session(dev, v)
+
+
+def test_a_row_table_that_fires_as_top_at_an_output_is_null():
+    # rows 1 and 2 of the design overlap for x > 2; answering row 2's
+    # payload as top, the kind only a table that feeds no output gives,
+    # hid the second firing row from the output, and the session accepted
+    spec = one_table("(x > 0, x + 1), (x <= 0, 0)")
+    design = one_table("(x > 0, x + 1), (x > 2, 0 - x), (x <= 0, 0)")
+    verdict, cert = lying_session(spec, design, None)
+    assert verdict == "reject"
+    assert {f["reason"] for f in cert["failures"]} == {"ambiguous-output"}
+
+    def hide_row_2(dev, i, x, answer):
+        if i == dev.index_of["T#2"] and answer["kind"] == "payload":
+            return {"kind": "top"}
+        return answer
+
+    for mode in ("honest", "general"):
+        verdict, cert = lying_session(spec, design, hide_row_2, mode)
+        assert verdict == "reject"
+        assert {f["reason"] for f in cert["failures"]} == {"q2-null"}
+        assert audit(cert)[0] == 0
+
+
+def claim_row_1_fires_in_the_gap(dev, i, x, answer):
+    if i == dev.index_of["T#1"] and answer["kind"] == "bot" and 1 <= x <= 5:
+        return {"kind": "payload", "payload": "00"}
+    return answer
+
+
+GAP_SPEC = "(x > 0, 0), (x <= 0, 1)"
+GAP_DESIGN = "(x > 5, 0), (x <= 0, 1)"  # no row holds for x in 1..5
+
+
+def test_the_gap_design_is_rejected_from_an_honest_developer():
+    verdict, cert = lying_session(one_table(GAP_SPEC), one_table(GAP_DESIGN), None)
+    assert verdict == "reject"
+    assert {"x": 4} in [m["input"] for m in cert["mismatches"]]
+
+
+@pytest.mark.xfail(strict=True, reason="an external table's checker slice is its "
+                   "payload half alone, so a row that did not fire, whose payload "
+                   "half is 0, can be reported as fired with payload 0")
+def test_a_row_that_did_not_fire_cannot_claim_a_zero_payload():
+    verdict, cert = lying_session(one_table(GAP_SPEC), one_table(GAP_DESIGN),
+                                  claim_row_1_fires_in_the_gap)
+    assert verdict == "reject"
+    assert audit(cert)[0] == 0
