@@ -288,8 +288,8 @@ def compile_table(tt, m):
         raise CircuitError(f"table '{tt.name}': predicate is not boolean")
     live = b.and_all([pred] + tags)
 
-    otype = tt.outputs[0][1]
-    ftyp, fval = _compile_expr(b, tt.funcs[0], env, h)
+    otype = tt.output[1]
+    ftyp, fval = _compile_expr(b, tt.func, env, h)
     if ftyp != otype:
         raise CircuitError(f"table '{tt.name}': function type mismatch")
     if otype == "bool":

@@ -163,8 +163,8 @@ def compile(graph, m_width, out):
     for name in tg.order:
         t = tg.tables[name]
         ports = ", ".join(f"{p}:{ty}" for p, ty in t.inputs)
-        outs = ", ".join(f"{p}:{ty}" for p, ty in t.outputs)
-        click.echo(f"level {tg.levels[name]}  {name}  ({ports}) -> ({outs})")
+        out, otype = t.output
+        click.echo(f"level {tg.levels[name]}  {name}  ({ports}) -> ({out}:{otype})")
     click.echo(f"valid: {len(tg.tables)} row tables")
 
 

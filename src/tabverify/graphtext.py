@@ -16,7 +16,10 @@
 Input ports default to int; write `b: bool` to override. A table has one
 output port; `outputs` may be omitted for one named `out` (type inferred
 from the first row). `Input` and `Output` are the reserved boundary nodes.
-The design rules themselves are TableGraph.validate's.
+The design rules themselves are TableGraph.validate's, except two that only
+this text can break: a `Table` holds one output port and rows of
+(predicate, function), so the parser itself refuses a table that lists two
+outputs, and then a row that lists two functions.
 """
 
 from . import expr as _expr
@@ -132,13 +135,21 @@ def _parse_table(p):
 
     if inputs is None:
         raise GraphError(f"table '{name}' has no inputs section")
+    if outputs is not None and len(outputs) != 1:
+        raise GraphError(f"table '{name}' has {len(outputs)} outputs; "
+                         "a table has one output port")
+    for _, funcs in rows:
+        if len(funcs) != 1:
+            raise GraphError(f"table '{name}': row has {len(funcs)} "
+                             "functions for 1 outputs")
+    rows = tuple((pred, func) for pred, (func,) in rows)
+    output = outputs[0] if outputs else None  # None: validate refuses no rows
     if outputs is None and rows:
         try:
-            ftype = infer_type(rows[0][1][0], dict(inputs))
+            output = ("out", infer_type(rows[0][1], dict(inputs)))
         except ExprTypeError as exc:
             raise GraphError(f"table '{name}': {exc}") from exc
-        outputs = (("out", ftype),)
-    return name, Table(name=name, inputs=inputs, outputs=outputs or (), rows=rows)
+    return name, Table(name=name, inputs=inputs, output=output, rows=rows)
 
 
 def _parse_rows(p):
@@ -167,13 +178,10 @@ def serialize_graph(g):
         t = g.tables[name]
         out.append(f"table {name} {{")
         out.append("  inputs: " + ", ".join(f"{p}: {ty}" for p, ty in t.inputs) + ";")
-        out.append(
-            "  outputs: " + ", ".join(f"{p}: {ty}" for p, ty in t.outputs) + ";"
-        )
+        out.append(f"  outputs: {t.output[0]}: {t.output[1]};")
         out.append("  rows: [")
-        for pred, funcs in t.rows:
-            fs = ", ".join(to_text(f) for f in funcs)
-            out.append(f"    ({to_text(pred)}, {fs}),")
+        for pred, func in t.rows:
+            out.append(f"    ({to_text(pred)}, {to_text(func)}),")
         out.append("  ];")
         out.append("}")
     out.append("edges:")

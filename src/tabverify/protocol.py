@@ -73,7 +73,6 @@ from .commitment import (
 from .graphtext import serialize_graph
 from .symcrypto import SECircuit, block_width_ok, se_dec, se_key_bits, se_keygen
 from .tables import (
-    INPUT,
     Tagged,
     bits_uint,
     evaluate_plain,
@@ -397,14 +396,13 @@ def public_structure(tg, index_of):
     port names, which the public specification fixes anyway) keeps names.
     """
 
-    def feed(producers):  # one external input, or the sibling rows of a port
-        src, port = producers[0]
-        return port if src == INPUT else tuple(index_of[s] for s, _ in producers)
+    def feed(f):  # one external input, or the sibling rows of a port
+        return f if isinstance(f, str) else tuple(index_of[s] for s in f)
 
-    external = {tname for tname, _, _ in tg.external_outputs}
+    external = {tname for tname, _ in tg.external_outputs}
     groups = {}  # Output port -> (its type, the row tables that produce it)
-    for tname, port, name in tg.external_outputs:
-        ptype = dict(tg.tables[tname].outputs)[port]
+    for tname, name in tg.external_outputs:
+        ptype = tg.tables[tname].output[1]
         groups.setdefault(name, (ptype, []))[1].append(index_of[tname])
     return Structure(
         tables=tuple((name in external, tuple(feed(tg.producers[(name, port)])
@@ -1100,9 +1098,9 @@ class Verifier:
 
 def spec_port_outputs(tg_spec, X):
     """Per-output-port plaintext results of the public specification."""
-    outputs, _ = evaluate_plain(tg_spec, X)
+    outputs = evaluate_plain(tg_spec, X)
     groups = {}
-    for tname, _, name in tg_spec.external_outputs:
+    for tname, name in tg_spec.external_outputs:
         groups.setdefault(name, []).append(outputs[tname])
     result = {}
     for port, vals in groups.items():

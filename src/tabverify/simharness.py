@@ -100,15 +100,12 @@ def fake_graph_like(g, seed):
         bool_ports = [p for p, ty in t.inputs if ty == "bool"]
         n = len(t.rows)
         preds = _fake_preds(int_ports, bool_ports, n, rng)
-        rows = []
-        for pred in preds:
-            funcs = tuple(
-                _fake_func(int_ports, bool_ports, ty, rng) for _, ty in t.outputs
-            )
-            rows.append((parse_expr(pred), tuple(parse_expr(f) for f in funcs)))
-        tables[t.name] = Table(
-            name=t.name, inputs=t.inputs, outputs=t.outputs, rows=tuple(rows)
+        rows = tuple(
+            (parse_expr(pred),
+             parse_expr(_fake_func(int_ports, bool_ports, t.output[1], rng)))
+            for pred in preds
         )
+        tables[t.name] = Table(name=t.name, inputs=t.inputs, output=t.output, rows=rows)
     return TableGraph(
         tables=tables,
         edges=list(g.edges),

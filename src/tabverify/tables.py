@@ -1,12 +1,12 @@
 """Tabular designs: multi-row tables, table graphs, the single-row
 transformation to tagged values, level ordering, and plain evaluation.
 
-A design is a DAG of tables. Each table holds rows of (predicate, functions)
-and is well formed when exactly one predicate holds per input. The
-transformation rewrites every row as its own table whose single function
-returns a tagged word: (top, f(x)) when the predicate holds, (bot, 0)
-otherwise. Tagged words are m bits; the first half carries the tag, the
-second half the payload.
+A design is a DAG of tables. Each table has one output port and holds rows
+of (predicate, function), and is well formed when exactly one predicate
+holds per input. The transformation rewrites every row as its own table
+whose function returns a tagged word: (top, f(x)) when the predicate
+holds, (bot, 0) otherwise. Tagged words are m bits; the first half carries
+the tag, the second half the payload.
 """
 
 from dataclasses import dataclass, field
@@ -68,13 +68,13 @@ def tagged_word(tv, m):
 
 @dataclass(frozen=True)
 class Table:
+    """A design table: one output port, and rows that each pair a predicate
+    with the function the port takes when it holds."""
+
     name: str
     inputs: tuple  # ((port, 'int'|'bool'), ...)
-    outputs: tuple  # ((port, 'int'|'bool'),): one port
-    rows: tuple  # ((pred, (func,)), ...)
-
-    def input_env(self):
-        return dict(self.inputs)
+    output: tuple  # (port, 'int'|'bool'): a table's one output port
+    rows: tuple  # ((pred, func), ...)
 
 
 @dataclass
@@ -83,8 +83,8 @@ class TableGraph:
 
     Edges are ((producer, port), (consumer, port)); producer may be INPUT and
     consumer may be OUTPUT. Every consumer port has exactly one producer.
-    validate is the one check of a design's rules, whether it was parsed
-    or built in code.
+    validate checks every rule that a design built in code can break; a
+    parsed design passes the same check.
     """
 
     tables: dict
@@ -105,15 +105,15 @@ class TableGraph:
                 raise GraphError(f"'{t.name}' is a reserved node name")
             if not t.rows:
                 raise GraphError(f"table '{t.name}' has no rows")
-            if len(t.outputs) != 1:
-                raise GraphError(f"table '{t.name}' has {len(t.outputs)} outputs; "
-                                 "a table has one output port")
         for (src, sport), (dst, dport) in self.edges:
+            if src == INPUT and dst == OUTPUT:
+                raise GraphError(f"edge {src}.{sport} -> {dst}.{dport} "
+                                 "passes through no table")
             if src != INPUT and src not in self.tables:
                 raise GraphError(f"dangling edge: unknown producer '{src}'")
             if dst != OUTPUT and dst not in self.tables:
                 raise GraphError(f"dangling edge: unknown consumer '{dst}'")
-            if src != INPUT and sport not in dict(self.tables[src].outputs):
+            if src != INPUT and sport != self.tables[src].output[0]:
                 raise GraphError(f"'{src}' has no output port '{sport}'")
             if dst != OUTPUT and dport not in dict(self.tables[dst].inputs):
                 raise GraphError(f"'{dst}' has no input port '{dport}'")
@@ -133,7 +133,7 @@ class TableGraph:
 
         ext = {}
         for (src, sport), (dst, dport) in self.edges:
-            if src == INPUT and dst != OUTPUT:
+            if src == INPUT:
                 ptype = dict(self.tables[dst].inputs)[dport]
                 if sport in ext and ext[sport] != ptype:
                     raise GraphError(f"external input '{sport}' used at two types")
@@ -151,27 +151,23 @@ class TableGraph:
         h = self.m // 2
         limit = 1 << (h - 1)
         for t in self.tables.values():
-            env = t.input_env()
-            out_types = dict(t.outputs)
-            for pred, funcs in t.rows:
-                if len(funcs) != len(t.outputs):
-                    raise GraphError(f"table '{t.name}': row has {len(funcs)} "
-                                     f"functions for {len(t.outputs)} outputs")
+            env = dict(t.inputs)
+            port, otype = t.output
+            for pred, func in t.rows:
                 try:
                     if infer_type(pred, env) != "bool":
                         raise GraphError(
                             f"table '{t.name}': predicate is not boolean"
                         )
-                    for (port, _), func in zip(t.outputs, funcs):
-                        ft = infer_type(func, env)
-                        if ft != out_types[port]:
-                            raise GraphError(
-                                f"table '{t.name}': function for '{port}' is {ft},"
-                                f" port declared {out_types[port]}"
-                            )
+                    ft = infer_type(func, env)
+                    if ft != otype:
+                        raise GraphError(
+                            f"table '{t.name}': function for '{port}' is {ft},"
+                            f" port declared {otype}"
+                        )
                 except ExprTypeError as exc:
                     raise GraphError(f"table '{t.name}': {exc}") from exc
-                for e in (pred,) + tuple(funcs):
+                for e in (pred, func):
                     for c in _constants(e):
                         if isinstance(c, bool):
                             continue
@@ -183,7 +179,7 @@ class TableGraph:
         for (src, sport), (dst, dport) in self.edges:
             if src == INPUT or dst == OUTPUT:
                 continue
-            st = dict(self.tables[src].outputs)[sport]
+            st = self.tables[src].output[1]
             dt = dict(self.tables[dst].inputs)[dport]
             if st != dt:
                 raise GraphError(
@@ -298,19 +294,20 @@ class TTable:
     origin: str
     row: int
     inputs: tuple  # ((port, type), ...)
-    outputs: tuple  # ((port, type), ...)
+    output: tuple  # (port, type): the origin's output port
     pred: object
-    funcs: tuple
+    func: object
 
 
 @dataclass
 class TransformedGraph:
     m: int
     tables: dict  # name -> TTable, insertion order = origin order
-    producers: dict  # (consumer, port) -> [(producer|INPUT, port), ...]
+    # (row table, port) -> the external input's name, or the tuple of the
+    # sibling row tables that produce the port
+    producers: dict
     external_inputs: list  # [(name, type)]
-    # [(row table, its port, Output port)] per edge into OUTPUT
-    external_outputs: list
+    external_outputs: list  # [(row table, Output port)] per edge into OUTPUT
     levels: dict  # name -> 1 + the highest level among its producers
     order: list = field(init=False)  # by (level, name)
 
@@ -327,40 +324,22 @@ def transform(g):
     for name in g.topo_order():
         feeds = (g.producers[(name, port)][0] for port, _ in g.tables[name].inputs)
         level[name] = 1 + max((level[src] for src in feeds if src != INPUT), default=0)
-    ttables = {}
-    # row tables inherit the origin's ports; sibling rows share output ports
+    # row tables inherit the origin's ports; sibling rows share its output
+    ttables, siblings = {}, {}  # siblings: origin -> its row tables
     for t in g.tables.values():
-        for i, (pred, funcs) in enumerate(t.rows):
-            name = f"{t.name}#{i + 1}"
-            ttables[name] = TTable(
-                name=name,
-                origin=t.name,
-                row=i,
-                inputs=t.inputs,
-                outputs=t.outputs,
-                pred=pred,
-                funcs=tuple(funcs),
-            )
-
-    siblings = {}  # (origin, port) -> [row table names]
-    for name, tt in ttables.items():
-        for port, _ in tt.outputs:
-            siblings.setdefault((tt.origin, port), []).append(name)
+        siblings[t.name] = tuple(f"{t.name}#{i + 1}" for i in range(len(t.rows)))
+        for i, (pred, func) in enumerate(t.rows):
+            name = siblings[t.name][i]
+            ttables[name] = TTable(name, t.name, i, t.inputs, t.output, pred, func)
 
     producers = {}
     external_outputs = []
     for (src, sport), (dst, dport) in g.edges:
         if dst == OUTPUT:
-            for rname in siblings[(src, sport)]:
-                external_outputs.append((rname, sport, dport))
+            external_outputs += [(rname, dport) for rname in siblings[src]]
             continue
-        for i in range(len(g.tables[dst].rows)):
-            key = (f"{dst}#{i + 1}", dport)
-            if src == INPUT:
-                producers.setdefault(key, []).append((INPUT, sport))
-            else:
-                for rname in siblings[(src, sport)]:
-                    producers.setdefault(key, []).append((rname, sport))
+        for rname in siblings[dst]:
+            producers[(rname, dport)] = sport if src == INPUT else siblings[src]
 
     return TransformedGraph(
         m=g.m,
@@ -376,7 +355,7 @@ def transform(g):
 
 
 def sibling_group(values):
-    """The rule for the sibling rows of one origin port: None (null) if any
+    """The rule for the sibling rows of one origin table: None (null) if any
     member is null, else the members whose tag is top. A well-formed group
     has at most one; a consumer takes the first, an output port is null
     when there are several."""
@@ -387,10 +366,10 @@ def sibling_group(values):
 
 def _resolve_port(tg, values, X, consumer, port):
     """Value feeding (consumer, port): Tagged, or None for null."""
-    group = tg.producers[(consumer, port)]
-    if group[0][0] == INPUT:
-        return Tagged(True, X[group[0][1]])
-    tops = sibling_group([values[p] for p in group])
+    feed = tg.producers[(consumer, port)]
+    if isinstance(feed, str):
+        return Tagged(True, X[feed])
+    tops = sibling_group([values[s] for s in feed])
     if tops is None:
         return None
     return tops[0] if tops else BOT
@@ -399,47 +378,34 @@ def _resolve_port(tg, values, X, consumer, port):
 def evaluate_plain(tg, X):
     """Evaluate the transformed graph on external inputs X.
 
-    Returns (outputs, trace). outputs maps each external row table to its
-    Tagged output or None (null). trace records every table's resolved
-    inputs and outputs, the plaintext shadow the tests compare against.
+    Returns every row table's output, a Tagged value or None (null): the
+    plaintext shadow the tests compare against.
     """
     for name, _ in tg.external_inputs:
         if name not in X:
             raise GraphError(f"external input '{name}' not assigned")
     width = tg.m // 2
     values = {}
-    trace = {}
     for name in tg.order:
         t = tg.tables[name]
-        ins = {}
-        null = False
         env = {}
         for port, ptype in t.inputs:
             v = _resolve_port(tg, values, X, name, port)
-            ins[port] = v
             if v is None or not v.tag:
-                null = True
-            elif ptype == "bool":
+                env = None
+                break
+            if ptype == "bool":
                 env[port] = bool(v.payload)
             else:
                 env[port] = wrap_signed(int(v.payload), width)
-        if null:
-            outs = {port: None for port, _ in t.outputs}
+        if env is None:
+            values[name] = None
         elif evaluate(t.pred, env, width):
-            outs = {}
-            for (port, ptype), func in zip(t.outputs, t.funcs):
-                r = evaluate(func, env, width)
-                outs[port] = Tagged(True, bool(r) if ptype == "bool" else r)
+            r = evaluate(t.func, env, width)
+            values[name] = Tagged(True, bool(r) if t.output[1] == "bool" else r)
         else:
-            outs = {port: BOT for port, _ in t.outputs}
-        for port, v in outs.items():
-            values[(name, port)] = v
-        trace[name] = {"inputs": ins, "outputs": outs}
-
-    outputs = {}
-    for tname, port, _ in tg.external_outputs:
-        outputs[tname] = values[(tname, port)]
-    return outputs, trace
+            values[name] = BOT
+    return values
 
 
 def evaluate_original(g, X):
@@ -449,36 +415,21 @@ def evaluate_original(g, X):
     """
     width = g.m // 2
     values = {}
-    results = {}
     for name in g.topo_order():
         t = g.tables[name]
         env = {}
-        dead = False
         for port, ptype in t.inputs:
             src, sport = g.producers[(name, port)]
-            v = X[sport] if src == INPUT else values.get((src, sport))
+            v = X[sport] if src == INPUT else values[src]
             if v is None:
-                dead = True
+                env = None
                 break
             env[port] = bool(v) if ptype == "bool" else wrap_signed(int(v), width)
-        if dead:
-            results[name] = {port: None for port, _ in t.outputs}
-            continue
-        chosen = None
-        for pred, funcs in t.rows:
-            if evaluate(pred, env, width):
-                chosen = funcs
-                break
-        outs = {}
-        for (port, ptype), func in zip(
-            t.outputs, chosen if chosen else (None,) * len(t.outputs)
-        ):
-            if chosen is None:
-                outs[port] = None
-            else:
-                r = evaluate(func, env, width)
-                outs[port] = bool(r) if ptype == "bool" else r
-        for port, v in outs.items():
-            values[(name, port)] = v
-        results[name] = outs
-    return results
+        values[name] = None
+        if env is not None:
+            for pred, func in t.rows:
+                if evaluate(pred, env, width):
+                    r = evaluate(func, env, width)
+                    values[name] = bool(r) if t.output[1] == "bool" else r
+                    break
+    return {name: {g.tables[name].output[0]: v} for name, v in values.items()}

@@ -77,9 +77,7 @@ def generate_suite(structure, g_spec, domains, seed, budget):
         found = None
         for _ in range(ROW_SEARCH_TRIES):
             X = _sample_input(domains, rng)
-            _, trace = evaluate_plain(tg, X)
-            outs = trace[name]["outputs"]
-            v = next(iter(outs.values()))
+            v = evaluate_plain(tg, X)[name]
             if v is not None and v.tag:
                 found = X
                 break

@@ -144,19 +144,18 @@ def test_c3_every_ciphertext_decrypts_to_plaintext_trace():
     for k, X in enumerate(sample_inputs(DEMO_DOMAINS, 100, 303)):
         _, verdict, cert = session(DEMO, DEMO_DOMAINS, [X], dev=dev, seed=k)
         assert verdict == "accept"
-        _, trace = evaluate_plain(dev.tg, X)
+        outputs = evaluate_plain(dev.tg, X)
         for rec in cert["qa_e"]:
             q, a = rec["q"], rec["a"]
             name = dev.tg.order[q["i"] - 1]  # indices are level-order positions
             if q["qkind"] == 1:
                 port = dev.tg.tables[name].inputs[q["port"]][0]
-                src = dev.tg.producers[(name, port)][0][1]
+                src = dev.tg.producers[(name, port)]
                 u = tagged_to_bits(Tagged(True, X[src]), m)
                 assert int_to_bits(hex_bits(q["u"], m), m) == u
                 assert he.dec_word(dev.hsk, b64_cts(a["w"], dev.hpk)) == u
             else:
-                out = next(iter(trace[name]["outputs"].values()))
-                want = tagged_to_bits(out, m)
+                want = tagged_to_bits(outputs[name], m)
                 assert he.dec_word(dev.hsk, b64_cts(q["v"], dev.hpk)) == want
             checked += 1
     print(f"criterion 3: {checked} recorded words match the plaintext trace")
@@ -372,9 +371,9 @@ def test_c9_demo_pipeline_general_mode(tmp_path):
     want_cov, want_anti, want_reached = set(), set(), set()
     for key in loaded["outputs"]:
         X = json.loads(key)
-        _, trace = evaluate_plain(dev.tg, X)
+        outputs = evaluate_plain(dev.tg, X)
         for name in dev.tg.order:
-            out = next(iter(trace[name]["outputs"].values()))
+            out = outputs[name]
             i = dev.index_of[name]
             if out is None:
                 continue

@@ -236,8 +236,8 @@ def test_compiled_random_trees_match_the_interpreter(ports):
         if rng.random() < 0.7:
             pred = random_expr(rng, env, "bool", 3, seen)
         func = random_expr(rng, env, otype, 3, seen)
-        c = compile_table(TTable("T#1", "T", 1, tuple(env.items()), (("y", otype),),
-                                 pred, (func,)), m)
+        c = compile_table(TTable("T#1", "T", 1, tuple(env.items()), ("y", otype),
+                                 pred, func), m)
         domains = [range(-8, 8) if t == "int" else (False, True) for t in env.values()]
         points = list(itertools.product(*domains))
         if ports > 2:

@@ -284,6 +284,32 @@ def test_a_two_output_table_is_refused(workspace, command):
     assert not (workspace / "pp.json").exists()
 
 
+BYPASS = """
+table T { inputs: x; outputs: y; rows: [(x > 0, x), (x <= 0, 0 - x)]; }
+edges:
+  Input.x -> T.x;
+  T.y -> Output.y;
+  Input.x -> Output.z;
+"""
+
+
+@pytest.mark.parametrize("command", ["compile", "verify-graph", "verify-spec"])
+def test_an_input_wired_straight_to_an_output_is_refused(workspace, command):
+    (workspace / "bypass.txt").write_text(BYPASS)
+    (workspace / "one.txt").write_text(ONE_TABLE)
+    bypass, one = str(workspace / "bypass.txt"), str(workspace / "one.txt")
+    cert = ["--cert", str(workspace / "c.json")]
+    args = {"compile": ["compile", "--graph", bypass],
+            "verify-graph": ["verify", "--spec", one, "--graph", bypass] + cert,
+            "verify-spec": ["verify", "--spec", bypass, "--graph", one] + cert}
+    r = run(args[command])
+    assert r.exit_code == 2
+    assert json.loads(r.stderr) == {
+        "error": "graph",
+        "message": "edge Input.x -> Output.z passes through no table"}
+    assert not (workspace / "c.json").exists()
+
+
 def test_usage_error_exit_codes(workspace):
     r = run(["verify", "--spec", str(workspace / "demo.txt"),
              "--cert", str(workspace / "c.json")])

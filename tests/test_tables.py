@@ -13,7 +13,6 @@ from tabverify.expr import parse_expr
 from tabverify.graphtext import parse_graph, serialize_graph
 from tabverify.tables import (
     BOT,
-    INPUT,
     GraphError,
     Table,
     TableGraph,
@@ -22,6 +21,7 @@ from tabverify.tables import (
     evaluate_original,
     evaluate_plain,
     int_to_bits,
+    sibling_group,
     tagged_word,
     transform,
 )
@@ -64,9 +64,9 @@ def test_parse_demo_graph():
     g = demo_graph()
     assert set(g.tables) == {"DL", "CT", "OP"}
     assert len(g.tables["DL"].rows) == 4
-    pred, funcs = g.tables["DL"].rows[0]
+    pred, func = g.tables["DL"].rows[0]
     assert pred == parse_expr("a > 45")
-    assert funcs == (parse_expr("a - 20"),)
+    assert func == parse_expr("a - 20")
     assert dict(g.external_inputs) == {"a": "int", "b": "bool"}
 
 
@@ -166,7 +166,8 @@ def test_check_properties_sampled_mode():
 
 
 def test_transform_demo_shape():
-    tg = transform(demo_graph())
+    g = demo_graph()
+    tg = transform(g)
     assert set(tg.tables) == {
         "DL#1",
         "DL#2",
@@ -178,16 +179,16 @@ def test_transform_demo_shape():
         "OP#2",
     }
     for tt in tg.tables.values():
-        assert len(tt.funcs) == 1
+        assert (tt.pred, tt.func) == g.tables[tt.origin].rows[tt.row]
     # sibling rows all feed the threshold tables
-    assert sorted(src for src, _ in tg.producers[("CT#1", "z")]) == [
+    assert sorted(tg.producers[("CT#1", "z")]) == [
         "DL#1",
         "DL#2",
         "DL#3",
         "DL#4",
     ]
-    assert ("OP#1", "c", "c") in tg.external_outputs
-    assert ("CT#2", "w", "w") in tg.external_outputs
+    assert ("OP#1", "c") in tg.external_outputs
+    assert ("CT#2", "w") in tg.external_outputs
 
 
 def test_levels_and_consistent_order():
@@ -208,8 +209,8 @@ def test_transform_levels_a_long_chain_declared_consumer_first():
     # T0 reads the input and each T<k> reads T<k-1>; declared from the last
     # table down, the chain is deeper than a recursive walk of it can go
     n = 1100
-    row = ((parse_expr("true"), (parse_expr("a + 1"),)),)
-    tables = {f"T{k}": Table(f"T{k}", (("a", "int"),), (("y", "int"),), row)
+    row = ((parse_expr("true"), parse_expr("a + 1")),)
+    tables = {f"T{k}": Table(f"T{k}", (("a", "int"),), ("y", "int"), row)
               for k in reversed(range(n))}
     edges = ([(("Input", "x"), ("T0", "a"))]
              + [((f"T{k - 1}", "y"), (f"T{k}", "a")) for k in range(1, n)]
@@ -217,7 +218,8 @@ def test_transform_levels_a_long_chain_declared_consumer_first():
     tg = transform(TableGraph(tables=tables, edges=edges))
     for name, tt in tg.tables.items():
         producers = [src for port, _ in tt.inputs
-                     for src, _ in tg.producers[(name, port)] if src != INPUT]
+                     if not isinstance(tg.producers[(name, port)], str)
+                     for src in tg.producers[(name, port)]]
         assert tg.levels[name] == 1 + max(map(tg.levels.get, producers), default=0)
     assert tg.levels[f"T{n - 1}#1"] == n
     assert tg.order == [f"T{k}#1" for k in range(n)]
@@ -232,33 +234,34 @@ def test_chain_order():
 
 def test_single_row_transform_semantics():
     tg = transform(demo_graph())
-    _, trace = evaluate_plain(tg, {"a": 46, "b": True})
-    assert trace["DL#1"]["outputs"]["z"] == Tagged(True, 26)
+    outputs = evaluate_plain(tg, {"a": 46, "b": True})
+    assert outputs["DL#1"] == Tagged(True, 26)
     for k in (2, 3, 4):
-        assert trace[f"DL#{k}"]["outputs"]["z"] == BOT
+        assert outputs[f"DL#{k}"] == BOT
 
 
 def test_demo_evaluation_a46():
     tg = transform(demo_graph())
-    outputs, trace = evaluate_plain(tg, {"a": 46, "b": True})
+    outputs = evaluate_plain(tg, {"a": 46, "b": True})
     # z = 26 is not above the threshold, so CT row 2 fires
     assert outputs["CT#1"] == BOT
     assert outputs["CT#2"] == Tagged(True, False)
     assert outputs["OP#1"] == Tagged(True, 2)
     assert outputs["OP#2"] == BOT
-    assert trace["CT#1"]["inputs"]["z"] == Tagged(True, 26)
+    z = sibling_group([outputs[s] for s in tg.producers[("CT#1", "z")]])
+    assert z == [Tagged(True, 26)]
 
 
 def test_demo_evaluation_b_true():
     tg = transform(demo_graph())
-    outputs, _ = evaluate_plain(tg, {"a": 50, "b": True})
+    outputs = evaluate_plain(tg, {"a": 50, "b": True})
     assert outputs["OP#1"] == Tagged(True, 2)
     assert outputs["OP#2"] == BOT
 
 
 def test_demo_evaluation_high_z():
     tg = transform(demo_graph())
-    outputs, _ = evaluate_plain(tg, {"a": 60, "b": False})
+    outputs = evaluate_plain(tg, {"a": 60, "b": False})
     # z = 40 > 30
     assert outputs["CT#1"] == Tagged(True, True)
     assert outputs["CT#2"] == BOT
@@ -278,9 +281,9 @@ def test_null_propagation():
         """
     )
     tg = transform(g)
-    outputs, trace = evaluate_plain(tg, {"a": -3})
+    outputs = evaluate_plain(tg, {"a": -3})
     # P's only row misses, its bot output makes Q null
-    assert trace["P#1"]["outputs"]["y"] == BOT
+    assert outputs["P#1"] == BOT
     assert outputs["Q#1"] is None
 
 
@@ -306,12 +309,12 @@ def test_transform_matches_original_evaluation():
     for g, inputs in cases:
         tg = transform(g)
         for X in inputs:
-            outputs, _ = evaluate_plain(tg, X)
+            outputs = evaluate_plain(tg, X)
             ref = evaluate_original(g, X)
-            for tname, port, _ in tg.external_outputs:
+            for tname, _ in tg.external_outputs:
                 tt = tg.tables[tname]
                 got = outputs[tname]
-                want = ref[tt.origin][port]
+                want = ref[tt.origin][tt.output[0]]
                 if got is not None and got.tag:
                     assert got.payload == want
     # at least one case exercised per graph
@@ -321,9 +324,9 @@ def test_transform_matches_original_evaluation():
 def test_exactly_one_top_among_siblings():
     tg = transform(demo_graph())
     for a in range(0, 101, 3):
-        _, trace = evaluate_plain(tg, {"a": a, "b": bool(a % 2)})
+        outputs = evaluate_plain(tg, {"a": a, "b": bool(a % 2)})
         tops = [
-            k for k in range(1, 5) if trace[f"DL#{k}"]["outputs"]["z"].tag
+            k for k in range(1, 5) if outputs[f"DL#{k}"].tag
         ]
         assert len(tops) == 1
 
@@ -342,64 +345,75 @@ def test_constant_width_overflow():
 
 def design(*tables, edges=(), m=16):
     """A design's parts as (m, tables, edges), unvalidated: each table is
-    (name, inputs, outputs, rows), a port "p" or "p: bool" and a row a
-    tuple of expression texts; each edge "A.p -> B.q"."""
-    def ports(names):
-        return tuple((p.split(":")[0].strip(), "bool" if ": bool" in p else "int")
-                     for p in names)
+    (name, inputs, output, rows), a port "p" or "p: bool" and a row a
+    (predicate, function) pair of expression texts; each edge "A.p -> B.q"."""
+    def port(p):
+        return (p.split(":")[0].strip(), "bool" if ": bool" in p else "int")
 
-    built = {name: Table(name, ports(ins), ports(outs), tuple(
-        (parse_expr(pred), tuple(map(parse_expr, funcs)))
-        for pred, *funcs in rows)) for name, ins, outs, rows in tables}
+    built = {name: Table(name, tuple(map(port, ins)), port(out), tuple(
+        (parse_expr(pred), parse_expr(func)) for pred, func in rows))
+        for name, ins, out, rows in tables}
     wires = [tuple(tuple(end.strip().split(".")) for end in e.split("->"))
              for e in edges]
     return m, built, wires
 
 
-A = ("A", ["x"], ["y"], [("x > 0", "x"), ("x <= 0", "0")])
+A = ("A", ["x"], "y", [("x > 0", "x"), ("x <= 0", "0")])
 A_EDGES = ("Input.x -> A.x", "A.y -> Output.y")
 DESIGN_RULES = {
     "bad width 0": design(A, edges=A_EDGES, m=0),
     "bad width 5": design(A, edges=A_EDGES, m=5),
     "no tables": design(),
     "'Output' is a reserved node name": design(
-        ("Output", ["x"], ["y"], [("true", "x")]), edges=("Input.x -> Output.x",)),
-    "table 'A' has no rows": design(("A", ["x"], ["y"], []), edges=A_EDGES),
-    "table 'A' has 2 outputs; a table has one output port": design(
-        ("A", ["x"], ["y", "z"], [("true", "x", "x")]),
-        edges=("Input.x -> A.x", "A.y -> Output.y", "A.z -> Output.z")),
-    "table 'A': row has 2 functions for 1 outputs": design(
-        ("A", ["x"], ["y"], [("true", "x", "x")]), edges=A_EDGES),
+        ("Output", ["x"], "y", [("true", "x")]), edges=("Input.x -> Output.x",)),
+    "table 'A' has no rows": design(("A", ["x"], "y", []), edges=A_EDGES),
+    # a Table built in code has one output port and one function a row, so
+    # only text can spell these two, and the parser refuses them itself
+    "table 'A' has 2 outputs; a table has one output port": (
+        "table A { inputs: x; outputs: y, z; rows: [(true, x, x)]; }\n"
+        "edges: Input.x -> A.x; A.y -> Output.y; A.z -> Output.z;"),
+    "table 'A': row has 2 functions for 1 outputs": (
+        "table A { inputs: x; outputs: y; rows: [(true, x, x)]; }\n"
+        "edges: Input.x -> A.x; A.y -> Output.y;"),
+    "edge Input.x -> Output.z passes through no table": design(
+        A, edges=A_EDGES + ("Input.x -> Output.z",)),
     "dangling edge: unknown producer 'B'": design(
         A, edges=A_EDGES + ("B.y -> Output.z",)),
     "'A' has no input port 'w'": design(A, edges=A_EDGES + ("Input.x -> A.w",)),
     "port A.x has two producers": design(A, edges=A_EDGES + ("Input.w -> A.x",)),
     "port A.x has no producer": design(A, edges=("A.y -> Output.y",)),
     "external input 'x' used at two types": design(
-        A, ("B", ["b: bool"], ["y"], [("b", "1"), ("not b", "0")]),
+        A, ("B", ["b: bool"], "y", [("b", "1"), ("not b", "0")]),
         edges=A_EDGES + ("Input.x -> B.b", "B.y -> Output.z")),
     "table 'A': predicate is not boolean": design(
-        ("A", ["x"], ["y"], [("x", "x")]), edges=A_EDGES),
+        ("A", ["x"], "y", [("x", "x")]), edges=A_EDGES),
     "table 'A': function for 'y' is bool, port declared int": design(
-        ("A", ["x"], ["y"], [("true", "x > 0")]), edges=A_EDGES),
+        ("A", ["x"], "y", [("true", "x > 0")]), edges=A_EDGES),
     "table 'A': unknown input reference 'w'": design(
-        ("A", ["x"], ["y"], [("w > 0", "x"), ("w <= 0", "0")]), edges=A_EDGES),
+        ("A", ["x"], "y", [("w > 0", "x"), ("w <= 0", "0")]), edges=A_EDGES),
     "constant 200 exceeds 8-bit payload width": design(
-        ("A", ["x"], ["y"], [("x > 200", "x"), ("x <= 200", "0")]), edges=A_EDGES),
+        ("A", ["x"], "y", [("x > 200", "x"), ("x <= 200", "0")]), edges=A_EDGES),
     "type mismatch on edge A.y -> B.b": design(
-        A, ("B", ["b: bool"], ["y"], [("b", "1"), ("not b", "0")]),
+        A, ("B", ["b: bool"], "y", [("b", "1"), ("not b", "0")]),
         edges=A_EDGES + ("A.y -> B.b", "B.y -> Output.z")),
     "cycle detected: tables on or after a cycle: A, B": design(
-        ("A", ["x"], ["y"], [("true", "x")]), ("B", ["x"], ["y"], [("true", "x")]),
+        ("A", ["x"], "y", [("true", "x")]), ("B", ["x"], "y", [("true", "x")]),
         edges=("A.y -> B.x", "B.y -> A.x")),
 }
 
 
 @pytest.mark.parametrize("message", list(DESIGN_RULES))
 def test_parsed_and_built_designs_are_refused_alike(message):
-    # TableGraph.validate holds every design rule: a design built in code
-    # and its text form are refused with the same message
-    m, tables, edges = DESIGN_RULES[message]
+    # TableGraph.validate holds every rule a design built in code can break:
+    # a design built in code and its text form are refused with the same
+    # message; a design that only text can spell is refused by the parser
+    case = DESIGN_RULES[message]
+    if isinstance(case, str):
+        with pytest.raises(GraphError) as parsed:
+            parse_graph(case)
+        assert str(parsed.value) == message
+        return
+    m, tables, edges = case
     with pytest.raises(GraphError) as built:
         TableGraph(tables=tables, edges=edges, m=m)
     text = serialize_graph(SimpleNamespace(m=m, tables=tables, edges=edges))
