@@ -50,6 +50,23 @@ ARITH_OPS = {"+", "-", "*"}
 CMP_OPS = {"<", "<=", "==", ">", ">="}
 BOOL_OPS = {"and", "or"}
 
+# The parser and every walk of an expression but `walk` recurse. So a design
+# holds no expression more than MAX_DEPTH nodes deep, and the parser takes no
+# text that nests (, -, not and if more than twice that: serialize_graph
+# writes at most two levels a node, as in `not (` and `(if`.
+MAX_DEPTH = 32
+TOO_DEEP = f"expression is more than {MAX_DEPTH} nodes deep"
+
+
+def walk(expr):
+    """(node, depth) of every node of expr, root at depth 1, with no recursion."""
+    stack = [(expr, 1)]
+    while stack:
+        e, depth = stack.pop()
+        yield e, depth
+        stack.extend((getattr(e, a), depth + 1) for a in (
+            "operand", "left", "right", "cond", "then", "other") if hasattr(e, a))
+
 
 def infer_type(expr, env):
     """Return 'int' or 'bool'; env maps reference names to types."""
@@ -211,6 +228,17 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # the (, unary -, not and if levels being parsed
+
+    def nested(self, parse):
+        """parse() one level deeper; past 2 * MAX_DEPTH levels, of up to
+        nine Python frames each, it refuses before it recurses."""
+        if self.depth == 2 * MAX_DEPTH:
+            raise ExprError(f"expression nests deeper than {2 * MAX_DEPTH} levels")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -227,11 +255,11 @@ class _Parser:
     def parse_expr(self):
         if self.peek() == "if":
             self.take("if")
-            cond = self.parse_expr()
+            cond = self.nested(self.parse_expr)
             self.take("then")
-            then = self.parse_expr()
+            then = self.nested(self.parse_expr)
             self.take("else")
-            other = self.parse_expr()
+            other = self.nested(self.parse_expr)
             return IfThenElse(cond, then, other)
         return self.parse_or()
 
@@ -252,7 +280,7 @@ class _Parser:
     def parse_not(self):
         if self.peek() == "not":
             self.take()
-            return Unary("not", self.parse_not())
+            return Unary("not", self.nested(self.parse_not))
         return self.parse_cmp()
 
     def parse_cmp(self):
@@ -284,12 +312,12 @@ class _Parser:
         tok = self.peek()
         if tok == "(":
             self.take()
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr)
             self.take(")")
             return node
         if tok == "-":
             self.take()
-            return Unary("neg", self.parse_atom())
+            return Unary("neg", self.nested(self.parse_atom))
         tok = self.take()
         if isinstance(tok, int):
             return Const(tok)

@@ -23,7 +23,8 @@ outputs, and then a row that lists two functions.
 """
 
 from . import expr as _expr
-from .expr import ExprError, ExprTypeError, infer_type, to_text
+from .expr import (MAX_DEPTH, TOO_DEEP, ExprError, ExprTypeError, infer_type,
+                   to_text, walk)
 from .tables import GraphError, Table, TableGraph
 
 
@@ -145,6 +146,8 @@ def _parse_table(p):
     rows = tuple((pred, func) for pred, (func,) in rows)
     output = outputs[0] if outputs else None  # None: validate refuses no rows
     if outputs is None and rows:
+        if max(depth for _, depth in walk(rows[0][1])) > MAX_DEPTH:
+            raise GraphError(TOO_DEEP)  # before infer_type, which recurses
         try:
             output = ("out", infer_type(rows[0][1], dict(inputs)))
         except ExprTypeError as exc:

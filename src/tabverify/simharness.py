@@ -192,7 +192,6 @@ def metadata_views(result):
             "program_lengths": sorted(len(v) for v in pp["programs"].values()),
             "verdict": cert["verdict"],
             "outputs": cert["outputs"],
-            "paths": cert["paths"],
             "answer_kinds": [r["a"].get("kind") for r in cert["qa_e"]],
         }
     return views

@@ -11,7 +11,8 @@ the tag, the second half the payload.
 
 from dataclasses import dataclass, field
 
-from .expr import ExprTypeError, evaluate, infer_type, wrap_signed
+from .expr import (MAX_DEPTH, TOO_DEEP, ExprTypeError, evaluate, infer_type,
+                   walk, wrap_signed)
 
 INPUT = "Input"
 OUTPUT = "Output"
@@ -154,6 +155,9 @@ class TableGraph:
             env = dict(t.inputs)
             port, otype = t.output
             for pred, func in t.rows:
+                nodes = [*walk(pred), *walk(func)]
+                if max(depth for _, depth in nodes) > MAX_DEPTH:
+                    raise GraphError(TOO_DEEP)
                 try:
                     if infer_type(pred, env) != "bool":
                         raise GraphError(
@@ -167,14 +171,12 @@ class TableGraph:
                         )
                 except ExprTypeError as exc:
                     raise GraphError(f"table '{t.name}': {exc}") from exc
-                for e in (pred, func):
-                    for c in _constants(e):
-                        if isinstance(c, bool):
-                            continue
-                        if not (-limit <= c < limit):
-                            raise GraphError(
-                                f"constant {c} exceeds {h}-bit payload width"
-                            )
+                for e, _ in nodes:
+                    c = getattr(e, "value", False)
+                    if not isinstance(c, bool) and not (-limit <= c < limit):
+                        raise GraphError(
+                            f"constant {c} exceeds {h}-bit payload width"
+                        )
         # output port types must be consistent with what consumers expect
         for (src, sport), (dst, dport) in self.edges:
             if src == INPUT or dst == OUTPUT:
@@ -206,18 +208,6 @@ class TableGraph:
                     ready.append(nxt)
             ready.sort()
         return order
-
-
-def _constants(expr):
-    stack, out = [expr], []
-    while stack:
-        e = stack.pop()
-        if hasattr(e, "value"):
-            out.append(e.value)
-        for attr in ("operand", "left", "right", "cond", "then", "other"):
-            if hasattr(e, attr):
-                stack.append(getattr(e, attr))
-    return out
 
 
 # --- completeness / disjointness checking -----------------------------------

@@ -1,10 +1,11 @@
 """Test-case generation and coverage from public information only.
 
-The generator sees the anonymized structure and the public specification.
-It enumerates source-to-sink paths in the structure, then derives external
-inputs by seeded sampling of the spec's declared input domains, aiming to
-fire every transformed spec row at least once. Everything is deterministic
-in the seed so an auditor can regenerate the exact suite.
+The suite is its inputs. The generator reads the public specification and
+its declared input domains, and no part of the developer's published
+structure: it samples external inputs, seeded, until each transformed spec
+row has fired at least once, then tops the suite up with plain samples.
+Everything is deterministic in the seed, so an auditor regenerates the
+exact suite. Coverage is read from the public transcript afterwards.
 """
 
 import json
@@ -22,45 +23,14 @@ def input_key(X):
     return json.dumps({k: X[k] for k in sorted(X)}, sort_keys=True)
 
 
-def enumerate_paths(structure, limit):
-    """Simple Input-to-Output paths over the anonymized node indices of the
-    published structure."""
-    succ, starts = {}, set()
-    for idx, (_, feeds) in enumerate(structure.tables, 1):
-        for feed in feeds:
-            if isinstance(feed, str):  # an external input
-                starts.add(idx)
-            else:
-                for ref in feed:
-                    succ.setdefault(ref, []).append(idx)
-    external = {i for i, (ext, _) in enumerate(structure.tables, 1) if ext}
-    paths = []
-
-    def walk(node, acc):
-        if len(paths) >= limit:
-            return
-        if node in external:
-            paths.append(tuple(acc))
-            if len(paths) >= limit:
-                return
-        for nxt in sorted(succ.get(node, [])):
-            if nxt not in acc:
-                walk(nxt, acc + [nxt])
-
-    for s in sorted(starts):
-        walk(s, [s])
-    return paths
-
-
 def _sample_input(domains, rng):
     return {name: rng.choice(list(vals)) for name, vals in sorted(domains.items())}
 
 
-def generate_suite(structure, g_spec, domains, seed, budget):
-    """Deterministic (paths, external input list) for the given seed."""
+def generate_suite(g_spec, domains, seed, budget):
+    """The deterministic list of external inputs for the given seed."""
     if budget < 1:
-        return [], []
-    paths = enumerate_paths(structure, budget)
+        return []
     rng = random.Random(f"vga:{seed}")
     tg = transform(g_spec)
     inputs, seen = [], set()
@@ -89,7 +59,7 @@ def generate_suite(structure, g_spec, domains, seed, budget):
                          for vals in domains.values())
     while len(inputs) < min(budget, len(tg.order) + 2, distinct):
         push(_sample_input(domains, rng))
-    return paths, inputs
+    return inputs
 
 
 @dataclass

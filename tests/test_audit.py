@@ -79,8 +79,26 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 10.
+# Recorded at certificate version 11.
 CERT_DIGESTS = {
+    "demo-honest": "783d84499a4064483e7f3467391f5df3fded134e16a51000ba414fb8c6dba5af",
+    "demo-general": "af45fcb9a1efa4331c7f320af4ae19b9994014d51f0132d38becf4ec87e9b80d",
+    "chain-honest": "0846aabbfd33f88ab8e60694eeba88fc8b3f768994ade14666fcb1ca99fddd7a",
+    "chain-general": "9dda82a4626d746500fdf76beb7adf88f724f349199785b0fbeb65401a544709",
+    "diamond-honest": "c5cabe973dc4689c8d2af2cbd0680b29263cfa610195b8f20347b66a725b6680",
+    "diamond-general": "278df7fe4f4035df5e655744008a961d5581be04b4d34c42612e3b814c402f4a",
+    "flip-payload-honest": "1cab8236db06ea1be059e73d3b9a5601e3b95ddbc89a9b88acdf674857a4cfc0",
+    "flip-tag-honest": "10de58b1b8c695dc546247dc298a428bbf44036b1d818e084da00451053e6c6f",
+    "swap-answers-honest": "7c97810b051ecf4467ab3708e66677570bdc28f9597bd77008e4292cd3780619",
+    "flip-payload-general": "72200069b9b916779de437c258576d1328139572992b23152bcdda391d0000f7",
+    "flip-tag-general": "a58ec2b27c22f07ff6576c4c6e69178a2b53813b98f3b8c78be219f7301bde95",
+    "swap-answers-general": "4f4a13455e8b639e898df5d58b81ab6cdd6af45f6c7c5aeab1c5fac769deb0d1",
+}
+# the version 10 digests of the same configurations: version 11 dropped the
+# certificate's "paths", the source-to-sink table paths of the published
+# structure that the suite generator enumerated and nothing read, and left
+# every session as it was
+V10_DIGESTS = {
     "demo-honest": "5ce21d7d0b44b8b48d7f656ccc569a9d5c361dc29fde78d7cc1bda5ca2e7fe98",
     "demo-general": "7751daa1bd45847e8ba4056c94058806f479494d892692f162d753892cfc6725",
     "chain-honest": "69007f3da8239a35e4fcaeb1bda6eb0b8f8f08a52b0b9237109906cd087c684e",
@@ -107,12 +125,22 @@ V9_DIGESTS = {
     "flip-payload-honest": "07abca08f675ec0a5175057bae824df4f70571af23115ebe014d50d5e272f792",
     "flip-payload-general": "8296fb95ec993b0c5ac8f07550130ef0811ae946940e118d0f80402ac099185b",
 }
+# the "paths" that versions 9 and 10 recorded for each design (the
+# flip-payload, flip-tag and swap-answers developers run the demo design)
+OLD_PATHS = {
+    "demo": [[1, 7], [1, 8], [2, 7], [2, 8], [3, 7], [3, 8], [4, 7], [4, 8],
+             [5], [6]],
+    "chain": [[1, 3, 5], [1, 3, 6], [1, 4, 5], [1, 4, 6], [2, 3, 5],
+              [2, 3, 6], [2, 4, 5], [2, 4, 6]],
+    "diamond": [[a, b, c] for a in (1, 2) for b in (3, 4, 5, 6) for c in (7, 8)],
+}
 # the length of three of them, so that a change of size shows by itself; at
 # version 8, with 24-byte nonces, a recorded key and recorded challenges,
-# they were 578,463, 733,575 and 782,992 bytes, and at version 9 one byte
-# shorter than now
-CERT_BYTES = {"demo-honest": 398248, "diamond-honest": 502296,
-              "demo-general": 535064}
+# they were 578,463, 733,575 and 782,992 bytes, at version 9 one byte
+# shorter than at version 10, and at version 10, with the paths, 398,248,
+# 502,296 and 535,064
+CERT_BYTES = {"demo-honest": 398182, "diamond-honest": 502158,
+              "demo-general": 534998}
 
 
 def config_cert(config):
@@ -151,12 +179,26 @@ def test_session_certificate_is_json_native(config):
                           for k in sorted(cert)) + "}" == text.decode("utf-8")
 
 
+def old_certificate(config, version):
+    """config's certificate as version 9 or 10 wrote it: with the paths of
+    its design, and its binding over that version."""
+    design = config.rsplit("-", 1)[0]
+    cert = dict(config_cert(config), version=version,
+                paths=OLD_PATHS.get(design, OLD_PATHS["demo"]))
+    cert["binding"] = session_binding(cert)
+    return cert
+
+
 @pytest.mark.parametrize("config", list(V9_DIGESTS))
 def test_version_10_changed_only_the_version_of_these_sessions(config):
-    cert = dict(config_cert(config), version=9)
-    cert["binding"] = session_binding(cert)
-    text = canonical_json(cert).encode("utf-8")
+    text = canonical_json(old_certificate(config, 9)).encode("utf-8")
     assert hashlib.sha256(text).hexdigest() == V9_DIGESTS[config]
+
+
+@pytest.mark.parametrize("config", list(V10_DIGESTS))
+def test_version_11_dropped_only_the_paths(config):
+    text = canonical_json(old_certificate(config, 10)).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == V10_DIGESTS[config]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -173,7 +215,7 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v10"}
+           "format": "tabverify-cert-v11"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
@@ -187,7 +229,7 @@ def test_version_8_certificate_is_refused_by_name(tmp_path):
     assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v10",
+    path.write_text(path.read_text().replace("tabverify-cert-v11",
                                              "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
                                          "'tabverify-cert-v8'"):
@@ -432,10 +474,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 10
+    # version 11
     for cert, want in (
-        (HONEST_CERT, "39257c05e0ed013037a9293058b276b92aa5240bb56fefa8e68895bd8947857d"),
-        (GENERAL_CERT, "f29956def3df4461ef16166b8fe2f86e24af1bda10276422da624102c40809c6"),
+        (HONEST_CERT, "d2d1684061b15f15462ad106a57c7e456d487e5c9e8162f27d7249f2f78144b9"),
+        (GENERAL_CERT, "14d4d37cb61e03f4e3bbba84f08f652d5538e7304ddae2ec6b8970d3155729e5"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

@@ -310,6 +310,42 @@ def test_an_input_wired_straight_to_an_output_is_refused(workspace, command):
     assert not (workspace / "c.json").exists()
 
 
+def one_table_with(pred, func):
+    return ONE_TABLE.replace("(x > 0, x)", f"({pred}, {func})")
+
+
+DEEP = {  # each crashed compile or verify with a RecursionError and exit 1
+    "parens-150": (one_table_with("(" * 150 + "x > 0" + ")" * 150, "x"),
+                   "expression nests deeper than 64 levels"),
+    "sum-1500": (one_table_with("x > 0", " + ".join(["x"] * 1500)),
+                 "expression is more than 32 nodes deep"),
+    "sum-980": (one_table_with("x > 0", " + ".join(["x"] * 980)),
+                "expression is more than 32 nodes deep"),
+}
+
+
+@pytest.mark.parametrize("command", ["compile", "verify-spec"])
+@pytest.mark.parametrize("case", list(DEEP))
+def test_a_deep_expression_is_refused(workspace, case, command):
+    text, message = DEEP[case]
+    (workspace / "deep.txt").write_text(text)
+    deep = str(workspace / "deep.txt")
+    args = {"compile": ["compile", "--graph", deep],
+            "verify-spec": ["verify", "--spec", deep, "--graph", deep,
+                            "--cert", str(workspace / "c.json")]}
+    r = run(args[command])
+    assert r.exit_code == 2
+    assert json.loads(r.stderr) == {"error": "graph", "message": message}
+    assert not (workspace / "c.json").exists()
+
+
+def test_the_deepest_nesting_the_parser_takes_compiles(workspace):
+    (workspace / "nest.txt").write_text(
+        one_table_with("(" * 64 + "x > 0" + ")" * 64, "x"))
+    r = run(["compile", "--graph", str(workspace / "nest.txt")])
+    assert r.exit_code == 0, r.output
+
+
 def test_usage_error_exit_codes(workspace):
     r = run(["verify", "--spec", str(workspace / "demo.txt"),
              "--cert", str(workspace / "c.json")])

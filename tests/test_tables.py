@@ -9,7 +9,8 @@ from tabverify.demo import (
     demo_graph,
     diamond_graph,
 )
-from tabverify.expr import parse_expr
+from tabverify.expr import (MAX_DEPTH, Binary, Const, IfThenElse, Ref, Unary,
+                            parse_expr, walk)
 from tabverify.graphtext import parse_graph, serialize_graph
 from tabverify.tables import (
     BOT,
@@ -375,6 +376,11 @@ DESIGN_RULES = {
     "table 'A': row has 2 functions for 1 outputs": (
         "table A { inputs: x; outputs: y; rows: [(true, x, x)]; }\n"
         "edges: Input.x -> A.x; A.y -> Output.y;"),
+    # the parser refuses a text that nests deeper than it may recurse; a
+    # design built in code holds no parentheses
+    "expression nests deeper than 64 levels": (
+        "table A { inputs: x; outputs: y; rows: [(" + "(" * 65 + "x > 0"
+        + ")" * 65 + ", x)]; }\nedges: Input.x -> A.x; A.y -> Output.y;"),
     "edge Input.x -> Output.z passes through no table": design(
         A, edges=A_EDGES + ("Input.x -> Output.z",)),
     "dangling edge: unknown producer 'B'": design(
@@ -391,6 +397,9 @@ DESIGN_RULES = {
         ("A", ["x"], "y", [("true", "x > 0")]), edges=A_EDGES),
     "table 'A': unknown input reference 'w'": design(
         ("A", ["x"], "y", [("w > 0", "x"), ("w <= 0", "0")]), edges=A_EDGES),
+    # a 33-term sum is 33 nodes deep, and its text nests only 32 levels
+    "expression is more than 32 nodes deep": design(
+        ("A", ["x"], "y", [("true", " + ".join(["x"] * 33))]), edges=A_EDGES),
     "constant 200 exceeds 8-bit payload width": design(
         ("A", ["x"], "y", [("x > 200", "x"), ("x <= 200", "0")]), edges=A_EDGES),
     "type mismatch on edge A.y -> B.b": design(
@@ -421,3 +430,33 @@ def test_parsed_and_built_designs_are_refused_alike(message):
         parse_graph(text)
     assert str(built.value).startswith(message)
     assert str(parsed.value) == str(built.value)
+
+
+@pytest.mark.parametrize("kind", ["not", "neg", "if-cond", "if-then", "if-else",
+                                  "sub"])
+def test_the_deepest_expressions_survive_their_text(kind):
+    # serialize_graph writes up to two levels of nesting per node, as in
+    # `not (` and `(if`, so the parser takes twice MAX_DEPTH levels, and a
+    # design that validate accepts reads back from its text, as an audit
+    # reads the spec; one node deeper, the design is refused
+    x, p, q = Ref("x"), parse_expr("x > 0"), parse_expr("x <= 0")
+    step = {"not": lambda e: Unary("not", e),
+            "neg": lambda e: Unary("neg", e),
+            "if-cond": lambda e: IfThenElse(e, p, q),
+            "if-then": lambda e: IfThenElse(p, e, Const(1)),
+            "if-else": lambda e: IfThenElse(q, x, e),
+            "sub": lambda e: Binary("-", Const(1), e)}[kind]
+    leaf = p if kind in ("not", "if-cond") else x
+    e = leaf
+    while max(depth for _, depth in walk(step(e))) <= MAX_DEPTH:
+        e = step(e)
+
+    def parts(e):
+        row = (e, x) if leaf is p else (p, e)
+        return ({"A": Table("A", (("x", "int"),), ("y", "int"), (row,))},
+                [(("Input", "x"), ("A", "x")), (("A", "y"), ("Output", "y"))])
+
+    g = TableGraph(*parts(e))
+    assert parse_graph(serialize_graph(g)).tables == g.tables
+    with pytest.raises(GraphError, match="more than 32 nodes deep"):
+        TableGraph(*parts(step(e)))

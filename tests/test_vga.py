@@ -1,6 +1,5 @@
 import os
 import pathlib
-import random
 import subprocess
 import sys
 
@@ -11,48 +10,41 @@ from tabverify.demo import (
     chain_graph,
 )
 from tabverify.graphtext import parse_graph
-from tabverify.protocol import Developer, Structure, public_structure
+from tabverify.protocol import Structure
 from tabverify.tables import evaluate_plain, transform
-from tabverify.vga import (
-    coverage_report,
-    enumerate_paths,
-    generate_suite,
-)
-
-
-def demo_structure():
-    dev = Developer(parse_graph(DEMO_GRAPH_TEXT), rng=random.Random(0))
-    return dev.pp.structure
-
-
-def test_enumerate_paths_demo():
-    paths = enumerate_paths(demo_structure(), limit=64)
-    assert paths
-    # every path ends at an external table and respects index order
-    ext = {i for i, (external, _) in enumerate(demo_structure().tables, 1)
-           if external}
-    for p in paths:
-        assert p[-1] in ext
-        assert len(set(p)) == len(p)
+from tabverify.vga import coverage_report, generate_suite
 
 
 def test_generate_suite_deterministic():
     g = parse_graph(DEMO_GRAPH_TEXT)
-    s = demo_structure()
-    a = generate_suite(s, g, DEMO_DOMAINS, seed=3, budget=12)
-    b = generate_suite(s, g, DEMO_DOMAINS, seed=3, budget=12)
-    c = generate_suite(s, g, DEMO_DOMAINS, seed=4, budget=12)
+    a = generate_suite(g, DEMO_DOMAINS, seed=3, budget=12)
+    b = generate_suite(g, DEMO_DOMAINS, seed=3, budget=12)
+    c = generate_suite(g, DEMO_DOMAINS, seed=4, budget=12)
     assert a == b
     assert a != c
-    _, inputs = a
+    assert a
+    assert all(set(X) == {"a", "b"} for X in a)
+
+
+def test_chain_structure_paths():
+    # every suite input on the chain design runs a path A -> B -> C that
+    # ends in a fired row of the external output table
+    tg = transform(chain_graph())
+    inputs = generate_suite(chain_graph(), CHAIN_DOMAINS, seed=0, budget=8)
     assert inputs
-    assert all(set(X) == {"a", "b"} for X in inputs)
+    assert inputs == generate_suite(chain_graph(), CHAIN_DOMAINS, seed=0, budget=8)
+    assert tg.external_outputs
+    for X in inputs:
+        assert set(X) == {"x"} and X["x"] in CHAIN_DOMAINS["x"]
+        outputs = evaluate_plain(tg, X)
+        assert any(outputs[r] is not None and outputs[r].tag
+                   for r, _ in tg.external_outputs)
 
 
 def test_generate_suite_fires_every_row():
     g = parse_graph(DEMO_GRAPH_TEXT)
     tg = transform(g)
-    _, inputs = generate_suite(demo_structure(), g, DEMO_DOMAINS, seed=1, budget=16)
+    inputs = generate_suite(g, DEMO_DOMAINS, seed=1, budget=16)
     fired = set()
     for X in inputs:
         outputs = evaluate_plain(tg, X)
@@ -79,17 +71,6 @@ def test_coverage_report_from_transcript():
     assert "covered" in rep.render_text()
 
 
-def test_chain_structure_paths():
-    dev = Developer(chain_graph(), rng=random.Random(0))
-    paths = enumerate_paths(dev.pp.structure, limit=64)
-    assert paths
-    suite_paths, inputs = generate_suite(
-        dev.pp.structure, dev.graph, CHAIN_DOMAINS, seed=0, budget=8
-    )
-    assert suite_paths == paths[:8] or suite_paths == paths
-    assert inputs
-
-
 NARROW_SESSION = """
 import random
 from helpers import NARROW_TEXT
@@ -101,7 +82,7 @@ from tabverify.vga import generate_suite
 graph = parse_graph(NARROW_TEXT)
 dev = Developer(graph, rng=random.Random(1))
 domains = {"x": [1, 2, 3]}
-_, inputs = generate_suite(dev.pp.structure, graph, domains, 7, 16)
+inputs = generate_suite(graph, domains, 7, 16)
 v = Verifier(dev.pp.to_dict(), graph, domains, [], seed=7, rng=random.Random(2))
 verdict, cert = verify_session(dev, v)
 print(sorted(X["x"] for X in inputs), verdict, audit(cert)[0])
@@ -119,3 +100,36 @@ def test_suite_stops_when_the_domains_allow_no_new_input():
                        timeout=30, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["[1,", "2,", "3]", "accept", "1"]
+
+
+def dead_end_chain(k):
+    """k two-row tables chained from Input.x, the last output feeding
+    nothing, beside one external table E."""
+    names = [f"T{i:03d}" for i in range(k)]
+    tables = [f"table {n} {{ inputs: x; outputs: y; rows: [(x > 0, x), (x <= 0, x)]; }}"
+              for n in names]
+    edges = ["Input.x -> T000.x"] + [f"{a}.y -> {b}.x"
+                                     for a, b in zip(names, names[1:])]
+    return "\n".join(tables + [
+        "table E { inputs: x; outputs: e; rows: [(true, x)]; }", "edges:"]
+        + [f"  {e};" for e in edges + ["Input.x -> E.x", "E.e -> Output.e"]])
+
+
+def test_a_dead_end_chain_verifies_and_audits_quickly(tmp_path):
+    # the suite reads no structure, so a developer cannot stall the verifier
+    # and every auditor with a structure of many source-to-sink paths: the
+    # walk over them took about 4 times as long for every two tables more,
+    # 10 s at 22 tables. Subprocesses with a timeout, as above
+    (tmp_path / "chain.txt").write_text(dead_end_chain(30))
+    (tmp_path / "domains.json").write_text('{"x": [-1, 1]}')
+    env = dict(os.environ, PYTHONPATH=str(
+        pathlib.Path(__file__).resolve().parent.parent / "src"))
+    cert = str(tmp_path / "cert.json")
+    chain = str(tmp_path / "chain.txt")
+    for args in (["verify", "--spec", chain, "--graph", chain, "--domains",
+                  str(tmp_path / "domains.json"), "--budget", "4", "--cert", cert],
+                 ["audit", "--cert", cert]):
+        r = subprocess.run([sys.executable, "-m", "tabverify.cli", *args], env=env,
+                           timeout=30, capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+    assert '"ok":1' in r.stdout
