@@ -73,9 +73,9 @@ class ReplayVerifier(Verifier):
     certificate's configuration, it overrides the verifier's three hooks
     with the record. _session_key returns the recorded seeds, _ask the
     recorded answer to each query once the query equals its record, and
-    _opening the recorded opening of each checker round once its query
-    equals the record and its blocks open under the challenges drawn from
-    the recorded challenge seed. Any divergence raises AuditError."""
+    _opening the recorded opening of each checker round once its blocks
+    open under the challenges drawn from the recorded challenge seed. Any
+    divergence raises AuditError."""
 
     def __init__(self, cert):
         self.cert = cert
@@ -108,18 +108,17 @@ class ReplayVerifier(Verifier):
             raise AuditError(f"query {k + 1} diverges from the transcript")
         return {"answer": rec["a"]}
 
-    def _opening(self, chan, body, width, rs, ct_sk):
+    def _opening(self, chan, q, p, width, rs, ct_sk):
         """The recorded d and blocks of this round. A live round records d
         only once every block has opened under its challenge in rs, so a
-        recorded d whose blocks do not open fails the replay here. ct_sk
-        went to the developer and is not recorded: the query's y binds it."""
+        recorded d whose blocks do not open fails the replay here. Nothing
+        is sent, so the round's y is not computed: the verifier checks d
+        under the key it drew again from the key seed."""
         k = len(self.qa_c) - 1  # this round's record is already appended
         if k >= len(self.cert["qa_c"]):
             raise AuditError("checker record missing")
         rec = self.cert["qa_c"][k]
-        if rec["q"] != body:
-            raise AuditError("checker record mismatch")
-        d, blocks = rec["a"].get("d"), rec["s"]["blocks"]
+        d, blocks = rec["d"], rec["blocks"]
         if d is not None and not self._opens(d, blocks, width, rs):
             raise AuditError(f"checker record {k} does not open ($.qa_c[{k}])")
         return d, blocks

@@ -169,18 +169,28 @@ def evaluate(expr, env, width):
 
 
 def to_text(expr):
+    """The text of expr, which parse_expr reads back to the same text."""
     if isinstance(expr, Const):
-        return str(expr.value)
+        # the parser reads -3 as -(3), so a negative constant is written so
+        v = expr.value
+        return f"-({-v})" if v < 0 else str(v)
     if isinstance(expr, Ref):
         return expr.name
     if isinstance(expr, Unary):
         inner = to_text(expr.operand)
         return f"-({inner})" if expr.op == "neg" else f"not ({inner})"
     if isinstance(expr, Binary):
-        return f"({to_text(expr.left)} {expr.op} {to_text(expr.right)})"
+        return f"({_operand(expr.left)} {expr.op} {_operand(expr.right)})"
     if isinstance(expr, IfThenElse):
         return f"(if {to_text(expr.cond)} then {to_text(expr.then)} else {to_text(expr.other)})"
     raise ExprError(f"not an expression: {expr!r}")
+
+
+def _operand(expr):
+    """The text of an operand of a binary operator: a not binds looser than
+    every binary operator but and and or, so it is parenthesised."""
+    text = to_text(expr)
+    return f"({text})" if isinstance(expr, Unary) and expr.op == "not" else text
 
 
 # --- expression parsing ----------------------------------------------------

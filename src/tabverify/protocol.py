@@ -10,7 +10,9 @@ round: the verifier homomorphically computes the symmetric encryption of the
 answer slice under a fresh secret key of its own, drawn for that round
 alone, the developer commits to the decryption before it is sent the key's
 ciphertext, and the revealed value must decrypt to exactly the answer the
-developer gave earlier.
+developer gave earlier. A round's frame names its query, not its slice: each
+party slices the query's word by checker_slice, which opens no intermediate
+payload, the value passed between tables.
 
 The published structure is one value, Structure: per table, whether it is
 external and what feeds each of its ports (an external input, or the sibling
@@ -23,8 +25,8 @@ slice and the checker value) with the one function each below.
 
 A ciphertext word (he's one bytes value: the backend tag and key id once,
 then one payload per ciphertext) is one base64 string on the wire and in
-the certificate: a published program, a q1 answer's w, a q2's u and v, and
-a checker round's p and y; on the wire also each round's ct_sk. cts_b64
+the certificate: a published program, a q1 answer's w, a q2's u and v; on
+the wire also a checker round's y and ct_sk. cts_b64
 and b64_cts are the one encoding and the one decoding, and b64_cts accepts
 only the canonical spelling of a word of the key pair, which he.check_word
 checks once. Words are cut and joined by ciphertext index with
@@ -83,7 +85,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 11  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 12  # bump whenever certificates for fixed seeds change
 HE_SECURITY = 16  # security parameter K of the homomorphic key pair
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
@@ -179,17 +181,14 @@ def table_step(pp, i, u_word):
     return pp.program(i).run(he.cut_word(pp.hpk, cycled, 0, need))
 
 
-def checker_slice(word, case, h, hpk=None):
-    """The part of an answered word that a checker round of this case
-    covers: all of a q1 word, the tag half of an intermediate q2 word, the
-    payload half of an external one. word is a ciphertext word under hpk,
-    or its plaintext when hpk is None."""
-    if case == "input":
+def checker_slice(word, whole, h, hpk=None):
+    """The part of an answered word that a checker round covers: all of it
+    when whole (both parties take it from Structure.covers_whole), else its
+    tag half, so that no intermediate payload is ever opened. word is a
+    ciphertext word under hpk, or its plaintext when hpk is None."""
+    if whole:
         return word
-    start, stop = (0, h) if case == "intermediate" else (h, None)
-    if hpk is None:
-        return word >> start & ((1 << h) - 1)
-    return he.cut_word(hpk, word, start, stop)
+    return word & ((1 << h) - 1) if hpk is None else he.cut_word(hpk, word, 0, h)
 
 
 def checker_key(keys, hpk, width):
@@ -232,6 +231,11 @@ class Structure:
         """(external, feeds) of table i; None when i is no table's index."""
         valid = type(i) is int and 0 < i <= len(self.tables)
         return self.tables[i - 1] if valid else None
+
+    def covers_whole(self, qkind, i):
+        """checker_slice's whole: a checker round covers all of a q1 word
+        and of an external table's q2 word, the tag half of any other."""
+        return qkind == 1 or self.table(i)[0]
 
     def to_dict(self):
         return {
@@ -606,24 +610,22 @@ class Developer:
 
     def _checker(self, body):
         h = self.pp.m // 2
-        i, case, port = _int(body.get("i")), body.get("case"), _int(body.get("port"))
-        try:
-            p = b64_cts(body.get("p"), self.hpk)
-            y = b64_cts(body.get("y"), self.hpk)
-        except ProtocolError:
+        i, qkind = _int(body.get("i")), body.get("qkind")
+        known = (self.mem.q1.get((i, _int(body.get("port")))) if qkind == 1
+                 else self.mem.q2.get(i) if qkind == 2 else None)
+        if known is None:
             return {"result": NULL}
-        if case == "input":
-            known = self.mem.q1.get((i, port))
-        elif case in ("intermediate", "external"):
-            known = self.mem.q2.get(i)
-        else:
-            return {"result": NULL}
+        whole = self.pp.structure.covers_whole(qkind, i)
+        p = checker_slice(known[0], whole, h, self.hpk)
         width = he.check_word(self.hpk, p)
         # SE encrypts the slice as one block: an even width of 4 or more bits
-        if (known is None or checker_slice(known[0], case, h, self.hpk) != p
-                or len(y) != len(p) or not block_width_ok(width)):
+        if not block_width_ok(width):
             return {"result": NULL}
-        d = self._open_checker(y, checker_slice(known[1], case, h), width)
+        try:
+            y = b64_cts(body.get("y"), self.hpk, width)
+        except ProtocolError:
+            return {"result": NULL}
+        d = self._open_checker(y, checker_slice(known[1], whole, h), width)
         self.mem.pending = {
             "d": d,
             "width": width,
@@ -736,8 +738,8 @@ class Verifier:
 
     The verifier meets the developer and its own randomness through three
     hooks: _session_key draws the general-mode session secrets, _ask sends
-    a query and returns the reply's body, and _opening runs the commit and
-    reveal exchange of a checker round. audit.ReplayVerifier overrides just
+    a query and returns the reply's body, and _opening runs a checker
+    round's exchange, from y to the reveal. audit.ReplayVerifier overrides just
     these three to play a certificate back. The session secrets are two
     seeds, never sent and disclosed in the certificate: every checker
     round's key comes from the key seed and every challenge from the
@@ -762,7 +764,7 @@ class Verifier:
         if mode not in ("honest", "general"):
             raise ProtocolError(f"unknown mode {mode!r}")
         if mode == "general" and (pp.m < 8 or pp.m % 4):
-            # checker rounds encrypt half words as SE blocks (even, >= 4 bits)
+            # checker rounds encrypt tag halves as SE blocks (even, >= 4 bits)
             raise ProtocolError(f"general mode needs a width that is a multiple "
                                 f"of 4 and at least 8; got width {pp.m}")
         uncovered = [n for n, _ in g_spec.external_inputs if not domains.get(n)]
@@ -988,20 +990,23 @@ class Verifier:
     # -- checker round (general mode)
 
     def _expected_checker(self, q, answer, h):
+        """(whole, expected): checker_slice's whole for this answer, and the
+        plaintext of its slice: a q1's u, an external table's tagged word (0
+        for bot), an intermediate table's tag."""
+        whole = self.pp.structure.covers_whole(q["qkind"], q["i"])
         if q["qkind"] == 1:
-            return "input", q.get("port"), hex_bits(q["u"], 2 * h)
-        kind = answer["kind"]
-        if kind == "payload":
-            return "external", None, hex_bits(answer["payload"], h)
-        return "intermediate", None, int(kind == TOP)
+            return whole, hex_bits(q["u"], 2 * h)
+        if answer["kind"] == BOT:
+            return whole, 0
+        return whole, 1 | hex_bits(answer["payload"], h) << h if whole else 1
 
     def _checker_round(self, chan, q, answer, word):
         """Pin an encode answer down; whether the revealed value decrypts
         to exactly that answer. word is the ciphertext word it answers for.
-        The query body is both the frame sent and the record's q."""
+        The frame names the query; the developer slices its own word."""
         h = self.pp.m // 2
-        case, port, expected = self._expected_checker(q, answer, h)
-        p = checker_slice(word, case, h, self.pp.hpk)
+        whole, expected = self._expected_checker(q, answer, h)
+        p = checker_slice(word, whole, h, self.pp.hpk)
         width = he.check_word(self.pp.hpk, p)
         # every round draws its own key and its challenges, one per block,
         # before it asks and whatever the developer answers, so that the
@@ -1009,25 +1014,24 @@ class Verifier:
         sk, ct_sk = checker_key(self.keys, self.pp.hpk, width)
         rs = [choose_challenge(self.code.q, self.challenges)
               for _ in range(-(-width // self.code.m_c))]
-        y = checker_value(self.pp, ct_sk, p)
-        body = {"i": q["i"], "case": case, "port": port, "p": cts_b64(p),
-                "y": cts_b64(y)}
-        record = {"q": body, "a": {"d": None}, "s": {"blocks": []}}
+        record = {"d": None, "blocks": []}
         self.qa_c.append(record)
 
-        d, blocks = self._opening(chan, body, width, rs, ct_sk)
+        d, blocks = self._opening(chan, q, p, width, rs, ct_sk)
         if d is None:
             return False
-        record["a"]["d"] = d
-        record["s"]["blocks"] = blocks
+        record.update(d=d, blocks=blocks)
         return se_dec(sk, hex_bits(d, width), width) == expected
 
-    def _opening(self, chan, body, width, rs, ct_sk):
-        """Run the commit-and-reveal exchange for one checker query under
-        the challenges rs, sending the round's key word ct_sk only once the
-        developer has committed; the revealed d and its blocks once every
-        block opens, else (None, None)."""
-        r = self._ask(chan, "checker", body)
+    def _opening(self, chan, q, p, width, rs, ct_sk):
+        """Run the checker round on the slice p of the answer to q: send y,
+        p's SE encryption under the key inside ct_sk, in a frame that names
+        q, then the challenges rs, and ct_sk only once the developer has
+        committed; the revealed d and its blocks once every block opens,
+        else (None, None)."""
+        y = checker_value(self.pp, ct_sk, p)
+        r = self._ask(chan, "checker", {"i": q["i"], "qkind": q["qkind"],
+                                        "port": q.get("port"), "y": cts_b64(y)})
         n = len(rs)
         if _int(r.get("blocks")) != n:
             return None, None

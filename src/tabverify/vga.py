@@ -43,7 +43,13 @@ def generate_suite(g_spec, domains, seed, budget):
 
     from .tables import evaluate_plain
 
+    # inputs the domains allow; once the suite holds min(budget, distinct)
+    # of them, push can add none, so the row search stops there
+    distinct = math.prod(len({json.dumps(v) for v in vals})
+                         for vals in domains.values())
     for name in tg.order:
+        if len(inputs) == min(budget, distinct):
+            break
         found = None
         for _ in range(ROW_SEARCH_TRIES):
             X = _sample_input(domains, rng)
@@ -55,8 +61,6 @@ def generate_suite(g_spec, domains, seed, budget):
             push(found)
     # top up with plain random samples so small graphs still get a spread,
     # while the domains allow an input not pushed yet
-    distinct = math.prod(len({json.dumps(v) for v in vals})
-                         for vals in domains.values())
     while len(inputs) < min(budget, len(tg.order) + 2, distinct):
         push(_sample_input(domains, rng))
     return inputs

@@ -28,10 +28,35 @@ edges:
 """
 NARROW_DOMAINS = {"x": list(range(-3, 4))}
 
-# the same design at width 12: a 12-bit word is one 8-bit commitment block
-# and one 4-bit block padded to 8, and a 6-bit half word one block padded
-# by 2 bits, so every checker round ends in padding
-WIDTH12_TEXT = NARROW_TEXT.replace("width: 6;", "width: 12;")
+# the same table feeding a second one, C, so that T's rows are
+# intermediate: a checker round on one of them covers its 3-bit tag half
+NARROW_PAIR_TEXT = """\
+width: 6;
+table T {
+  inputs: x;
+  outputs: y;
+  rows: [
+    (x > 0, x - 1),
+    (x <= 0, 0 - x),
+  ];
+}
+table C {
+  inputs: y;
+  outputs: z;
+  rows: [
+    (true, y),
+  ];
+}
+edges:
+  Input.x -> T.x;
+  T.y -> C.y;
+  C.z -> Output.z;
+"""
+
+# that pair at width 12: a 12-bit word is one 8-bit commitment block and
+# one 4-bit block padded to 8, and a 6-bit tag half one block padded by 2
+# bits, so every checker round ends in padding
+WIDTH12_TEXT = NARROW_PAIR_TEXT.replace("width: 6;", "width: 12;")
 
 
 def random_circuit(rng, n_inputs, n_gates, n_outputs=1, max_mult_depth=None):

@@ -225,7 +225,10 @@ def test_compiled_random_trees_match_the_interpreter(ports):
     # random well-typed trees up to depth 3 over int and bool inputs, as a
     # predicate and as the row function, on every input of up to two ports
     # at width 8 (a 4-bit payload), and on up to 64 sampled inputs of
-    # three; the compiled circuit's tagged word must be the interpreter's
+    # three; the compiled circuit's tagged word must be the interpreter's.
+    # Each tree also survives its own text, as a certificate's g_spec must:
+    # a negative constant is written -(n), which parses back to that text
+    # and, on every input below, to the same value
     rng = random.Random(400 + ports)
     m, h = 8, 4
     seen = set()
@@ -236,6 +239,9 @@ def test_compiled_random_trees_match_the_interpreter(ports):
         if rng.random() < 0.7:
             pred = random_expr(rng, env, "bool", 3, seen)
         func = random_expr(rng, env, otype, 3, seen)
+        reparsed = [(e, parse_expr(to_text(e))) for e in (pred, func)]
+        for e, r in reparsed:
+            assert to_text(r) == to_text(e)
         c = compile_table(TTable("T#1", "T", 1, tuple(env.items()), ("y", otype),
                                  pred, func), m)
         domains = [range(-8, 8) if t == "int" else (False, True) for t in env.values()]
@@ -253,6 +259,8 @@ def test_compiled_random_trees_match_the_interpreter(ports):
                     if evaluate(pred, values, h) else BOT)
             got = bits_to_tagged(tuple(o >> k & 1 for o in outs), otype)
             assert got == want, (to_text(pred), to_text(func), values)
+            for e, r in reparsed:
+                assert evaluate(r, values, h) == evaluate(e, values, h), to_text(e)
     assert seen == set(INT_OPS) | set(BOOL_OPS)
 
 

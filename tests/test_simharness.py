@@ -22,6 +22,7 @@ from tabverify.protocol import (
     b64_cts,
     bits_hex,
     checker_key,
+    checker_slice,
     checker_value,
     cts_b64,
     verify_session,
@@ -77,7 +78,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     q1 = {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(1, m)}
     assert ask("encode", dict(q1, i=[1])) == {"answer": {"kind": "null"}}
     w = ask("encode", q1)["answer"]["w"]
-    checker = {"i": t["index"], "case": "input", "port": 0, "p": w}
+    checker = {"i": t["index"], "qkind": 1, "port": 0}
     assert ask("checker", dict(checker, y=cts_b64(junk[m]))) == {"result": "null"}
 
     y = checker_value(dev.pp, ct_sk, b64_cts(w, dev.hpk))
@@ -166,11 +167,16 @@ class Forger(OracleDeveloper):
         self.hsk, self.lies = keys.hsk, []
 
     def _checker(self, body):
-        self.p = body.get("p")
+        # the slice of the word it answered, as every honest verifier's
+        # round names it
+        qkind, i = body["qkind"], body["i"]
+        word = (self.mem.q1[(i, body["port"])] if qkind == 1 else self.mem.q2[i])[0]
+        whole = self.pp.structure.covers_whole(qkind, i)
+        self.p = checker_slice(word, whole, self.pp.m // 2, self.hpk)
         return Developer._checker(self, body)
 
     def _open_checker(self, y, claimed, width):
-        x = bits_uint(he.dec_word(self.hsk, b64_cts(self.p, self.hpk)))
+        x = bits_uint(he.dec_word(self.hsk, self.p))
         c = bits_uint(he.dec_word(self.hsk, y))
         if claimed == x:
             return c
@@ -223,12 +229,20 @@ def general_session(dev, s):
     return verify_session(dev, v)
 
 
+# (forger, s) -> how many of its lies a forged opening hid by the 2^-w chance
+CHANCE_OPENINGS = {("KeyStealer", 2): 1}
+
+
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_forged_checker_openings_reject_and_audit_to_zero(s):
     # the honest developer of the fake design shows its 10 mismatches; the
     # forgers answer for the demo design, so they show none, and only
     # their checker rounds can catch them: each round has its own key of
-    # ROUNDS chunks, which neither a key search nor a stolen key opens
+    # ROUNDS chunks, which neither a key search nor a stolen key opens. A
+    # forged opening under another key still decrypts to the claim by
+    # chance, 2^-w for a w-bit slice, so of a session's about 39 lies, most
+    # on 8-bit tag halves, about 0.15 open. The sessions are deterministic:
+    # exactly one opened, one of KeyStealer's at s = 2, and it is pinned
     verdict, cert = general_session(Developer(fake_graph_like(DEMO, s),
                                               rng=random.Random(s)), s)
     assert verdict == "reject" and len(cert["mismatches"]) == 10
@@ -239,5 +253,7 @@ def test_forged_checker_openings_reject_and_audit_to_zero(s):
         print(f"{forger.__name__} s={s}: {len(failures)} checker failures, "
               f"{len(dev.lies)} lies")
         assert verdict == "reject" and not cert["mismatches"]
-        assert set(failures) == {"checker"} and len(failures) == len(dev.lies)
+        assert set(failures) == {"checker"}
+        chance = CHANCE_OPENINGS.get((forger.__name__, s), 0)
+        assert len(failures) == len(dev.lies) - chance
         assert audit(cert)[0] == 0

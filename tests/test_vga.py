@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from tabverify.demo import (
     CHAIN_DOMAINS,
     DEMO_DOMAINS,
@@ -115,12 +117,16 @@ def dead_end_chain(k):
         + [f"  {e};" for e in edges + ["Input.x -> E.x", "E.e -> Output.e"]])
 
 
-def test_a_dead_end_chain_verifies_and_audits_quickly(tmp_path):
+@pytest.mark.parametrize("k", [30, 1100])
+def test_a_dead_end_chain_verifies_and_audits_quickly(tmp_path, k):
     # the suite reads no structure, so a developer cannot stall the verifier
     # and every auditor with a structure of many source-to-sink paths: the
     # walk over them took about 4 times as long for every two tables more,
-    # 10 s at 22 tables. Subprocesses with a timeout, as above
-    (tmp_path / "chain.txt").write_text(dead_end_chain(30))
+    # 10 s at 22 tables. Nor does the suite search for a row once it holds
+    # every input the domains allow: a search over each of the spec's rows,
+    # each evaluating the whole spec, took 37 s to verify 1,100 tables.
+    # Subprocesses with a timeout, as above
+    (tmp_path / "chain.txt").write_text(dead_end_chain(k))
     (tmp_path / "domains.json").write_text('{"x": [-1, 1]}')
     env = dict(os.environ, PYTHONPATH=str(
         pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -130,6 +136,6 @@ def test_a_dead_end_chain_verifies_and_audits_quickly(tmp_path):
                   str(tmp_path / "domains.json"), "--budget", "4", "--cert", cert],
                  ["audit", "--cert", cert]):
         r = subprocess.run([sys.executable, "-m", "tabverify.cli", *args], env=env,
-                           timeout=30, capture_output=True, text=True)
+                           timeout=20, capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
     assert '"ok":1' in r.stdout
