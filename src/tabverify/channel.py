@@ -39,7 +39,7 @@ def decode_frame(blob):
         raise ChannelError("frame length mismatch")
     try:
         return json.loads(blob[4:].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ChannelError(f"bad frame payload: {exc}") from exc
 
 

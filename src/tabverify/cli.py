@@ -77,7 +77,7 @@ def read_json(path):
             return json.load(f)
     except OSError as exc:
         fail(EXIT_USAGE, "io", str(exc))
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
         fail(EXIT_USAGE, "json", f"{path}: {exc}")
 
 
@@ -311,7 +311,7 @@ def audit_cmd(cert_path, out):
     """Replay a certificate; exit 0 only if the audit returns 1."""
     try:
         cert = audit_mod.load_certificate(resolve(cert_path))
-    except (OSError, ValueError, audit_mod.AuditError) as exc:
+    except (OSError, ValueError, RecursionError, audit_mod.AuditError) as exc:
         fail(EXIT_REJECT, "certificate", str(exc))
     ok, report = audit_mod.audit(cert)
     if out:

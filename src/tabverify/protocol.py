@@ -761,6 +761,9 @@ class Verifier:
         if Counter(published) != Counter(g_spec.external_inputs):
             raise ProtocolError(f"published external inputs {published} are not "
                                 f"the specification's {g_spec.external_inputs}")
+        if pp.m != g_spec.m:
+            raise ProtocolError(f"published width {pp.m} is not the "
+                                f"specification's {g_spec.m}")
         if mode not in ("honest", "general"):
             raise ProtocolError(f"unknown mode {mode!r}")
         if mode == "general" and (pp.m < 8 or pp.m % 4):

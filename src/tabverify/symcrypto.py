@@ -9,16 +9,16 @@ bits (se_key_bits), and round key i is the key's chunk i XOR the round
 constant: bits of _RC rotated by 13 * i mod 64. No two rounds share key
 bits, so one block and its encryption leave 2^(6w) of the 2^(8w) keys
 possible. f has a single AND in depth and the key enters only through
-XOR, so 8 rounds give multiplicative depth 8, inside the integer
-backend's budget.
+XOR, so 8 rounds give multiplicative depth 8, inside the budget of the
+toy integer scheme (she), on which the tests evaluate the gate list.
 
 One Feistel routine, written over word operations (rot, xor, and_,
 constant), gives both evaluations: _Ints holds a w-bit int, for se_enc,
 se_dec and SECircuit.evaluate, and _Wires a list of circuit.Builder wires,
 for SECircuit.gates. The two are extensionally equal by construction.
 SECircuit names the encryption circuit by its construction and block
-width, as the universal circuit is named, so the transparent backend
-evaluates it without building its gate list.
+width, as the universal circuit is named, so he evaluates it without
+building its gate list.
 
 The PRG is SHAKE128 (FIPS 202): output bit i is bit i % 8 of byte i // 8
 of the SHAKE128 output over the seed, one byte per seed bit.
@@ -163,7 +163,8 @@ class SECircuit:
     """The circuit of se_enc over (key || message) for blocks of width
     bits, key_bits + width input bits, named by its construction and block
     width. evaluate runs the word Feistel; gates builds the gate list,
-    which only integer-she and the tests read."""
+    which only the tests read: they check evaluate against it, and run it
+    on she within the scheme's depth budget."""
 
     width: int
 

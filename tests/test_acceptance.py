@@ -10,7 +10,7 @@ import pytest
 
 from helpers import mutate_certificate, scalar_leaves, simulate_batch, tagged_to_bits
 from tabverify import audit as audit_mod
-from tabverify import he
+from tabverify import he, she
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
 from tabverify.circuit import encode_program, simulate
 from tabverify.commitment import (
@@ -89,15 +89,15 @@ def test_c1_she_decryption_matches_simulation():
     """1000 random circuits on the integer backend decrypt exactly."""
     t0 = time.time()
     rng = random.Random(101)
-    keys = he.keygen(16, "integer-she", rng=rng)
+    pk, p = she.keygen(rng)
     failures = 0
     for _ in range(1000):
         n = rng.randint(2, 6)
         c = random_circuit(rng, n, rng.randint(1, 25), rng.randint(1, 4),
                            max_mult_depth=7)
         bits = tuple(rng.getrandbits(1) for _ in range(n))
-        cts = he.enc_word(keys.hpk, bits, rng)
-        got = he.dec_word(keys.hsk, he.eval_word(keys.hpk, c, cts))
+        cts = [she.enc(pk, b, rng) for b in bits]
+        got = tuple(she.dec(p, ct) for ct in she.eval_circuit(pk, c, cts))
         if got != simulate(c, bits):
             failures += 1
     elapsed = time.time() - t0

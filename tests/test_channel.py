@@ -32,6 +32,13 @@ def test_decode_rejects_garbage():
         decode_frame(b"\x00\x00")
 
 
+def test_decode_refuses_a_frame_nested_too_deep():
+    # the JSON parser raises RecursionError; a peer's frame is refused
+    payload = b"[" * 100000
+    with pytest.raises(ChannelError, match="bad frame payload"):
+        decode_frame(len(payload).to_bytes(4, "big") + payload)
+
+
 def test_loopback_round_trip():
     def handler(frame):
         return make_frame("reply", {"echo": frame["body"]})

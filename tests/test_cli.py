@@ -17,7 +17,8 @@ from tabverify.channel import SocketChannel, make_frame
 from tabverify.cli import main
 from tabverify.demo import DEMO_GRAPH_TEXT
 from tabverify.graphtext import parse_graph
-from tabverify.protocol import Developer, bits_hex
+from tabverify.circuit import UniversalCircuit
+from tabverify.protocol import Developer, bits_hex, cts_b64
 
 
 @pytest.fixture()
@@ -387,12 +388,19 @@ def edited_pp(pp, fault):
         pp["hpk"]["key_id"] = pp["hpk"]["key_id"][:8]
     elif fault == "kind-unknown":
         pp["hpk"]["kind"] = "bogus"
+    elif fault == "hpk-integer-she":  # its payload size came to 0 bytes
+        pp["hpk"] = INTEGER_SHE_HPK
     elif fault == "u-params-two":
         pp["u_params"] = pp["u_params"][:2]
     elif fault == "u-params-zero":
         pp["u_params"][0] = 0
     elif fault == "u-params-edited":
         pp["u_params"][1] += 1
+    elif fault == "u-params-narrow":  # width 1, with programs of its length
+        pp["u_params"][2] = 1
+        plen = UniversalCircuit(*pp["u_params"]).program_length
+        program = he.enc_word(he.hpk_from_dict(pp["hpk"]), (0,) * plen)
+        pp["programs"] = {i: cts_b64(program) for i in pp["programs"]}
     elif fault == "programs-list":
         pp["programs"] = list(pp["programs"].values())
     elif fault == "program-short":  # one payload fewer than u_params say
@@ -401,7 +409,7 @@ def edited_pp(pp, fault):
     elif fault in ("program-tag", "program-key-id"):  # another key pair's word
         word = bytearray(base64.b64decode(pp["programs"][first]))
         if fault == "program-tag":
-            word[0] = he.TAG_SHE
+            word[0] = 2  # the tag byte of no backend
         else:
             word[8] ^= 1
         pp["programs"][first] = base64.b64encode(word).decode("ascii")
@@ -484,7 +492,8 @@ PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
     "domains-not-json", "domains-not-object", "domains-omit-input",
     "domains-names-unknown-input",
     "domains-value-not-int", "cp-missing", "cp-not-json", "cp-not-list",
-    "cp-not-pair", "cp-input-omits-b", "cp-input-not-int"]
+    "cp-not-pair", "cp-input-omits-b", "cp-input-not-int", "pp-nested",
+    "domains-nested", "cp-nested"]
     + [f"pp-{fault}" for fault in PP_FAULTS])
 def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
                                                            bad):
@@ -495,6 +504,7 @@ def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
     option, _, fault = bad.partition("-")
     files[option] = f"{bad}.json"
     content = {"not-json": "{not json", "not-params": "{}",
+               "nested": "[" * 100000,  # a RecursionError in the JSON parser
                "not-object": "[1, 2]", "not-list": "5",
                "not-pair": json.dumps([[{"a": 1}]]),
                "input-omits-b": json.dumps([[{"a": 1}, {}]]),
@@ -507,6 +517,13 @@ def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
         content[fault] = edited_pp(demo_pp, fault)
     if fault != "missing":
         (workspace / files[option]).write_text(content[fault])
+    error = verify_refused_before_connecting(workspace, files)
+    assert set(error) == {"error", "message"}
+
+
+def verify_refused_before_connecting(workspace, files, mode="general"):
+    """The JSON error of a verify --connect run on the files, which must
+    exit 2 before it connects and write no certificate."""
     srv = socket.socket()
     srv.bind(("127.0.0.1", 0))
     srv.listen()
@@ -514,7 +531,7 @@ def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
     try:
         r = run(["verify", "--spec", str(workspace / "demo.txt"),
                  "--connect", f"127.0.0.1:{srv.getsockname()[1]}",
-                 "--mode", "general", "--cert", str(workspace / "c.json")]
+                 "--mode", mode, "--cert", str(workspace / "c.json")]
                 + [arg for key, name in files.items()
                    for arg in (f"--{key}", str(workspace / name))])
         with pytest.raises(BlockingIOError):
@@ -522,8 +539,31 @@ def test_verify_refuses_bad_input_files_before_connecting(workspace, demo_pp,
     finally:
         srv.close()
     assert r.exit_code == 2, r.output
-    assert set(json.loads(r.stderr)) == {"error", "message"}
     assert not (workspace / "c.json").exists()
+    return json.loads(r.stderr)
+
+
+# a published integer-she key whose parameters the developer picked: with
+# eta -23 its ciphertexts had 0 payload bytes, and checking a program word
+# divided by 0
+INTEGER_SHE_HPK = {"kind": "integer-she", "key_id": "00" * 8,
+                   "config": {"eta": -23, "rho": 16, "tau": 32, "gamma_extra": 0},
+                   "x0": "0x1", "zeros": []}
+
+
+@pytest.mark.parametrize("fault", ["hpk-integer-she", "u-params-narrow"])
+def test_verify_refuses_a_key_or_width_no_session_runs_on(workspace, demo_pp, fault):
+    # the transparent key is the only one; a word of width 1 has no payload
+    # bits, and an honest session read its payloads with a shift of -1
+    (workspace / "pp.json").write_text(edited_pp(demo_pp, fault))
+    error = verify_refused_before_connecting(
+        workspace, {"pp": "pp.json", "domains": "domains.json", "cp": "cp.json"},
+        mode="honest")
+    assert error == {"error": "verifier", "message": {
+        "hpk-integer-she": "public parameters do not parse: "
+                           "HeError(\"unknown backend 'integer-she'\")",
+        "u-params-narrow": "published width 1 is not the specification's 16",
+    }[fault]}
 
 
 def test_audit_of_a_document_that_is_not_an_object_exits_one(workspace):
@@ -532,6 +572,15 @@ def test_audit_of_a_document_that_is_not_an_object_exits_one(workspace):
     r = run(["audit", "--cert", str(cert)])
     assert r.exit_code == 1
     assert "not a JSON object" in json.loads(r.stderr)["message"]
+
+
+def test_audit_of_a_deeply_nested_document_exits_one(workspace):
+    # the JSON parser's RecursionError is a certificate error, not a crash
+    cert = workspace / "cert.json"
+    cert.write_text("[" * 100000)
+    r = run(["audit", "--cert", str(cert)])
+    assert r.exit_code == 1
+    assert json.loads(r.stderr)["error"] == "certificate"
 
 
 def test_sim_equiv_one_session():

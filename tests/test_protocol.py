@@ -312,7 +312,7 @@ def test_verifier_sends_exactly_the_served_frame_types():
 
 def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
     """Drive one table manually: q1 every port, compute v, ask q2."""
-    lam = dev.hpk.lam_bytes
+    lam = he.LAM_BYTES
     words = []
     for pos, u in enumerate(X_bits_by_port):
         a = frame(dev, "encode", {"qkind": 1, "i": i, "port": pos,
@@ -537,7 +537,7 @@ def test_serve_survives_malformed_checker_ciphertext():
     try:
         a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(1, m)})
         # right count and length, but no ciphertext under the developer's key
-        y = bytes(9 + m * (dev.hpk.lam_bytes - 9))
+        y = bytes(9 + m * (he.LAM_BYTES - 9))
         checker = {"i": t["index"], "qkind": 1, "port": 0, "y": cts_b64(y)}
         assert a["answer"]["kind"] == "w"
         assert ask("checker", checker) == {"result": "null"}
@@ -583,7 +583,7 @@ def test_certificate_public_half_has_no_secret_fields():
     pp_dict = cert["public_params"]
     assert set(pp_dict) == {"hpk", "u_params", "structure", "programs"}
     pp = PublicParams.from_dict(pp_dict)
-    assert pp.hpk.kind == dev.hsk.kind == "transparent"
+    assert pp.hpk == dev.hsk and pp_dict["hpk"]["kind"] == "transparent"
     # top-level certificate carries no decryption key material
     assert "hsk" not in cert and "p" not in pp_dict["hpk"]
 
@@ -1034,3 +1034,17 @@ def test_a_row_that_did_not_fire_cannot_claim_a_zero_payload():
                                   claim_row_1_fires_in_the_gap)
     assert verdict == "reject"
     assert audit(cert)[0] == 0
+
+
+def test_the_published_width_is_the_specifications():
+    # the published u_params carry the word width; a design encrypted at
+    # another width than the spec's is refused before any query, where a
+    # session read its payloads at the spec's width
+    from helpers import NARROW_PAIR_TEXT, WIDTH12_TEXT
+
+    dev = make_dev(parse_graph(NARROW_PAIR_TEXT))
+    spec = parse_graph(WIDTH12_TEXT)
+    domains = {name: [0, 1] for name, _ in spec.external_inputs}
+    with pytest.raises(ProtocolError, match="published width 6 is not the "
+                                            "specification's 12"):
+        Verifier(dev.pp.to_dict(), spec, domains, [])

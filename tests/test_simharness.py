@@ -67,7 +67,7 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     t = next(t for t in dev.pp.to_dict()["structure"]["tables"]
              if all(p["producers"][0][0] == "input" for p in t["ports"]))
     # a word of n ciphertexts of the right length, with no valid tag or key id
-    junk = {n: bytes(9 + n * (dev.hpk.lam_bytes - 9)) for n in (m, 4 * m)}
+    junk = {n: bytes(9 + n * (he.LAM_BYTES - 9)) for n in (m, 4 * m)}
 
     def ask(ftype, body):
         f = make_frame(ftype, body)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tabverify import he
+from tabverify import he, she
 from tabverify.circuit import simulate
 from tabverify.protocol import checker_value
 from tabverify.symcrypto import (
@@ -158,22 +158,10 @@ def test_transparent_checker_value_is_the_gate_list_evaluated(width):
                 == int_to_bits(se_enc(sk, bits_uint(M), width), width))
         assert y != gate_list
         assert y == checker_value(PP, ct_sk, p)  # deterministic
-
-
-def test_eval_named_runs_the_gate_list_on_integer_she():
-    rng = random.Random(17)
-    keys = he.keygen(16, "integer-she", rng=rng)
-    for width in (8, 16):
-        se = SECircuit(width)
-        sk = se_keygen(se.key_bits, rng)
-        M = tuple(rng.getrandbits(1) for _ in range(width))
-        word = he.enc_word(keys.hpk, int_to_bits(sk, se.key_bits) + M, rng)
-        out = he.eval_named(keys.hpk, se, word)
-        assert out == he.eval_word(keys.hpk, se.gates, word)
-        C = se_enc(sk, bits_uint(M), width)
-        assert he.dec_word(keys.hsk, out) == int_to_bits(C, width)
-        with pytest.raises(he.HeError):
-            he.eval_named(keys.hpk, se, he.cut_word(keys.hpk, word, 1))
+    # a word one ciphertext short of the circuit's inputs is refused
+    word = he.join_words(keys.hpk, (ct_sk, p))
+    with pytest.raises(he.HeError):
+        he.eval_named(keys.hpk, se, he.cut_word(keys.hpk, word, 1))
 
 
 def consistent_key(rng, w, x, c):
@@ -292,22 +280,22 @@ def test_circuit_all_zero_consistency():
 
 
 def test_circuit_depth_within_default_budget():
-    budget = he.BackendConfig(kind="integer-she").depth_budget
+    budget = she.Params().depth_budget
     for width in (8, 16):
         # the key enters only through XOR: the depth is the rounds'
         assert SECircuit(width).gates.mult_depth == ROUNDS <= budget
 
 
 def test_circuit_evaluates_homomorphically():
-    # one round trip through the integer backend at full depth
+    # one round trip through the integer scheme at full depth
     rng = random.Random(7)
-    keys = he.keygen(16, "integer-she", rng=rng)
+    pk, p = she.keygen(rng)
     c = SECircuit(8).gates
     sk = se_keygen(se_key_bits(8), rng)
     M = tuple(rng.getrandbits(1) for _ in range(8))
-    cts = he.enc_word(keys.hpk, int_to_bits(sk, se_key_bits(8)) + M, rng)
-    out = he.eval_word(keys.hpk, c, cts)
-    assert he.dec_word(keys.hsk, out) == int_to_bits(se_enc(sk, bits_uint(M), 8), 8)
+    cts = [she.enc(pk, b, rng) for b in int_to_bits(sk, se_key_bits(8)) + M]
+    out = tuple(she.dec(p, ct) for ct in she.eval_circuit(pk, c, cts))
+    assert out == int_to_bits(se_enc(sk, bits_uint(M), 8), 8)
 
 
 def test_avalanche_smoke():

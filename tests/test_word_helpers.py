@@ -12,10 +12,10 @@ golden seeds.
 
 import base64
 import copy
-import dataclasses
 import hashlib
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,38 +39,27 @@ from tabverify.protocol import (
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 
 
-# one key pair per backend; the keys fixture hands out each in turn, and
-# tests whose ids name no backend run on both
-KEYS = {kind: he.keygen(16, kind, rng=random.Random(1)) for kind in he.KINDS}
+KEYS = he.keygen(16, rng=random.Random(1))
+OTHER_TAG = 2  # the tag byte of no backend
 
 
-@pytest.fixture(scope="module", params=list(KEYS))
-def keys(request):
-    return KEYS[request.param]
-
-
-def cut(h, word):
+def cut(word):
     """The ciphertexts of a word, each whole: the word's header and one
     payload."""
-    size = h.lam_bytes - 9
+    size = he.LAM_BYTES - 9
     return [word[:9] + word[o:o + size] for o in range(9, len(word), size)]
-
-
-def tag(h):
-    return he.TAG_TRANSPARENT if h.kind == "transparent" else he.TAG_SHE
 
 
 def strip(h, cts):
     """The word of whole ciphertexts of h's key pair: its header once, then
     each ciphertext's payload."""
-    header = bytes([tag(h)]) + h.key_id
+    header = bytes([he.TAG_TRANSPARENT]) + h.key_id
     assert all(ct[:9] == header for ct in cts)
     return header + b"".join(ct[9:] for ct in cts)
 
 
 def ref_unpack(h, ct):
-    want_tag = tag(h)
-    if ct[0] != want_tag:
+    if ct[0] != he.TAG_TRANSPARENT:
         raise he.HeError("malformed ciphertext (backend tag)")
     if ct[1:9] != h.key_id:
         raise he.HeError("ciphertext does not match this key pair")
@@ -82,9 +71,9 @@ def ref_check_word(h, word):
         raise he.HeError("ciphertext word must be bytes")
     if len(word) < 9:
         raise he.HeError("malformed ciphertext word (short header)")
-    if (len(word) - 9) % (h.lam_bytes - 9):
+    if (len(word) - 9) % (he.LAM_BYTES - 9):
         raise he.HeError("malformed ciphertext length")
-    cts = cut(h, word)
+    cts = cut(word)
     for ct in [word[:9]] + cts:  # the header alone, and each ciphertext
         ref_unpack(h, ct)
     return len(cts)
@@ -116,18 +105,17 @@ def faults(word, pos, size, other_tag):
         yield word[:k] + bytes([word[k] ^ 1]) + word[k + 1:]
 
 
-def test_check_word_accepts_and_refuses_as_the_reference(keys):
+def test_check_word_accepts_and_refuses_as_the_reference():
     rng = random.Random(2)
-    word = he.enc_word(keys.hpk, random_bits(rng, 5), rng)
-    size = keys.hpk.lam_bytes - 9
-    other_tag = he.TAG_SHE if keys.hpk.kind == "transparent" else he.TAG_TRANSPARENT
+    word = he.enc_word(KEYS.hpk, random_bits(rng, 5), rng)
+    size = he.LAM_BYTES - 9
     # the word of no ciphertexts is the header alone
-    assert outcome(he.check_word, keys.hpk, word[:9]) == ("accept", 0)
-    assert he.enc_word(keys.hpk, ()) == word[:9]
-    for h in (keys.hpk, keys.hsk):
+    assert outcome(he.check_word, KEYS.hpk, word[:9]) == ("accept", 0)
+    assert he.enc_word(KEYS.hpk, ()) == word[:9]
+    for h in (KEYS.hpk, KEYS.hsk):
         assert outcome(he.check_word, h, word) == ("accept", 5)
         for pos in (0, 2, 4):  # first, middle and last
-            for bad in faults(word, pos, size, other_tag):
+            for bad in faults(word, pos, size, OTHER_TAG):
                 got = outcome(he.check_word, h, bad)
                 assert got[0] == "refuse"
                 assert got == outcome(ref_check_word, h, bad)
@@ -135,37 +123,37 @@ def test_check_word_accepts_and_refuses_as_the_reference(keys):
                     with pytest.raises(ProtocolError, match=re.escape(got[1])):
                         b64_cts(cts_b64(bad), h)
                 with pytest.raises(he.HeError):
-                    he.dec_word(keys.hsk, bad)
+                    he.dec_word(KEYS.hsk, bad)
 
 
-def test_cut_and_join_by_ciphertext_index(keys):
+def test_cut_and_join_by_ciphertext_index():
     rng = random.Random(4)
     bits = random_bits(rng, 7)
-    word = he.enc_word(keys.hpk, bits, rng)
-    cts = cut(keys.hpk, word)
+    word = he.enc_word(KEYS.hpk, bits, rng)
+    cts = cut(word)
     for start, stop in ((0, 7), (0, 3), (3, None), (2, 5), (4, 4), (6, None)):
-        part = he.cut_word(keys.hpk, word, start, stop)
-        assert part == strip(keys.hpk, cts[start:stop])
-        assert he.dec_word(keys.hsk, part) == bits[start:stop]
-    assert he.cut_word(keys.hsk, word, 1, 2) == cts[1]  # a word of one
-    halves = [he.cut_word(keys.hpk, word, 0, 3), he.cut_word(keys.hpk, word, 3)]
-    assert he.join_words(keys.hpk, halves) == word
-    assert he.join_words(keys.hpk, [word, word]) == strip(keys.hpk, cts + cts)
-    assert he.join_words(keys.hpk, []) == word[:9]
+        part = he.cut_word(KEYS.hpk, word, start, stop)
+        assert part == strip(KEYS.hpk, cts[start:stop])
+        assert he.dec_word(KEYS.hsk, part) == bits[start:stop]
+    assert he.cut_word(KEYS.hsk, word, 1, 2) == cts[1]  # a word of one
+    halves = [he.cut_word(KEYS.hpk, word, 0, 3), he.cut_word(KEYS.hpk, word, 3)]
+    assert he.join_words(KEYS.hpk, halves) == word
+    assert he.join_words(KEYS.hpk, [word, word]) == strip(KEYS.hpk, cts + cts)
+    assert he.join_words(KEYS.hpk, []) == word[:9]
 
 
-def test_cut_and_join_refuse_a_word_under_another_key(keys):
+def test_cut_and_join_refuse_a_word_under_another_key():
     rng = random.Random(5)
-    word = he.enc_word(keys.hpk, (0, 1, 1), rng)
-    other = he.keygen(16, keys.hpk.kind, rng=random.Random(6)).hpk
+    word = he.enc_word(KEYS.hpk, (0, 1, 1), rng)
+    other = he.keygen(16, rng=random.Random(6)).hpk
     foreign = he.enc_word(other, (1, 0), rng)
     with pytest.raises(he.HeError, match="key pair"):
-        he.cut_word(keys.hpk, foreign, 0, 1)
+        he.cut_word(KEYS.hpk, foreign, 0, 1)
     for words in ([foreign], [word, foreign], [foreign, word]):
         with pytest.raises(he.HeError, match="key pair"):
-            he.join_words(keys.hpk, words)
+            he.join_words(KEYS.hpk, words)
     with pytest.raises(he.HeError, match="length"):
-        he.join_words(keys.hpk, [word, word[:-1]])
+        he.join_words(KEYS.hpk, [word, word[:-1]])
 
 
 @pytest.mark.parametrize("n", [0, 1, 16, 2308])
@@ -179,38 +167,29 @@ def test_enc_word_draws_like_one_enc_per_bit(n):
     assert fast.getstate() == per_bit.getstate() == ref.getstate()
 
 
-def test_enc_word_draws_like_one_enc_per_bit_she():
-    hpk = he.keygen(16, "integer-she", rng=random.Random(6)).hpk
-    bits = random_bits(random.Random(7), 16)
-    fast, per_bit = random.Random(8), random.Random(8)
-    assert he.enc_word(hpk, bits, fast) == strip(hpk, [he.enc(hpk, b, per_bit)
-                                                       for b in bits])
-    assert fast.getstate() == per_bit.getstate()
-
-
-def test_enc_word_without_an_rng(keys):
+def test_enc_word_without_an_rng():
     bits = random_bits(random.Random(9), 40)
-    word = he.enc_word(keys.hpk, bits)
-    assert he.check_word(keys.hpk, word) == 40
-    assert he.dec_word(keys.hsk, word) == bits
-    assert len(set(cut(keys.hpk, word))) == 40  # fresh nonces, no two alike
-    assert he.dec_word(keys.hsk, strip(keys.hpk, [he.enc(keys.hpk, b) for b in bits])) == bits
+    word = he.enc_word(KEYS.hpk, bits)
+    assert he.check_word(KEYS.hpk, word) == 40
+    assert he.dec_word(KEYS.hsk, word) == bits
+    assert len(set(cut(word))) == 40  # fresh nonces, no two alike
+    assert he.dec_word(KEYS.hsk, strip(KEYS.hpk, [he.enc(KEYS.hpk, b) for b in bits])) == bits
 
 
 @pytest.mark.parametrize("bits", [
     (0, 2), (1, -1), (0, "1"), (None,), ([1],), (0.5,), ((0,),)])
-def test_enc_word_refuses_what_is_not_a_bit(keys, bits):
+def test_enc_word_refuses_what_is_not_a_bit(bits):
     with pytest.raises(he.HeError):
-        he.enc_word(keys.hpk, bits, random.Random(10))
+        he.enc_word(KEYS.hpk, bits, random.Random(10))
     with pytest.raises(he.HeError):
-        he.enc(keys.hpk, bits[-1], random.Random(10))
+        he.enc(KEYS.hpk, bits[-1], random.Random(10))
 
 
-def test_enc_word_reads_bools_and_integral_values_as_bits(keys):
+def test_enc_word_reads_bools_and_integral_values_as_bits():
     # enc accepted anything equal to 0 or 1; so does the word form
     rng = random.Random(11)
-    word = he.enc_word(keys.hpk, (True, False, 1.0, 0), rng)
-    assert he.dec_word(keys.hsk, word) == (1, 0, 1, 0)
+    word = he.enc_word(KEYS.hpk, (True, False, 1.0, 0), rng)
+    assert he.dec_word(KEYS.hsk, word) == (1, 0, 1, 0)
 
 
 # --- base64 ---------------------------------------------------------------------
@@ -246,45 +225,44 @@ def head(h):
 
 def same_decode(h, text, size=1, n=None):
     """Whether b64_cts accepts text, for h's key pair with payloads of size
-    bytes, as the reference does, and decodes it to the same word."""
-    h = dataclasses.replace(h, lam_bytes=9 + size)
-    try:
-        want = ref_b64_cts(text, h, n)
-    except ProtocolError:
-        with pytest.raises(ProtocolError):
-            b64_cts(text, h, n)
-        return False
-    assert b64_cts(text, h, n) == want
+    bytes, as the reference does, and decodes it to the same word. The
+    payload size is he's constant, set to size for the call, so that short
+    strings reach whole words."""
+    with mock.patch.object(he, "LAM_BYTES", 9 + size):
+        try:
+            want = ref_b64_cts(text, h, n)
+        except ProtocolError:
+            with pytest.raises(ProtocolError):
+                b64_cts(text, h, n)
+            return False
+        assert b64_cts(text, h, n) == want
     return True
 
 
 @given(st.binary(max_size=120))
 def test_cts_b64_matches_the_reference(word):
     assert cts_b64(word) == ref_cts_b64(word)
-    for keys in KEYS.values():
-        same_decode(keys.hpk, cts_b64(word))
-        assert same_decode(keys.hpk, cts_b64(he.enc_word(keys.hpk, ()) + word))
+    same_decode(KEYS.hpk, cts_b64(word))
+    assert same_decode(KEYS.hpk, cts_b64(he.enc_word(KEYS.hpk, ()) + word))
 
 
 @given(st.text(alphabet="AQgwBb9+/=\n é\0", max_size=16))
 def test_b64_cts_accepts_exactly_what_the_reference_accepts(text):
-    for keys in KEYS.values():
-        for size in (1, 2, 3):
-            same_decode(keys.hpk, text, size)
-            same_decode(keys.hpk, head(keys.hpk) + text, size)
+    for size in (1, 2, 3):
+        same_decode(KEYS.hpk, text, size)
+        same_decode(KEYS.hpk, head(KEYS.hpk) + text, size)
 
 
 def test_b64_cts_on_fuzzed_short_strings():
-    for keys in KEYS.values():
-        rng = random.Random(12)
-        alphabet = "ABQgwz09+/=-_ \né"
-        accepted, prefix = 0, head(keys.hpk)
-        for _ in range(20000):
-            s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
-            same_decode(keys.hpk, s)
-            accepted += same_decode(keys.hpk, prefix + s)
-            same_decode(keys.hpk, prefix + s, 2, 3)
-        assert accepted > 100  # the fuzz reaches canonical spellings too
+    rng = random.Random(12)
+    alphabet = "ABQgwz09+/=-_ \né"
+    accepted, prefix = 0, head(KEYS.hpk)
+    for _ in range(20000):
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
+        same_decode(KEYS.hpk, s)
+        accepted += same_decode(KEYS.hpk, prefix + s)
+        same_decode(KEYS.hpk, prefix + s, 2, 3)
+    assert accepted > 100  # the fuzz reaches canonical spellings too
 
 
 @pytest.mark.parametrize("item", [
@@ -292,63 +270,60 @@ def test_b64_cts_on_fuzzed_short_strings():
     "AA==AA==", "AAAA\n", " AAAA", "AA-_", "AAé=", "ÿÿÿÿ", "",
     b"AA==", bytearray(b"AAAA"), 5, None, ["AA=="], 1.5])
 def test_b64_cts_edge_cases(item):
-    for keys in KEYS.values():
-        same_decode(keys.hpk, item)
-        same_decode(keys.hpk, item, 3)
-        if isinstance(item, str):
-            h = head(keys.hpk)
-            same_decode(keys.hpk, h + item)
-            same_decode(keys.hpk, h + item, 3, 1)
-            same_decode(keys.hpk, h + "AAAA" + item, 3, 1)
+    same_decode(KEYS.hpk, item)
+    same_decode(KEYS.hpk, item, 3)
+    if isinstance(item, str):
+        h = head(KEYS.hpk)
+        same_decode(KEYS.hpk, h + item)
+        same_decode(KEYS.hpk, h + item, 3, 1)
+        same_decode(KEYS.hpk, h + "AAAA" + item, 3, 1)
 
 
-def test_b64_cts_counts_ciphertexts(keys):
-    # (length - 9) / payload ciphertexts, on both backends
+def test_b64_cts_counts_ciphertexts():
+    # (length - 9) / payload ciphertexts
     rng = random.Random(14)
-    size = keys.hpk.lam_bytes - 9
+    size = he.LAM_BYTES - 9
     for n in range(6):
-        word = he.enc_word(keys.hpk, random_bits(rng, n), rng)
+        word = he.enc_word(KEYS.hpk, random_bits(rng, n), rng)
         assert len(word) == 9 + n * size
         text = cts_b64(word)
-        assert b64_cts(text, keys.hpk) == word
+        assert b64_cts(text, KEYS.hpk) == word
         for k in range(6):
             if k == n:
-                assert b64_cts(text, keys.hpk, k) == word
+                assert b64_cts(text, KEYS.hpk, k) == word
             else:
                 with pytest.raises(ProtocolError, match=f"hold {k} ciphertexts, got {n}$"):
-                    b64_cts(text, keys.hpk, k)
+                    b64_cts(text, KEYS.hpk, k)
 
 
 def test_b64_cts_refuses_a_word_of_the_wrong_type_or_length():
     # the type and length faults, and a header of another backend or key
-    for keys in KEYS.values():
-        h = keys.hpk
-        word = he.enc_word(h, (0, 1, 1), random.Random(15))
-        text = cts_b64(word)
-        assert b64_cts(text, h) == b64_cts(text, h, 3) == word
-        header = cts_b64(word[:9])  # the word of no ciphertexts
-        assert b64_cts(header, h) == b64_cts(header, h, 0) == word[:9]
-        for bad in (word, bytearray(word), None, 5, [text], text.encode("ascii")):
-            with pytest.raises(ProtocolError, match="ASCII text"):
-                b64_cts(bad, h)
+    h = KEYS.hpk
+    word = he.enc_word(h, (0, 1, 1), random.Random(15))
+    text = cts_b64(word)
+    assert b64_cts(text, h) == b64_cts(text, h, 3) == word
+    header = cts_b64(word[:9])  # the word of no ciphertexts
+    assert b64_cts(header, h) == b64_cts(header, h, 0) == word[:9]
+    for bad in (word, bytearray(word), None, 5, [text], text.encode("ascii")):
         with pytest.raises(ProtocolError, match="ASCII text"):
-            b64_cts(text[:-4] + "é===", h)
-        # off by one byte, a short header, and no header
-        for bad, why in ((word[:-1], "length"), (word + b"\0", "length"),
-                         (word[:8], "short header"), (b"", "short header")):
-            with pytest.raises(ProtocolError, match=f"bad ciphertext word: .*{why}"):
-                b64_cts(cts_b64(bad), h)
-        # another backend's tag, and another key pair's key id
-        other = he.TAG_SHE if h.kind == "transparent" else he.TAG_TRANSPARENT
-        for bad, why in ((bytes([other]) + word[1:], "backend tag"),
-                         (word[:8] + bytes([word[8] ^ 1]) + word[9:], "key pair")):
-            with pytest.raises(ProtocolError, match=f"bad ciphertext word: .*{why}"):
-                b64_cts(cts_b64(bad), h)
-        for n in (0, 2, 4):  # a whole number of ciphertexts, but not n
-            with pytest.raises(ProtocolError, match=f"hold {n} ciphertexts, got 3"):
-                b64_cts(text, h, n)
-        with pytest.raises(ProtocolError, match="hold 1 ciphertexts, got 0"):
-            b64_cts(header, h, 1)  # the empty word where one ciphertext is due
+            b64_cts(bad, h)
+    with pytest.raises(ProtocolError, match="ASCII text"):
+        b64_cts(text[:-4] + "é===", h)
+    # off by one byte, a short header, and no header
+    for bad, why in ((word[:-1], "length"), (word + b"\0", "length"),
+                     (word[:8], "short header"), (b"", "short header")):
+        with pytest.raises(ProtocolError, match=f"bad ciphertext word: .*{why}"):
+            b64_cts(cts_b64(bad), h)
+    # another backend's tag, and another key pair's key id
+    for bad, why in ((bytes([OTHER_TAG]) + word[1:], "backend tag"),
+                     (word[:8] + bytes([word[8] ^ 1]) + word[9:], "key pair")):
+        with pytest.raises(ProtocolError, match=f"bad ciphertext word: .*{why}"):
+            b64_cts(cts_b64(bad), h)
+    for n in (0, 2, 4):  # a whole number of ciphertexts, but not n
+        with pytest.raises(ProtocolError, match=f"hold {n} ciphertexts, got 3"):
+            b64_cts(text, h, n)
+    with pytest.raises(ProtocolError, match="hold 1 ciphertexts, got 0"):
+        b64_cts(header, h, 1)  # the empty word where one ciphertext is due
 
 
 B64_ALPHABET = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
@@ -407,7 +382,7 @@ def test_one_character_change_to_a_long_program_word(demo_cert):
 def ref_run(hpk, u, program, data):
     """The earlier per-ciphertext decode and run of one table step."""
     _, sb, plen = uc_layout(u.n_data, u.g, u.m)
-    bits = [ref_unpack(hpk, ct)[0] & 1 for ct in cut(hpk, program)]
+    bits = [ref_unpack(hpk, ct)[0] & 1 for ct in cut(program)]
     zero = u.n_data
 
     def line(pos, lines):
@@ -419,11 +394,11 @@ def ref_run(hpk, u, program, data):
               sum(bits[pos + 2 * sb + k] << k for k in range(4)))
              for j, pos in enumerate(range(0, u.g * width, width))]
     outs = [line(pos, zero + 1 + u.g) for pos in range(u.g * width, plen, sb)]
-    bus = [ref_unpack(hpk, ct)[0] & 1 for ct in cut(hpk, data)] + [0]
+    bus = [ref_unpack(hpk, ct)[0] & 1 for ct in cut(data)] + [0]
     for l, r, tt in slots:
         bus.append((tt >> ((bus[l] << 1) | bus[r])) & 1)
     # the nonces hash the program and data ciphertexts as one word
-    joined = strip(hpk, cut(hpk, program) + cut(hpk, data))
+    joined = strip(hpk, cut(program) + cut(data))
     prefix = b"tr-eval-v2" + hpk.key_id + hashlib.sha256(joined).digest()
     return strip(hpk, [
         bytes([he.TAG_TRANSPARENT]) + hpk.key_id + bytes([bus[s]])
