@@ -169,9 +169,11 @@ def replay(cert):
         report["reason"] = f"{type(exc).__name__}: {exc}"
         return False, report
     if "annotations" in cert:
-        # commentary attached after the session; not replayable, but still
-        # covered by the certificate file's content hash
+        # commentary attached after the session: nothing replays it, and the
+        # file's content hash does not protect it, since anyone who edits it
+        # can recompute that hash; so the report names it as unverified
         rebuilt = dict(rebuilt, annotations=cert["annotations"])
+        report["unverified"] = ["annotations"]
     if not _same_certificate(cert, rebuilt):
         report["reason"] = ("rebuilt certificate differs from the stored one "
                             f"at {first_difference(cert, rebuilt)}")

@@ -81,10 +81,10 @@ def read_json(path):
         fail(EXIT_USAGE, "json", f"{path}: {exc}")
 
 
-def load_graph(path, m_width):
+def load_graph(path):
     try:
         with open(resolve(path), encoding="utf-8") as f:
-            return parse_graph(f.read(), m=m_width)
+            return parse_graph(f.read())
     except OSError as exc:
         fail(EXIT_USAGE, "io", str(exc))
     except GraphError as exc:
@@ -144,11 +144,10 @@ def main():
 
 @main.command()
 @click.option("--graph", required=True)
-@click.option("--m-width", default=16, show_default=True)
 @click.option("--out", default=None)
-def compile(graph, m_width, out):
+def compile(graph, out):
     """Validate a graph file and report its transformed shape."""
-    g = load_graph(graph, m_width)
+    g = load_graph(graph)
     tg = transform(g)
     summary = {
         "tables": len(g.tables),
@@ -170,12 +169,11 @@ def compile(graph, m_width, out):
 
 @main.command()
 @click.option("--graph", required=True)
-@click.option("--m-width", default=16, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True)
-def encrypt(graph, m_width, seed, out):
+def encrypt(graph, seed, out):
     """Encrypt a design and emit its public parameters."""
-    g = load_graph(graph, m_width)
+    g = load_graph(graph)
     write_json(out, Developer(g, rng=random.Random(seed)).pp.to_dict())
     click.echo(f"wrote {out}")
 
@@ -210,16 +208,15 @@ def serve_connections(dev, accept, max_sessions=None):
 
 @main.command()
 @click.option("--graph", required=True)
-@click.option("--m-width", default=16, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--listen", required=True, help="HOST:PORT to accept verifiers on")
 @click.option("--out", default=None, help="also write public parameters here")
 @click.option("--max-sessions", type=int, default=None,
               help="stop accepting after this many sessions")
-def serve(graph, m_width, seed, listen, out, max_sessions):
+def serve(graph, seed, listen, out, max_sessions):
     """Run a developer endpoint over TCP: each connection is one session,
     served in its own thread, and the command waits for them to end."""
-    g = load_graph(graph, m_width)
+    g = load_graph(graph)
     dev = Developer(g, rng=random.Random(seed))
     if out:
         write_json(out, dev.pp.to_dict())
@@ -250,7 +247,6 @@ def serve(graph, m_width, seed, listen, out, max_sessions):
               help="public parameters file (required with --connect)")
 @click.option("--mode", default="honest",
               type=click.Choice(["honest", "general"]), show_default=True)
-@click.option("--m-width", default=16, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--domains", "domains_path", default=None)
 @click.option("--cp", "cp_path", default=None,
@@ -258,17 +254,17 @@ def serve(graph, m_width, seed, listen, out, max_sessions):
 @click.option("--budget", type=int, default=16, show_default=True)
 @click.option("--cert", "cert_path", required=True)
 @click.option("--out", default=None, help="write the coverage report here")
-def verify(spec_path, graph, connect, pp_path, mode, m_width, seed,
+def verify(spec_path, graph, connect, pp_path, mode, seed,
            domains_path, cp_path, budget, cert_path, out):
     """Run a verification session and write the certificate."""
     if (graph is None) == (connect is None):
         fail(EXIT_USAGE, "flag", "exactly one of --graph or --connect is required")
-    g_spec = load_graph(spec_path, m_width)
+    g_spec = load_graph(spec_path)
     domains = load_domains(domains_path, g_spec)
     cp = load_cp(cp_path)
 
     if graph is not None:
-        dev = Developer(load_graph(graph, m_width), rng=random.Random(seed + 1))
+        dev = Developer(load_graph(graph), rng=random.Random(seed + 1))
         pp = dev.pp.to_dict()
     elif pp_path is None:
         fail(EXIT_USAGE, "flag", "--connect requires --pp")
@@ -289,7 +285,9 @@ def verify(spec_path, graph, connect, pp_path, mode, m_width, seed,
             fail(EXIT_PROTOCOL, "connect", str(exc))
     try:
         verdict, cert = v.run(chan)
-    except (ChannelError, ProtocolError, he.HeError) as exc:
+    except ProtocolError as exc:  # the spec, refused before the first frame
+        fail(EXIT_USAGE, "verifier", str(exc))
+    except (ChannelError, he.HeError) as exc:
         fail(EXIT_PROTOCOL, "session", str(exc))
     finally:
         chan.close()  # closing the connection ends the developer's session

@@ -51,8 +51,9 @@ def strip_comments(text):
     return "\n".join(lines)
 
 
-def parse_graph(text, m=16):
-    """Parse design source into a validated TableGraph."""
+def parse_graph(text):
+    """Parse design source into a validated TableGraph, 16 bits wide unless
+    a `width:` line says otherwise."""
     try:
         tokens = _expr.tokenize(strip_comments(text))
     except ExprError as exc:
@@ -60,6 +61,7 @@ def parse_graph(text, m=16):
     p = _GraphParser(tokens)
     tables = {}
     edges = []
+    m = 16
 
     try:
         if p.peek() == "width":

@@ -64,9 +64,7 @@ def _randbits(rng, n):
     return rng.getrandbits(n)
 
 
-def keygen(K, rng=None):
-    if K < 8:
-        raise HeError("security parameter too small (need K >= 8)")
+def keygen(rng=None):
     key = Key(_randbits(rng, 64).to_bytes(8, "big"))
     return HeKeyPair(key, key)
 

@@ -86,7 +86,7 @@ from .tables import (
 from .vga import generate_suite, input_key
 
 CERT_VERSION = 12  # bump whenever certificates for fixed seeds change
-HE_SECURITY = 16  # security parameter K of the homomorphic key pair
+HE_SECURITY = 16  # the certificate's K only; no key uses it (drop at next bump)
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
@@ -463,7 +463,7 @@ class Developer:
         n_data, g, m = budget_for(list(circuits.values()), floor=u_budget)
         self.u = UniversalCircuit(n_data, g, m)
 
-        keys = he.keygen(HE_SECURITY, rng=self.rng)
+        keys = he.keygen(rng=self.rng)
         self.hpk, self.hsk = keys.hpk, keys.hsk
         self.circuits = circuits
         self.programs_plain = {
@@ -879,19 +879,19 @@ class Verifier:
     # -- session driver
 
     def run(self, chan):
-        """Drive the whole verification session; returns (verdict, certificate)."""
+        """Drive the whole verification session; returns (verdict, certificate).
+        ProtocolError, before the first frame, when two rows of one spec
+        table hold at an input of the session."""
         suite = generate_suite(self.g_spec, self.domains, self.seed, self.vga_budget)
         inputs = {}  # input_key -> the first input of that key
         for X in suite + [X for X, _ in self.cp]:
             inputs.setdefault(input_key(X), X)
+        wants = {k: spec_port_outputs(self.tg_spec, X) for k, X in inputs.items()}
         results = {k: self._eval_encrypted(chan, X) for k, X in inputs.items()}
 
-        mismatches = []
-        for k, X in inputs.items():
-            want = spec_port_outputs(self.tg_spec, X)
-            got = results[k]
-            if not outputs_equal(want, got):
-                mismatches.append({"input": X, "expected": want, "observed": got})
+        mismatches = [{"input": X, "expected": wants[k], "observed": results[k]}
+                      for k, X in inputs.items()
+                      if not outputs_equal(wants[k], results[k])]
         cp_results = []
         for X, Y in self.cp:
             got = results[input_key(X)]
@@ -1094,18 +1094,28 @@ class Verifier:
 
 
 def spec_port_outputs(tg_spec, X):
-    """Per-output-port plaintext results of the public specification."""
+    """Per-output-port plaintext results of the public specification.
+
+    The one check of the spec's one-row rule: ProtocolError when two rows
+    of one spec table hold at X, whether the table feeds an output or
+    another table."""
     outputs = evaluate_plain(tg_spec, X)
+    fired = {}  # origin table -> its row tables that hold at X
+    for tname, tt in tg_spec.tables.items():
+        if outputs[tname] is not None and outputs[tname].tag:
+            fired.setdefault(tt.origin, []).append(tname)
+    for rows in fired.values():
+        if len(rows) > 1:
+            raise ProtocolError(f"the specification is ambiguous at input "
+                                f"{canonical_json(X)}: its rows "
+                                f"{canonical_json(rows)} all hold")
     groups = {}
     for tname, name in tg_spec.external_outputs:
         groups.setdefault(name, []).append(outputs[tname])
     result = {}
     for port, vals in groups.items():
         tops = sibling_group(vals)
-        if tops is None or len(tops) > 1:  # null, or an ill-formed group
-            result[port] = None
-        else:
-            result[port] = tops[0].payload if tops else BOT
+        result[port] = None if tops is None else tops[0].payload if tops else BOT
     return result
 
 

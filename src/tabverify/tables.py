@@ -2,11 +2,13 @@
 transformation to tagged values, level ordering, and plain evaluation.
 
 A design is a DAG of tables. Each table has one output port and holds rows
-of (predicate, function), and is well formed when exactly one predicate
-holds per input. The transformation rewrites every row as its own table
-whose function returns a tagged word: (top, f(x)) when the predicate
-holds, (bot, 0) otherwise. Tagged words are m bits; the first half carries
-the tag, the second half the payload.
+of (predicate, function). At an input where no row holds it answers bot;
+two rows that hold together are an error, which the verifier refuses in a
+specification at its session's inputs (protocol.spec_port_outputs) and
+fails in a design at an output port (ambiguous-output). The transformation
+rewrites every row as its own table whose function returns a tagged word:
+(top, f(x)) when the predicate holds, (bot, 0) otherwise. Tagged words are
+m bits; the first half carries the tag, the second half the payload.
 """
 
 from dataclasses import dataclass, field
@@ -208,69 +210,6 @@ class TableGraph:
                     ready.append(nxt)
             ready.sort()
         return order
-
-
-# --- completeness / disjointness checking -----------------------------------
-
-
-@dataclass
-class PropertyReport:
-    table: str
-    mode: str  # 'exhaustive' | 'sampled'
-    points: int
-    completeness_witnesses: list
-    disjointness_witnesses: list
-
-    @property
-    def complete(self):
-        return not self.completeness_witnesses
-
-    @property
-    def disjoint(self):
-        return not self.disjointness_witnesses
-
-
-def check_properties(table, domain, m=16, budget=1 << 20, samples=4096, rng=None):
-    """Check that exactly one predicate holds across the given input domain.
-
-    domain maps each input port to a sequence of candidate values. Exhaustive
-    when the product of domain sizes fits the budget, else seeded sampling.
-    """
-    ports = [p for p, _ in table.inputs]
-    for p in ports:
-        if p not in domain:
-            raise GraphError(f"domain missing port '{p}'")
-    sizes = [len(domain[p]) for p in ports]
-    total = 1
-    for s in sizes:
-        total *= s
-
-    width = m // 2
-    missing, clashing = [], []
-
-    def check_point(env):
-        true_rows = [
-            i for i, (pred, _) in enumerate(table.rows) if evaluate(pred, env, width)
-        ]
-        if not true_rows and len(missing) < 10:
-            missing.append(dict(env))
-        if len(true_rows) > 1 and len(clashing) < 10:
-            clashing.append((dict(env), true_rows))
-
-    if total <= budget:
-        import itertools
-
-        for combo in itertools.product(*(domain[p] for p in ports)):
-            check_point(dict(zip(ports, combo)))
-        return PropertyReport(table.name, "exhaustive", total, missing, clashing)
-
-    import random
-
-    rng = rng or random.Random(0)
-    for _ in range(samples):
-        env = {p: rng.choice(domain[p]) for p in ports}
-        check_point(env)
-    return PropertyReport(table.name, "sampled", samples, missing, clashing)
 
 
 # --- single-row transformation ----------------------------------------------

@@ -348,7 +348,7 @@ def universal_inputs(draw):
     return u, tuple(bits)
 
 
-TR_KEYS = he.keygen(16, rng=random.Random(31))
+TR_KEYS = he.keygen(rng=random.Random(31))
 
 
 @settings(max_examples=200, deadline=None)

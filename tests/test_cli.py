@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import tabverify
-from tabverify import cli, he
+from tabverify import audit as audit_mod, cli, he
 from tabverify.channel import SocketChannel, make_frame
 from tabverify.cli import main
 from tabverify.demo import DEMO_GRAPH_TEXT
@@ -117,6 +117,27 @@ def test_demo_general_mode(workspace):
     assert claim["ground_truth"] == {"c": 2, "w": False}
 
 
+def test_audit_reports_annotations_as_unverified(workspace):
+    # the content hash does not protect annotations: an edit that
+    # recomputes it still audits to 1, and the report says so
+    cert = workspace / "demo-cert.json"
+    assert run(["demo", "--mode", "honest", "--cert", str(cert)]).exit_code == 0
+    doc = json.loads(cert.read_text())
+    notes = doc["certificate"]["annotations"]
+    notes["documented_claim"]["ground_truth"] = {"c": 9, "w": True}
+    notes["extra"] = "anything"
+    doc["content_hash"] = audit_mod.certificate_hash(doc["certificate"])
+    cert.write_text(json.dumps(doc))
+    r = run(["audit", "--cert", str(cert)])
+    assert r.exit_code == 0
+    out = json.loads(r.output)
+    assert out["ok"] == 1
+    assert out["report"]["unverified"] == ["annotations"]
+    del doc["certificate"]["annotations"]
+    ok, report = audit_mod.audit(doc["certificate"])
+    assert ok == 1 and "unverified" not in report
+
+
 def test_serve_and_remote_verify(workspace):
     # a serve process with --max-sessions 1 stays up until the session it
     # accepted is done, then exits
@@ -216,7 +237,7 @@ def test_verify_refuses_general_mode_on_narrow_width(workspace):
     narrow = workspace / "narrow.txt"
     narrow.write_text(NARROW_TEXT)
     args = ["verify", "--spec", str(narrow), "--graph", str(narrow),
-            "--m-width", "6", "--cert", str(workspace / "narrow-cert.json")]
+            "--cert", str(workspace / "narrow-cert.json")]
     r = run(args + ["--mode", "general"])
     assert r.exit_code == 2
     assert "width 6" in r.output
@@ -234,15 +255,50 @@ edges:
 
 @pytest.mark.parametrize("width", ["0", "-4", "5"])
 def test_verify_refuses_a_bad_m_width(workspace, width):
-    # the file has no width line, so --m-width is the design's width
+    # the design's `width:` line is its one source of the width
     design = workspace / "one.txt"
-    design.write_text(ONE_TABLE)
+    design.write_text(f"width: {width};\n" + ONE_TABLE)
     r = run(["verify", "--spec", str(design), "--graph", str(design),
-             "--m-width", width, "--cert", str(workspace / "c.json")])
+             "--cert", str(workspace / "c.json")])
     assert r.exit_code == 2
     err = json.loads(r.stderr)
     assert err["error"] == "graph"
-    assert err["message"].startswith(f"bad width {width}")
+    if width != "-4":  # -4 is not one integer token, so not a width at all
+        assert err["message"].startswith(f"bad width {width}")
+    assert not (workspace / "c.json").exists()
+
+
+def test_verify_has_no_width_flag(workspace):
+    design = workspace / "one.txt"
+    design.write_text(ONE_TABLE)
+    r = run(["verify", "--spec", str(design), "--graph", str(design),
+             "--m-width", "6", "--cert", str(workspace / "c.json")])
+    assert r.exit_code == 2
+    assert "--m-width" in r.output
+    assert not (workspace / "c.json").exists()
+
+
+# rows 1 and 2 of T both hold for x > 2
+OVERLAPPING_SPEC = """
+table T { inputs: x; outputs: y; rows: [(x > 0, x + 1), (x > 2, 0 - x), (x <= 0, 0)]; }
+edges:
+  Input.x -> T.x;
+  T.y -> Output.y;
+"""
+
+
+def test_verify_refuses_an_overlapping_spec(workspace):
+    spec = workspace / "overlap.txt"
+    spec.write_text(OVERLAPPING_SPEC)
+    (workspace / "x.json").write_text(json.dumps({"x": [-2, 1, 3, 4]}))
+    r = run(["verify", "--spec", str(spec), "--graph", str(spec), "--mode", "general",
+             "--domains", str(workspace / "x.json"),
+             "--cert", str(workspace / "c.json")])
+    assert r.exit_code == 2
+    err = json.loads(r.stderr)
+    assert err["error"] == "verifier"
+    assert "ambiguous at input {\"x\":" in err["message"]
+    assert '["T#1","T#2"]' in err["message"]
     assert not (workspace / "c.json").exists()
 
 

@@ -10,12 +10,7 @@ from tabverify.circuit import TT_AND, TT_XOR, Circuit, UniversalCircuit
 
 @pytest.fixture(scope="module")
 def tr_keys():
-    return he.keygen(16, rng=random.Random(1))
-
-
-def test_keygen_errors():
-    with pytest.raises(he.HeError):
-        he.keygen(0)
+    return he.keygen(rng=random.Random(1))
 
 
 def test_published_key_round_trips(tr_keys):
@@ -71,7 +66,7 @@ def test_dec_malformed(tr_keys):
     with pytest.raises(he.HeError):
         he.dec(tr_keys.hsk, b"\x07" + ct[1:])
     # a ciphertext from a different key pair is refused
-    other = he.keygen(16, rng=random.Random(7))
+    other = he.keygen(rng=random.Random(7))
     ct = he.enc(other.hpk, 1, random.Random(8))
     with pytest.raises(he.HeError):
         he.dec(tr_keys.hsk, ct)
@@ -109,7 +104,7 @@ def test_prepare_checks_every_program_ciphertext(tr_keys):
     # as eval_word checks any ciphertext; so is a data ciphertext, per step
     rng = random.Random(21)
     u = UniversalCircuit(2, 2, 1)
-    other = he.keygen(16, rng=random.Random(22))
+    other = he.keygen(rng=random.Random(22))
     word = he.enc_word(tr_keys.hpk, random_bits(rng, u.n_inputs), rng)
     prog = he.cut_word(tr_keys.hpk, word, 0, u.program_length)
     data = he.cut_word(tr_keys.hpk, word, u.program_length)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import simulate_batch, tagged_to_bits
-from tabverify.audit import audit, json_leaves
+from tabverify.audit import audit, json_leaves, replay
 from tabverify import he, protocol
 from tabverify.commitment import choose_challenge
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
@@ -777,21 +777,54 @@ edges:
 """
 
 
+# the same spec without the overlap
+DISJOINT_TEXT = OVERLAP_TEXT.replace("    (x > 5, x + 2),\n", "")
+# T's overlapping rows feed only C
+INNER_OVERLAP_TEXT = OVERLAP_TEXT.replace("  T.y -> Output.y;\n", "")
+
+
 def test_overlapping_rows_follow_the_sibling_rule_on_both_paths():
     graph = parse_graph(OVERLAP_TEXT)
     X = {"x": 7}
-    want = spec_port_outputs(transform(graph), X)
-    # two fired rows at an output port give null; the consumer takes the
-    # first fired row, 7 + 1
-    assert want == {"y": None, "z": 18}
+    with pytest.raises(ProtocolError, match="ambiguous"):
+        spec_port_outputs(transform(graph), X)
+    # as the design, against a spec without the overlap: two fired rows at
+    # an output port give null and the developer's ambiguous-output failure;
+    # the consumer takes the first fired row, 7 + 1
+    spec = parse_graph(DISJOINT_TEXT)
+    want = spec_port_outputs(transform(spec), X)
+    assert want == {"y": 8, "z": 18}
     dev = make_dev(graph)
-    v = Verifier(dev.pp.to_dict(), graph, {"x": [7]}, [(X, want)], seed=7,
+    v = Verifier(dev.pp.to_dict(), spec, {"x": [7]}, [(X, want)], seed=7,
                  vga_budget=0, rng=random.Random(1))
     verdict, cert = verify_session(dev, v)
-    assert cert["outputs"] == {input_key(X): want}
+    got = {"y": None, "z": 18}
+    assert cert["outputs"] == {input_key(X): got}
     assert cert["failures"] == [{"reason": "ambiguous-output", "port": "y"}]
-    assert not cert["mismatches"]
+    assert cert["mismatches"] == [{"input": X, "expected": want, "observed": got}]
     assert verdict == "reject"
+    ok, report = replay(cert)
+    assert ok and report["replayed_verdict"] == "reject", report
+
+
+@pytest.mark.parametrize("text", [OVERLAP_TEXT, INNER_OVERLAP_TEXT],
+                         ids=["at-an-output", "at-a-consumer"])
+def test_an_overlapping_spec_is_refused_before_the_first_frame(text):
+    spec = parse_graph(text)
+    dev = make_dev(parse_graph(DISJOINT_TEXT))
+    session = dev.session()
+    frames = []
+
+    def counting(frame):
+        frames.append(frame)
+        return session.handle(frame)
+
+    v = Verifier(dev.pp.to_dict(), spec, {"x": [-1, 3, 7]}, [], seed=7,
+                 mode="general", vga_budget=3, rng=random.Random(1))
+    with pytest.raises(ProtocolError,
+                       match=r'ambiguous at input \{"x":7\}: .*\["T#1","T#2"\]'):
+        v.run(LoopbackChannel(counting))
+    assert frames == []
 
 
 # two tables whose output ports share the name y feed two Output ports

@@ -105,7 +105,7 @@ def test_backends_agree(she_keys):
     # the sessions' transparent backend and the integer scheme give the
     # same bits as the plaintext simulation
     pk, p = she_keys
-    tr = he.keygen(16, rng=random.Random(1))
+    tr = he.keygen(rng=random.Random(1))
     rng = random.Random(14)
     for _ in range(15):
         c = random_circuit(rng, 4, 15, 3, max_mult_depth=pk.params.depth_budget)

@@ -15,7 +15,6 @@ from tabverify.demo import (
 )
 from tabverify.graphtext import parse_graph
 from tabverify.protocol import (
-    HE_SECURITY,
     Developer,
     ProtocolError,
     Verifier,
@@ -162,7 +161,7 @@ class Forger(OracleDeveloper):
     def __init__(self, s):
         super().__init__(fake_graph_like(DEMO, s), answer_graph=DEMO,
                          rng=random.Random(s))
-        keys = he.keygen(HE_SECURITY, rng=random.Random(s))  # its first draws
+        keys = he.keygen(rng=random.Random(s))  # its first draws
         assert keys.hpk == self.hpk
         self.hsk, self.lies = keys.hsk, []
 

@@ -141,7 +141,7 @@ def test_transparent_checker_value_is_the_gate_list_evaluated(width):
     # the same bits as he.eval_word on the gate list; only the nonces'
     # labels differ: name:k instead of the gate-list digest and wire
     rng = random.Random(40 + width)
-    keys = he.keygen(16, rng=rng)
+    keys = he.keygen(rng=rng)
 
     class PP:
         hpk = keys.hpk

@@ -18,7 +18,6 @@ from tabverify.tables import (
     Table,
     TableGraph,
     Tagged,
-    check_properties,
     evaluate_original,
     evaluate_plain,
     int_to_bits,
@@ -120,50 +119,6 @@ def test_serialize_round_trip():
             assert g2.tables[name] == g.tables[name]
         assert sorted(g2.edges, key=str) == sorted(g.edges, key=str)
         assert g2.m == g.m
-
-
-def test_check_properties_demo_complete_disjoint():
-    g = demo_graph()
-    rep = check_properties(g.tables["DL"], {"a": list(range(0, 101))})
-    assert rep.mode == "exhaustive"
-    assert rep.complete and rep.disjoint
-    rep = check_properties(g.tables["CT"], {"z": list(range(-128, 128))})
-    assert rep.complete and rep.disjoint
-    rep = check_properties(g.tables["OP"], {"b": [False, True]})
-    assert rep.complete and rep.disjoint
-
-
-def test_check_properties_violations():
-    g = parse_graph(
-        """
-        table T { inputs: a; rows: [(a > 10, a), (a > 20, a)]; }
-        edges:
-          Input.a -> T.a;
-          T.out -> Output.out;
-        """
-    )
-    rep = check_properties(g.tables["T"], {"a": list(range(0, 40))})
-    assert not rep.complete  # a <= 10 hits no row
-    assert not rep.disjoint  # a = 30 hits both
-    assert any(env["a"] <= 10 for env in rep.completeness_witnesses)
-    assert any(env["a"] > 20 for env, _ in rep.disjointness_witnesses)
-
-
-def test_check_properties_sampled_mode():
-    g = parse_graph(
-        """
-        table T { inputs: a, b, c; rows: [(a + b + c > 0, a), (a + b + c <= 0, b)]; }
-        edges:
-          Input.a -> T.a;
-          Input.b -> T.b;
-          Input.c -> T.c;
-          T.out -> Output.out;
-        """
-    )
-    big = list(range(-128, 128))
-    rep = check_properties(g.tables["T"], {"a": big, "b": big, "c": big})
-    assert rep.mode == "sampled"
-    assert rep.complete and rep.disjoint
 
 
 def test_transform_demo_shape():

@@ -39,7 +39,7 @@ from tabverify.protocol import (
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 
 
-KEYS = he.keygen(16, rng=random.Random(1))
+KEYS = he.keygen(rng=random.Random(1))
 OTHER_TAG = 2  # the tag byte of no backend
 
 
@@ -145,7 +145,7 @@ def test_cut_and_join_by_ciphertext_index():
 def test_cut_and_join_refuse_a_word_under_another_key():
     rng = random.Random(5)
     word = he.enc_word(KEYS.hpk, (0, 1, 1), rng)
-    other = he.keygen(16, rng=random.Random(6)).hpk
+    other = he.keygen(rng=random.Random(6)).hpk
     foreign = he.enc_word(other, (1, 0), rng)
     with pytest.raises(he.HeError, match="key pair"):
         he.cut_word(KEYS.hpk, foreign, 0, 1)
@@ -158,7 +158,7 @@ def test_cut_and_join_refuse_a_word_under_another_key():
 
 @pytest.mark.parametrize("n", [0, 1, 16, 2308])
 def test_enc_word_draws_like_one_enc_per_bit(n):
-    hpk = he.keygen(16, rng=random.Random(5)).hpk
+    hpk = he.keygen(rng=random.Random(5)).hpk
     bits = random_bits(random.Random(n), n)
     fast, per_bit, ref = (random.Random(60 + n) for _ in range(3))
     word = he.enc_word(hpk, bits, fast)
