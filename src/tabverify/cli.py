@@ -33,7 +33,7 @@ from .protocol import (
     verify_session,
 )
 from .simharness import metadata_views, paired_session, run_experiment
-from .tables import transform
+from .tables import transform, word_values
 from .vga import coverage_report
 
 EXIT_OK = 0
@@ -92,24 +92,25 @@ def load_graph(path):
 
 
 def load_domains(path, graph):
-    """Domains file: {name: [values...]} or {name: {"lo": a, "hi": b}}."""
+    """Domains file: {name: [values...]} or {name: {"lo": a, "hi": b}}, the
+    bounds each a value a word holds (tables.word_values), checked before
+    the range is built."""
+    values = word_values(graph.m)
     if path is None:
-        h = graph.m // 2
-        out = {}
-        for name, ptype in graph.external_inputs:
-            if ptype == "bool":
-                out[name] = [False, True]
-            else:
-                lo = max(-(1 << (h - 1)), -64)
-                hi = min((1 << (h - 1)) - 1, 64)
-                out[name] = list(range(lo, hi + 1))
-        return out
+        return {name: [False, True] if ptype == "bool"
+                else list(range(max(values.start, -64), min(values.stop, 65)))
+                for name, ptype in graph.external_inputs}
     raw = read_json(path)
     out = {}
     try:
         for name, spec in raw.items():
             if isinstance(spec, dict):
-                out[name] = list(range(spec["lo"], spec["hi"] + 1))
+                lo, hi = spec["lo"], spec["hi"]
+                if not all(isinstance(x, int) and x in values for x in (lo, hi)):
+                    fail(EXIT_USAGE, "domains", f"{path}: {name}'s lo and hi must be "
+                                                f"integers in [{values.start}, "
+                                                f"{values.stop})")
+                out[name] = list(range(lo, hi + 1))
             else:
                 out[name] = list(spec)
     except (AttributeError, KeyError, TypeError) as exc:

@@ -276,13 +276,15 @@ def hpk_to_dict(hpk):
 
 def hpk_from_dict(d):
     """Parse a published key; HeError names another kind, a missing or
-    unknown field, or a key id that is not 8 bytes."""
+    unknown field, or a key id that hpk_to_dict would not write: 8 bytes
+    as 16 lowercase hex digits."""
     if d.get("kind") != "transparent":
         raise HeError(f"unknown backend {d.get('kind')!r}")
     if set(d) != {"kind", "key_id"}:
         raise HeError("a transparent key has exactly the fields "
                       "['key_id', 'kind']")
-    key_id = bytes.fromhex(d["key_id"])
-    if len(key_id) != 8:
-        raise HeError(f"key id must be 8 bytes, got {len(key_id)}")
-    return Key(key_id)
+    key_id = d["key_id"]
+    if not (isinstance(key_id, str) and len(key_id) == 16
+            and set(key_id) <= set("0123456789abcdef")):
+        raise HeError(f"a key id must be 16 lowercase hex digits, got {key_id!r}")
+    return Key(bytes.fromhex(key_id))

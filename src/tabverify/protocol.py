@@ -4,7 +4,9 @@ The developer encrypts the transformed design: every row table's circuit is
 encoded as a program string for a shared universal circuit and the program
 bits are encrypted. The verifier drives evaluation: it asks the developer to
 encode external inputs (q1), homomorphically runs the universal circuit on
-each table, and asks the developer to validate and decode every output (q2).
+each table, and asks the developer to decode every output (q2). A q2 names
+only the table's input word: the developer runs the same table step on it
+and opens the word it computed itself, never one the verifier sent.
 In general mode each encode answer is additionally pinned down by a checker
 round: the verifier homomorphically computes the symmetric encryption of the
 answer slice under a fresh secret key of its own, drawn for that round
@@ -25,12 +27,12 @@ slice and the checker value) with the one function each below.
 
 A ciphertext word (he's one bytes value: the backend tag and key id once,
 then one payload per ciphertext) is one base64 string on the wire and in
-the certificate: a published program, a q1 answer's w, a q2's u and v; on
-the wire also a checker round's y and ct_sk. cts_b64
-and b64_cts are the one encoding and the one decoding, and b64_cts accepts
-only the canonical spelling of a word of the key pair, which he.check_word
-checks once. Words are cut and joined by ciphertext index with
-he.cut_word and he.join_words, never by byte arithmetic here.
+the certificate: a published program, a q1 answer's w, a q2's u; on the
+wire also a checker round's y and ct_sk. cts_b64 and b64_cts are the one
+encoding and the one decoding, and b64_cts accepts only the canonical
+spelling of a word of the key pair, which he.check_word checks once. Words
+are cut and joined by ciphertext index with he.cut_word and he.join_words,
+never by byte arithmetic here.
 
 Above he, an n-bit string is an int whose bit i is bit i of the string,
 and n comes from the caller: a q1's u, a q2 answer's payload, a checker
@@ -82,11 +84,11 @@ from .tables import (
     sibling_group,
     tagged_word,
     transform,
+    word_values,
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 12  # bump whenever certificates for fixed seeds change
-HE_SECURITY = 16  # the certificate's K only; no key uses it (drop at next bump)
+CERT_VERSION = 13  # bump whenever certificates for fixed seeds change
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
@@ -173,8 +175,8 @@ def payload_to_value(value, h, ptype):
 def table_step(pp, i, u_word):
     """The output word of row table i on the input word u_word: program i
     and the input ciphertexts, cycled to the bus width, through the
-    universal circuit. The verifier computes it for a q2; the developer
-    recomputes it before it answers."""
+    universal circuit. Each party computes it for a q2 on its own: the
+    query names only u_word, and the developer opens the word it computed."""
     need = pp.u_params[0]
     copies = -(-need // he.check_word(pp.hpk, u_word))
     cycled = he.join_words(pp.hpk, [u_word] * copies)
@@ -372,23 +374,22 @@ class PublicParams:
             raise ProtocolError("u_params must be three positive integers")
         structure = Structure.from_dict(d["structure"])
         plen = UniversalCircuit(*u_params).program_length
-        if not isinstance(d["programs"], dict):
-            raise ProtocolError("programs must map table indices to words")
+        # keyed "1".."n", as to_dict writes them, one per published table
+        keys = {str(i): i for i in range(1, len(structure.tables) + 1)}
+        if not isinstance(d["programs"], dict) or set(d["programs"]) != set(keys):
+            raise ProtocolError("programs must map each published table's index, "
+                                'written "1".."n", to its word')
         try:
             hpk = he.hpk_from_dict(d["hpk"])
-            programs = {int(i): b64_cts(p, hpk, plen)
-                        for i, p in d["programs"].items()}
+            programs = {keys[k]: b64_cts(p, hpk, plen) for k, p in d["programs"].items()}
         except ProtocolError as exc:
             raise ProtocolError(f"a program is not a word of {plen} ciphertexts: "
                                 f"{exc}") from None
         except (AttributeError, TypeError, ValueError, he.HeError) as exc:
             raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
-        if set(programs) != set(range(1, len(structure.tables) + 1)):
-            raise ProtocolError(f"programs are keyed {sorted(programs)}; the "
-                                "published tables 1..n need one each")
         pp = cls(hpk=hpk, u_params=tuple(u_params), structure=structure,
                  programs=programs)
-        pp._programs_b64 = {int(i): p for i, p in d["programs"].items()}
+        pp._programs_b64 = {keys[k]: p for k, p in d["programs"].items()}
         return pp
 
 
@@ -547,7 +548,6 @@ class Developer:
         external, feeds = t
         try:
             u_word = b64_cts(body.get("u"), self.hpk, len(feeds) * m)
-            v_word = b64_cts(body.get("v"), self.hpk, m)
         except ProtocolError:
             return {"answer": {"kind": NULL}}
 
@@ -559,9 +559,7 @@ class Developer:
                 return {"answer": {"kind": NULL}}
             u_plain |= word << j * m
 
-        if table_step(self.pp, i, u_word) != v_word:
-            return {"answer": {"kind": NULL}}
-
+        v_word = table_step(self.pp, i, u_word)
         out = self._open_output(i, v_word, u_plain)
         if not out & ((1 << h) - 1):
             honest = {"kind": BOT}
@@ -673,10 +671,7 @@ class Developer:
             return {"result": NULL}
         if checker_value(self.pp, ct_sk, pending["p"]) != pending["y"]:
             return {"result": NULL}
-        reveals = [
-            {"seed": bits_hex(s, COMMIT_SEED_BITS), "data": bits_hex(d, self.code.m_c)}
-            for s, d in zip(pending["seeds"], pending["blocks"])
-        ]
+        reveals = [{"seed": bits_hex(s, COMMIT_SEED_BITS)} for s in pending["seeds"]]
         return {"d": bits_hex(pending["d"], width), "reveals": reveals}
 
     # frame type -> answer method: the only frames a session carries
@@ -713,10 +708,10 @@ def serve(dev, chan):
 
 
 BINDING_FIELDS = (
-    "version", "mode", "K", "public_params", "g_spec", "domains", "cp", "vga",
+    "version", "mode", "public_params", "g_spec", "domains", "cp", "vga",
 )
 # the fields of a recorded commitment block, no more and no fewer
-_BLOCK_FIELDS = frozenset(("e", "exposed", "seed", "data"))
+_BLOCK_FIELDS = frozenset(("e", "exposed", "seed"))
 
 
 def session_binding(cert):
@@ -783,13 +778,16 @@ class Verifier:
             if omitted:
                 raise ProtocolError("a critical point gives no value for external "
                                     "input(s) " + ", ".join(omitted))
-        # each input value is encoded as an int word (a bool is an int)
-        wrong = sorted({n for n, vals in domains.items() for v in vals
-                        if not isinstance(v, int)}
-                       | {n for X, _ in cp for n, v in X.items() if not isinstance(v, int)})
+        # each input value is a word's payload (a bool is an int); a wider
+        # int would be tested as its low bits
+        values = word_values(pp.m)
+        given = [(n, v) for n, vals in domains.items() for v in vals]
+        given += [(n, v) for X, _ in cp for n, v in X.items()]
+        wrong = sorted({n for n, v in given if not (isinstance(v, int) and v in values)})
         if wrong:
             raise ProtocolError("domains or critical points give a value that is not "
-                                "an integer or boolean for input(s) " + ", ".join(wrong))
+                                f"a boolean or an integer in [{values.start}, "
+                                f"{values.stop}) for input(s) " + ", ".join(wrong))
         if vga_budget < 1 and not cp:
             raise ProtocolError(f"a session with test budget {vga_budget} and no "
                                 "critical points tests nothing")
@@ -906,7 +904,6 @@ class Verifier:
         cert = {
             "version": CERT_VERSION,
             "mode": self.mode,
-            "K": HE_SECURITY,
             "public_params": self.pp.to_dict(),
             "g_spec": serialize_graph(self.g_spec),
             "domains": {k: list(v) for k, v in self.domains.items()},
@@ -963,10 +960,7 @@ class Verifier:
             u_word = he.join_words(self.pp.hpk, port_words)
             v_word = table_step(self.pp, i, u_word)
             ans, _ = self._encode_query(
-                chan,
-                {"i": i, "qkind": 2, "u": cts_b64(u_word), "v": cts_b64(v_word)},
-                v_word,
-            )
+                chan, {"i": i, "qkind": 2, "u": cts_b64(u_word)}, v_word)
             kind = ans["kind"]
             if kind == NULL:
                 self.failures.append({"reason": "q2-null", "i": i})
@@ -1048,42 +1042,33 @@ class Verifier:
             d, reveals = res["d"], res["reveals"]
             if len(reveals) != n:
                 return None, None
-            blocks = [
-                {
-                    "e": cm["e"],
-                    "exposed": cm["exposed"],
-                    "seed": rv["seed"],
-                    "data": rv["data"],
-                }
-                for cm, rv in zip(commits, reveals)
-            ]
+            blocks = [{"e": cm["e"], "exposed": cm["exposed"], "seed": rv["seed"]}
+                      for cm, rv in zip(commits, reveals)]
         except (KeyError, TypeError):
             return None, None
         return (d, blocks) if self._opens(d, blocks, width, rs) else (None, None)
 
     def _opens(self, d, blocks, width, rs):
         """Whether d spells width bits and every block, of exactly the fields
-        a live round records, reveals its slice of d and opens its
-        commitment under its challenge in rs; False too when d or a block
-        does not parse. The challenges are not recorded: the auditor draws
-        them again."""
+        a live round records, opens its commitment to its slice of d under
+        its challenge in rs; False too when d or a block does not parse. A
+        block reveals only its seed: its data is its slice of d, so the
+        last block's padding is committed through d alone. The challenges
+        are not recorded: the auditor draws them again."""
         q, m_c = self.code.q, self.code.m_c
         try:
             data_blocks = split_blocks(hex_bits(d, width), width, m_c)
             if len(blocks) != len(data_blocks):
                 return False
-            for blk, R, want_data in zip(blocks, rs, data_blocks):
+            for blk, R, data in zip(blocks, rs, data_blocks):
                 if set(blk) != _BLOCK_FIELDS:
                     return False
                 commit = CommitMessage(
                     e=hex_bits(blk["e"], q), exposed=hex_bits(blk["exposed"], q)
                 )
                 reveal = RevealMessage(
-                    seed=hex_bits(blk["seed"], COMMIT_SEED_BITS),
-                    data=hex_bits(blk["data"], m_c),
-                )
-                if reveal.data != want_data or not verify_reveal(
-                        commit, reveal, R, self.code):
+                    seed=hex_bits(blk["seed"], COMMIT_SEED_BITS), data=data)
+                if not verify_reveal(commit, reveal, R, self.code):
                     return False
             return True
         except (ProtocolError, KeyError, TypeError, ValueError):

@@ -66,6 +66,14 @@ def tagged_word(tv, m):
     return 1 | (int(tv.payload) & ((1 << h) - 1)) << h if tv.tag else 0
 
 
+def word_values(m):
+    """The ints an m-bit word's payload half holds, two's complement: a
+    design's constants, and the values a session tests, are drawn from it
+    (a bool is 0 or 1, which every width of 4 or more holds)."""
+    half = 1 << (m // 2 - 1)
+    return range(-half, half)
+
+
 # --- tables and graphs ------------------------------------------------------
 
 
@@ -151,8 +159,7 @@ class TableGraph:
                              + ", ".join(sorted(unordered)))
 
     def _check_types(self):
-        h = self.m // 2
-        limit = 1 << (h - 1)
+        values = word_values(self.m)
         for t in self.tables.values():
             env = dict(t.inputs)
             port, otype = t.output
@@ -175,10 +182,9 @@ class TableGraph:
                     raise GraphError(f"table '{t.name}': {exc}") from exc
                 for e, _ in nodes:
                     c = getattr(e, "value", False)
-                    if not isinstance(c, bool) and not (-limit <= c < limit):
-                        raise GraphError(
-                            f"constant {c} exceeds {h}-bit payload width"
-                        )
+                    if c not in values:
+                        raise GraphError(f"constant {c} exceeds "
+                                         f"{self.m // 2}-bit payload width")
         # output port types must be consistent with what consumers expect
         for (src, sport), (dst, dport) in self.edges:
             if src == INPUT or dst == OUTPUT:

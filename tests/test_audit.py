@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import json
 import random
@@ -36,14 +37,19 @@ from tabverify.commitment import (
     RevealMessage,
     choose_challenge,
     gen_code,
+    split_blocks,
     verify_reveal,
 )
 from tabverify.protocol import (
     Developer,
+    PublicParams,
     Verifier,
+    b64_cts,
     bits_hex,
+    cts_b64,
     hex_bits,
     session_binding,
+    table_step,
     verify_session,
 )
 
@@ -80,8 +86,27 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 12.
+# Recorded at certificate version 13.
 CERT_DIGESTS = {
+    "demo-honest": "e8dbf85522ba95dc620e3a4d747eb32488a891fade87f21400dfe60ea50d5b40",
+    "demo-general": "a91fd62ef4c645597b6f1befbe69e1461129b03aa4f0589420ba40a4c3fcebe0",
+    "chain-honest": "9c947e180e01ca53f86c20fe0e797139af32788700d12a05e605a56620811240",
+    "chain-general": "090c98a9260141faae4657d2dcccd864bbf8b8e9f4c9fb0d2b73cac22a930516",
+    "diamond-honest": "094733a89b6241e5d137ca54bb59977a1b5e05975dd26f9195e0be4ca572b245",
+    "diamond-general": "efd4d405e1bbf53a9900df8e2f73af17628b15af6f297d9c5fc4715dd08f83c3",
+    "flip-payload-honest": "c9255d727df78fec766678469c3d160540cbbd3c1bcfedd42fb2283fd2296e76",
+    "flip-tag-honest": "7a5180ebf2b36cde3c646cd2f760e21fcf4d98ed0770a8620550e41c9914ed7e",
+    "swap-answers-honest": "d6d01dcf9e60bc552ccd9a368076d16954db90989b1ee4f18d1b9c080c8c66da",
+    "flip-payload-general": "9cbd3de8418038172210942c2cae13dd7aa3efddd97c5a10a864198585c8148b",
+    "flip-tag-general": "43d5eded034d182f807050a6862343bfe94f1eaaf8f769b3f0c0ec6a46b6f17c",
+    "swap-answers-general": "db348d9c02b8d170d8b3f1a113a7b06f9f92cbbe760c19922d072b6fbbc32a65",
+}
+# the version 12 digests of the same configurations: version 13 dropped the
+# certificate's K, a constant that no key used, each q2's v, the output word
+# of its table step that the developer computes itself, and each commitment
+# block's data, its slice of the d recorded beside it, and left every
+# session as it was
+V12_DIGESTS = {
     "demo-honest": "d41967cee133038a87c94117075ce78f6dd169b2d719377c3455d7d09cc8a069",
     "demo-general": "16230fa55425ca295395efd997c7229cbc1068d241c0eb93eda18fe15ec85945",
     "chain-honest": "9a2d1ea84361f05190b5126aa0ab34bc9f9578978d37ac45e482779e8efcf71a",
@@ -153,10 +178,11 @@ OLD_PATHS = {
 # version 8, with 24-byte nonces, a recorded key and recorded challenges,
 # they were 578,463, 733,575 and 782,992 bytes, at version 9 one byte
 # shorter than at version 10, at version 10, with the paths, 398,248,
-# 502,296 and 535,064, and at version 11 demo-general, with each checker
-# record's query, was 534,998
-CERT_BYTES = {"demo-honest": 398182, "diamond-honest": 502158,
-              "demo-general": 448362}
+# 502,296 and 535,064, at version 11 demo-general, with each checker
+# record's query, was 534,998, and at version 12, with K, each q2's v and
+# each block's data, they were 398,182, 502,158 and 448,362
+CERT_BYTES = {"demo-honest": 364471, "diamond-honest": 471511,
+              "demo-general": 411483}
 
 
 def config_cert(config):
@@ -195,15 +221,45 @@ def test_session_certificate_is_json_native(config):
                           for k in sorted(cert)) + "}" == text.decode("utf-8")
 
 
+@functools.lru_cache(maxsize=None)
+def v12_fields(config):
+    """What version 12 recorded of config's session and version 13 does
+    not, as (qa_e, qa_c): each q2 with its v, the output word of its table
+    step, and each commitment block with its data, its slice of d."""
+    cert = config_cert(config)
+    pp = PublicParams.from_dict(cert["public_params"])
+    qa_e = [{"q": dict(r["q"], v=cts_b64(table_step(pp, r["q"]["i"],
+                                                   b64_cts(r["q"]["u"], pp.hpk)))),
+             "a": r["a"]} if r["q"]["qkind"] == 2 else r for r in cert["qa_e"]]
+    m_c = gen_code().m_c
+    qa_c = [dict(r, blocks=[
+        dict(b, data=bits_hex(data, m_c)) for b, data in zip(
+            r["blocks"], split_blocks(int(r["d"], 16), m_c * len(r["blocks"]), m_c))])
+        if r["d"] is not None else r for r in cert.get("qa_c", ())]
+    return qa_e, qa_c
+
+
 def old_certificate(config, version):
-    """config's certificate as version 9, 10 or 11 wrote it: with the paths
-    of its design before version 11, and its binding over that version."""
+    """config's certificate as version 9, 10, 11 or 12 wrote it: with the
+    certificate's constant K, each q2's v and each block's data, the paths
+    of its design before version 11, and its binding, over K too, under
+    that version."""
     design = config.rsplit("-", 1)[0]
-    cert = dict(config_cert(config), version=version)
+    qa_e, qa_c = v12_fields(config)
+    cert = dict(config_cert(config), version=version, K=16, qa_e=qa_e)
+    if "qa_c" in cert:
+        cert["qa_c"] = qa_c
     if version < 11:
         cert["paths"] = OLD_PATHS.get(design, OLD_PATHS["demo"])
-    cert["binding"] = session_binding(cert)
+    bound = {k: cert[k] for k in protocol.BINDING_FIELDS + ("K",)}
+    cert["binding"] = hashlib.sha256(canonical_json(bound).encode()).hexdigest()
     return cert
+
+
+@pytest.mark.parametrize("config", list(V12_DIGESTS))
+def test_version_13_dropped_only_k_and_what_the_receiver_computes(config):
+    text = canonical_json(old_certificate(config, 12)).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == V12_DIGESTS[config]
 
 
 @pytest.mark.parametrize("config", list(V11_DIGESTS))
@@ -238,7 +294,7 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v12"}
+           "format": "tabverify-cert-v13"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
@@ -252,7 +308,7 @@ def test_version_8_certificate_is_refused_by_name(tmp_path):
     assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v12",
+    path.write_text(path.read_text().replace("tabverify-cert-v13",
                                              "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
                                          "'tabverify-cert-v8'"):
@@ -370,11 +426,11 @@ def set_top_bit(text):
 
 def test_padded_blocks_open_and_their_padding_is_committed():
     # at width 12 the last block of every checker round is padded with
-    # zeros; the session accepts and audits, and a padding bit set in a
-    # stored opening no longer opens. d of a 6-bit half word is two hex
-    # digits, the top two bits padding, and one spelling: setting a padding
-    # bit, or upper-casing a digit of a block's exposed bits, no longer
-    # opens either
+    # zeros; the session accepts and audits. A block reveals only its seed,
+    # and its data is its slice of d, so the padding is committed through
+    # d: d of a 6-bit half word is two hex digits, the top two bits
+    # padding, and one spelling. Setting a padding bit of d, or
+    # upper-casing a digit of a block's exposed bits, no longer opens
     verdict, cert = make_cert("general", graph=parse_graph(WIDTH12_TEXT),
                               domains=NARROW_DOMAINS, cp=[])
     assert verdict == "accept", cert["failures"]
@@ -382,14 +438,14 @@ def test_padded_blocks_open_and_their_padding_is_committed():
     assert ok == 1, report
     shapes = {(len(r["d"]), len(r["blocks"])) for r in cert["qa_c"]}
     assert shapes == {(3, 2), (2, 1)}  # 12 and 6 bits, in hex digits
+    m_c = gen_code().m_c
     for k in range(len(cert["qa_c"])):
         rec = cert["qa_c"][k]
+        assert all(set(b) == {"e", "exposed", "seed"} for b in rec["blocks"])
         # 12 bits: 4 data bits in the last block; 6 bits: 6
-        assert int(rec["blocks"][-1]["data"], 16) < (16 if len(rec["d"]) == 3
-                                                          else 64)
-        bad_data, bad_d, bad_x = (copy.deepcopy(cert) for _ in range(3))
-        block = bad_data["qa_c"][k]["blocks"][-1]
-        block["data"] = set_top_bit(block["data"])
+        last = split_blocks(int(rec["d"], 16), m_c * len(rec["blocks"]), m_c)[-1]
+        assert last < (16 if len(rec["d"]) == 3 else 64)
+        bad_d, bad_x = (copy.deepcopy(cert) for _ in range(2))
         if len(rec["d"]) == 2:
             bad_d["qa_c"][k]["d"] = set_top_bit(rec["d"])
         else:
@@ -397,7 +453,7 @@ def test_padded_blocks_open_and_their_padding_is_committed():
         x = rec["blocks"][0]["exposed"]
         i = next(i for i, c in enumerate(x) if c in "abcdef")
         bad_x["qa_c"][k]["blocks"][0]["exposed"] = x[:i] + x[i].upper() + x[i + 1:]
-        for bad in (bad_data, bad_d, bad_x):
+        for bad in (bad_d, bad_x):
             if bad is not None:
                 ok, report = audit(bad)
                 assert ok == 0, k
@@ -420,15 +476,16 @@ def test_a_changed_challenge_that_still_opens_is_refused():
     # the two places the commitment still opens under it. The certificate
     # records no challenge: each block opens under the one drawn again from
     # the disclosed seed, and a block that carries a challenge of its own,
-    # even one that still opens, is refused
+    # even one that still opens, is refused. A block's data is its slice of d
     code = gen_code()
     for k, (rec, rs) in enumerate(zip(GENERAL_CERT["qa_c"], drawn_challenges(GENERAL_CERT))):
         block, R = rec["blocks"][0], list(int_to_bits(rs[0], 2 * code.q))
         assert "R" not in block
         commit = CommitMessage(hex_bits(block["e"], code.q),
                                hex_bits(block["exposed"], code.q))
+        data = split_blocks(int(rec["d"], 16), 4 * len(rec["d"]), code.m_c)[0]
         reveal = RevealMessage(hex_bits(block["seed"], protocol.COMMIT_SEED_BITS),
-                               hex_bits(block["data"], code.m_c))
+                               data)
         assert verify_reveal(commit, reveal, bits_uint(R), code)
         moves = [i for i in range(0, len(R), 2) if R[i] != R[i + 1]]
         for i in moves:
@@ -516,10 +573,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 12
+    # version 13
     for cert, want in (
-        (HONEST_CERT, "292fb1ee2c1e02b1855faad0b9ad7fb6276c4b188e5ebc4df5ad5ee66f9c4ead"),
-        (GENERAL_CERT, "c9912ecbcdc88750d906883f768b4d6d065de033625a6fbae2bc40f6f5559594"),
+        (HONEST_CERT, "52fffec3ee2f40b810e9e56132854ea78c64cf8ca9f31221151373f5df467af2"),
+        (GENERAL_CERT, "abad860e86c6586a84d61b02e46e81339a268cff05267a215b8a2c4f0059fe97"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

@@ -500,6 +500,10 @@ def edited_pp(pp, fault):
         pp["structure"]["tables"][7]["index"] = 9
     elif fault == "program-key-skips":
         pp["programs"]["9"] = pp["programs"].pop("8")
+    elif fault == "program-key-spelled":  # int() reads it as 1
+        pp["programs"]["0_1"] = pp["programs"].pop("1")
+    elif fault == "key-id-upper":  # bytes.fromhex() reads it as the key id
+        pp["hpk"]["key_id"] = pp["hpk"]["key_id"].upper()
     elif fault.startswith("producer-"):  # table 7 reads tables 1-4
         producer = pp["structure"]["tables"][6]["ports"][0]["producers"][0]
         assert producer == ["table", 1]
@@ -535,7 +539,8 @@ PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
              "table-no-ports", "port-no-producers", "input-renamed", "input-unpublished",
              "output-type-str", "output-tables-int", "output-name-list",
              "index-str", "index-missing", "external-missing", "index-skips",
-             "program-key-skips", "producer-kind-tabel", "producer-same-table",
+             "program-key-skips", "program-key-spelled", "key-id-upper",
+             "producer-kind-tabel", "producer-same-table",
              "producer-later-table", "producer-missing-table",
              "output-internal-table", "output-missing-table", "output-no-tables",
              "port-input-then-table", "port-two-inputs", "port-table-then-input",
@@ -597,6 +602,29 @@ def verify_refused_before_connecting(workspace, files, mode="general"):
     assert r.exit_code == 2, r.output
     assert not (workspace / "c.json").exists()
     return json.loads(r.stderr)
+
+
+@pytest.mark.parametrize("option, content, kind", [
+    ("domains", {"a": {"lo": 0, "hi": 2 ** 62}}, "domains"),
+    ("domains", {"a": {"lo": -129, "hi": 0}}, "domains"),
+    ("domains", {"a": [0, 1000000]}, "verifier"),
+    ("domains", {"a": [0, 128]}, "verifier"),
+    ("cp", [[{"a": -129, "b": True}, {}]], "verifier"),
+], ids=["range-huge", "range-low", "list-huge", "list-high", "cp-low"])
+def test_verify_refuses_input_values_no_word_holds(workspace, demo_pp, option,
+                                                   content, kind):
+    # a width-16 word's payload holds -128..127. A range's bounds are
+    # checked before its list is built, where 0..2**62 ran out of memory
+    # (exit 1, as a reject reads); a listed value or a critical point past
+    # them was tested as its low bits, 1000000 as 64, and could accept
+    (workspace / "pp.json").write_text(json.dumps(demo_pp))
+    if option == "domains":
+        content = {**content, "b": [False, True]}
+    (workspace / "wide.json").write_text(json.dumps(content))
+    files = {"pp": "pp.json", "domains": "domains.json", "cp": "cp.json",
+             option: "wide.json"}
+    error = verify_refused_before_connecting(workspace, files)
+    assert error["error"] == kind and "[-128, 128)" in error["message"]
 
 
 # a published integer-she key whose parameters the developer picked: with

@@ -72,6 +72,25 @@ def test_public_params_round_trip():
     assert pp2.programs == dev.pp.programs
 
 
+@pytest.mark.parametrize("edit", ["program-key-0_1", "program-key-+1",
+                                  "program-key- 1", "key-id-upper", "key-id-spaced"])
+def test_public_params_refuse_a_spelling_to_dict_would_not_write(edit):
+    # the certificate records the verifier's to_dict of the parameters, so
+    # one that int() or bytes.fromhex() reads back from another spelling
+    # would certify a file other than the published one; each is refused
+    d = json.loads(canonical_json(make_dev().pp.to_dict()))
+    key_id = d["hpk"]["key_id"]
+    if edit.startswith("program-key-"):
+        d["programs"][edit[len("program-key-"):]] = d["programs"].pop("1")
+    elif edit == "key-id-upper":
+        d["hpk"]["key_id"] = key_id.upper()
+    else:
+        d["hpk"]["key_id"] = " ".join(key_id[k:k + 2] for k in range(0, 16, 2))
+    assert canonical_json(d) != canonical_json(make_dev().pp.to_dict())
+    with pytest.raises(ProtocolError):
+        PublicParams.from_dict(d)
+
+
 def test_published_programs_are_handed_back_not_encoded_again(monkeypatch):
     # from_dict has checked each published string to be the canonical
     # spelling of its program word, so to_dict returns those strings
@@ -216,7 +235,7 @@ def test_general_mode_accepts_and_records_checkers():
     assert "sk" not in cert and "ct_sk" not in cert
     assert 0 <= hex_bits(cert["key_seed"], 128) < 1 << 128
     assert 0 <= hex_bits(cert["challenge_seed"], 128) < 1 << 128
-    assert all(set(b) == {"e", "exposed", "seed", "data"}
+    assert all(set(b) == {"e", "exposed", "seed"}
                for r in cert["qa_c"] for b in r["blocks"])
 
 
@@ -273,7 +292,7 @@ def test_q1_rejects_malformed_queries():
     assert frame(dev, "encode", {"qkind": 1, "i": [1], "port": 0, "u": good})[
         "answer"
     ]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 2, "i": [1], "u": [], "v": []})[
+    assert frame(dev, "encode", {"qkind": 2, "i": [1], "u": []})[
         "answer"
     ]["kind"] == "null"
     assert frame(dev, "encode", {"qkind": 1, "i": 1, "port": 0, "u": good})[
@@ -310,9 +329,9 @@ def test_verifier_sends_exactly_the_served_frame_types():
     assert sent == set(Developer.ANSWERS)
 
 
-def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
-    """Drive one table manually: q1 every port, compute v, ask q2."""
-    lam = he.LAM_BYTES
+def q1_then_q2(dev, i, X_bits_by_port, corrupt=None, extra=None):
+    """Drive one table manually: q1 every port, then ask q2 on the answers,
+    with the fields of extra added to it."""
     words = []
     for pos, u in enumerate(X_bits_by_port):
         a = frame(dev, "encode", {"qkind": 1, "i": i, "port": pos,
@@ -320,14 +339,10 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None):
         assert a["answer"]["kind"] == "w"
         words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
-    v = table_step(dev.pp, i, u_word)
-    if corrupt == "v":  # the last byte of the first ciphertext
-        v = v[:lam - 1] + bytes([v[lam - 1] ^ 1]) + v[lam:]
     if corrupt == "u":
         u_word = he.join_words(dev.hpk, reversed(words))
-    return frame(
-        dev, "encode", {"qkind": 2, "i": i, "u": cts_b64(u_word), "v": cts_b64(v)}
-    )["answer"]
+    return frame(dev, "encode",
+                 {"qkind": 2, "i": i, "u": cts_b64(u_word), **(extra or {})})["answer"]
 
 
 def first_input_table(dev):
@@ -345,8 +360,6 @@ def test_q2_honest_and_tampered():
     bits = [tagged_to_bits(Tagged(True, DEMO_INPUT[n]), m) for n in names]
     a = q1_then_q2(dev.session(), t["index"], bits)
     assert a["kind"] in ("top", "bot", "payload")
-    # recomputation mismatch
-    assert q1_then_q2(dev.session(), t["index"], bits, corrupt="v")["kind"] == "null"
     # inputs not previously recorded for those ports
     if len(bits) > 1:
         assert q1_then_q2(dev.session(), t["index"], bits,
@@ -355,18 +368,48 @@ def test_q2_honest_and_tampered():
     dev = dev.session()
     fake = he.join_words(dev.hpk, [he.enc_word(dev.hpk, bits[0], random.Random(9))]
                          * len(bits))
-    v = table_step(dev.pp, t["index"], fake)
-    a = frame(
-        dev,
-        "encode",
-        {
-            "qkind": 2,
-            "i": t["index"],
-            "u": cts_b64(fake),
-            "v": cts_b64(v),
-        },
-    )["answer"]
+    a = frame(dev, "encode", {"qkind": 2, "i": t["index"], "u": cts_b64(fake)})["answer"]
     assert a["kind"] == "null"
+
+
+def test_a_q2_names_only_its_input():
+    # the developer computes a q2's output word itself, so a v sent with
+    # the query, of the verifier's choosing, is never opened: the answer is
+    # the one a q2 without it gets, whether v is a fresh encryption of a
+    # plaintext the verifier picked or ciphertexts cut from a program
+    dev = make_dev()
+    t = first_input_table(dev)
+    m = dev.pp.m
+    names = [p["producers"][0][1] for p in t["ports"]]
+    bits = [tagged_to_bits(Tagged(True, DEMO_INPUT[n]), m) for n in names]
+    want = q1_then_q2(dev.session(), t["index"], bits)
+    assert want["kind"] != "null"
+    chosen = he.enc_word(dev.hpk, tagged_to_bits(Tagged(True, 5), m), random.Random(6))
+    for v in (chosen, he.cut_word(dev.hpk, dev.pp.programs[t["index"]], 0, m)):
+        got = q1_then_q2(dev.session(), t["index"], bits, extra={"v": cts_b64(v)})
+        assert got == want
+
+
+def test_every_opened_word_is_the_table_step_of_its_query():
+    # in a general-mode session the developer opens only words it computed:
+    # each word _open_output receives is the table step of its q2's u
+    opened = []
+
+    class Recording(Developer):
+        def _open_output(self, i, v_word, u_plain):
+            opened.append((i, v_word))
+            return super()._open_output(i, v_word, u_plain)
+
+    dev = Recording(DEMO, rng=random.Random(0))
+    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, DEMO_CP, seed=7,
+                 mode="general", rng=random.Random(1))
+    verdict, cert = verify_session(dev, v)
+    assert verdict == "accept"
+    q2s = [r["q"] for r in cert["qa_e"] if r["q"]["qkind"] == 2]
+    assert len(opened) == len(q2s) > 0
+    for (i, v_word), q in zip(opened, q2s):
+        assert set(q) == {"i", "qkind", "u"}
+        assert i == q["i"] and v_word == table_step(dev.pp, i, b64_cts(q["u"], dev.hpk))
 
 
 def test_memory_wiped_between_sessions():
@@ -385,8 +428,7 @@ def test_memory_wiped_between_sessions():
         )
         words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
-    v = table_step(dev.pp, t["index"], u_word)
-    body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_word), "v": cts_b64(v)}
+    body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_word)}
     assert frame(s2, "encode", body)["answer"]["kind"] == "null"
     assert frame(s1, "encode", body)["answer"]["kind"] != "null"
     assert s1.mem.q1 and not s2.mem.q1 and not dev.mem.q1
@@ -499,8 +541,7 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     a = frame(dev, "encode", {"qkind": 1, "i": 1, "port": 0, "u": bits_hex(u, m)})
     u_word = b64_cts(a["answer"]["w"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
-    a = frame(dev, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word),
-                              "v": cts_b64(v_word)})
+    a = frame(dev, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
     assert a["answer"] == {"kind": "top"}
     payload = he.cut_word(dev.hpk, v_word, h)
     _, ct_sk = checker_key(random.Random(4), dev.hpk, h)
@@ -738,8 +779,7 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
     a = frame(session, "encode", {"qkind": 1, "i": 1, "port": 0, "u": bits_hex(u, 6)})
     u_word = b64_cts(a["answer"]["w"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
-    a = frame(session, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word),
-                                  "v": cts_b64(v_word)})
+    a = frame(session, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
     assert a["answer"]["kind"] == "top"
     y = cts_b64(he.cut_word(dev.hpk, v_word, 0, 3))
     r = frame(session, "checker", {"i": 1, "qkind": 2, "port": None, "y": y})
