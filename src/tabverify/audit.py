@@ -108,7 +108,7 @@ class ReplayVerifier(Verifier):
             raise AuditError(f"query {k + 1} diverges from the transcript")
         return {"answer": rec["a"]}
 
-    def _opening(self, chan, q, p, width, rs, ct_sk):
+    def _opening(self, chan, p, width, rs, ct_sk):
         """The recorded d and blocks of this round. A live round records d
         only once every block has opened under its challenge in rs, so a
         recorded d whose blocks do not open fails the replay here. Nothing

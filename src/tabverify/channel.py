@@ -92,7 +92,7 @@ class SocketChannel:
             raise ChannelError(f"send failed: {exc}") from exc
 
     def _read_exact(self, n):
-        buf = b""
+        buf = bytearray()  # grows in place: linear in n, whatever the chunks
         while len(buf) < n:
             try:
                 chunk = self.sock.recv(n - len(buf))

@@ -2,26 +2,27 @@
 
 The developer encrypts the transformed design: every row table's circuit is
 encoded as a program string for a shared universal circuit and the program
-bits are encrypted. The verifier drives evaluation: it asks the developer to
-encode external inputs (q1), homomorphically runs the universal circuit on
-each table, and asks the developer to decode every output (q2). A q2 names
-only the table's input word: the developer runs the same table step on it
-and opens the word it computed itself, never one the verifier sent.
-In general mode each encode answer is additionally pinned down by a checker
-round: the verifier homomorphically computes the symmetric encryption of the
-answer slice under a fresh secret key of its own, drawn for that round
-alone, the developer commits to the decryption before it is sent the key's
-ciphertext, and the revealed value must decrypt to exactly the answer the
-developer gave earlier. A round's frame names its query, not its slice: each
-party slices the query's word by checker_slice, which opens no intermediate
-payload, the value passed between tables.
+bits are encrypted. The verifier drives evaluation: for each tested input it
+asks the developer to encode each external input once (q1), homomorphically
+runs the universal circuit on each table, and asks the developer to decode
+every output (q2). A q2 names only the table's input word: the developer
+runs the same table step on it and opens the word it computed itself, never
+one the verifier sent. In general mode a checker round pins down each
+encode answer right after it: the verifier homomorphically computes the
+symmetric encryption of the answer slice under a fresh key of its own, the
+developer commits to the decryption before it is sent the key's
+ciphertext, and the revealed value must decrypt to exactly that answer. A
+round's frame carries only y; each party slices the answer's word by
+checker_slice, which opens no intermediate payload (a value between tables).
 
-The published structure is one value, Structure: per table, whether it is
-external and what feeds each of its ports (an external input, or the sibling
-rows of earlier tables), then the external inputs and the output groups. It
-alone writes and reads its JSON, and refuses any JSON its to_dict would not
-have written or that the verifier could not walk. The developer checks every
-query against the structure it published, the same value the verifier walks;
+The published structure is one value, Structure, which names a feed as its
+JSON does, by a ref: an external input's name or a table's index. Per
+table, whether it is external and the refs that feed each port; then the
+external inputs and the output groups. It alone writes and reads its JSON,
+and refuses any JSON its to_dict would not have written or that the
+verifier could not walk. A q1 names its input and a q2 its table, and both
+parties keep the words answered by ref. The developer checks every query
+against the structure it published, the same value the verifier walks;
 both parties compute the values a query carries (the table step, the checker
 slice and the checker value) with the one function each below.
 
@@ -88,7 +89,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 13  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 14  # bump whenever certificates for fixed seeds change
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
@@ -221,9 +222,9 @@ class Structure:
     """The published structure: the diagram of interconnections between the
     row tables, with only the specification's boundary names. Table i is
     tables[i - 1] = (external, feeds): whether it feeds an output, and per
-    port the name of the external input it reads (a str) or the tuple of the
-    earlier tables whose sibling rows produce it. inputs are (name, type)
-    pairs; outputs are groups (name, type, table indices), in name order."""
+    port the tuple of refs that produce it, an external input's (name,) or
+    the earlier tables' indices. inputs are (name, type) pairs; outputs are
+    groups (name, type, table indices), in name order."""
 
     tables: tuple
     inputs: tuple
@@ -234,17 +235,17 @@ class Structure:
         valid = type(i) is int and 0 < i <= len(self.tables)
         return self.tables[i - 1] if valid else None
 
-    def covers_whole(self, qkind, i):
-        """checker_slice's whole: a checker round covers all of a q1 word
-        and of an external table's q2 word, the tag half of any other."""
-        return qkind == 1 or self.table(i)[0]
+    def covers_whole(self, ref):
+        """checker_slice's whole: a checker round covers all of the word
+        answered for an input or an external table, the tag half of any other."""
+        return isinstance(ref, str) or self.table(ref)[0]
 
     def to_dict(self):
         return {
             "tables": [
                 {"index": i,
-                 "ports": [{"producers": [["input", f]] if isinstance(f, str)
-                            else [["table", j] for j in f]} for f in feeds],
+                 "ports": [{"producers": [["input" if isinstance(r, str) else "table", r]
+                                          for r in f]} for f in feeds],
                  "external": external}
                 for i, (external, feeds) in enumerate(self.tables, 1)],
             "external_inputs": [list(x) for x in self.inputs],
@@ -259,9 +260,8 @@ class Structure:
         try:
             s = cls(
                 tables=tuple(
-                    (t["external"], tuple(
-                        p[0][1] if p[0][0] == "input" else tuple(j for _, j in p)
-                        for p in (port["producers"] for port in t["ports"])))
+                    (t["external"], tuple(tuple(r for _, r in port["producers"])
+                                          for port in t["ports"]))
                     for t in d["tables"]),
                 inputs=tuple((name, ptype) for name, ptype in d["external_inputs"]),
                 outputs=tuple((g["name"], g["type"], tuple(g["tables"]))
@@ -277,9 +277,9 @@ class Structure:
         """Refuse a structure the verifier could not walk. Names are
         distinct strs, and types int or bool, which a word encodes. A table
         step cycles a table's input ciphertexts to the bus width, so every
-        table needs a port; a port reads a published input, or one or more
-        distinct earlier tables. Each output group lists one or more
-        distinct external tables, and each external table is listed."""
+        table needs a port; a port reads one published input, or one or more
+        distinct earlier tables, never both. Each output group lists one or
+        more distinct external tables, and each external table is listed."""
         inputs = [name for name, _ in self.inputs]
         names = [name for name, _, _ in self.outputs]
         types = [t for _, t in self.inputs] + [t for _, t, _ in self.outputs]
@@ -291,10 +291,11 @@ class Structure:
                                 "in name order")
         for i, (external, feeds) in enumerate(self.tables, 1):
             if type(external) is not bool or not feeds or not all(
-                    f in inputs if isinstance(f, str) else _distinct(f, range(1, i))
+                    (len(f) == 1 and f[0] in inputs)
+                    if any(isinstance(r, str) for r in f) else _distinct(f, range(1, i))
                     for f in feeds):
                 raise ProtocolError(f"published table {i} needs a bool external "
-                                    "flag, and ports that read published inputs "
+                                    "flag, and ports that read a published input "
                                     "or distinct earlier tables")
         external = {i for i, (ext, _) in enumerate(self.tables, 1) if ext}
         for name, _, group in self.outputs:
@@ -402,7 +403,7 @@ def public_structure(tg, index_of):
     """
 
     def feed(f):  # one external input, or the sibling rows of a port
-        return f if isinstance(f, str) else tuple(index_of[s] for s in f)
+        return (f,) if isinstance(f, str) else tuple(index_of[s] for s in f)
 
     external = {tname for tname, _ in tg.external_outputs}
     groups = {}  # Output port -> (its type, the row tables that produce it)
@@ -430,9 +431,9 @@ def table_circuits(tg):
 
 @dataclass
 class _SessionMem:
-    # each answered word as (ciphertext word, its plaintext)
-    q1: dict = field(default_factory=dict)  # (i, port) -> (w, u)
-    q2: dict = field(default_factory=dict)  # i -> (v, output)
+    # ref -> its last answered word and plaintext: a q1's (w, u), a q2's (v, output)
+    words: dict = field(default_factory=dict)
+    last: object = None  # the ref of the answer just given, for its checker round
     pending: dict = field(default_factory=dict)  # checker subprotocol state
     swap_held: object = None  # previous answer, for the swap strategy
 
@@ -442,8 +443,8 @@ class Developer:
 
     Building a Developer is the paper's VS.Encrypt: it encrypts every row
     table as a universal-circuit program, and .pp is the public half. It
-    then answers encode (q1/q2) queries and, in general mode, the checker
-    rounds; VS.Eval on the resulting certificate is audit.audit.
+    then answers encode (q1/q2) queries and, in general mode, a checker
+    round on each; VS.Eval on the resulting certificate is audit.audit.
 
     strategy selects a scripted dishonest behavior for tests:
     flip-payload, flip-tag, or swap-answers. None means honest.
@@ -513,6 +514,7 @@ class Developer:
     # -- q1 / q2
 
     def _encode(self, body):
+        self.mem.last = None
         if body.get("qkind") == 1:
             return self._encode_q1(body)
         if body.get("qkind") == 2:
@@ -522,10 +524,8 @@ class Developer:
     def _encode_q1(self, body):
         m = self.pp.m
         h = m // 2
-        i, port = body.get("i"), _int(body.get("port"))
-        t = self.pp.structure.table(i)
-        if (t is None or port is None or not 0 <= port < len(t[1])
-                or not isinstance(t[1][port], str)):  # tables, not an input, feed it
+        name = body.get("input")
+        if not (isinstance(name, str) and name in dict(self.pp.structure.inputs)):
             return {"answer": {"kind": NULL}}
         try:
             u = hex_bits(body.get("u"), m)
@@ -535,7 +535,8 @@ class Developer:
             return {"answer": {"kind": NULL}}
         encoded = u ^ 1 << h if self.strategy == "flip-payload" else u
         w = he.enc_word(self.hpk, int_to_bits(encoded, m), self.rng)
-        self.mem.q1[(i, port)] = (w, u)
+        self.mem.words[name] = (w, u)
+        self.mem.last = name
         return {"answer": {"kind": "w", "w": cts_b64(w)}}
 
     def _encode_q2(self, body):
@@ -554,7 +555,7 @@ class Developer:
         u_plain = 0
         for j, feed in enumerate(feeds):
             segment = he.cut_word(self.hpk, u_word, j * m, (j + 1) * m)
-            word = self._produced_word(i, j, feed, segment)
+            word = self._produced_word(feed, segment)
             if word is None:
                 return {"answer": {"kind": NULL}}
             u_plain |= word << j * m
@@ -567,18 +568,16 @@ class Developer:
             honest = {"kind": "payload", "payload": bits_hex(out >> h, h)}
         else:
             honest = {"kind": TOP}
-        self.mem.q2[i] = (v_word, out)
+        self.mem.words[i] = (v_word, out)
+        self.mem.last = i
         return {"answer": self._apply_strategy(honest)}
 
-    def _produced_word(self, i, j, feed, segment):
-        """Plaintext of input segment j of table i, which feed feeds, if an
-        earlier answer produced exactly this ciphertext word; None otherwise."""
-        if isinstance(feed, str):
-            known = self.mem.q1.get((i, j))
-            return known[1] if known is not None and known[0] == segment else None
+    def _produced_word(self, feed, segment):
+        """Plaintext of an input segment, if the last answer for one of the
+        refs of feed was exactly this ciphertext word; None otherwise."""
         h = self.pp.m // 2
         for ref in feed:
-            prior = self.mem.q2.get(ref)
+            prior = self.mem.words.get(ref)
             if prior is not None and prior[0] == segment:
                 # a producing output that decrypts to bot feeds nothing
                 return prior[1] if prior[1] & ((1 << h) - 1) else None
@@ -608,12 +607,11 @@ class Developer:
 
     def _checker(self, body):
         h = self.pp.m // 2
-        i, qkind = _int(body.get("i")), body.get("qkind")
-        known = (self.mem.q1.get((i, _int(body.get("port")))) if qkind == 1
-                 else self.mem.q2.get(i) if qkind == 2 else None)
-        if known is None:
+        ref, self.mem.last = self.mem.last, None
+        if ref is None:  # no answer to pin, or this one's round is taken
             return {"result": NULL}
-        whole = self.pp.structure.covers_whole(qkind, i)
+        known = self.mem.words[ref]
+        whole = self.pp.structure.covers_whole(ref)
         p = checker_slice(known[0], whole, h, self.hpk)
         width = he.check_word(self.hpk, p)
         # SE encrypts the slice as one block: an even width of 4 or more bits
@@ -800,8 +798,6 @@ class Verifier:
         self.mode = mode
         self.vga_budget = vga_budget
         self.rng = rng or random.Random()
-        # the type of each external input, as every input's walk reads it
-        self.input_types = dict(pp.structure.inputs)
         # the type of each external table's payload, as its output groups read it
         self.payload_types = {i: ptype for _, ptype, group in pp.structure.outputs
                               for i in group}
@@ -844,9 +840,8 @@ class Verifier:
         self.qa_e.append({"q": body, "a": answer})
         if self.mode == "general" and answer["kind"] != NULL:
             if not self._checker_round(chan, body, answer, word):
-                self.failures.append(
-                    {"reason": "checker", "i": body.get("i")}
-                )
+                key = "input" if body["qkind"] == 1 else "i"
+                self.failures.append({"reason": "checker", key: body[key]})
         return answer, word
 
     def _well_formed(self, q, answer):
@@ -859,7 +854,7 @@ class Verifier:
         passes gives its w decoded, or b"" when it has no w."""
         qkind = q["qkind"]
         kind = answer.get("kind") if isinstance(answer, dict) else None
-        external = q["i"] in self.payload_types
+        external = q.get("i") in self.payload_types
         if kind == NULL or (qkind == 2 and kind == BOT) or (
                 qkind == 2 and kind == TOP and not external):
             return b""
@@ -926,27 +921,23 @@ class Verifier:
     def _eval_encrypted(self, chan, X):
         m = self.pp.m
         h = m // 2
-        # per table, as a Tagged value or None for null: what it feeds its
-        # consumers (top and payload answers fire, carrying the output
-        # ciphertexts) and what it gives an output port (only payload
-        # answers fire, carrying the payload bits)
+        # per ref, as a Tagged value or None for null: what it feeds its
+        # consumers (q1, top and payload answers fire, carrying their
+        # ciphertexts); per table, what it gives an output port (only
+        # payload answers fire, carrying the payload bits)
         feeds, outs = {}, {}
+
+        for name, ptype in self.pp.structure.inputs:
+            value = bool(X[name]) if ptype == "bool" else X[name]  # as the spec reads it
+            u = bits_hex(tagged_word(Tagged(True, value), m), m)
+            ans, w = self._encode_query(chan, {"qkind": 1, "input": name, "u": u})
+            if ans["kind"] != "w":
+                self.failures.append({"reason": "q1-null", "input": name})
+            feeds[name] = Tagged(True, w) if ans["kind"] == "w" else None
 
         for i, (_, ports) in enumerate(self.pp.structure.tables, 1):
             port_words = []
-            for pos, feed in enumerate(ports):
-                if isinstance(feed, str):  # an external input
-                    value = X[feed]
-                    if self.input_types[feed] == "bool":  # as the plaintext spec reads it
-                        value = bool(value)
-                    u = bits_hex(tagged_word(Tagged(True, value), m), m)
-                    ans, w = self._encode_query(
-                        chan, {"i": i, "qkind": 1, "port": pos, "u": u})
-                    if ans["kind"] != "w":
-                        self.failures.append({"reason": "q1-null", "i": i})
-                        break
-                    port_words.append(w)
-                    continue
+            for feed in ports:
                 # a null or uniformly non-firing feed makes the consumer
                 # null, matching the plaintext evaluation rules
                 tops = sibling_group([feeds.get(ref) for ref in feed])
@@ -990,7 +981,7 @@ class Verifier:
         """(whole, expected): checker_slice's whole for this answer, and the
         plaintext of its slice: a q1's u, an external table's tagged word (0
         for bot), an intermediate table's tag."""
-        whole = self.pp.structure.covers_whole(q["qkind"], q["i"])
+        whole = self.pp.structure.covers_whole(q.get("input", q.get("i")))
         if q["qkind"] == 1:
             return whole, hex_bits(q["u"], 2 * h)
         if answer["kind"] == BOT:
@@ -998,9 +989,9 @@ class Verifier:
         return whole, 1 | hex_bits(answer["payload"], h) << h if whole else 1
 
     def _checker_round(self, chan, q, answer, word):
-        """Pin an encode answer down; whether the revealed value decrypts
-        to exactly that answer. word is the ciphertext word it answers for.
-        The frame names the query; the developer slices its own word."""
+        """Pin the answer to q, just given, down; whether the revealed value
+        decrypts to exactly that answer. word is the ciphertext word it
+        answers for; the developer slices its own."""
         h = self.pp.m // 2
         whole, expected = self._expected_checker(q, answer, h)
         p = checker_slice(word, whole, h, self.pp.hpk)
@@ -1014,21 +1005,20 @@ class Verifier:
         record = {"d": None, "blocks": []}
         self.qa_c.append(record)
 
-        d, blocks = self._opening(chan, q, p, width, rs, ct_sk)
+        d, blocks = self._opening(chan, p, width, rs, ct_sk)
         if d is None:
             return False
         record.update(d=d, blocks=blocks)
         return se_dec(sk, hex_bits(d, width), width) == expected
 
-    def _opening(self, chan, q, p, width, rs, ct_sk):
-        """Run the checker round on the slice p of the answer to q: send y,
-        p's SE encryption under the key inside ct_sk, in a frame that names
-        q, then the challenges rs, and ct_sk only once the developer has
-        committed; the revealed d and its blocks once every block opens,
-        else (None, None)."""
+    def _opening(self, chan, p, width, rs, ct_sk):
+        """Run the checker round on the slice p of the answer just given:
+        send y, p's SE encryption under the key inside ct_sk, then the
+        challenges rs, and ct_sk only once the developer has committed; the
+        revealed d and its blocks once every block opens, else (None,
+        None)."""
         y = checker_value(self.pp, ct_sk, p)
-        r = self._ask(chan, "checker", {"i": q["i"], "qkind": q["qkind"],
-                                        "port": q.get("port"), "y": cts_b64(y)})
+        r = self._ask(chan, "checker", {"y": cts_b64(y)})
         n = len(rs)
         if _int(r.get("blocks")) != n:
             return None, None

@@ -148,14 +148,12 @@ def test_c3_every_ciphertext_decrypts_to_plaintext_trace():
         outputs = evaluate_plain(dev.tg, X)
         for rec in cert["qa_e"]:
             q, a = rec["q"], rec["a"]
-            name = dev.tg.order[q["i"] - 1]  # indices are level-order positions
             if q["qkind"] == 1:
-                port = dev.tg.tables[name].inputs[q["port"]][0]
-                src = dev.tg.producers[(name, port)]
-                u = tagged_to_bits(Tagged(True, X[src]), m)
+                u = tagged_to_bits(Tagged(True, X[q["input"]]), m)
                 assert int_to_bits(hex_bits(q["u"], m), m) == u
                 assert he.dec_word(dev.hsk, b64_cts(a["w"], dev.hpk)) == u
             else:
+                name = dev.tg.order[q["i"] - 1]  # indices are level-order positions
                 want = tagged_to_bits(outputs[name], m)
                 v = table_step(dev.pp, q["i"], b64_cts(q["u"], dev.hpk))
                 assert he.dec_word(dev.hsk, v) == want
@@ -286,11 +284,14 @@ def test_c8_oracles_byte_identical_to_services():
         queries += 1
         return r1["body"]
 
+    def input_of(t, pos):  # the external input that port pos of t reads
+        return t["ports"][pos]["producers"][0][1]
+
     def do_q1(rng, pair, t):
         pos = rng.randrange(len(t["ports"]))
         payload = tuple(rng.getrandbits(1) for _ in range(m // 2))
         u = (1,) + (0,) * (m // 2 - 1) + payload
-        return pos, u, ask("encode", {"qkind": 1, "i": t["index"], "port": pos,
+        return pos, u, ask("encode", {"qkind": 1, "input": input_of(t, pos),
                                       "u": bits_hex(bits_uint(u), m)}, pair)
 
     for s in range(1000):
@@ -306,7 +307,7 @@ def test_c8_oracles_byte_identical_to_services():
                 for pos in range(len(t["ports"])):
                     payload = tuple(rng.getrandbits(1) for _ in range(m // 2))
                     u = (1,) + (0,) * (m // 2 - 1) + payload
-                    a = ask("encode", {"qkind": 1, "i": t["index"], "port": pos,
+                    a = ask("encode", {"qkind": 1, "input": input_of(t, pos),
                                        "u": bits_hex(bits_uint(u), m)}, pair)
                     words.append(b64_cts(a["answer"]["w"], dev.hpk))
                 u_word = he.join_words(dev.hpk, words)
@@ -317,8 +318,7 @@ def test_c8_oracles_byte_identical_to_services():
                 p = b64_cts(a["answer"]["w"], dev.hpk)
                 _, ct_sk = checker_key(keys, dev.hpk, m)
                 y = checker_value(dev.pp, ct_sk, p)
-                r = ask("checker", {"i": t["index"], "qkind": 1, "port": pos,
-                                    "y": cts_b64(y)}, pair)
+                r = ask("checker", {"y": cts_b64(y)}, pair)
                 if "blocks" in r:
                     rs = [choose_challenge(dev.code.q, rng)
                           for _ in range(r["blocks"])]
@@ -327,7 +327,7 @@ def test_c8_oracles_byte_identical_to_services():
                     proof = ask("checker_proof", {"ct_sk": cts_b64(ct_sk)}, pair)
                     reveals += "d" in proof
             else:
-                ask("encode", {"qkind": 1, "i": 999, "port": 0, "u": "01"}, pair)
+                ask("encode", {"qkind": 1, "input": 999, "u": "01"}, pair)
         sequences += 1
     print(f"criterion 8: {sequences} sequences / {queries} queries byte-identical, "
           f"{reveals} checker reveals")

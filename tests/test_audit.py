@@ -1,5 +1,4 @@
 import copy
-import functools
 import hashlib
 import json
 import random
@@ -42,14 +41,10 @@ from tabverify.commitment import (
 )
 from tabverify.protocol import (
     Developer,
-    PublicParams,
     Verifier,
-    b64_cts,
     bits_hex,
-    cts_b64,
     hex_bits,
     session_binding,
-    table_step,
     verify_session,
 )
 
@@ -86,103 +81,46 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
 # a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 13.
+# Recorded at certificate version 14.
 CERT_DIGESTS = {
-    "demo-honest": "e8dbf85522ba95dc620e3a4d747eb32488a891fade87f21400dfe60ea50d5b40",
-    "demo-general": "a91fd62ef4c645597b6f1befbe69e1461129b03aa4f0589420ba40a4c3fcebe0",
-    "chain-honest": "9c947e180e01ca53f86c20fe0e797139af32788700d12a05e605a56620811240",
-    "chain-general": "090c98a9260141faae4657d2dcccd864bbf8b8e9f4c9fb0d2b73cac22a930516",
-    "diamond-honest": "094733a89b6241e5d137ca54bb59977a1b5e05975dd26f9195e0be4ca572b245",
-    "diamond-general": "efd4d405e1bbf53a9900df8e2f73af17628b15af6f297d9c5fc4715dd08f83c3",
-    "flip-payload-honest": "c9255d727df78fec766678469c3d160540cbbd3c1bcfedd42fb2283fd2296e76",
-    "flip-tag-honest": "7a5180ebf2b36cde3c646cd2f760e21fcf4d98ed0770a8620550e41c9914ed7e",
-    "swap-answers-honest": "d6d01dcf9e60bc552ccd9a368076d16954db90989b1ee4f18d1b9c080c8c66da",
-    "flip-payload-general": "9cbd3de8418038172210942c2cae13dd7aa3efddd97c5a10a864198585c8148b",
-    "flip-tag-general": "43d5eded034d182f807050a6862343bfe94f1eaaf8f769b3f0c0ec6a46b6f17c",
-    "swap-answers-general": "db348d9c02b8d170d8b3f1a113a7b06f9f92cbbe760c19922d072b6fbbc32a65",
+    "demo-honest": "ea072b76ef7162103cc8276783457345107c300b5584fb0b3bbd54009b29062d",
+    "demo-general": "00150fd9526f63ece71c170b045e38a7b9be5ccbc3fbc732989c0b511557d2ae",
+    "chain-honest": "14aa42e9608308dd219db835159c22e3e3506be3ea50e978db583f90dbed017a",
+    "chain-general": "562608776557ec307d6d434d35d5e9b71f5b8d3e0c2460020803f79592542d38",
+    "diamond-honest": "3624824b17ae1640d9b2f34e5c595269fcb14fb01dfec2fd563caca4774cf2eb",
+    "diamond-general": "8f96c649381c7c47db9367da0fd2a9a93a08fa1ac3a3fff7373f7cc429709612",
+    "flip-payload-honest": "7ed4f9b6b193c92646bea0b200b2a750ec5d0d1a7df4c057f754e77696495f71",
+    "flip-tag-honest": "de5ba29d62ecbec96c4e0c979585f4b6722ad0ca4b8db0073121f9ae1a503d7a",
+    "swap-answers-honest": "3eb0e9652df90101d8f76e0bacd155dfac176441870bed1abf406fa29ecfaa17",
+    "flip-payload-general": "6c0534912dd671da8c2f0790452e75d580afcc5c77786ff39950b395f7629216",
+    "flip-tag-general": "552cec780bdf114b179af6c23335ba0dc88a948f153886699dbd9f11a13a9de7",
+    "swap-answers-general": "21869f5f0a4c393f496b753f5df097059634d87c2e0cd44fa9c7fa8d723f5ddc",
 }
-# the version 12 digests of the same configurations: version 13 dropped the
-# certificate's K, a constant that no key used, each q2's v, the output word
-# of its table step that the developer computes itself, and each commitment
-# block's data, its slice of the d recorded beside it, and left every
-# session as it was
-V12_DIGESTS = {
-    "demo-honest": "d41967cee133038a87c94117075ce78f6dd169b2d719377c3455d7d09cc8a069",
-    "demo-general": "16230fa55425ca295395efd997c7229cbc1068d241c0eb93eda18fe15ec85945",
-    "chain-honest": "9a2d1ea84361f05190b5126aa0ab34bc9f9578978d37ac45e482779e8efcf71a",
-    "chain-general": "1cc93b4ce670754c19d25e6585fee955a1b90f82ba43da457e9c410fbde0950b",
-    "diamond-honest": "451b15cdc9f109c02c259381d76a25dde3e106f28c9aba7c62af4f0a7e3e1b25",
-    "diamond-general": "7cce3f53d4f034a94d263464e1d28523ae15e335f3af7a5016010c610e61d645",
-    "flip-payload-honest": "6d76075c4452faa4e3483b261885a92890a35bcdeeab23c041dbfb414ec38b3b",
-    "flip-tag-honest": "4c059ef0eb1289703f025fb12eb70dc56eafa8579828916133bd20fa28eaf26d",
-    "swap-answers-honest": "2c787230c4b62157b8a8edeeb00d6e55f87aa680e328180198c216a19550e424",
-    "flip-payload-general": "b336b1d4e6dfd35abe4289ab50714c5a4feb716b40369e54ada1b9c4d260a15d",
-    "flip-tag-general": "c3d5ad00dc600674d5fa49eebf3c82b7761574c7f150525bb27c68349fef3e22",
-    "swap-answers-general": "eb3dcba9b419c7e3e9ef029c978b90f3f5e3f65d924dc7f158d84fade9021e16",
-}
-# the version 11 digests of the honest configurations: version 12 changed
-# only the checker rounds, which honest mode does not run, and left every
-# honest session as it was
-V11_DIGESTS = {
-    "demo-honest": "783d84499a4064483e7f3467391f5df3fded134e16a51000ba414fb8c6dba5af",
-    "chain-honest": "0846aabbfd33f88ab8e60694eeba88fc8b3f768994ade14666fcb1ca99fddd7a",
-    "diamond-honest": "c5cabe973dc4689c8d2af2cbd0680b29263cfa610195b8f20347b66a725b6680",
-    "flip-payload-honest": "1cab8236db06ea1be059e73d3b9a5601e3b95ddbc89a9b88acdf674857a4cfc0",
-    "flip-tag-honest": "10de58b1b8c695dc546247dc298a428bbf44036b1d818e084da00451053e6c6f",
-    "swap-answers-honest": "7c97810b051ecf4467ab3708e66677570bdc28f9597bd77008e4292cd3780619",
-}
-# the version 10 digests of the same configurations: version 11 dropped the
-# certificate's "paths", the source-to-sink table paths of the published
-# structure that the suite generator enumerated and nothing read, and left
-# every session as it was. Version 12 changed every general-mode session's
-# checker rounds, so its general-mode entries here and in V9_DIGESTS were
-# re-recorded then: they pin the version 12 session in the old layout, not
-# a certificate that version wrote
-V10_DIGESTS = {
-    "demo-honest": "5ce21d7d0b44b8b48d7f656ccc569a9d5c361dc29fde78d7cc1bda5ca2e7fe98",
-    "demo-general": "1887d8361f1827709fe0a0145eec242b647b39f5094d40badea3ae70373bedfe",
-    "chain-honest": "69007f3da8239a35e4fcaeb1bda6eb0b8f8f08a52b0b9237109906cd087c684e",
-    "chain-general": "02ff9c520034c35094f34c6b578ee7cc76739c6e6bc57944ef1c0dc9d761e576",
-    "diamond-honest": "c08e00aa1b73263a51b4d8138a7143a5bdd2f64cbde772565de2c21586a2478e",
-    "diamond-general": "450758d62ec5dda10b663eb0a7727c040e44da79adc8a34d326352811b158917",
-    "flip-payload-honest": "f3673cf971794b02536b2e44ffc1a40f2f18808f483b422e541c04e8084daafd",
-    "flip-tag-honest": "f88f0402ddfaa1ad7b9307600c2103fcaf7f6ffd79f8e93121d9d2404b0f6989",
-    "swap-answers-honest": "17bcbdf09d212bf71223b4913ac9e466169eb15510d606f7e6c4d6aeaeec7d57",
-    "flip-payload-general": "4575cc125f4dd6dd22cc86d5e96f05a792b8d7cc5038de47d1a1cf162f2e33dc",
-    "flip-tag-general": "71fce276c1cf04fabaed2c2b77959cd54e2773a2f44772d0001550e6b4cc4f8a",
-    "swap-answers-general": "91e24a77b1785937715128c7aa15ad0f22d521d6a8bd127a3f59f7f9fbf0444b",
-}
-# the version 9 digests of the configurations whose sessions version 10
-# left as they were: only a flip-tag or swap-answers developer answers a q2
-# with a kind its table cannot give, which version 10 counts as null
-V9_DIGESTS = {
-    "demo-honest": "60281507f35623d5185c85120240c5afb2c8d6989a890d2ae67071eb2aa1c7b9",
-    "demo-general": "03ca6d838031edf2b73f2d6e05dcb81d2f1445bec228d7fe2351bbd6f6e8ce4f",
-    "chain-honest": "bf37b721200d19f89bd525c8ae4bcb14ae144c578c854bfbb11682e29df5e718",
-    "chain-general": "2275a3c5ad801a9a5739072acf0f2212c575ef9839f2d0a7fa7a3a3a080ed972",
-    "diamond-honest": "b10f8c729777c9ca2ebd01b0656c9bf662e57194f694d6f064aab6d27285dc97",
-    "diamond-general": "dfc2ec90b22dc3a1edfc521b666283894c733ec964a8fffa576fca877149914d",
-    "flip-payload-honest": "07abca08f675ec0a5175057bae824df4f70571af23115ebe014d50d5e272f792",
-    "flip-payload-general": "5282f1cb76dafddb6ce95ad0364cfa73d9d00b488864a88c79c4f62d4ad2629c",
-}
-# the "paths" that versions 9 and 10 recorded for each design (the
-# flip-payload, flip-tag and swap-answers developers run the demo design)
-OLD_PATHS = {
-    "demo": [[1, 7], [1, 8], [2, 7], [2, 8], [3, 7], [3, 8], [4, 7], [4, 8],
-             [5], [6]],
-    "chain": [[1, 3, 5], [1, 3, 6], [1, 4, 5], [1, 4, 6], [2, 3, 5],
-              [2, 3, 6], [2, 4, 5], [2, 4, 6]],
-    "diamond": [[a, b, c] for a in (1, 2) for b in (3, 4, 5, 6) for c in (7, 8)],
+# the sha256 of each design's outcomes, the canonical JSON of a
+# certificate's verdict, outputs, mismatches and cp_results, as version 13
+# recorded them, in both modes alike. Version 14 asks one q1 per external
+# input and tested input, and its checker frames name no query, so its
+# sessions ask other queries and draw other nonces, and no rewrite of a
+# version 14 certificate gives a version 13 one; what they must keep is
+# the outcome of every session
+V13_OUTCOMES = {
+    "demo": "372f2f24b60da6972a34a2af2e2532f113b1a4931da458d0a92b117c5020074e",
+    "chain": "ed35dfe46d17efa7f73b507e9bd45f0468370ab2031481ffe6384059740cfe4c",
+    "diamond": "1a616e44d12a440a78afc4be817462c843045602c97f6102790b6c140e38b543",
+    "flip-payload": "c41f2bbfb17064c78ae1afd03f505c478e2b467a4297ca8e85b01c113aba9a73",
+    "flip-tag": "3b766be196cd65d2f3d34eab4a82445e27fec155d1934b2197897320642b4f22",
+    "swap-answers": "46b8454dbc51052d56cf740213a9256ddd379ea53d7621b3e643ed032aadb84a",
 }
 # the length of three of them, so that a change of size shows by itself; at
 # version 8, with 24-byte nonces, a recorded key and recorded challenges,
 # they were 578,463, 733,575 and 782,992 bytes, at version 9 one byte
 # shorter than at version 10, at version 10, with the paths, 398,248,
 # 502,296 and 535,064, at version 11 demo-general, with each checker
-# record's query, was 534,998, and at version 12, with K, each q2's v and
-# each block's data, they were 398,182, 502,158 and 448,362
-CERT_BYTES = {"demo-honest": 364471, "diamond-honest": 471511,
-              "demo-general": 411483}
+# record's query, was 534,998, at version 12, with K, each q2's v and
+# each block's data, they were 398,182, 502,158 and 448,362, and at
+# version 13, with one q1 per table port, 364,471, 471,511 and 411,483
+CERT_BYTES = {"demo-honest": 344869, "diamond-honest": 467041,
+              "demo-general": 376393}
 
 
 def config_cert(config):
@@ -221,63 +159,12 @@ def test_session_certificate_is_json_native(config):
                           for k in sorted(cert)) + "}" == text.decode("utf-8")
 
 
-@functools.lru_cache(maxsize=None)
-def v12_fields(config):
-    """What version 12 recorded of config's session and version 13 does
-    not, as (qa_e, qa_c): each q2 with its v, the output word of its table
-    step, and each commitment block with its data, its slice of d."""
+@pytest.mark.parametrize("config", list(CERT_DIGESTS))
+def test_version_14_kept_the_outcomes_of_version_13(config):
     cert = config_cert(config)
-    pp = PublicParams.from_dict(cert["public_params"])
-    qa_e = [{"q": dict(r["q"], v=cts_b64(table_step(pp, r["q"]["i"],
-                                                   b64_cts(r["q"]["u"], pp.hpk)))),
-             "a": r["a"]} if r["q"]["qkind"] == 2 else r for r in cert["qa_e"]]
-    m_c = gen_code().m_c
-    qa_c = [dict(r, blocks=[
-        dict(b, data=bits_hex(data, m_c)) for b, data in zip(
-            r["blocks"], split_blocks(int(r["d"], 16), m_c * len(r["blocks"]), m_c))])
-        if r["d"] is not None else r for r in cert.get("qa_c", ())]
-    return qa_e, qa_c
-
-
-def old_certificate(config, version):
-    """config's certificate as version 9, 10, 11 or 12 wrote it: with the
-    certificate's constant K, each q2's v and each block's data, the paths
-    of its design before version 11, and its binding, over K too, under
-    that version."""
-    design = config.rsplit("-", 1)[0]
-    qa_e, qa_c = v12_fields(config)
-    cert = dict(config_cert(config), version=version, K=16, qa_e=qa_e)
-    if "qa_c" in cert:
-        cert["qa_c"] = qa_c
-    if version < 11:
-        cert["paths"] = OLD_PATHS.get(design, OLD_PATHS["demo"])
-    bound = {k: cert[k] for k in protocol.BINDING_FIELDS + ("K",)}
-    cert["binding"] = hashlib.sha256(canonical_json(bound).encode()).hexdigest()
-    return cert
-
-
-@pytest.mark.parametrize("config", list(V12_DIGESTS))
-def test_version_13_dropped_only_k_and_what_the_receiver_computes(config):
-    text = canonical_json(old_certificate(config, 12)).encode("utf-8")
-    assert hashlib.sha256(text).hexdigest() == V12_DIGESTS[config]
-
-
-@pytest.mark.parametrize("config", list(V11_DIGESTS))
-def test_version_12_left_honest_sessions_as_they_were(config):
-    text = canonical_json(old_certificate(config, 11)).encode("utf-8")
-    assert hashlib.sha256(text).hexdigest() == V11_DIGESTS[config]
-
-
-@pytest.mark.parametrize("config", list(V9_DIGESTS))
-def test_version_10_changed_only_the_version_of_these_sessions(config):
-    text = canonical_json(old_certificate(config, 9)).encode("utf-8")
-    assert hashlib.sha256(text).hexdigest() == V9_DIGESTS[config]
-
-
-@pytest.mark.parametrize("config", list(V10_DIGESTS))
-def test_version_11_dropped_only_the_paths(config):
-    text = canonical_json(old_certificate(config, 10)).encode("utf-8")
-    assert hashlib.sha256(text).hexdigest() == V10_DIGESTS[config]
+    outcomes = {k: cert[k] for k in ("verdict", "outputs", "mismatches", "cp_results")}
+    digest = hashlib.sha256(canonical_json(outcomes).encode("utf-8")).hexdigest()
+    assert digest == V13_OUTCOMES[config.rsplit("-", 1)[0]]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -294,7 +181,7 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v13"}
+           "format": "tabverify-cert-v14"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
@@ -308,7 +195,7 @@ def test_version_8_certificate_is_refused_by_name(tmp_path):
     assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v13",
+    path.write_text(path.read_text().replace("tabverify-cert-v14",
                                              "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
                                          "'tabverify-cert-v8'"):
@@ -573,10 +460,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 13
+    # version 14
     for cert, want in (
-        (HONEST_CERT, "52fffec3ee2f40b810e9e56132854ea78c64cf8ca9f31221151373f5df467af2"),
-        (GENERAL_CERT, "abad860e86c6586a84d61b02e46e81339a268cff05267a215b8a2c4f0059fe97"),
+        (HONEST_CERT, "e2c50f033a2dc861795296d495746d784daf731508db78b85872951c78b4dccb"),
+        (GENERAL_CERT, "63138ae77ce8280618442f4757d29f1176016c9fe653abb3517b3e0756595c78"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

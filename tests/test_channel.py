@@ -73,3 +73,30 @@ def test_queue_pair_duplex():
     finally:
         a.close()
         b.close()
+
+
+class OneByteSocket:
+    """A socket with only sendall, recv and close, as a channel's wrapper
+    may be, whose recv hands out one byte at a time."""
+
+    def __init__(self, data):
+        self.data, self.calls = data, 0
+
+    def sendall(self, data):
+        raise AssertionError("nothing is sent")
+
+    def recv(self, n):
+        self.calls += 1
+        chunk, self.data = self.data[:1], self.data[1:]
+        return chunk
+
+    def close(self):
+        pass
+
+
+def test_a_frame_read_a_byte_at_a_time_arrives_intact():
+    frame = make_frame("reply", {"w": "A" * 1000, "n": [1, 2, 3]})
+    blob = encode_frame(frame)
+    sock = OneByteSocket(blob)
+    assert SocketChannel(sock).recv() == frame
+    assert sock.calls == len(blob)

@@ -192,10 +192,7 @@ def test_serve_closes_connections_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(cli, "serve_loop", serve_loop)
     dev = Developer(parse_graph(DEMO_GRAPH_TEXT), rng=random.Random(0))
-    t = next(t for t in dev.pp.to_dict()["structure"]["tables"]
-             if t["ports"][0]["producers"][0][0] == "input")
-    q1 = make_frame("encode", {"qkind": 1, "i": t["index"], "port": 0,
-                               "u": bits_hex(1, 16)})
+    q1 = make_frame("encode", {"qkind": 1, "input": "a", "u": bits_hex(1, 16)})
     accepted = queue.Queue()
     server = threading.Thread(target=cli.serve_connections,
                               args=(dev, accepted.get, 2), daemon=True)

@@ -273,29 +273,31 @@ def frame(dev, ftype, body):
 
 
 def test_q1_rejects_malformed_queries():
+    # a q1 names a published input by its name; any other value, an
+    # unhashable one too, gets a null answer
     dev = make_dev()
     m = dev.pp.m
     good = bits_hex(1, m)  # tag 1, payload 0
-    assert frame(dev, "encode", {"qkind": 1, "i": 999, "port": 0, "u": good})[
+    assert frame(dev, "encode", {"qkind": 1, "input": "zz", "u": good})[
         "answer"
     ]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 1, "i": 1, "port": 99, "u": good})[
+    assert frame(dev, "encode", {"qkind": 1, "input": ["a"], "u": good})[
         "answer"
     ]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 1, "i": 1, "port": 0, "u": "01"})[
+    assert frame(dev, "encode", {"qkind": 1, "input": "a", "u": "01"})[
         "answer"
     ]["kind"] == "null"
     bad_tag = "0" * (m // 4)
-    assert frame(dev, "encode", {"qkind": 1, "i": 1, "port": 0, "u": bad_tag})[
+    assert frame(dev, "encode", {"qkind": 1, "input": "a", "u": bad_tag})[
         "answer"
     ]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 1, "i": [1], "port": 0, "u": good})[
+    assert frame(dev, "encode", {"qkind": 1, "input": {}, "u": good})[
         "answer"
     ]["kind"] == "null"
     assert frame(dev, "encode", {"qkind": 2, "i": [1], "u": []})[
         "answer"
     ]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 1, "i": 1, "port": 0, "u": good})[
+    assert frame(dev, "encode", {"qkind": 1, "input": "a", "u": good})[
         "answer"
     ]["kind"] == "w"
 
@@ -330,11 +332,11 @@ def test_verifier_sends_exactly_the_served_frame_types():
 
 
 def q1_then_q2(dev, i, X_bits_by_port, corrupt=None, extra=None):
-    """Drive one table manually: q1 every port, then ask q2 on the answers,
-    with the fields of extra added to it."""
+    """Drive one table manually: q1 the input of every port, then ask q2 on
+    the answers, with the fields of extra added to it."""
     words = []
-    for pos, u in enumerate(X_bits_by_port):
-        a = frame(dev, "encode", {"qkind": 1, "i": i, "port": pos,
+    for (name,), u in zip(dev.pp.structure.table(i)[1], X_bits_by_port):
+        a = frame(dev, "encode", {"qkind": 1, "input": name,
                                   "u": bits_hex(bits_uint(u), len(u))})
         assert a["answer"]["kind"] == "w"
         words.append(b64_cts(a["answer"]["w"], dev.hpk))
@@ -419,19 +421,19 @@ def test_memory_wiped_between_sessions():
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
     words = []
-    for pos, n in enumerate(names):
+    for n in names:
         u = tagged_word(Tagged(True, DEMO_INPUT[n]), m)
         a = frame(
             s1,
             "encode",
-            {"qkind": 1, "i": t["index"], "port": pos, "u": bits_hex(u, m)},
+            {"qkind": 1, "input": n, "u": bits_hex(u, m)},
         )
         words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
     body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_word)}
     assert frame(s2, "encode", body)["answer"]["kind"] == "null"
     assert frame(s1, "encode", body)["answer"]["kind"] != "null"
-    assert s1.mem.q1 and not s2.mem.q1 and not dev.mem.q1
+    assert s1.mem.words and not s2.mem.words and not dev.mem.words
 
 
 def test_checker_requires_commit_before_proof():
@@ -440,11 +442,11 @@ def test_checker_requires_commit_before_proof():
     m = dev.pp.m
     names = [p["producers"][0][1] for p in t["ports"]]
     u = tagged_word(Tagged(True, DEMO_INPUT[names[0]]), m)
-    a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u, m)})
+    a = frame(dev, "encode", {"qkind": 1, "input": names[0], "u": bits_hex(u, m)})
     p = b64_cts(a["answer"]["w"], dev.hpk)
     _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
     y = checker_value(dev.pp, ct_sk, p)
-    r = frame(dev, "checker", {"i": t["index"], "qkind": 1, "port": 0, "y": cts_b64(y)})
+    r = frame(dev, "checker", {"y": cts_b64(y)})
     assert "blocks" in r
     # proof before the commitment exchange must fail
     assert frame(dev, "checker_proof", {"ct_sk": cts_b64(ct_sk)})["result"] == "null"
@@ -460,13 +462,13 @@ def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):
     m, q = dev.pp.m, dev.code.q
 
     def open_round(session):
-        a = frame(session, "encode", {"qkind": 1, "i": t["index"], "port": 0,
+        a = frame(session, "encode", {"qkind": 1,
+                                      "input": t["ports"][0]["producers"][0][1],
                                       "u": bits_hex(1, m)})
         p = b64_cts(a["answer"]["w"], dev.hpk)
         _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
         y = checker_value(dev.pp, ct_sk, p)
-        r = frame(session, "checker", {"i": t["index"], "qkind": 1, "port": 0,
-                                       "y": cts_b64(y)})
+        r = frame(session, "checker", {"y": cts_b64(y)})
         return [choose_challenge(q, random.Random(k)) for k in range(r["blocks"])]
 
     session = dev.session()
@@ -491,20 +493,21 @@ def test_checker_proof_with_a_key_word_of_another_size_is_null():
     # a round's key is 4 * width bits, one chunk of half the slice per
     # round; a proof whose ct_sk holds another number of ciphertexts, such
     # as the 16-bit key of format v8, is answered null, and one of the
-    # round's key size opens to the answer
+    # round's key size opens to the answer. A round pins the answer just
+    # given, so each is run on an answer of its own
     dev = make_dev()
     t = first_input_table(dev)
     m = dev.pp.m
     u = tagged_word(Tagged(True, 3), m)
-    a = frame(dev, "encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(u, m)})
-    p = b64_cts(a["answer"]["w"], dev.hpk)
     keys = random.Random(4)
     for n in (16, 4 * m - 1, 4 * m + 1, 4 * m):
+        a = frame(dev, "encode", {"qkind": 1, "input": t["ports"][0]["producers"][0][1],
+                                  "u": bits_hex(u, m)})
+        p = b64_cts(a["answer"]["w"], dev.hpk)
         sk, ct_sk = checker_key(keys, dev.hpk, m)
         assert he.check_word(dev.hpk, ct_sk) == 4 * m
         y = checker_value(dev.pp, ct_sk, p)
-        r = frame(dev, "checker", {"i": t["index"], "qkind": 1, "port": 0,
-                                   "y": cts_b64(y)})
+        r = frame(dev, "checker", {"y": cts_b64(y)})
         rs = [bits_hex(choose_challenge(dev.code.q, keys), 2 * dev.code.q)
               for _ in range(r["blocks"])]
         assert "blocks" in frame(dev, "commit_challenge", {"Rs": rs})
@@ -517,14 +520,115 @@ def test_checker_proof_with_a_key_word_of_another_size_is_null():
 
 
 def test_checker_rejects_unknown_slice():
-    # a round names a query of this session; with nothing answered there is
-    # no word to slice, whatever y the verifier sends
+    # a round pins the answer just given; with nothing answered there is
+    # no word to slice, whatever y the verifier sends and whatever query a
+    # frame of an older format names
     dev = make_dev()
     m = dev.pp.m
     y = he.enc_word(dev.hpk, (0,) * m, random.Random(5))
-    for qkind in (1, 2):
-        r = frame(dev, "checker", {"i": 1, "qkind": qkind, "port": 0, "y": cts_b64(y)})
+    for body in ({"y": cts_b64(y)}, {"i": 1, "qkind": 2, "port": 0, "y": cts_b64(y)}):
+        r = frame(dev, "checker", body)
         assert r["result"] == "null"
+
+
+def answer_a(session, value=3):
+    """The q1 answer of session to the demo's input a set to value."""
+    m = session.pp.m
+    u = bits_hex(tagged_word(Tagged(True, value), m), m)
+    return frame(session, "encode", {"qkind": 1, "input": "a", "u": u})["answer"]
+
+
+def run_round(session, w, body=None, seed=4):
+    """The developer's replies to one full checker round on the word w: its
+    checker frame is body, with y added, its challenges and key drawn
+    from seed."""
+    keys = random.Random(seed)
+    _, ct_sk = checker_key(keys, session.hpk, session.pp.m)
+    y = checker_value(session.pp, ct_sk, b64_cts(w, session.hpk))
+    r = frame(session, "checker", dict(body or {}, y=cts_b64(y)))
+    rs = [bits_hex(choose_challenge(session.code.q, keys), 2 * session.code.q)
+          for _ in range(r.get("blocks", 0))]
+    c = frame(session, "commit_challenge", {"Rs": rs})
+    return r, c, frame(session, "checker_proof", {"ct_sk": cts_b64(ct_sk)})
+
+
+def test_an_answer_gets_one_checker_round():
+    # a round pins the answer just given and takes it: a second checker
+    # frame on the same answer is null, and so is one after a null answer
+    dev = make_dev(seed=1)
+    session = dev.session()
+    w = answer_a(session)["w"]
+    r, _, proof = run_round(session, w)
+    assert "blocks" in r and "d" in proof
+    assert frame(session, "checker", {"y": proof["d"]}) == {"result": "null"}
+    _, _, again = run_round(session, w)
+    assert again == {"result": "null"}
+    assert answer_a(session)["kind"] == "w"
+    bad = frame(session, "encode", {"qkind": 1, "input": "a", "u": "01"})
+    assert bad["answer"] == {"kind": "null"}
+    assert run_round(session, w)[0] == {"result": "null"}
+
+
+def test_stray_checker_frame_fields_change_nothing():
+    # the frame of a round is {y}: an i, qkind or port it carries names
+    # nothing, so the developer's replies are the same with them and
+    # without them
+    replies = []
+    for body in ({}, {"i": 5, "qkind": 2, "port": 0}, {"i": [1], "qkind": 1, "port": [0]}):
+        session = make_dev(seed=3).session()
+        w = answer_a(session)["w"]
+        replies.append(canonical_json(run_round(session, w, body)))
+    assert '"d"' in replies[0] and len(set(replies)) == 1
+
+
+def test_a_q2_reads_each_port_from_its_own_input():
+    # table 1 reads a; b's q1 word, though answered in the session, is not
+    # a word a produced, so a q2 on it is null
+    dev = make_dev(seed=1)
+    assert dev.pp.structure.table(1)[1] == (("a",),)
+    session = dev.session()
+    m = dev.pp.m
+    w_a = answer_a(session, 46)["w"]
+    u_b = bits_hex(tagged_word(Tagged(True, True), m), m)
+    w_b = frame(session, "encode", {"qkind": 1, "input": "b", "u": u_b})["answer"]["w"]
+    assert frame(session, "encode", {"qkind": 2, "i": 1, "u": w_b})["answer"] == {
+        "kind": "null"}
+    assert frame(session, "encode", {"qkind": 2, "i": 1, "u": w_a})["answer"] == {
+        "kind": "top"}
+
+
+class _Counting(LoopbackChannel):
+    """Loopback that counts the frames sent and the q1s among them."""
+
+    def __init__(self, handler):
+        super().__init__(handler)
+        self.frames = self.q1s = 0
+
+    def send(self, frame):
+        self.frames += 1
+        self.q1s += frame["type"] == "encode" and frame["body"]["qkind"] == 1
+        super().send(frame)
+
+
+@pytest.mark.parametrize("graph, domains, mode, frames", [
+    (DEMO, DEMO_DOMAINS, "general", 400),
+    (diamond_graph(), DIAMOND_DOMAINS, "honest", 90),
+], ids=["general-demo", "honest-diamond"])
+def test_a_session_asks_one_q1_per_input_per_tested_input(graph, domains, mode,
+                                                          frames):
+    # developer seed 1, suite seed 7: the demo's 10 tested inputs ask one q1
+    # per external input each, 20 in all, and with a checker round on each
+    # answer the session moves 400 frames; the diamond's moves 90
+    dev = make_dev(graph, seed=1)
+    v = Verifier(dev.pp.to_dict(), graph, domains, [], seed=7, mode=mode,
+                 rng=random.Random(2))
+    chan = _Counting(dev.session().handle)
+    verdict, cert = v.run(chan)
+    assert verdict == "accept"
+    assert chan.q1s == len(dev.pp.structure.inputs) * len(cert["outputs"])
+    assert chan.frames == frames
+    if graph is DEMO:
+        assert chan.q1s == 20
 
 
 def test_a_checker_round_never_opens_an_intermediate_payload():
@@ -538,7 +642,7 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     assert dev.index_of["DL#1"] == 1 and dev.pp.structure.table(1)[0] is False
     m, h = dev.pp.m, dev.pp.m // 2
     u = tagged_word(Tagged(True, DEMO_INPUT["a"]), m)
-    a = frame(dev, "encode", {"qkind": 1, "i": 1, "port": 0, "u": bits_hex(u, m)})
+    a = frame(dev, "encode", {"qkind": 1, "input": "a", "u": bits_hex(u, m)})
     u_word = b64_cts(a["answer"]["w"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
     a = frame(dev, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
@@ -546,8 +650,8 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     payload = he.cut_word(dev.hpk, v_word, h)
     _, ct_sk = checker_key(random.Random(4), dev.hpk, h)
     y = checker_value(dev.pp, ct_sk, payload)
-    r = frame(dev, "checker", {"i": 1, "qkind": 2, "case": "external", "port": None,
-                               "p": cts_b64(payload), "y": cts_b64(y)})
+    r = frame(dev, "checker", {"case": "external", "p": cts_b64(payload),
+                               "y": cts_b64(y)})
     assert r == {"blocks": 1}
     rs = [bits_hex(choose_challenge(dev.code.q, random.Random(5)), 2 * dev.code.q)]
     assert "blocks" in frame(dev, "commit_challenge", {"Rs": rs})
@@ -576,14 +680,13 @@ def test_serve_survives_malformed_checker_ciphertext():
         return chan.recv()["body"]
 
     try:
-        a = ask("encode", {"qkind": 1, "i": t["index"], "port": 0, "u": bits_hex(1, m)})
         # right count and length, but no ciphertext under the developer's key
         y = bytes(9 + m * (he.LAM_BYTES - 9))
-        checker = {"i": t["index"], "qkind": 1, "port": 0, "y": cts_b64(y)}
-        assert a["answer"]["kind"] == "w"
-        assert ask("checker", checker) == {"result": "null"}
-        assert ask("checker", dict(checker, i=[1])) == {"result": "null"}
-        assert ask("checker", dict(checker, port=[0])) == {"result": "null"}
+        for stray in ({}, {"i": [1]}, {"port": [0]}):
+            a = ask("encode", {"qkind": 1, "input": t["ports"][0]["producers"][0][1],
+                               "u": bits_hex(1, m)})
+            assert a["answer"]["kind"] == "w"
+            assert ask("checker", dict(stray, y=cts_b64(y))) == {"result": "null"}
         for bad in (["encode", {}], {"type": ["encode"], "body": {}},
                     {"type": "encode", "body": "junk"}):
             chan.send(bad)
@@ -732,7 +835,7 @@ def _reply(body):
     ("encode", 1, _reply({"answer": 5})),
     ("encode", 1, _reply({"answer": {"kind": "w", "w": "A" * 16}})),
     ("encode", 2, _reply({"answer": {"kind": "payload", "payload": "12"}})),
-    ("checker", 1, _reply({"blocks": "4"})),
+    ("checker", None, _reply({"blocks": "4"})),
     ("commit_challenge", None, _reply({"blocks": 3})),
 ], ids=["reply-list", "body-list", "answer-int", "w-str", "payload-not-bits",
         "checker-blocks-str", "commit-blocks-int"])
@@ -776,13 +879,13 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
     assert dev.pp.structure.table(1)[0] is False  # T#1 feeds C, not an output
     session = dev.session()
     u = tagged_word(Tagged(True, 2), 6)
-    a = frame(session, "encode", {"qkind": 1, "i": 1, "port": 0, "u": bits_hex(u, 6)})
+    a = frame(session, "encode", {"qkind": 1, "input": "x", "u": bits_hex(u, 6)})
     u_word = b64_cts(a["answer"]["w"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
     a = frame(session, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
     assert a["answer"]["kind"] == "top"
     y = cts_b64(he.cut_word(dev.hpk, v_word, 0, 3))
-    r = frame(session, "checker", {"i": 1, "qkind": 2, "port": None, "y": y})
+    r = frame(session, "checker", {"y": y})
     assert r == {"result": "null"}
     rs = [bits_hex(choose_challenge(dev.code.q, random.Random(2)), 2 * dev.code.q)]
     assert frame(session, "commit_challenge", {"Rs": rs}) == {"result": "null"}
