@@ -5,9 +5,16 @@ A circuit is a flat gate list; each gate is (left, right, tt) where tt is a
 4-bit truth table indexed by (left_value << 1) | right_value. Wires 0..n-1
 are inputs, wire n+j is gate j's output. Words are lists of wires, least
 significant bit first.
+
+Every gate list, of a table, of the SE circuit or of the universal
+circuit, is built by a Builder, which folds constants, shares equal gates
+and reads through NOT gates, and whose finish keeps only the gates some
+output depends on. A program's length is set by the largest table's gate
+count, so each gate the Builder saves there shortens every program.
 """
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,7 +65,9 @@ class Circuit:
         depth = [0] * self.n_inputs
         for l, r, tt in self.gates:
             d = max(depth[l], depth[r])
-            depth.append(d + (0 if tt in (TT_XOR, TT_XNOR, TT_NOT, 0, 15) else 1))
+            # a gate multiplies iff its algebraic normal form has the term
+            # l*r: its operands differ and tt has an odd number of ones
+            depth.append(d + (l != r and tt.bit_count() % 2))
         if not self.outputs:
             return 0
         return max(depth[w] for w in self.outputs)
@@ -75,7 +84,17 @@ def simulate(c, bits):
 
 
 class Builder:
-    """Gate-list builder with constant folding and structural sharing."""
+    """Gate-list builder.
+
+    - Constant folding: a gate with a constant operand becomes a constant,
+      its other operand or that operand's NOT.
+    - Sharing: a gate with the operands and truth table of an earlier one,
+      in either operand order, is that gate.
+    - NOT read-through: a gate whose operand is a NOT gate reads the wire
+      that gate negates and flips that operand's index bit in its truth
+      table, so a NOT gate costs a slot only where an output reads it.
+    - Dead-gate removal: finish keeps only the gates some output depends on.
+    """
 
     def __init__(self, n_inputs):
         self.n_inputs = n_inputs
@@ -83,7 +102,7 @@ class Builder:
         self._cache = {}
         self._const = {}  # 0/1 -> wire
         self._value = {}  # wire -> known constant
-        self._not = {}  # wire -> its negation, for double-negation collapse
+        self._neg = {}  # NOT gate's wire -> the wire it negates
 
     def constant(self, v):
         v = int(bool(v))
@@ -103,6 +122,11 @@ class Builder:
         return w
 
     def gate(self, l, r, tt):
+        # read through NOT gates: flip the operand's index bit in tt
+        if l in self._neg:
+            l, tt = self._neg[l], (tt >> 2 & 0b0011) | (tt & 0b0011) << 2
+        if r in self._neg:
+            r, tt = self._neg[r], (tt >> 1 & 0b0101) | (tt & 0b0101) << 1
         va, vb = self._value.get(l), self._value.get(r)
         if va is not None and vb is not None:
             return self.constant((tt >> ((va << 1) | vb)) & 1)
@@ -128,11 +152,8 @@ class Builder:
             return self.constant(g0)
         if (g0, g1) == (0, 1):
             return w
-        if w in self._not:
-            return self._not[w]
         nw = self._raw(w, w, TT_NOT)
-        self._not[w] = nw
-        self._not[nw] = w
+        self._neg[nw] = w
         return nw
 
     # single-bit helpers
@@ -209,7 +230,23 @@ class Builder:
         return [self.mux(s, h, l) for h, l in zip(HI, LO)]
 
     def finish(self, outputs):
-        return Circuit(self.n_inputs, tuple(self.gates), tuple(outputs))
+        """The circuit of the gates some output depends on, renumbered in
+        order."""
+        n, gates, outputs = self.n_inputs, self.gates, tuple(outputs)
+        live = bytearray(n + len(gates))
+        for w in outputs:
+            live[w] = 1
+        for j in range(len(gates) - 1, -1, -1):
+            if live[n + j]:
+                l, r, _ = gates[j]
+                live[l] = live[r] = 1
+        remap = array("l", range(n + len(gates)))
+        kept = []
+        for j, (l, r, tt) in enumerate(gates):
+            if live[n + j]:
+                remap[n + j] = n + len(kept)
+                kept.append((remap[l], remap[r], tt))
+        return Circuit(n, tuple(kept), tuple(remap[w] for w in outputs))
 
 
 # --- compiling expressions and row tables ------------------------------------

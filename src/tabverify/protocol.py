@@ -89,7 +89,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 14  # bump whenever certificates for fixed seeds change
+CERT_VERSION = 14  # bump whenever a field, a frame or a replay rule changes
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 

@@ -9,7 +9,9 @@ from tabverify.channel import canonical_json
 from tabverify.circuit import Circuit, CircuitError
 from tabverify.tables import BOT, Tagged, int_to_bits, tagged_word
 
-LINEAR_TTS = (0b0110, 0b1001, 0b0001, 0b0000, 0b1111)
+# the truth tables with an even number of ones: no product term, so no
+# multiplication (XOR, XNOR, the constants and the single-operand projections)
+LINEAR_TTS = (0b0110, 0b1001, 0b0000, 0b1111, 0b0011, 0b0101, 0b1010, 0b1100)
 
 # a design of width 6: its 3-bit half word is too narrow for general mode
 NARROW_TEXT = """\
@@ -68,7 +70,7 @@ def random_circuit(rng, n_inputs, n_gates, n_outputs=1, max_mult_depth=None):
         r = rng.randrange(n_inputs + j)
         tt = rng.randrange(16)
         d = max(depth[l], depth[r])
-        if tt not in LINEAR_TTS:
+        if l != r and tt not in LINEAR_TTS:
             if max_mult_depth is not None and d + 1 > max_mult_depth:
                 tt = rng.choice(LINEAR_TTS)
             else:

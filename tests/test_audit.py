@@ -79,22 +79,23 @@ def same_json(a, b):
 
 
 # sha256 of each configuration's canonical certificate JSON. Certificates
-# for fixed seeds are byte-identical across changes that keep CERT_FORMAT;
-# a change that alters one must bump the format and re-record these.
-# Recorded at certificate version 14.
+# for fixed seeds are byte-identical across changes that keep CERT_FORMAT
+# and the developer's compiler; a change to the format must bump it, and
+# either change re-records these. Recorded at certificate version 14, with
+# the compiler that drops dead gates and reads through NOT gates.
 CERT_DIGESTS = {
-    "demo-honest": "ea072b76ef7162103cc8276783457345107c300b5584fb0b3bbd54009b29062d",
-    "demo-general": "00150fd9526f63ece71c170b045e38a7b9be5ccbc3fbc732989c0b511557d2ae",
-    "chain-honest": "14aa42e9608308dd219db835159c22e3e3506be3ea50e978db583f90dbed017a",
-    "chain-general": "562608776557ec307d6d434d35d5e9b71f5b8d3e0c2460020803f79592542d38",
-    "diamond-honest": "3624824b17ae1640d9b2f34e5c595269fcb14fb01dfec2fd563caca4774cf2eb",
-    "diamond-general": "8f96c649381c7c47db9367da0fd2a9a93a08fa1ac3a3fff7373f7cc429709612",
-    "flip-payload-honest": "7ed4f9b6b193c92646bea0b200b2a750ec5d0d1a7df4c057f754e77696495f71",
-    "flip-tag-honest": "de5ba29d62ecbec96c4e0c979585f4b6722ad0ca4b8db0073121f9ae1a503d7a",
-    "swap-answers-honest": "3eb0e9652df90101d8f76e0bacd155dfac176441870bed1abf406fa29ecfaa17",
-    "flip-payload-general": "6c0534912dd671da8c2f0790452e75d580afcc5c77786ff39950b395f7629216",
-    "flip-tag-general": "552cec780bdf114b179af6c23335ba0dc88a948f153886699dbd9f11a13a9de7",
-    "swap-answers-general": "21869f5f0a4c393f496b753f5df097059634d87c2e0cd44fa9c7fa8d723f5ddc",
+    "demo-honest": "729cc92fdcb43c3a6c505f746db60855a24e723c5bdd451bd5aa65c1557c5773",
+    "demo-general": "e00b77881c32cc94563fff7203d30ec8c876c67a5a7a624da12bebd3a317bc6f",
+    "chain-honest": "8daf49995ab8efd206d1ac44a9d876a8c694c908ebfe462313db5380650a798c",
+    "chain-general": "d34f37b47693cb2838ec3f257e04bffc87be74ce1ba5bd80566ca01b4efb86df",
+    "diamond-honest": "a46fd79b64e4a124557211c293440be52aa75000fb406d182350914934b297aa",
+    "diamond-general": "ffac1632fa91e602ffc41810470262d711643702a626af6a96aff99009622d11",
+    "flip-payload-honest": "8629cf2395715e88b3b8c0a793de62ef2a229be4cf176a4e0ee1ef04125141e2",
+    "flip-tag-honest": "e0266ef162b6cf5b23c228c585ad3b8ad7e0e5a80ed8327c7adc5240b4e68477",
+    "swap-answers-honest": "89c7cc004d9730b0146d0503545f6cdb41461ca946ec9d52751f4f1a0b7b44b7",
+    "flip-payload-general": "bc900a8ef5f304d7c4aaae718ea93c954bf96444d0911a5cb87b18a9d821cddb",
+    "flip-tag-general": "9436f57731ffad8296b97f3b0d28bf71421b7703215ce12daeaf54ad1b1328ce",
+    "swap-answers-general": "518045dd31fce7709d776e41f28d440ba2299ed583977cefad82ab75ada35d52",
 }
 # the sha256 of each design's outcomes, the canonical JSON of a
 # certificate's verdict, outputs, mismatches and cp_results, as version 13
@@ -118,9 +119,11 @@ V13_OUTCOMES = {
 # 502,296 and 535,064, at version 11 demo-general, with each checker
 # record's query, was 534,998, at version 12, with K, each q2's v and
 # each block's data, they were 398,182, 502,158 and 448,362, and at
-# version 13, with one q1 per table port, 364,471, 471,511 and 411,483
-CERT_BYTES = {"demo-honest": 344869, "diamond-honest": 467041,
-              "demo-general": 376393}
+# version 13, with one q1 per table port, 364,471, 471,511 and 411,483;
+# at version 14, before the compiler dropped dead gates and read through
+# NOT gates, they were 344,869, 467,041 and 376,393
+CERT_BYTES = {"demo-honest": 240421, "diamond-honest": 297312,
+              "demo-general": 271945}
 
 
 def config_cert(config):
@@ -460,10 +463,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 14
+    # version 14 with the compiler of CERT_DIGESTS
     for cert, want in (
-        (HONEST_CERT, "e2c50f033a2dc861795296d495746d784daf731508db78b85872951c78b4dccb"),
-        (GENERAL_CERT, "63138ae77ce8280618442f4757d29f1176016c9fe653abb3517b3e0756595c78"),
+        (HONEST_CERT, "676d5a146161e64faf214b26e3cdd2d5e6feb7cb117869b1cae386b400d302f5"),
+        (GENERAL_CERT, "beee0c065261563e1efa3848a35f2667ba800a59838d185d36cf3881ee363fb1"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

@@ -14,6 +14,9 @@ from helpers import (
 from tabverify import he
 from tabverify.circuit import (
     TT_AND,
+    TT_NOT,
+    TT_OR,
+    TT_XNOR,
     TT_XOR,
     Builder,
     Circuit,
@@ -25,7 +28,7 @@ from tabverify.circuit import (
     encode_program,
     simulate,
 )
-from tabverify.demo import demo_graph
+from tabverify.demo import chain_graph, demo_graph, diamond_graph
 from tabverify.expr import (
     Binary,
     Const,
@@ -264,6 +267,78 @@ def test_compiled_random_trees_match_the_interpreter(ports):
     assert seen == set(INT_OPS) | set(BOOL_OPS)
 
 
+def assert_compiled_structure(c):
+    """Every gate is read by a later gate or by an output, and no gate
+    reads a NOT gate's output: the Builder reads through NOT gates and
+    finish keeps only the gates some output depends on."""
+    n = c.n_inputs
+    read = set(c.outputs)
+    nots = set()
+    for j, (l, r, tt) in enumerate(c.gates):
+        assert l not in nots and r not in nots, f"gate {j} reads a NOT gate"
+        read.update((l, r))
+        if l == r and tt == TT_NOT:
+            nots.add(n + j)
+    assert read >= set(range(n, n + len(c.gates))), "a gate no output reads"
+
+
+@pytest.mark.parametrize("ports", [1, 2, 3])
+def test_compiled_random_trees_have_no_dead_gate_and_read_no_not_gate(ports):
+    rng, seen = random.Random(500 + ports), set()
+    for _ in range(250):
+        env = {f"x{k}": rng.choice(("int", "bool")) for k in range(ports)}
+        otype = rng.choice(("int", "bool"))
+        pred = Const(True)
+        if rng.random() < 0.7:
+            pred = random_expr(rng, env, "bool", 3, seen)
+        func = random_expr(rng, env, otype, 3, seen)
+        assert_compiled_structure(compile_table(
+            TTable("T#1", "T", 1, tuple(env.items()), ("y", otype), pred, func), 8))
+    assert seen == set(INT_OPS) | set(BOOL_OPS)
+
+
+def test_builder_reads_through_not_gates():
+    b = Builder(2)
+    na = b.not_(0)
+    assert b.gates == [(0, 0, TT_NOT)]
+    # x1 and not x0 is one gate over the inputs: the NOT folds into its tt
+    w = b.and_(1, na)
+    assert b.gates[-1] == (0, 1, 0b0010)
+    assert b.xor(na, 1) == b.gate(0, 1, TT_XNOR)
+    c = b.finish([w])
+    assert c.gates == ((0, 1, 0b0010),)
+    assert [simulate(c, (x, y)) for x in (0, 1) for y in (0, 1)] == [
+        (0,), (1,), (0,), (0,)]
+
+
+def test_finish_drops_dead_gates_and_renumbers():
+    b = Builder(2)
+    dead = b.and_(0, 1)
+    x = b.xor(0, 1)
+    y = b.or_(x, 0)
+    b.and_(dead, y)  # read by nothing
+    c = b.finish([y, x, 1])
+    assert c.gates == ((0, 1, TT_XOR), (0, 2, TT_OR))
+    assert c.outputs == (3, 2, 1)
+
+
+# each built-in design's universal-circuit budget and program length
+BUILT_IN_BUDGETS = {
+    "demo": ((16, 52, 16), 1048),
+    "diamond": ((32, 70, 16), 1372),
+    "chain": ((16, 35, 16), 656),
+}
+
+
+@pytest.mark.parametrize("design", list(BUILT_IN_BUDGETS))
+def test_built_in_budgets_are_pinned(design):
+    make = {"demo": demo_graph, "diamond": diamond_graph, "chain": chain_graph}
+    tg = transform(make[design]())
+    budget = budget_for([compile_table(t, tg.m) for t in tg.tables.values()])
+    assert (budget, UniversalCircuit(*budget).program_length) == (
+        BUILT_IN_BUDGETS[design])
+
+
 def test_compile_multi_output_rejected():
     # the design rule refuses a two-output table before any circuit is built
     from tabverify.graphtext import parse_graph
@@ -364,14 +439,16 @@ def test_slot_evaluator_matches_gate_list(case):
     assert he.dec_word(TR_KEYS.hsk, out) == simulate(u.circuit, bits)
 
 
-# sha256 of the UC's gate list per budget. Nonces and certificates name a
-# UC by UniversalCircuit.name, the construction tag and the budget, not by
-# this list; so a change to the construction must change UC_CONSTRUCTION,
-# bump the certificate format and re-record these.
+# sha256 of the UC's gate list, as the Builder makes it, per budget: the
+# smallest and the built-in demo's and diamond's. Nonces and certificates
+# name a UC by UniversalCircuit.name, the construction tag and the budget,
+# not by this list, and he runs a program by the slot semantics of
+# uc_layout and he._Program. A change to those renames UC_CONSTRUCTION and
+# bumps the certificate format; a change to the Builder re-records these.
 UC_GATE_DIGESTS = {
-    (1, 1, 1): "67ecdf1719bc80bc7d690b8564bf44b7be4525b01a18e70fe3da1915963ce731",
-    (16, 84, 16): "df56451ac37f9b4bf7f479de7a8c9354748106689d4ac06080eed03bd7d00c68",
-    (32, 109, 16): "76936c07f8246eb88563891462a9d2b346aae4b14e627612b342802f7ad944c4",
+    (1, 1, 1): "bb64a4621b4c6b12b87f7e86aaa1fa5a654b65cef56b25ed1774019318e0f95a",
+    (16, 52, 16): "6c3438e6e659e57a053dc3ff4d11a6f9b0960267876aae1f46095d6d69ef9da6",
+    (32, 70, 16): "edfff49f8366e1f86556fbf51c14eb295ae423ba6fc6dcf7393ffef731669772",
 }
 
 
@@ -379,8 +456,8 @@ UC_GATE_DIGESTS = {
 def test_uc_gate_list_is_pinned_to_its_construction(budget):
     u = UniversalCircuit(*budget)
     assert u.circuit.gates_digest() == UC_GATE_DIGESTS[budget], (
-        "the UC gate list changed: change UC_CONSTRUCTION and bump the "
-        "certificate format")
+        "the UC gate list changed: if the slot semantics changed, change "
+        "UC_CONSTRUCTION and bump the certificate format")
     assert u.name == f"{UC_CONSTRUCTION}:{budget[0]},{budget[1]},{budget[2]}"
     assert u.circuit.n_inputs == u.n_inputs
 
@@ -420,3 +497,9 @@ def test_mult_depth():
     assert c.mult_depth == 0
     c = Circuit(2, ((0, 1, TT_AND), (2, 0, TT_AND)), (3,))
     assert c.mult_depth == 2
+    # a gate multiplies iff its operands differ and its truth table has an
+    # odd number of ones: 0b0001 is NOR on two wires and NOT on one
+    assert Circuit(2, ((0, 1, 0b0001),), (2,)).mult_depth == 1
+    assert Circuit(2, ((0, 0, 0b0001),), (2,)).mult_depth == 0
+    assert Circuit(2, ((0, 1, 0b0011),), (2,)).mult_depth == 0
+    assert Circuit(2, ((0, 0, TT_AND),), (2,)).mult_depth == 0
