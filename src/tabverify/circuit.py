@@ -16,7 +16,7 @@ count, so each gate the Builder saves there shortens every program.
 import hashlib
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .expr import Binary, Const, IfThenElse, Ref, Unary
 
@@ -174,16 +174,10 @@ class Builder:
         return self.xor(lo, self.and_(s, self.xor(lo, hi)))
 
     def and_all(self, wires):
-        acc = self.constant(1)
-        for w in wires:
-            acc = self.and_(acc, w)
-        return acc
+        return reduce(self.and_, wires)
 
     def or_all(self, wires):
-        acc = self.constant(0)
-        for w in wires:
-            acc = self.or_(acc, w)
-        return acc
+        return reduce(self.or_, wires)
 
     # word helpers, LSB-first wire lists
     def add_words(self, A, B, carry_in=None):

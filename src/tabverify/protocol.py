@@ -5,26 +5,31 @@ encoded as a program string for a shared universal circuit and the program
 bits are encrypted. The verifier drives evaluation: for each tested input it
 asks the developer to encode each external input once (q1), homomorphically
 runs the universal circuit on each table, and asks the developer to decode
-every output (q2). A q2 names only the table's input word: the developer
-runs the same table step on it and opens the word it computed itself, never
-one the verifier sent. In general mode a checker round pins down each
-encode answer right after it: the verifier homomorphically computes the
-symmetric encryption of the answer slice under a fresh key of its own, the
-developer commits to the decryption before it is sent the key's
-ciphertext, and the revealed value must decrypt to exactly that answer. A
-round's frame carries only y; each party slices the answer's word by
-checker_slice, which opens no intermediate payload (a value between tables).
+every output (q2). A q1 carries only its input's h-bit payload x: the
+developer forms the top word 1 | x << h itself. A q2 names only the
+table's input word: the developer runs the same table step on it and opens
+the word it computed itself, never one the verifier sent. In general mode a
+checker round pins down each encode answer right after it: the verifier
+homomorphically computes the symmetric encryption of the answer slice
+under a fresh key of its own, the developer commits to the decryption
+before it is sent the key's ciphertext, and the revealed value must
+decrypt to exactly that answer. A round's frame carries only y, and its
+reply nothing, since the verifier counts the blocks itself; each party
+slices the answer's word by checker_slice, which opens no intermediate
+payload (a value between tables).
 
 The published structure is one value, Structure, which names a feed as its
-JSON does, by a ref: an external input's name or a table's index. Per
-table, whether it is external and the refs that feed each port; then the
-external inputs and the output groups. It alone writes and reads its JSON,
-and refuses any JSON its to_dict would not have written or that the
-verifier could not walk. A q1 names its input and a q2 its table, and both
-parties keep the words answered by ref. The developer checks every query
-against the structure it published, the same value the verifier walks;
-both parties compute the values a query carries (the table step, the checker
-slice and the checker value) with the one function each below.
+JSON does, by a ref: an external input's name (a JSON string) or a table's
+index (a JSON int). Per table, whether it is external and the refs that
+feed each port; then the external inputs and the output groups. It alone
+writes and reads its JSON, and refuses any JSON its to_dict would not have
+written or that the verifier could not walk. Program i is the i-th
+published program, as table i is the i-th table. A q1 names its input and
+a q2 its table, and both parties keep the words answered by ref. The
+developer checks every query against the structure it published, the same
+value the verifier walks; both parties compute the values a query carries
+(the table step, the checker slice and the checker value) with the one
+function each below.
 
 A ciphertext word (he's one bytes value: the backend tag and key id once,
 then one payload per ciphertext) is one base64 string on the wire and in
@@ -36,7 +41,7 @@ are cut and joined by ciphertext index with he.cut_word and he.join_words,
 never by byte arithmetic here.
 
 Above he, an n-bit string is an int whose bit i is bit i of the string,
-and n comes from the caller: a q1's u, a q2 answer's payload, a checker
+and n comes from the caller: a q1's x, a q2 answer's payload, a checker
 round's d, every commitment field and challenge, the two session seeds
 and the developer's plaintext memory. On the wire and in the certificate
 it is exactly ceil(n / 4) lowercase hex digits, the most significant
@@ -75,6 +80,7 @@ from .commitment import (
     CommitMessage,
     RevealMessage,
 )
+from .expr import wrap_signed
 from .graphtext import serialize_graph
 from .symcrypto import SECircuit, block_width_ok, se_dec, se_key_bits, se_keygen
 from .tables import (
@@ -89,7 +95,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 14  # bump whenever a field, a frame or a replay rule changes
+CERT_VERSION = 15  # bump whenever a field, a frame or a replay rule changes
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
@@ -165,9 +171,7 @@ def b64_cts(text, hpk, n=None):
 
 def payload_to_value(value, h, ptype):
     """The value of an h-bit payload: bit 0 for a bool, two's complement for an int."""
-    if ptype == "bool":
-        return bool(value & 1)
-    return value - (value >> (h - 1) << h)
+    return bool(value & 1) if ptype == "bool" else wrap_signed(value, h)
 
 
 # --- the values both parties compute from a query -------------------------------
@@ -224,7 +228,11 @@ class Structure:
     tables[i - 1] = (external, feeds): whether it feeds an output, and per
     port the tuple of refs that produce it, an external input's (name,) or
     the earlier tables' indices. inputs are (name, type) pairs; outputs are
-    groups (name, type, table indices), in name order."""
+    groups (name, type, table indices), in name order.
+
+    The JSON is these tuples as lists: a table is {"external": bool,
+    "ports": [[ref, ...], ...]}, with no index of its own, and a ref is a
+    name or an index, which its JSON type tells apart."""
 
     tables: tuple
     inputs: tuple
@@ -242,12 +250,8 @@ class Structure:
 
     def to_dict(self):
         return {
-            "tables": [
-                {"index": i,
-                 "ports": [{"producers": [["input" if isinstance(r, str) else "table", r]
-                                          for r in f]} for f in feeds],
-                 "external": external}
-                for i, (external, feeds) in enumerate(self.tables, 1)],
+            "tables": [{"external": external, "ports": [list(f) for f in feeds]}
+                       for external, feeds in self.tables],
             "external_inputs": [list(x) for x in self.inputs],
             "outputs": [{"name": name, "type": ptype, "tables": list(group)}
                         for name, ptype, group in self.outputs],
@@ -259,10 +263,8 @@ class Structure:
         it back exactly, and the verifier can walk it: see _check."""
         try:
             s = cls(
-                tables=tuple(
-                    (t["external"], tuple(tuple(r for _, r in port["producers"])
-                                          for port in t["ports"]))
-                    for t in d["tables"]),
+                tables=tuple((t["external"], tuple(map(tuple, t["ports"])))
+                             for t in d["tables"]),
                 inputs=tuple((name, ptype) for name, ptype in d["external_inputs"]),
                 outputs=tuple((g["name"], g["type"], tuple(g["tables"]))
                               for g in d["outputs"]))
@@ -315,20 +317,22 @@ def _distinct(indices, allowed):
 @dataclass
 class PublicParams:
     """Only the developer's own choices: key sizes and the checker's code are
-    constants of the certificate version, so a developer cannot weaken them."""
+    constants of the certificate version, so a developer cannot weaken them.
+    programs holds one word per published table, program i at i - 1; the
+    JSON lists them as base64 strings."""
 
     hpk: object
     u_params: tuple  # (n_data, g, m)
     structure: Structure
-    programs: dict  # table index -> its program's ciphertext word
+    programs: tuple  # program i's ciphertext word is programs[i - 1]
     # table index -> he.prepare of its program, filled by program()
     _prepared: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    # table index -> the published base64 string of its program, which
-    # from_dict has checked to be its canonical spelling; to_dict hands it
-    # back instead of encoding every program again
-    _programs_b64: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
+    # the published base64 strings of the programs, which from_dict has
+    # checked to be their canonical spelling; to_dict hands them back
+    # instead of encoding every program again
+    _programs_b64: tuple = field(default=(), init=False, repr=False,
+                                 compare=False)
 
     FIELDS = ("hpk", "u_params", "structure", "programs")
 
@@ -345,17 +349,15 @@ class PublicParams:
         prepared = self._prepared.get(i)
         if prepared is None:
             prepared = self._prepared[i] = he.prepare(
-                self.hpk, UniversalCircuit(*self.u_params), self.programs[i])
+                self.hpk, UniversalCircuit(*self.u_params), self.programs[i - 1])
         return prepared
 
     def to_dict(self):
-        programs = self._programs_b64 or {
-            i: cts_b64(p) for i, p in self.programs.items()}
         return {
             "hpk": he.hpk_to_dict(self.hpk),
             "u_params": list(self.u_params),
             "structure": self.structure.to_dict(),
-            "programs": {str(i): p for i, p in programs.items()},
+            "programs": list(self._programs_b64 or map(cts_b64, self.programs)),
         }
 
     @classmethod
@@ -375,14 +377,12 @@ class PublicParams:
             raise ProtocolError("u_params must be three positive integers")
         structure = Structure.from_dict(d["structure"])
         plen = UniversalCircuit(*u_params).program_length
-        # keyed "1".."n", as to_dict writes them, one per published table
-        keys = {str(i): i for i in range(1, len(structure.tables) + 1)}
-        if not isinstance(d["programs"], dict) or set(d["programs"]) != set(keys):
-            raise ProtocolError("programs must map each published table's index, "
-                                'written "1".."n", to its word')
+        if not (isinstance(d["programs"], list)
+                and len(d["programs"]) == len(structure.tables)):
+            raise ProtocolError("programs must list one word per published table")
         try:
             hpk = he.hpk_from_dict(d["hpk"])
-            programs = {keys[k]: b64_cts(p, hpk, plen) for k, p in d["programs"].items()}
+            programs = tuple(b64_cts(p, hpk, plen) for p in d["programs"])
         except ProtocolError as exc:
             raise ProtocolError(f"a program is not a word of {plen} ciphertexts: "
                                 f"{exc}") from None
@@ -390,7 +390,7 @@ class PublicParams:
             raise ProtocolError(f"public parameters do not parse: {exc!r}") from None
         pp = cls(hpk=hpk, u_params=tuple(u_params), structure=structure,
                  programs=programs)
-        pp._programs_b64 = {keys[k]: p for k, p in d["programs"].items()}
+        pp._programs_b64 = tuple(d["programs"])
         return pp
 
 
@@ -471,10 +471,8 @@ class Developer:
         self.programs_plain = {
             i: encode_program(c, self.u) for i, c in circuits.items()
         }
-        programs_enc = {
-            i: he.enc_word(self.hpk, p, self.rng)
-            for i, p in self.programs_plain.items()
-        }
+        programs_enc = tuple(
+            he.enc_word(self.hpk, p, self.rng) for p in self.programs_plain.values())
         self.pp = PublicParams(
             hpk=self.hpk,
             u_params=(n_data, g, m),
@@ -528,10 +526,8 @@ class Developer:
         if not (isinstance(name, str) and name in dict(self.pp.structure.inputs)):
             return {"answer": {"kind": NULL}}
         try:
-            u = hex_bits(body.get("u"), m)
+            u = 1 | hex_bits(body.get("x"), h) << h  # the top value of payload x
         except ProtocolError:
-            return {"answer": {"kind": NULL}}
-        if u & ((1 << h) - 1) != 1:  # the tag half of a top value
             return {"answer": {"kind": NULL}}
         encoded = u ^ 1 << h if self.strategy == "flip-payload" else u
         w = he.enc_word(self.hpk, int_to_bits(encoded, m), self.rng)
@@ -630,7 +626,7 @@ class Developer:
             "blocks": split_blocks(d, width, self.code.m_c),
             "seeds": None,
         }
-        return {"blocks": len(self.mem.pending["blocks"])}
+        return {}
 
     def _commit(self, body):
         pending = self.mem.pending
@@ -679,11 +675,6 @@ class Developer:
         "commit_challenge": _commit,
         "checker_proof": _proof,
     }
-
-
-def _int(value):
-    """value if it is an int (a bool is not), else None."""
-    return value if type(value) is int else None
 
 
 def serve(dev, chan):
@@ -929,8 +920,8 @@ class Verifier:
 
         for name, ptype in self.pp.structure.inputs:
             value = bool(X[name]) if ptype == "bool" else X[name]  # as the spec reads it
-            u = bits_hex(tagged_word(Tagged(True, value), m), m)
-            ans, w = self._encode_query(chan, {"qkind": 1, "input": name, "u": u})
+            x = bits_hex(tagged_word(Tagged(True, value), m) >> h, h)
+            ans, w = self._encode_query(chan, {"qkind": 1, "input": name, "x": x})
             if ans["kind"] != "w":
                 self.failures.append({"reason": "q1-null", "input": name})
             feeds[name] = Tagged(True, w) if ans["kind"] == "w" else None
@@ -979,14 +970,15 @@ class Verifier:
 
     def _expected_checker(self, q, answer, h):
         """(whole, expected): checker_slice's whole for this answer, and the
-        plaintext of its slice: a q1's u, an external table's tagged word (0
-        for bot), an intermediate table's tag."""
+        plaintext of its slice: a q1's top value of x, an external table's
+        tagged word (0 for bot), an intermediate table's tag."""
         whole = self.pp.structure.covers_whole(q.get("input", q.get("i")))
-        if q["qkind"] == 1:
-            return whole, hex_bits(q["u"], 2 * h)
         if answer["kind"] == BOT:
             return whole, 0
-        return whole, 1 | hex_bits(answer["payload"], h) << h if whole else 1
+        if not whole:
+            return whole, 1
+        payload = q["x"] if q["qkind"] == 1 else answer["payload"]
+        return whole, 1 | hex_bits(payload, h) << h
 
     def _checker_round(self, chan, q, answer, word):
         """Pin the answer to q, just given, down; whether the revealed value
@@ -1018,10 +1010,8 @@ class Verifier:
         revealed d and its blocks once every block opens, else (None,
         None)."""
         y = checker_value(self.pp, ct_sk, p)
-        r = self._ask(chan, "checker", {"y": cts_b64(y)})
+        self._ask(chan, "checker", {"y": cts_b64(y)})  # a refused round fails below
         n = len(rs)
-        if _int(r.get("blocks")) != n:
-            return None, None
         c = self._ask(chan, "commit_challenge",
                       {"Rs": [bits_hex(R, 2 * self.code.q) for R in rs]})
         commits = c.get("blocks")

@@ -189,7 +189,7 @@ def metadata_views(result):
             "structure": pp["structure"],
             "u_params": pp["u_params"],
             "backend": pp["hpk"]["kind"],
-            "program_lengths": sorted(len(v) for v in pp["programs"].values()),
+            "program_lengths": sorted(map(len, pp["programs"])),
             "verdict": cert["verdict"],
             "outputs": cert["outputs"],
             "answer_kinds": [r["a"].get("kind") for r in cert["qa_e"]],

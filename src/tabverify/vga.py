@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .channel import canonical_json
 from .tables import transform
 
 ROW_SEARCH_TRIES = 400
@@ -20,7 +21,7 @@ ROW_SEARCH_TRIES = 400
 
 def input_key(X):
     """Canonical dict key for an external input assignment."""
-    return json.dumps({k: X[k] for k in sorted(X)}, sort_keys=True)
+    return canonical_json(X)
 
 
 def _sample_input(domains, rng):

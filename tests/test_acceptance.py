@@ -150,7 +150,7 @@ def test_c3_every_ciphertext_decrypts_to_plaintext_trace():
             q, a = rec["q"], rec["a"]
             if q["qkind"] == 1:
                 u = tagged_to_bits(Tagged(True, X[q["input"]]), m)
-                assert int_to_bits(hex_bits(q["u"], m), m) == u
+                assert int_to_bits(1 | hex_bits(q["x"], m // 2) << m // 2, m) == u
                 assert he.dec_word(dev.hsk, b64_cts(a["w"], dev.hpk)) == u
             else:
                 name = dev.tg.order[q["i"] - 1]  # indices are level-order positions
@@ -269,9 +269,10 @@ def test_c8_oracles_byte_identical_to_services():
     keys = random.Random(key_seed)
     orc.learn_key_seed(key_seed)
     m = graph.m
-    structure = dev.pp.to_dict()["structure"]
-    src = [t for t in structure["tables"]
-           if all(p["producers"][0][0] == "input" for p in t["ports"])]
+    # (i, the external input each port reads) of each table that reads only inputs
+    src = [(i, [f[0] for f in feeds])
+           for i, (_, feeds) in enumerate(dev.pp.structure.tables, 1)
+           if all(isinstance(f[0], str) for f in feeds)]
     queries = 0
     sequences = 0
     reveals = 0  # checker rounds that end in a reveal
@@ -284,50 +285,39 @@ def test_c8_oracles_byte_identical_to_services():
         queries += 1
         return r1["body"]
 
-    def input_of(t, pos):  # the external input that port pos of t reads
-        return t["ports"][pos]["producers"][0][1]
-
-    def do_q1(rng, pair, t):
-        pos = rng.randrange(len(t["ports"]))
+    def q1(rng, pair, name):
         payload = tuple(rng.getrandbits(1) for _ in range(m // 2))
-        u = (1,) + (0,) * (m // 2 - 1) + payload
-        return pos, u, ask("encode", {"qkind": 1, "input": input_of(t, pos),
-                                      "u": bits_hex(bits_uint(u), m)}, pair)
+        return ask("encode", {"qkind": 1, "input": name,
+                              "x": bits_hex(bits_uint(payload), m // 2)}, pair)
 
     for s in range(1000):
         rng = random.Random(8000 + s)
         pair = (dev.session(), orc.session())
         for _ in range(rng.randint(1, 3)):
             op = rng.random()
-            t = rng.choice(src)
+            i, names = rng.choice(src)
             if op < 0.35:
-                do_q1(rng, pair, t)
+                q1(rng, pair, names[rng.randrange(len(names))])
             elif op < 0.8:
-                words = []
-                for pos in range(len(t["ports"])):
-                    payload = tuple(rng.getrandbits(1) for _ in range(m // 2))
-                    u = (1,) + (0,) * (m // 2 - 1) + payload
-                    a = ask("encode", {"qkind": 1, "input": input_of(t, pos),
-                                       "u": bits_hex(bits_uint(u), m)}, pair)
-                    words.append(b64_cts(a["answer"]["w"], dev.hpk))
+                words = [b64_cts(q1(rng, pair, name)["answer"]["w"], dev.hpk)
+                         for name in names]
                 u_word = he.join_words(dev.hpk, words)
-                ask("encode", {"qkind": 2, "i": t["index"], "u": cts_b64(u_word)},
-                    pair)
+                ask("encode", {"qkind": 2, "i": i, "u": cts_b64(u_word)}, pair)
             elif op < 0.95:
-                pos, u, a = do_q1(rng, pair, t)
+                a = q1(rng, pair, names[rng.randrange(len(names))])
                 p = b64_cts(a["answer"]["w"], dev.hpk)
                 _, ct_sk = checker_key(keys, dev.hpk, m)
                 y = checker_value(dev.pp, ct_sk, p)
                 r = ask("checker", {"y": cts_b64(y)}, pair)
-                if "blocks" in r:
+                if "result" not in r:  # a refused round answers null
                     rs = [choose_challenge(dev.code.q, rng)
-                          for _ in range(r["blocks"])]
+                          for _ in range(-(-m // dev.code.m_c))]
                     ask("commit_challenge",
                         {"Rs": [bits_hex(R, 2 * dev.code.q) for R in rs]}, pair)
                     proof = ask("checker_proof", {"ct_sk": cts_b64(ct_sk)}, pair)
                     reveals += "d" in proof
             else:
-                ask("encode", {"qkind": 1, "input": 999, "u": "01"}, pair)
+                ask("encode", {"qkind": 1, "input": 999, "x": "01"}, pair)
         sequences += 1
     print(f"criterion 8: {sequences} sequences / {queries} queries byte-identical, "
           f"{reveals} checker reveals")

@@ -81,21 +81,21 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT
 # and the developer's compiler; a change to the format must bump it, and
-# either change re-records these. Recorded at certificate version 14, with
+# either change re-records these. Recorded at certificate version 15, with
 # the compiler that drops dead gates and reads through NOT gates.
 CERT_DIGESTS = {
-    "demo-honest": "729cc92fdcb43c3a6c505f746db60855a24e723c5bdd451bd5aa65c1557c5773",
-    "demo-general": "e00b77881c32cc94563fff7203d30ec8c876c67a5a7a624da12bebd3a317bc6f",
-    "chain-honest": "8daf49995ab8efd206d1ac44a9d876a8c694c908ebfe462313db5380650a798c",
-    "chain-general": "d34f37b47693cb2838ec3f257e04bffc87be74ce1ba5bd80566ca01b4efb86df",
-    "diamond-honest": "a46fd79b64e4a124557211c293440be52aa75000fb406d182350914934b297aa",
-    "diamond-general": "ffac1632fa91e602ffc41810470262d711643702a626af6a96aff99009622d11",
-    "flip-payload-honest": "8629cf2395715e88b3b8c0a793de62ef2a229be4cf176a4e0ee1ef04125141e2",
-    "flip-tag-honest": "e0266ef162b6cf5b23c228c585ad3b8ad7e0e5a80ed8327c7adc5240b4e68477",
-    "swap-answers-honest": "89c7cc004d9730b0146d0503545f6cdb41461ca946ec9d52751f4f1a0b7b44b7",
-    "flip-payload-general": "bc900a8ef5f304d7c4aaae718ea93c954bf96444d0911a5cb87b18a9d821cddb",
-    "flip-tag-general": "9436f57731ffad8296b97f3b0d28bf71421b7703215ce12daeaf54ad1b1328ce",
-    "swap-answers-general": "518045dd31fce7709d776e41f28d440ba2299ed583977cefad82ab75ada35d52",
+    "demo-honest": "c7e46185a3a4e095de560f04a3f61abebecb101d14f811771169283ad4365f61",
+    "demo-general": "5257a164f2ba92ec52a400b704d4aa899c7fd54629b544284614102f205060b6",
+    "chain-honest": "c834f1507056db4444417fcf2672413c17b0eaba05e4480759fb60cabb370cdd",
+    "chain-general": "bc9678c18cc6ba7714f8efadf85367bc2283ef41466534ef30a4f37e1d16cdb7",
+    "diamond-honest": "b2c91fcf61c3f3cf3f31a2335f1f732f03a65fd9664579f276c1510f31f908f0",
+    "diamond-general": "969bd6bf35c4b3da6e035e77f6987b95e4c0583cb116bc0ce36808617604e346",
+    "flip-payload-honest": "540bf438ee2285846ca7c4dc7a55ca20df53d4d113166aa8f8dfe58f7bd300ec",
+    "flip-tag-honest": "5b9a8aad2be65a8795af88ca776a2c9b016fe9a58f3fc1661472dac2ac7abc0c",
+    "swap-answers-honest": "63b457474c6d3ce9e2291565606f5623315064426266b9d03e5cf734f7b31a96",
+    "flip-payload-general": "30e68946adff27a916c9d1a2bb65da719c4df0696dae1e075362efcdad369826",
+    "flip-tag-general": "82538b141e8af459fcbc687101e38c8f6f54ca4e8539f75d175f32971c375597",
+    "swap-answers-general": "045667dacba250cccb1188ced3d1dfb2d0378cf926d80d9800ef10101ffb6411",
 }
 # the sha256 of each design's outcomes, the canonical JSON of a
 # certificate's verdict, outputs, mismatches and cp_results, as version 13
@@ -112,6 +112,25 @@ V13_OUTCOMES = {
     "flip-tag": "3b766be196cd65d2f3d34eab4a82445e27fec155d1934b2197897320642b4f22",
     "swap-answers": "46b8454dbc51052d56cf740213a9256ddd379ea53d7621b3e643ed032aadb84a",
 }
+# the same for version 14, with failures too, over all twelve
+# configurations: version 15 spells the structure, the programs, a q1 and
+# a checker reply anew, and keys outputs by the canonical JSON of each
+# tested input where version 14 wrote it with spaces, so the outputs are
+# compared by parsed key
+V14_OUTCOMES = {
+    "demo-honest": "77849f94f05b8e4fdd09181d8c991858bb3388a9e7a425c0e5b0ec7313212797",
+    "demo-general": "77849f94f05b8e4fdd09181d8c991858bb3388a9e7a425c0e5b0ec7313212797",
+    "chain-honest": "61438882f4ae96b9dc5c726c9dd8234f9405870222ba388fed143f980581db5a",
+    "chain-general": "61438882f4ae96b9dc5c726c9dd8234f9405870222ba388fed143f980581db5a",
+    "diamond-honest": "41984fa4e640fc874390021e3143bf76ce00ba750bc95d3822b4911c29ad7696",
+    "diamond-general": "41984fa4e640fc874390021e3143bf76ce00ba750bc95d3822b4911c29ad7696",
+    "flip-payload-honest": "758001e4d9853bab5243b2585cf7fea9d4eb72904b80dc333b1a1f28d15598c4",
+    "flip-tag-honest": "2decc21439d3e281228644ef91c81fbe8a6c93193f2823143486c7d43458a560",
+    "swap-answers-honest": "8048e8fbcc76eedc75bc4c93c1fb1d5e099bea0c8af2691b6031de7896bd1d7e",
+    "flip-payload-general": "09ab6de9d3fd62f1f66c8289d05dc1ddde91bb13a0ca3ac8cb42b20038c79155",
+    "flip-tag-general": "19cfa5ad6a42dd5bd63d6e094b53de7b8b71ccb2df5ecf3f9c64269069229074",
+    "swap-answers-general": "4dfdcb576d216c2bee854284cb65fb1e913b85bc494a5411af528dfbe80b8709",
+}
 # the length of three of them, so that a change of size shows by itself; at
 # version 8, with 24-byte nonces, a recorded key and recorded challenges,
 # they were 578,463, 733,575 and 782,992 bytes, at version 9 one byte
@@ -121,9 +140,11 @@ V13_OUTCOMES = {
 # each block's data, they were 398,182, 502,158 and 448,362, and at
 # version 13, with one q1 per table port, 364,471, 471,511 and 411,483;
 # at version 14, before the compiler dropped dead gates and read through
-# NOT gates, they were 344,869, 467,041 and 376,393
-CERT_BYTES = {"demo-honest": 240421, "diamond-honest": 297312,
-              "demo-general": 271945}
+# NOT gates, they were 344,869, 467,041 and 376,393, and after it, with
+# tagged refs, table indices and programs keyed by index, 240,421,
+# 297,312 and 271,945
+CERT_BYTES = {"demo-honest": 239980, "diamond-honest": 296850,
+              "demo-general": 271504}
 
 
 def config_cert(config):
@@ -162,12 +183,30 @@ def test_session_certificate_is_json_native(config):
                           for k in sorted(cert)) + "}" == text.decode("utf-8")
 
 
+def outcomes_digest(cert, fields, spell):
+    """The sha256 of the canonical JSON of cert's fields, with the outputs
+    keyed by each tested input as spell writes it."""
+    outcomes = {k: cert[k] for k in fields}
+    outcomes["outputs"] = {spell(json.loads(k)): v for k, v in cert["outputs"].items()}
+    return hashlib.sha256(canonical_json(outcomes).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("config", list(CERT_DIGESTS))
 def test_version_14_kept_the_outcomes_of_version_13(config):
-    cert = config_cert(config)
-    outcomes = {k: cert[k] for k in ("verdict", "outputs", "mismatches", "cp_results")}
-    digest = hashlib.sha256(canonical_json(outcomes).encode("utf-8")).hexdigest()
+    # versions 13 and 14 keyed the outputs by json.dumps of each tested input
+    digest = outcomes_digest(config_cert(config),
+                             ("verdict", "outputs", "mismatches", "cp_results"),
+                             lambda X: json.dumps(X, sort_keys=True))
     assert digest == V13_OUTCOMES[config.rsplit("-", 1)[0]]
+
+
+@pytest.mark.parametrize("config", list(CERT_DIGESTS))
+def test_version_15_kept_the_outcomes_of_version_14(config):
+    cert = config_cert(config)
+    assert all(k == canonical_json(json.loads(k)) for k in cert["outputs"])
+    digest = outcomes_digest(cert, ("verdict", "outputs", "failures", "mismatches",
+                                    "cp_results"), canonical_json)
+    assert digest == V14_OUTCOMES[config]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -184,7 +223,7 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v14"}
+           "format": "tabverify-cert-v15"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
@@ -198,7 +237,7 @@ def test_version_8_certificate_is_refused_by_name(tmp_path):
     assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v14",
+    path.write_text(path.read_text().replace("tabverify-cert-v15",
                                              "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
                                          "'tabverify-cert-v8'"):
@@ -463,10 +502,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 14 with the compiler of CERT_DIGESTS
+    # version 15 with the compiler of CERT_DIGESTS
     for cert, want in (
-        (HONEST_CERT, "676d5a146161e64faf214b26e3cdd2d5e6feb7cb117869b1cae386b400d302f5"),
-        (GENERAL_CERT, "beee0c065261563e1efa3848a35f2667ba800a59838d185d36cf3881ee363fb1"),
+        (HONEST_CERT, "ad480beb903e1af4209b73030c93717866f9a06918c0d2dd5f55789138195718"),
+        (GENERAL_CERT, "0a253b90e16ecd2d9e261a97472057a8bf247a9d226ea0dc2911ec8359d39c50"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

@@ -192,7 +192,7 @@ def test_serve_closes_connections_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(cli, "serve_loop", serve_loop)
     dev = Developer(parse_graph(DEMO_GRAPH_TEXT), rng=random.Random(0))
-    q1 = make_frame("encode", {"qkind": 1, "input": "a", "u": bits_hex(1, 16)})
+    q1 = make_frame("encode", {"qkind": 1, "input": "a", "x": bits_hex(0, 8)})
     accepted = queue.Queue()
     server = threading.Thread(target=cli.serve_connections,
                               args=(dev, accepted.get, 2), daemon=True)
@@ -422,19 +422,18 @@ def demo_pp():
     return Developer(parse_graph(DEMO_GRAPH_TEXT), rng=random.Random(0)).pp.to_dict()
 
 
-# a fault that appends a producer to the first port of one table: the
-# table's position in the list, and the producer; tables 1-4 read a, 5-6
-# read b, and 7-8 read tables 1-4
-PORT_GAINS = {"port-input-then-table": (4, ["table", 1]),
-              "port-two-inputs": (0, ["input", "b"]),
-              "port-table-then-input": (6, ["input", "a"]),
-              "port-table-twice": (6, ["table", 1])}
+# a fault that appends a ref to the first port of one table: the table's
+# position in the list, and the ref; tables 1-4 read a, 5-6 read b, and
+# 7-8 read tables 1-4
+PORT_GAINS = {"port-input-then-table": (4, 1),
+              "port-two-inputs": (0, "b"),
+              "port-table-then-input": (6, "a"),
+              "port-table-twice": (6, 1)}
 
 
 def edited_pp(pp, fault):
     """pp with one field added, or of the wrong type or shape."""
     pp = json.loads(json.dumps(pp))
-    first = next(iter(pp["programs"]))
     if fault == "legacy-field":  # a field that format v2 published
         pp["code_params"] = {"m_c": 4, "eps": [1, 4], "K": 16, "seed": 0}
     elif fault == "key-id-short":
@@ -453,19 +452,21 @@ def edited_pp(pp, fault):
         pp["u_params"][2] = 1
         plen = UniversalCircuit(*pp["u_params"]).program_length
         program = he.enc_word(he.hpk_from_dict(pp["hpk"]), (0,) * plen)
-        pp["programs"] = {i: cts_b64(program) for i in pp["programs"]}
-    elif fault == "programs-list":
-        pp["programs"] = list(pp["programs"].values())
+        pp["programs"] = [cts_b64(program)] * len(pp["programs"])
+    elif fault == "programs-short":  # no program for table 8
+        pp["programs"].pop()
+    elif fault == "programs-long":  # a program for a table 9
+        pp["programs"].append(pp["programs"][0])
     elif fault == "program-short":  # one payload fewer than u_params say
-        word = base64.b64decode(pp["programs"][first])
-        pp["programs"][first] = base64.b64encode(word[:-17]).decode("ascii")
+        word = base64.b64decode(pp["programs"][0])
+        pp["programs"][0] = base64.b64encode(word[:-17]).decode("ascii")
     elif fault in ("program-tag", "program-key-id"):  # another key pair's word
-        word = bytearray(base64.b64decode(pp["programs"][first]))
+        word = bytearray(base64.b64decode(pp["programs"][0]))
         if fault == "program-tag":
             word[0] = 2  # the tag byte of no backend
         else:
             word[8] ^= 1
-        pp["programs"][first] = base64.b64encode(word).decode("ascii")
+        pp["programs"][0] = base64.b64encode(word).decode("ascii")
     elif fault == "structure-empty":
         pp["structure"] = {}
     elif fault == "table-no-ports":  # the table step would cycle no inputs
@@ -474,41 +475,37 @@ def edited_pp(pp, fault):
         old = pp["structure"]["external_inputs"][0][0]
         pp["structure"]["external_inputs"][0][0] = "zz"
         for t in pp["structure"]["tables"]:
-            for port in t["ports"]:
-                port["producers"] = [["input", "zz"] if p == ["input", old] else p
-                                     for p in port["producers"]]
-    elif fault == "input-unpublished":  # only the producer is renamed
+            t["ports"] = [["zz" if r == old else r for r in port] for port in t["ports"]]
+    elif fault == "input-unpublished":  # only the ref is renamed
         port = pp["structure"]["tables"][0]["ports"][0]
-        assert port["producers"][0][0] == "input"
-        port["producers"][0][1] = "zz"
+        assert port == ["a"]
+        port[0] = "zz"
     elif fault == "output-type-str":  # was read as an int
         pp["structure"]["outputs"][0]["type"] = "str"
     elif fault == "output-tables-int":
         pp["structure"]["outputs"][0]["tables"] = 3
     elif fault == "output-name-list":
         pp["structure"]["outputs"][0]["name"] = ["z"]
-    elif fault == "index-str":
-        pp["structure"]["tables"][0]["index"] = "1"
-    elif fault == "index-missing":
-        del pp["structure"]["tables"][0]["index"]
+    elif fault.startswith("index-"):  # a table keeps format v14's index
+        index = {"index-str": "1", "index-missing": None, "index-skips": 2}[fault]
+        pp["structure"]["tables"][0]["index"] = index
     elif fault == "external-missing":
         del pp["structure"]["tables"][0]["external"]
-    elif fault == "index-skips":  # table 8 renumbered 9; its program stays 8
-        pp["structure"]["tables"][7]["index"] = 9
-    elif fault == "program-key-skips":
-        pp["programs"]["9"] = pp["programs"].pop("8")
-    elif fault == "program-key-spelled":  # int() reads it as 1
-        pp["programs"]["0_1"] = pp["programs"].pop("1")
+    elif fault.startswith("program-key-"):  # format v14's map by table index
+        pp["programs"] = {str(i): p for i, p in enumerate(pp["programs"], 1)}
+        if fault == "program-key-skips":
+            pp["programs"]["9"] = pp["programs"].pop("8")
+        else:  # int() reads it as 1
+            pp["programs"]["0_1"] = pp["programs"].pop("1")
     elif fault == "key-id-upper":  # bytes.fromhex() reads it as the key id
         pp["hpk"]["key_id"] = pp["hpk"]["key_id"].upper()
     elif fault.startswith("producer-"):  # table 7 reads tables 1-4
-        producer = pp["structure"]["tables"][6]["ports"][0]["producers"][0]
-        assert producer == ["table", 1]
-        kind, ref = {"producer-kind-tabel": ("tabel", 1),
-                     "producer-same-table": ("table", 7),
-                     "producer-later-table": ("table", 8),
-                     "producer-missing-table": ("table", 9)}[fault]
-        producer[:] = [kind, ref]
+        port = pp["structure"]["tables"][6]["ports"][0]
+        assert port == [1, 2, 3, 4]
+        port[0] = {"producer-kind-tabel": ["tabel", 1],  # format v14's kind tag
+                   "producer-same-table": 7,
+                   "producer-later-table": 8,
+                   "producer-missing-table": 9}[fault]
     elif fault.startswith("output-") and fault.endswith("-table"):
         group = pp["structure"]["outputs"][0]  # c, from tables 5 and 6
         assert group["tables"] == [5, 6]
@@ -522,16 +519,16 @@ def edited_pp(pp, fault):
     elif fault == "external-unlisted":  # table 1 feeds no output group
         pp["structure"]["tables"][0]["external"] = True
     elif fault in PORT_GAINS:
-        position, producer = PORT_GAINS[fault]
-        pp["structure"]["tables"][position]["ports"][0]["producers"].append(producer)
+        position, ref = PORT_GAINS[fault]
+        pp["structure"]["tables"][position]["ports"][0].append(ref)
     else:
         assert fault == "port-no-producers"
-        pp["structure"]["tables"][0]["ports"][0]["producers"] = []
+        pp["structure"]["tables"][0]["ports"][0] = []
     return json.dumps(pp)
 
 
 PP_FAULTS = ["legacy-field", "key-id-short", "kind-unknown", "u-params-two",
-             "u-params-zero", "u-params-edited", "programs-list",
+             "u-params-zero", "u-params-edited", "programs-short", "programs-long",
              "program-short", "program-tag", "program-key-id", "structure-empty",
              "table-no-ports", "port-no-producers", "input-renamed", "input-unpublished",
              "output-type-str", "output-tables-int", "output-name-list",

@@ -73,15 +73,24 @@ def test_public_params_round_trip():
 
 
 @pytest.mark.parametrize("edit", ["program-key-0_1", "program-key-+1",
-                                  "program-key- 1", "key-id-upper", "key-id-spaced"])
+                                  "program-key- 1", "programs-short", "programs-long",
+                                  "key-id-upper", "key-id-spaced"])
 def test_public_params_refuse_a_spelling_to_dict_would_not_write(edit):
     # the certificate records the verifier's to_dict of the parameters, so
     # one that int() or bytes.fromhex() reads back from another spelling
-    # would certify a file other than the published one; each is refused
+    # would certify a file other than the published one; each is refused.
+    # The programs are a list, one per table: a map keyed by index, as
+    # format v14 wrote it under any spelling of the key, is refused, and so
+    # is a list one program short or one long
     d = json.loads(canonical_json(make_dev().pp.to_dict()))
     key_id = d["hpk"]["key_id"]
     if edit.startswith("program-key-"):
+        d["programs"] = {str(i): p for i, p in enumerate(d["programs"], 1)}
         d["programs"][edit[len("program-key-"):]] = d["programs"].pop("1")
+    elif edit == "programs-short":
+        d["programs"].pop()
+    elif edit == "programs-long":
+        d["programs"].append(d["programs"][0])
     elif edit == "key-id-upper":
         d["hpk"]["key_id"] = key_id.upper()
     else:
@@ -99,9 +108,9 @@ def test_published_programs_are_handed_back_not_encoded_again(monkeypatch):
     monkeypatch.setattr(protocol, "cts_b64", None)  # any call would fail
     out = pp.to_dict()
     assert out == d
-    assert all(out["programs"][i] is d["programs"][i] for i in d["programs"])
-    out["programs"]["1"] = "changed"
-    assert pp.to_dict() == d
+    assert all(a is b for a, b in zip(out["programs"], d["programs"], strict=True))
+    out["programs"][0] = "changed"  # a copy: neither pp nor d changes
+    assert pp.to_dict() == d and d["programs"][0] != "changed"
 
 
 def test_structure_hides_design_details():
@@ -119,7 +128,7 @@ def test_structure_shape():
     s = dev.pp.to_dict()["structure"]
     tg = transform(DEMO)
     assert len(s["tables"]) == len(tg.order)
-    assert {t["index"] for t in s["tables"]} == set(range(1, len(tg.order) + 1))
+    assert all(set(t) == {"external", "ports"} for t in s["tables"])
     assert sorted(n for n, _ in tg.external_inputs) == sorted(
         n for n, _ in s["external_inputs"]
     )
@@ -137,14 +146,14 @@ def test_structure_reads_back_what_it_writes(design):
     assert Structure.from_dict(dev.pp.to_dict()["structure"]) == dev.pp.structure
 
 
-SWEEP_VALUES = [None, 0, -1, 1, 99, "zz", True, [], {}, [1], ["input", "a"],
+SWEEP_VALUES = [None, 0, -1, 1, 1.0, 99, "zz", True, [], {}, [1], ["input", "a"],
                 ["table", 1]]
 
 
 def structure_edits(s):
     """Every one-place edit of the published structure s: each leaf set to
-    each of SWEEP_VALUES, each key deleted, and one producer of each kind
-    appended to each port."""
+    each of SWEEP_VALUES, each key deleted, and a ref of each kind, a name
+    and an index, appended to each port."""
 
     def nodes(node, path=()):
         yield path, node
@@ -168,9 +177,8 @@ def structure_edits(s):
             for key in node:
                 yield edited(path + (key,), lambda parent, k: parent.__delitem__(k))
         elif path[-2:-1] == ("ports",):
-            for producer in (["input", "a"], ["table", 1]):
-                yield edited(path + ("producers",),
-                             lambda parent, k: parent[k].append(producer))
+            for ref in ("a", 1):
+                yield edited(path, lambda parent, k: parent[k].append(ref))
 
 
 @pytest.mark.parametrize("graph", [DEMO, diamond_graph()], ids=["demo", "diamond"])
@@ -191,12 +199,53 @@ def test_structure_sweep_refuses_or_reads_back_each_edit(graph):
         now = dict(json_leaves(s))
         for path in set(was) | set(now):
             if canonical_json(was.get(path)) != canonical_json(now.get(path)):
-                # only an output's name, or the earlier table a producer
-                # names, can change and leave a structure the developer
-                # could have published
+                # only an output's name, or the earlier table a ref names,
+                # can change and leave a structure the developer could
+                # have published
                 assert path[-1] == "name" or (
-                    path[-1] == 1 and was.get(path[:-1] + (0,)) == "table"), path
-    assert edits > 700 and read_back
+                    path[-3:-2] == ("ports",) and type(now.get(path)) is int), path
+    assert edits > 450 and read_back
+
+
+# one-place edits of the demo's structure that its JSON types spell but
+# the verifier could not walk: a ref is a name (a str) or an earlier
+# table's index (an int, and not a bool or a float), and a port is a
+# non-empty list of one name or of distinct indices. Table 1 reads a, and
+# table 7's first port reads tables 1-4
+REF_EDITS = {
+    "ref-true": (6, [True, 2, 3, 4]),
+    "ref-float": (6, [1.0, 2, 3, 4]),
+    "port-name-and-index": (6, ["a", 2, 3, 4]),
+    "port-empty": (0, []),
+    "port-str": (0, "a"),
+    "ref-table-0": (6, [0, 2, 3, 4]),
+    "ref-later-table": (6, [8, 2, 3, 4]),
+}
+
+
+@pytest.mark.parametrize("edit", list(REF_EDITS))
+def test_structure_refuses_a_ref_it_cannot_walk(edit):
+    d = make_dev().pp.to_dict()["structure"]
+    assert d["tables"][0]["ports"] == [["a"]]
+    assert d["tables"][6]["ports"][0] == [1, 2, 3, 4]
+    position, port = REF_EDITS[edit]
+    s = json.loads(json.dumps(d))
+    s["tables"][position]["ports"][0] = port
+    with pytest.raises(ProtocolError):
+        Structure.from_dict(s)
+    assert Structure.from_dict(d).to_dict() == d
+
+
+@pytest.mark.parametrize("h", [2, 4, 8])
+def test_a_payload_reads_as_two_s_complement_by_wrap_signed(h):
+    # payload_to_value reads an int payload by expr.wrap_signed, the one
+    # definition of two's complement: every h-bit payload agrees with the
+    # arithmetic it once repeated, and tagged_word writes it back
+    for value in range(1 << h):
+        got = protocol.payload_to_value(value, h, "int")
+        assert got == wrap_signed(value, h) == value - (value >> (h - 1) << h)
+        assert tagged_word(Tagged(True, got), 2 * h) == 1 | value << h
+        assert protocol.payload_to_value(value, h, "bool") is bool(value & 1)
 
 
 def test_honest_session_accepts_demo():
@@ -273,33 +322,25 @@ def frame(dev, ftype, body):
 
 
 def test_q1_rejects_malformed_queries():
-    # a q1 names a published input by its name; any other value, an
-    # unhashable one too, gets a null answer
+    # a q1 names a published input by its name and carries its h-bit
+    # payload x; any other name, an unhashable one too, or another spelling
+    # of x gets a null answer. The developer forms the top word itself, so
+    # no q1 spells a tag
     dev = make_dev()
-    m = dev.pp.m
-    good = bits_hex(1, m)  # tag 1, payload 0
-    assert frame(dev, "encode", {"qkind": 1, "input": "zz", "u": good})[
-        "answer"
-    ]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 1, "input": ["a"], "u": good})[
-        "answer"
-    ]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 1, "input": "a", "u": "01"})[
-        "answer"
-    ]["kind"] == "null"
-    bad_tag = "0" * (m // 4)
-    assert frame(dev, "encode", {"qkind": 1, "input": "a", "u": bad_tag})[
-        "answer"
-    ]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 1, "input": {}, "u": good})[
-        "answer"
-    ]["kind"] == "null"
+    h = dev.pp.m // 2
+    good = bits_hex(0, h)
+    for body in ({"input": "zz", "x": good}, {"input": ["a"], "x": good},
+                 {"input": "a", "x": "1"}, {"input": "a", "x": bits_hex(1, 2 * h)},
+                 {"input": "a", "x": bits_hex(10, h).upper()}, {"input": "a", "x": 0},
+                 {"input": "a", "u": bits_hex(1, 2 * h)}, {"input": {}, "x": good}):
+        assert frame(dev, "encode", dict(body, qkind=1))["answer"]["kind"] == "null"
     assert frame(dev, "encode", {"qkind": 2, "i": [1], "u": []})[
         "answer"
     ]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 1, "input": "a", "u": good})[
+    assert frame(dev, "encode", {"qkind": 1, "input": "a", "x": good})[
         "answer"
     ]["kind"] == "w"
+    assert dev.mem.words["a"][1] == 1  # the top value of payload 0
 
 
 @pytest.mark.parametrize("bad", [
@@ -336,8 +377,9 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None, extra=None):
     the answers, with the fields of extra added to it."""
     words = []
     for (name,), u in zip(dev.pp.structure.table(i)[1], X_bits_by_port):
+        h = len(u) // 2
         a = frame(dev, "encode", {"qkind": 1, "input": name,
-                                  "u": bits_hex(bits_uint(u), len(u))})
+                                  "x": bits_hex(bits_uint(u) >> h, h)})
         assert a["answer"]["kind"] == "w"
         words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
@@ -348,29 +390,35 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None, extra=None):
 
 
 def first_input_table(dev):
-    for t in sorted(dev.pp.to_dict()["structure"]["tables"], key=lambda t: t["index"]):
-        if all(p["producers"][0][0] == "input" for p in t["ports"]):
-            return t
+    """(i, names): the first table whose ports all read external inputs,
+    and the input each of its ports reads."""
+    for i, (_, feeds) in enumerate(dev.pp.structure.tables, 1):
+        if all(isinstance(f[0], str) for f in feeds):
+            return i, [f[0] for f in feeds]
     raise AssertionError("no source table")
+
+
+def block_count(dev, width):
+    """The commitment blocks of a checker round on a slice of width bits."""
+    return -(-width // dev.code.m_c)
 
 
 def test_q2_honest_and_tampered():
     dev = make_dev()
-    t = first_input_table(dev)
+    i, names = first_input_table(dev)
     m = dev.pp.m
-    names = [p["producers"][0][1] for p in t["ports"]]
     bits = [tagged_to_bits(Tagged(True, DEMO_INPUT[n]), m) for n in names]
-    a = q1_then_q2(dev.session(), t["index"], bits)
+    a = q1_then_q2(dev.session(), i, bits)
     assert a["kind"] in ("top", "bot", "payload")
     # inputs not previously recorded for those ports
     if len(bits) > 1:
-        assert q1_then_q2(dev.session(), t["index"], bits,
+        assert q1_then_q2(dev.session(), i, bits,
                           corrupt="u")["kind"] == "null"
     # q2 without any prior q1
     dev = dev.session()
     fake = he.join_words(dev.hpk, [he.enc_word(dev.hpk, bits[0], random.Random(9))]
                          * len(bits))
-    a = frame(dev, "encode", {"qkind": 2, "i": t["index"], "u": cts_b64(fake)})["answer"]
+    a = frame(dev, "encode", {"qkind": 2, "i": i, "u": cts_b64(fake)})["answer"]
     assert a["kind"] == "null"
 
 
@@ -380,15 +428,14 @@ def test_a_q2_names_only_its_input():
     # the one a q2 without it gets, whether v is a fresh encryption of a
     # plaintext the verifier picked or ciphertexts cut from a program
     dev = make_dev()
-    t = first_input_table(dev)
+    i, names = first_input_table(dev)
     m = dev.pp.m
-    names = [p["producers"][0][1] for p in t["ports"]]
     bits = [tagged_to_bits(Tagged(True, DEMO_INPUT[n]), m) for n in names]
-    want = q1_then_q2(dev.session(), t["index"], bits)
+    want = q1_then_q2(dev.session(), i, bits)
     assert want["kind"] != "null"
     chosen = he.enc_word(dev.hpk, tagged_to_bits(Tagged(True, 5), m), random.Random(6))
-    for v in (chosen, he.cut_word(dev.hpk, dev.pp.programs[t["index"]], 0, m)):
-        got = q1_then_q2(dev.session(), t["index"], bits, extra={"v": cts_b64(v)})
+    for v in (chosen, he.cut_word(dev.hpk, dev.pp.programs[i - 1], 0, m)):
+        got = q1_then_q2(dev.session(), i, bits, extra={"v": cts_b64(v)})
         assert got == want
 
 
@@ -417,20 +464,14 @@ def test_every_opened_word_is_the_table_step_of_its_query():
 def test_memory_wiped_between_sessions():
     dev = make_dev()
     s1, s2 = dev.session(), dev.session()
-    t = first_input_table(dev)
-    m = dev.pp.m
-    names = [p["producers"][0][1] for p in t["ports"]]
+    i, names = first_input_table(dev)
+    h = dev.pp.m // 2
     words = []
     for n in names:
-        u = tagged_word(Tagged(True, DEMO_INPUT[n]), m)
-        a = frame(
-            s1,
-            "encode",
-            {"qkind": 1, "input": n, "u": bits_hex(u, m)},
-        )
+        a = frame(s1, "encode", {"qkind": 1, "input": n, "x": bits_hex(DEMO_INPUT[n], h)})
         words.append(b64_cts(a["answer"]["w"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
-    body = {"qkind": 2, "i": t["index"], "u": cts_b64(u_word)}
+    body = {"qkind": 2, "i": i, "u": cts_b64(u_word)}
     assert frame(s2, "encode", body)["answer"]["kind"] == "null"
     assert frame(s1, "encode", body)["answer"]["kind"] != "null"
     assert s1.mem.words and not s2.mem.words and not dev.mem.words
@@ -438,16 +479,14 @@ def test_memory_wiped_between_sessions():
 
 def test_checker_requires_commit_before_proof():
     dev = make_dev()
-    t = first_input_table(dev)
+    _, names = first_input_table(dev)
     m = dev.pp.m
-    names = [p["producers"][0][1] for p in t["ports"]]
-    u = tagged_word(Tagged(True, DEMO_INPUT[names[0]]), m)
-    a = frame(dev, "encode", {"qkind": 1, "input": names[0], "u": bits_hex(u, m)})
+    x = bits_hex(DEMO_INPUT[names[0]], m // 2)
+    a = frame(dev, "encode", {"qkind": 1, "input": names[0], "x": x})
     p = b64_cts(a["answer"]["w"], dev.hpk)
     _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
     y = checker_value(dev.pp, ct_sk, p)
-    r = frame(dev, "checker", {"y": cts_b64(y)})
-    assert "blocks" in r
+    assert frame(dev, "checker", {"y": cts_b64(y)}) == {}
     # proof before the commitment exchange must fail
     assert frame(dev, "checker_proof", {"ct_sk": cts_b64(ct_sk)})["result"] == "null"
 
@@ -458,18 +497,18 @@ def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):
     # developer answers null. Any other error there is the developer's
     # own, and is not taken for a hostile verifier's
     dev = make_dev()
-    t = first_input_table(dev)
+    _, names = first_input_table(dev)
     m, q = dev.pp.m, dev.code.q
 
     def open_round(session):
-        a = frame(session, "encode", {"qkind": 1,
-                                      "input": t["ports"][0]["producers"][0][1],
-                                      "u": bits_hex(1, m)})
+        a = frame(session, "encode", {"qkind": 1, "input": names[0],
+                                      "x": bits_hex(0, m // 2)})
         p = b64_cts(a["answer"]["w"], dev.hpk)
         _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
         y = checker_value(dev.pp, ct_sk, p)
-        r = frame(session, "checker", {"y": cts_b64(y)})
-        return [choose_challenge(q, random.Random(k)) for k in range(r["blocks"])]
+        assert frame(session, "checker", {"y": cts_b64(y)}) == {}
+        return [choose_challenge(q, random.Random(k))
+                for k in range(block_count(dev, m))]
 
     session = dev.session()
     rs = open_round(session)
@@ -496,20 +535,20 @@ def test_checker_proof_with_a_key_word_of_another_size_is_null():
     # round's key size opens to the answer. A round pins the answer just
     # given, so each is run on an answer of its own
     dev = make_dev()
-    t = first_input_table(dev)
+    _, names = first_input_table(dev)
     m = dev.pp.m
     u = tagged_word(Tagged(True, 3), m)
     keys = random.Random(4)
     for n in (16, 4 * m - 1, 4 * m + 1, 4 * m):
-        a = frame(dev, "encode", {"qkind": 1, "input": t["ports"][0]["producers"][0][1],
-                                  "u": bits_hex(u, m)})
+        a = frame(dev, "encode", {"qkind": 1, "input": names[0],
+                                  "x": bits_hex(3, m // 2)})
         p = b64_cts(a["answer"]["w"], dev.hpk)
         sk, ct_sk = checker_key(keys, dev.hpk, m)
         assert he.check_word(dev.hpk, ct_sk) == 4 * m
         y = checker_value(dev.pp, ct_sk, p)
-        r = frame(dev, "checker", {"y": cts_b64(y)})
+        assert frame(dev, "checker", {"y": cts_b64(y)}) == {}
         rs = [bits_hex(choose_challenge(dev.code.q, keys), 2 * dev.code.q)
-              for _ in range(r["blocks"])]
+              for _ in range(block_count(dev, m))]
         assert "blocks" in frame(dev, "commit_challenge", {"Rs": rs})
         sent = he.cut_word(dev.hpk, he.join_words(dev.hpk, (ct_sk, ct_sk)), 0, n)
         proof = frame(dev, "checker_proof", {"ct_sk": cts_b64(sent)})
@@ -533,9 +572,9 @@ def test_checker_rejects_unknown_slice():
 
 def answer_a(session, value=3):
     """The q1 answer of session to the demo's input a set to value."""
-    m = session.pp.m
-    u = bits_hex(tagged_word(Tagged(True, value), m), m)
-    return frame(session, "encode", {"qkind": 1, "input": "a", "u": u})["answer"]
+    h = session.pp.m // 2
+    x = bits_hex(value, h)
+    return frame(session, "encode", {"qkind": 1, "input": "a", "x": x})["answer"]
 
 
 def run_round(session, w, body=None, seed=4):
@@ -547,7 +586,7 @@ def run_round(session, w, body=None, seed=4):
     y = checker_value(session.pp, ct_sk, b64_cts(w, session.hpk))
     r = frame(session, "checker", dict(body or {}, y=cts_b64(y)))
     rs = [bits_hex(choose_challenge(session.code.q, keys), 2 * session.code.q)
-          for _ in range(r.get("blocks", 0))]
+          for _ in range(block_count(session, session.pp.m))]
     c = frame(session, "commit_challenge", {"Rs": rs})
     return r, c, frame(session, "checker_proof", {"ct_sk": cts_b64(ct_sk)})
 
@@ -559,12 +598,12 @@ def test_an_answer_gets_one_checker_round():
     session = dev.session()
     w = answer_a(session)["w"]
     r, _, proof = run_round(session, w)
-    assert "blocks" in r and "d" in proof
+    assert r == {} and "d" in proof
     assert frame(session, "checker", {"y": proof["d"]}) == {"result": "null"}
     _, _, again = run_round(session, w)
     assert again == {"result": "null"}
     assert answer_a(session)["kind"] == "w"
-    bad = frame(session, "encode", {"qkind": 1, "input": "a", "u": "01"})
+    bad = frame(session, "encode", {"qkind": 1, "input": "a", "x": "1"})
     assert bad["answer"] == {"kind": "null"}
     assert run_round(session, w)[0] == {"result": "null"}
 
@@ -587,10 +626,9 @@ def test_a_q2_reads_each_port_from_its_own_input():
     dev = make_dev(seed=1)
     assert dev.pp.structure.table(1)[1] == (("a",),)
     session = dev.session()
-    m = dev.pp.m
     w_a = answer_a(session, 46)["w"]
-    u_b = bits_hex(tagged_word(Tagged(True, True), m), m)
-    w_b = frame(session, "encode", {"qkind": 1, "input": "b", "u": u_b})["answer"]["w"]
+    x_b = bits_hex(True, dev.pp.m // 2)
+    w_b = frame(session, "encode", {"qkind": 1, "input": "b", "x": x_b})["answer"]["w"]
     assert frame(session, "encode", {"qkind": 2, "i": 1, "u": w_b})["answer"] == {
         "kind": "null"}
     assert frame(session, "encode", {"qkind": 2, "i": 1, "u": w_a})["answer"] == {
@@ -640,9 +678,8 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     # the y of another slice does not recompute
     dev = make_dev(seed=1)
     assert dev.index_of["DL#1"] == 1 and dev.pp.structure.table(1)[0] is False
-    m, h = dev.pp.m, dev.pp.m // 2
-    u = tagged_word(Tagged(True, DEMO_INPUT["a"]), m)
-    a = frame(dev, "encode", {"qkind": 1, "input": "a", "u": bits_hex(u, m)})
+    h = dev.pp.m // 2
+    a = frame(dev, "encode", {"qkind": 1, "input": "a", "x": bits_hex(DEMO_INPUT["a"], h)})
     u_word = b64_cts(a["answer"]["w"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
     a = frame(dev, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
@@ -652,7 +689,7 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     y = checker_value(dev.pp, ct_sk, payload)
     r = frame(dev, "checker", {"case": "external", "p": cts_b64(payload),
                                "y": cts_b64(y)})
-    assert r == {"blocks": 1}
+    assert r == {}
     rs = [bits_hex(choose_challenge(dev.code.q, random.Random(5)), 2 * dev.code.q)]
     assert "blocks" in frame(dev, "commit_challenge", {"Rs": rs})
     proof = frame(dev, "checker_proof", {"ct_sk": cts_b64(ct_sk)})
@@ -667,7 +704,7 @@ def test_serve_survives_malformed_checker_ciphertext():
     from tabverify.protocol import serve
 
     dev = make_dev()
-    t = first_input_table(dev)
+    _, names = first_input_table(dev)
     m = dev.pp.m
     s_dev, s_ver = socket.socketpair()
     s_ver.settimeout(10)
@@ -683,8 +720,7 @@ def test_serve_survives_malformed_checker_ciphertext():
         # right count and length, but no ciphertext under the developer's key
         y = bytes(9 + m * (he.LAM_BYTES - 9))
         for stray in ({}, {"i": [1]}, {"port": [0]}):
-            a = ask("encode", {"qkind": 1, "input": t["ports"][0]["producers"][0][1],
-                               "u": bits_hex(1, m)})
+            a = ask("encode", {"qkind": 1, "input": names[0], "x": bits_hex(0, m // 2)})
             assert a["answer"]["kind"] == "w"
             assert ask("checker", dict(stray, y=cts_b64(y))) == {"result": "null"}
         for bad in (["encode", {}], {"type": ["encode"], "body": {}},
@@ -737,8 +773,8 @@ def test_vs_encrypt_returns_consistent_pair():
     pp = dev.pp
     assert pp.m == DEMO.m
     assert pp.u_params[2] == DEMO.m
-    assert set(pp.programs) == set(range(1, len(dev.tg.order) + 1))
-    for word in pp.programs.values():
+    assert len(pp.programs) == len(dev.tg.order)
+    for word in pp.programs:
         assert he.check_word(dev.hpk, word) == dev.u.program_length
 
 
@@ -835,10 +871,9 @@ def _reply(body):
     ("encode", 1, _reply({"answer": 5})),
     ("encode", 1, _reply({"answer": {"kind": "w", "w": "A" * 16}})),
     ("encode", 2, _reply({"answer": {"kind": "payload", "payload": "12"}})),
-    ("checker", None, _reply({"blocks": "4"})),
     ("commit_challenge", None, _reply({"blocks": 3})),
 ], ids=["reply-list", "body-list", "answer-int", "w-str", "payload-not-bits",
-        "checker-blocks-str", "commit-blocks-int"])
+        "commit-blocks-int"])
 def test_malformed_developer_reply_is_a_reject(ftype, qkind, bad):
     from tabverify import audit
 
@@ -878,8 +913,7 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
     dev = make_dev(parse_graph(NARROW_PAIR_TEXT))
     assert dev.pp.structure.table(1)[0] is False  # T#1 feeds C, not an output
     session = dev.session()
-    u = tagged_word(Tagged(True, 2), 6)
-    a = frame(session, "encode", {"qkind": 1, "input": "x", "u": bits_hex(u, 6)})
+    a = frame(session, "encode", {"qkind": 1, "input": "x", "x": bits_hex(2, 3)})
     u_word = b64_cts(a["answer"]["w"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
     a = frame(session, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
@@ -1063,15 +1097,15 @@ def test_table_step_is_byte_identical_to_the_gate_list_evaluation():
     dev = make_dev(diamond_graph(), seed=5)
     rng = random.Random(6)
     assert len(dev.pp.programs) == 8
-    for t in dev.pp.to_dict()["structure"]["tables"]:
-        i, width = t["index"], len(t["ports"]) * dev.pp.m
+    for i, (_, feeds) in enumerate(dev.pp.structure.tables, 1):
+        width = len(feeds) * dev.pp.m
         data = [he.enc_word(dev.hpk, [rng.randrange(2) for _ in range(width)], rng)
                 for _ in range(50)]
         # ciphertext k of the bus is input ciphertext k mod width
         cycled = [he.join_words(dev.hpk, [he.cut_word(dev.hpk, w, k % width, k % width + 1)
                                           for k in range(dev.u.n_data)]) for w in data]
         want = gate_list_step(dev.hpk, dev.hsk, dev.u,
-                              [he.join_words(dev.hpk, (dev.pp.programs[i], c))
+                              [he.join_words(dev.hpk, (dev.pp.programs[i - 1], c))
                                for c in cycled])
         assert [table_step(dev.pp, i, w) for w in data] == want
 
@@ -1111,10 +1145,10 @@ def test_concurrent_table_steps_share_one_memo():
     dev = make_dev(diamond_graph(), seed=5)
     rng = random.Random(7)
     steps = []
-    for t in dev.pp.to_dict()["structure"]["tables"]:
-        width = len(t["ports"]) * dev.pp.m
+    for i, (_, feeds) in enumerate(dev.pp.structure.tables, 1):
+        width = len(feeds) * dev.pp.m
         u_word = he.enc_word(dev.hpk, [rng.randrange(2) for _ in range(width)], rng)
-        steps.append((t["index"], u_word))
+        steps.append((i, u_word))
     want = [table_step(dev.pp, i, u_word) for i, u_word in steps]
     shared = PublicParams.from_dict(dev.pp.to_dict())
     got = [None] * 4

@@ -6,7 +6,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tabverify"
-LAYOUT_KEYS = {"tables", "ports", "producers", "external_inputs", "external", "index"}
+LAYOUT_KEYS = {"tables", "ports", "external_inputs", "external"}
 
 
 def layout_subscripts(tree):

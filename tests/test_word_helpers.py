@@ -346,7 +346,7 @@ def test_one_character_change_to_a_long_program_word(demo_cert):
     # canonical, as another backend's tag, as a wrong length, or decodes to
     # another word; the audit of a certificate carrying such a change, bound
     # again, is 0 in each way
-    text = demo_cert["public_params"]["programs"]["1"]
+    text = demo_cert["public_params"]["programs"][0]
     hpk = he.hpk_from_dict(demo_cert["public_params"]["hpk"])
     plen = he.check_word(hpk, b64_cts(text, hpk))
     assert plen > 1000 and text.endswith("=")
@@ -369,7 +369,7 @@ def test_one_character_change_to_a_long_program_word(demo_cert):
             if way not in audited:  # one audit per way and place
                 audited.add(way)
                 cert = copy.deepcopy(demo_cert)
-                cert["public_params"]["programs"]["1"] = changed
+                cert["public_params"]["programs"][0] = changed
                 cert["binding"] = session_binding(cert)
                 ok, report = audit(cert)
                 assert ok == 0 and report["reason"] != "session binding mismatch"
@@ -412,7 +412,7 @@ def test_prepared_programs_match_the_reference_decode(design):
     dev = Developer(graph, rng=random.Random(13))
     rng = random.Random(14)
     assert len(dev.pp.programs) == 8
-    for i, program in dev.pp.programs.items():
+    for program in dev.pp.programs:
         prepared = he.prepare(dev.hpk, dev.u, program)
         for _ in range(50):
             data = he.enc_word(dev.hpk, random_bits(rng, dev.u.n_data), rng)
