@@ -6,17 +6,19 @@ bits are encrypted. The verifier drives evaluation: for each tested input it
 asks the developer to encode each external input once (q1), homomorphically
 runs the universal circuit on each table, and asks the developer to decode
 every output (q2). A q1 carries only its input's h-bit payload x: the
-developer forms the top word 1 | x << h itself. A q2 names only the
-table's input word: the developer runs the same table step on it and opens
-the word it computed itself, never one the verifier sent. In general mode a
-checker round pins down each encode answer right after it: the verifier
-homomorphically computes the symmetric encryption of the answer slice
-under a fresh key of its own, the developer commits to the decryption
-before it is sent the key's ciphertext, and the revealed value must
-decrypt to exactly that answer. A round's frame carries only y, and its
-reply nothing, since the verifier counts the blocks itself; each party
-slices the answer's word by checker_slice, which opens no intermediate
-payload (a value between tables).
+developer forms the top word 1 | x << h itself, and answers its
+encryption. A q2 names only the table's input word: the developer runs the
+same table step on it and opens the word it computed itself, never one the
+verifier sent. A q2 answer is the plaintext of checker_slice of that word:
+an external table's whole word, any other table's tag half, so that no
+intermediate payload (a value between tables) is ever opened. In general
+mode a checker round pins down each encode answer right after it: the
+verifier homomorphically computes the symmetric encryption of the answer's
+slice under a fresh key of its own, the developer commits to the
+decryption before it is sent the key's ciphertext, and the revealed value
+must decrypt to exactly the answer (a q1's top word). A round's frame
+carries only y, and its reply nothing, since the verifier counts the
+blocks itself.
 
 The published structure is one value, Structure, which names a feed as its
 JSON does, by a ref: an external input's name (a JSON string) or a table's
@@ -33,7 +35,7 @@ function each below.
 
 A ciphertext word (he's one bytes value: the backend tag and key id once,
 then one payload per ciphertext) is one base64 string on the wire and in
-the certificate: a published program, a q1 answer's w, a q2's u; on the
+the certificate: a published program, a q1 answer, a q2's u; on the
 wire also a checker round's y and ct_sk. cts_b64 and b64_cts are the one
 encoding and the one decoding, and b64_cts accepts only the canonical
 spelling of a word of the key pair, which he.check_word checks once. Words
@@ -41,7 +43,7 @@ are cut and joined by ciphertext index with he.cut_word and he.join_words,
 never by byte arithmetic here.
 
 Above he, an n-bit string is an int whose bit i is bit i of the string,
-and n comes from the caller: a q1's x, a q2 answer's payload, a checker
+and n comes from the caller: a q1's x, a q2 answer, a checker
 round's d, every commitment field and challenge, the two session seeds
 and the developer's plaintext memory. On the wire and in the certificate
 it is exactly ceil(n / 4) lowercase hex digits, the most significant
@@ -95,11 +97,10 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 15  # bump whenever a field, a frame or a replay rule changes
+CERT_VERSION = 16  # bump whenever a field, a frame or a replay rule changes
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
-TOP = "top"
 BOT = "bot"
 NULL = "null"
 
@@ -435,7 +436,7 @@ class _SessionMem:
     words: dict = field(default_factory=dict)
     last: object = None  # the ref of the answer just given, for its checker round
     pending: dict = field(default_factory=dict)  # checker subprotocol state
-    swap_held: object = None  # previous answer, for the swap strategy
+    swap_held: object = None  # (external, value) of the previous q2, for swap-answers
 
 
 class Developer:
@@ -444,10 +445,13 @@ class Developer:
     Building a Developer is the paper's VS.Encrypt: it encrypts every row
     table as a universal-circuit program, and .pp is the public half. It
     then answers encode (q1/q2) queries and, in general mode, a checker
-    round on each; VS.Eval on the resulting certificate is audit.audit.
+    round on each; VS.Eval on the resulting certificate is audit.audit. An
+    answer is its value: a q1's word in base64, a q2's plaintext slice in
+    hex, or null (JSON null).
 
-    strategy selects a scripted dishonest behavior for tests:
-    flip-payload, flip-tag, or swap-answers. None means honest.
+    strategy selects a scripted dishonest behavior for tests, an edit of
+    the value: flip-payload, flip-tag, or swap-answers (_apply_strategy).
+    None means honest.
 
     Every check on a query lives here once. Plaintext enters only through
     two open hooks, _open_output and _open_checker, which decrypt; the
@@ -517,23 +521,23 @@ class Developer:
             return self._encode_q1(body)
         if body.get("qkind") == 2:
             return self._encode_q2(body)
-        return {"answer": {"kind": NULL}}
+        return {"answer": None}
 
     def _encode_q1(self, body):
         m = self.pp.m
         h = m // 2
         name = body.get("input")
         if not (isinstance(name, str) and name in dict(self.pp.structure.inputs)):
-            return {"answer": {"kind": NULL}}
+            return {"answer": None}
         try:
             u = 1 | hex_bits(body.get("x"), h) << h  # the top value of payload x
         except ProtocolError:
-            return {"answer": {"kind": NULL}}
+            return {"answer": None}
         encoded = u ^ 1 << h if self.strategy == "flip-payload" else u
         w = he.enc_word(self.hpk, int_to_bits(encoded, m), self.rng)
         self.mem.words[name] = (w, u)
         self.mem.last = name
-        return {"answer": {"kind": "w", "w": cts_b64(w)}}
+        return {"answer": cts_b64(w)}
 
     def _encode_q2(self, body):
         m = self.pp.m
@@ -541,32 +545,27 @@ class Developer:
         i = body.get("i")
         t = self.pp.structure.table(i)
         if t is None:
-            return {"answer": {"kind": NULL}}
+            return {"answer": None}
         external, feeds = t
         try:
             u_word = b64_cts(body.get("u"), self.hpk, len(feeds) * m)
         except ProtocolError:
-            return {"answer": {"kind": NULL}}
+            return {"answer": None}
 
         u_plain = 0
         for j, feed in enumerate(feeds):
             segment = he.cut_word(self.hpk, u_word, j * m, (j + 1) * m)
             word = self._produced_word(feed, segment)
             if word is None:
-                return {"answer": {"kind": NULL}}
+                return {"answer": None}
             u_plain |= word << j * m
 
         v_word = table_step(self.pp, i, u_word)
         out = self._open_output(i, v_word, u_plain)
-        if not out & ((1 << h) - 1):
-            honest = {"kind": BOT}
-        elif external:
-            honest = {"kind": "payload", "payload": bits_hex(out >> h, h)}
-        else:
-            honest = {"kind": TOP}
         self.mem.words[i] = (v_word, out)
         self.mem.last = i
-        return {"answer": self._apply_strategy(honest)}
+        a = self._apply_strategy(external, checker_slice(out, external, h))
+        return {"answer": None if a is None else bits_hex(a, m if external else h)}
 
     def _produced_word(self, feed, segment):
         """Plaintext of an input segment, if the last answer for one of the
@@ -587,17 +586,21 @@ class Developer:
         """The value y decrypts to: the SE encryption of the slice."""
         return bits_uint(he.dec_word(self.hsk, y))
 
-    def _apply_strategy(self, honest):
-        if self.strategy == "flip-payload" and honest["kind"] == "payload":
-            h = self.pp.m // 2
-            return {"kind": "payload",
-                    "payload": bits_hex(hex_bits(honest["payload"], h) ^ 1, h)}
-        if self.strategy == "flip-tag" and honest["kind"] in (TOP, BOT):
-            return {"kind": BOT if honest["kind"] == TOP else TOP}
+    def _apply_strategy(self, external, a):
+        """The q2 value the strategy gives for the honest value a, None for
+        null. flip-payload flips payload bit 0 of a fired external table,
+        flip-tag the tag of any other, and nulls an external bot, and
+        swap-answers hands over the previous value, null where a table of
+        the other kind could not give it."""
+        if self.strategy == "flip-payload" and external and a & 1:
+            return a ^ 1 << self.pp.m // 2
+        if self.strategy == "flip-tag":
+            return (a or None) if external else a ^ 1
         if self.strategy == "swap-answers":
-            held, self.mem.swap_held = self.mem.swap_held, honest
-            return held if held is not None else honest
-        return honest
+            held, self.mem.swap_held = self.mem.swap_held, (external, a)
+            if held is not None:
+                return held[1] if held[0] == external or not held[1] else None
+        return a
 
     # -- checker subprotocol
 
@@ -724,7 +727,9 @@ class Verifier:
     hooks: _session_key draws the general-mode session secrets, _ask sends
     a query and returns the reply's body, and _opening runs a checker
     round's exchange, from y to the reveal. audit.ReplayVerifier overrides just
-    these three to play a certificate back. The session secrets are two
+    these three to play a certificate back. An encode answer is its value,
+    checked once by _value: the certificate records it as given, or null
+    when it fails the check. The session secrets are two
     seeds, never sent and disclosed in the certificate: every checker
     round's key comes from the key seed and every challenge from the
     challenge seed, so the auditor draws them again."""
@@ -820,45 +825,40 @@ class Verifier:
     # -- encode queries
 
     def _encode_query(self, chan, body, v_word=b""):
-        """The developer's answer to an encode query, null when it is not
-        well formed, and the ciphertext word it answers for: a q1 answer's
-        w, decoded, or a q2's v_word."""
+        """The value of the developer's answer to an encode query (_value),
+        None for null; in general mode a checker round pins it down. v_word
+        is a q2's table step, the word its answer opens."""
         answer = self._ask(chan, "encode", body).get("answer")
-        w = self._well_formed(body, answer)
-        if w is None:
-            answer = {"kind": NULL}
-        word = w if body["qkind"] == 1 else v_word
-        self.qa_e.append({"q": body, "a": answer})
-        if self.mode == "general" and answer["kind"] != NULL:
-            if not self._checker_round(chan, body, answer, word):
+        value = self._value(body, answer)
+        self.qa_e.append({"q": body, "a": None if value is None else answer})
+        if self.mode == "general" and value is not None:
+            if not self._checker_round(chan, body, value, v_word):
                 key = "input" if body["qkind"] == 1 else "i"
                 self.failures.append({"reason": "checker", key: body[key]})
-        return answer, word
+        return value
 
-    def _well_formed(self, q, answer):
-        """Whether an encode answer to the query q has a kind its table can
-        give and the fields that kind needs, in shape; the one check on
-        them. A q2 answer is bot, or fires: an external table (one with a
-        payload type) with a payload, any other with top. A payload spells
-        h bits, and a bool payload only bit 0, as tagged_word writes a bool.
-        An answer that fails it gives None and counts as null; one that
-        passes gives its w decoded, or b"" when it has no w."""
-        qkind = q["qkind"]
-        kind = answer.get("kind") if isinstance(answer, dict) else None
-        external = q.get("i") in self.payload_types
-        if kind == NULL or (qkind == 2 and kind == BOT) or (
-                qkind == 2 and kind == TOP and not external):
-            return b""
+    def _value(self, q, answer):
+        """The value of an encode answer to the query q, the one check on
+        it; None for null, and for an answer that fails the check, which
+        counts as null. A q1's value is its word of m ciphertexts. A q2's
+        is the plaintext its checker round pins, checker_slice of the
+        table's output word: m bits for an external table (one with a
+        payload type), h for any other. Its tag half is 0 or 1, a tag of 0
+        has payload 0, and a bool payload is only bit 0, as tagged_word
+        writes them."""
+        m = self.pp.m
+        h = m // 2
+        ptype = self.payload_types.get(q.get("i"))
         try:
-            if qkind == 1 and kind == "w":
-                return b64_cts(answer.get("w"), self.pp.hpk, self.pp.m)
-            if qkind == 2 and kind == "payload" and external:
-                payload = hex_bits(answer.get("payload"), self.pp.m // 2)
-                if self.payload_types.get(q["i"]) != "bool" or not payload >> 1:
-                    return b""
+            if q["qkind"] == 1:
+                return b64_cts(answer, self.pp.hpk, m)
+            a = hex_bits(answer, h if ptype is None else m)
         except ProtocolError:
-            pass
-        return None
+            return None
+        tag, payload = a & ((1 << h) - 1), a >> h
+        if tag > 1 or (payload and not tag) or (ptype == "bool" and payload > 1):
+            return None
+        return a
 
     # -- session driver
 
@@ -913,18 +913,18 @@ class Verifier:
         m = self.pp.m
         h = m // 2
         # per ref, as a Tagged value or None for null: what it feeds its
-        # consumers (q1, top and payload answers fire, carrying their
-        # ciphertexts); per table, what it gives an output port (only
-        # payload answers fire, carrying the payload bits)
+        # consumers (a q1 answer fires, and a q2 answer whose tag is 1,
+        # carrying their ciphertexts); per table, what it gives an output
+        # port (its payload bits, which only an external table answers)
         feeds, outs = {}, {}
 
         for name, ptype in self.pp.structure.inputs:
             value = bool(X[name]) if ptype == "bool" else X[name]  # as the spec reads it
             x = bits_hex(tagged_word(Tagged(True, value), m) >> h, h)
-            ans, w = self._encode_query(chan, {"qkind": 1, "input": name, "x": x})
-            if ans["kind"] != "w":
+            w = self._encode_query(chan, {"qkind": 1, "input": name, "x": x})
+            if w is None:
                 self.failures.append({"reason": "q1-null", "input": name})
-            feeds[name] = Tagged(True, w) if ans["kind"] == "w" else None
+            feeds[name] = None if w is None else Tagged(True, w)
 
         for i, (_, ports) in enumerate(self.pp.structure.tables, 1):
             port_words = []
@@ -941,16 +941,15 @@ class Verifier:
 
             u_word = he.join_words(self.pp.hpk, port_words)
             v_word = table_step(self.pp, i, u_word)
-            ans, _ = self._encode_query(
+            a = self._encode_query(
                 chan, {"i": i, "qkind": 2, "u": cts_b64(u_word)}, v_word)
-            kind = ans["kind"]
-            if kind == NULL:
+            if a is None:
                 self.failures.append({"reason": "q2-null", "i": i})
                 feeds[i] = outs[i] = None
                 continue
             silent = Tagged(False, 0)
-            feeds[i] = Tagged(True, v_word) if kind in (TOP, "payload") else silent
-            outs[i] = Tagged(True, ans["payload"]) if kind == "payload" else silent
+            feeds[i] = Tagged(True, v_word) if a & 1 else silent
+            outs[i] = Tagged(True, a >> h) if a & 1 else silent
 
         outputs = {}
         for name, ptype, group in self.pp.structure.outputs:
@@ -960,7 +959,7 @@ class Verifier:
             elif not tops:
                 outputs[name] = BOT
             elif len(tops) == 1:
-                outputs[name] = payload_to_value(hex_bits(tops[0].payload, h), h, ptype)
+                outputs[name] = payload_to_value(tops[0].payload, h, ptype)
             else:
                 self.failures.append({"reason": "ambiguous-output", "port": name})
                 outputs[name] = None
@@ -968,25 +967,16 @@ class Verifier:
 
     # -- checker round (general mode)
 
-    def _expected_checker(self, q, answer, h):
-        """(whole, expected): checker_slice's whole for this answer, and the
-        plaintext of its slice: a q1's top value of x, an external table's
-        tagged word (0 for bot), an intermediate table's tag."""
-        whole = self.pp.structure.covers_whole(q.get("input", q.get("i")))
-        if answer["kind"] == BOT:
-            return whole, 0
-        if not whole:
-            return whole, 1
-        payload = q["x"] if q["qkind"] == 1 else answer["payload"]
-        return whole, 1 | hex_bits(payload, h) << h
-
-    def _checker_round(self, chan, q, answer, word):
+    def _checker_round(self, chan, q, value, v_word):
         """Pin the answer to q, just given, down; whether the revealed value
-        decrypts to exactly that answer. word is the ciphertext word it
-        answers for; the developer slices its own."""
+        decrypts to exactly what it answers: a q2's value, the slice of its
+        table step v_word, or a q1's top word 1 | x << h, its value's
+        plaintext. The developer slices its own word."""
         h = self.pp.m // 2
-        whole, expected = self._expected_checker(q, answer, h)
-        p = checker_slice(word, whole, h, self.pp.hpk)
+        q1 = q["qkind"] == 1
+        expected = 1 | hex_bits(q["x"], h) << h if q1 else value
+        whole = self.pp.structure.covers_whole(q.get("input", q.get("i")))
+        p = checker_slice(value if q1 else v_word, whole, h, self.pp.hpk)
         width = he.check_word(self.pp.hpk, p)
         # every round draws its own key and its challenges, one per block,
         # before it asks and whatever the developer answers, so that the

@@ -192,6 +192,8 @@ def metadata_views(result):
             "program_lengths": sorted(map(len, pp["programs"])),
             "verdict": cert["verdict"],
             "outputs": cert["outputs"],
-            "answer_kinds": [r["a"].get("kind") for r in cert["qa_e"]],
+            # a q2 answer is plaintext; of a q1's, only whether it came
+            "answers": [r["a"] if r["q"]["qkind"] == 2 else r["a"] is not None
+                        for r in cert["qa_e"]],
         }
     return views

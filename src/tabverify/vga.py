@@ -109,23 +109,18 @@ class CoverageReport:
 
 
 def coverage_report(qa_e, structure):
-    """Row coverage from the public transcript's q2 answers alone."""
+    """Row coverage from the public transcript's q2 answers alone: an
+    answer's hex ends in its tag half, whose bit 0 says whether the table
+    fired; a null answer reaches nothing."""
     tables = {
         i: {"covered": False, "anti_covered": False, "reached": False}
         for i in range(1, len(structure.tables) + 1)
     }
     for rec in qa_e:
         q, a = rec["q"], rec["a"]
-        if q.get("qkind") != 2:
+        entry = tables.get(q["i"]) if q.get("qkind") == 2 else None
+        if entry is None or a is None:
             continue
-        entry = tables.get(q["i"])
-        if entry is None:
-            continue
-        kind = a.get("kind")
-        if kind in ("top", "payload"):
-            entry["covered"] = True
-            entry["reached"] = True
-        elif kind == "bot":
-            entry["anti_covered"] = True
-            entry["reached"] = True
+        entry["covered" if int(a, 16) & 1 else "anti_covered"] = True
+        entry["reached"] = True
     return CoverageReport(tables=tables)

@@ -37,6 +37,7 @@ from tabverify.protocol import (
     b64_cts,
     bits_hex,
     checker_key,
+    checker_slice,
     checker_value,
     cts_b64,
     hex_bits,
@@ -138,7 +139,8 @@ def test_c2_universal_circuit_equals_programmed_circuit():
 
 def test_c3_every_ciphertext_decrypts_to_plaintext_trace():
     """100 single-input sessions: every recorded q1 word, and the table step
-    of every recorded q2, decrypts to the trace."""
+    of every recorded q2, decrypts to the trace, and each q2 answer is the
+    trace's slice: an external table's word, any other's tag half."""
     dev = Developer(DEMO, rng=random.Random(3))
     m = DEMO.m
     checked = 0
@@ -151,12 +153,15 @@ def test_c3_every_ciphertext_decrypts_to_plaintext_trace():
             if q["qkind"] == 1:
                 u = tagged_to_bits(Tagged(True, X[q["input"]]), m)
                 assert int_to_bits(1 | hex_bits(q["x"], m // 2) << m // 2, m) == u
-                assert he.dec_word(dev.hsk, b64_cts(a["w"], dev.hpk)) == u
+                assert he.dec_word(dev.hsk, b64_cts(a, dev.hpk)) == u
             else:
                 name = dev.tg.order[q["i"] - 1]  # indices are level-order positions
                 want = tagged_to_bits(outputs[name], m)
                 v = table_step(dev.pp, q["i"], b64_cts(q["u"], dev.hpk))
                 assert he.dec_word(dev.hsk, v) == want
+                whole = dev.pp.structure.covers_whole(q["i"])
+                assert a == bits_hex(checker_slice(bits_uint(want), whole, m // 2),
+                                     m if whole else m // 2)
             checked += 1
     print(f"criterion 3: {checked} recorded words match the plaintext trace")
 
@@ -299,13 +304,13 @@ def test_c8_oracles_byte_identical_to_services():
             if op < 0.35:
                 q1(rng, pair, names[rng.randrange(len(names))])
             elif op < 0.8:
-                words = [b64_cts(q1(rng, pair, name)["answer"]["w"], dev.hpk)
+                words = [b64_cts(q1(rng, pair, name)["answer"], dev.hpk)
                          for name in names]
                 u_word = he.join_words(dev.hpk, words)
                 ask("encode", {"qkind": 2, "i": i, "u": cts_b64(u_word)}, pair)
             elif op < 0.95:
                 a = q1(rng, pair, names[rng.randrange(len(names))])
-                p = b64_cts(a["answer"]["w"], dev.hpk)
+                p = b64_cts(a["answer"], dev.hpk)
                 _, ct_sk = checker_key(keys, dev.hpk, m)
                 y = checker_value(dev.pp, ct_sk, p)
                 r = ask("checker", {"y": cts_b64(y)}, pair)

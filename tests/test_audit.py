@@ -31,6 +31,7 @@ from tabverify.demo import (
 from tabverify.graphtext import parse_graph
 from tabverify.expr import Binary, Const, Ref, Unary
 from tabverify.tables import Table, TableGraph, bits_uint, int_to_bits
+from tabverify.vga import coverage_report
 from tabverify.commitment import (
     CommitMessage,
     RevealMessage,
@@ -81,21 +82,21 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT
 # and the developer's compiler; a change to the format must bump it, and
-# either change re-records these. Recorded at certificate version 15, with
+# either change re-records these. Recorded at certificate version 16, with
 # the compiler that drops dead gates and reads through NOT gates.
 CERT_DIGESTS = {
-    "demo-honest": "c7e46185a3a4e095de560f04a3f61abebecb101d14f811771169283ad4365f61",
-    "demo-general": "5257a164f2ba92ec52a400b704d4aa899c7fd54629b544284614102f205060b6",
-    "chain-honest": "c834f1507056db4444417fcf2672413c17b0eaba05e4480759fb60cabb370cdd",
-    "chain-general": "bc9678c18cc6ba7714f8efadf85367bc2283ef41466534ef30a4f37e1d16cdb7",
-    "diamond-honest": "b2c91fcf61c3f3cf3f31a2335f1f732f03a65fd9664579f276c1510f31f908f0",
-    "diamond-general": "969bd6bf35c4b3da6e035e77f6987b95e4c0583cb116bc0ce36808617604e346",
-    "flip-payload-honest": "540bf438ee2285846ca7c4dc7a55ca20df53d4d113166aa8f8dfe58f7bd300ec",
-    "flip-tag-honest": "5b9a8aad2be65a8795af88ca776a2c9b016fe9a58f3fc1661472dac2ac7abc0c",
-    "swap-answers-honest": "63b457474c6d3ce9e2291565606f5623315064426266b9d03e5cf734f7b31a96",
-    "flip-payload-general": "30e68946adff27a916c9d1a2bb65da719c4df0696dae1e075362efcdad369826",
-    "flip-tag-general": "82538b141e8af459fcbc687101e38c8f6f54ca4e8539f75d175f32971c375597",
-    "swap-answers-general": "045667dacba250cccb1188ced3d1dfb2d0378cf926d80d9800ef10101ffb6411",
+    "demo-honest": "2f5729b54048817d969e92a29bc633425a3a8245281bcb9e8301a060ddebc605",
+    "demo-general": "edb91bffeafa6d3299a0009a5b546cc4d0b3fb62a55ece7e27f7e9ffeda728c8",
+    "chain-honest": "7d3e3fdfc81ed8d675ba665017721585ec9a8db231e7dc673df60033d00a10e2",
+    "chain-general": "bf32cc454b9398c03d08e0e7e401f1967101f18373257eb7c278a7e07cb0ee4d",
+    "diamond-honest": "4e123c0595dc0505b965e1dce6031fc1ea75065e78dffe6b89a0aef58de2f0f5",
+    "diamond-general": "0fbb537779fbbb2ab8815e01634c0205dd2da89af1324c650ffe9d7491e531d6",
+    "flip-payload-honest": "f46d34fdb18d9c37bbc57bab39ead4cd8a0285e754ddfa6bfa9a80d870689b62",
+    "flip-tag-honest": "3f47ad3032a8936b129e78c1879ac7ae8823d6895f59458c09c889015f0dc8d3",
+    "swap-answers-honest": "2fc2121d64abca7ce3a32951c9557363a023e32c04888843507052a06e02b45b",
+    "flip-payload-general": "697a9de5447d5a23a2a9a11bdb7cdec015510ec6d30dcfb9a1ab79332ef9a563",
+    "flip-tag-general": "02e47e102db7e35835757498b303555fe2ac361b1164b3eb5660acc153bb6437",
+    "swap-answers-general": "e0bfb8ca47459513f4c9869b23944e96e0076a60f2331e983c18cded091c64a4",
 }
 # the sha256 of each design's outcomes, the canonical JSON of a
 # certificate's verdict, outputs, mismatches and cp_results, as version 13
@@ -142,9 +143,10 @@ V14_OUTCOMES = {
 # at version 14, before the compiler dropped dead gates and read through
 # NOT gates, they were 344,869, 467,041 and 376,393, and after it, with
 # tagged refs, table indices and programs keyed by index, 240,421,
-# 297,312 and 271,945
-CERT_BYTES = {"demo-honest": 239980, "diamond-honest": 296850,
-              "demo-general": 271504}
+# 297,312 and 271,945; at version 15, with answer kinds, 239,980,
+# 296,850 and 271,504
+CERT_BYTES = {"demo-honest": 238396, "diamond-honest": 295730,
+              "demo-general": 269920}
 
 
 def config_cert(config):
@@ -209,6 +211,29 @@ def test_version_15_kept_the_outcomes_of_version_14(config):
     assert digest == V14_OUTCOMES[config]
 
 
+# (covered_ratio, anti_covered_ratio, unreached) of each design's
+# certificate, in both modes alike, as version 15 read them from its
+# answer kinds; version 16 reads a q2's tag from its answer value
+COVERAGE = {
+    "demo": (1.0, 1.0, []),
+    "chain": (5 / 6, 5 / 6, []),
+    "diamond": (1.0, 1.0, []),
+    "flip-payload": (1.0, 1.0, []),
+    "flip-tag": (0.75, 0.5, [7, 8]),
+    "swap-answers": (0.75, 0.75, [7]),
+}
+
+
+@pytest.mark.parametrize("config", list(CERT_DIGESTS))
+def test_version_16_kept_the_coverage_of_version_15(config):
+    cert = config_cert(config)
+    structure = protocol.PublicParams.from_dict(cert["public_params"]).structure
+    covered, anti_covered, unreached = COVERAGE[config.rsplit("-", 1)[0]]
+    assert coverage_report(cert["qa_e"], structure).summary() == {
+        "covered_ratio": covered, "anti_covered_ratio": anti_covered,
+        "unreached": unreached}
+
+
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "cert.json"
     digest = save_certificate(HONEST_CERT, path)
@@ -223,7 +248,7 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v15"}
+           "format": "tabverify-cert-v16"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
@@ -237,7 +262,7 @@ def test_version_8_certificate_is_refused_by_name(tmp_path):
     assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v15",
+    path.write_text(path.read_text().replace("tabverify-cert-v16",
                                              "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
                                          "'tabverify-cert-v8'"):
@@ -502,10 +527,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 15 with the compiler of CERT_DIGESTS
+    # version 16 with the compiler of CERT_DIGESTS
     for cert, want in (
-        (HONEST_CERT, "ad480beb903e1af4209b73030c93717866f9a06918c0d2dd5f55789138195718"),
-        (GENERAL_CERT, "0a253b90e16ecd2d9e261a97472057a8bf247a9d226ea0dc2911ec8359d39c50"),
+        (HONEST_CERT, "208bd7e6fb7f9bc18ad9772f9f706f41113bac1357b9a80991d99a475b80f186"),
+        (GENERAL_CERT, "6208ce8925fb6a2baacd0972906aa04fb3ddf121f3a31ba897b0ddd90a83615d"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

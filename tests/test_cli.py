@@ -201,22 +201,23 @@ def test_serve_closes_connections_past_the_cap(monkeypatch):
         peer.settimeout(10)
 
     def answer(peer):
+        """Whether the developer on peer answers the q1 with its word."""
         chan = SocketChannel(peer)
         chan.send(q1)
-        return chan.recv()["body"]["answer"]["kind"]
+        return isinstance(chan.recv()["body"]["answer"], str)
 
     server.start()
     try:
         accepted.put(pairs[0][1])
-        assert answer(pairs[0][0]) == "w"
+        assert answer(pairs[0][0])
         accepted.put(pairs[1][1])
         assert pairs[1][0].recv(1) == b""  # closed at once
-        assert answer(pairs[0][0]) == "w"
+        assert answer(pairs[0][0])
         pairs[0][0].close()
         sessions[0].join(timeout=10)
         assert not sessions[0].is_alive()
         accepted.put(pairs[2][1])  # the second session: served, then the loop ends
-        assert answer(pairs[2][0]) == "w"
+        assert answer(pairs[2][0])
         server.join(timeout=10)
         assert not server.is_alive()
     finally:

@@ -277,7 +277,7 @@ def test_honest_session_chain_and_diamond():
 def test_general_mode_accepts_and_records_checkers():
     _, verdict, cert = run_pair(DEMO, DEMO_DOMAINS, DEMO_CP, mode="general")
     assert verdict == "accept"
-    answered = [r for r in cert["qa_e"] if r["a"].get("kind") != "null"]
+    answered = [r for r in cert["qa_e"] if r["a"] is not None]
     assert len(cert["qa_c"]) == len(answered)
     assert all(r["d"] is not None for r in cert["qa_c"])
     # the certificate discloses two seeds, and neither a key nor a challenge
@@ -333,13 +333,10 @@ def test_q1_rejects_malformed_queries():
                  {"input": "a", "x": "1"}, {"input": "a", "x": bits_hex(1, 2 * h)},
                  {"input": "a", "x": bits_hex(10, h).upper()}, {"input": "a", "x": 0},
                  {"input": "a", "u": bits_hex(1, 2 * h)}, {"input": {}, "x": good}):
-        assert frame(dev, "encode", dict(body, qkind=1))["answer"]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 2, "i": [1], "u": []})[
-        "answer"
-    ]["kind"] == "null"
-    assert frame(dev, "encode", {"qkind": 1, "input": "a", "x": good})[
-        "answer"
-    ]["kind"] == "w"
+        assert frame(dev, "encode", dict(body, qkind=1)) == {"answer": None}
+    assert frame(dev, "encode", {"qkind": 2, "i": [1], "u": []}) == {"answer": None}
+    w = frame(dev, "encode", {"qkind": 1, "input": "a", "x": good})["answer"]
+    b64_cts(w, dev.hpk, 2 * h)  # a word of m ciphertexts
     assert dev.mem.words["a"][1] == 1  # the top value of payload 0
 
 
@@ -380,8 +377,7 @@ def q1_then_q2(dev, i, X_bits_by_port, corrupt=None, extra=None):
         h = len(u) // 2
         a = frame(dev, "encode", {"qkind": 1, "input": name,
                                   "x": bits_hex(bits_uint(u) >> h, h)})
-        assert a["answer"]["kind"] == "w"
-        words.append(b64_cts(a["answer"]["w"], dev.hpk))
+        words.append(b64_cts(a["answer"], dev.hpk, 2 * h))
     u_word = he.join_words(dev.hpk, words)
     if corrupt == "u":
         u_word = he.join_words(dev.hpk, reversed(words))
@@ -409,17 +405,19 @@ def test_q2_honest_and_tampered():
     m = dev.pp.m
     bits = [tagged_to_bits(Tagged(True, DEMO_INPUT[n]), m) for n in names]
     a = q1_then_q2(dev.session(), i, bits)
-    assert a["kind"] in ("top", "bot", "payload")
+    # the plaintext of its slice: the whole word of an external table, the
+    # tag half of any other
+    hex_bits(a, m if dev.pp.structure.covers_whole(i) else m // 2)
     # inputs not previously recorded for those ports
     if len(bits) > 1:
         assert q1_then_q2(dev.session(), i, bits,
-                          corrupt="u")["kind"] == "null"
+                          corrupt="u") is None
     # q2 without any prior q1
     dev = dev.session()
     fake = he.join_words(dev.hpk, [he.enc_word(dev.hpk, bits[0], random.Random(9))]
                          * len(bits))
     a = frame(dev, "encode", {"qkind": 2, "i": i, "u": cts_b64(fake)})["answer"]
-    assert a["kind"] == "null"
+    assert a is None
 
 
 def test_a_q2_names_only_its_input():
@@ -432,7 +430,7 @@ def test_a_q2_names_only_its_input():
     m = dev.pp.m
     bits = [tagged_to_bits(Tagged(True, DEMO_INPUT[n]), m) for n in names]
     want = q1_then_q2(dev.session(), i, bits)
-    assert want["kind"] != "null"
+    assert want is not None
     chosen = he.enc_word(dev.hpk, tagged_to_bits(Tagged(True, 5), m), random.Random(6))
     for v in (chosen, he.cut_word(dev.hpk, dev.pp.programs[i - 1], 0, m)):
         got = q1_then_q2(dev.session(), i, bits, extra={"v": cts_b64(v)})
@@ -469,11 +467,11 @@ def test_memory_wiped_between_sessions():
     words = []
     for n in names:
         a = frame(s1, "encode", {"qkind": 1, "input": n, "x": bits_hex(DEMO_INPUT[n], h)})
-        words.append(b64_cts(a["answer"]["w"], dev.hpk))
+        words.append(b64_cts(a["answer"], dev.hpk))
     u_word = he.join_words(dev.hpk, words)
     body = {"qkind": 2, "i": i, "u": cts_b64(u_word)}
-    assert frame(s2, "encode", body)["answer"]["kind"] == "null"
-    assert frame(s1, "encode", body)["answer"]["kind"] != "null"
+    assert frame(s2, "encode", body)["answer"] is None
+    assert frame(s1, "encode", body)["answer"] is not None
     assert s1.mem.words and not s2.mem.words and not dev.mem.words
 
 
@@ -483,7 +481,7 @@ def test_checker_requires_commit_before_proof():
     m = dev.pp.m
     x = bits_hex(DEMO_INPUT[names[0]], m // 2)
     a = frame(dev, "encode", {"qkind": 1, "input": names[0], "x": x})
-    p = b64_cts(a["answer"]["w"], dev.hpk)
+    p = b64_cts(a["answer"], dev.hpk)
     _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
     y = checker_value(dev.pp, ct_sk, p)
     assert frame(dev, "checker", {"y": cts_b64(y)}) == {}
@@ -503,7 +501,7 @@ def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):
     def open_round(session):
         a = frame(session, "encode", {"qkind": 1, "input": names[0],
                                       "x": bits_hex(0, m // 2)})
-        p = b64_cts(a["answer"]["w"], dev.hpk)
+        p = b64_cts(a["answer"], dev.hpk)
         _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
         y = checker_value(dev.pp, ct_sk, p)
         assert frame(session, "checker", {"y": cts_b64(y)}) == {}
@@ -542,7 +540,7 @@ def test_checker_proof_with_a_key_word_of_another_size_is_null():
     for n in (16, 4 * m - 1, 4 * m + 1, 4 * m):
         a = frame(dev, "encode", {"qkind": 1, "input": names[0],
                                   "x": bits_hex(3, m // 2)})
-        p = b64_cts(a["answer"]["w"], dev.hpk)
+        p = b64_cts(a["answer"], dev.hpk)
         sk, ct_sk = checker_key(keys, dev.hpk, m)
         assert he.check_word(dev.hpk, ct_sk) == 4 * m
         y = checker_value(dev.pp, ct_sk, p)
@@ -596,15 +594,15 @@ def test_an_answer_gets_one_checker_round():
     # frame on the same answer is null, and so is one after a null answer
     dev = make_dev(seed=1)
     session = dev.session()
-    w = answer_a(session)["w"]
+    w = answer_a(session)
     r, _, proof = run_round(session, w)
     assert r == {} and "d" in proof
     assert frame(session, "checker", {"y": proof["d"]}) == {"result": "null"}
     _, _, again = run_round(session, w)
     assert again == {"result": "null"}
-    assert answer_a(session)["kind"] == "w"
+    assert answer_a(session) is not None
     bad = frame(session, "encode", {"qkind": 1, "input": "a", "x": "1"})
-    assert bad["answer"] == {"kind": "null"}
+    assert bad == {"answer": None}
     assert run_round(session, w)[0] == {"result": "null"}
 
 
@@ -615,7 +613,7 @@ def test_stray_checker_frame_fields_change_nothing():
     replies = []
     for body in ({}, {"i": 5, "qkind": 2, "port": 0}, {"i": [1], "qkind": 1, "port": [0]}):
         session = make_dev(seed=3).session()
-        w = answer_a(session)["w"]
+        w = answer_a(session)
         replies.append(canonical_json(run_round(session, w, body)))
     assert '"d"' in replies[0] and len(set(replies)) == 1
 
@@ -626,13 +624,13 @@ def test_a_q2_reads_each_port_from_its_own_input():
     dev = make_dev(seed=1)
     assert dev.pp.structure.table(1)[1] == (("a",),)
     session = dev.session()
-    w_a = answer_a(session, 46)["w"]
+    w_a = answer_a(session, 46)
     x_b = bits_hex(True, dev.pp.m // 2)
-    w_b = frame(session, "encode", {"qkind": 1, "input": "b", "x": x_b})["answer"]["w"]
-    assert frame(session, "encode", {"qkind": 2, "i": 1, "u": w_b})["answer"] == {
-        "kind": "null"}
-    assert frame(session, "encode", {"qkind": 2, "i": 1, "u": w_a})["answer"] == {
-        "kind": "top"}
+    w_b = frame(session, "encode", {"qkind": 1, "input": "b", "x": x_b})["answer"]
+    h = dev.pp.m // 2
+    assert frame(session, "encode", {"qkind": 2, "i": 1, "u": w_b}) == {"answer": None}
+    assert frame(session, "encode", {"qkind": 2, "i": 1, "u": w_a}) == {
+        "answer": bits_hex(1, h)}  # the tag half of a fired table
 
 
 class _Counting(LoopbackChannel):
@@ -680,10 +678,10 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     assert dev.index_of["DL#1"] == 1 and dev.pp.structure.table(1)[0] is False
     h = dev.pp.m // 2
     a = frame(dev, "encode", {"qkind": 1, "input": "a", "x": bits_hex(DEMO_INPUT["a"], h)})
-    u_word = b64_cts(a["answer"]["w"], dev.hpk)
+    u_word = b64_cts(a["answer"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
     a = frame(dev, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
-    assert a["answer"] == {"kind": "top"}
+    assert a["answer"] == bits_hex(1, h)  # its tag half, and no payload
     payload = he.cut_word(dev.hpk, v_word, h)
     _, ct_sk = checker_key(random.Random(4), dev.hpk, h)
     y = checker_value(dev.pp, ct_sk, payload)
@@ -721,7 +719,7 @@ def test_serve_survives_malformed_checker_ciphertext():
         y = bytes(9 + m * (he.LAM_BYTES - 9))
         for stray in ({}, {"i": [1]}, {"port": [0]}):
             a = ask("encode", {"qkind": 1, "input": names[0], "x": bits_hex(0, m // 2)})
-            assert a["answer"]["kind"] == "w"
+            assert a["answer"] is not None
             assert ask("checker", dict(stray, y=cts_b64(y))) == {"result": "null"}
         for bad in (["encode", {}], {"type": ["encode"], "body": {}},
                     {"type": "encode", "body": "junk"}):
@@ -866,11 +864,11 @@ def _reply(body):
 
 
 @pytest.mark.parametrize("ftype,qkind,bad", [
-    ("encode", 1, ["reply", {"answer": {"kind": "null"}}]),
+    ("encode", 1, ["reply", {"answer": None}]),
     ("encode", 1, _reply(["answer"])),
     ("encode", 1, _reply({"answer": 5})),
-    ("encode", 1, _reply({"answer": {"kind": "w", "w": "A" * 16}})),
-    ("encode", 2, _reply({"answer": {"kind": "payload", "payload": "12"}})),
+    ("encode", 1, _reply({"answer": "A" * 16})),
+    ("encode", 2, _reply({"answer": "12"})),  # table 1's tag half, 0x12 > 1
     ("commit_challenge", None, _reply({"blocks": 3})),
 ], ids=["reply-list", "body-list", "answer-int", "w-str", "payload-not-bits",
         "commit-blocks-int"])
@@ -914,10 +912,10 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
     assert dev.pp.structure.table(1)[0] is False  # T#1 feeds C, not an output
     session = dev.session()
     a = frame(session, "encode", {"qkind": 1, "input": "x", "x": bits_hex(2, 3)})
-    u_word = b64_cts(a["answer"]["w"], dev.hpk)
+    u_word = b64_cts(a["answer"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
     a = frame(session, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
-    assert a["answer"]["kind"] == "top"
+    assert a["answer"] == "1"  # a 3-bit tag half: one hex digit
     y = cts_b64(he.cut_word(dev.hpk, v_word, 0, 3))
     r = frame(session, "checker", {"y": y})
     assert r == {"result": "null"}
@@ -1179,7 +1177,8 @@ def one_table(rows):
 
 def lying_session(spec, design, lie, mode="general"):
     """A session over x in -5..7 against a developer of design whose q2
-    answers lie(developer, i, x, honest answer) rewrites."""
+    answers lie(developer, i, x, honest answer) rewrites. An answer is its
+    hex value: m = 16 bits, 4 digits, for an external table."""
     class Liar(Developer):
         x = None
 
@@ -1200,8 +1199,9 @@ def lying_session(spec, design, lie, mode="general"):
 
 def test_a_row_table_that_fires_as_top_at_an_output_is_null():
     # rows 1 and 2 of the design overlap for x > 2; answering row 2's
-    # payload as top, the kind only a table that feeds no output gives,
-    # hid the second firing row from the output, and the session accepted
+    # word with a fired tag half alone, the value only a table that feeds
+    # no output gives, hid the second firing row from the output, and the
+    # session accepted
     spec = one_table("(x > 0, x + 1), (x <= 0, 0)")
     design = one_table("(x > 0, x + 1), (x > 2, 0 - x), (x <= 0, 0)")
     verdict, cert = lying_session(spec, design, None)
@@ -1209,8 +1209,8 @@ def test_a_row_table_that_fires_as_top_at_an_output_is_null():
     assert {f["reason"] for f in cert["failures"]} == {"ambiguous-output"}
 
     def hide_row_2(dev, i, x, answer):
-        if i == dev.index_of["T#2"] and answer["kind"] == "payload":
-            return {"kind": "top"}
+        if i == dev.index_of["T#2"] and int(answer, 16) & 1:
+            return "01"  # h = 8 bits where m = 16 are due
         return answer
 
     for mode in ("honest", "general"):
@@ -1221,8 +1221,8 @@ def test_a_row_table_that_fires_as_top_at_an_output_is_null():
 
 
 def claim_row_1_fires_in_the_gap(dev, i, x, answer):
-    if i == dev.index_of["T#1"] and answer["kind"] == "bot" and 1 <= x <= 5:
-        return {"kind": "payload", "payload": "00"}
+    if i == dev.index_of["T#1"] and answer == "0000" and 1 <= x <= 5:
+        return "0001"  # tag 1, payload 0
     return answer
 
 
@@ -1243,6 +1243,63 @@ def test_a_row_that_did_not_fire_cannot_claim_a_zero_payload():
     verdict, cert = lying_session(one_table(GAP_SPEC), one_table(GAP_DESIGN),
                                   claim_row_1_fires_in_the_gap)
     assert verdict == "reject"
+    assert audit(cert)[0] == 0
+
+
+class _LieOnce(Developer):
+    """A demo developer whose first answer to a query on ref, an input's
+    name (a q1) or a table's name (a q2), is lie(developer, honest answer)."""
+
+    def __init__(self, qkind, ref, lie):
+        super().__init__(DEMO, rng=random.Random(0))
+        self.key = "input" if qkind == 1 else "i"
+        self.ref = ref if qkind == 1 else self.index_of[ref]
+        self.lie = lie
+
+    def _encode(self, body):
+        reply = super()._encode(body)
+        if self.lie and body.get(self.key) == self.ref:
+            reply, self.lie = {"answer": self.lie(self, reply["answer"])}, None
+        return reply
+
+    ANSWERS = dict(Developer.ANSWERS, encode=_encode)  # it binds the base's
+
+
+def _fewer_ciphertexts(dev, w):
+    return cts_b64(he.cut_word(dev.hpk, b64_cts(w, dev.hpk), 0, dev.pp.m - 1))
+
+
+# (qkind, ref, lie): every answer below is no value of its query. The demo
+# has m = 16: a tag half of h = 8 bits is 2 hex digits and a word 4. DL#1
+# feeds CT, OP#1 feeds the int output c and CT#1 the bool output w
+MALFORMED_ANSWERS = {
+    "external-h-digits": (2, "OP#1", lambda dev, a: "01"),
+    "intermediate-m-digits": (2, "DL#1", lambda dev, a: "0001"),
+    "tag-half-2": (2, "DL#1", lambda dev, a: "02"),
+    "bot-with-payload": (2, "OP#1", lambda dev, a: "0100"),
+    "bool-payload-2": (2, "CT#1", lambda dev, a: "0201"),
+    "uppercase-hex": (2, "OP#1", lambda dev, a: "2A01"),
+    "v15-top": (2, "DL#1", lambda dev, a: {"kind": "top"}),
+    "json-number": (2, "DL#1", lambda dev, a: 1),
+    "v15-word": (1, "a", lambda dev, a: {"kind": "w", "w": a}),
+    "m-1-ciphertexts": (1, "a", _fewer_ciphertexts),
+}
+
+
+@pytest.mark.parametrize("mode", ["honest", "general"])
+@pytest.mark.parametrize("case", list(MALFORMED_ANSWERS))
+def test_an_answer_that_is_no_value_of_its_query_is_null(case, mode):
+    qkind, ref, lie = MALFORMED_ANSWERS[case]
+    dev = _LieOnce(qkind, ref, lie)
+    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, [], seed=7, mode=mode,
+                 rng=random.Random(1))
+    verdict, cert = verify_session(dev, v)
+    assert cert["failures"] == [{"reason": f"q{qkind}-null", dev.key: dev.ref}]
+    lied = [r["a"] for r in cert["qa_e"] if r["q"].get(dev.key) == dev.ref]
+    assert lied[0] is None and None not in lied[1:]  # recorded null once
+    assert verdict == "reject"
+    ok, report = replay(cert)
+    assert ok and report["replayed_verdict"] == "reject", report
     assert audit(cert)[0] == 0
 
 

@@ -58,11 +58,14 @@ def test_generate_suite_fires_every_row():
 
 
 def test_coverage_report_from_transcript():
+    # an answer is its value: an 8-bit word's tag half of 4 bits, an
+    # external table's whole word, a q1's base64 word, or null
     qa_e = [
-        {"q": {"qkind": 2, "i": 1}, "a": {"kind": "top"}},
-        {"q": {"qkind": 2, "i": 2}, "a": {"kind": "bot"}},
-        {"q": {"qkind": 1, "i": 3, "port": 0}, "a": {"kind": "w"}},
-        {"q": {"qkind": 2, "i": 4}, "a": {"kind": "payload", "payload": "01"}},
+        {"q": {"qkind": 2, "i": 1}, "a": "1"},
+        {"q": {"qkind": 2, "i": 2}, "a": "0"},
+        {"q": {"qkind": 1, "input": "a", "x": "3"}, "a": "AAAA"},
+        {"q": {"qkind": 2, "i": 4}, "a": "31"},
+        {"q": {"qkind": 2, "i": 5}, "a": None},
     ]
     structure = Structure(tables=((False, ("a",)),) * 5, inputs=(("a", "int"),),
                           outputs=())
