@@ -426,7 +426,7 @@ def encode_program(c, u):
         raise CircuitError(f"circuit has {len(c.gates)} gates, budget {u.g}")
     if len(c.outputs) != u.m:
         raise CircuitError(f"circuit has {len(c.outputs)} outputs, budget {u.m}")
-    sb = u.sel_bits
+    bus_width, sb, _ = uc_layout(u.n_data, u.g, u.m)
     zero_pos = u.n_data  # the constant bus line
 
     def bus_pos(wire, slot):
@@ -436,7 +436,7 @@ def encode_program(c, u):
         return pos
 
     def sel(pos):
-        if pos >= u.bus_width:
+        if pos >= bus_width:
             raise CircuitError(f"selector {pos} out of bus range")
         return [(pos >> i) & 1 for i in range(sb)]
 

@@ -11,12 +11,13 @@ within masked distance, which the verified distance rules out (Naor, "Bit
 commitment using pseudorandomness", J. Cryptology 1991).
 
 Longer data is split into independently committed blocks, the last one
-padded with zeros. The protocol's code, gen_code(), holds 8 data bits per
-block with q = 256, so R is 512 bits: a 16-bit word takes two blocks and a
-half word one. The length bound on q does not depend on the block size,
-so larger blocks mean fewer of them; 16 bits would halve them again, but
-the distance check covers all 2^m_c - 1 nonzero codewords, and at 16 bits
-that costs each party tens of milliseconds in every set-up.
+padded with zeros. The protocol's code, PROTOCOL_CODE, holds 16 data bits
+per block with q = 256, so R is 512 bits and every checker round, a 16-bit
+word or an 8-bit half word, commits one block. The length bound on q does
+not depend on the block size, so a 16-bit block costs what an 8-bit one did.
+Checking the distance covers all 2^16 - 1 nonzero codewords; the code is a
+constant of the certificate format, so it is written into the source, and
+a test derives it again with gen_code.
 
 Above he, an n-bit string is an int whose bit i is bit i of the string,
 and n comes from the caller: a challenge is a 2q-bit int, a block's data
@@ -24,6 +25,7 @@ an m_c-bit int, a seed a COMMIT_SEED_BITS-bit int, and e and exposed
 q-bit ints.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -81,7 +83,7 @@ def required_length(m_c, eps, K):
     return c * m_c
 
 
-def gen_code(m_c=8, eps=EPSILON, K=16, seed=0):
+def gen_code(m_c, eps=EPSILON, K=16, seed=0):
     """Random linear code with verified distance >= eps * q."""
     if not 1 <= m_c <= 16:
         raise CommitError("message block must be 1..16 bits")
@@ -108,6 +110,40 @@ def gen_code(m_c=8, eps=EPSILON, K=16, seed=0):
     raise CommitError("could not generate a code with the required distance")
 
 
+# the code every party commits with: gen_code(m_c=16, seed=0), whose
+# distance check is too slow for every set-up
+PROTOCOL_CODE = CodeSpec(
+    m_c=16,
+    q=256,
+    eps=(1, 4),
+    K=16,
+    rows=(
+        0xF728B4FA42485E3A0A5D2F346BAA9455E3E70682C2094CAC629F6FBED82C07CD,
+        0xF7C1BD874DA5E709D4713D60C8A70639EB1167B367A9C3787C65C1E582E2E662,
+        0x23A7711A8133287637EBDCD9E87A1613E443DF789558867F5BA91FAF7A024204,
+        0xFCBD04C340212EF7CCA5A5A19E4D6E3C1846D424C17C627923C6612F48268673,
+        0x259F4329E6F4590B9A164106CF6A659EB4862B21FB97D43588561712E8E5216A,
+        0x5487CE1EAF19922AD9B8A714E61A441C12E0C8B2BAD640FB19488DEC4F65D4D9,
+        0xA3F2C9BF9C6316B950F244556F25E2A25A92118719C78DF48F4FF31E78DE5857,
+        0x85776E9ADD84F39E71545A137A1D50068D723104F77383C13458A748E9BB17BC,
+        0x17E0AA3C03983CA8EA7E9D498C778EA6EB2083E6CE164DBA0FF18E0242AF9FC3,
+        0xA0116BE5AB0C1681C8F8E3D0D3290A4CB5D32B1666194CB1D71037D1B83E90EC,
+        0xBAF3897A3E70F16A55485822DE1B372AD3FBF47A7E5B1E7F9CA5499D004AE545,
+        0x38C1962E9148624FEAC1C14F30E9C5CC101FBCCCDED733E8B421EAEB534097CA,
+        0x1759EDC372AE22448B0163C1CD9D2B7D247A8333F7B0B7D2CDA8056C3D15EEF7,
+        0x7D41E602EECE328BFF7B118E820865D6E005B86051EF1922FE43C49E149818D1,
+        0x552F233A8C25166A1FF39849B4E1357D4A84EB038D1FD9B74D2B9DEB1BEB3711,
+        0x8C1745A79A6A5F92CCA74147F6BE1F723405095C8A5006C1EC188EFBD080E66E,
+    ),
+    d_min=97,
+    seed=0,
+)
+
+
+_FLAG_ONES = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its flag
+_FLAG_ZEROS = bytes.maketrans(b"01", b"\1\0")
+
+
 def choose_challenge(q, rng):
     """Uniform weight-q vector of length 2q, as a 2q-bit int. Position i
     starts as bit i of 2q random bits; then a uniform sample of the ones
@@ -119,8 +155,10 @@ def choose_challenge(q, rng):
     R = rng.getrandbits(n)
     excess = R.bit_count() - q
     if excess:
-        digit = "1" if excess > 0 else "0"  # the positions to sample from
-        pool = [i for i, c in enumerate(format(R, f"0{n}b")[::-1]) if c == digit]
+        # the positions to sample from: byte i of the digits is bit i of R
+        flags = format(R, f"0{n}b")[::-1].encode().translate(
+            _FLAG_ONES if excess > 0 else _FLAG_ZEROS)
+        pool = list(itertools.compress(range(n), flags))
         for i in rng.sample(pool, abs(excess)):
             R ^= 1 << i
     return R

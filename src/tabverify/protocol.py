@@ -73,10 +73,10 @@ from .channel import ChannelError, LoopbackChannel, canonical_json, make_frame
 from .circuit import UniversalCircuit, budget_for, compile_table, encode_program
 from .commitment import (
     COMMIT_SEED_BITS,
+    PROTOCOL_CODE,
     CommitError,
     choose_challenge,
     commit_respond,
-    gen_code,
     split_blocks,
     verify_reveal,
     CommitMessage,
@@ -97,7 +97,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 16  # bump whenever a field, a frame or a replay rule changes
+CERT_VERSION = 17  # bump whenever a field, a frame or a replay rule changes
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
@@ -483,7 +483,7 @@ class Developer:
             structure=public_structure(self.tg, self.index_of),
             programs=programs_enc,
         )
-        self.code = gen_code()
+        self.code = PROTOCOL_CODE
         self.mem = _SessionMem()
 
     def session(self):
@@ -797,7 +797,7 @@ class Verifier:
         # the type of each external table's payload, as its output groups read it
         self.payload_types = {i: ptype for _, ptype, group in pp.structure.outputs
                               for i in group}
-        self.code = gen_code()
+        self.code = PROTOCOL_CODE
         if mode == "general":
             self.key_seed, self.challenge_seed = self._session_key()
             self.keys = random.Random(self.key_seed)

@@ -83,11 +83,15 @@ class _Wires:
         return [self.b.constant(c >> j & 1) for j in range(self.w)]
 
 
+# round i's constant source: _RC rotated by 13 * i mod 64
+_RC_ROT = tuple((_RC >> r | _RC << (64 - r)) & ((1 << 64) - 1)
+                for r in (13 * i % 64 for i in range(ROUNDS)))
+
+
 def _round_constant(i, w):
     """Bit j is bit (13 * i + j) mod 64 of _RC: _RC rotated by 13 * i mod
     64, repeated to w bits."""
-    r = 13 * i % 64
-    rc, n = (_RC >> r | _RC << (64 - r)) & ((1 << 64) - 1), 64
+    rc, n = _RC_ROT[i], 64
     while n < w:
         rc, n = rc | rc << n, 2 * n
     return rc & ((1 << w) - 1)

@@ -14,10 +14,10 @@ from tabverify import he, she
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
 from tabverify.circuit import encode_program, simulate
 from tabverify.commitment import (
+    PROTOCOL_CODE,
     RevealMessage,
     choose_challenge,
     commit_respond,
-    gen_code,
     verify_reveal,
 )
 from tabverify.demo import (
@@ -236,7 +236,7 @@ def test_c6_malicious_strategies_rejected(strategy):
 
 def test_c7_commitment_binding_and_honest_opening():
     """Re-opening to different data never verifies; honest opens always do."""
-    code = gen_code()
+    code = PROTOCOL_CODE
     rng = random.Random(707)
     accepted_bad = 0
     honest_ok = 0

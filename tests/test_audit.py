@@ -33,10 +33,10 @@ from tabverify.expr import Binary, Const, Ref, Unary
 from tabverify.tables import Table, TableGraph, bits_uint, int_to_bits
 from tabverify.vga import coverage_report
 from tabverify.commitment import (
+    PROTOCOL_CODE,
     CommitMessage,
     RevealMessage,
     choose_challenge,
-    gen_code,
     split_blocks,
     verify_reveal,
 )
@@ -82,21 +82,21 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT
 # and the developer's compiler; a change to the format must bump it, and
-# either change re-records these. Recorded at certificate version 16, with
+# either change re-records these. Recorded at certificate version 17, with
 # the compiler that drops dead gates and reads through NOT gates.
 CERT_DIGESTS = {
-    "demo-honest": "2f5729b54048817d969e92a29bc633425a3a8245281bcb9e8301a060ddebc605",
-    "demo-general": "edb91bffeafa6d3299a0009a5b546cc4d0b3fb62a55ece7e27f7e9ffeda728c8",
-    "chain-honest": "7d3e3fdfc81ed8d675ba665017721585ec9a8db231e7dc673df60033d00a10e2",
-    "chain-general": "bf32cc454b9398c03d08e0e7e401f1967101f18373257eb7c278a7e07cb0ee4d",
-    "diamond-honest": "4e123c0595dc0505b965e1dce6031fc1ea75065e78dffe6b89a0aef58de2f0f5",
-    "diamond-general": "0fbb537779fbbb2ab8815e01634c0205dd2da89af1324c650ffe9d7491e531d6",
-    "flip-payload-honest": "f46d34fdb18d9c37bbc57bab39ead4cd8a0285e754ddfa6bfa9a80d870689b62",
-    "flip-tag-honest": "3f47ad3032a8936b129e78c1879ac7ae8823d6895f59458c09c889015f0dc8d3",
-    "swap-answers-honest": "2fc2121d64abca7ce3a32951c9557363a023e32c04888843507052a06e02b45b",
-    "flip-payload-general": "697a9de5447d5a23a2a9a11bdb7cdec015510ec6d30dcfb9a1ab79332ef9a563",
-    "flip-tag-general": "02e47e102db7e35835757498b303555fe2ac361b1164b3eb5660acc153bb6437",
-    "swap-answers-general": "e0bfb8ca47459513f4c9869b23944e96e0076a60f2331e983c18cded091c64a4",
+    "demo-honest": "8c66c3ae3c9d06bb7924d0c5a494f62e1191f61c7d743ecdd03bf1563fe2a51f",
+    "demo-general": "b6c7c87d29c7c60e10a2fa895807435c5e3ba6ed03fe234a8f27b1bbfa07769d",
+    "chain-honest": "2f17e62154074ed5780722adde3d30d97ab7e82f18066ed9f05d4c381ddb4132",
+    "chain-general": "674142b35d9109922fb2a4effb94305d2d22656b607aabe5f77581f120c0b4c5",
+    "diamond-honest": "a16ba6dda22be401cc0e668632f660f7f85e6ad2c89691451af0917c85b2b4ab",
+    "diamond-general": "3a5c9df7bbd09a859de71e5d7c76b155f005cabff4115fc435cd01e7ddb73091",
+    "flip-payload-honest": "aeb92de81763930a2bcd3688e49848f82b93fb75dc9365bb76b94c30b552f660",
+    "flip-tag-honest": "f24da3fe86af075c9ebba76f2699e754ff0da5fdaee8577998c221cce6fd4972",
+    "swap-answers-honest": "b65607ad379fff08bccc5a9713cc259a6f24dc99acc4bf803363168dc94ef0cc",
+    "flip-payload-general": "8b2e8740a192a2f3dc58f081252c7ea60f26132cd4303d91707bce0986635771",
+    "flip-tag-general": "cf9c0a5062747be715e39276078aaf8819113c06a09b227147e6a3c9d5688f95",
+    "swap-answers-general": "fca21477a90fab0d9bdc84cbd87dfcf7059f1dbe19262b1d4620cfe90fccba73",
 }
 # the sha256 of each design's outcomes, the canonical JSON of a
 # certificate's verdict, outputs, mismatches and cp_results, as version 13
@@ -144,9 +144,10 @@ V14_OUTCOMES = {
 # NOT gates, they were 344,869, 467,041 and 376,393, and after it, with
 # tagged refs, table indices and programs keyed by index, 240,421,
 # 297,312 and 271,945; at version 15, with answer kinds, 239,980,
-# 296,850 and 271,504
+# 296,850 and 271,504; at version 16, with two 8-bit commitment blocks
+# to a 16-bit checker slice, demo-general was 269,920
 CERT_BYTES = {"demo-honest": 238396, "diamond-honest": 295730,
-              "demo-general": 269920}
+              "demo-general": 259096}
 
 
 def config_cert(config):
@@ -234,6 +235,13 @@ def test_version_16_kept_the_coverage_of_version_15(config):
         "unreached": unreached}
 
 
+@pytest.mark.parametrize("config", [c for c in CERT_DIGESTS if c.endswith("-general")])
+def test_version_17_commits_one_block_per_checker_round(config):
+    # a 16-bit slice and an 8-bit tag half are each one block of the
+    # protocol's 16-bit code, where version 16 committed a slice as two
+    assert all(len(rec["blocks"]) == 1 for rec in config_cert(config)["qa_c"])
+
+
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "cert.json"
     digest = save_certificate(HONEST_CERT, path)
@@ -248,7 +256,7 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v16"}
+           "format": "tabverify-cert-v17"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
@@ -262,7 +270,7 @@ def test_version_8_certificate_is_refused_by_name(tmp_path):
     assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v16",
+    path.write_text(path.read_text().replace("tabverify-cert-v17",
                                              "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
                                          "'tabverify-cert-v8'"):
@@ -379,7 +387,7 @@ def set_top_bit(text):
 
 
 def test_padded_blocks_open_and_their_padding_is_committed():
-    # at width 12 the last block of every checker round is padded with
+    # at width 12 the one block of every checker round is padded with
     # zeros; the session accepts and audits. A block reveals only its seed,
     # and its data is its slice of d, so the padding is committed through
     # d: d of a 6-bit half word is two hex digits, the top two bits
@@ -391,14 +399,14 @@ def test_padded_blocks_open_and_their_padding_is_committed():
     ok, report = audit(cert)
     assert ok == 1, report
     shapes = {(len(r["d"]), len(r["blocks"])) for r in cert["qa_c"]}
-    assert shapes == {(3, 2), (2, 1)}  # 12 and 6 bits, in hex digits
-    m_c = gen_code().m_c
+    assert shapes == {(3, 1), (2, 1)}  # 12 and 6 bits, in hex digits
+    m_c = PROTOCOL_CODE.m_c
     for k in range(len(cert["qa_c"])):
         rec = cert["qa_c"][k]
         assert all(set(b) == {"e", "exposed", "seed"} for b in rec["blocks"])
-        # 12 bits: 4 data bits in the last block; 6 bits: 6
+        # 12 bits: 12 data bits in the block; 6 bits: 6
         last = split_blocks(int(rec["d"], 16), m_c * len(rec["blocks"]), m_c)[-1]
-        assert last < (16 if len(rec["d"]) == 3 else 64)
+        assert last < (4096 if len(rec["d"]) == 3 else 64)
         bad_d, bad_x = (copy.deepcopy(cert) for _ in range(2))
         if len(rec["d"]) == 2:
             bad_d["qa_c"][k]["d"] = set_top_bit(rec["d"])
@@ -418,7 +426,7 @@ def test_padded_blocks_open_and_their_padding_is_committed():
 def drawn_challenges(cert):
     """Each checker record's challenges, one per block, drawn again from the
     certificate's challenge seed as the verifier draws them."""
-    code = gen_code()
+    code = PROTOCOL_CODE
     stream = random.Random(hex_bits(cert["challenge_seed"], 128))
     return [[choose_challenge(code.q, stream) for _ in rec["blocks"]]
             for rec in cert["qa_c"]]
@@ -431,7 +439,7 @@ def test_a_changed_challenge_that_still_opens_is_refused():
     # records no challenge: each block opens under the one drawn again from
     # the disclosed seed, and a block that carries a challenge of its own,
     # even one that still opens, is refused. A block's data is its slice of d
-    code = gen_code()
+    code = PROTOCOL_CODE
     for k, (rec, rs) in enumerate(zip(GENERAL_CERT["qa_c"], drawn_challenges(GENERAL_CERT))):
         block, R = rec["blocks"][0], list(int_to_bits(rs[0], 2 * code.q))
         assert "R" not in block
@@ -527,10 +535,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 16 with the compiler of CERT_DIGESTS
+    # version 17 with the compiler of CERT_DIGESTS
     for cert, want in (
-        (HONEST_CERT, "208bd7e6fb7f9bc18ad9772f9f706f41113bac1357b9a80991d99a475b80f186"),
-        (GENERAL_CERT, "6208ce8925fb6a2baacd0972906aa04fb3ddf121f3a31ba897b0ddd90a83615d"),
+        (HONEST_CERT, "148f2767dea6cb76a713b2536803cdcf97641789ac446409fa1c55a29149df09"),
+        (GENERAL_CERT, "c15d5f9146002eb1e217f04bd98a5993431f2140f2f0af3b34b15d41e438d623"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

@@ -16,7 +16,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tabverify.commitment import choose_challenge, commit_respond, gen_code
+from tabverify.commitment import PROTOCOL_CODE, choose_challenge, commit_respond, gen_code
 from tabverify.protocol import ProtocolError, bits_hex, hex_bits
 from tabverify.symcrypto import prg
 from tabverify.tables import bits_uint, int_to_bits
@@ -179,7 +179,7 @@ def test_prg_matches_the_reference(seed, n):
     assert int_to_bits(prg(bits_uint(seed), len(seed), n), n) == ref_prg(seed, n)
 
 
-@pytest.mark.parametrize("q", [1, 3, CODE.q, gen_code().q])
+@pytest.mark.parametrize("q", [1, 3, CODE.q, PROTOCOL_CODE.q])
 def test_choose_challenge_draws_like_the_reference(q):
     for seed in range(100):
         fast, ref = random.Random(seed), random.Random(seed)
@@ -190,7 +190,7 @@ def test_choose_challenge_draws_like_the_reference(q):
 
 def test_commit_respond_matches_the_reference():
     rng = random.Random(31)
-    for code in (CODE, gen_code()):  # 4 data bits per block, and 8
+    for code in (CODE, PROTOCOL_CODE):  # 4 data bits per block, and 16
         for _ in range(200):
             D = tuple(rng.getrandbits(1) for _ in range(code.m_c))
             R = choose_challenge(code.q, rng)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from tabverify.commitment import (
     MAX_CODE_RETRIES,
+    PROTOCOL_CODE,
     CodeSpec,
     CommitError,
     CommitMessage,
@@ -74,21 +75,24 @@ def test_gray_code_distance_check_matches_the_nested_loop(m_c):
         assert gen_code(m_c=m_c, seed=seed) == ref_gen_code(m_c, seed=seed)
 
 
-def test_protocol_code_commits_8_bits_per_block():
-    # the code every party builds with gen_code(): a constant of the
-    # certificate format, so its rows are pinned here
-    code = gen_code()
-    assert (code.m_c, code.q) == (8, 256)
-    assert code.d_min >= 64
+def test_protocol_code_is_the_generated_16_bit_code():
+    # the code every party commits with is written into the source: it must
+    # be the one gen_code derives, with the distance checked over all 2^16 - 1
+    # nonzero codewords. A constant of the certificate format, so its rows
+    # are pinned here
+    code = PROTOCOL_CODE
+    assert gen_code(m_c=16, seed=0) == code
+    assert (code.m_c, code.q, code.eps, code.K, code.seed) == (16, 256, (1, 4), 16, 0)
+    assert code.d_min >= code.q // 4
     rows = ",".join(map(str, code.rows)).encode()
     assert hashlib.sha256(rows).hexdigest() == (
-        "d3e1eb4de80676b34c5db9fa4f9056e90dbc20c30e8e3fad99bc7ca9079a1e37"
+        "dddb76b64793b6fb9d380f91709196a820dee3aeba7d28f83568055960c9bba6"
     )
 
 
 def test_code_deterministic_in_seed():
-    assert gen_code(seed=5) == gen_code(seed=5)
-    assert gen_code(seed=5) != gen_code(seed=6)
+    assert gen_code(m_c=8, seed=5) == gen_code(m_c=8, seed=5)
+    assert gen_code(m_c=8, seed=5) != gen_code(m_c=8, seed=6)
 
 
 def test_challenge_weight():
