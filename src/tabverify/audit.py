@@ -7,10 +7,11 @@ The auditor is the verifier itself, with its three hooks played back from
 the record (ReplayVerifier): the disclosed session secrets instead of fresh
 ones, the recorded answer to each query once the query equals its record,
 and in general mode the recorded opening of each checker round. The
-verifier's own code draws every round's key again from the disclosed key
-seed, and its challenges from the disclosed challenge seed; the recorded
-commitments are re-verified under those challenges, and the revealed value
-is re-decrypted under that key. The rebuilt certificate must then
+verifier's own code derives every round's seed again from the disclosed
+key seed, and draws the round's key from it and its challenges from the
+disclosed challenge seed; the recorded commitments are re-verified under
+those challenges, and the revealed value is re-decrypted under that key.
+No key word is built: nothing is sent. The rebuilt certificate must then
 serialize to exactly the stored bytes.
 """
 
@@ -27,6 +28,7 @@ from .protocol import (
     SESSION_SEED_BITS,
     ProtocolError,
     Verifier,
+    checker_key,
     hex_bits,
     session_binding,
 )
@@ -74,8 +76,9 @@ class ReplayVerifier(Verifier):
     with the record. _session_key returns the recorded seeds, _ask the
     recorded answer to each query once the query equals its record, and
     _opening the recorded opening of each checker round once its blocks
-    open under the challenges drawn from the recorded challenge seed. Any
-    divergence raises AuditError."""
+    open under the challenges drawn from the recorded challenge seed, with
+    the round's key alone, drawn from its seed. Any divergence raises
+    AuditError."""
 
     def __init__(self, cert):
         self.cert = cert
@@ -108,12 +111,12 @@ class ReplayVerifier(Verifier):
             raise AuditError(f"query {k + 1} diverges from the transcript")
         return {"answer": rec["a"]}
 
-    def _opening(self, chan, p, width, rs, ct_sk):
-        """The recorded d and blocks of this round. A live round records d
-        only once every block has opened under its challenge in rs, so a
-        recorded d whose blocks do not open fails the replay here. Nothing
-        is sent, so the round's y is not computed: the verifier checks d
-        under the key it drew again from the key seed."""
+    def _opening(self, chan, p, width, rs, seed):
+        """The round's key, drawn again from its seed, and the recorded d
+        and blocks of this round. A live round records d only once every
+        block has opened under its challenge in rs, so a recorded d whose
+        blocks do not open fails the replay here. Nothing is sent, so
+        neither the round's key word nor its y is built."""
         k = len(self.qa_c) - 1  # this round's record is already appended
         if k >= len(self.cert["qa_c"]):
             raise AuditError("checker record missing")
@@ -121,7 +124,7 @@ class ReplayVerifier(Verifier):
         d, blocks = rec["d"], rec["blocks"]
         if d is not None and not self._opens(d, blocks, width, rs):
             raise AuditError(f"checker record {k} does not open ($.qa_c[{k}])")
-        return d, blocks
+        return checker_key(seed, width)[0], d, blocks
 
 
 def replay(cert):
@@ -203,7 +206,8 @@ def audit(cert):
 
     For a general-mode certificate the replay also re-verifies every
     commitment opening and re-decrypts every revealed checker value under
-    its round's key, drawn again from the disclosed key seed.
+    its round's key, drawn again from the round's seed, which it derives
+    from the disclosed key seed.
     """
     ok, report = replay(cert)
     return (1 if ok and report.get("replayed_verdict") == "accept" else 0), report

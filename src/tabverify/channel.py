@@ -20,8 +20,13 @@ MAX_FRAME = 64 * 1024 * 1024
 TIMEOUT = 30.0  # seconds a socket peer may stay silent before the channel fails
 
 
+# one encoder for every call: json.dumps with these arguments builds one
+# per call, and it holds no state between calls
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def encode_frame(obj):

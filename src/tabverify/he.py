@@ -131,14 +131,23 @@ def enc_word(hpk, bits, rng=None):
     a bit. Every nonce comes from one _randbits call of 128 bits per
     ciphertext. A random.Random fills such a draw 32 bits at a time from
     the low end, so nonce j is chunk j of its little-endian bytes, reversed:
-    the same nonces, and the same rng state, as one 128-bit draw each."""
+    the same nonces, and the same rng state, as one 128-bit draw each.
+    Read big-endian, nonce j is that draw's 32-bit outputs 4j to 4j + 3,
+    the first lowest: a word shows raw MT19937 outputs of its generator,
+    from which that generator's later outputs follow. A checker round's
+    key word is therefore drawn from a generator of that round's own,
+    which draws nothing after it (protocol.checker_key)."""
     bits = tuple(bits)
     try:
-        plain = bytes(map(int, bits)) if set(bits) <= {0, 1} else None
+        is_bits = set(bits) <= {0, 1}
     except TypeError:  # an unhashable item
-        plain = None
-    if plain is None:
+        is_bits = False
+    if not is_bits:
         raise HeError("plaintext must be a bit")
+    try:
+        plain = bytes(bits)  # ints and bools, in one call
+    except TypeError:  # another number type equal to a bit, such as 1.0
+        plain = bytes(map(int, bits))
     n = len(plain)
     nonces = _randbits(rng, 8 * _NONCE * n).to_bytes(_NONCE * n, "little")
     word = bytearray(_header(hpk) + bytes(_TR * n))

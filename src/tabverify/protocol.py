@@ -15,10 +15,10 @@ intermediate payload (a value between tables) is ever opened. In general
 mode a checker round pins down each encode answer right after it: the
 verifier homomorphically computes the symmetric encryption of the answer's
 slice under a fresh key of its own, the developer commits to the
-decryption before it is sent the key's ciphertext, and the revealed value
-must decrypt to exactly the answer (a q1's top word). A round's frame
-carries only y, and its reply nothing, since the verifier counts the
-blocks itself.
+decryption before it is sent the round's seed, from which it builds the
+key's ciphertext itself, and the revealed value must decrypt to exactly
+the answer (a q1's top word). A round's frame carries only y, and its
+reply nothing, since the verifier counts the blocks itself.
 
 The published structure is one value, Structure, which names a feed as its
 JSON does, by a ref: an external input's name (a JSON string) or a table's
@@ -36,25 +36,33 @@ function each below.
 A ciphertext word (he's one bytes value: the backend tag and key id once,
 then one payload per ciphertext) is one base64 string on the wire and in
 the certificate: a published program, a q1 answer, a q2's u; on the
-wire also a checker round's y and ct_sk. cts_b64 and b64_cts are the one
+wire also a checker round's y. cts_b64 and b64_cts are the one
 encoding and the one decoding, and b64_cts accepts only the canonical
 spelling of a word of the key pair, which he.check_word checks once. Words
 are cut and joined by ciphertext index with he.cut_word and he.join_words,
 never by byte arithmetic here.
 
 Above he, an n-bit string is an int whose bit i is bit i of the string,
-and n comes from the caller: a q1's x, a q2 answer, a checker
-round's d, every commitment field and challenge, the two session seeds
+and n comes from the caller: a q1's x, a q2 answer, a checker round's d
+and seed, every commitment field and challenge, the two session seeds
 and the developer's plaintext memory. On the wire and in the certificate
 it is exactly ceil(n / 4) lowercase hex digits, the most significant
 first: bits_hex writes it, and hex_bits reads it back and refuses any
 other spelling, so that each recorded string has one spelling (the audit
 hands recorded openings into the rebuilt certificate unchanged). The
 checker value is the SE circuit named by its block width
-(symcrypto.SECircuit) evaluated under he. The verifier draws each round's
-key from its key seed (checker_key) and each block's challenge from its
-challenge seed; the certificate records neither, only the two seeds, from
-which the auditor draws them again.
+(symcrypto.SECircuit) evaluated under he.
+
+The verifier derives round r's seed, the round recorded at qa_c[r], from
+its key seed with the PRG (round_seed), and draws the round's key, then
+its key word's nonces, from a generator seeded with that seed alone
+(checker_key). No round's generator is another's, and a hash of the key
+seed is no generator output, so the seeds and key words a developer has
+been sent tell it nothing of a later round's key. Each block's challenge
+comes from one stream of the challenge seed: a committer sees its
+challenge before it commits anyway. The certificate records neither keys
+nor challenges, only the two seeds, from which the auditor derives them
+again.
 
 The verifier meets the developer only through its hooks (Verifier); the
 audit module's ReplayVerifier overrides them to replay a certificate.
@@ -84,7 +92,14 @@ from .commitment import (
 )
 from .expr import wrap_signed
 from .graphtext import serialize_graph
-from .symcrypto import SECircuit, block_width_ok, se_dec, se_key_bits, se_keygen
+from .symcrypto import (
+    SECircuit,
+    block_width_ok,
+    prg,
+    se_dec,
+    se_key_bits,
+    se_keygen,
+)
 from .tables import (
     Tagged,
     bits_uint,
@@ -97,8 +112,10 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 17  # bump whenever a field, a frame or a replay rule changes
+CERT_VERSION = 18  # bump whenever a field, a frame or a replay rule changes
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
+ROUND_SEED_BITS = 128  # a checker round's seed, derived from the key seed
+ROUND_INDEX_BITS = 32  # a checker round's index, in its seed's derivation
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
 BOT = "bot"
@@ -199,15 +216,26 @@ def checker_slice(word, whole, h, hpk=None):
     return word & ((1 << h) - 1) if hpk is None else he.cut_word(hpk, word, 0, h)
 
 
-def checker_key(keys, hpk, width):
-    """The SE key of one checker round on a slice of width bits, and its
-    word under hpk: se_key_bits(width) bits drawn from the key stream keys,
-    then encrypted with nonces from the same stream. The verifier draws one
-    for every round it runs; the auditor draws them again from the key
-    seed, and the simulation oracle from the seed it is told."""
+def round_seed(key_seed, r):
+    """The seed of checker round r, the round recorded at qa_c[r]: the
+    first ROUND_SEED_BITS bits of the PRG (SHAKE128) over the key seed's
+    bits and then r's ROUND_INDEX_BITS."""
+    return prg(key_seed | r << SESSION_SEED_BITS,
+               SESSION_SEED_BITS + ROUND_INDEX_BITS, ROUND_SEED_BITS)
+
+
+def checker_key(seed, width, hpk=None):
+    """(sk, its word under hpk) of the checker round of the given seed on a
+    slice of width bits; the word is None when hpk is None. A generator
+    seeded with the round's seed alone draws the key's se_key_bits(width)
+    bits, then the word's nonces, so the word shows no other round's draws.
+    The verifier builds the word for y, and the developer builds it again
+    from the seed it is sent in the proof; the auditor and the simulation
+    oracle draw the key alone."""
+    keys = random.Random(seed)
     k = se_key_bits(width)
     sk = se_keygen(k, keys)
-    return sk, he.enc_word(hpk, int_to_bits(sk, k), keys)
+    return sk, None if hpk is None else he.enc_word(hpk, int_to_bits(sk, k), keys)
 
 
 def checker_value(pp, ct_sk, p):
@@ -663,9 +691,10 @@ class Developer:
         self.mem.pending = {}
         width = pending["width"]
         try:
-            ct_sk = b64_cts(body.get("ct_sk"), self.hpk, se_key_bits(width))
+            seed = hex_bits(body.get("seed"), ROUND_SEED_BITS)
         except ProtocolError:
             return {"result": NULL}
+        _, ct_sk = checker_key(seed, width, self.hpk)
         if checker_value(self.pp, ct_sk, pending["p"]) != pending["y"]:
             return {"result": NULL}
         reveals = [{"seed": bits_hex(s, COMMIT_SEED_BITS)} for s in pending["seeds"]]
@@ -726,13 +755,15 @@ class Verifier:
     The verifier meets the developer and its own randomness through three
     hooks: _session_key draws the general-mode session secrets, _ask sends
     a query and returns the reply's body, and _opening runs a checker
-    round's exchange, from y to the reveal. audit.ReplayVerifier overrides just
-    these three to play a certificate back. An encode answer is its value,
-    checked once by _value: the certificate records it as given, or null
-    when it fails the check. The session secrets are two
-    seeds, never sent and disclosed in the certificate: every checker
-    round's key comes from the key seed and every challenge from the
-    challenge seed, so the auditor draws them again."""
+    round's exchange, from y to the reveal, and gives the round's key.
+    audit.ReplayVerifier overrides just these three to play a certificate
+    back. An encode answer is its value, checked once by _value: the
+    certificate records it as given, or null when it fails the check. The
+    session secrets are two seeds, never sent and disclosed in the
+    certificate: every checker round's seed, and from it the round's key,
+    comes from the key seed, and every challenge from the challenge seed,
+    so the auditor draws them again. A round's seed is sent once the
+    developer has committed."""
 
     def __init__(
         self,
@@ -800,10 +831,9 @@ class Verifier:
         self.code = PROTOCOL_CODE
         if mode == "general":
             self.key_seed, self.challenge_seed = self._session_key()
-            self.keys = random.Random(self.key_seed)
             self.challenges = random.Random(self.challenge_seed)
         else:
-            self.key_seed = self.challenge_seed = self.keys = self.challenges = None
+            self.key_seed = self.challenge_seed = self.challenges = None
         self.qa_e = []
         self.qa_c = []
         self.failures = []
@@ -811,7 +841,7 @@ class Verifier:
     # -- hooks (with _opening, under the checker round)
 
     def _session_key(self):
-        """The session secrets: the key seed, of every checker round's key,
+        """The session secrets: the key seed, of every checker round's seed,
         and the challenge seed, of every challenge."""
         return tuple(self.rng.getrandbits(SESSION_SEED_BITS) for _ in range(2))
 
@@ -978,27 +1008,29 @@ class Verifier:
         whole = self.pp.structure.covers_whole(q.get("input", q.get("i")))
         p = checker_slice(value if q1 else v_word, whole, h, self.pp.hpk)
         width = he.check_word(self.pp.hpk, p)
-        # every round draws its own key and its challenges, one per block,
-        # before it asks and whatever the developer answers, so that the
-        # auditor draws the same ones
-        sk, ct_sk = checker_key(self.keys, self.pp.hpk, width)
+        # every round derives its seed and draws its challenges, one per
+        # block, before it asks and whatever the developer answers, so that
+        # the auditor derives the same ones
+        seed = round_seed(self.key_seed, len(self.qa_c))
         rs = [choose_challenge(self.code.q, self.challenges)
               for _ in range(-(-width // self.code.m_c))]
         record = {"d": None, "blocks": []}
         self.qa_c.append(record)
 
-        d, blocks = self._opening(chan, p, width, rs, ct_sk)
+        sk, d, blocks = self._opening(chan, p, width, rs, seed)
         if d is None:
             return False
         record.update(d=d, blocks=blocks)
         return se_dec(sk, hex_bits(d, width), width) == expected
 
-    def _opening(self, chan, p, width, rs, ct_sk):
-        """Run the checker round on the slice p of the answer just given:
-        send y, p's SE encryption under the key inside ct_sk, then the
-        challenges rs, and ct_sk only once the developer has committed; the
-        revealed d and its blocks once every block opens, else (None,
-        None)."""
+    def _opening(self, chan, p, width, rs, seed):
+        """Run the checker round of the given seed on the slice p of the
+        answer just given: send y, p's SE encryption under the round's key
+        word, then the challenges rs, and the seed only once the developer
+        has committed. Returns (sk, d, blocks): the round's key, drawn with
+        its word, and the revealed d and its blocks once every block opens,
+        else None for both."""
+        sk, ct_sk = checker_key(seed, width, self.pp.hpk)
         y = checker_value(self.pp, ct_sk, p)
         self._ask(chan, "checker", {"y": cts_b64(y)})  # a refused round fails below
         n = len(rs)
@@ -1006,17 +1038,18 @@ class Verifier:
                       {"Rs": [bits_hex(R, 2 * self.code.q) for R in rs]})
         commits = c.get("blocks")
         if not isinstance(commits, list) or len(commits) != n:
-            return None, None
-        res = self._ask(chan, "checker_proof", {"ct_sk": cts_b64(ct_sk)})
+            return sk, None, None
+        res = self._ask(chan, "checker_proof",
+                        {"seed": bits_hex(seed, ROUND_SEED_BITS)})
         try:
             d, reveals = res["d"], res["reveals"]
             if len(reveals) != n:
-                return None, None
+                return sk, None, None
             blocks = [{"e": cm["e"], "exposed": cm["exposed"], "seed": rv["seed"]}
                       for cm, rv in zip(commits, reveals)]
         except (KeyError, TypeError):
-            return None, None
-        return (d, blocks) if self._opens(d, blocks, width, rs) else (None, None)
+            return sk, None, None
+        return (sk, d, blocks) if self._opens(d, blocks, width, rs) else (sk, None, None)
 
     def _opens(self, d, blocks, width, rs):
         """Whether d spells width bits and every block, of exactly the fields

@@ -8,7 +8,8 @@ Two pieces back the indistinguishability claims:
    the clear on the plaintext inputs the session memory already holds, and
    a checker round opens y as the symmetric encryption of the answer slice
    under the round's key, which the oracle draws as the verifier does
-   (protocol.checker_key) from the verifier's key seed, which it is told.
+   (protocol.round_seed, then protocol.checker_key) from the verifier's
+   key seed, which it is told, and the round's index, which it counts.
    Every check on a query is the Developer's own, so against identical
    keys and randomness the oracle answers byte for byte like the real
    developer for any valid query sequence.
@@ -28,6 +29,7 @@ from .protocol import (
     Verifier,
     checker_key,
     public_structure,
+    round_seed,
     table_circuits,
     verify_session,
 )
@@ -43,14 +45,16 @@ class OracleDeveloper(Developer):
     They must share the interconnection structure. With answer_graph
     omitted this is a drop-in plaintext twin of Developer. In general mode
     _open_checker needs every checker round's key: learn_key_seed gives it
-    the verifier's key seed, from which it draws the next round's key at
-    each checker frame it opens. Its sessions share that key stream.
+    the verifier's key seed, and each session counts the checker rounds it
+    opens, from 0, so that it opens round r under the key of
+    round_seed(key_seed, r). An honest verifier's every round opens, so r
+    is the round's index in the verifier's qa_c.
     """
 
     def __init__(self, cipher_graph, answer_graph=None, **kw):
         super().__init__(cipher_graph, **kw)
         self.hsk = None  # any accidental decryption now fails loudly
-        self.keys = None
+        self.key_seed = self.rounds = None
         self.answer_circuits = self.circuits
         if answer_graph is not None:
             tg = transform(answer_graph)
@@ -59,14 +63,17 @@ class OracleDeveloper(Developer):
                 raise ValueError("answer graph has a different structure")
 
     def learn_key_seed(self, key_seed):
-        self.keys = random.Random(key_seed)
+        """Take the verifier's key seed; the sessions made after this count
+        their rounds from 0 (a session is a copy, so each counts its own)."""
+        self.key_seed, self.rounds = key_seed, 0
 
     def _open_output(self, i, v_cts, u_plain):
         c = self.answer_circuits[i]
         return bits_uint(simulate(c, int_to_bits(u_plain, c.n_inputs)))
 
     def _open_checker(self, y, slice_plain, width):
-        sk, _ = checker_key(self.keys, self.hpk, width)
+        sk, _ = checker_key(round_seed(self.key_seed, self.rounds), width)
+        self.rounds += 1
         return se_enc(sk, slice_plain, width)
 
 

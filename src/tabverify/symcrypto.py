@@ -129,10 +129,14 @@ def _block(key, m, width, decrypt):
 
 
 def se_keygen(K, rng):
-    """A K-bit key whose bit i is the i-th of K one-bit draws from rng."""
+    """A K-bit key whose bit i is the i-th of K one-bit draws from rng. A
+    random.Random's one-bit draw is the top bit of one 32-bit output, and
+    its draw of 32K bits is K outputs, the first lowest, so the key is
+    every 32nd bit of one such draw: the same key, and the same rng state,
+    as K one-bit draws."""
     if K < 8:
         raise SymError("key size too small (need K >= 8)")
-    return sum(rng.getrandbits(1) << i for i in range(K))
+    return int(format(rng.getrandbits(32 * K), f"0{32 * K}b")[::32], 2)
 
 
 def se_key_bits(width):

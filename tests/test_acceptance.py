@@ -31,6 +31,7 @@ from tabverify.demo import (
     diamond_graph,
 )
 from tabverify.protocol import (
+    ROUND_SEED_BITS,
     Developer,
     Structure,
     Verifier,
@@ -41,6 +42,7 @@ from tabverify.protocol import (
     checker_value,
     cts_b64,
     hex_bits,
+    round_seed,
     spec_port_outputs,
     table_step,
     verify_session,
@@ -268,10 +270,9 @@ def test_c8_oracles_byte_identical_to_services():
     dev = Developer(graph, rng=random.Random(77))
     orc = OracleDeveloper(graph, rng=random.Random(77))
     assert canonical_json(dev.pp.to_dict()) == canonical_json(orc.pp.to_dict())
-    # every checker round has its own key, drawn from one key stream by
-    # the oracle as here
+    # every checker round has its own key, drawn from its own round seed;
+    # each oracle session counts the rounds it opens from 0, as here
     key_seed = random.Random(5).getrandbits(128)
-    keys = random.Random(key_seed)
     orc.learn_key_seed(key_seed)
     m = graph.m
     # (i, the external input each port reads) of each table that reads only inputs
@@ -298,6 +299,7 @@ def test_c8_oracles_byte_identical_to_services():
     for s in range(1000):
         rng = random.Random(8000 + s)
         pair = (dev.session(), orc.session())
+        rounds = 0  # the checker rounds this pair has opened
         for _ in range(rng.randint(1, 3)):
             op = rng.random()
             i, names = rng.choice(src)
@@ -311,15 +313,18 @@ def test_c8_oracles_byte_identical_to_services():
             elif op < 0.95:
                 a = q1(rng, pair, names[rng.randrange(len(names))])
                 p = b64_cts(a["answer"], dev.hpk)
-                _, ct_sk = checker_key(keys, dev.hpk, m)
+                seed = round_seed(key_seed, rounds)
+                _, ct_sk = checker_key(seed, m, dev.hpk)
                 y = checker_value(dev.pp, ct_sk, p)
                 r = ask("checker", {"y": cts_b64(y)}, pair)
                 if "result" not in r:  # a refused round answers null
+                    rounds += 1
                     rs = [choose_challenge(dev.code.q, rng)
                           for _ in range(-(-m // dev.code.m_c))]
                     ask("commit_challenge",
                         {"Rs": [bits_hex(R, 2 * dev.code.q) for R in rs]}, pair)
-                    proof = ask("checker_proof", {"ct_sk": cts_b64(ct_sk)}, pair)
+                    proof = ask("checker_proof",
+                                {"seed": bits_hex(seed, ROUND_SEED_BITS)}, pair)
                     reveals += "d" in proof
             else:
                 ask("encode", {"qkind": 1, "input": 999, "x": "01"}, pair)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import NARROW_DOMAINS, WIDTH12_TEXT, mutate_certificate, scalar_leaves
-from tabverify import audit as audit_module, channel, protocol
+from tabverify import audit as audit_module, channel, he, protocol
 from tabverify.audit import (
     AuditError,
     ReplayVerifier,
@@ -82,21 +82,32 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT
 # and the developer's compiler; a change to the format must bump it, and
-# either change re-records these. Recorded at certificate version 17, with
+# either change re-records these. Recorded at certificate version 18, with
 # the compiler that drops dead gates and reads through NOT gates.
 CERT_DIGESTS = {
+    "demo-honest": "e48e7de40ef9c36e8eea51331df1a57c15722b470663eedc7c934c2cb39f0b82",
+    "demo-general": "efa5e427e610be2c41b7e8cdb0b3b9ac54ddc1d3bcba60245ba9b0ac60c84de9",
+    "chain-honest": "a32f38c0a5e50be5ddcda13d009c48013e82e48844d915afdacae09a14c5a22b",
+    "chain-general": "de84f93f1a1d3d05a546e6855afaeb2a4e0b4eac7af6a0f94988ef8bc3a0a4fa",
+    "diamond-honest": "5befa0d45ef03f331e6679055bfbd2c0b6d6b0c860b9a9fef07f53b4706c4fde",
+    "diamond-general": "b2646c046a8cc0dc3092791e0dc53d19b297f142e09f3b545583a4190766f8e3",
+    "flip-payload-honest": "8e71d92dd29f31a7861a2f3690faf0bae5a4029d4dc7503e44c5d6065a00a65f",
+    "flip-tag-honest": "0fa72456999d9facf5aaf1e26b980c92ef0f0ceefd4b45ac845a517935d09b33",
+    "swap-answers-honest": "51ca64f564f998748ce0088944d83fe5e58ae5e364b83c692ac9e68dd9ea651f",
+    "flip-payload-general": "f9166ae83827ba942170c293640a9f3ac62413cc17b1b04d01ab0fde08e15308",
+    "flip-tag-general": "ab41e7f329215b932f6a22e875dc55207a8d429400cc5c25fb67e0e41a045e9d",
+    "swap-answers-general": "fd0449b9ce94157da62c3d148175aa80950fccba484845faf3f9155a3c507383",
+}
+# the sha256 of each honest configuration's certificate at version 17.
+# Version 18 changed only the checker rounds, which honest mode does not
+# run, so its honest certificates are these once their version is 17 again
+V17_HONEST_DIGESTS = {
     "demo-honest": "8c66c3ae3c9d06bb7924d0c5a494f62e1191f61c7d743ecdd03bf1563fe2a51f",
-    "demo-general": "b6c7c87d29c7c60e10a2fa895807435c5e3ba6ed03fe234a8f27b1bbfa07769d",
     "chain-honest": "2f17e62154074ed5780722adde3d30d97ab7e82f18066ed9f05d4c381ddb4132",
-    "chain-general": "674142b35d9109922fb2a4effb94305d2d22656b607aabe5f77581f120c0b4c5",
     "diamond-honest": "a16ba6dda22be401cc0e668632f660f7f85e6ad2c89691451af0917c85b2b4ab",
-    "diamond-general": "3a5c9df7bbd09a859de71e5d7c76b155f005cabff4115fc435cd01e7ddb73091",
     "flip-payload-honest": "aeb92de81763930a2bcd3688e49848f82b93fb75dc9365bb76b94c30b552f660",
     "flip-tag-honest": "f24da3fe86af075c9ebba76f2699e754ff0da5fdaee8577998c221cce6fd4972",
     "swap-answers-honest": "b65607ad379fff08bccc5a9713cc259a6f24dc99acc4bf803363168dc94ef0cc",
-    "flip-payload-general": "8b2e8740a192a2f3dc58f081252c7ea60f26132cd4303d91707bce0986635771",
-    "flip-tag-general": "cf9c0a5062747be715e39276078aaf8819113c06a09b227147e6a3c9d5688f95",
-    "swap-answers-general": "fca21477a90fab0d9bdc84cbd87dfcf7059f1dbe19262b1d4620cfe90fccba73",
 }
 # the sha256 of each design's outcomes, the canonical JSON of a
 # certificate's verdict, outputs, mismatches and cp_results, as version 13
@@ -235,6 +246,14 @@ def test_version_16_kept_the_coverage_of_version_15(config):
         "unreached": unreached}
 
 
+@pytest.mark.parametrize("config", list(V17_HONEST_DIGESTS))
+def test_version_18_kept_the_honest_certificates_of_version_17(config):
+    cert = dict(config_cert(config), version=17)
+    cert["binding"] = session_binding(cert)
+    text = canonical_json(cert).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == V17_HONEST_DIGESTS[config]
+
+
 @pytest.mark.parametrize("config", [c for c in CERT_DIGESTS if c.endswith("-general")])
 def test_version_17_commits_one_block_per_checker_round(config):
     # a 16-bit slice and an 8-bit tag half are each one block of the
@@ -256,7 +275,7 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v17"}
+           "format": "tabverify-cert-v18"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
@@ -270,7 +289,7 @@ def test_version_8_certificate_is_refused_by_name(tmp_path):
     assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v17",
+    path.write_text(path.read_text().replace("tabverify-cert-v18",
                                              "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
                                          "'tabverify-cert-v8'"):
@@ -535,10 +554,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 17 with the compiler of CERT_DIGESTS
+    # version 18 with the compiler of CERT_DIGESTS
     for cert, want in (
-        (HONEST_CERT, "148f2767dea6cb76a713b2536803cdcf97641789ac446409fa1c55a29149df09"),
-        (GENERAL_CERT, "c15d5f9146002eb1e217f04bd98a5993431f2140f2f0af3b34b15d41e438d623"),
+        (HONEST_CERT, "1a63977d9dffce6cc77510a02ad71962a562b1bf83f5efde9b421a72f7559b2b"),
+        (GENERAL_CERT, "d5a1fe19510430e3f44d382a2e3e2b71d37c15b8426d4108675b8eef72ddddd7"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()
@@ -567,6 +586,23 @@ def test_replay_names_the_first_diverging_query():
     ok, report = replay(cert)
     assert not ok
     assert report["reason"] == "query 2 diverges from the transcript"
+
+
+def test_the_replay_builds_no_key_word(monkeypatch):
+    # the auditor checks each round's d under the key it draws from the
+    # round's seed; it sends nothing, so it never encrypts a key word
+    def enc_word(*args):
+        raise AssertionError("the replay built a key word")
+
+    monkeypatch.setattr(he, "enc_word", enc_word)
+    ok, report = audit(GENERAL_CERT)
+    assert ok == 1, report
+    cert = copy.deepcopy(GENERAL_CERT)
+    d = cert["qa_c"][0]["d"]
+    cert["qa_c"][0]["d"] = bits_hex(hex_bits(d, 4 * len(d)) ^ 1, 4 * len(d))
+    ok, report = audit(cert)
+    assert ok == 0
+    assert report["reason"] == "checker record 0 does not open ($.qa_c[0])"
 
 
 @pytest.mark.parametrize("change, reason", [

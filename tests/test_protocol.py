@@ -32,6 +32,7 @@ from tabverify.protocol import (
     checker_key,
     checker_value,
     hex_bits,
+    round_seed,
     spec_port_outputs,
     table_step,
     verify_session,
@@ -288,6 +289,28 @@ def test_general_mode_accepts_and_records_checkers():
                for r in cert["qa_c"] for b in r["blocks"])
 
 
+def test_a_checker_proof_sends_the_round_seed_alone():
+    # round r's proof is {seed}, round_seed(key_seed, r) in 32 lowercase
+    # hex digits, and no frame carries a key word
+    dev = make_dev()
+    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, DEMO_CP, seed=7,
+                 mode="general", rng=random.Random(1))
+    sent = []
+
+    class Recording(LoopbackChannel):
+        def send(self, f):
+            sent.append(f)
+            super().send(f)
+
+    verdict, cert = v.run(Recording(dev.session().handle))
+    assert verdict == "accept"
+    proofs = [f["body"] for f in sent if f["type"] == "checker_proof"]
+    assert proofs == [{"seed": bits_hex(round_seed(v.key_seed, r), 128)}
+                      for r in range(len(cert["qa_c"]))]
+    assert all(len(p["seed"]) == 32 for p in proofs)
+    assert not any("ct_sk" in canonical_json(f) for f in sent)
+
+
 @pytest.mark.parametrize("strategy", ["flip-payload", "flip-tag", "swap-answers"])
 def test_malicious_strategies_rejected_in_general_mode(strategy):
     _, verdict, cert = run_pair(
@@ -482,11 +505,11 @@ def test_checker_requires_commit_before_proof():
     x = bits_hex(DEMO_INPUT[names[0]], m // 2)
     a = frame(dev, "encode", {"qkind": 1, "input": names[0], "x": x})
     p = b64_cts(a["answer"], dev.hpk)
-    _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
+    _, ct_sk = checker_key(4, m, dev.hpk)
     y = checker_value(dev.pp, ct_sk, p)
     assert frame(dev, "checker", {"y": cts_b64(y)}) == {}
     # proof before the commitment exchange must fail
-    assert frame(dev, "checker_proof", {"ct_sk": cts_b64(ct_sk)})["result"] == "null"
+    assert frame(dev, "checker_proof", {"seed": bits_hex(4, 128)})["result"] == "null"
 
 
 def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):
@@ -502,7 +525,7 @@ def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):
         a = frame(session, "encode", {"qkind": 1, "input": names[0],
                                       "x": bits_hex(0, m // 2)})
         p = b64_cts(a["answer"], dev.hpk)
-        _, ct_sk = checker_key(random.Random(4), dev.hpk, m)
+        _, ct_sk = checker_key(4, m, dev.hpk)
         y = checker_value(dev.pp, ct_sk, p)
         assert frame(session, "checker", {"y": cts_b64(y)}) == {}
         return [choose_challenge(q, random.Random(k))
@@ -526,34 +549,52 @@ def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):
         frame(session, "commit_challenge", {"Rs": [bits_hex(R, 2 * q) for R in rs]})
 
 
-def test_checker_proof_with_a_key_word_of_another_size_is_null():
-    # a round's key is 4 * width bits, one chunk of half the slice per
-    # round; a proof whose ct_sk holds another number of ciphertexts, such
-    # as the 16-bit key of format v8, is answered null, and one of the
-    # round's key size opens to the answer. A round pins the answer just
+def test_checker_proof_opens_only_under_the_round_seed():
+    # a proof is {seed}: the round's 128-bit seed in 32 lowercase hex
+    # digits, from which the developer builds the key word itself. A
+    # missing seed, an int, 31 or 33 digits, uppercase, a seed with a bit
+    # past 128, and the well-formed seed of another round, whose key word
+    # does not give the y that was sent, are each answered null; the
+    # round's own seed opens to the answer. A round pins the answer just
     # given, so each is run on an answer of its own
     dev = make_dev()
     _, names = first_input_table(dev)
     m = dev.pp.m
     u = tagged_word(Tagged(True, 3), m)
-    keys = random.Random(4)
-    for n in (16, 4 * m - 1, 4 * m + 1, 4 * m):
+    key_seed = random.Random(4).getrandbits(128)
+    seed, other = round_seed(key_seed, 0), round_seed(key_seed, 1)
+    text = bits_hex(seed, 128)
+    assert len(text) == 32
+    for body in ({}, {"seed": seed}, {"seed": text[1:]}, {"seed": "0" + text},
+                 {"seed": "1" + text}, {"seed": text.upper()},
+                 {"seed": bits_hex(other, 128)}, {"seed": text}):
         a = frame(dev, "encode", {"qkind": 1, "input": names[0],
                                   "x": bits_hex(3, m // 2)})
         p = b64_cts(a["answer"], dev.hpk)
-        sk, ct_sk = checker_key(keys, dev.hpk, m)
+        sk, ct_sk = checker_key(seed, m, dev.hpk)
         assert he.check_word(dev.hpk, ct_sk) == 4 * m
         y = checker_value(dev.pp, ct_sk, p)
         assert frame(dev, "checker", {"y": cts_b64(y)}) == {}
-        rs = [bits_hex(choose_challenge(dev.code.q, keys), 2 * dev.code.q)
-              for _ in range(block_count(dev, m))]
+        rs = [bits_hex(choose_challenge(dev.code.q, random.Random(k)), 2 * dev.code.q)
+              for k in range(block_count(dev, m))]
         assert "blocks" in frame(dev, "commit_challenge", {"Rs": rs})
-        sent = he.cut_word(dev.hpk, he.join_words(dev.hpk, (ct_sk, ct_sk)), 0, n)
-        proof = frame(dev, "checker_proof", {"ct_sk": cts_b64(sent)})
-        if n == 4 * m:
+        proof = frame(dev, "checker_proof", body)
+        if body == {"seed": text}:
             assert se_dec(sk, hex_bits(proof["d"], m), m) == u
         else:
-            assert proof == {"result": "null"}, n
+            assert proof == {"result": "null"}, body
+
+
+def test_round_seed_is_shake128_of_the_key_seed_and_the_round():
+    # the PRG's hash input is one byte per bit, bit 0 first: the key
+    # seed's 128 bits, then the round's 32; the seed is the first 16
+    # output bytes, read little-endian
+    key_seed = 0x0123456789ABCDEF_FEDCBA9876543210
+    for r in (0, 1):
+        x = key_seed | r << 128
+        digest = hashlib.shake_128(bytes(x >> i & 1 for i in range(160))).digest(16)
+        assert round_seed(key_seed, r) == int.from_bytes(digest, "little")
+    assert round_seed(key_seed, 0) != round_seed(key_seed, 1)
 
 
 def test_checker_rejects_unknown_slice():
@@ -577,16 +618,16 @@ def answer_a(session, value=3):
 
 def run_round(session, w, body=None, seed=4):
     """The developer's replies to one full checker round on the word w: its
-    checker frame is body, with y added, its challenges and key drawn
-    from seed."""
+    checker frame is body, with y added, its key drawn from the round seed
+    seed and its challenges from a generator seeded with it."""
     keys = random.Random(seed)
-    _, ct_sk = checker_key(keys, session.hpk, session.pp.m)
+    _, ct_sk = checker_key(seed, session.pp.m, session.hpk)
     y = checker_value(session.pp, ct_sk, b64_cts(w, session.hpk))
     r = frame(session, "checker", dict(body or {}, y=cts_b64(y)))
     rs = [bits_hex(choose_challenge(session.code.q, keys), 2 * session.code.q)
           for _ in range(block_count(session, session.pp.m))]
     c = frame(session, "commit_challenge", {"Rs": rs})
-    return r, c, frame(session, "checker_proof", {"ct_sk": cts_b64(ct_sk)})
+    return r, c, frame(session, "checker_proof", {"seed": bits_hex(seed, 128)})
 
 
 def test_an_answer_gets_one_checker_round():
@@ -683,14 +724,14 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     a = frame(dev, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
     assert a["answer"] == bits_hex(1, h)  # its tag half, and no payload
     payload = he.cut_word(dev.hpk, v_word, h)
-    _, ct_sk = checker_key(random.Random(4), dev.hpk, h)
+    _, ct_sk = checker_key(4, h, dev.hpk)
     y = checker_value(dev.pp, ct_sk, payload)
     r = frame(dev, "checker", {"case": "external", "p": cts_b64(payload),
                                "y": cts_b64(y)})
     assert r == {}
     rs = [bits_hex(choose_challenge(dev.code.q, random.Random(5)), 2 * dev.code.q)]
     assert "blocks" in frame(dev, "commit_challenge", {"Rs": rs})
-    proof = frame(dev, "checker_proof", {"ct_sk": cts_b64(ct_sk)})
+    proof = frame(dev, "checker_proof", {"seed": bits_hex(4, 128)})
     assert proof == {"result": "null"} and "d" not in proof
 
 
@@ -921,8 +962,7 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
     assert r == {"result": "null"}
     rs = [bits_hex(choose_challenge(dev.code.q, random.Random(2)), 2 * dev.code.q)]
     assert frame(session, "commit_challenge", {"Rs": rs}) == {"result": "null"}
-    _, ct_sk = checker_key(random.Random(3), dev.hpk, 4)
-    assert frame(session, "checker_proof", {"ct_sk": cts_b64(ct_sk)}) == {"result": "null"}
+    assert frame(session, "checker_proof", {"seed": bits_hex(3, 128)}) == {"result": "null"}
 
 
 # rows 1 and 2 of T both fire for x > 5, so T is not disjoint there

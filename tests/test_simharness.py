@@ -15,6 +15,7 @@ from tabverify.demo import (
 )
 from tabverify.graphtext import parse_graph
 from tabverify.protocol import (
+    ROUND_SEED_BITS,
     Developer,
     ProtocolError,
     Verifier,
@@ -24,6 +25,8 @@ from tabverify.protocol import (
     checker_slice,
     checker_value,
     cts_b64,
+    hex_bits,
+    round_seed,
     verify_session,
 )
 from tabverify.simharness import (
@@ -34,8 +37,8 @@ from tabverify.simharness import (
     run_experiment,
     shared_budget,
 )
-from tabverify.symcrypto import se_enc, se_key_bits
-from tabverify.tables import bits_uint, evaluate_plain, transform
+from tabverify.symcrypto import se_enc, se_key_bits, se_keygen
+from tabverify.tables import bits_uint, evaluate_plain, int_to_bits, transform
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 
@@ -62,9 +65,11 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     key_seed = random.Random(3).getrandbits(128)
     orc.learn_key_seed(key_seed)
     m = dev.pp.m
-    _, ct_sk = checker_key(random.Random(key_seed), dev.hpk, m)
-    # a word of n ciphertexts of the right length, with no valid tag or key id
-    junk = {n: bytes(9 + n * (he.LAM_BYTES - 9)) for n in (m, 4 * m)}
+    # the oracle counts the rounds it opens: the refused ones below do not
+    # count, so the one that opens is its round 0
+    _, ct_sk = checker_key(round_seed(key_seed, 0), m, dev.hpk)
+    # a word of m ciphertexts of the right length, with no valid tag or key id
+    junk = bytes(9 + m * (he.LAM_BYTES - 9))
 
     def ask(ftype, body):
         f = make_frame(ftype, body)
@@ -75,9 +80,9 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     q1 = {"qkind": 1, "input": "a", "x": bits_hex(0, m // 2)}
     assert ask("encode", dict(q1, input=[1])) == {"answer": None}
     ask("encode", q1)
-    assert ask("checker", {"y": cts_b64(junk[m])}) == {"result": "null"}
+    assert ask("checker", {"y": cts_b64(junk)}) == {"result": "null"}
     # that round took the answer: the next one needs an answer of its own
-    assert ask("checker", {"y": cts_b64(junk[m])}) == {"result": "null"}
+    assert ask("checker", {"y": cts_b64(junk)}) == {"result": "null"}
 
     w = ask("encode", q1)["answer"]
     y = checker_value(dev.pp, ct_sk, b64_cts(w, dev.hpk))
@@ -87,7 +92,9 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
           for _ in range(-(-m // dev.code.m_c))]
     assert "blocks" in ask("commit_challenge",
                            {"Rs": [bits_hex(R, 2 * dev.code.q) for R in rs]})
-    proof = ask("checker_proof", {"ct_sk": cts_b64(junk[4 * m])})
+    # a proof whose seed is a word, here with the round's key word in
+    # format v17's field beside it, is null on both
+    proof = ask("checker_proof", {"seed": cts_b64(junk), "ct_sk": cts_b64(ct_sk)})
     assert proof == {"result": "null"}
 
 
@@ -197,26 +204,155 @@ class KeySearcher(Forger):
         return opens.most_common(1)[0][0] if opens else c
 
 
+def sent_seed(body):
+    """The round seed a proof sends, None when it spells none."""
+    try:
+        return hex_bits(body.get("seed"), ROUND_SEED_BITS)
+    except ProtocolError:
+        return None
+
+
 class KeyStealer(Forger):
-    """Decrypts every ct_sk it is sent, and opens each later lie as its
-    encryption under the last key it stole of the lie's key size; a single
-    session key would open every lie after the first round."""
+    """Draws every round's key from the seed its proof sends, and opens each
+    later lie as its encryption under the last key it stole of the lie's
+    key size; a single session key would open every lie after the first
+    round."""
 
     def __init__(self, s):
         super().__init__(s)
         self.stolen = {}
 
     def _proof(self, body):
-        try:
-            sk = he.dec_word(self.hsk, b64_cts(body.get("ct_sk"), self.hpk))
-            self.stolen[len(sk)] = bits_uint(sk)
-        except ProtocolError:
-            pass
+        width, seed = self.mem.pending.get("width"), sent_seed(body)
+        if width is not None and seed is not None:
+            self.stolen[se_key_bits(width)] = checker_key(seed, width)[0]
         return Developer._proof(self, body)
 
     def _forge(self, x, c, claimed, width):
         sk = self.stolen.get(se_key_bits(width))
         return se_enc(sk, claimed, width) if sk is not None else c
+
+    ANSWERS = dict(Forger.ANSWERS, checker_proof=_proof)
+
+
+# --- MT19937, as a developer that sees its raw outputs models it ---------------
+
+
+def temper(x):
+    """The output of MT19937's state word x."""
+    x ^= x >> 11
+    x ^= x << 7 & 0x9D2C5680
+    x ^= x << 15 & 0xEFC60000
+    return x ^ x >> 18
+
+
+def untemper(y):
+    """The state word whose output is y: temper's inverse."""
+    y ^= y >> 18
+    y ^= y << 15 & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ (x << 7 & 0x9D2C5680)
+    y = x
+    for _ in range(3):
+        x = y ^ x >> 11
+    return x
+
+
+def twist(a, b, c):
+    """State word n from the words n - 624, n - 623 and n - 227."""
+    y = a & 0x80000000 | b & 0x7FFFFFFF
+    return c ^ y >> 1 ^ (0x9908B0DF if y & 1 else 0)
+
+
+class KeyStream:
+    """One generator's outputs as a developer that holds every round's key
+    word models them, were every round to draw from that one generator, as
+    format v17's verifier did: each round on a slice of width bits draws k
+    = se_key_bits(width) one-bit outputs for its key (getrandbits(1) is an
+    output's top bit), then 4k outputs for its key word's nonces, 4 per
+    128-bit nonce, the low output first. A key word shows its nonces, so
+    those 4k outputs untemper to their state words; twist extends the state
+    words it holds to later ones."""
+
+    def __init__(self):
+        self.words = {}  # output index -> its state word, where known
+        self.at = 0  # output index of the next round's first key draw
+
+    def next_round(self, width):
+        """(first output index, predicted key) of the next round on a slice
+        of width bits; the key is None unless every bit of it is predicted."""
+        start, k = self.at, se_key_bits(width)
+        self.at += 5 * k
+        words = self.words
+        for n in range(start, start + k):
+            if n not in words and all(j in words for j in (n - 624, n - 623, n - 227)):
+                words[n] = twist(words[n - 624], words[n - 623], words[n - 227])
+        if any(n not in words for n in range(start, start + k)):
+            return start, None
+        return start, sum(temper(words[start + i]) >> 31 << i for i in range(k))
+
+    def observe(self, start, hpk, ct_sk):
+        """Take in the nonces of the key word ct_sk of the round whose first
+        output index is start."""
+        k = he.check_word(hpk, ct_sk)
+        for j in range(k):
+            nonce = int.from_bytes(he.cut_word(hpk, ct_sk, j, j + 1)[he.HEADER + 1:], "big")
+            for t in range(4):
+                self.words[start + k + 4 * j + t] = untemper(nonce >> 32 * t & 0xFFFFFFFF)
+
+
+def test_a_shared_key_stream_is_predicted_and_round_seeds_are_not():
+    # format v17 drew every round's key and key word from one generator;
+    # the key words of the earlier rounds give away every key from the
+    # tenth round on, and the seventh's. Round seeds give each round a
+    # generator of its own, and the same model predicts none of their keys
+    hpk = he.keygen(rng=random.Random(1)).hpk
+    key_seed = random.Random(2).getrandbits(128)
+    widths = [(16, 16, 16, 16, 16, 8, 8)[r % 7] for r in range(70)]
+    shared = random.Random(key_seed)
+    for draw in ("shared", "round seed"):
+        model, predicted = KeyStream(), []
+        for r, width in enumerate(widths):
+            start, guess = model.next_round(width)
+            if draw == "shared":
+                k = se_key_bits(width)
+                sk = se_keygen(k, shared)
+                ct_sk = he.enc_word(hpk, int_to_bits(sk, k), shared)
+            else:
+                sk, ct_sk = checker_key(round_seed(key_seed, r), width, hpk)
+            predicted.append(guess == sk)
+            model.observe(start, hpk, ct_sk)
+        if draw == "shared":
+            assert predicted == [False] * 6 + [True] + [False] * 2 + [True] * 61
+        else:
+            assert not any(predicted)
+
+
+class KeyPredictor(Forger):
+    """Models the verifier's key draws as one generator (KeyStream), from
+    the key word it builds from each proof's seed, and opens each lie as
+    its encryption under the key it predicts for the round, before it
+    commits; where it predicts no key, it opens the round honestly."""
+
+    def __init__(self, s):
+        super().__init__(s)
+        self.stream, self.round = KeyStream(), None
+
+    def _open_checker(self, y, claimed, width):
+        self.round = self.stream.next_round(width)
+        return Forger._open_checker(self, y, claimed, width)
+
+    def _forge(self, x, c, claimed, width):
+        sk = self.round[1]
+        return c if sk is None else se_enc(sk, claimed, width)
+
+    def _proof(self, body):
+        width, seed = self.mem.pending.get("width"), sent_seed(body)
+        if width is not None and seed is not None:
+            ct_sk = checker_key(seed, width, self.hpk)[1]
+            self.stream.observe(self.round[0], self.hpk, ct_sk)
+        return Developer._proof(self, body)
 
     ANSWERS = dict(Forger.ANSWERS, checker_proof=_proof)
 
@@ -236,7 +372,8 @@ def test_forged_checker_openings_reject_and_audit_to_zero(s):
     # the honest developer of the fake design shows its 10 mismatches; the
     # forgers answer for the demo design, so they show none, and only
     # their checker rounds can catch them: each round has its own key of
-    # ROUNDS chunks, which neither a key search nor a stolen key opens. A
+    # ROUNDS chunks, from its own seed, which neither a key search, nor a
+    # stolen key, nor a prediction from earlier rounds' key words opens. A
     # forged opening under another key still decrypts to the claim by
     # chance, 2^-w for a w-bit slice, so of a session's about 39 lies, most
     # on 8-bit tag halves, about 0.15 open. The sessions are deterministic,
@@ -244,7 +381,7 @@ def test_forged_checker_openings_reject_and_audit_to_zero(s):
     verdict, cert = general_session(Developer(fake_graph_like(DEMO, s),
                                               rng=random.Random(s)), s)
     assert verdict == "reject" and len(cert["mismatches"]) == 10
-    for forger in (KeySearcher, KeyStealer):
+    for forger in (KeySearcher, KeyStealer, KeyPredictor):
         dev = forger(s)
         verdict, cert = general_session(dev, s)
         failures = [f["reason"] for f in cert["failures"]]

@@ -209,9 +209,14 @@ def test_keygen():
     rng = random.Random(1)
     sk = se_keygen(16, rng)
     assert sk >> 16 == 0
-    # one one-bit draw per key bit, bit i from draw i
+    # one one-bit draw per key bit, bit i from draw i, and the generator
+    # left where those draws leave it, at every key size a round uses
     ref = random.Random(1)
     assert int_to_bits(sk, 16) == tuple(ref.getrandbits(1) for _ in range(16))
+    assert rng.getstate() == ref.getstate()
+    for K in (se_key_bits(8), se_key_bits(16), 33):
+        assert se_keygen(K, rng) == bits_uint([ref.getrandbits(1) for _ in range(K)])
+        assert rng.getstate() == ref.getstate()
     assert se_keygen(16, rng) != sk  # overwhelmingly
     with pytest.raises(SymError):
         se_keygen(4, rng)
