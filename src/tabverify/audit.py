@@ -74,7 +74,8 @@ class ReplayVerifier(Verifier):
     """The verifier of a certificate, played back: built from the
     certificate's configuration, it overrides the verifier's three hooks
     with the record. _session_key returns the recorded seeds, _ask the
-    recorded answer to each query once the query equals its record, and
+    recorded answer to each query once the query, which the verifier records
+    before it asks (a q2 with the u it never sends), equals its record, and
     _opening the recorded opening of each checker round once its blocks
     open under the challenges drawn from the recorded challenge seed, with
     the round's key alone, drawn from its seed. Any divergence raises
@@ -103,11 +104,11 @@ class ReplayVerifier(Verifier):
             raise AuditError(f"$.{key}: {exc}") from None
 
     def _ask(self, chan, ftype, body):
-        k = len(self.qa_e)  # queries answered so far; only encodes ask
+        k = len(self.qa_e) - 1  # this query's record is already appended
         if k >= len(self.cert["qa_e"]):
             raise AuditError("replay ran past the recorded transcript")
         rec = self.cert["qa_e"][k]
-        if body != rec["q"]:
+        if self.qa_e[k]["q"] != rec["q"]:
             raise AuditError(f"query {k + 1} diverges from the transcript")
         return {"answer": rec["a"]}
 

@@ -6,19 +6,20 @@ bits are encrypted. The verifier drives evaluation: for each tested input it
 asks the developer to encode each external input once (q1), homomorphically
 runs the universal circuit on each table, and asks the developer to decode
 every output (q2). A q1 carries only its input's h-bit payload x: the
-developer forms the top word 1 | x << h itself, and answers its
-encryption. A q2 names only the table's input word: the developer runs the
-same table step on it and opens the word it computed itself, never one the
-verifier sent. A q2 answer is the plaintext of checker_slice of that word:
-an external table's whole word, any other table's tag half, so that no
-intermediate payload (a value between tables) is ever opened. In general
-mode a checker round pins down each encode answer right after it: the
-verifier homomorphically computes the symmetric encryption of the answer's
-slice under a fresh key of its own, the developer commits to the
-decryption before it is sent the round's seed, from which it builds the
-key's ciphertext itself, and the revealed value must decrypt to exactly
-the answer (a q1's top word). A round's frame carries only y, and its
-reply nothing, since the verifier counts the blocks itself.
+developer forms the top word 1 | x << h itself, and answers its encryption.
+A q2 names only its table: the developer joins the table's input word from
+its own answers, per port the first answer of its feed that fired, as the
+verifier does, runs the same table step on it and opens the word it computed
+itself, never one the verifier sent. A q2 answer is the plaintext of
+checker_slice of that word: an external table's whole word, any other
+table's tag half, so that no intermediate payload (a value between tables)
+is ever opened. In general mode a checker round pins down each encode answer
+right after it: the verifier homomorphically computes the symmetric
+encryption of the answer's slice under a fresh key of its own, the developer
+commits to the decryption before it is sent the round's seed, from which it
+builds the key's ciphertext itself, and the revealed value must decrypt to
+exactly the answer (a q1's top word). A round's frame carries only y, and
+its reply nothing, since the verifier counts the blocks itself.
 
 The published structure is one value, Structure, which names a feed as its
 JSON does, by a ref: an external input's name (a JSON string) or a table's
@@ -35,8 +36,9 @@ function each below.
 
 A ciphertext word (he's one bytes value: the backend tag and key id once,
 then one payload per ciphertext) is one base64 string on the wire and in
-the certificate: a published program, a q1 answer, a q2's u; on the
-wire also a checker round's y. cts_b64 and b64_cts are the one
+the certificate: a published program and a q1 answer; on the wire also a
+checker round's y, and in the certificate a q2's u, which the verifier
+records with the query and never sends. cts_b64 and b64_cts are the one
 encoding and the one decoding, and b64_cts accepts only the canonical
 spelling of a word of the key pair, which he.check_word checks once. Words
 are cut and joined by ciphertext index with he.cut_word and he.join_words,
@@ -112,7 +114,7 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 18  # bump whenever a field, a frame or a replay rule changes
+CERT_VERSION = 19  # bump whenever a field, a frame or a replay rule changes
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 ROUND_SEED_BITS = 128  # a checker round's seed, derived from the key seed
 ROUND_INDEX_BITS = 32  # a checker round's index, in its seed's derivation
@@ -198,8 +200,9 @@ def payload_to_value(value, h, ptype):
 def table_step(pp, i, u_word):
     """The output word of row table i on the input word u_word: program i
     and the input ciphertexts, cycled to the bus width, through the
-    universal circuit. Each party computes it for a q2 on its own: the
-    query names only u_word, and the developer opens the word it computed."""
+    universal circuit. Each party computes it for a q2 on its own, on the
+    u_word it joins from the answers: the query names only i, and the
+    developer opens the word it computed."""
     need = pp.u_params[0]
     copies = -(-need // he.check_word(pp.hpk, u_word))
     cycled = he.join_words(pp.hpk, [u_word] * copies)
@@ -460,7 +463,8 @@ def table_circuits(tg):
 
 @dataclass
 class _SessionMem:
-    # ref -> its last answered word and plaintext: a q1's (w, u), a q2's (v, output)
+    # ref -> its last answered word and plaintext: a q1's (w, u), a q2's (v,
+    # output); a q2's input word is joined from these
     words: dict = field(default_factory=dict)
     last: object = None  # the ref of the answer just given, for its checker round
     pending: dict = field(default_factory=dict)  # checker subprotocol state
@@ -545,11 +549,10 @@ class Developer:
 
     def _encode(self, body):
         self.mem.last = None
-        if body.get("qkind") == 1:
-            return self._encode_q1(body)
-        if body.get("qkind") == 2:
-            return self._encode_q2(body)
-        return {"answer": None}
+        qkind = body.get("qkind")
+        if type(qkind) is not int or qkind not in (1, 2):
+            return {"answer": None}
+        return (self._encode_q1 if qkind == 1 else self._encode_q2)(body)
 
     def _encode_q1(self, body):
         m = self.pp.m
@@ -575,36 +578,26 @@ class Developer:
         if t is None:
             return {"answer": None}
         external, feeds = t
-        try:
-            u_word = b64_cts(body.get("u"), self.hpk, len(feeds) * m)
-        except ProtocolError:
-            return {"answer": None}
-
-        u_plain = 0
-        for j, feed in enumerate(feeds):
-            segment = he.cut_word(self.hpk, u_word, j * m, (j + 1) * m)
-            word = self._produced_word(feed, segment)
-            if word is None:
+        # per port, the word the verifier joins: the first answer of its feed
+        # that fired, by the verifier's rule, and null for a ref not answered
+        words, silent = self.mem.words, Tagged(False, 0)
+        ports = []
+        for feed in feeds:
+            tops = sibling_group([
+                None if ref not in words
+                else Tagged(True, words[ref]) if words[ref][1] & ((1 << h) - 1)
+                else silent for ref in feed])
+            if not tops:
                 return {"answer": None}
-            u_plain |= word << j * m
+            ports.append(tops[0].payload)
 
-        v_word = table_step(self.pp, i, u_word)
+        u_plain = sum(u << j * m for j, (_, u) in enumerate(ports))
+        v_word = table_step(self.pp, i, he.join_words(self.hpk, [w for w, _ in ports]))
         out = self._open_output(i, v_word, u_plain)
         self.mem.words[i] = (v_word, out)
         self.mem.last = i
         a = self._apply_strategy(external, checker_slice(out, external, h))
         return {"answer": None if a is None else bits_hex(a, m if external else h)}
-
-    def _produced_word(self, feed, segment):
-        """Plaintext of an input segment, if the last answer for one of the
-        refs of feed was exactly this ciphertext word; None otherwise."""
-        h = self.pp.m // 2
-        for ref in feed:
-            prior = self.mem.words.get(ref)
-            if prior is not None and prior[0] == segment:
-                # a producing output that decrypts to bot feeds nothing
-                return prior[1] if prior[1] & ((1 << h) - 1) else None
-        return None
 
     def _open_output(self, i, v_word, u_plain):
         """Plaintext output word of table i, whose inputs are u_plain."""
@@ -854,17 +847,22 @@ class Verifier:
 
     # -- encode queries
 
-    def _encode_query(self, chan, body, v_word=b""):
-        """The value of the developer's answer to an encode query (_value),
-        None for null; in general mode a checker round pins it down. v_word
-        is a q2's table step, the word its answer opens."""
-        answer = self._ask(chan, "encode", body).get("answer")
-        value = self._value(body, answer)
-        self.qa_e.append({"q": body, "a": None if value is None else answer})
-        if self.mode == "general" and value is not None:
-            if not self._checker_round(chan, body, value, v_word):
-                key = "input" if body["qkind"] == 1 else "i"
-                self.failures.append({"reason": "checker", key: body[key]})
+    def _encode_query(self, chan, q, v_word=b""):
+        """The value of the developer's answer to the encode query q (_value),
+        None for null; in general mode a checker round pins it down. q is
+        recorded before it is asked, and a q2 is sent without its u, the
+        input word that the developer joins from its own answers. v_word is
+        a q2's table step, the word its answer opens."""
+        record = {"q": q, "a": None}
+        self.qa_e.append(record)
+        sent = {k: q[k] for k in q if k != "u"}
+        answer = self._ask(chan, "encode", sent).get("answer")
+        value = self._value(q, answer)
+        if value is not None:
+            record["a"] = answer
+            if self.mode == "general" and not self._checker_round(chan, q, value, v_word):
+                key = "input" if q["qkind"] == 1 else "i"
+                self.failures.append({"reason": "checker", key: q[key]})
         return value
 
     def _value(self, q, answer):

@@ -82,9 +82,26 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT
 # and the developer's compiler; a change to the format must bump it, and
-# either change re-records these. Recorded at certificate version 18, with
+# either change re-records these. Recorded at certificate version 19, with
 # the compiler that drops dead gates and reads through NOT gates.
 CERT_DIGESTS = {
+    "demo-honest": "d6b41f0bb2fb5d1136e040fbc2bfe2dc829b6c8b67e187ac8fda788b9e19d118",
+    "demo-general": "5d67340f6574d01bac09f7dee256d80e7f8402c135c923f2588fd55184b3a32c",
+    "chain-honest": "249faf989775c6b3ec3ec647d30fece3bd1a9df48db5389b2836deeaa03beb98",
+    "chain-general": "bab4484e2a73e69a36af501a7db5d059ee1a32ead7773f4b454df266a957d93a",
+    "diamond-honest": "5618c0d5b15ee83953452bc5d8081783f27e33495b63e5e4acdf944073812e3f",
+    "diamond-general": "664789b87a8c8c3b9d1266f17f32ff2fedc0d174a0258ce5b4cc01ae27a6ae51",
+    "flip-payload-honest": "b9fd986060175220177d918c7c2182c3dced33defa19308b6898ae1a09e4e1b1",
+    "flip-tag-honest": "8c3c992fc085278bf0b954c7a072ed8e13f2d81c32b4ba87b4c90310707f69ce",
+    "swap-answers-honest": "76110a635c77988269e97393d4db76fee02da91624718e13573ab1f84bb33deb",
+    "flip-payload-general": "b81439a658faa0985e552ac38278db83e8f6d91da20d278a78bb636f691fd46f",
+    "flip-tag-general": "7365f109de9fb3ee8ade6ba7faf0e5f672ab1b175776f15f1ddfe30c22a59122",
+    "swap-answers-general": "63193fa6374f5f0e8e27e22140ad817b311ec324746b93a1c72deff89a75334d",
+}
+# the sha256 of the certificate at version 18 of each configuration whose
+# answers version 19 did not move. Version 19 sends a q2 without its u and
+# still records it, so these are its certificates once their version is 18
+V18_DIGESTS = {
     "demo-honest": "e48e7de40ef9c36e8eea51331df1a57c15722b470663eedc7c934c2cb39f0b82",
     "demo-general": "efa5e427e610be2c41b7e8cdb0b3b9ac54ddc1d3bcba60245ba9b0ac60c84de9",
     "chain-honest": "a32f38c0a5e50be5ddcda13d009c48013e82e48844d915afdacae09a14c5a22b",
@@ -92,11 +109,23 @@ CERT_DIGESTS = {
     "diamond-honest": "5befa0d45ef03f331e6679055bfbd2c0b6d6b0c860b9a9fef07f53b4706c4fde",
     "diamond-general": "b2646c046a8cc0dc3092791e0dc53d19b297f142e09f3b545583a4190766f8e3",
     "flip-payload-honest": "8e71d92dd29f31a7861a2f3690faf0bae5a4029d4dc7503e44c5d6065a00a65f",
-    "flip-tag-honest": "0fa72456999d9facf5aaf1e26b980c92ef0f0ceefd4b45ac845a517935d09b33",
-    "swap-answers-honest": "51ca64f564f998748ce0088944d83fe5e58ae5e364b83c692ac9e68dd9ea651f",
     "flip-payload-general": "f9166ae83827ba942170c293640a9f3ac62413cc17b1b04d01ab0fde08e15308",
-    "flip-tag-general": "ab41e7f329215b932f6a22e875dc55207a8d429400cc5c25fb67e0e41a045e9d",
-    "swap-answers-general": "fd0449b9ce94157da62c3d148175aa80950fccba484845faf3f9155a3c507383",
+}
+# the outcomes of the scripted tag liars, which version 19 moved: the
+# digest V14_OUTCOMES takes, then the coverage. Where a liar's answered tags
+# point the verifier at a feed that did not fire, the version 18 developer
+# refused the verifier's u as null; a version 19 developer joins its own
+# words by its true tags, and answers. In general mode its checker round
+# then fails, and a round whose proof the developer refuses records no block
+V19_OUTCOMES = {
+    "flip-tag-honest": ("2c0005409d1ec0c07736ac618a376ca308de2485b557d5b46904db4f99457d1f",
+                        (1.0, 0.5, [])),
+    "swap-answers-honest": ("5323d31ac8c435d5a44600a03955ac5ef826b826225747797684482b433b5d4a",
+                            (0.75, 1.0, [])),
+    "flip-tag-general": ("f4e710a4aab191e06210774f3c57b39353f23b26ffeeeacc856d02480f2765ad",
+                         (1.0, 0.5, [])),
+    "swap-answers-general": ("d08e5febbf1fce71980fdd01fa25eedff305592539bcfaf39d4d95c2487c99ca",
+                             (0.75, 1.0, [])),
 }
 # the sha256 of each honest configuration's certificate at version 17.
 # Version 18 changed only the checker rounds, which honest mode does not
@@ -211,7 +240,9 @@ def test_version_14_kept_the_outcomes_of_version_13(config):
     digest = outcomes_digest(config_cert(config),
                              ("verdict", "outputs", "mismatches", "cp_results"),
                              lambda X: json.dumps(X, sort_keys=True))
-    assert digest == V13_OUTCOMES[config.rsplit("-", 1)[0]]
+    # version 19 moved these of swap-answers alone (V19_OUTCOMES)
+    design = config.rsplit("-", 1)[0]
+    assert (digest == V13_OUTCOMES[design]) == (design != "swap-answers")
 
 
 @pytest.mark.parametrize("config", list(CERT_DIGESTS))
@@ -220,7 +251,7 @@ def test_version_15_kept_the_outcomes_of_version_14(config):
     assert all(k == canonical_json(json.loads(k)) for k in cert["outputs"])
     digest = outcomes_digest(cert, ("verdict", "outputs", "failures", "mismatches",
                                     "cp_results"), canonical_json)
-    assert digest == V14_OUTCOMES[config]
+    assert (digest == V14_OUTCOMES[config]) == (config not in V19_OUTCOMES)
 
 
 # (covered_ratio, anti_covered_ratio, unreached) of each design's
@@ -236,29 +267,56 @@ COVERAGE = {
 }
 
 
+def coverage(cert):
+    """(covered_ratio, anti_covered_ratio, unreached) of cert."""
+    structure = protocol.PublicParams.from_dict(cert["public_params"]).structure
+    summary = coverage_report(cert["qa_e"], structure).summary()
+    return summary["covered_ratio"], summary["anti_covered_ratio"], summary["unreached"]
+
+
 @pytest.mark.parametrize("config", list(CERT_DIGESTS))
 def test_version_16_kept_the_coverage_of_version_15(config):
-    cert = config_cert(config)
-    structure = protocol.PublicParams.from_dict(cert["public_params"]).structure
-    covered, anti_covered, unreached = COVERAGE[config.rsplit("-", 1)[0]]
-    assert coverage_report(cert["qa_e"], structure).summary() == {
-        "covered_ratio": covered, "anti_covered_ratio": anti_covered,
-        "unreached": unreached}
+    # version 19 moved the coverage of the tag liars (V19_OUTCOMES)
+    kept = coverage(config_cert(config)) == COVERAGE[config.rsplit("-", 1)[0]]
+    assert kept == (config not in V19_OUTCOMES)
+
+
+def rebound_digest(cert, version):
+    """The sha256 of cert with its version set, and its binding rebound."""
+    cert = dict(cert, version=version)
+    cert["binding"] = session_binding(cert)
+    return hashlib.sha256(canonical_json(cert).encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("config", list(V17_HONEST_DIGESTS))
 def test_version_18_kept_the_honest_certificates_of_version_17(config):
-    cert = dict(config_cert(config), version=17)
-    cert["binding"] = session_binding(cert)
-    text = canonical_json(cert).encode("utf-8")
-    assert hashlib.sha256(text).hexdigest() == V17_HONEST_DIGESTS[config]
+    kept = rebound_digest(config_cert(config), 17) == V17_HONEST_DIGESTS[config]
+    assert kept == (config not in V19_OUTCOMES)
 
 
 @pytest.mark.parametrize("config", [c for c in CERT_DIGESTS if c.endswith("-general")])
 def test_version_17_commits_one_block_per_checker_round(config):
     # a 16-bit slice and an 8-bit tag half are each one block of the
-    # protocol's 16-bit code, where version 16 committed a slice as two
-    assert all(len(rec["blocks"]) == 1 for rec in config_cert(config)["qa_c"])
+    # protocol's 16-bit code, where version 16 committed a slice as two; a
+    # round that does not open records no block
+    assert all(len(rec["blocks"]) == (rec["d"] is not None)
+               for rec in config_cert(config)["qa_c"])
+
+
+@pytest.mark.parametrize("config", list(V18_DIGESTS))
+def test_version_19_kept_the_certificates_of_version_18(config):
+    assert rebound_digest(config_cert(config), 18) == V18_DIGESTS[config]
+
+
+@pytest.mark.parametrize("config", list(V19_OUTCOMES))
+def test_version_19_moved_the_tag_liars_outcomes(config):
+    cert = config_cert(config)
+    digest = outcomes_digest(cert, ("verdict", "outputs", "failures", "mismatches",
+                                    "cp_results"), canonical_json)
+    assert (digest, coverage(cert)) == V19_OUTCOMES[config]
+    assert cert["verdict"] == "reject" and audit(cert)[0] == 0
+    if config.endswith("-general"):
+        assert any(rec["d"] is None for rec in cert["qa_c"])
 
 
 def test_save_load_round_trip(tmp_path):
@@ -275,7 +333,7 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v18"}
+           "format": "tabverify-cert-v19"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
@@ -289,7 +347,7 @@ def test_version_8_certificate_is_refused_by_name(tmp_path):
     assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v18",
+    path.write_text(path.read_text().replace("tabverify-cert-v19",
                                              "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
                                          "'tabverify-cert-v8'"):
@@ -554,10 +612,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 18 with the compiler of CERT_DIGESTS
+    # version 19 with the compiler of CERT_DIGESTS
     for cert, want in (
-        (HONEST_CERT, "1a63977d9dffce6cc77510a02ad71962a562b1bf83f5efde9b421a72f7559b2b"),
-        (GENERAL_CERT, "d5a1fe19510430e3f44d382a2e3e2b71d37c15b8426d4108675b8eef72ddddd7"),
+        (HONEST_CERT, "f2919f71a5e54eafbdf2d94c05b88d002f0d8bf661d2230044dece5f96e474a4"),
+        (GENERAL_CERT, "6447997584d3c4824fd07760d9a435041b621a88759a90520d1425c89d24811f"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()
@@ -586,6 +644,14 @@ def test_replay_names_the_first_diverging_query():
     ok, report = replay(cert)
     assert not ok
     assert report["reason"] == "query 2 diverges from the transcript"
+    # a q2's u is never sent, and its record still binds it: a u that
+    # differs in one base64 character diverges from the verifier's own
+    cert = copy.deepcopy(HONEST_CERT)
+    k, q = next((k, r["q"]) for k, r in enumerate(cert["qa_e"]) if r["q"]["qkind"] == 2)
+    q["u"] = q["u"][:10] + ("B" if q["u"][10] == "A" else "A") + q["u"][11:]
+    outcome, report = audit(cert)
+    assert outcome == 0
+    assert report["reason"] == f"query {k + 1} diverges from the transcript"
 
 
 def test_the_replay_builds_no_key_word(monkeypatch):

@@ -357,10 +357,16 @@ def test_q1_rejects_malformed_queries():
                  {"input": "a", "x": bits_hex(10, h).upper()}, {"input": "a", "x": 0},
                  {"input": "a", "u": bits_hex(1, 2 * h)}, {"input": {}, "x": good}):
         assert frame(dev, "encode", dict(body, qkind=1)) == {"answer": None}
-    assert frame(dev, "encode", {"qkind": 2, "i": [1], "u": []}) == {"answer": None}
+    assert frame(dev, "encode", {"qkind": 2, "i": [1]}) == {"answer": None}
     w = frame(dev, "encode", {"qkind": 1, "input": "a", "x": good})["answer"]
     b64_cts(w, dev.hpk, 2 * h)  # a word of m ciphertexts
     assert dev.mem.words["a"][1] == 1  # the top value of payload 0
+    # qkind is an int: another spelling of 1 or 2 asks nothing, though the
+    # body would be a q1 and a q2 (table 1 reads a) that are answered
+    body = {"input": "a", "x": good, "i": 1}
+    for qkind in (True, 1.0, 2.0):
+        assert frame(dev, "encode", dict(body, qkind=qkind)) == {"answer": None}
+    assert all(frame(dev, "encode", dict(body, qkind=k))["answer"] for k in (1, 2))
 
 
 @pytest.mark.parametrize("bad", [
@@ -377,12 +383,17 @@ def test_malformed_frame_gets_error_reply(bad):
 
 
 def test_verifier_sends_exactly_the_served_frame_types():
+    # and an encode body is a q1 or a q2 with exactly its fields: no frame
+    # carries a q2's u, which the developer joins itself
     dev = make_dev()
-    sent = set()
+    sent, encodes = set(), set()
 
     class Recording(LoopbackChannel):
         def send(self, frame):
             sent.add(frame["type"])
+            if frame["type"] == "encode":
+                encodes.add(frozenset(frame["body"]))
+            assert "u" not in frame["body"]
             super().send(frame)
 
     v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, DEMO_CP, seed=7,
@@ -390,22 +401,18 @@ def test_verifier_sends_exactly_the_served_frame_types():
     verdict, _ = v.run(Recording(dev.session().handle))
     assert verdict == "accept"
     assert sent == set(Developer.ANSWERS)
+    assert encodes == {frozenset(("qkind", "input", "x")), frozenset(("qkind", "i"))}
 
 
-def q1_then_q2(dev, i, X_bits_by_port, corrupt=None, extra=None):
+def q1_then_q2(dev, i, X_bits_by_port, extra=None):
     """Drive one table manually: q1 the input of every port, then ask q2 on
-    the answers, with the fields of extra added to it."""
-    words = []
+    table i, with the fields of extra added to it."""
     for (name,), u in zip(dev.pp.structure.table(i)[1], X_bits_by_port):
         h = len(u) // 2
         a = frame(dev, "encode", {"qkind": 1, "input": name,
                                   "x": bits_hex(bits_uint(u) >> h, h)})
-        words.append(b64_cts(a["answer"], dev.hpk, 2 * h))
-    u_word = he.join_words(dev.hpk, words)
-    if corrupt == "u":
-        u_word = he.join_words(dev.hpk, reversed(words))
-    return frame(dev, "encode",
-                 {"qkind": 2, "i": i, "u": cts_b64(u_word), **(extra or {})})["answer"]
+        b64_cts(a["answer"], dev.hpk, 2 * h)
+    return frame(dev, "encode", {"qkind": 2, "i": i, **(extra or {})})["answer"]
 
 
 def first_input_table(dev):
@@ -431,23 +438,16 @@ def test_q2_honest_and_tampered():
     # the plaintext of its slice: the whole word of an external table, the
     # tag half of any other
     hex_bits(a, m if dev.pp.structure.covers_whole(i) else m // 2)
-    # inputs not previously recorded for those ports
-    if len(bits) > 1:
-        assert q1_then_q2(dev.session(), i, bits,
-                          corrupt="u") is None
     # q2 without any prior q1
-    dev = dev.session()
-    fake = he.join_words(dev.hpk, [he.enc_word(dev.hpk, bits[0], random.Random(9))]
-                         * len(bits))
-    a = frame(dev, "encode", {"qkind": 2, "i": i, "u": cts_b64(fake)})["answer"]
-    assert a is None
+    assert frame(dev.session(), "encode", {"qkind": 2, "i": i})["answer"] is None
 
 
 def test_a_q2_names_only_its_input():
-    # the developer computes a q2's output word itself, so a v sent with
-    # the query, of the verifier's choosing, is never opened: the answer is
-    # the one a q2 without it gets, whether v is a fresh encryption of a
-    # plaintext the verifier picked or ciphertexts cut from a program
+    # the developer computes a q2's input and output words itself, so a u
+    # or a v sent with the query, of the verifier's choosing, is never
+    # read: the answer is the one a q2 without it gets, whether the word is
+    # a fresh encryption of a plaintext the verifier picked or ciphertexts
+    # cut from a program
     dev = make_dev()
     i, names = first_input_table(dev)
     m = dev.pp.m
@@ -455,14 +455,20 @@ def test_a_q2_names_only_its_input():
     want = q1_then_q2(dev.session(), i, bits)
     assert want is not None
     chosen = he.enc_word(dev.hpk, tagged_to_bits(Tagged(True, 5), m), random.Random(6))
-    for v in (chosen, he.cut_word(dev.hpk, dev.pp.programs[i - 1], 0, m)):
-        got = q1_then_q2(dev.session(), i, bits, extra={"v": cts_b64(v)})
-        assert got == want
+    for extra in ({"v": cts_b64(chosen)}, {"u": cts_b64(chosen)},
+                  {"v": cts_b64(he.cut_word(dev.hpk, dev.pp.programs[i - 1], 0, m))}):
+        assert q1_then_q2(dev.session(), i, bits, extra=extra) == want
 
 
-def test_every_opened_word_is_the_table_step_of_its_query():
+@pytest.mark.parametrize("graph, domains, cp", [
+    (DEMO, DEMO_DOMAINS, DEMO_CP),
+    (chain_graph(), CHAIN_DOMAINS, []),
+    (diamond_graph(), DIAMOND_DOMAINS, []),
+], ids=["demo", "chain", "diamond"])
+def test_every_opened_word_is_the_table_step_of_its_query(graph, domains, cp):
     # in a general-mode session the developer opens only words it computed:
-    # each word _open_output receives is the table step of its q2's u
+    # each word _open_output receives is the table step of the u that the
+    # verifier recorded for its q2, which the developer joined itself
     opened = []
 
     class Recording(Developer):
@@ -470,8 +476,8 @@ def test_every_opened_word_is_the_table_step_of_its_query():
             opened.append((i, v_word))
             return super()._open_output(i, v_word, u_plain)
 
-    dev = Recording(DEMO, rng=random.Random(0))
-    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, DEMO_CP, seed=7,
+    dev = Recording(graph, rng=random.Random(0))
+    v = Verifier(dev.pp.to_dict(), graph, domains, cp, seed=7,
                  mode="general", rng=random.Random(1))
     verdict, cert = verify_session(dev, v)
     assert verdict == "accept"
@@ -487,12 +493,9 @@ def test_memory_wiped_between_sessions():
     s1, s2 = dev.session(), dev.session()
     i, names = first_input_table(dev)
     h = dev.pp.m // 2
-    words = []
     for n in names:
-        a = frame(s1, "encode", {"qkind": 1, "input": n, "x": bits_hex(DEMO_INPUT[n], h)})
-        words.append(b64_cts(a["answer"], dev.hpk))
-    u_word = he.join_words(dev.hpk, words)
-    body = {"qkind": 2, "i": i, "u": cts_b64(u_word)}
+        frame(s1, "encode", {"qkind": 1, "input": n, "x": bits_hex(DEMO_INPUT[n], h)})
+    body = {"qkind": 2, "i": i}
     assert frame(s2, "encode", body)["answer"] is None
     assert frame(s1, "encode", body)["answer"] is not None
     assert s1.mem.words and not s2.mem.words and not dev.mem.words
@@ -660,18 +663,22 @@ def test_stray_checker_frame_fields_change_nothing():
 
 
 def test_a_q2_reads_each_port_from_its_own_input():
-    # table 1 reads a; b's q1 word, though answered in the session, is not
-    # a word a produced, so a q2 on it is null
+    # table 1 reads a. With only b answered in the session, a q2 on it is
+    # null; once a is answered, the q2 opens the table step of a's word,
+    # even when the query carries b's word as a stray u
     dev = make_dev(seed=1)
     assert dev.pp.structure.table(1)[1] == (("a",),)
     session = dev.session()
-    w_a = answer_a(session, 46)
-    x_b = bits_hex(True, dev.pp.m // 2)
-    w_b = frame(session, "encode", {"qkind": 1, "input": "b", "x": x_b})["answer"]
     h = dev.pp.m // 2
-    assert frame(session, "encode", {"qkind": 2, "i": 1, "u": w_b}) == {"answer": None}
-    assert frame(session, "encode", {"qkind": 2, "i": 1, "u": w_a}) == {
-        "answer": bits_hex(1, h)}  # the tag half of a fired table
+    w_b = frame(session, "encode", {"qkind": 1, "input": "b",
+                                    "x": bits_hex(True, h)})["answer"]
+    assert frame(session, "encode", {"qkind": 2, "i": 1}) == {"answer": None}
+    w_a = answer_a(session, 46)
+    v_word = table_step(dev.pp, 1, b64_cts(w_a, dev.hpk))
+    for stray in ({}, {"u": w_b}):
+        assert frame(session, "encode", {"qkind": 2, "i": 1, **stray}) == {
+            "answer": bits_hex(1, h)}  # the tag half of a fired table
+        assert session.mem.words[1][0] == v_word
 
 
 class _Counting(LoopbackChannel):
@@ -721,7 +728,7 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     a = frame(dev, "encode", {"qkind": 1, "input": "a", "x": bits_hex(DEMO_INPUT["a"], h)})
     u_word = b64_cts(a["answer"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
-    a = frame(dev, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
+    a = frame(dev, "encode", {"qkind": 2, "i": 1})
     assert a["answer"] == bits_hex(1, h)  # its tag half, and no payload
     payload = he.cut_word(dev.hpk, v_word, h)
     _, ct_sk = checker_key(4, h, dev.hpk)
@@ -955,7 +962,7 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
     a = frame(session, "encode", {"qkind": 1, "input": "x", "x": bits_hex(2, 3)})
     u_word = b64_cts(a["answer"], dev.hpk)
     v_word = table_step(dev.pp, 1, u_word)
-    a = frame(session, "encode", {"qkind": 2, "i": 1, "u": cts_b64(u_word)})
+    a = frame(session, "encode", {"qkind": 2, "i": 1})
     assert a["answer"] == "1"  # a 3-bit tag half: one hex digit
     y = cts_b64(he.cut_word(dev.hpk, v_word, 0, 3))
     r = frame(session, "checker", {"y": y})
