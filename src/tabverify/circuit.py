@@ -7,10 +7,11 @@ are inputs, wire n+j is gate j's output. Words are lists of wires, least
 significant bit first.
 
 Every gate list, of a table, of the SE circuit or of the universal
-circuit, is built by a Builder, which folds constants, shares equal gates
-and reads through NOT gates, and whose finish keeps only the gates some
-output depends on. A program's length is set by the largest table's gate
-count, so each gate the Builder saves there shortens every program.
+circuit, is built by a Builder, which folds constants, shares equal gates,
+reads through NOT gates and makes a gate of x and a gate that reads x one
+gate, and whose finish keeps only the gates some output depends on. A
+program's length is set by the largest table's gate count, so each gate
+the Builder saves there shortens every program.
 """
 
 import hashlib
@@ -93,6 +94,11 @@ class Builder:
     - NOT read-through: a gate whose operand is a NOT gate reads the wire
       that gate negates and flips that operand's index bit in its truth
       table, so a NOT gate costs a slot only where an output reads it.
+    - Absorption: a gate of x and a two-operand gate that reads x is one
+      gate, of the composed truth table on x and that gate's other operand
+      (two-level AIG rewriting; Mishchenko, Chatterjee & Brayton, DAC
+      2006). The gate it read stays only where something else reads it,
+      so no circuit grows.
     - Dead-gate removal: finish keeps only the gates some output depends on.
     """
 
@@ -145,7 +151,26 @@ class Builder:
         if l > r:
             l, r = r, l
             tt = (tt & 0b1001) | ((tt & 0b0100) >> 1) | ((tt & 0b0010) << 1)
-        return self._raw(l, r, tt)
+        return self._absorb(l, r, tt)
+
+    def _absorb(self, l, r, tt):
+        """The gate tt(l, r), l < r, neither a constant nor a NOT gate, as
+        gate leaves them. When r is a gate, it reads two distinct wires;
+        when l is one of them, tt(l, r) is a function of l and r's other
+        operand y alone: the gate of the composed truth table on (l, y). y
+        is a wire earlier than r, so the recursion through gate ends, and
+        finish drops r when nothing else reads it."""
+        if r < self.n_inputs:
+            return self._raw(l, r, tt)
+        a, b, inner = self.gates[r - self.n_inputs]
+        if l != a and l != b:
+            return self._raw(l, r, tt)
+        y, composed = (b if l == a else a), 0
+        for i in range(4):  # i = (value of l << 1) | value of y
+            x, v = i >> 1, i & 1
+            rv = inner >> ((x << 1 | v) if l == a else (v << 1 | x)) & 1
+            composed |= (tt >> (x << 1 | rv) & 1) << i
+        return self.gate(l, y, composed)
 
     def _unary(self, w, g0, g1):
         if g0 == g1:

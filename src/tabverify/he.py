@@ -203,16 +203,15 @@ def eval_word(hpk, circuit, word):
 
 def eval_named(hpk, c, word):
     """The word of the outputs of a circuit named by its construction and
-    sizes (a symcrypto.SECircuit: name, n_inputs and evaluate) on an input
-    word. Output k is bit k of c.evaluate with the nonce labelled name:k, as
-    output k of a universal-circuit step is, and no gate list is built."""
+    sizes (a symcrypto.SECircuit: name, n_inputs, labels and evaluate) on
+    an input word. Output k is bit k of c.evaluate with the nonce labelled
+    c.labels[k], name:k, as output k of a universal-circuit step is, and no
+    gate list is built."""
     n = check_word(hpk, word)
     if n != c.n_inputs:
         raise HeError(f"{c.name} expects {c.n_inputs} ciphertexts, got {n}")
-    bits = c.evaluate(word[HEADER::_TR].translate(_LOW_BIT))
-    name = c.name
-    return _outputs(hpk, hashlib.sha256(word).digest(),
-                    [f"{name}:{k}".encode() for k in range(len(bits))], bits)
+    return _outputs(hpk, hashlib.sha256(word).digest(), c.labels,
+                    c.evaluate(word[HEADER::_TR].translate(_LOW_BIT)))
 
 
 # --- prepared universal-circuit programs --------------------------------------------

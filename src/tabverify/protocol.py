@@ -246,7 +246,7 @@ def checker_value(pp, ct_sk, p):
     ct_sk, evaluated homomorphically as the SE circuit named by its block
     width. The verifier computes it for a checker round; the developer
     recomputes it before it reveals."""
-    se = SECircuit(he.check_word(pp.hpk, p))
+    se = pp.se_circuit(he.check_word(pp.hpk, p))
     return he.eval_named(pp.hpk, se, he.join_words(pp.hpk, (ct_sk, p)))
 
 
@@ -360,6 +360,8 @@ class PublicParams:
     # table index -> he.prepare of its program, filled by program()
     _prepared: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    # block width -> its SECircuit and output labels, filled by se_circuit()
+    _se: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the published base64 strings of the programs, which from_dict has
     # checked to be their canonical spelling; to_dict hands them back
     # instead of encoding every program again
@@ -383,6 +385,15 @@ class PublicParams:
             prepared = self._prepared[i] = he.prepare(
                 self.hpk, UniversalCircuit(*self.u_params), self.programs[i - 1])
         return prepared
+
+    def se_circuit(self, width):
+        """The SE circuit of blocks of width bits, made the first time a
+        checker value of that width is computed and kept, so that its
+        output labels are built once; SymError for a width SE refuses."""
+        se = self._se.get(width)
+        if se is None:
+            se = self._se[width] = SECircuit(width)
+        return se
 
     def to_dict(self):
         return {

@@ -199,6 +199,11 @@ class SECircuit:
         return int_to_bits(se_enc(x & ((1 << k) - 1), x >> k, self.width), self.width)
 
     @functools.cached_property
+    def labels(self):
+        """The nonce label of each output, name:k, built once per circuit."""
+        return tuple(f"{self.name}:{k}".encode() for k in range(self.width))
+
+    @functools.cached_property
     def gates(self):
         """The gate list, from the Feistel routine on wire lists."""
         k, w = self.key_bits, self.width // 2

@@ -268,14 +268,21 @@ def test_compiled_random_trees_match_the_interpreter(ports):
 
 
 def assert_compiled_structure(c):
-    """Every gate is read by a later gate or by an output, and no gate
-    reads a NOT gate's output: the Builder reads through NOT gates and
-    finish keeps only the gates some output depends on."""
+    """Every gate is read by a later gate or by an output, no gate reads a
+    NOT gate's output, and no gate reads a wire together with a gate that
+    reads that wire: the Builder reads through NOT gates and composes such
+    a pair into one gate, and finish keeps only the gates some output
+    depends on."""
     n = c.n_inputs
     read = set(c.outputs)
     nots = set()
+    operands = {}  # a two-operand gate's wire -> the wires it reads
     for j, (l, r, tt) in enumerate(c.gates):
         assert l not in nots and r not in nots, f"gate {j} reads a NOT gate"
+        if l != r:
+            assert (l not in operands.get(r, ()) and r not in operands.get(l, ())), (
+                f"gate {j} reads a wire and a gate of that wire")
+            operands[n + j] = (l, r)
         read.update((l, r))
         if l == r and tt == TT_NOT:
             nots.add(n + j)
@@ -311,22 +318,53 @@ def test_builder_reads_through_not_gates():
         (0,), (1,), (0,), (0,)]
 
 
-def test_finish_drops_dead_gates_and_renumbers():
+@pytest.mark.parametrize("x", [0, 1])  # the shared wire, the lower input or the higher
+def test_a_gate_of_x_and_a_gate_that_reads_x_is_one_gate(x):
+    # every outer and inner truth table, x on either side of the inner gate
+    # and the inner gate on either side of the outer one: the result is one
+    # gate over the two inputs, equal to the two gates composed
+    y = 1 - x
+    for outer, inner, x_first, inner_first in itertools.product(
+            range(16), range(16), (True, False), (True, False)):
+        b = Builder(2)
+        w = b.gate(x, y, inner) if x_first else b.gate(y, x, inner)
+        out = b.gate(w, x, outer) if inner_first else b.gate(x, w, outer)
+        c = b.finish([out])
+        assert len(c.gates) == 1 and c.gates[0][:2] == (0, 1), (outer, inner)
+        for bits in itertools.product((0, 1), repeat=2):
+            xv, yv = bits[x], bits[y]
+            wv = inner >> ((xv << 1 | yv) if x_first else (yv << 1 | xv)) & 1
+            want = outer >> ((wv << 1 | xv) if inner_first else (xv << 1 | wv)) & 1
+            assert simulate(c, bits) == (want,), (outer, inner, bits)
+
+
+def test_a_gate_read_elsewhere_is_kept_and_no_gate_is_added():
+    # the carry at a zero bit of a constant, a or (not a and c), is a or c;
+    # where another output reads the inner gate, it stays, and the pair
+    # still costs two gates
     b = Builder(2)
+    inner = b.gate(0, 1, 0b0010)  # not a and c
+    carry = b.or_(0, inner)
+    assert b.finish([carry]).gates == ((0, 1, TT_OR),)
+    assert b.finish([carry, inner]).gates == ((0, 1, 0b0010), (0, 1, TT_OR))
+
+
+def test_finish_drops_dead_gates_and_renumbers():
+    b = Builder(3)
     dead = b.and_(0, 1)
     x = b.xor(0, 1)
-    y = b.or_(x, 0)
+    y = b.or_(x, 2)
     b.and_(dead, y)  # read by nothing
     c = b.finish([y, x, 1])
-    assert c.gates == ((0, 1, TT_XOR), (0, 2, TT_OR))
-    assert c.outputs == (3, 2, 1)
+    assert c.gates == ((0, 1, TT_XOR), (2, 3, TT_OR))
+    assert c.outputs == (4, 3, 1)
 
 
 # each built-in design's universal-circuit budget and program length
 BUILT_IN_BUDGETS = {
-    "demo": ((16, 52, 16), 1048),
+    "demo": ((16, 37, 16), 688),
     "diamond": ((32, 70, 16), 1372),
-    "chain": ((16, 35, 16), 656),
+    "chain": ((16, 28, 16), 544),
 }
 
 
@@ -446,9 +484,9 @@ def test_slot_evaluator_matches_gate_list(case):
 # uc_layout and he._Program. A change to those renames UC_CONSTRUCTION and
 # bumps the certificate format; a change to the Builder re-records these.
 UC_GATE_DIGESTS = {
-    (1, 1, 1): "bb64a4621b4c6b12b87f7e86aaa1fa5a654b65cef56b25ed1774019318e0f95a",
-    (16, 52, 16): "6c3438e6e659e57a053dc3ff4d11a6f9b0960267876aae1f46095d6d69ef9da6",
-    (32, 70, 16): "edfff49f8366e1f86556fbf51c14eb295ae423ba6fc6dcf7393ffef731669772",
+    (1, 1, 1): "26b576f25609b18e3a08f4fa72c65b686f81f287a0d1e6c7935f81b41eeb3970",
+    (16, 37, 16): "f4de6a6ce7a76f35ece7867cf598598602132fefb57f25bd18dc2afabb6aa68f",
+    (32, 70, 16): "d7c0d3887b70d00daf8f39eeebe341d81afa7c18b6feee0f5a4cebb0d8132327",
 }
 
 

@@ -23,6 +23,6 @@ def test_static_counts_read_the_demo_developer(monkeypatch):
     dev = Developer(demo_graph(), rng=random.Random(1), strategy=None)
     counts = party.static_counts(dev)
     assert "missing" not in counts, counts["missing"]
-    assert counts["circuit.program_bits"] == 1048
-    assert counts["circuit.table_gates_max"] == 52
-    assert counts["circuit.uc_gates"] == 14793
+    assert counts["circuit.program_bits"] == 688
+    assert counts["circuit.table_gates_max"] == 37
+    assert counts["circuit.uc_gates"] == 8897

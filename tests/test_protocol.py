@@ -38,7 +38,7 @@ from tabverify.protocol import (
     verify_session,
 )
 from tabverify.symcrypto import se_dec
-from tabverify.tables import Tagged, bits_uint, tagged_word, transform
+from tabverify.tables import Tagged, bits_uint, int_to_bits, tagged_word, transform
 from tabverify.vga import input_key
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
@@ -513,6 +513,25 @@ def test_checker_requires_commit_before_proof():
     assert frame(dev, "checker", {"y": cts_b64(y)}) == {}
     # proof before the commitment exchange must fail
     assert frame(dev, "checker_proof", {"seed": bits_hex(4, 128)})["result"] == "null"
+
+
+def test_checker_value_words_are_pinned():
+    # sha256 of the checker values of an 8-bit and a 16-bit slice, recorded
+    # before PublicParams kept one SE circuit and its output labels per
+    # block width. The key is the developer's first draw, so this does not
+    # depend on the compiler; the second call of each width reads the kept
+    # circuit
+    dev = make_dev()
+    h = hashlib.sha256()
+    for width in (8, 16):
+        _, ct_sk = checker_key(4, width, dev.hpk)
+        p = he.enc_word(dev.hpk, int_to_bits(0xB5A3 & ((1 << width) - 1), width),
+                        random.Random(5))
+        y = checker_value(dev.pp, ct_sk, p)
+        assert checker_value(dev.pp, ct_sk, p) == y
+        h.update(y)
+    assert set(dev.pp._se) == {8, 16}
+    assert h.hexdigest() == "079b77a3cc85157150939b81028680e989b6c206f2b3e3cbe82a9e6ce568af70"
 
 
 def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):

@@ -145,6 +145,7 @@ def test_transparent_checker_value_is_the_gate_list_evaluated(width):
 
     class PP:
         hpk = keys.hpk
+        se_circuit = staticmethod(SECircuit)
 
     se = SECircuit(width)
     for _ in range(30):

@@ -24,7 +24,7 @@ from helpers import random_bits
 from tabverify import he
 from tabverify.audit import audit
 from tabverify.circuit import uc_layout
-from tabverify.demo import DEMO_DOMAINS, DEMO_GRAPH_TEXT, diamond_graph
+from tabverify.demo import DEMO_GRAPH_TEXT, DIAMOND_DOMAINS, diamond_graph
 from tabverify.graphtext import parse_graph
 from tabverify.protocol import (
     Developer,
@@ -331,23 +331,26 @@ B64_ALPHABET = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 
 @pytest.fixture(scope="module")
-def demo_cert():
-    dev = Developer(DEMO, rng=random.Random(16))
-    v = Verifier(dev.pp.to_dict(), DEMO, DEMO_DOMAINS, [], seed=17, vga_budget=2,
-                 rng=random.Random(18))
+def diamond_cert():
+    # the diamond's programs, of 1,372 ciphertexts, are the built-in designs'
+    # longest
+    graph = diamond_graph()
+    dev = Developer(graph, rng=random.Random(16))
+    v = Verifier(dev.pp.to_dict(), graph, DIAMOND_DOMAINS, [], seed=17,
+                 vga_budget=2, rng=random.Random(18))
     verdict, cert = verify_session(dev, v)
     assert verdict == "accept" and audit(cert)[0] == 1
     return cert
 
 
-def test_one_character_change_to_a_long_program_word(demo_cert):
+def test_one_character_change_to_a_long_program_word(diamond_cert):
     # every change of one character, at the first, middle and last places
     # of a program's string, is refused as a spelling that is not
     # canonical, as another backend's tag, as a wrong length, or decodes to
     # another word; the audit of a certificate carrying such a change, bound
     # again, is 0 in each way
-    text = demo_cert["public_params"]["programs"][0]
-    hpk = he.hpk_from_dict(demo_cert["public_params"]["hpk"])
+    text = diamond_cert["public_params"]["programs"][0]
+    hpk = he.hpk_from_dict(diamond_cert["public_params"]["hpk"])
     plen = he.check_word(hpk, b64_cts(text, hpk))
     assert plen > 1000 and text.endswith("=")
     ways = {"spelling": 0, "header": 0, "length": 0, "word": 0}
@@ -368,7 +371,7 @@ def test_one_character_change_to_a_long_program_word(demo_cert):
             ways[way] += 1
             if way not in audited:  # one audit per way and place
                 audited.add(way)
-                cert = copy.deepcopy(demo_cert)
+                cert = copy.deepcopy(diamond_cert)
                 cert["public_params"]["programs"][0] = changed
                 cert["binding"] = session_binding(cert)
                 ok, report = audit(cert)
