@@ -8,9 +8,9 @@ the record (ReplayVerifier): the disclosed session secrets instead of fresh
 ones, the recorded answer to each query once the query equals its record,
 and in general mode the recorded opening of each checker round. The
 verifier's own code derives every round's seed again from the disclosed
-key seed, and draws the round's key from it and its challenges from the
-disclosed challenge seed; the recorded commitments are re-verified under
-those challenges, and the revealed value is re-decrypted under that key.
+key seed, and draws the round's key from it and its challenge from the
+disclosed challenge seed; the recorded commitment is re-verified under
+that challenge, and the revealed value is re-decrypted under that key.
 No key word is built: nothing is sent. The rebuilt certificate must then
 serialize to exactly the stored bytes.
 """
@@ -76,9 +76,9 @@ class ReplayVerifier(Verifier):
     with the record. _session_key returns the recorded seeds, _ask the
     recorded answer to each query once the query, which the verifier records
     before it asks (a q2 with the u it never sends), equals its record, and
-    _opening the recorded opening of each checker round once its blocks
-    open under the challenges drawn from the recorded challenge seed, with
-    the round's key alone, drawn from its seed. Any divergence raises
+    _opening the recorded opening of each checker round once it opens
+    under the challenge drawn from the recorded challenge seed, with the
+    round's key alone, drawn from its seed. Any divergence raises
     AuditError."""
 
     def __init__(self, cert):
@@ -112,20 +112,24 @@ class ReplayVerifier(Verifier):
             raise AuditError(f"query {k + 1} diverges from the transcript")
         return {"answer": rec["a"]}
 
-    def _opening(self, chan, p, width, rs, seed):
-        """The round's key, drawn again from its seed, and the recorded d
-        and blocks of this round. A live round records d only once every
-        block has opened under its challenge in rs, so a recorded d whose
-        blocks do not open fails the replay here. Nothing is sent, so
-        neither the round's key word nor its y is built."""
+    def _opening(self, chan, p, width, R, seed):
+        """The round's key, drawn again from its seed, and the recorded
+        opening of this round: null, or {d, e, exposed, seed}. A live round
+        records an opening only once it has opened under R, so a recorded
+        one that does not, or that has other fields than those four, fails
+        the replay here. Nothing is sent, so neither the round's key word
+        nor its y is built."""
         k = len(self.qa_c) - 1  # this round's record is already appended
         if k >= len(self.cert["qa_c"]):
             raise AuditError("checker record missing")
         rec = self.cert["qa_c"][k]
-        d, blocks = rec["d"], rec["blocks"]
-        if d is not None and not self._opens(d, blocks, width, rs):
+        try:
+            opens = rec is None or self._opens(width, R, **rec)
+        except TypeError:  # not an object of exactly the four fields
+            opens = False
+        if not opens:
             raise AuditError(f"checker record {k} does not open ($.qa_c[{k}])")
-        return checker_key(seed, width)[0], d, blocks
+        return checker_key(seed, width)[0], rec
 
 
 def replay(cert):

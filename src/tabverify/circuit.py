@@ -88,7 +88,8 @@ class Builder:
     """Gate-list builder.
 
     - Constant folding: a gate with a constant operand becomes a constant,
-      its other operand or that operand's NOT.
+      its other operand or that operand's NOT; so does a gate whose truth
+      table ignores one operand, which absorption can leave.
     - Sharing: a gate with the operands and truth table of an earlier one,
       in either operand order, is that gate.
     - NOT read-through: a gate whose operand is a NOT gate reads the wire
@@ -159,18 +160,22 @@ class Builder:
         when l is one of them, tt(l, r) is a function of l and r's other
         operand y alone: the gate of the composed truth table on (l, y). y
         is a wire earlier than r, so the recursion through gate ends, and
-        finish drops r when nothing else reads it."""
-        if r < self.n_inputs:
-            return self._raw(l, r, tt)
-        a, b, inner = self.gates[r - self.n_inputs]
-        if l != a and l != b:
-            return self._raw(l, r, tt)
-        y, composed = (b if l == a else a), 0
-        for i in range(4):  # i = (value of l << 1) | value of y
-            x, v = i >> 1, i & 1
-            rv = inner >> ((x << 1 | v) if l == a else (v << 1 | x)) & 1
-            composed |= (tt >> (x << 1 | rv) & 1) << i
-        return self.gate(l, y, composed)
+        finish drops r when nothing else reads it. A table that ignores an
+        operand, as a composed one can, is a function of the other alone."""
+        if r >= self.n_inputs:
+            a, b, inner = self.gates[r - self.n_inputs]
+            if l == a or l == b:
+                y, composed = (b if l == a else a), 0
+                for i in range(4):  # i = (value of l << 1) | value of y
+                    x, v = i >> 1, i & 1
+                    rv = inner >> ((x << 1 | v) if l == a else (v << 1 | x)) & 1
+                    composed |= (tt >> (x << 1 | rv) & 1) << i
+                return self.gate(l, y, composed)
+        if not (tt ^ tt >> 1) & 0b0101:
+            return self._unary(l, tt & 1, tt >> 2 & 1)
+        if not (tt ^ tt >> 2) & 0b0011:
+            return self._unary(r, tt & 1, tt >> 1 & 1)
+        return self._raw(l, r, tt)
 
     def _unary(self, w, g0, g1):
         if g0 == g1:

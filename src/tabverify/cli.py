@@ -71,6 +71,15 @@ def write_json(path, obj):
         f.write(canonical_json(obj))
 
 
+def echo_coverage(cert, structure, out):
+    """Echo the coverage report of cert's transcript; write it to out too."""
+    text = coverage_report(cert["qa_e"], structure).render_text()
+    if out:
+        with open(resolve(out), "w", encoding="utf-8") as f:
+            f.write(text + "\n")
+    click.echo(text)
+
+
 def read_json(path):
     try:
         with open(resolve(path), encoding="utf-8") as f:
@@ -293,11 +302,7 @@ def verify(spec_path, graph, connect, pp_path, mode, seed,
     finally:
         chan.close()  # closing the connection ends the developer's session
     digest = audit_mod.save_certificate(cert, resolve(cert_path))
-    report = coverage_report(cert["qa_e"], v.pp.structure)
-    if out:
-        with open(resolve(out), "w", encoding="utf-8") as f:
-            f.write(report.render_text() + "\n")
-    click.echo(report.render_text())
+    echo_coverage(cert, v.pp.structure, out)
     click.echo(f"verdict: {verdict}")
     click.echo(f"certificate: {cert_path} ({digest[:16]})")
     sys.exit(EXIT_OK if verdict == "accept" else EXIT_REJECT)
@@ -344,11 +349,7 @@ def demo(mode, seed, cert_path, out):
     }
     digest = audit_mod.save_certificate(cert, resolve(cert_path))
     ok, _report = audit_mod.audit(audit_mod.load_certificate(resolve(cert_path)))
-    report = coverage_report(cert["qa_e"], dev.pp.structure)
-    if out:
-        with open(resolve(out), "w", encoding="utf-8") as f:
-            f.write(report.render_text() + "\n")
-    click.echo(report.render_text())
+    echo_coverage(cert, dev.pp.structure, out)
     click.echo(f"verdict: {verdict}  audit: {ok}")
     click.echo(f"documented claim: {demo_mod.DOCUMENTED_CLAIM_Y}")
     click.echo(

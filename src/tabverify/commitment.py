@@ -10,19 +10,20 @@ afterwards would require a seed matching q exposed bits and a codeword
 within masked distance, which the verified distance rules out (Naor, "Bit
 commitment using pseudorandomness", J. Cryptology 1991).
 
-Longer data is split into independently committed blocks, the last one
-padded with zeros. The protocol's code, PROTOCOL_CODE, holds 16 data bits
-per block with q = 256, so R is 512 bits and every checker round, a 16-bit
-word or an 8-bit half word, commits one block. The length bound on q does
-not depend on the block size, so a 16-bit block costs what an 8-bit one did.
-Checking the distance covers all 2^16 - 1 nonzero codewords; the code is a
-constant of the certificate format, so it is written into the source, and
-a test derives it again with gen_code.
+Longer data is one commitment too, of one seed: each m_c-bit block, the
+last one padded with zeros, takes its q bits of the codeword and its
+weight-q part of R. The protocol's code, PROTOCOL_CODE, holds 16 data bits
+per block with q = 256, so every checker round of a 16-bit design, a word
+or an 8-bit half word, is one block under a 512-bit R. The length bound on
+q does not depend on the block size, so a 16-bit block costs what an 8-bit
+one did. Checking the distance covers all 2^16 - 1 nonzero codewords; the
+code is a constant of the certificate format, so it is written into the
+source, and a test derives it again with gen_code.
 
 Above he, an n-bit string is an int whose bit i is bit i of the string,
-and n comes from the caller: a challenge is a 2q-bit int, a block's data
-an m_c-bit int, a seed a COMMIT_SEED_BITS-bit int, and e and exposed
-q-bit ints.
+and n comes from the caller: the data is an n-bit int, its challenge a
+2q-bit int per block, a seed a COMMIT_SEED_BITS-bit int, and e and
+exposed commit_bits(n)-bit ints.
 """
 
 import itertools
@@ -61,18 +62,6 @@ class CodeSpec:
             if data >> i & 1:
                 word ^= row
         return word
-
-
-@dataclass(frozen=True)
-class CommitMessage:
-    e: int  # q masked codeword bits
-    exposed: int  # q PRG bits at the challenge's zeros, in position order
-
-
-@dataclass(frozen=True)
-class RevealMessage:
-    seed: int  # COMMIT_SEED_BITS PRG seed bits
-    data: int  # the m_c committed bits
 
 
 def required_length(m_c, eps, K):
@@ -178,33 +167,51 @@ def _split(stream, R, n):
     return int(digits.translate(_AT_ONES), 2), int(digits.translate(_AT_ZEROS), 2)
 
 
-def commit_respond(D, R, s, code):
-    """Committer's message for the data D under the challenge R and the
-    seed s: the codeword masked by the stream at R's one-positions, and the
-    stream at its zero-positions exposed. CommitError unless R is 2q bits
-    of weight q and D is m_c bits; SymError unless s is COMMIT_SEED_BITS
-    bits."""
-    n = 2 * code.q
-    if R >> n or R.bit_count() != code.q:
-        raise CommitError("challenge must be 2q bits of weight q")
-    mask, exposed = _split(prg(s, COMMIT_SEED_BITS, n), R, n)
-    return CommitMessage(e=code.encode(D) ^ mask, exposed=exposed)
-
-
-def verify_reveal(commit, reveal, R, code):
-    """Accept iff the revealed seed and data, committed under R, give
-    exactly the commit message: the commit rule rerun, not restated."""
-    try:
-        expect = commit_respond(reveal.data, R, reveal.seed, code)
-    except (CommitError, SymError):  # a malformed challenge, data or seed
-        return False
-    return (commit.e, commit.exposed) == (expect.e, expect.exposed)
-
-
-# --- multi-block commitments --------------------------------------------------
+# --- commitments to n bits --------------------------------------------------------
 
 
 def split_blocks(value, n, m_c):
     """The n-bit value as ceil(n / m_c) blocks of m_c bits, the last one
     padded with zeros: block k holds bits k * m_c to (k + 1) * m_c - 1."""
     return [value >> i & ((1 << m_c) - 1) for i in range(0, n, m_c)]
+
+
+def commit_bits(n, code=PROTOCOL_CODE):
+    """The length of e, and of exposed, in a commitment to n bits."""
+    return -(-n // code.m_c) * code.q
+
+
+def challenge(n, rng, code=PROTOCOL_CODE):
+    """The receiver's challenge to a commitment to n bits: one weight-q
+    part of 2q bits per block, part k at bits 2qk to 2q(k + 1) - 1, drawn
+    from rng in block order."""
+    return sum(choose_challenge(code.q, rng) << 2 * code.q * k
+               for k in range(-(-n // code.m_c)))
+
+
+def commit_respond(D, n, R, s, code=PROTOCOL_CODE):
+    """Committer's message (e, exposed) for the n-bit data D under the
+    challenge R and the seed s: block k's codeword, at bits qk of e, is
+    masked by the stream at the ones of R's part k. CommitError unless D is
+    n bits and R one 2q-bit part of weight q per block; SymError unless s
+    is COMMIT_SEED_BITS bits."""
+    q = code.q
+    blocks = split_blocks(D, n, code.m_c)
+    size = 2 * q * len(blocks)
+    if D >> n:
+        raise CommitError(f"data sets a bit past its {n} bits")
+    if R >> size or any(part.bit_count() != q for part in split_blocks(R, size, 2 * q)):
+        raise CommitError("challenge must be one 2q-bit part of weight q per block")
+    word = sum(code.encode(b) << k * q for k, b in enumerate(blocks))
+    mask, exposed = _split(prg(s, COMMIT_SEED_BITS, size), R, size)
+    return word ^ mask, exposed
+
+
+def verify_reveal(e, exposed, D, n, R, s, code=PROTOCOL_CODE):
+    """Accept iff the seed s and the n-bit data D, committed under R, give
+    exactly the commitment (e, exposed): the commit rule rerun, not
+    restated."""
+    try:
+        return commit_respond(D, n, R, s, code) == (e, exposed)
+    except (CommitError, SymError):  # a malformed challenge, data or seed
+        return False

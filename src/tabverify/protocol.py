@@ -18,8 +18,9 @@ right after it: the verifier homomorphically computes the symmetric
 encryption of the answer's slice under a fresh key of its own, the developer
 commits to the decryption before it is sent the round's seed, from which it
 builds the key's ciphertext itself, and the revealed value must decrypt to
-exactly the answer (a q1's top word). A round's frame carries only y, and
-its reply nothing, since the verifier counts the blocks itself.
+exactly the answer (a q1's top word). A round is one commitment, to the
+whole slice: its frame carries only y, the commit challenge only R and the
+proof only the round's seed, and a frame the developer refuses gets {}.
 
 The published structure is one value, Structure, which names a feed as its
 JSON does, by a ref: an external input's name (a JSON string) or a table's
@@ -60,7 +61,7 @@ its key seed with the PRG (round_seed), and draws the round's key, then
 its key word's nonces, from a generator seeded with that seed alone
 (checker_key). No round's generator is another's, and a hash of the key
 seed is no generator output, so the seeds and key words a developer has
-been sent tell it nothing of a later round's key. Each block's challenge
+been sent tell it nothing of a later round's key. Each round's challenge
 comes from one stream of the challenge seed: a committer sees its
 challenge before it commits anyway. The certificate records neither keys
 nor challenges, only the two seeds, from which the auditor derives them
@@ -83,14 +84,11 @@ from .channel import ChannelError, LoopbackChannel, canonical_json, make_frame
 from .circuit import UniversalCircuit, budget_for, compile_table, encode_program
 from .commitment import (
     COMMIT_SEED_BITS,
-    PROTOCOL_CODE,
     CommitError,
-    choose_challenge,
+    challenge,
+    commit_bits,
     commit_respond,
-    split_blocks,
     verify_reveal,
-    CommitMessage,
-    RevealMessage,
 )
 from .expr import wrap_signed
 from .graphtext import serialize_graph
@@ -114,14 +112,13 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 19  # bump whenever a field, a frame or a replay rule changes
+CERT_VERSION = 20  # bump whenever a field, a frame or a replay rule changes
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 ROUND_SEED_BITS = 128  # a checker round's seed, derived from the key seed
 ROUND_INDEX_BITS = 32  # a checker round's index, in its seed's derivation
 WORD_TYPES = ("int", "bool")  # the value types an encrypted word carries
 
 BOT = "bot"
-NULL = "null"
 
 
 class ProtocolError(Exception):
@@ -526,12 +523,11 @@ class Developer:
             structure=public_structure(self.tg, self.index_of),
             programs=programs_enc,
         )
-        self.code = PROTOCOL_CODE
         self.mem = _SessionMem()
 
     def session(self):
         """A new session of this developer: it shares the design, keys,
-        programs, code and rng, and has its own empty memory."""
+        programs and rng, and has its own empty memory."""
         s = copy.copy(self)
         s.mem = _SessionMem()
         return s
@@ -640,69 +636,51 @@ class Developer:
         h = self.pp.m // 2
         ref, self.mem.last = self.mem.last, None
         if ref is None:  # no answer to pin, or this one's round is taken
-            return {"result": NULL}
+            return {}
         known = self.mem.words[ref]
         whole = self.pp.structure.covers_whole(ref)
         p = checker_slice(known[0], whole, h, self.hpk)
         width = he.check_word(self.hpk, p)
         # SE encrypts the slice as one block: an even width of 4 or more bits
         if not block_width_ok(width):
-            return {"result": NULL}
+            return {}
         try:
             y = b64_cts(body.get("y"), self.hpk, width)
         except ProtocolError:
-            return {"result": NULL}
+            return {}
         d = self._open_checker(y, checker_slice(known[1], whole, h), width)
-        self.mem.pending = {
-            "d": d,
-            "width": width,
-            "p": p,
-            "y": y,
-            "blocks": split_blocks(d, width, self.code.m_c),
-            "seeds": None,
-        }
+        self.mem.pending = {"d": d, "width": width, "p": p, "y": y, "seed": None}
         return {}
 
     def _commit(self, body):
         pending = self.mem.pending
-        if not pending or pending.get("seeds") is not None:
-            return {"result": NULL}
-        if not isinstance(body.get("Rs"), list):
-            return {"result": NULL}
-        q = self.code.q
+        if not pending or pending["seed"] is not None:
+            return {}
+        width, s = pending["width"], se_keygen(COMMIT_SEED_BITS, self.rng)
+        n = commit_bits(width)
         try:
-            rs = [hex_bits(r, 2 * q) for r in body["Rs"]]
-        except ProtocolError:
-            return {"result": NULL}
-        if len(rs) != len(pending["blocks"]):
-            return {"result": NULL}
-        seeds, out = [], []
-        for blk, R in zip(pending["blocks"], rs):
-            s = se_keygen(COMMIT_SEED_BITS, self.rng)
-            try:
-                cm = commit_respond(blk, R, s, self.code)
-            except CommitError:  # hex_bits fixed R's length: a wrong weight
-                return {"result": NULL}
-            seeds.append(s)
-            out.append({"e": bits_hex(cm.e, q), "exposed": bits_hex(cm.exposed, q)})
-        pending["seeds"] = seeds
-        return {"blocks": out}
+            e, exposed = commit_respond(pending["d"], width,
+                                        hex_bits(body.get("R"), 2 * n), s)
+        except (ProtocolError, CommitError):  # R of another length, or weight
+            return {}
+        pending["seed"] = s
+        return {"e": bits_hex(e, n), "exposed": bits_hex(exposed, n)}
 
     def _proof(self, body):
         pending = self.mem.pending
-        if not pending or pending.get("seeds") is None:
-            return {"result": NULL}
+        if not pending or pending["seed"] is None:
+            return {}
         self.mem.pending = {}
         width = pending["width"]
         try:
             seed = hex_bits(body.get("seed"), ROUND_SEED_BITS)
         except ProtocolError:
-            return {"result": NULL}
+            return {}
         _, ct_sk = checker_key(seed, width, self.hpk)
         if checker_value(self.pp, ct_sk, pending["p"]) != pending["y"]:
-            return {"result": NULL}
-        reveals = [{"seed": bits_hex(s, COMMIT_SEED_BITS)} for s in pending["seeds"]]
-        return {"d": bits_hex(pending["d"], width), "reveals": reveals}
+            return {}
+        return {"d": bits_hex(pending["d"], width),
+                "seed": bits_hex(pending["seed"], COMMIT_SEED_BITS)}
 
     # frame type -> answer method: the only frames a session carries
     ANSWERS = {
@@ -735,8 +713,6 @@ def serve(dev, chan):
 BINDING_FIELDS = (
     "version", "mode", "public_params", "g_spec", "domains", "cp", "vga",
 )
-# the fields of a recorded commitment block, no more and no fewer
-_BLOCK_FIELDS = frozenset(("e", "exposed", "seed"))
 
 
 def session_binding(cert):
@@ -832,7 +808,6 @@ class Verifier:
         # the type of each external table's payload, as its output groups read it
         self.payload_types = {i: ptype for _, ptype, group in pp.structure.outputs
                               for i in group}
-        self.code = PROTOCOL_CODE
         if mode == "general":
             self.key_seed, self.challenge_seed = self._session_key()
             self.challenges = random.Random(self.challenge_seed)
@@ -1017,73 +992,46 @@ class Verifier:
         whole = self.pp.structure.covers_whole(q.get("input", q.get("i")))
         p = checker_slice(value if q1 else v_word, whole, h, self.pp.hpk)
         width = he.check_word(self.pp.hpk, p)
-        # every round derives its seed and draws its challenges, one per
-        # block, before it asks and whatever the developer answers, so that
-        # the auditor derives the same ones
+        # drawn before it asks and whatever the developer answers, so that
+        # the auditor draws the same ones
         seed = round_seed(self.key_seed, len(self.qa_c))
-        rs = [choose_challenge(self.code.q, self.challenges)
-              for _ in range(-(-width // self.code.m_c))]
-        record = {"d": None, "blocks": []}
-        self.qa_c.append(record)
+        R = challenge(width, self.challenges)
+        self.qa_c.append(None)
+        sk, opened = self._opening(chan, p, width, R, seed)
+        self.qa_c[-1] = opened
+        return opened is not None and se_dec(sk, hex_bits(opened["d"], width),
+                                             width) == expected
 
-        sk, d, blocks = self._opening(chan, p, width, rs, seed)
-        if d is None:
-            return False
-        record.update(d=d, blocks=blocks)
-        return se_dec(sk, hex_bits(d, width), width) == expected
-
-    def _opening(self, chan, p, width, rs, seed):
+    def _opening(self, chan, p, width, R, seed):
         """Run the checker round of the given seed on the slice p of the
         answer just given: send y, p's SE encryption under the round's key
-        word, then the challenges rs, and the seed only once the developer
-        has committed. Returns (sk, d, blocks): the round's key, drawn with
-        its word, and the revealed d and its blocks once every block opens,
-        else None for both."""
+        word, then the challenge R, and the seed once the developer has
+        committed. Returns the round's key and its record {d, e, exposed,
+        seed} once it opens (_opens), else None."""
         sk, ct_sk = checker_key(seed, width, self.pp.hpk)
         y = checker_value(self.pp, ct_sk, p)
         self._ask(chan, "checker", {"y": cts_b64(y)})  # a refused round fails below
-        n = len(rs)
-        c = self._ask(chan, "commit_challenge",
-                      {"Rs": [bits_hex(R, 2 * self.code.q) for R in rs]})
-        commits = c.get("blocks")
-        if not isinstance(commits, list) or len(commits) != n:
-            return sk, None, None
-        res = self._ask(chan, "checker_proof",
-                        {"seed": bits_hex(seed, ROUND_SEED_BITS)})
-        try:
-            d, reveals = res["d"], res["reveals"]
-            if len(reveals) != n:
-                return sk, None, None
-            blocks = [{"e": cm["e"], "exposed": cm["exposed"], "seed": rv["seed"]}
-                      for cm, rv in zip(commits, reveals)]
-        except (KeyError, TypeError):
-            return sk, None, None
-        return (sk, d, blocks) if self._opens(d, blocks, width, rs) else (sk, None, None)
+        commit = self._ask(chan, "commit_challenge",
+                           {"R": bits_hex(R, 2 * commit_bits(width))})
+        if not commit:  # refused: the seed is not sent
+            return sk, None
+        proof = self._ask(chan, "checker_proof",
+                          {"seed": bits_hex(seed, ROUND_SEED_BITS)})
+        opened = {"d": proof.get("d"), "e": commit.get("e"),
+                  "exposed": commit.get("exposed"), "seed": proof.get("seed")}
+        return sk, opened if self._opens(width, R, **opened) else None
 
-    def _opens(self, d, blocks, width, rs):
-        """Whether d spells width bits and every block, of exactly the fields
-        a live round records, opens its commitment to its slice of d under
-        its challenge in rs; False too when d or a block does not parse. A
-        block reveals only its seed: its data is its slice of d, so the
-        last block's padding is committed through d alone. The challenges
-        are not recorded: the auditor draws them again."""
-        q, m_c = self.code.q, self.code.m_c
+    def _opens(self, width, R, d, e, exposed, seed):
+        """Whether the commitment (e, exposed) opens to d, width bits, with
+        its seed under the challenge R; False too when a field does not
+        parse. The auditor passes a record's fields, so that a record of
+        any other fields raises TypeError."""
+        n = commit_bits(width)
         try:
-            data_blocks = split_blocks(hex_bits(d, width), width, m_c)
-            if len(blocks) != len(data_blocks):
-                return False
-            for blk, R, data in zip(blocks, rs, data_blocks):
-                if set(blk) != _BLOCK_FIELDS:
-                    return False
-                commit = CommitMessage(
-                    e=hex_bits(blk["e"], q), exposed=hex_bits(blk["exposed"], q)
-                )
-                reveal = RevealMessage(
-                    seed=hex_bits(blk["seed"], COMMIT_SEED_BITS), data=data)
-                if not verify_reveal(commit, reveal, R, self.code):
-                    return False
-            return True
-        except (ProtocolError, KeyError, TypeError, ValueError):
+            return verify_reveal(hex_bits(e, n), hex_bits(exposed, n),
+                                 hex_bits(d, width), width, R,
+                                 hex_bits(seed, COMMIT_SEED_BITS))
+        except ProtocolError:
             return False
 
 

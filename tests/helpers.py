@@ -55,9 +55,9 @@ edges:
   C.z -> Output.z;
 """
 
-# that pair at width 12: a 12-bit word is one 8-bit commitment block and
-# one 4-bit block padded to 8, and a 6-bit tag half one block padded by 2
-# bits, so every checker round ends in padding
+# that pair at width 12: a 12-bit word is one 16-bit commitment block
+# padded by 4 bits, and a 6-bit tag half one block padded by 10, so every
+# checker round ends in padding
 WIDTH12_TEXT = NARROW_PAIR_TEXT.replace("width: 6;", "width: 12;")
 
 

@@ -15,8 +15,8 @@ from tabverify.channel import LoopbackChannel, canonical_json, make_frame
 from tabverify.circuit import encode_program, simulate
 from tabverify.commitment import (
     PROTOCOL_CODE,
-    RevealMessage,
-    choose_challenge,
+    challenge,
+    commit_bits,
     commit_respond,
     verify_reveal,
 )
@@ -238,23 +238,22 @@ def test_c6_malicious_strategies_rejected(strategy):
 
 def test_c7_commitment_binding_and_honest_opening():
     """Re-opening to different data never verifies; honest opens always do."""
-    code = PROTOCOL_CODE
     rng = random.Random(707)
     accepted_bad = 0
     honest_ok = 0
+    m_c = PROTOCOL_CODE.m_c
     for _ in range(1000):
-        D = tuple(rng.getrandbits(1) for _ in range(code.m_c))
+        D = tuple(rng.getrandbits(1) for _ in range(m_c))
         s = se_keygen(16, rng)
-        R = choose_challenge(code.q, rng)
-        commit = commit_respond(bits_uint(D), R, s, code)
-        honest_ok += verify_reveal(commit, RevealMessage(seed=s, data=bits_uint(D)),
-                                   R, code)
+        R = challenge(m_c, rng)
+        commit = commit_respond(bits_uint(D), m_c, R, s)
+        honest_ok += verify_reveal(*commit, bits_uint(D), m_c, R, s)
         D2 = list(D)
-        D2[rng.randrange(code.m_c)] ^= 1
+        D2[rng.randrange(m_c)] ^= 1
         D2 = bits_uint(D2)
         for _ in range(10):
             s2 = se_keygen(16, rng)
-            if verify_reveal(commit, RevealMessage(seed=s2, data=D2), R, code):
+            if verify_reveal(*commit, D2, m_c, R, s2):
                 accepted_bad += 1
                 break
     print(f"criterion 7: {accepted_bad}/1000 adversarial reopens accepted, "
@@ -315,13 +314,10 @@ def test_c8_oracles_byte_identical_to_services():
                 seed = round_seed(key_seed, rounds)
                 _, ct_sk = checker_key(seed, m, dev.hpk)
                 y = checker_value(dev.pp, ct_sk, p)
-                r = ask("checker", {"y": cts_b64(y)}, pair)
-                if "result" not in r:  # a refused round answers null
+                ask("checker", {"y": cts_b64(y)}, pair)
+                R = bits_hex(challenge(m, rng), 2 * commit_bits(m))
+                if ask("commit_challenge", {"R": R}, pair):  # a refused round answers {}
                     rounds += 1
-                    rs = [choose_challenge(dev.code.q, rng)
-                          for _ in range(-(-m // dev.code.m_c))]
-                    ask("commit_challenge",
-                        {"Rs": [bits_hex(R, 2 * dev.code.q) for R in rs]}, pair)
                     proof = ask("checker_proof",
                                 {"seed": bits_hex(seed, ROUND_SEED_BITS)}, pair)
                     reveals += "d" in proof

@@ -32,14 +32,7 @@ from tabverify.graphtext import parse_graph
 from tabverify.expr import Binary, Const, Ref, Unary
 from tabverify.tables import Table, TableGraph, bits_uint, int_to_bits
 from tabverify.vga import coverage_report
-from tabverify.commitment import (
-    PROTOCOL_CODE,
-    CommitMessage,
-    RevealMessage,
-    choose_challenge,
-    split_blocks,
-    verify_reveal,
-)
+from tabverify.commitment import PROTOCOL_CODE, challenge, commit_bits, verify_reveal
 from tabverify.protocol import (
     Developer,
     Verifier,
@@ -82,10 +75,29 @@ def same_json(a, b):
 # sha256 of each configuration's canonical certificate JSON. Certificates
 # for fixed seeds are byte-identical across changes that keep CERT_FORMAT
 # and the developer's compiler; a change to the format must bump it, and
-# either change re-records these. Recorded at certificate version 19, with
+# either change re-records these. Recorded at certificate version 20, with
 # the compiler that drops dead gates, reads through NOT gates and makes a
 # gate that reads x and a gate of x one gate.
 CERT_DIGESTS = {
+    "demo-honest": "2fb2097fc975c091e5ab892ee202868638a1df6c035ed4f128bb71dd4bfbe610",
+    "demo-general": "6e20fa445ebe5785f4dd65025fb9839d2c994667acdda28b42f75f2ad0f7ecb6",
+    "chain-honest": "d95f8cd9aeba44b0920b28f67fb1b6c8bc614965ef3d270528823569c9ca2d22",
+    "chain-general": "b26681ecbf398ec78499908d3ac0b7f8e2f1be38d123453e6abd3fb9d0c0f578",
+    "diamond-honest": "ef4169dda2ccae1b2e99e62b507ee3ae0f6e8610d41f2a00968eeb9fd370ecc6",
+    "diamond-general": "d2824ecfbbebc2a1030ab56890fc38c72e5648aec14bac5a63d5fc3d94f86f9c",
+    "flip-payload-honest": "c8a8de2fe0455732a1840fb56113d566e65f1df5c7ed5f7ff337d1359b7f13a3",
+    "flip-tag-honest": "8eebd1d2f2d6fc7a1881d2fe037559ccf0bc184c023d1ddb06ca1bcda6d8b0cf",
+    "swap-answers-honest": "1a578e1084da3b7dbfa2aae054ad1ac4f4901b20526328819587ea0ec10d0438",
+    "flip-payload-general": "9568d02bd22349977f07729a3c35e26d698bbfcec82135c0b9c86990318cc3c3",
+    "flip-tag-general": "15a7464b2c9f7ebfd68f3d5f53ad726bf71a036accb13e417e537a04f33a5919",
+    "swap-answers-general": "a9929e425193d4216be561970f93d088a1097c440d2968c04e4a065e976636e0",
+}
+# the sha256 of each configuration's certificate at version 19. Version 20
+# records a checker round as one commitment, {d, e, exposed, seed}, or null,
+# where version 19 recorded {d, blocks: [{e, exposed, seed}]}, or {d: null,
+# blocks: []}; every round of these designs is one block, so the values are
+# those of version 19
+V19_DIGESTS = {
     "demo-honest": "553e8f781a1fb040374713758ce54f02d5d9da9e4f6075c5ac2b41700a86560b",
     "demo-general": "875b2ea3aee69beed723aa06e02461a66e8ea6d7f8dcc2512c4c6da2f456d395",
     "chain-honest": "35ab13d555210fd873cedaad6ffb7ef1e67a278b2c2dbaaba5e433933943ea6f",
@@ -189,9 +201,10 @@ V14_OUTCOMES = {
 # to a 16-bit checker slice, demo-general was 269,920; at version 19,
 # before the compiler made a gate that reads x and a gate of x one gate
 # (demo programs of 1,048 bits, now 688), they were 238,396, 295,730 and
-# 259,096: the diamond's programs kept their length
+# 259,096: the diamond's programs kept their length; and after it, with a
+# list of commitment blocks in each checker record, demo-general was 193,816
 CERT_BYTES = {"demo-honest": 173116, "diamond-honest": 295730,
-              "demo-general": 193816}
+              "demo-general": 192386}
 
 
 def build_config_cert(config):
@@ -309,19 +322,40 @@ def test_version_18_kept_the_honest_certificates_of_version_17(config, monkeypat
     assert kept == (config not in V19_OUTCOMES)
 
 
+def as_version_19(cert):
+    """cert with its checker records as version 19 wrote them: a round that
+    opened as {d, blocks: [{e, exposed, seed}]}, and null as {d: null,
+    blocks: []}."""
+    if "qa_c" not in cert:
+        return cert
+    return dict(cert, qa_c=[
+        {"d": None, "blocks": []} if rec is None
+        else {"d": rec["d"], "blocks": [{k: rec[k] for k in ("e", "exposed", "seed")}]}
+        for rec in cert["qa_c"]])
+
+
 @pytest.mark.parametrize("config", [c for c in CERT_DIGESTS if c.endswith("-general")])
 def test_version_17_commits_one_block_per_checker_round(config):
     # a 16-bit slice and an 8-bit tag half are each one block of the
-    # protocol's 16-bit code, where version 16 committed a slice as two; a
-    # round that does not open records no block
-    assert all(len(rec["blocks"]) == (rec["d"] is not None)
-               for rec in config_cert(config)["qa_c"])
+    # protocol's 16-bit code, where version 16 committed a slice as two: a
+    # round that opens records one commitment of q bits, and one that does
+    # not records null
+    q_digits = PROTOCOL_CODE.q // 4
+    for rec in config_cert(config)["qa_c"]:
+        assert rec is None or (set(rec) == {"d", "e", "exposed", "seed"}
+                               and len(rec["e"]) == len(rec["exposed"]) == q_digits)
 
 
 @pytest.mark.parametrize("config", list(V18_DIGESTS))
 def test_version_19_kept_the_certificates_of_version_18(config, monkeypatch):
-    cert = uncomposed_cert(config, monkeypatch)
+    cert = as_version_19(uncomposed_cert(config, monkeypatch))
     assert rebound_digest(cert, 18) == V18_DIGESTS[config]
+
+
+@pytest.mark.parametrize("config", list(V19_DIGESTS))
+def test_version_20_kept_the_certificates_of_version_19(config):
+    cert = as_version_19(config_cert(config))
+    assert rebound_digest(cert, 19) == V19_DIGESTS[config]
 
 
 @pytest.mark.parametrize("config", list(V19_OUTCOMES))
@@ -332,7 +366,7 @@ def test_version_19_moved_the_tag_liars_outcomes(config):
     assert (digest, coverage(cert)) == V19_OUTCOMES[config]
     assert cert["verdict"] == "reject" and audit(cert)[0] == 0
     if config.endswith("-general"):
-        assert any(rec["d"] is None for rec in cert["qa_c"])
+        assert None in cert["qa_c"]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -349,7 +383,7 @@ def test_saved_file_is_canonical_json_of_the_document(tmp_path, mode):
     path = tmp_path / "cert.json"
     digest = save_certificate(cert, path)
     doc = {"certificate": cert, "content_hash": certificate_hash(cert),
-           "format": "tabverify-cert-v19"}
+           "format": "tabverify-cert-v20"}
     assert digest == doc["content_hash"]
     assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
@@ -363,7 +397,7 @@ def test_version_8_certificate_is_refused_by_name(tmp_path):
     assert report["reason"] == "certificate version 8 is not supported"
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    path.write_text(path.read_text().replace("tabverify-cert-v19",
+    path.write_text(path.read_text().replace("tabverify-cert-v20",
                                              "tabverify-cert-v8"))
     with pytest.raises(AuditError, match="unknown certificate format "
                                          "'tabverify-cert-v8'"):
@@ -463,12 +497,12 @@ def test_final_compare_names_first_differing_path():
 
 @pytest.mark.parametrize("k", [0, 5])
 def test_unopenable_checker_record_is_named(k):
-    # a live round records d only once every block has opened, so a stored
-    # d whose blocks no longer open names its record, not $.failures
+    # a live round records its opening only once it has opened, so a
+    # stored one that no longer opens names its record, not $.failures
     for key in ("seed", "exposed", "e"):
         cert = copy.deepcopy(GENERAL_CERT)
-        block = cert["qa_c"][k]["blocks"][0]
-        block[key] = f"{int(block[key][0], 16) ^ 1:x}" + block[key][1:]
+        rec = cert["qa_c"][k]
+        rec[key] = f"{int(rec[key][0], 16) ^ 1:x}" + rec[key][1:]
         ok, report = audit(cert)
         assert ok == 0, key
         assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"
@@ -481,33 +515,29 @@ def set_top_bit(text):
 
 def test_padded_blocks_open_and_their_padding_is_committed():
     # at width 12 the one block of every checker round is padded with
-    # zeros; the session accepts and audits. A block reveals only its seed,
-    # and its data is its slice of d, so the padding is committed through
-    # d: d of a 6-bit half word is two hex digits, the top two bits
-    # padding, and one spelling. Setting a padding bit of d, or
-    # upper-casing a digit of a block's exposed bits, no longer opens
+    # zeros; the session accepts and audits. A round reveals only its seed,
+    # and its data is d, so the padding is committed through d: d of a
+    # 6-bit half word is two hex digits, the top two bits padding, and one
+    # spelling. Setting a padding bit of d, or upper-casing a digit of the
+    # exposed bits, no longer opens
     verdict, cert = make_cert("general", graph=parse_graph(WIDTH12_TEXT),
                               domains=NARROW_DOMAINS, cp=[])
     assert verdict == "accept", cert["failures"]
     ok, report = audit(cert)
     assert ok == 1, report
-    shapes = {(len(r["d"]), len(r["blocks"])) for r in cert["qa_c"]}
-    assert shapes == {(3, 1), (2, 1)}  # 12 and 6 bits, in hex digits
-    m_c = PROTOCOL_CODE.m_c
-    for k in range(len(cert["qa_c"])):
-        rec = cert["qa_c"][k]
-        assert all(set(b) == {"e", "exposed", "seed"} for b in rec["blocks"])
-        # 12 bits: 12 data bits in the block; 6 bits: 6
-        last = split_blocks(int(rec["d"], 16), m_c * len(rec["blocks"]), m_c)[-1]
-        assert last < (4096 if len(rec["d"]) == 3 else 64)
+    q_digits = PROTOCOL_CODE.q // 4  # one block, in hex digits
+    shapes = {(len(r["d"]), len(r["e"]), len(r["exposed"])) for r in cert["qa_c"]}
+    assert shapes == {(3, q_digits, q_digits), (2, q_digits, q_digits)}  # 12 and 6 bits
+    for k, rec in enumerate(cert["qa_c"]):
+        assert set(rec) == {"d", "e", "exposed", "seed"}
         bad_d, bad_x = (copy.deepcopy(cert) for _ in range(2))
         if len(rec["d"]) == 2:
             bad_d["qa_c"][k]["d"] = set_top_bit(rec["d"])
         else:
             bad_d = None  # 12 bits are three whole digits
-        x = rec["blocks"][0]["exposed"]
+        x = rec["exposed"]
         i = next(i for i, c in enumerate(x) if c in "abcdef")
-        bad_x["qa_c"][k]["blocks"][0]["exposed"] = x[:i] + x[i].upper() + x[i + 1:]
+        bad_x["qa_c"][k]["exposed"] = x[:i] + x[i].upper() + x[i + 1:]
         for bad in (bad_d, bad_x):
             if bad is not None:
                 ok, report = audit(bad)
@@ -517,40 +547,37 @@ def test_padded_blocks_open_and_their_padding_is_committed():
 
 
 def drawn_challenges(cert):
-    """Each checker record's challenges, one per block, drawn again from the
-    certificate's challenge seed as the verifier draws them."""
-    code = PROTOCOL_CODE
+    """Each checker record's challenge, drawn again from the certificate's
+    challenge seed as the verifier draws it, for the width its d spells."""
     stream = random.Random(hex_bits(cert["challenge_seed"], 128))
-    return [[choose_challenge(code.q, stream) for _ in rec["blocks"]]
-            for rec in cert["qa_c"]]
+    return [challenge(4 * len(rec["d"]), stream) for rec in cert["qa_c"]]
 
 
 def test_a_changed_challenge_that_still_opens_is_refused():
-    # a challenge is 2q bits of weight q; moving one of its ones within a
-    # hex digit keeps the weight, and where the PRG stream has equal bits at
-    # the two places the commitment still opens under it. The certificate
-    # records no challenge: each block opens under the one drawn again from
-    # the disclosed seed, and a block that carries a challenge of its own,
-    # even one that still opens, is refused. A block's data is its slice of d
-    code = PROTOCOL_CODE
-    for k, (rec, rs) in enumerate(zip(GENERAL_CERT["qa_c"], drawn_challenges(GENERAL_CERT))):
-        block, R = rec["blocks"][0], list(int_to_bits(rs[0], 2 * code.q))
-        assert "R" not in block
-        commit = CommitMessage(hex_bits(block["e"], code.q),
-                               hex_bits(block["exposed"], code.q))
-        data = split_blocks(int(rec["d"], 16), 4 * len(rec["d"]), code.m_c)[0]
-        reveal = RevealMessage(hex_bits(block["seed"], protocol.COMMIT_SEED_BITS),
-                               data)
-        assert verify_reveal(commit, reveal, bits_uint(R), code)
-        moves = [i for i in range(0, len(R), 2) if R[i] != R[i + 1]]
+    # a challenge is 2q bits of weight q per block; moving one of its ones
+    # within a hex digit keeps the weight, and where the PRG stream has
+    # equal bits at the two places the commitment still opens under it. The
+    # certificate records no challenge: each round opens under the one drawn
+    # again from the disclosed seed, and a record that carries a challenge
+    # of its own, even one that still opens, is refused
+    for k, (rec, R) in enumerate(zip(GENERAL_CERT["qa_c"], drawn_challenges(GENERAL_CERT))):
+        assert "R" not in rec
+        width = 4 * len(rec["d"])
+        n = commit_bits(width)
+        commit = (hex_bits(rec["e"], n), hex_bits(rec["exposed"], n),
+                  hex_bits(rec["d"], width), width)
+        seed = hex_bits(rec["seed"], protocol.COMMIT_SEED_BITS)
+        assert verify_reveal(*commit, R, seed)
+        bits = list(int_to_bits(R, 2 * n))
+        moves = [i for i in range(0, len(bits), 2) if bits[i] != bits[i + 1]]
         for i in moves:
-            moved = R[:i] + [R[i + 1], R[i]] + R[i + 2:]
-            if verify_reveal(commit, reveal, bits_uint(moved), code):
+            moved = bits_uint(bits[:i] + [bits[i + 1], bits[i]] + bits[i + 2:])
+            if verify_reveal(*commit, moved, seed):
                 break
         else:
             continue
         cert = copy.deepcopy(GENERAL_CERT)
-        cert["qa_c"][k]["blocks"][0]["R"] = bits_hex(bits_uint(moved), 2 * code.q)
+        cert["qa_c"][k]["R"] = bits_hex(moved, 2 * n)
         ok, report = audit(cert)
         assert ok == 0
         assert report["reason"] == f"checker record {k} does not open ($.qa_c[{k}])"
@@ -559,14 +586,14 @@ def test_a_changed_challenge_that_still_opens_is_refused():
 
 
 def test_a_null_checker_answer_mid_session_replays():
-    # the verifier draws every round's key and challenges before it asks,
+    # the verifier draws every round's key and challenge before it asks,
     # so a round the developer answers null leaves the streams where the
     # auditor, which draws them again, finds them; the later rounds open
     # under their own keys and the certificate replays
     class NullOnce(Developer):
         def _checker(self, body):
             self.checkers = getattr(self, "checkers", 0) + 1
-            return {"result": "null"} if self.checkers == 5 else super()._checker(body)
+            return {} if self.checkers == 5 else super()._checker(body)
 
         ANSWERS = dict(Developer.ANSWERS, checker=_checker)
 
@@ -576,8 +603,8 @@ def test_a_null_checker_answer_mid_session_replays():
     verdict, cert = verify_session(dev, v)
     assert verdict == "reject"
     assert [f["reason"] for f in cert["failures"]] == ["checker"]
-    assert cert["qa_c"][4]["d"] is None
-    assert sum(r["d"] is not None for r in cert["qa_c"]) == len(cert["qa_c"]) - 1
+    assert cert["qa_c"][4] is None
+    assert sum(r is not None for r in cert["qa_c"]) == len(cert["qa_c"]) - 1
     ok, report = replay(cert)
     assert ok, report
     assert report["replayed_verdict"] == "reject"
@@ -628,10 +655,10 @@ def test_diamond_session_and_audit_never_build_the_uc_gate_list(monkeypatch):
 
 def test_mutate_certificate_draws_recorded_leaves():
     # sha256 over the first five mutated documents, recorded at certificate
-    # version 19 with the compiler of CERT_DIGESTS
+    # version 20 with the compiler of CERT_DIGESTS
     for cert, want in (
-        (HONEST_CERT, "854304b8539002aff5a850d0b337291d4561f1d2fc0611107c57e943fb75a85b"),
-        (GENERAL_CERT, "f98675862d1ed4e742b66c889427e89ab04f4b1a5fbae1f408a627872f62c500"),
+        (HONEST_CERT, "8eed27950f45fa2438f36f53eee638a612bd0e73b66ab06f874ce3e68af167d1"),
+        (GENERAL_CERT, "57922c96b090a483381fe39039ed19a3ad7783a5a00e930a7d200eaacfe161bb"),
     ):
         rng, leaves = random.Random(42), scalar_leaves(cert)
         h = hashlib.sha256()

@@ -195,6 +195,6 @@ def test_commit_respond_matches_the_reference():
             D = tuple(rng.getrandbits(1) for _ in range(code.m_c))
             R = choose_challenge(code.q, rng)
             s = tuple(rng.getrandbits(1) for _ in range(16))
-            commit = commit_respond(bits_uint(D), R, bits_uint(s), code)
-            assert ((int_to_bits(commit.e, code.q), int_to_bits(commit.exposed, code.q))
+            e, exposed = commit_respond(bits_uint(D), code.m_c, R, bits_uint(s), code)
+            assert ((int_to_bits(e, code.q), int_to_bits(exposed, code.q))
                     == ref_commit_respond(D, int_to_bits(R, 2 * code.q), s, code))

@@ -11,9 +11,9 @@ from tabverify.commitment import (
     PROTOCOL_CODE,
     CodeSpec,
     CommitError,
-    CommitMessage,
-    RevealMessage,
+    challenge,
     choose_challenge,
+    commit_bits,
     commit_respond,
     gen_code,
     required_length,
@@ -125,9 +125,9 @@ def test_honest_round_trip():
         D = bits_uint(tuple(rng.getrandbits(1) for _ in range(4)))
         s = se_keygen(16, rng)
         R = choose_challenge(CODE.q, rng)
-        commit = commit_respond(D, R, s, CODE)
-        assert commit.exposed >> CODE.q == 0 and commit.e >> CODE.q == 0
-        assert verify_reveal(commit, RevealMessage(seed=s, data=D), R, CODE)
+        e, exposed = commit_respond(D, 4, R, s, CODE)
+        assert exposed >> CODE.q == 0 and e >> CODE.q == 0
+        assert verify_reveal(e, exposed, D, 4, R, s, CODE)
 
 
 def test_reject_wrong_data():
@@ -135,9 +135,9 @@ def test_reject_wrong_data():
     D = bits_uint((1, 0, 1, 0))
     s = se_keygen(16, rng)
     R = choose_challenge(CODE.q, rng)
-    commit = commit_respond(D, R, s, CODE)
+    e, exposed = commit_respond(D, 4, R, s, CODE)
     wrong = bits_uint((1, 0, 1, 1))
-    assert not verify_reveal(commit, RevealMessage(seed=s, data=wrong), R, CODE)
+    assert not verify_reveal(e, exposed, wrong, 4, R, s, CODE)
 
 
 def test_reject_tampered_exposed_bit():
@@ -145,9 +145,8 @@ def test_reject_tampered_exposed_bit():
     D = bits_uint((0, 1, 1, 0))
     s = se_keygen(16, rng)
     R = choose_challenge(CODE.q, rng)
-    commit = commit_respond(D, R, s, CODE)
-    tampered = type(commit)(e=commit.e, exposed=commit.exposed ^ 1 << 3)
-    assert not verify_reveal(tampered, RevealMessage(seed=s, data=D), R, CODE)
+    e, exposed = commit_respond(D, 4, R, s, CODE)
+    assert not verify_reveal(e, exposed ^ 1 << 3, D, 4, R, s, CODE)
 
 
 def test_commit_golden_digest():
@@ -156,47 +155,57 @@ def test_commit_golden_digest():
     rng = random.Random(77)
     s = se_keygen(16, rng)
     R = choose_challenge(CODE.q, rng)
-    commit = commit_respond(bits_uint((1, 0, 1, 1)), R, s, CODE)
-    text = ("".join(map(str, int_to_bits(commit.e, CODE.q))) + ";"
-            + "".join(map(str, int_to_bits(commit.exposed, CODE.q))))
+    e, exposed = commit_respond(bits_uint((1, 0, 1, 1)), 4, R, s, CODE)
+    text = ("".join(map(str, int_to_bits(e, CODE.q))) + ";"
+            + "".join(map(str, int_to_bits(exposed, CODE.q))))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f24d8ade8c0eb7cfdc2bf5dc4d107d47609053b87c65164439c5e6ad513df4c2"
     )
 
 
+def test_a_single_block_commit_is_pinned():
+    # a checker round of a 16-bit design is one block of the protocol's
+    # code: the sha256 of e and exposed, 64 hex digits each, of one such
+    # commit, recorded with version 19's one-block commit and kept by
+    # version 20's one commitment
+    rng = random.Random(78)
+    s = se_keygen(16, rng)
+    R = challenge(16, rng)
+    assert commit_bits(16) == commit_bits(8) == PROTOCOL_CODE.q == 256
+    e, exposed = commit_respond(0xB5A3, 16, R, s)
+    assert hashlib.sha256(f"{e:064x};{exposed:064x}".encode()).hexdigest() == (
+        "eee1a451b451271eaf5f46bc973edabea60405af5c1682ad377f39be23ff8375")
+
+
 def _honest_opening(seed):
+    """(e, exposed, D, s, R) of an honest commit to 4 bits under CODE."""
     rng = random.Random(seed)
     D = bits_uint(tuple(rng.getrandbits(1) for _ in range(4)))
     s = se_keygen(16, rng)
     R = choose_challenge(CODE.q, rng)
-    return commit_respond(D, R, s, CODE), RevealMessage(seed=s, data=D), R
+    return (*commit_respond(D, 4, R, s, CODE), D, s, R)
 
 
 def test_reject_wrong_seed():
-    commit, reveal, R = _honest_opening(10)
-    wrong = RevealMessage(seed=reveal.seed ^ 1, data=reveal.data)
-    past = RevealMessage(seed=reveal.seed | 1 << 16, data=reveal.data)  # 17 bits
-    assert verify_reveal(commit, reveal, R, CODE)
-    assert not verify_reveal(commit, wrong, R, CODE)
-    assert verify_reveal(commit, past, R, CODE) is False
+    e, exposed, D, s, R = _honest_opening(10)
+    assert verify_reveal(e, exposed, D, 4, R, s, CODE)
+    assert not verify_reveal(e, exposed, D, 4, R, s ^ 1, CODE)
+    assert verify_reveal(e, exposed, D, 4, R, s | 1 << 16, CODE) is False  # 17 bits
 
 
 def test_reject_flipped_masked_bit():
-    commit, reveal, R = _honest_opening(11)
+    e, exposed, D, s, R = _honest_opening(11)
     for k in (0, CODE.q - 1):
-        tampered = CommitMessage(e=commit.e ^ 1 << k, exposed=commit.exposed)
-        assert not verify_reveal(tampered, reveal, R, CODE)
+        assert not verify_reveal(e ^ 1 << k, exposed, D, 4, R, s, CODE)
 
 
 def test_reject_exposed_of_wrong_length_or_not_bits():
     # exposed is q bits: one that also sets a bit at q or beyond, or a
     # negative int equal to it mod 2^q, does not open
-    commit, reveal, R = _honest_opening(12)
+    e, exposed, D, s, R = _honest_opening(12)
     q = CODE.q
-    for exposed in (commit.exposed | 1 << q, commit.exposed | 1 << 2 * q,
-                    commit.exposed - (1 << q)):
-        tampered = CommitMessage(e=commit.e, exposed=exposed)
-        assert verify_reveal(tampered, reveal, R, CODE) is False
+    for bad in (exposed | 1 << q, exposed | 1 << 2 * q, exposed - (1 << q)):
+        assert verify_reveal(e, bad, D, 4, R, s, CODE) is False
 
 
 def test_reject_malformed_challenge():
@@ -204,31 +213,78 @@ def test_reject_malformed_challenge():
     s = se_keygen(16, rng)
     bad = (1 << 2 * CODE.q) - 1  # wrong weight
     with pytest.raises(CommitError):
-        commit_respond(bits_uint((1, 0, 0, 0)), bad, s, CODE)
+        commit_respond(bits_uint((1, 0, 0, 0)), 4, bad, s, CODE)
 
 
 def test_reject_challenge_with_entries_that_are_not_bits():
     # a challenge is 2q bits: one of weight q that reaches past them, a
     # one moved from its lowest position to position 2q or above, is
     # refused, as is a negative int
-    commit, reveal, R = _honest_opening(13)
+    e, exposed, D, s, R = _honest_opening(13)
     low = R & -R
     n = 2 * CODE.q
     for bad in (R ^ low | 1 << n, R ^ low | 1 << n + 7, -R, R - (1 << n)):
         with pytest.raises(CommitError):
-            commit_respond(reveal.data, bad, reveal.seed, CODE)
-        assert verify_reveal(commit, reveal, bad, CODE) is False
+            commit_respond(D, 4, bad, s, CODE)
+        assert verify_reveal(e, exposed, D, 4, bad, s, CODE) is False
 
 
 def test_reject_data_past_the_block():
-    # a block's data is m_c bits: a bit at m_c or above is refused
-    commit, reveal, R = _honest_opening(14)
-    for data in (reveal.data | 1 << CODE.m_c, 1 << 40, -1):
+    # a block's data is m_c bits, and a commitment's n: a bit at m_c, or
+    # at n, or above is refused
+    e, exposed, D, s, R = _honest_opening(14)
+    for data in (D | 1 << CODE.m_c, 1 << 40, -1):
         with pytest.raises(CommitError):
             CODE.encode(data)
         with pytest.raises(CommitError):
-            commit_respond(data, R, reveal.seed, CODE)
-        assert verify_reveal(commit, RevealMessage(reveal.seed, data), R, CODE) is False
+            commit_respond(data, 4, R, s, CODE)
+        assert verify_reveal(e, exposed, data, 4, R, s, CODE) is False
+
+
+def two_block_opening(seed):
+    """(e, exposed, D, s, R) of an honest commit to 7 bits under CODE: two
+    blocks, the second padded by one bit."""
+    rng = random.Random(seed)
+    D = rng.getrandbits(7)
+    s = se_keygen(16, rng)
+    R = challenge(7, rng, CODE)
+    return (*commit_respond(D, 7, R, s, CODE), D, s, R)
+
+
+def test_a_commitment_to_two_blocks_is_one_seed_and_one_challenge():
+    # 7 bits are two 4-bit blocks: e and exposed are 2q bits each, and R
+    # one weight-q part of 2q bits per block, drawn as two challenges
+    e, exposed, D, s, R = two_block_opening(15)
+    q = CODE.q
+    assert commit_bits(7, CODE) == 2 * q
+    assert e >> 2 * q == 0 and exposed >> 2 * q == 0
+    stream = random.Random(15)
+    stream.getrandbits(7), se_keygen(16, stream)
+    first = choose_challenge(q, stream)
+    assert R == first | choose_challenge(q, stream) << 2 * q
+    assert verify_reveal(e, exposed, D, 7, R, s, CODE)
+    # the first block alone, under the first part, is the commitment's low half
+    low = commit_respond(D & 0xF, 4, first, s, CODE)
+    assert low == (e & ((1 << q) - 1), exposed & ((1 << q) - 1))
+
+
+def test_a_wrong_weight_in_the_second_part_of_a_challenge_is_refused():
+    e, exposed, D, s, R = two_block_opening(16)
+    q = CODE.q
+    second = R >> 2 * q
+    for bad in (second ^ (second & -second), second | (1 << 2 * q) - 1, 0):
+        moved = R & ((1 << 2 * q) - 1) | bad << 2 * q
+        with pytest.raises(CommitError):
+            commit_respond(D, 7, moved, s, CODE)
+        assert verify_reveal(e, exposed, D, 7, moved, s, CODE) is False
+
+
+def test_a_changed_second_block_does_not_open():
+    e, exposed, D, s, R = two_block_opening(17)
+    for bit in range(4, 7):
+        assert not verify_reveal(e, exposed, D ^ 1 << bit, 7, R, s, CODE)
+    # the padding bit past the 7 bits is no data at all
+    assert verify_reveal(e, exposed, D | 1 << 7, 7, R, s, CODE) is False
 
 
 def test_binding_adversarial_reopen():
@@ -240,11 +296,11 @@ def test_binding_adversarial_reopen():
         D = bits_uint(tuple(rng.getrandbits(1) for _ in range(4)))
         s = se_keygen(16, rng)
         R = choose_challenge(CODE.q, rng)
-        commit = commit_respond(D, R, s, CODE)
+        e, exposed = commit_respond(D, 4, R, s, CODE)
         D2 = D ^ 1 << rng.randrange(4)
         for _ in range(25):
             s2 = se_keygen(16, rng)
-            if verify_reveal(commit, RevealMessage(seed=s2, data=D2), R, CODE):
+            if verify_reveal(e, exposed, D2, 4, R, s2, CODE):
                 accepted += 1
                 break
     assert accepted == 0
@@ -261,8 +317,8 @@ def test_hiding_smoke():
         D = 0b1111 if b else 0b0000
         s = se_keygen(16, rng)
         R = choose_challenge(CODE.q, rng)
-        commit = commit_respond(D, R, s, CODE)
-        guess = commit.e.bit_count() & 1
+        e, _ = commit_respond(D, 4, R, s, CODE)
+        guess = e.bit_count() & 1
         hits += guess == b
     assert abs(hits / n - 0.5) < 0.1
 

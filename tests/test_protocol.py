@@ -7,7 +7,14 @@ import pytest
 from helpers import simulate_batch, tagged_to_bits
 from tabverify.audit import audit, json_leaves, replay
 from tabverify import he, protocol
-from tabverify.commitment import choose_challenge
+from tabverify.commitment import (
+    COMMIT_SEED_BITS,
+    PROTOCOL_CODE,
+    CommitError,
+    challenge,
+    commit_bits,
+    commit_respond,
+)
 from tabverify.channel import LoopbackChannel, canonical_json, make_frame
 from tabverify.demo import (
     CHAIN_DOMAINS,
@@ -43,6 +50,11 @@ from tabverify.vga import input_key
 
 DEMO = parse_graph(DEMO_GRAPH_TEXT)
 DEMO_CP = [(DEMO_INPUT, {"w": False, "c": 2})]
+
+
+def demo_at(width):
+    """The demo design at another word width."""
+    return parse_graph(DEMO_GRAPH_TEXT.replace("width: 16;", f"width: {width};"))
 
 
 def make_dev(graph=DEMO, seed=0, **kw):
@@ -280,13 +292,30 @@ def test_general_mode_accepts_and_records_checkers():
     assert verdict == "accept"
     answered = [r for r in cert["qa_e"] if r["a"] is not None]
     assert len(cert["qa_c"]) == len(answered)
-    assert all(r["d"] is not None for r in cert["qa_c"])
     # the certificate discloses two seeds, and neither a key nor a challenge
     assert "sk" not in cert and "ct_sk" not in cert
     assert 0 <= hex_bits(cert["key_seed"], 128) < 1 << 128
     assert 0 <= hex_bits(cert["challenge_seed"], 128) < 1 << 128
-    assert all(set(b) == {"e", "exposed", "seed"}
-               for r in cert["qa_c"] for b in r["blocks"])
+    assert all(set(r) == {"d", "e", "exposed", "seed"} for r in cert["qa_c"])
+
+
+@pytest.mark.parametrize("width", [20, 32])
+def test_a_general_session_wider_than_a_block_accepts_and_audits(width):
+    # a whole word of 20 or 32 bits is two blocks of the protocol's 16-bit
+    # code, and a tag half of 10 or 16 bits one: each round commits to its
+    # whole slice under one seed, e and exposed commit_bits of the slice's
+    # width each, and the session accepts and audits to 1
+    _, verdict, cert = run_pair(demo_at(width), DEMO_DOMAINS, DEMO_CP, mode="general")
+    assert verdict == "accept", cert["failures"]
+    assert audit(cert)[0] == 1
+    widths = set()
+    for rec in cert["qa_c"]:
+        n = 4 * len(rec["d"])
+        widths.add(n)
+        assert len(rec["e"]) == len(rec["exposed"]) == commit_bits(n) // 4
+        assert len(rec["seed"]) == COMMIT_SEED_BITS // 4
+    assert widths == {width, -(-width // 8) * 4}
+    assert commit_bits(width) == 2 * commit_bits(16)
 
 
 def test_a_checker_proof_sends_the_round_seed_alone():
@@ -424,9 +453,9 @@ def first_input_table(dev):
     raise AssertionError("no source table")
 
 
-def block_count(dev, width):
-    """The commitment blocks of a checker round on a slice of width bits."""
-    return -(-width // dev.code.m_c)
+def challenge_hex(width, rng):
+    """A commit challenge's R for a slice of width bits, drawn from rng."""
+    return bits_hex(challenge(width, rng), 2 * commit_bits(width))
 
 
 def test_q2_honest_and_tampered():
@@ -512,7 +541,7 @@ def test_checker_requires_commit_before_proof():
     y = checker_value(dev.pp, ct_sk, p)
     assert frame(dev, "checker", {"y": cts_b64(y)}) == {}
     # proof before the commitment exchange must fail
-    assert frame(dev, "checker_proof", {"seed": bits_hex(4, 128)})["result"] == "null"
+    assert frame(dev, "checker_proof", {"seed": bits_hex(4, 128)}) == {}
 
 
 def test_checker_value_words_are_pinned():
@@ -535,13 +564,14 @@ def test_checker_value_words_are_pinned():
 
 
 def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):
-    # R is spelled as 2q bits, so hex_bits takes it, but it does not have
-    # weight q: commit_respond refuses it with CommitError, and the
-    # developer answers null. Any other error there is the developer's
-    # own, and is not taken for a hostile verifier's
+    # R is spelled as 2q bits per block, so hex_bits takes it, but a part
+    # of it does not have weight q: commit_respond refuses it with
+    # CommitError, and the developer answers {}. Any other error there is
+    # the developer's own, and is not taken for a hostile verifier's
     dev = make_dev()
     _, names = first_input_table(dev)
-    m, q = dev.pp.m, dev.code.q
+    m = dev.pp.m
+    n = commit_bits(m)
 
     def open_round(session):
         a = frame(session, "encode", {"qkind": 1, "input": names[0],
@@ -550,25 +580,50 @@ def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):
         _, ct_sk = checker_key(4, m, dev.hpk)
         y = checker_value(dev.pp, ct_sk, p)
         assert frame(session, "checker", {"y": cts_b64(y)}) == {}
-        return [choose_challenge(q, random.Random(k))
-                for k in range(block_count(dev, m))]
+        return challenge(m, random.Random(0))
 
     session = dev.session()
-    rs = open_round(session)
-    for bad in (rs[0] ^ (rs[0] & -rs[0]), (1 << 2 * q) - 1, 0):  # weight q - 1, 2q, 0
-        sent = [bits_hex(bad, 2 * q)] + [bits_hex(R, 2 * q) for R in rs[1:]]
-        assert frame(session, "commit_challenge", {"Rs": sent}) == {"result": "null"}
-    assert "blocks" in frame(session, "commit_challenge",
-                             {"Rs": [bits_hex(R, 2 * q) for R in rs]})
+    R = open_round(session)
+    for bad in (R ^ (R & -R), (1 << 2 * n) - 1, 0):  # weight q - 1, 2q, 0
+        assert frame(session, "commit_challenge", {"R": bits_hex(bad, 2 * n)}) == {}
+    for bad in ({}, {"R": R}, {"Rs": [bits_hex(R, 2 * n)]}, {"R": bits_hex(R, 2 * n + 4)}):
+        assert frame(session, "commit_challenge", bad) == {}
+    assert set(frame(session, "commit_challenge", {"R": bits_hex(R, 2 * n)})) == {
+        "e", "exposed"}
 
-    def broken(D, R, s, code):
+    def broken(D, n, R, s):
         raise RuntimeError("a fault in the committer")
 
     monkeypatch.setattr(protocol, "commit_respond", broken)
     session = dev.session()
-    rs = open_round(session)
+    R = open_round(session)
     with pytest.raises(RuntimeError, match="a fault in the committer"):
-        frame(session, "commit_challenge", {"Rs": [bits_hex(R, 2 * q) for R in rs]})
+        frame(session, "commit_challenge", {"R": bits_hex(R, 2 * n)})
+
+
+def test_a_wide_slice_is_one_commitment_of_several_blocks():
+    # at width 32 a q1's word is two blocks of the protocol's code: R is
+    # one weight-q part per block, and a wrong weight in the second part
+    # alone is refused; the reply is one e and one exposed of 2q bits each
+    dev = make_dev(demo_at(32))
+    m = dev.pp.m
+    n = commit_bits(m)
+    assert m == 32 and n == 512
+    session = dev.session()
+    a = frame(session, "encode", {"qkind": 1, "input": "a", "x": bits_hex(3, m // 2)})
+    _, ct_sk = checker_key(4, m, dev.hpk)
+    y = checker_value(dev.pp, ct_sk, b64_cts(a["answer"], dev.hpk))
+    assert frame(session, "checker", {"y": cts_b64(y)}) == {}
+    R = challenge(m, random.Random(0))
+    second = R >> n
+    bad = R ^ (second & -second) << n
+    with pytest.raises(CommitError):
+        commit_respond(0, m, bad, 0)
+    assert frame(session, "commit_challenge", {"R": bits_hex(bad, 2 * n)}) == {}
+    c = frame(session, "commit_challenge", {"R": bits_hex(R, 2 * n)})
+    assert set(c) == {"e", "exposed"} and len(c["e"]) == len(c["exposed"]) == n // 4
+    proof = frame(session, "checker_proof", {"seed": bits_hex(4, 128)})
+    assert set(proof) == {"d", "seed"} and len(proof["d"]) == m // 4
 
 
 def test_checker_proof_opens_only_under_the_round_seed():
@@ -597,14 +652,13 @@ def test_checker_proof_opens_only_under_the_round_seed():
         assert he.check_word(dev.hpk, ct_sk) == 4 * m
         y = checker_value(dev.pp, ct_sk, p)
         assert frame(dev, "checker", {"y": cts_b64(y)}) == {}
-        rs = [bits_hex(choose_challenge(dev.code.q, random.Random(k)), 2 * dev.code.q)
-              for k in range(block_count(dev, m))]
-        assert "blocks" in frame(dev, "commit_challenge", {"Rs": rs})
+        c = frame(dev, "commit_challenge", {"R": challenge_hex(m, random.Random(0))})
+        assert set(c) == {"e", "exposed"}
         proof = frame(dev, "checker_proof", body)
         if body == {"seed": text}:
             assert se_dec(sk, hex_bits(proof["d"], m), m) == u
         else:
-            assert proof == {"result": "null"}, body
+            assert proof == {}, body
 
 
 def test_round_seed_is_shake128_of_the_key_seed_and_the_round():
@@ -622,13 +676,14 @@ def test_round_seed_is_shake128_of_the_key_seed_and_the_round():
 def test_checker_rejects_unknown_slice():
     # a round pins the answer just given; with nothing answered there is
     # no word to slice, whatever y the verifier sends and whatever query a
-    # frame of an older format names
+    # frame of an older format names: the round is refused, {}, and so is
+    # its commit challenge
     dev = make_dev()
     m = dev.pp.m
     y = he.enc_word(dev.hpk, (0,) * m, random.Random(5))
     for body in ({"y": cts_b64(y)}, {"i": 1, "qkind": 2, "port": 0, "y": cts_b64(y)}):
-        r = frame(dev, "checker", body)
-        assert r["result"] == "null"
+        assert frame(dev, "checker", body) == {}
+        assert frame(dev, "commit_challenge", {"R": challenge_hex(m, random.Random(0))}) == {}
 
 
 def answer_a(session, value=3):
@@ -641,32 +696,30 @@ def answer_a(session, value=3):
 def run_round(session, w, body=None, seed=4):
     """The developer's replies to one full checker round on the word w: its
     checker frame is body, with y added, its key drawn from the round seed
-    seed and its challenges from a generator seeded with it."""
-    keys = random.Random(seed)
+    seed and its challenge from a generator seeded with it."""
     _, ct_sk = checker_key(seed, session.pp.m, session.hpk)
     y = checker_value(session.pp, ct_sk, b64_cts(w, session.hpk))
     r = frame(session, "checker", dict(body or {}, y=cts_b64(y)))
-    rs = [bits_hex(choose_challenge(session.code.q, keys), 2 * session.code.q)
-          for _ in range(block_count(session, session.pp.m))]
-    c = frame(session, "commit_challenge", {"Rs": rs})
+    c = frame(session, "commit_challenge",
+              {"R": challenge_hex(session.pp.m, random.Random(seed))})
     return r, c, frame(session, "checker_proof", {"seed": bits_hex(seed, 128)})
 
 
 def test_an_answer_gets_one_checker_round():
     # a round pins the answer just given and takes it: a second checker
-    # frame on the same answer is null, and so is one after a null answer
+    # frame on the same answer is refused, {}, with every later frame of
+    # its round, and so is one after a null answer
     dev = make_dev(seed=1)
     session = dev.session()
     w = answer_a(session)
-    r, _, proof = run_round(session, w)
-    assert r == {} and "d" in proof
-    assert frame(session, "checker", {"y": proof["d"]}) == {"result": "null"}
-    _, _, again = run_round(session, w)
-    assert again == {"result": "null"}
+    r, c, proof = run_round(session, w)
+    assert r == {} and set(c) == {"e", "exposed"} and set(proof) == {"d", "seed"}
+    assert frame(session, "checker", {"y": proof["d"]}) == {}
+    assert run_round(session, w) == ({}, {}, {})
     assert answer_a(session) is not None
     bad = frame(session, "encode", {"qkind": 1, "input": "a", "x": "1"})
     assert bad == {"answer": None}
-    assert run_round(session, w)[0] == {"result": "null"}
+    assert run_round(session, w) == ({}, {}, {})
 
 
 def test_stray_checker_frame_fields_change_nothing():
@@ -755,10 +808,42 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     r = frame(dev, "checker", {"case": "external", "p": cts_b64(payload),
                                "y": cts_b64(y)})
     assert r == {}
-    rs = [bits_hex(choose_challenge(dev.code.q, random.Random(5)), 2 * dev.code.q)]
-    assert "blocks" in frame(dev, "commit_challenge", {"Rs": rs})
+    assert "e" in frame(dev, "commit_challenge", {"R": challenge_hex(h, random.Random(5))})
     proof = frame(dev, "checker_proof", {"seed": bits_hex(4, 128)})
-    assert proof == {"result": "null"} and "d" not in proof
+    assert proof == {} and "d" not in proof
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a hostile verifier's y is decrypted and committed before its proof is "
+    "checked, and the 2^16 commitment seeds are searchable: the commitment "
+    "opens to DL#1's hidden payload 26 without the proof"))
+def test_a_commitment_hides_what_a_hostile_y_decrypts_to():
+    # DL#1's payload, 26, is a hidden intermediate value. A verifier that
+    # sends as y the raw payload half of DL#1's own step word, not an SE
+    # encryption of its tag half, has the developer decrypt it and commit
+    # to 26 before the proof shows that y does not recompute. Searching
+    # every commitment seed for one whose stream gives the exposed bits
+    # unmasks the codeword, and with it the data: a commitment hides its
+    # data only while its seed cannot be searched or predicted
+    dev = make_dev(seed=1)
+    h = dev.pp.m // 2
+    a = frame(dev, "encode", {"qkind": 1, "input": "a", "x": bits_hex(DEMO_INPUT["a"], h)})
+    v_word = table_step(dev.pp, 1, b64_cts(a["answer"], dev.hpk))
+    assert frame(dev, "encode", {"qkind": 2, "i": 1})["answer"] == bits_hex(1, h)
+    payload = he.cut_word(dev.hpk, v_word, h)
+    assert frame(dev, "checker", {"y": cts_b64(payload)}) == {}
+    R = challenge(h, random.Random(5))
+    n = commit_bits(h)
+    c = frame(dev, "commit_challenge", {"R": bits_hex(R, 2 * n)})
+    e, exposed = hex_bits(c["e"], n), hex_bits(c["exposed"], n)
+    assert frame(dev, "checker_proof", {"seed": bits_hex(4, 128)}) == {}  # too late
+    codewords = {PROTOCOL_CODE.encode(D): D for D in range(1 << h)}
+    opened = set()
+    for s in range(1 << COMMIT_SEED_BITS):
+        mask, seen = commit_respond(0, h, R, s)
+        if seen == exposed and e ^ mask in codewords:
+            opened.add(codewords[e ^ mask])
+    assert 26 not in opened
 
 
 def test_serve_survives_malformed_checker_ciphertext():
@@ -787,7 +872,9 @@ def test_serve_survives_malformed_checker_ciphertext():
         for stray in ({}, {"i": [1]}, {"port": [0]}):
             a = ask("encode", {"qkind": 1, "input": names[0], "x": bits_hex(0, m // 2)})
             assert a["answer"] is not None
-            assert ask("checker", dict(stray, y=cts_b64(y))) == {"result": "null"}
+            assert ask("checker", dict(stray, y=cts_b64(y))) == {}
+            # refused: the round has no commitment
+            assert ask("commit_challenge", {"R": challenge_hex(m, random.Random(0))}) == {}
         for bad in (["encode", {}], {"type": ["encode"], "body": {}},
                     {"type": "encode", "body": "junk"}):
             chan.send(bad)
@@ -984,11 +1071,10 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
     a = frame(session, "encode", {"qkind": 2, "i": 1})
     assert a["answer"] == "1"  # a 3-bit tag half: one hex digit
     y = cts_b64(he.cut_word(dev.hpk, v_word, 0, 3))
-    r = frame(session, "checker", {"y": y})
-    assert r == {"result": "null"}
-    rs = [bits_hex(choose_challenge(dev.code.q, random.Random(2)), 2 * dev.code.q)]
-    assert frame(session, "commit_challenge", {"Rs": rs}) == {"result": "null"}
-    assert frame(session, "checker_proof", {"seed": bits_hex(3, 128)}) == {"result": "null"}
+    assert frame(session, "checker", {"y": y}) == {}
+    R = challenge_hex(3, random.Random(2))
+    assert frame(session, "commit_challenge", {"R": R}) == {}
+    assert frame(session, "checker_proof", {"seed": bits_hex(3, 128)}) == {}
 
 
 # rows 1 and 2 of T both fire for x > 5, so T is not disjoint there

@@ -6,7 +6,7 @@ import pytest
 from tabverify import he
 from tabverify.audit import audit
 from tabverify.channel import canonical_json, make_frame
-from tabverify.commitment import choose_challenge
+from tabverify.commitment import challenge, commit_bits
 from tabverify.demo import (
     CHAIN_DOMAINS,
     DEMO_DOMAINS,
@@ -78,24 +78,25 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
         return r1["body"]
 
     q1 = {"qkind": 1, "input": "a", "x": bits_hex(0, m // 2)}
+    R = {"R": bits_hex(challenge(m, random.Random(5)), 2 * commit_bits(m))}
     assert ask("encode", dict(q1, input=[1])) == {"answer": None}
     ask("encode", q1)
-    assert ask("checker", {"y": cts_b64(junk)}) == {"result": "null"}
+    # refused on both, {}, so that its commit challenge is refused too
+    assert ask("checker", {"y": cts_b64(junk)}) == {}
+    assert ask("commit_challenge", R) == {}
     # that round took the answer: the next one needs an answer of its own
-    assert ask("checker", {"y": cts_b64(junk)}) == {"result": "null"}
+    assert ask("checker", {"y": cts_b64(junk)}) == {}
+    assert ask("commit_challenge", R) == {}
 
     w = ask("encode", q1)["answer"]
     y = checker_value(dev.pp, ct_sk, b64_cts(w, dev.hpk))
     assert ask("checker", {"i": [1], "y": cts_b64(y)}) == {}  # a stray field names nothing
-    assert ask("commit_challenge", {"Rs": 5}) == {"result": "null"}
-    rs = [choose_challenge(dev.code.q, random.Random(5))
-          for _ in range(-(-m // dev.code.m_c))]
-    assert "blocks" in ask("commit_challenge",
-                           {"Rs": [bits_hex(R, 2 * dev.code.q) for R in rs]})
+    assert ask("commit_challenge", {"R": 5}) == {}
+    assert set(ask("commit_challenge", R)) == {"e", "exposed"}
     # a proof whose seed is a word, here with the round's key word in
-    # format v17's field beside it, is null on both
+    # format v17's field beside it, is refused on both
     proof = ask("checker_proof", {"seed": cts_b64(junk), "ct_sk": cts_b64(ct_sk)})
-    assert proof == {"result": "null"}
+    assert proof == {}
 
 
 def test_fake_graph_same_structure_different_semantics():
