@@ -121,11 +121,6 @@ def join_words(h, words):
 # --- enc / dec ------------------------------------------------------------------
 
 
-def enc(hpk, bit, rng=None):
-    """One fresh ciphertext: a word of one."""
-    return enc_word(hpk, (bit,), rng)
-
-
 def enc_word(hpk, bits, rng=None):
     """The word of one fresh ciphertext per bit; HeError when an item is not
     a bit. Every nonce comes from one _randbits call of 128 bits per
@@ -155,14 +150,6 @@ def enc_word(hpk, bits, rng=None):
     for k in range(_NONCE):
         word[HEADER + 1 + k::_TR] = nonces[_NONCE - 1 - k::_NONCE]
     return bytes(word)
-
-
-def dec(hsk, ct):
-    """The bit of one ciphertext."""
-    bits = dec_word(hsk, ct)
-    if len(bits) != 1:
-        raise HeError(f"expected one ciphertext, got {len(bits)}")
-    return bits[0]
 
 
 def dec_word(hsk, word):

@@ -19,8 +19,10 @@ encryption of the answer's slice under a fresh key of its own, the developer
 commits to the decryption before it is sent the round's seed, from which it
 builds the key's ciphertext itself, and the revealed value must decrypt to
 exactly the answer (a q1's top word). A round is one commitment, to the
-whole slice: its frame carries only y, the commit challenge only R and the
-proof only the round's seed, and a frame the developer refuses gets {}.
+whole slice, in two frames: the checker frame carries y and the challenge R
+and is answered by the commitment, and the proof carries only the round's
+seed. A frame the developer refuses gets {}, and a refused checker frame
+gets no proof.
 
 The published structure is one value, Structure, which names a feed as its
 JSON does, by a ref: an external input's name (a JSON string) or a table's
@@ -79,7 +81,7 @@ from binascii import a2b_base64, b2a_base64
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import he
+from . import he, tables
 from .channel import ChannelError, LoopbackChannel, canonical_json, make_frame
 from .circuit import UniversalCircuit, budget_for, compile_table, encode_program
 from .commitment import (
@@ -105,6 +107,7 @@ from .tables import (
     bits_uint,
     evaluate_plain,
     int_to_bits,
+    join_ports,
     sibling_group,
     tagged_word,
     transform,
@@ -112,7 +115,9 @@ from .tables import (
 )
 from .vga import generate_suite, input_key
 
-CERT_VERSION = 20  # bump whenever a field, a frame or a replay rule changes
+# bump whenever a certificate field or a replay rule changes; a change of
+# frames that leaves every certificate byte for byte the same needs none
+CERT_VERSION = 20
 SESSION_SEED_BITS = 128  # the verifier's key seed and challenge seed
 ROUND_SEED_BITS = 128  # a checker round's seed, derived from the key seed
 ROUND_INDEX_BITS = 32  # a checker round's index, in its seed's derivation
@@ -475,7 +480,7 @@ class _SessionMem:
     # output); a q2's input word is joined from these
     words: dict = field(default_factory=dict)
     last: object = None  # the ref of the answer just given, for its checker round
-    pending: dict = field(default_factory=dict)  # checker subprotocol state
+    pending: dict = field(default_factory=dict)  # the committed round, until its proof
     swap_held: object = None  # (external, value) of the previous q2, for swap-answers
 
 
@@ -585,19 +590,13 @@ class Developer:
         if t is None:
             return {"answer": None}
         external, feeds = t
-        # per port, the word the verifier joins: the first answer of its feed
-        # that fired, by the verifier's rule, and null for a ref not answered
-        words, silent = self.mem.words, Tagged(False, 0)
-        ports = []
-        for feed in feeds:
-            tops = sibling_group([
-                None if ref not in words
-                else Tagged(True, words[ref]) if words[ref][1] & ((1 << h) - 1)
-                else silent for ref in feed])
-            if not tops:
-                return {"answer": None}
-            ports.append(tops[0].payload)
-
+        # the word the verifier joins, by its rule: an answer fires when its
+        # plaintext's tag half is nonzero, and a ref not answered is null
+        fired = {ref: Tagged(True, wu) if wu[1] & ((1 << h) - 1) else tables.BOT
+                 for ref, wu in self.mem.words.items()}
+        ports = join_ports(feeds, fired)
+        if ports is None:
+            return {"answer": None}
         u_plain = sum(u << j * m for j, (_, u) in enumerate(ports))
         v_word = table_step(self.pp, i, he.join_words(self.hpk, [w for w, _ in ports]))
         out = self._open_output(i, v_word, u_plain)
@@ -634,7 +633,8 @@ class Developer:
 
     def _checker(self, body):
         h = self.pp.m // 2
-        ref, self.mem.last = self.mem.last, None
+        # a checker frame ends the round before it, proven or not
+        ref, self.mem.last, self.mem.pending = self.mem.last, None, {}
         if ref is None:  # no answer to pin, or this one's round is taken
             return {}
         known = self.mem.words[ref]
@@ -649,28 +649,18 @@ class Developer:
         except ProtocolError:
             return {}
         d = self._open_checker(y, checker_slice(known[1], whole, h), width)
-        self.mem.pending = {"d": d, "width": width, "p": p, "y": y, "seed": None}
-        return {}
-
-    def _commit(self, body):
-        pending = self.mem.pending
-        if not pending or pending["seed"] is not None:
-            return {}
-        width, s = pending["width"], se_keygen(COMMIT_SEED_BITS, self.rng)
-        n = commit_bits(width)
+        s, n = se_keygen(COMMIT_SEED_BITS, self.rng), commit_bits(width)
         try:
-            e, exposed = commit_respond(pending["d"], width,
-                                        hex_bits(body.get("R"), 2 * n), s)
+            e, exposed = commit_respond(d, width, hex_bits(body.get("R"), 2 * n), s)
         except (ProtocolError, CommitError):  # R of another length, or weight
             return {}
-        pending["seed"] = s
+        self.mem.pending = {"d": d, "width": width, "p": p, "y": y, "seed": s}
         return {"e": bits_hex(e, n), "exposed": bits_hex(exposed, n)}
 
     def _proof(self, body):
-        pending = self.mem.pending
-        if not pending or pending["seed"] is None:
+        pending, self.mem.pending = self.mem.pending, {}
+        if not pending:
             return {}
-        self.mem.pending = {}
         width = pending["width"]
         try:
             seed = hex_bits(body.get("seed"), ROUND_SEED_BITS)
@@ -686,7 +676,6 @@ class Developer:
     ANSWERS = {
         "encode": _encode,
         "checker": _checker,
-        "commit_challenge": _commit,
         "checker_proof": _proof,
     }
 
@@ -735,15 +724,16 @@ class Verifier:
     The verifier meets the developer and its own randomness through three
     hooks: _session_key draws the general-mode session secrets, _ask sends
     a query and returns the reply's body, and _opening runs a checker
-    round's exchange, from y to the reveal, and gives the round's key.
+    round's two frames, y and R for the commitment, then the seed for the
+    reveal, and gives the round's key.
     audit.ReplayVerifier overrides just these three to play a certificate
     back. An encode answer is its value, checked once by _value: the
     certificate records it as given, or null when it fails the check. The
     session secrets are two seeds, never sent and disclosed in the
     certificate: every checker round's seed, and from it the round's key,
     comes from the key seed, and every challenge from the challenge seed,
-    so the auditor draws them again. A round's seed is sent once the
-    developer has committed."""
+    so the auditor draws them again. A round's challenge goes with its y,
+    and its seed only once the developer has committed."""
 
     def __init__(
         self,
@@ -941,15 +931,10 @@ class Verifier:
             feeds[name] = None if w is None else Tagged(True, w)
 
         for i, (_, ports) in enumerate(self.pp.structure.tables, 1):
-            port_words = []
-            for feed in ports:
-                # a null or uniformly non-firing feed makes the consumer
-                # null, matching the plaintext evaluation rules
-                tops = sibling_group([feeds.get(ref) for ref in feed])
-                if not tops:
-                    break
-                port_words.append(tops[0].payload)
-            if len(port_words) < len(ports):
+            # a null or uniformly non-firing feed makes the consumer null,
+            # matching the plaintext evaluation rules
+            port_words = join_ports(ports, feeds)
+            if port_words is None:
                 feeds[i] = outs[i] = None
                 continue
 
@@ -961,9 +946,8 @@ class Verifier:
                 self.failures.append({"reason": "q2-null", "i": i})
                 feeds[i] = outs[i] = None
                 continue
-            silent = Tagged(False, 0)
-            feeds[i] = Tagged(True, v_word) if a & 1 else silent
-            outs[i] = Tagged(True, a >> h) if a & 1 else silent
+            feeds[i] = Tagged(True, v_word) if a & 1 else tables.BOT
+            outs[i] = Tagged(True, a >> h) if a & 1 else tables.BOT
 
         outputs = {}
         for name, ptype, group in self.pp.structure.outputs:
@@ -1005,14 +989,13 @@ class Verifier:
     def _opening(self, chan, p, width, R, seed):
         """Run the checker round of the given seed on the slice p of the
         answer just given: send y, p's SE encryption under the round's key
-        word, then the challenge R, and the seed once the developer has
+        word, with the challenge R, and the seed once the developer has
         committed. Returns the round's key and its record {d, e, exposed,
         seed} once it opens (_opens), else None."""
         sk, ct_sk = checker_key(seed, width, self.pp.hpk)
         y = checker_value(self.pp, ct_sk, p)
-        self._ask(chan, "checker", {"y": cts_b64(y)})  # a refused round fails below
-        commit = self._ask(chan, "commit_challenge",
-                           {"R": bits_hex(R, 2 * commit_bits(width))})
+        commit = self._ask(chan, "checker", {"y": cts_b64(y),
+                                             "R": bits_hex(R, 2 * commit_bits(width))})
         if not commit:  # refused: the seed is not sent
             return sk, None
         proof = self._ask(chan, "checker_proof",

@@ -299,6 +299,20 @@ def sibling_group(values):
     return [v for v in values if v.tag]
 
 
+def join_ports(feeds, values):
+    """The payloads a consumer reads, one per port: the first member of the
+    port's feed whose tag is top, by sibling_group, where a ref's member is
+    values.get(ref) (None, null, when values lacks it). None (null) when a
+    port has no such member. Both parties of a q2 join its input word so."""
+    payloads = []
+    for feed in feeds:
+        tops = sibling_group([values.get(ref) for ref in feed])
+        if not tops:
+            return None
+        payloads.append(tops[0].payload)
+    return payloads
+
+
 def _resolve_port(tg, values, X, consumer, port):
     """Value feeding (consumer, port): Tagged, or None for null."""
     feed = tg.producers[(consumer, port)]

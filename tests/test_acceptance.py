@@ -314,9 +314,8 @@ def test_c8_oracles_byte_identical_to_services():
                 seed = round_seed(key_seed, rounds)
                 _, ct_sk = checker_key(seed, m, dev.hpk)
                 y = checker_value(dev.pp, ct_sk, p)
-                ask("checker", {"y": cts_b64(y)}, pair)
                 R = bits_hex(challenge(m, rng), 2 * commit_bits(m))
-                if ask("commit_challenge", {"R": R}, pair):  # a refused round answers {}
+                if ask("checker", {"y": cts_b64(y), "R": R}, pair):  # a refused round answers {}
                     rounds += 1
                     proof = ask("checker_proof",
                                 {"seed": bits_hex(seed, ROUND_SEED_BITS)}, pair)

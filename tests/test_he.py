@@ -37,15 +37,15 @@ def test_round_trip(tr_keys):
     rng = random.Random(3)
     for _ in range(300):
         b = rng.randrange(2)
-        assert he.dec(tr_keys.hsk, he.enc(tr_keys.hpk, b, rng)) == b
+        assert he.dec_word(tr_keys.hsk, he.enc_word(tr_keys.hpk, (b,), rng)) == (b,)
 
 
 def test_enc_probabilistic(tr_keys):
     rng = random.Random(4)
-    a = he.enc(tr_keys.hpk, 1, rng)
-    b = he.enc(tr_keys.hpk, 1, rng)
+    a = he.enc_word(tr_keys.hpk, (1,), rng)
+    b = he.enc_word(tr_keys.hpk, (1,), rng)
     assert a != b
-    assert he.dec(tr_keys.hsk, a) == he.dec(tr_keys.hsk, b) == 1
+    assert he.dec_word(tr_keys.hsk, a) == he.dec_word(tr_keys.hsk, b) == (1,)
 
 
 def test_ciphertext_fixed_length(tr_keys):
@@ -55,21 +55,21 @@ def test_ciphertext_fixed_length(tr_keys):
     assert he.LAM_BYTES == 9 + 17
     word = he.enc_word(tr_keys.hpk, (0, 1, 1, 0), rng)
     assert isinstance(word, bytes) and len(word) == 9 + 4 * 17
-    assert len(he.enc(tr_keys.hpk, 1, rng)) == he.LAM_BYTES
+    assert len(he.enc_word(tr_keys.hpk, (1,), rng)) == he.LAM_BYTES
 
 
 def test_dec_malformed(tr_keys):
     rng = random.Random(6)
-    ct = he.enc(tr_keys.hpk, 1, rng)
+    ct = he.enc_word(tr_keys.hpk, (1,), rng)
     with pytest.raises(he.HeError):
-        he.dec(tr_keys.hsk, ct[:-4])
+        he.dec_word(tr_keys.hsk, ct[:-4])
     with pytest.raises(he.HeError):
-        he.dec(tr_keys.hsk, b"\x07" + ct[1:])
+        he.dec_word(tr_keys.hsk, b"\x07" + ct[1:])
     # a ciphertext from a different key pair is refused
     other = he.keygen(rng=random.Random(7))
-    ct = he.enc(other.hpk, 1, random.Random(8))
+    ct = he.enc_word(other.hpk, (1,), random.Random(8))
     with pytest.raises(he.HeError):
-        he.dec(tr_keys.hsk, ct)
+        he.dec_word(tr_keys.hsk, ct)
 
 
 def test_eval_basic_gates(tr_keys):
@@ -79,8 +79,8 @@ def test_eval_basic_gates(tr_keys):
     for a in (0, 1):
         for b in (0, 1):
             cts = he.enc_word(tr_keys.hpk, (a, b), rng)
-            assert he.dec(tr_keys.hsk, he.eval_word(tr_keys.hpk, and_c, cts)) == (a & b)
-            assert he.dec(tr_keys.hsk, he.eval_word(tr_keys.hpk, xor_c, cts)) == (a ^ b)
+            assert he.dec_word(tr_keys.hsk, he.eval_word(tr_keys.hpk, and_c, cts)) == (a & b,)
+            assert he.dec_word(tr_keys.hsk, he.eval_word(tr_keys.hpk, xor_c, cts)) == (a ^ b,)
 
 
 def test_eval_deterministic(tr_keys):

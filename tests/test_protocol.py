@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -530,7 +531,10 @@ def test_memory_wiped_between_sessions():
     assert s1.mem.words and not s2.mem.words and not dev.mem.words
 
 
-def test_checker_requires_commit_before_proof():
+def test_a_checker_frame_without_a_challenge_commits_nothing():
+    # a checker frame of y alone, as a verifier of the three-frame round
+    # sent it, is refused: no commitment, so the proof of the round's own
+    # seed gets {} too
     dev = make_dev()
     _, names = first_input_table(dev)
     m = dev.pp.m
@@ -540,7 +544,7 @@ def test_checker_requires_commit_before_proof():
     _, ct_sk = checker_key(4, m, dev.hpk)
     y = checker_value(dev.pp, ct_sk, p)
     assert frame(dev, "checker", {"y": cts_b64(y)}) == {}
-    # proof before the commitment exchange must fail
+    assert not dev.mem.pending
     assert frame(dev, "checker_proof", {"seed": bits_hex(4, 128)}) == {}
 
 
@@ -566,39 +570,39 @@ def test_checker_value_words_are_pinned():
 def test_commit_challenge_of_the_wrong_weight_is_null(monkeypatch):
     # R is spelled as 2q bits per block, so hex_bits takes it, but a part
     # of it does not have weight q: commit_respond refuses it with
-    # CommitError, and the developer answers {}. Any other error there is
-    # the developer's own, and is not taken for a hostile verifier's
+    # CommitError, and the developer answers the checker frame {}, as it
+    # does an R of another spelling and a frame without one. Any other
+    # error there is the developer's own, and is not taken for a hostile
+    # verifier's. A round pins the answer just given, so each frame is sent
+    # on an answer of its own
     dev = make_dev()
     _, names = first_input_table(dev)
     m = dev.pp.m
     n = commit_bits(m)
+    R = challenge(m, random.Random(0))
 
-    def open_round(session):
+    def checker_frame(session, body):
         a = frame(session, "encode", {"qkind": 1, "input": names[0],
                                       "x": bits_hex(0, m // 2)})
         p = b64_cts(a["answer"], dev.hpk)
         _, ct_sk = checker_key(4, m, dev.hpk)
         y = checker_value(dev.pp, ct_sk, p)
-        assert frame(session, "checker", {"y": cts_b64(y)}) == {}
-        return challenge(m, random.Random(0))
+        return frame(session, "checker", dict(body, y=cts_b64(y)))
 
     session = dev.session()
-    R = open_round(session)
     for bad in (R ^ (R & -R), (1 << 2 * n) - 1, 0):  # weight q - 1, 2q, 0
-        assert frame(session, "commit_challenge", {"R": bits_hex(bad, 2 * n)}) == {}
+        assert checker_frame(session, {"R": bits_hex(bad, 2 * n)}) == {}
+        assert frame(session, "checker_proof", {"seed": bits_hex(4, 128)}) == {}
     for bad in ({}, {"R": R}, {"Rs": [bits_hex(R, 2 * n)]}, {"R": bits_hex(R, 2 * n + 4)}):
-        assert frame(session, "commit_challenge", bad) == {}
-    assert set(frame(session, "commit_challenge", {"R": bits_hex(R, 2 * n)})) == {
-        "e", "exposed"}
+        assert checker_frame(session, bad) == {}
+    assert set(checker_frame(session, {"R": bits_hex(R, 2 * n)})) == {"e", "exposed"}
 
     def broken(D, n, R, s):
         raise RuntimeError("a fault in the committer")
 
     monkeypatch.setattr(protocol, "commit_respond", broken)
-    session = dev.session()
-    R = open_round(session)
     with pytest.raises(RuntimeError, match="a fault in the committer"):
-        frame(session, "commit_challenge", {"R": bits_hex(R, 2 * n)})
+        checker_frame(dev.session(), {"R": bits_hex(R, 2 * n)})
 
 
 def test_a_wide_slice_is_one_commitment_of_several_blocks():
@@ -609,18 +613,21 @@ def test_a_wide_slice_is_one_commitment_of_several_blocks():
     m = dev.pp.m
     n = commit_bits(m)
     assert m == 32 and n == 512
-    session = dev.session()
-    a = frame(session, "encode", {"qkind": 1, "input": "a", "x": bits_hex(3, m // 2)})
-    _, ct_sk = checker_key(4, m, dev.hpk)
-    y = checker_value(dev.pp, ct_sk, b64_cts(a["answer"], dev.hpk))
-    assert frame(session, "checker", {"y": cts_b64(y)}) == {}
     R = challenge(m, random.Random(0))
     second = R >> n
     bad = R ^ (second & -second) << n
     with pytest.raises(CommitError):
         commit_respond(0, m, bad, 0)
-    assert frame(session, "commit_challenge", {"R": bits_hex(bad, 2 * n)}) == {}
-    c = frame(session, "commit_challenge", {"R": bits_hex(R, 2 * n)})
+    session = dev.session()
+    replies = []
+    for R_sent in (bad, R):  # each on an answer of its own
+        a = frame(session, "encode", {"qkind": 1, "input": "a", "x": bits_hex(3, m // 2)})
+        _, ct_sk = checker_key(4, m, dev.hpk)
+        y = checker_value(dev.pp, ct_sk, b64_cts(a["answer"], dev.hpk))
+        replies.append(frame(session, "checker", {"y": cts_b64(y),
+                                                  "R": bits_hex(R_sent, 2 * n)}))
+    refused, c = replies
+    assert refused == {}
     assert set(c) == {"e", "exposed"} and len(c["e"]) == len(c["exposed"]) == n // 4
     proof = frame(session, "checker_proof", {"seed": bits_hex(4, 128)})
     assert set(proof) == {"d", "seed"} and len(proof["d"]) == m // 4
@@ -651,8 +658,7 @@ def test_checker_proof_opens_only_under_the_round_seed():
         sk, ct_sk = checker_key(seed, m, dev.hpk)
         assert he.check_word(dev.hpk, ct_sk) == 4 * m
         y = checker_value(dev.pp, ct_sk, p)
-        assert frame(dev, "checker", {"y": cts_b64(y)}) == {}
-        c = frame(dev, "commit_challenge", {"R": challenge_hex(m, random.Random(0))})
+        c = frame(dev, "checker", {"y": cts_b64(y), "R": challenge_hex(m, random.Random(0))})
         assert set(c) == {"e", "exposed"}
         proof = frame(dev, "checker_proof", body)
         if body == {"seed": text}:
@@ -677,13 +683,15 @@ def test_checker_rejects_unknown_slice():
     # a round pins the answer just given; with nothing answered there is
     # no word to slice, whatever y the verifier sends and whatever query a
     # frame of an older format names: the round is refused, {}, and so is
-    # its commit challenge
+    # its proof
     dev = make_dev()
     m = dev.pp.m
     y = he.enc_word(dev.hpk, (0,) * m, random.Random(5))
-    for body in ({"y": cts_b64(y)}, {"i": 1, "qkind": 2, "port": 0, "y": cts_b64(y)}):
+    R = challenge_hex(m, random.Random(0))
+    for body in ({"y": cts_b64(y), "R": R},
+                 {"i": 1, "qkind": 2, "port": 0, "y": cts_b64(y), "R": R}):
         assert frame(dev, "checker", body) == {}
-        assert frame(dev, "commit_challenge", {"R": challenge_hex(m, random.Random(0))}) == {}
+        assert frame(dev, "checker_proof", {"seed": bits_hex(4, 128)}) == {}
 
 
 def answer_a(session, value=3):
@@ -694,15 +702,15 @@ def answer_a(session, value=3):
 
 
 def run_round(session, w, body=None, seed=4):
-    """The developer's replies to one full checker round on the word w: its
-    checker frame is body, with y added, its key drawn from the round seed
-    seed and its challenge from a generator seeded with it."""
+    """The developer's replies to the two frames of one checker round on
+    the word w: its checker frame is body, with y and R added, its key drawn
+    from the round seed seed and its challenge from a generator seeded with
+    it."""
     _, ct_sk = checker_key(seed, session.pp.m, session.hpk)
     y = checker_value(session.pp, ct_sk, b64_cts(w, session.hpk))
-    r = frame(session, "checker", dict(body or {}, y=cts_b64(y)))
-    c = frame(session, "commit_challenge",
-              {"R": challenge_hex(session.pp.m, random.Random(seed))})
-    return r, c, frame(session, "checker_proof", {"seed": bits_hex(seed, 128)})
+    R = challenge_hex(session.pp.m, random.Random(seed))
+    c = frame(session, "checker", dict(body or {}, y=cts_b64(y), R=R))
+    return c, frame(session, "checker_proof", {"seed": bits_hex(seed, 128)})
 
 
 def test_an_answer_gets_one_checker_round():
@@ -712,20 +720,29 @@ def test_an_answer_gets_one_checker_round():
     dev = make_dev(seed=1)
     session = dev.session()
     w = answer_a(session)
-    r, c, proof = run_round(session, w)
-    assert r == {} and set(c) == {"e", "exposed"} and set(proof) == {"d", "seed"}
+    c, proof = run_round(session, w)
+    assert set(c) == {"e", "exposed"} and set(proof) == {"d", "seed"}
     assert frame(session, "checker", {"y": proof["d"]}) == {}
-    assert run_round(session, w) == ({}, {}, {})
+    assert run_round(session, w) == ({}, {})
     assert answer_a(session) is not None
     bad = frame(session, "encode", {"qkind": 1, "input": "a", "x": "1"})
     assert bad == {"answer": None}
-    assert run_round(session, w) == ({}, {}, {})
+    assert run_round(session, w) == ({}, {})
+    # a checker frame ends the round before it: a commitment left without
+    # its proof is never opened after another checker frame
+    w = answer_a(session)
+    _, ct_sk = checker_key(4, session.pp.m, session.hpk)
+    y = checker_value(session.pp, ct_sk, b64_cts(w, session.hpk))
+    R = challenge_hex(session.pp.m, random.Random(4))
+    assert set(frame(session, "checker", {"y": cts_b64(y), "R": R})) == {"e", "exposed"}
+    assert frame(session, "checker", {"y": cts_b64(y), "R": R}) == {}
+    assert frame(session, "checker_proof", {"seed": bits_hex(4, 128)}) == {}
 
 
 def test_stray_checker_frame_fields_change_nothing():
-    # the frame of a round is {y}: an i, qkind or port it carries names
-    # nothing, so the developer's replies are the same with them and
-    # without them
+    # the checker frame of a round is {y, R}: an i, qkind or port it
+    # carries names nothing, so the developer's replies are the same with
+    # them and without them
     replies = []
     for body in ({}, {"i": 5, "qkind": 2, "port": 0}, {"i": [1], "qkind": 1, "port": [0]}):
         session = make_dev(seed=3).session()
@@ -754,27 +771,28 @@ def test_a_q2_reads_each_port_from_its_own_input():
 
 
 class _Counting(LoopbackChannel):
-    """Loopback that counts the frames sent and the q1s among them."""
+    """Loopback that counts the frames sent, per type, and the q1s among them."""
 
     def __init__(self, handler):
         super().__init__(handler)
-        self.frames = self.q1s = 0
+        self.frames, self.q1s = Counter(), 0
 
     def send(self, frame):
-        self.frames += 1
+        self.frames[frame["type"]] += 1
         self.q1s += frame["type"] == "encode" and frame["body"]["qkind"] == 1
         super().send(frame)
 
 
 @pytest.mark.parametrize("graph, domains, mode, frames", [
-    (DEMO, DEMO_DOMAINS, "general", 400),
-    (diamond_graph(), DIAMOND_DOMAINS, "honest", 90),
+    (DEMO, DEMO_DOMAINS, "general",
+     {"encode": 100, "checker": 100, "checker_proof": 100}),
+    (diamond_graph(), DIAMOND_DOMAINS, "honest", {"encode": 90}),
 ], ids=["general-demo", "honest-diamond"])
 def test_a_session_asks_one_q1_per_input_per_tested_input(graph, domains, mode,
                                                           frames):
     # developer seed 1, suite seed 7: the demo's 10 tested inputs ask one q1
-    # per external input each, 20 in all, and with a checker round on each
-    # answer the session moves 400 frames; the diamond's moves 90
+    # per external input each, 20 in all, and a checker round of two frames
+    # on each of its 100 answers: 300 frames. The diamond's 90 are queries
     dev = make_dev(graph, seed=1)
     v = Verifier(dev.pp.to_dict(), graph, domains, [], seed=7, mode=mode,
                  rng=random.Random(2))
@@ -792,8 +810,8 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     # is a hidden intermediate value. A verifier that runs a round on its
     # payload half, as an external table's round once was, and names it so
     # ("case" and "p", which the developer once took from the frame), gets
-    # no d: the developer slices the tag half of the word it answered, and
-    # the y of another slice does not recompute
+    # a commitment but no d: the developer slices the tag half of the word
+    # it answered, and the y of another slice does not recompute
     dev = make_dev(seed=1)
     assert dev.index_of["DL#1"] == 1 and dev.pp.structure.table(1)[0] is False
     h = dev.pp.m // 2
@@ -805,15 +823,14 @@ def test_a_checker_round_never_opens_an_intermediate_payload():
     payload = he.cut_word(dev.hpk, v_word, h)
     _, ct_sk = checker_key(4, h, dev.hpk)
     y = checker_value(dev.pp, ct_sk, payload)
-    r = frame(dev, "checker", {"case": "external", "p": cts_b64(payload),
-                               "y": cts_b64(y)})
-    assert r == {}
-    assert "e" in frame(dev, "commit_challenge", {"R": challenge_hex(h, random.Random(5))})
+    c = frame(dev, "checker", {"case": "external", "p": cts_b64(payload),
+                               "y": cts_b64(y), "R": challenge_hex(h, random.Random(5))})
+    assert set(c) == {"e", "exposed"}
     proof = frame(dev, "checker_proof", {"seed": bits_hex(4, 128)})
     assert proof == {} and "d" not in proof
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "a hostile verifier's y is decrypted and committed before its proof is "
     "checked, and the 2^16 commitment seeds are searchable: the commitment "
     "opens to DL#1's hidden payload 26 without the proof"))
@@ -824,19 +841,21 @@ def test_a_commitment_hides_what_a_hostile_y_decrypts_to():
     # to 26 before the proof shows that y does not recompute. Searching
     # every commitment seed for one whose stream gives the exposed bits
     # unmasks the codeword, and with it the data: a commitment hides its
-    # data only while its seed cannot be searched or predicted
+    # data only while its seed cannot be searched or predicted. Only the
+    # last assert may fail: a step before it that goes wrong fails the test
     dev = make_dev(seed=1)
     h = dev.pp.m // 2
     a = frame(dev, "encode", {"qkind": 1, "input": "a", "x": bits_hex(DEMO_INPUT["a"], h)})
     v_word = table_step(dev.pp, 1, b64_cts(a["answer"], dev.hpk))
-    assert frame(dev, "encode", {"qkind": 2, "i": 1})["answer"] == bits_hex(1, h)
+    if frame(dev, "encode", {"qkind": 2, "i": 1})["answer"] != bits_hex(1, h):
+        pytest.fail("DL#1 did not fire on DEMO_INPUT")
     payload = he.cut_word(dev.hpk, v_word, h)
-    assert frame(dev, "checker", {"y": cts_b64(payload)}) == {}
     R = challenge(h, random.Random(5))
     n = commit_bits(h)
-    c = frame(dev, "commit_challenge", {"R": bits_hex(R, 2 * n)})
+    c = frame(dev, "checker", {"y": cts_b64(payload), "R": bits_hex(R, 2 * n)})
     e, exposed = hex_bits(c["e"], n), hex_bits(c["exposed"], n)
-    assert frame(dev, "checker_proof", {"seed": bits_hex(4, 128)}) == {}  # too late
+    if frame(dev, "checker_proof", {"seed": bits_hex(4, 128)}) != {}:
+        pytest.fail("the proof of a y that does not recompute opened")  # it comes too late
     codewords = {PROTOCOL_CODE.encode(D): D for D in range(1 << h)}
     opened = set()
     for s in range(1 << COMMIT_SEED_BITS):
@@ -872,9 +891,10 @@ def test_serve_survives_malformed_checker_ciphertext():
         for stray in ({}, {"i": [1]}, {"port": [0]}):
             a = ask("encode", {"qkind": 1, "input": names[0], "x": bits_hex(0, m // 2)})
             assert a["answer"] is not None
-            assert ask("checker", dict(stray, y=cts_b64(y))) == {}
+            R = challenge_hex(m, random.Random(0))
+            assert ask("checker", dict(stray, y=cts_b64(y), R=R)) == {}
             # refused: the round has no commitment
-            assert ask("commit_challenge", {"R": challenge_hex(m, random.Random(0))}) == {}
+            assert ask("checker_proof", {"seed": bits_hex(4, 128)}) == {}
         for bad in (["encode", {}], {"type": ["encode"], "body": {}},
                     {"type": "encode", "body": "junk"}):
             chan.send(bad)
@@ -1023,9 +1043,9 @@ def _reply(body):
     ("encode", 1, _reply({"answer": 5})),
     ("encode", 1, _reply({"answer": "A" * 16})),
     ("encode", 2, _reply({"answer": "12"})),  # table 1's tag half, 0x12 > 1
-    ("commit_challenge", None, _reply({"blocks": 3})),
+    ("checker", None, _reply({"e": 3, "exposed": "00"})),
 ], ids=["reply-list", "body-list", "answer-int", "w-str", "payload-not-bits",
-        "commit-blocks-int"])
+        "commit-e-int"])
 def test_malformed_developer_reply_is_a_reject(ftype, qkind, bad):
     from tabverify import audit
 
@@ -1071,9 +1091,8 @@ def test_checker_on_a_slice_se_cannot_encrypt_is_null():
     a = frame(session, "encode", {"qkind": 2, "i": 1})
     assert a["answer"] == "1"  # a 3-bit tag half: one hex digit
     y = cts_b64(he.cut_word(dev.hpk, v_word, 0, 3))
-    assert frame(session, "checker", {"y": y}) == {}
     R = challenge_hex(3, random.Random(2))
-    assert frame(session, "commit_challenge", {"R": R}) == {}
+    assert frame(session, "checker", {"y": y, "R": R}) == {}
     assert frame(session, "checker_proof", {"seed": bits_hex(3, 128)}) == {}
 
 

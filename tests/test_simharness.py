@@ -65,8 +65,8 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
     key_seed = random.Random(3).getrandbits(128)
     orc.learn_key_seed(key_seed)
     m = dev.pp.m
-    # the oracle counts the rounds it opens: the refused ones below do not
-    # count, so the one that opens is its round 0
+    # the oracle counts the rounds whose y it opens: the two refused below
+    # for their y do not count, so the one that commits is its round 0
     _, ct_sk = checker_key(round_seed(key_seed, 0), m, dev.hpk)
     # a word of m ciphertexts of the right length, with no valid tag or key id
     junk = bytes(9 + m * (he.LAM_BYTES - 9))
@@ -79,24 +79,29 @@ def test_oracle_matches_service_on_malformed_ciphertexts():
 
     q1 = {"qkind": 1, "input": "a", "x": bits_hex(0, m // 2)}
     R = {"R": bits_hex(challenge(m, random.Random(5)), 2 * commit_bits(m))}
+    seed = {"seed": bits_hex(round_seed(key_seed, 0), 128)}
     assert ask("encode", dict(q1, input=[1])) == {"answer": None}
     ask("encode", q1)
-    # refused on both, {}, so that its commit challenge is refused too
-    assert ask("checker", {"y": cts_b64(junk)}) == {}
-    assert ask("commit_challenge", R) == {}
+    # refused on both, {}, so that its proof is refused too
+    assert ask("checker", dict(R, y=cts_b64(junk))) == {}
+    assert ask("checker_proof", seed) == {}
     # that round took the answer: the next one needs an answer of its own
-    assert ask("checker", {"y": cts_b64(junk)}) == {}
-    assert ask("commit_challenge", R) == {}
+    assert ask("checker", dict(R, y=cts_b64(junk))) == {}
+    assert ask("checker_proof", seed) == {}
 
     w = ask("encode", q1)["answer"]
     y = checker_value(dev.pp, ct_sk, b64_cts(w, dev.hpk))
-    assert ask("checker", {"i": [1], "y": cts_b64(y)}) == {}  # a stray field names nothing
-    assert ask("commit_challenge", {"R": 5}) == {}
-    assert set(ask("commit_challenge", R)) == {"e", "exposed"}
+    # a stray field names nothing
+    assert set(ask("checker", dict(R, i=[1], y=cts_b64(y)))) == {"e", "exposed"}
     # a proof whose seed is a word, here with the round's key word in
     # format v17's field beside it, is refused on both
     proof = ask("checker_proof", {"seed": cts_b64(junk), "ct_sk": cts_b64(ct_sk)})
     assert proof == {}
+    # so is a challenge of another spelling, once y has opened as round 1
+    w = ask("encode", q1)["answer"]
+    _, ct_sk = checker_key(round_seed(key_seed, 1), m, dev.hpk)
+    y = checker_value(dev.pp, ct_sk, b64_cts(w, dev.hpk))
+    assert ask("checker", {"y": cts_b64(y), "R": 5}) == {}
 
 
 def test_fake_graph_same_structure_different_semantics():
